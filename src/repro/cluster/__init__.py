@@ -65,7 +65,6 @@ from repro.cluster.http import ClusterServer, serve_cluster
 from repro.cluster.merge import merge_knn, merge_search_payloads
 from repro.cluster.repair import (
     DEFAULT_MAX_REPAIR_OPS,
-    RepairEntry,
     RepairJournal,
 )
 from repro.cluster.router import Placement, ShardRouter, canonical_id, shard_of
@@ -82,7 +81,6 @@ __all__ = [
     "HedgePolicy",
     "LocalBackend",
     "Placement",
-    "RepairEntry",
     "RepairJournal",
     "ShardRouter",
     "canonical_id",

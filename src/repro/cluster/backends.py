@@ -20,7 +20,12 @@ from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 import numpy as np
 
 from repro.service.engine import QueryEngine
-from repro.service.http import healthz_payload, knn_payload, search_payload
+from repro.service.http import (
+    healthz_payload,
+    knn_payload,
+    search_payload,
+    write_payload,
+)
 from repro.util.validation import check_threshold
 
 if TYPE_CHECKING:
@@ -168,26 +173,14 @@ class LocalBackend:
         """Extend a stored sequence."""
         self.engine.append(sequence_id, np.asarray(points, dtype=np.float64))
         return dict(
-            _round_trip(
-                {
-                    "sequence_id": sequence_id,
-                    "sequences": len(self.engine),
-                    "snapshot_version": self.engine.snapshot_version,
-                }
-            )
+            _round_trip(write_payload(self.engine, sequence_id=sequence_id))
         )
 
     def remove(self, sequence_id: object) -> dict:
         """Remove a sequence."""
         self.engine.remove(sequence_id)
         return dict(
-            _round_trip(
-                {
-                    "sequence_id": sequence_id,
-                    "sequences": len(self.engine),
-                    "snapshot_version": self.engine.snapshot_version,
-                }
-            )
+            _round_trip(write_payload(self.engine, sequence_id=sequence_id))
         )
 
     # -- replication surface (mirrors ServiceClient's) -----------------
@@ -225,12 +218,4 @@ class LocalBackend:
     def restore(self, sequences: list[dict]) -> dict:
         """Replace the engine's corpus with an exported one."""
         restored = self.engine.restore(sequences)
-        return dict(
-            _round_trip(
-                {
-                    "restored": restored,
-                    "sequences": len(self.engine),
-                    "snapshot_version": self.engine.snapshot_version,
-                }
-            )
-        )
+        return dict(_round_trip(write_payload(self.engine, restored=restored)))

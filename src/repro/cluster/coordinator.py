@@ -61,7 +61,7 @@ from __future__ import annotations
 import time
 import uuid
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -87,6 +87,7 @@ from repro.service.errors import (
 )
 from repro.service.faults import inject
 from repro.service.stats import LatencyWindow
+from repro.service.wal import WalRecord
 from repro.util.budget import Deadline
 from repro.util.faults import FaultInjected
 from repro.util.rng import ensure_rng
@@ -119,6 +120,11 @@ _HEALTH_FAILURES = (*TRANSPORT_ERRORS, CircuitOpen, EngineClosed, FaultInjected)
 
 #: Sort rank for ids the coordinator never saw an insert for.
 _UNKNOWN_ORDER = 1 << 62
+
+
+def _listed(points: "npt.ArrayLike") -> list[Any]:
+    """Points as the JSON-ready nested list a write record carries."""
+    return np.asarray(points, dtype=np.float64).tolist()
 
 
 @dataclass(frozen=True)
@@ -551,50 +557,48 @@ class ClusterCoordinator:
             with self._order_lock:
                 sequence_id = f"auto-{self._auto_token}-{self._auto_id}"
                 self._auto_id += 1
-        listed = np.asarray(points, dtype=np.float64).tolist()
         self._replicated_write(
-            "insert",
-            sequence_id,
-            lambda backend, _budget: backend.insert(
-                listed, sequence_id=sequence_id
-            ),
-            points=listed,
+            WalRecord("insert", sequence_id, points=_listed(points))
         )
         return sequence_id
 
     def append(self, sequence_id: object, points: "npt.ArrayLike") -> object:
         """Extend a stored sequence on every replica of its shard."""
-        listed = np.asarray(points, dtype=np.float64).tolist()
         self._replicated_write(
-            "append",
-            sequence_id,
-            lambda backend, _budget: backend.append(sequence_id, listed),
-            points=listed,
+            WalRecord("append", sequence_id, points=_listed(points))
         )
         return sequence_id
 
     def remove(self, sequence_id: object) -> object:
         """Remove a sequence from every replica of its shard."""
-        self._replicated_write(
-            "remove",
-            sequence_id,
-            lambda backend, _budget: backend.remove(sequence_id),
-        )
+        self._replicated_write(WalRecord("remove", sequence_id))
         return sequence_id
 
-    def _replicated_write(
-        self,
-        op: str,
-        sequence_id: object,
-        call: Callable[[Backend, float | None], Any],
-        *,
-        points: list | None = None,
-    ) -> None:
+    @staticmethod
+    def _send_write(backend: Backend, record: WalRecord) -> Any:
+        """The one place a write record becomes a backend call.
+
+        Both the live fan-out and the repair drain go through here, so a
+        replica that missed a write is caught up with exactly the call
+        it missed.
+        """
+        if record.op == "insert":
+            return backend.insert(record.points, sequence_id=record.sequence_id)
+        if record.op == "append":
+            return backend.append(record.sequence_id, record.points)
+        return backend.remove(record.sequence_id)
+
+    def _replicated_write(self, record: WalRecord) -> None:
+        op, sequence_id = record.op, record.sequence_id
         self._count("requests")
         placement = self.router.placement(sequence_id)
         self._note_order(sequence_id)
         futures: dict[Future, int] = {}
         skipped: list[int] = []
+
+        def call(backend: Backend, _budget: float | None) -> Any:
+            return self._send_write(backend, record)
+
         for backend_index in placement.replicas:
             if self.health.usable(backend_index):
                 futures[
@@ -631,7 +635,7 @@ class ClusterCoordinator:
             # idempotent, so a repair that turns out unnecessary is
             # absorbed).
             for backend_index in (*skipped, *missed):
-                self._queue_repair(backend_index, op, sequence_id, points)
+                self._queue_repair(backend_index, record)
             raise caller_error
         if rejected:
             # At least one replica acked, so the request was
@@ -642,7 +646,7 @@ class ClusterCoordinator:
             # quorum already applied.
             self._count("divergent_writes", len(rejected))
         for backend_index in (*skipped, *missed, *rejected):
-            self._queue_repair(backend_index, op, sequence_id, points)
+            self._queue_repair(backend_index, record)
         if acks < self.write_quorum:
             self._count("quorum_failures")
             raise WriteQuorumFailed(
@@ -658,17 +662,9 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Read-repair
     # ------------------------------------------------------------------
-    def _queue_repair(
-        self,
-        backend_index: int,
-        op: str,
-        sequence_id: object,
-        points: list | None = None,
-    ) -> None:
+    def _queue_repair(self, backend_index: int, record: WalRecord) -> None:
         try:
-            queued = self.journal.queue(
-                backend_index, op, sequence_id, points=points
-            )
+            queued = self.journal.queue(replace(record, replica=backend_index))
         except RepairOverflow:
             # The journal dropped the queue and flagged the backend for a
             # snapshot resync; the write itself already reached its
@@ -709,26 +705,19 @@ class ClusterCoordinator:
             if not self._resync_backend(backend_index):
                 return replayed
         while True:
-            entry = self.journal.peek(backend_index)
-            if entry is None:
+            record = self.journal.peek(backend_index)
+            if record is None:
                 return replayed
             dropped = False
             try:
                 inject("cluster.read-repair")
-                if entry.op == "insert":
-                    try:
-                        backend.insert(  # error-ok: replay is idempotent — duplicate-id KeyError proves the write landed
-                            entry.points, sequence_id=entry.sequence_id
-                        )
-                    except KeyError:
-                        pass  # already present: the write did land
-                elif entry.op == "remove":
-                    try:
-                        backend.remove(entry.sequence_id)  # error-ok: replay is idempotent — missing-id KeyError proves the remove landed
-                    except KeyError:
-                        pass  # already absent
-                else:
-                    backend.append(entry.sequence_id, entry.points)  # error-ok: at-least-once replay by design; a torn append trips needs_resync and full snapshot copy
+                try:
+                    self._send_write(backend, record)  # error-ok: insert/remove replay is idempotent (the KeyError below proves the write landed); append is at-least-once by design — a torn append trips needs_resync and a full snapshot copy
+                except KeyError:
+                    if record.op == "append":
+                        raise  # target id never landed here: dead-letter
+                    # insert of a present id / remove of an absent one:
+                    # the write did land
             except _FAILOVER_ERRORS:
                 # Still unhealthy: keep the queue, try again next probe.
                 self.health.record_failure(backend_index)
@@ -739,7 +728,7 @@ class ClusterCoordinator:
                 # retry can fix it, so dead-letter the op rather than
                 # wedging the queue — and the probe thread — forever.
                 dropped = True
-            self.journal.ack(backend_index, entry)
+            self.journal.ack(backend_index, record)
             if dropped:
                 self._count("repairs_dropped")
             else:

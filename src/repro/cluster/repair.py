@@ -1,16 +1,20 @@
 """The durable read-repair journal behind the cluster coordinator.
 
-Every write a replica misses becomes a journal entry addressed to that
-replica (``WalRecord.replica``) and replayed — in order, idempotently —
-once the replica is reachable again.  The journal has two modes:
+Every write a replica misses is queued as the same
+:class:`~repro.service.wal.WalRecord` the coordinator built for the live
+fan-out, addressed to that replica (``WalRecord.replica``) and replayed —
+in order, idempotently — once the replica is reachable again.  The
+journal has two modes:
 
 * **In-memory** (``directory=None``, the default): per-backend queues
   that live and die with the coordinator, matching the pre-journal
   behaviour exactly.
-* **Durable** (``directory=...``): entries are appended to a
+* **Durable** (``directory=...``): records are appended to a
   :class:`~repro.service.wal.WriteAheadLog` (``repairs.log``) before they
-  are queued, and a ``repair_state.json`` sidecar records the per-backend
-  **acked cursor** — the greatest journal seq each backend has replayed.
+  are queued — the queued copy carries the journal ``seq`` the log
+  stamped, ``None`` in memory — and a ``repair_state.json`` sidecar
+  records the per-backend **acked cursor** — the greatest journal seq
+  each backend has replayed.
   Reopening the journal after a coordinator crash rebuilds every queue
   from the records past each cursor, so queued repair state survives a
   kill -9 of the coordinator.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -42,27 +46,13 @@ from repro.service.errors import RepairOverflow
 from repro.service.wal import WalRecord, WriteAheadLog
 from repro.util.sync import TracedLock
 
-__all__ = ["DEFAULT_MAX_REPAIR_OPS", "RepairEntry", "RepairJournal"]
+__all__ = ["DEFAULT_MAX_REPAIR_OPS", "RepairJournal"]
 
 #: Per-backend queue bound before overflow forces a snapshot resync.
 DEFAULT_MAX_REPAIR_OPS = 10_000
 
 _STATE_FILE = "repair_state.json"
 _LOG_FILE = "repairs.log"
-
-
-@dataclass(frozen=True)
-class RepairEntry:
-    """One missed write queued for a specific backend.
-
-    ``seq`` is the entry's journal WAL seq in durable mode (the ack
-    cursor advances to it after replay) and 0 in in-memory mode.
-    """
-
-    op: str
-    sequence_id: object
-    points: list | None = None
-    seq: int = 0
 
 
 class RepairJournal:
@@ -95,7 +85,7 @@ class RepairJournal:
         self.max_ops = max_ops
         self.directory = None if directory is None else Path(directory)
         self._lock = TracedLock("repair.journal")
-        self._queues: dict[int, list[RepairEntry]] = {
+        self._queues: dict[int, list[WalRecord]] = {
             index: [] for index in range(num_backends)
         }
         self._cursors: dict[int, int] = {
@@ -113,12 +103,9 @@ class RepairJournal:
                     continue
                 if backend in self._resync:
                     continue  # the pending resync supersedes the queue
-                seq = record.seq or 0
-                if seq <= self._cursors[backend]:
+                if (record.seq or 0) <= self._cursors[backend]:
                     continue  # already replayed before the crash
-                self._queues[backend].append(
-                    RepairEntry(record.op, record.sequence_id, record.points, seq)
-                )
+                self._queues[backend].append(record)
 
     # ------------------------------------------------------------------
     # Persistence (durable mode)
@@ -164,23 +151,19 @@ class RepairJournal:
     # ------------------------------------------------------------------
     # Producing
     # ------------------------------------------------------------------
-    def queue(
-        self,
-        backend: int,
-        op: str,
-        sequence_id: object,
-        *,
-        points: list | None = None,
-    ) -> bool:
-        """Queue one missed write for ``backend``.
+    def queue(self, record: WalRecord) -> bool:
+        """Queue one missed write for the backend ``record.replica`` names.
 
-        Returns ``True`` when the entry was queued, ``False`` when a
+        Returns ``True`` when the record was queued, ``False`` when a
         pending resync absorbed it (the resync will copy the final
         state).  Raises :class:`RepairOverflow` exactly at the overflow
         transition: the queue is dropped, the backend flagged for
         resync, and the durable cursor advanced past the dropped tail so
         a restart does not resurrect it.
         """
+        if record.replica is None:
+            raise ValueError("a repair record must name its replica")
+        backend = record.replica
         self._check_backend(backend)
         with self._lock:
             if backend in self._resync:
@@ -200,38 +183,33 @@ class RepairJournal:
                     pending=dropped,
                     capacity=self.max_ops,
                 )
-            seq = 0
             if self._wal is not None:
-                self._wal.append(
-                    WalRecord(op, sequence_id, points=points, replica=backend)
-                )
-                seq = self._wal.last_seq
-            self._queues[backend].append(
-                RepairEntry(op, sequence_id, points, seq)
-            )
+                self._wal.append(record)
+                record = replace(record, seq=self._wal.last_seq)
+            self._queues[backend].append(record)
             return True
 
     # ------------------------------------------------------------------
     # Consuming
     # ------------------------------------------------------------------
-    def peek(self, backend: int) -> RepairEntry | None:
-        """The oldest queued entry for ``backend`` (without removing it)."""
+    def peek(self, backend: int) -> WalRecord | None:
+        """The oldest queued record for ``backend`` (without removing it)."""
         self._check_backend(backend)
         with self._lock:
             queue = self._queues[backend]
             return queue[0] if queue else None
 
-    def ack(self, backend: int, entry: RepairEntry) -> None:
-        """``entry`` was replayed (or dead-lettered): pop it, advance the
+    def ack(self, backend: int, record: WalRecord) -> None:
+        """``record`` was replayed (or dead-lettered): pop it, advance the
         cursor, and compact the log once every queue runs dry."""
         self._check_backend(backend)
         with self._lock:
             queue = self._queues[backend]
-            if queue and queue[0] is entry:
+            if queue and queue[0] is record:
                 queue.pop(0)
-            if self._wal is not None and entry.seq:
+            if self._wal is not None and record.seq:
                 self._cursors[backend] = max(
-                    self._cursors[backend], entry.seq
+                    self._cursors[backend], record.seq
                 )
                 self._save_state_locked()
                 self._compact_locked()
@@ -278,7 +256,7 @@ class RepairJournal:
     # Introspection
     # ------------------------------------------------------------------
     def pending(self) -> dict[int, int]:
-        """Queued entries per backend (non-empty queues only)."""
+        """Queued records per backend (non-empty queues only)."""
         with self._lock:
             return {
                 index: len(queue)

@@ -229,6 +229,16 @@ class SequenceDatabase:
             )
         self._partitions[sequence_id] = new_partition
 
+    def empty_twin(self) -> "SequenceDatabase":
+        """An empty database with this one's configuration."""
+        return SequenceDatabase(
+            dimension=self.dimension,
+            cost_constant=self.cost_constant,
+            max_points=self.max_points,
+            index_kind=self.index_kind,
+            max_entries=self.max_entries,
+        )
+
     def clone(self) -> "SequenceDatabase":
         """A copy-on-write snapshot copy: mutations never cross over.
 
@@ -240,13 +250,7 @@ class SequenceDatabase:
         writers a private tree while in-flight readers finish on the old
         snapshot.
         """
-        twin = SequenceDatabase(
-            dimension=self.dimension,
-            cost_constant=self.cost_constant,
-            max_points=self.max_points,
-            index_kind=self.index_kind,
-            max_entries=self.max_entries,
-        )
+        twin = self.empty_twin()
         twin._partitions = dict(self._partitions)
         if self._index is not None and not self._index_dirty:
             cloner = getattr(self._index, "clone", None)

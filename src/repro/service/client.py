@@ -164,10 +164,7 @@ def _typed_error(status: int, detail: dict) -> Exception:
             capacity=int(detail.get("capacity", 0)),
             retry_after=None if retry_after is None else float(retry_after),
         )
-    if status in (504, 408):
-        # 504 is the current mapping for DeadlineExceeded; 408 is what
-        # servers one release back sent — keep parsing it until every
-        # server in a mixed-version fleet has rolled forward.
+    if status == 504:
         return DeadlineExceeded(message, timeout=float(detail.get("timeout", 0.0)))
     if status == 503:
         kind = detail.get("type")

@@ -3,16 +3,19 @@
 This is the long-lived serving harness around the paper's three-phase
 search.  Three mechanisms make it safe and fast under concurrent traffic:
 
-**Snapshot isolation.**  The engine never mutates a published
-:class:`~repro.core.database.SequenceDatabase`.  A write (insert / append /
-remove) takes the single writer lock, clones the current database
-copy-on-write (:meth:`SequenceDatabase.clone` — partitions shared, index
-structurally copied), applies the mutation to the private clone,
-materialises its index, and atomically swaps the engine's snapshot
-reference.  Readers grab the snapshot reference once per request and run
-entirely against it: no reader locks on the hot path, and an in-flight
-search finishes on the snapshot it started with (readers-never-block-
-writers, writers-never-tear-readers).
+**Snapshot isolation and the one commit path.**  The engine never
+mutates a published :class:`~repro.core.database.SequenceDatabase`.  Every
+route that changes the corpus — ``insert`` / ``append`` / ``remove``, a
+shipped batch (``apply_records``) and a full ``restore`` — runs the same
+sequence in :meth:`QueryEngine._commit`: admission check, the single
+writer lock, a private database (a copy-on-write
+:meth:`SequenceDatabase.clone` — partitions shared, index structurally
+copied — or an empty twin when the corpus is replaced), the mutation, the
+index check, the durability barrier, the cache action, and one atomic
+swap of the snapshot reference.  Readers grab the snapshot reference once
+per request and run entirely against it: no reader locks on the hot path,
+and an in-flight search finishes on the snapshot it started with
+(readers-never-block-writers, writers-never-tear-readers).
 
 **Admission control and deadlines.**  Requests execute on a bounded worker
 pool behind an :class:`~repro.service.admission.AdaptiveLimiter`: the
@@ -37,13 +40,17 @@ lower-bound monotonicity of Lemmas 1-3.  Writes patch affected sequence
 ids in place rather than flushing the cache.
 
 **Durability (optional).**  With a :class:`~repro.service.wal.
-DurabilityConfig`, every mutation is appended to a checksummed, fsynced
-write-ahead log *before* the snapshot that acknowledges it is published,
-and startup recovers by replaying the log over the latest good checkpoint
-(``snapshot.npz``) — a torn or corrupt log tail is truncated at the last
-valid record instead of refusing to start.  :meth:`checkpoint` persists
-the current snapshot crash-safely and resets the log; it runs
-automatically every ``checkpoint_every`` records and on clean close.
+DurabilityConfig`, the commit's durability barrier runs *before* the
+snapshot that acknowledges it is published: a write appends one
+checksummed, fsynced record per mutation to the write-ahead log, and a
+restore checkpoints the replacement corpus.  Startup recovers by
+replaying the log over the latest good checkpoint (``snapshot.npz``) — a
+torn or corrupt log tail is truncated at the last valid record instead of
+refusing to start.  A snapshot's version is read off the log once its
+commit has passed the barrier, so ``snapshot_version == wal_last_seq``
+after every route and across restarts.  :meth:`checkpoint` persists the
+current snapshot crash-safely and resets the log; it runs automatically
+every ``checkpoint_every`` records and on clean close.
 
 **Graceful degradation (optional).**  With ``degrade_after`` set, a run
 of consecutive admission-control rejections flips the engine into a
@@ -294,9 +301,8 @@ class QueryEngine:
         The recovered snapshot version equals the WAL's last stamped seq
         (which checkpoint markers preserve across truncation), so two
         recoveries from the same directory publish the same version —
-        replay is deterministic and idempotent — and, because every
-        acknowledged write appends exactly one record, a durable engine
-        keeps ``snapshot_version == wal.last_seq`` across its lifetime.
+        replay is deterministic and idempotent — and :meth:`_commit`
+        keeps ``snapshot_version == wal.last_seq`` from there on.
         Log-shipping leans on that invariant: the ``snapshot_version`` a
         leader reports with an exported snapshot doubles as the WAL
         cursor a freshly-resynced follower should tail from.
@@ -347,7 +353,7 @@ class QueryEngine:
                     and self.durability.checkpoint_on_close
                 ):
                     with self._write_lock:
-                        self._checkpoint_locked()
+                        self._checkpoint_locked(self._snapshot)
             finally:
                 self._wal.close()
 
@@ -363,12 +369,19 @@ class QueryEngine:
         if self._wal is None or self.durability is None:
             raise RuntimeError("engine has no durability configured")
         with self._write_lock:
-            return self._checkpoint_locked()
+            return self._checkpoint_locked(self._snapshot)
 
-    def _checkpoint_locked(self) -> int:
+    def _checkpoint_locked(self, snapshot: _Snapshot) -> int:
+        """Save ``snapshot`` and reset the WAL to its version.
+
+        ``snapshot`` is the published one, or — when a restore replaces
+        the corpus — the one about to be published: the reset moves the
+        log's seq counter up to ``snapshot.version`` (never back — a log
+        that ran ahead after a failed batch keeps its seq), so a restore
+        lands the counter on the version it publishes at.
+        """
         if self._wal is None or self.durability is None:
             raise RuntimeError("engine has no durability configured")
-        snapshot = self._snapshot
         verify_frozen(
             snapshot,
             role="engine.checkpoint",
@@ -377,7 +390,7 @@ class QueryEngine:
         inject("checkpoint.before-save")
         snapshot.database.save(self.durability.snapshot_path)
         inject("checkpoint.before-reset")
-        self._wal.reset()
+        self._wal.reset(snapshot.version)
         self._checkpoints += 1
         self._last_checkpoint_version = snapshot.version
         return snapshot.version
@@ -518,18 +531,18 @@ class QueryEngine:
         return self._execute("knn", lambda: self._do_knn(query, k), timeout)
 
     # ------------------------------------------------------------------
-    # Writes (serialised; publish a new snapshot)
+    # Writes (serialised; every route publishes through _commit)
     # ------------------------------------------------------------------
     def insert(
         self, points: SequenceLike, sequence_id: object = None
     ) -> object:
         """Add a sequence; readers in flight keep their old snapshot."""
-        return self._write(
+        return self._commit(
             "insert",
             lambda db: db.add(points, sequence_id=sequence_id),
-            lambda db, sid: WalRecord(
-                "insert", sid, points=db.sequence(sid).points.tolist()
-            ),
+            lambda db, sid: [
+                WalRecord("insert", sid, points=db.sequence(sid).points.tolist())
+            ],
         )
 
     def append(self, sequence_id: object, points: npt.ArrayLike) -> object:
@@ -539,17 +552,19 @@ class QueryEngine:
             db.append_points(sequence_id, points)
             return sequence_id
 
-        def wal_entry(db: SequenceDatabase, sid: object) -> WalRecord:
+        def log(db: SequenceDatabase, sid: object) -> list[WalRecord]:
             import numpy as np
 
-            return WalRecord(
-                "append",
-                sid,
-                points=np.asarray(points, dtype=np.float64).tolist(),
-                length=len(db.sequence(sid)),
-            )
+            return [
+                WalRecord(
+                    "append",
+                    sid,
+                    points=np.asarray(points, dtype=np.float64).tolist(),
+                    length=len(db.sequence(sid)),
+                )
+            ]
 
-        return self._write("append", mutate, wal_entry)
+        return self._commit("append", mutate, log)
 
     def remove(self, sequence_id: object) -> object:
         """Remove a sequence from subsequent snapshots."""
@@ -558,54 +573,95 @@ class QueryEngine:
             db.remove(sequence_id)
             return sequence_id
 
-        return self._write(
-            "remove", mutate, lambda db, sid: WalRecord("remove", sid)
+        return self._commit(
+            "remove", mutate, lambda db, sid: [WalRecord("remove", sid)]
         )
 
-    def _write(
+    def _commit(
         self,
         op: str,
-        mutate: Callable[[SequenceDatabase], object],
-        wal_entry: Callable[[SequenceDatabase, object], WalRecord],
-    ) -> object:
+        mutate: Callable[[SequenceDatabase], _T],
+        log: Callable[[SequenceDatabase, _T], list[WalRecord]] | None,
+        *,
+        repair: bool = False,
+        advance: int = 1,
+    ) -> _T:
+        """The one commit sequence behind every route that changes the corpus.
+
+        ``mutate`` runs against a private database and returns the
+        route's result; ``log`` turns that result into the WAL records
+        that reproduce it — called only on a durable engine, so ids a
+        WAL cannot encode stay legal without one.  ``log=None`` means no
+        records can: the commit *replaces* the corpus, so ``mutate``
+        starts from an empty twin instead of a clone and the durability
+        barrier is a checkpoint of the new state.  ``advance`` is how
+        far the version moves when there is no log to read it off (the
+        batch size — what the log would have stamped).  ``repair`` marks
+        replication/repair traffic: it sheds at ``repair`` priority, is
+        not held back by degraded mode, and clears the ε-cache instead
+        of patching the one written id.
+        """
         if self._closed:
             raise EngineClosed("engine is closed")
-        if self._degrade_after is not None and self.degraded:
+        priority = "repair" if repair else "write"
+        if not repair and self._degrade_after is not None and self.degraded:
             self._stats.record_shed(op)
             raise self._overloaded_error(op, shed=True)
-        # Priority-aware shedding: writes yield admission headroom to
-        # reads before the engine is anywhere near its hard limit.
-        if not self._admission.permits("write"):
+        # Priority-aware shedding: writes, and replication before them,
+        # yield admission headroom to reads well before the hard limit.
+        if not self._admission.permits(priority):
             self._stats.record_shed(op)
-            self._note_overload()
-            raise self._overloaded_error(op, priority="write")
+            if not repair:
+                self._note_overload()
+            raise self._overloaded_error(op, priority=priority)
         self._stats.record_request(op)
         started = time.monotonic()
         with self._write_lock:
             snapshot = self._snapshot
-            clone = snapshot.database.clone()
+            database = (
+                snapshot.database.empty_twin()
+                if log is None
+                else snapshot.database.clone()
+            )
             try:
-                written_id = mutate(clone)
-                self._materialise(clone)
-                if self._wal is not None:
-                    # Durability barrier: the record must be on disk
-                    # before the snapshot that acknowledges it publishes.
-                    self._wal.append(wal_entry(clone, written_id))
-                    self._stats.record_wal_append()
+                result = mutate(database)
+                self._materialise(database)
+                # Durability barrier: the commit must be on disk before
+                # the snapshot that acknowledges it publishes.
+                if self._wal is not None and log is not None:
+                    for record in log(database, result):
+                        self._wal.append(record)
+                        self._stats.record_wal_append()
+                # The one place a version is derived.  A durable engine
+                # reads it off the log after the barrier (a replace
+                # takes the next seq without a record), so
+                # snapshot_version == wal.last_seq after every route —
+                # also when an earlier commit failed after stamping part
+                # of its batch.  Without a log it moves by the same count.
+                if self._wal is None:
+                    version = snapshot.version + advance
+                else:
+                    version = self._wal.last_seq + (1 if log is None else 0)
+                published = _Snapshot(
+                    database, SimilaritySearch(database), version
+                )
+                if self._wal is not None and log is None:
+                    self._checkpoint_locked(published)
             except Exception:
                 self._stats.record_failure(op)
                 raise
-            new_version = snapshot.version + 1
-            new_search = SimilaritySearch(clone)
-            if self._cache is not None:
-                patched = self._cache.apply_write(
-                    written_id, new_search, new_version
+            if self._cache is not None and repair:
+                # A batch may touch many ids, and version-pinned lookups
+                # make stale entries unreachable anyway.
+                self._cache.clear()
+            elif self._cache is not None:
+                self._stats.record_cache_patches(
+                    self._cache.apply_write(
+                        result, published.search, published.version
+                    )
                 )
-                self._stats.record_cache_patches(patched)
             self._snapshot = verify_frozen(
-                _Snapshot(clone, new_search, new_version),
-                role="engine.snapshot",
-                site="QueryEngine._write",
+                published, role="engine.snapshot", site="QueryEngine._commit"
             )
             self._stats.record_snapshot_published()
             if (
@@ -614,9 +670,9 @@ class QueryEngine:
                 and self.durability.checkpoint_every > 0
                 and len(self._wal) >= self.durability.checkpoint_every
             ):
-                self._checkpoint_locked()
+                self._checkpoint_locked(published)
         self._stats.record_completed(op, time.monotonic() - started)
-        return written_id
+        return result
 
     # ------------------------------------------------------------------
     # Replication (log shipping)
@@ -701,59 +757,25 @@ class QueryEngine:
     def apply_records(self, records: list[WalRecord]) -> int:
         """Apply a shipped batch of WAL records; returns the applied count.
 
-        The follower side of log shipping: replays ``records`` through
-        the same idempotent :func:`~repro.service.wal.replay_into` that
-        crash recovery uses (so a duplicate batch delivery — e.g. after a
-        crash between applying and persisting the cursor — converges
-        instead of double-applying), appends every delivered record to
-        this engine's own WAL when durable (*before* the acknowledging
-        snapshot publishes, the same barrier as a direct write — each
-        record is re-stamped into this log's seq space), and publishes
-        one new snapshot whose version advances by the batch size.  The
-        ε-cache is cleared rather than patched: a batch may touch many
-        ids, and version-pinned lookups make stale entries unreachable
-        anyway.
+        The follower side of log shipping: one :meth:`_commit` that
+        replays ``records`` through the same idempotent
+        :func:`~repro.service.wal.replay_into` that crash recovery uses
+        (so a duplicate batch delivery — e.g. after a crash between
+        applying and persisting the cursor — converges instead of
+        double-applying) and logs every delivered record to this
+        engine's own WAL when durable (each is re-stamped into this
+        log's seq space), publishing one snapshot whose version advances
+        by the batch size.
         """
-        if self._closed:
-            raise EngineClosed("engine is closed")
-        if not records:
-            return 0
-        if not self._admission.permits("repair"):
-            self._stats.record_shed("apply")
-            raise self._overloaded_error("apply", priority="repair")
-        self._stats.record_request("apply")
-        started = time.monotonic()
-        with self._write_lock:
-            snapshot = self._snapshot
-            clone = snapshot.database.clone()
-            try:
-                applied = replay_into(clone, records)
-                self._materialise(clone)
-                if self._wal is not None:
-                    for record in records:
-                        self._wal.append(record)
-                        self._stats.record_wal_append()
-            except Exception:
-                self._stats.record_failure("apply")
-                raise
-            new_version = snapshot.version + len(records)
-            if self._cache is not None:
-                self._cache.clear()
-            self._snapshot = verify_frozen(
-                _Snapshot(clone, SimilaritySearch(clone), new_version),
-                role="engine.snapshot",
-                site="QueryEngine.apply_records",
-            )
-            self._stats.record_snapshot_published()
-            if (
-                self._wal is not None
-                and self.durability is not None
-                and self.durability.checkpoint_every > 0
-                and len(self._wal) >= self.durability.checkpoint_every
-            ):
-                self._checkpoint_locked()
-        self._stats.record_completed("apply", time.monotonic() - started)
-        return applied
+        if not records and not self._closed:
+            return 0  # nothing to publish (a closed engine still refuses)
+        return self._commit(
+            "apply",
+            lambda db: replay_into(db, records),
+            lambda db, applied: records,
+            repair=True,
+            advance=len(records),
+        )
 
     def export_sequences(
         self,
@@ -806,26 +828,15 @@ class QueryEngine:
 
         The follower side of a full snapshot resync, taken when tailing
         cannot catch up (cursor behind the leader's horizon, or
-        divergence).  Builds a fresh database from ``sequences`` (each
-        ``{"id", "points"}`` as produced by :meth:`export_sequences`),
-        and on a durable engine persists it as a checkpoint *before*
-        publication — the old WAL is reset (its seq counter survives via
-        the checkpoint marker), so a crash right after the resync
-        recovers the restored state, never a hybrid.  Returns the number
-        of sequences restored.
+        divergence).  One replacing :meth:`_commit`: a fresh database is
+        built from ``sequences`` (each ``{"id", "points"}`` as produced
+        by :meth:`export_sequences`) and, on a durable engine,
+        checkpointed *before* publication — the old WAL is reset to the
+        new version — so a crash right after the resync recovers the
+        restored state.  Returns the number of sequences restored.
         """
-        if self._closed:
-            raise EngineClosed("engine is closed")
-        with self._write_lock:
-            snapshot = self._snapshot
-            old = snapshot.database
-            database = SequenceDatabase(
-                dimension=old.dimension,
-                cost_constant=old.cost_constant,
-                max_points=old.max_points,
-                index_kind=old.index_kind,
-                max_entries=old.max_entries,
-            )
+
+        def mutate(db: SequenceDatabase) -> int:
             for entry in sequences:
                 points = entry.get("points")
                 if points is None:
@@ -834,23 +845,10 @@ class QueryEngine:
                         "carries no points (was it taken with "
                         "include_points=False?)"
                     )
-                database.add(points, sequence_id=entry["id"])
-            self._materialise(database)
-            new_version = snapshot.version + 1
-            if self._wal is not None and self.durability is not None:
-                database.save(self.durability.snapshot_path)
-                self._wal.reset()
-                self._checkpoints += 1
-                self._last_checkpoint_version = new_version
-            if self._cache is not None:
-                self._cache.clear()
-            self._snapshot = verify_frozen(
-                _Snapshot(database, SimilaritySearch(database), new_version),
-                role="engine.snapshot",
-                site="QueryEngine.restore",
-            )
-            self._stats.record_snapshot_published()
-        return len(sequences)
+                db.add(points, sequence_id=entry["id"])
+            return len(sequences)
+
+        return self._commit("restore", mutate, None, repair=True)
 
     # ------------------------------------------------------------------
     # Stats

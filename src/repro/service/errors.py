@@ -3,11 +3,11 @@
 Admission control and deadlines need errors a caller (or the HTTP layer)
 can dispatch on without string matching: an overloaded engine fast-fails
 with :class:`Overloaded` (HTTP 429, carrying a ``retry_after`` hint), an
-expired request raises :class:`DeadlineExceeded` (HTTP 504; clients also
-parse the legacy 408 for one release), operations against a closed
-engine raise :class:`EngineClosed` (HTTP 503), and a client whose
-circuit breaker is open fast-fails locally with :class:`CircuitOpen` —
-no bytes hit the wire.  A client whose retry token bucket ran dry raises
+expired request raises :class:`DeadlineExceeded` (HTTP 504), operations
+against a closed engine raise :class:`EngineClosed` (HTTP 503), and a
+client whose circuit breaker is open fast-fails locally with
+:class:`CircuitOpen` — no bytes hit the wire.
+A client whose retry token bucket ran dry raises
 :class:`RetryBudgetExhausted` instead of amplifying load with another
 attempt.  All inherit :class:`ServiceError`, so ``except ServiceError``
 catches exactly the serving-layer failure modes and nothing from the

@@ -33,9 +33,8 @@ route       method  body / response
 Typed serving errors map onto status codes — :class:`Overloaded` → 429
 (with a ``Retry-After`` header derived from queue depth), :class:`
 DeadlineExceeded` → 504 (the *server* ran out of the request's budget —
-Gateway Timeout — not 408, which blames the client for sending slowly;
-clients keep parsing the legacy 408 for one release), :class:`EngineClosed`
-/ :class:`ShardUnavailable`
+Gateway Timeout — not 408, which blames the client for sending slowly),
+:class:`EngineClosed` / :class:`ShardUnavailable`
 / :class:`WriteQuorumFailed` / :class:`RepairOverflow` → 503,
 :class:`ReplicaDiverged` → 409, :class:`SnapshotRequired` → 410 (the WAL
 tail is *gone*, not merely busy), :class:`FollowerReadOnly` → 403, bad
@@ -117,6 +116,7 @@ __all__ = [
     "search_payload",
     "serve",
     "shutdown_gracefully",
+    "write_payload",
 ]
 
 
@@ -169,7 +169,6 @@ def error_status(error: Exception, op: str) -> int:
         return 429
     if isinstance(error, DeadlineExceeded):
         # 504 Gateway Timeout: the server spent the request's budget.
-        # (Previous releases sent 408; the client parses both.)
         return 504
     if isinstance(
         error,
@@ -288,6 +287,20 @@ def search_payload(
     if find_intervals:
         payload["intervals"] = _intervals_payload(result.solution_intervals)
     return payload
+
+
+def write_payload(engine: QueryEngine, **head: Any) -> dict:
+    """A write route's body: ``head`` plus the published corpus state.
+
+    ``snapshot_version`` is the version published when the reply is
+    built — this write's, or a later one under concurrent writers; never
+    an earlier one, so a client may use it for read-your-writes.
+    """
+    return {
+        **head,
+        "sequences": len(engine),
+        "snapshot_version": engine.snapshot_version,
+    }
 
 
 def knn_payload(neighbors: list[tuple[float, object]]) -> dict:
@@ -495,43 +508,28 @@ class ServiceHandler(JsonRequestHandler):
         sequence_id = self.engine.insert(
             read_points(body), sequence_id=body.get("sequence_id")
         )
-        return {
-            "sequence_id": sequence_id,
-            "sequences": len(self.engine),
-            "snapshot_version": self.engine.snapshot_version,
-        }
+        return write_payload(self.engine, sequence_id=sequence_id)
 
     def _append(self, body: dict) -> dict:
         self._check_writable("append")
         sequence_id = required_field(body, "sequence_id")
         self.engine.append(sequence_id, read_points(body))
-        return {
-            "sequence_id": sequence_id,
-            "sequences": len(self.engine),
-            "snapshot_version": self.engine.snapshot_version,
-        }
+        return write_payload(self.engine, sequence_id=sequence_id)
 
     def _remove(self, body: dict) -> dict:
         self._check_writable("remove")
         sequence_id = required_field(body, "sequence_id")
         self.engine.remove(sequence_id)
-        return {
-            "sequence_id": sequence_id,
-            "sequences": len(self.engine),
-            "snapshot_version": self.engine.snapshot_version,
-        }
+        return write_payload(self.engine, sequence_id=sequence_id)
 
     def _restore(self, body: dict) -> dict:
         self._check_writable("restore")
         sequences = required_field(body, "sequences")
         if not isinstance(sequences, list):
             raise ValueError("sequences must be a list of export entries")
-        restored = self.engine.restore(sequences)
-        return {
-            "restored": restored,
-            "sequences": len(self.engine),
-            "snapshot_version": self.engine.snapshot_version,
-        }
+        return write_payload(
+            self.engine, restored=self.engine.restore(sequences)
+        )
 
 
 class DrainingHTTPServer(ThreadingHTTPServer):

@@ -457,17 +457,23 @@ class WriteAheadLog:
         """Whether :meth:`close` has been called."""
         return self._closed
 
-    def reset(self) -> None:
+    def reset(self, seq: int = 0) -> None:
         """Truncate to an empty log (after a successful checkpoint).
 
         Leaves a checkpoint marker recording the last stamped seq, so the
         counter — and the :meth:`horizon` — survive a restart: every seq
         up to and including ``last_seq`` is now only reachable through
-        the checkpoint snapshot, never by tailing this log.
+        the checkpoint snapshot, never by tailing this log.  ``seq``
+        moves the counter forward to the seq the checkpointed state is
+        published at — a checkpoint that *replaces* the logged history
+        (a snapshot restore) consumes a seq without appending a record.
+        The counter never moves back: a ``seq`` behind ``last_seq`` is
+        ignored.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("write-ahead log is closed")
+            self._last_seq = max(self._last_seq, seq)
             self._handle.seek(len(_MAGIC))
             self._handle.truncate(len(_MAGIC))
             if self._last_seq > 0:

@@ -90,7 +90,7 @@ class FrozenWriteViolation(RuntimeError):
         #: ``engine.snapshot``, ``cache.entry``, ``cluster.merge``).
         self.role = role
         #: The boundary that published/verified it (e.g.
-        #: ``QueryEngine._write``, ``EpsilonCache.store``).
+        #: ``QueryEngine._commit``, ``EpsilonCache.store``).
         self.site = site
 
 

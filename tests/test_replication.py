@@ -169,6 +169,36 @@ class TestHandshakeRejections:
                 assert summary["lag"] == 0
 
 
+    def test_restored_leader_keeps_followers_tailing(self, tmp_path, rng):
+        """A restore consumes a WAL seq like any other commit, so the
+        export's version stays a valid cursor: a caught-up follower is
+        told to resync (the restored state cannot be tailed), the
+        resynced one tails the next write, and a restart never moves
+        the version backwards."""
+        with durable_engine(tmp_path / "leader") as leader:
+            fill(leader, rng, 2)
+            with QueryEngine(
+                SequenceDatabase(dimension=DIMENSION), workers=1
+            ) as replica:
+                follower = WalFollower(
+                    replica, leader, cursor_path=tmp_path / "cursor.json"
+                )
+                assert follower.poll()["applied"] == 2
+                leader.restore(leader.export_sequences(["seq-0"])["sequences"])
+                assert leader.snapshot_version == leader.wal_last_seq == 3
+                summary = follower.poll()
+                assert summary["resync"] is True
+                assert summary["applied_seq"] == 3
+                assert replica.sequence_ids() == ["seq-0"]
+                fill(leader, rng, 1, prefix="post")
+                summary = follower.poll()  # no ReplicaDiverged
+                assert (summary["resync"], summary["applied"]) == (False, 1)
+                assert replica.sequence_ids() == leader.sequence_ids()
+            version = leader.snapshot_version
+        with durable_engine(tmp_path / "leader", database=None) as reopened:
+            assert reopened.snapshot_version == version == 4
+
+
 class TestShipFaults:
     def test_batch_fault_fails_one_poll_then_recovers(self, tmp_path, rng):
         with durable_engine(tmp_path / "leader") as leader:
@@ -265,11 +295,16 @@ class TestCursorResume:
                 )
 
 
+def missed(backend, op, sequence_id, points=None):
+    """The record the coordinator queues when ``backend`` misses a write."""
+    return WalRecord(op, sequence_id, points=points, replica=backend)
+
+
 class TestRepairJournal:
     def test_pending_entries_survive_reopen(self, tmp_path):
         journal = RepairJournal(3, directory=tmp_path)
-        assert journal.queue(1, "insert", "a", points=[[0.1, 0.2]])
-        assert journal.queue(1, "remove", "b")
+        assert journal.queue(missed(1, "insert", "a", [[0.1, 0.2]]))
+        assert journal.queue(missed(1, "remove", "b"))
         journal.close()
 
         reopened = RepairJournal(3, directory=tmp_path)
@@ -287,14 +322,14 @@ class TestRepairJournal:
 
     def test_overflow_flags_resync_and_survives_restart(self, tmp_path):
         journal = RepairJournal(2, directory=tmp_path, max_ops=2)
-        assert journal.queue(0, "insert", "a", points=[[0.1, 0.2]])
-        assert journal.queue(0, "insert", "b", points=[[0.3, 0.4]])
+        assert journal.queue(missed(0, "insert", "a", [[0.1, 0.2]]))
+        assert journal.queue(missed(0, "insert", "b", [[0.3, 0.4]]))
         with pytest.raises(RepairOverflow):
-            journal.queue(0, "insert", "c", points=[[0.5, 0.6]])
+            journal.queue(missed(0, "insert", "c", [[0.5, 0.6]]))
         assert journal.needs_resync(0)
         assert journal.pending() == {}
         # Further writes are absorbed: the resync copies the final state.
-        assert journal.queue(0, "insert", "d", points=[[0.7, 0.8]]) is False
+        assert journal.queue(missed(0, "insert", "d", [[0.7, 0.8]])) is False
         journal.close()
 
         reopened = RepairJournal(2, directory=tmp_path, max_ops=2)
@@ -302,12 +337,12 @@ class TestRepairJournal:
         assert reopened.pending() == {}
         reopened.mark_resynced(0)
         assert not reopened.needs_resync(0)
-        assert reopened.queue(0, "remove", "e")
+        assert reopened.queue(missed(0, "remove", "e"))
         reopened.close()
 
     def test_in_memory_mode_queues_and_acks(self):
         journal = RepairJournal(2)
-        assert journal.queue(1, "insert", "x", points=[[0.1, 0.2]])
+        assert journal.queue(missed(1, "insert", "x", [[0.1, 0.2]]))
         assert journal.pending() == {1: 1}
         journal.ack(1, journal.peek(1))
         assert journal.pending() == {}

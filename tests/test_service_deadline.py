@@ -11,7 +11,7 @@ ISSUE 9's acceptance tests for the deadline layer:
   :class:`RetryBudgetExhausted` with ``transport_stats`` counters;
 * backoff sleeps debit the budget, so a retry schedule can never outlive
   the request;
-* the 504 mapping round-trips (and the legacy 408 still parses);
+* the 504 mapping round-trips;
 * cooperative cancellation checkpoints fire inside the Phase 2/3 loops,
   under contracts and through the engine's worker pool alike.
 """
@@ -22,7 +22,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterCoordinator, LocalBackend
+from repro.cluster import ClusterCoordinator, HedgePolicy, LocalBackend
 from repro.core.contracts import checking_contracts
 from repro.core.database import SequenceDatabase
 from repro.core.search import SimilaritySearch
@@ -71,7 +71,7 @@ class RecordingBackend:
 
 
 class TestCoordinatorBudgetPropagation:
-    def _cluster(self):
+    def _cluster(self, **coordinator_options):
         engines = [
             QueryEngine(SequenceDatabase(DIMENSION), workers=2, cache_size=0)
             for _ in range(2)
@@ -81,7 +81,10 @@ class TestCoordinatorBudgetPropagation:
             for i, engine in enumerate(engines)
         ]
         coordinator = ClusterCoordinator(
-            list(recorders), replication=2, probe_interval=3600.0
+            list(recorders),
+            replication=2,
+            probe_interval=3600.0,
+            **coordinator_options,
         )
         return engines, recorders, coordinator
 
@@ -120,19 +123,27 @@ class TestCoordinatorBudgetPropagation:
                 engine.close()
 
     def test_dispatch_floor_refuses_futile_subcalls(self):
-        engines, recorders, coordinator = self._cluster()
+        # The hedge delay is pinned above the budget.  Left to the
+        # default policy it is the p95 of the set-up inserts' latency,
+        # and whenever that lands under the budget the hedge launches
+        # the second replica early, no relaunch is left to refuse, and
+        # the shard is reported missing instead.
+        engines, recorders, coordinator = self._cluster(
+            hedge=HedgePolicy(min_delay=0.5, max_delay=0.5)
+        )
         rng = np.random.default_rng(6)
         try:
             for i in range(4):
                 coordinator.insert(
                     rng.random((20, DIMENSION)), sequence_id=f"seq-{i}"
                 )
-            # Each attempt stalls past the whole 50 ms budget, so the
-            # failover relaunch finds less than min_subcall_budget left
-            # and must refuse to dispatch rather than hedge into the
-            # void.
+            # Each attempt stalls for five times the 50 ms budget (no
+            # scheduler jitter lets one finish inside it), so both the
+            # hedge timer, clamped to the budget, and the failover
+            # relaunch find less than min_subcall_budget left and must
+            # refuse to dispatch rather than hedge into the void.
             stall = FaultRule(
-                "cluster.backend.slow", "sleep", seconds=0.08, times=None
+                "cluster.backend.slow", "sleep", seconds=0.25, times=None
             )
             with fault_plan(stall):
                 with pytest.raises(DeadlineExceeded, match="dispatch floor"):
@@ -264,11 +275,10 @@ class TestClientDeadlineDebit:
 
 
 class TestStatusMapping:
-    def test_504_and_legacy_408_both_parse_as_deadline(self):
-        for status in (504, 408):
-            with pytest.raises(DeadlineExceeded) as caught:
-                _raise_typed(status, {"message": "late", "timeout": 0.25})
-            assert caught.value.timeout == 0.25
+    def test_504_parses_as_deadline(self):
+        with pytest.raises(DeadlineExceeded) as caught:
+            _raise_typed(504, {"message": "late", "timeout": 0.25})
+        assert caught.value.timeout == 0.25
 
     def test_deadline_maps_to_504_on_the_wire(self):
         assert error_status(DeadlineExceeded("late", timeout=0.1), "search") == 504

@@ -9,6 +9,7 @@ never-crashed one.
 """
 
 import os
+import shutil
 import struct
 import zlib
 
@@ -25,6 +26,7 @@ from repro.service import (
     WriteAheadLog,
     replay_into,
 )
+from repro.service.faults import FaultInjected, FaultRule, fault_plan
 
 _MAGIC = b"REPROWAL1\n"
 _HEADER = struct.Struct("<II")
@@ -330,6 +332,178 @@ class TestEngineRecovery:
                 engine.insert(rng.random((10, 2)), sequence_id=("t", 1))
             assert engine.snapshot_version == before
             assert ("t", 1) not in engine.sequence_ids()
+
+
+def _batch():
+    return [
+        WalRecord("insert", "shipped", points=[[0.1, 0.2]] * 12, seq=7),
+        WalRecord("remove", "s2", seq=8),
+    ]
+
+
+def _restore(engine):
+    export = engine.export_sequences(["s0", "s3"])
+    return engine.restore(export["sequences"])
+
+
+#: (route, the call, how far the version — and the WAL seq — must move).
+COMMIT_ROUTES = [
+    ("insert", lambda e: e.insert([[0.5, 0.5]] * 12, sequence_id="w"), 1),
+    ("append", lambda e: e.append("s0", [[0.4, 0.6]] * 5), 1),
+    ("remove", lambda e: e.remove("s1"), 1),
+    ("apply", lambda e: e.apply_records(_batch()), 2),
+    (
+        "apply-duplicate",
+        lambda e: e.apply_records(_batch()) + e.apply_records(_batch()),
+        4,
+    ),
+    ("restore", _restore, 1),
+]
+
+
+class TestCommitRoutes:
+    """Every route that changes the corpus publishes through one commit."""
+
+    @pytest.mark.parametrize(
+        "route,call,advance", COMMIT_ROUTES, ids=[r[0] for r in COMMIT_ROUTES]
+    )
+    def test_route_keeps_version_on_the_wal_seq(
+        self, route, call, advance, rng, tmp_path
+    ):
+        config = DurabilityConfig(tmp_path / "data", checkpoint_on_close=False)
+        query = rng.random((8, 2))
+        everything = 2.0  # beyond the unit-square diagonal: selects all ids
+        with QueryEngine(
+            build_database(rng), workers=1, durability=config
+        ) as engine:
+            engine.insert(rng.random((10, 2)), sequence_id="seeded")
+            before = engine.snapshot_version
+            assert before == engine.wal_last_seq == 1
+            # Warm the ε-cache with the pre-write answer.
+            stale = engine.search_detailed(query, everything)
+            assert stale.result.answers == engine.sequence_ids()
+
+            call(engine)
+
+            version = engine.snapshot_version
+            assert version == before + advance
+            assert version == engine.wal_last_seq
+            stats = engine.stats()
+            assert stats["snapshot_version"] == version
+            assert stats["durability"]["wal_last_seq"] == version
+            # The cache (patched or cleared) serves the post-write answer.
+            served = engine.search_detailed(query, everything)
+            fresh = SimilaritySearch(engine._snapshot.database).search(
+                query, everything
+            )
+            assert served.snapshot_version == version
+            assert served.result.answers == fresh.answers
+            assert served.result.solution_intervals == fresh.solution_intervals
+            assert (
+                served.result.solution_intervals
+                != stale.result.solution_intervals
+            )
+            lengths = {
+                entry["id"]: entry["length"]
+                for entry in engine.export_sequences(include_points=False)[
+                    "sequences"
+                ]
+            }
+        # Kill-free reopen: same ids, same lengths, same version.
+        with QueryEngine(None, workers=1, durability=config) as reopened:
+            export = reopened.export_sequences(include_points=False)
+            assert export["snapshot_version"] == version
+            assert reopened.wal_last_seq == version
+            assert {
+                entry["id"]: entry["length"] for entry in export["sequences"]
+            } == lengths
+
+    def test_restore_checkpoints_like_every_other_checkpoint(
+        self, rng, tmp_path
+    ):
+        """restore passes the checkpoint fault sites.
+
+        A fault between save and reset publishes nothing *in memory*; on
+        disk it leaves the restored checkpoint under the old log, which a
+        crash right there recovers as a hybrid (docs/service.md records
+        the window) — the retried resync is what converges.
+        """
+        config = DurabilityConfig(tmp_path / "data", checkpoint_on_close=False)
+        with QueryEngine(
+            build_database(rng), workers=1, durability=config
+        ) as engine:
+            engine.insert(rng.random((10, 2)), sequence_id="w1")
+            ids = engine.sequence_ids()
+            export = engine.export_sequences(["s0"])
+            with fault_plan(
+                FaultRule("checkpoint.before-reset", "raise")
+            ) as plan:
+                with pytest.raises(FaultInjected):
+                    engine.restore(export["sequences"])
+                assert plan.fired("checkpoint.before-reset") == 1
+            assert engine.sequence_ids() == ids
+            assert engine.snapshot_version == engine.wal_last_seq == 1
+            assert engine.stats()["failures"] == {"restore": 1}
+            # What a crash at the fault would recover: the restored
+            # corpus with the old log's insert replayed over it.
+            crashed = tmp_path / "crashed"
+            shutil.copytree(config.directory, crashed)
+            with QueryEngine(
+                None,
+                workers=1,
+                durability=DurabilityConfig(crashed, checkpoint_on_close=False),
+            ) as hybrid:
+                assert hybrid.sequence_ids() == ["s0", "w1"]
+                assert hybrid.snapshot_version == hybrid.wal_last_seq == 1
+            # The retry (a follower's next resync) converges.
+            assert engine.restore(export["sequences"]) == 1
+            assert engine.sequence_ids() == ["s0"]
+            assert engine.snapshot_version == engine.wal_last_seq == 2
+            assert engine.stats()["durability"]["checkpoints"] == 1
+        with QueryEngine(None, workers=1, durability=config) as reopened:
+            assert reopened.sequence_ids() == ["s0"]
+            assert reopened.snapshot_version == 2
+
+    def test_failed_batch_never_wedges_the_checkpoint(self, rng, tmp_path):
+        """A batch that fails mid-log leaves the WAL ahead; it self-heals.
+
+        The first record is stamped, the second append faults: nothing
+        publishes and the log is one seq ahead of the snapshot.  An
+        explicit checkpoint, the auto-checkpoint and the one on close
+        must all keep working in that state, and the next commit — any
+        route — puts the version back on the seq.
+        """
+        config = DurabilityConfig(tmp_path / "data", checkpoint_every=2)
+
+        def fail_mid_batch(engine):
+            with fault_plan(FaultRule("wal.append", "raise", skip=1)):
+                with pytest.raises(FaultInjected):
+                    engine.apply_records(_batch())
+
+        with QueryEngine(
+            build_database(rng), workers=1, durability=config
+        ) as engine:
+            engine.insert(rng.random((10, 2)), sequence_id="seeded")
+            fail_mid_batch(engine)
+            assert "shipped" not in engine.sequence_ids()
+            assert (engine.snapshot_version, engine.wal_last_seq) == (1, 2)
+            assert engine.checkpoint() == 1
+            assert (engine.wal_records, engine.wal_last_seq) == (0, 2)
+            # The follower's retry of the batch heals the invariant and
+            # trips the auto-checkpoint.
+            assert engine.apply_records(_batch()) == 2
+            assert engine.snapshot_version == engine.wal_last_seq == 4
+            assert engine.checkpoints == 2
+            fail_mid_batch(engine)
+            assert (engine.snapshot_version, engine.wal_last_seq) == (4, 5)
+            assert engine.restore(engine.export_sequences()["sequences"])
+            assert engine.snapshot_version == engine.wal_last_seq == 6
+            ids = engine.sequence_ids()
+            fail_mid_batch(engine)  # close checkpoints with the log ahead
+        assert engine.checkpoints == 4
+        with QueryEngine(None, workers=1, durability=config) as reopened:
+            assert reopened.sequence_ids() == ids
+            assert reopened.snapshot_version == reopened.wal_last_seq == 7
 
 
 class TestCrashSafeSave:

@@ -122,8 +122,10 @@ ALLOWED_PUBLIC_RAISES: frozenset[str] = ERROR_TAXONOMY | frozenset(
 
 #: Mutating calls that are not idempotent at the serving API (REP404):
 #: re-sending one after an ambiguous failure can double-apply it.
+#: ``_send_write`` is the coordinator's one record -> backend dispatch,
+#: which forwards to exactly these.
 NON_IDEMPOTENT_METHODS: frozenset[str] = frozenset(
-    {"add", "apply_records", "append", "insert", "remove"}
+    {"_send_write", "add", "apply_records", "append", "insert", "remove"}
 )
 
 # Receiver base names that look like a stateful serving target (the
