@@ -15,7 +15,7 @@ Module                        Paper section
 ============================  =========================================
 """
 
-from repro.core.database import SegmentKey, SequenceDatabase
+from repro.core.database import SegmentKey, SegmentTable, SequenceDatabase
 from repro.core.distance import (
     NormalizedDistance,
     mbr_min_distance,
@@ -55,6 +55,7 @@ __all__ = [
     "SearchResult",
     "SearchStats",
     "SegmentKey",
+    "SegmentTable",
     "SequenceDatabase",
     "SequenceSegment",
     "SimilaritySearch",

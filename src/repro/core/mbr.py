@@ -233,6 +233,15 @@ class MBR:
         and therefore a lower bound of every pointwise distance.
         """
         self._check_compatible(other)
+        return self.min_distance_unchecked(other)
+
+    def min_distance_unchecked(self, other: "MBR") -> float:
+        """:meth:`min_distance` without checking ``other``.
+
+        For a caller that has already established that ``other`` is an MBR
+        of this dimension — the index probe validates its query once, not
+        once per node entry.
+        """
         total = 0.0
         for a_low, a_high, b_low, b_high in zip(
             self._low_tuple, self._high_tuple, other._low_tuple, other._high_tuple
@@ -245,6 +254,22 @@ class MBR:
                 continue
             total += gap * gap
         return math.sqrt(total)
+
+    def min_distance_rows(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """``Dmbr`` from this rectangle to each row of ``(lows, highs)``.
+
+        ``lows`` / ``highs`` are ``(r, n)`` corner matrices (one partition's,
+        or a whole database's segment table); the result is the ``(r,)``
+        vector of :meth:`min_distance` values, computed in one pass.
+        """
+        # Same arithmetic as max(0, max(l - h_q, l_q - h))**2 summed per row,
+        # written in place: two (r, n) temporaries instead of five.
+        gaps = lows - self._high
+        np.maximum(gaps, self._low - highs, out=gaps)
+        np.maximum(gaps, 0.0, out=gaps)
+        np.multiply(gaps, gaps, out=gaps)
+        distances: np.ndarray = np.sum(gaps, axis=1)
+        return np.sqrt(distances, out=distances)
 
     def min_distance_to_point(self, point: npt.ArrayLike) -> float:
         """Minimum Euclidean distance from ``point`` to this rectangle."""

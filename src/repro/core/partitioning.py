@@ -183,6 +183,16 @@ class PartitionedSequence:
         return self._counts
 
     @property
+    def low_matrix(self) -> np.ndarray:
+        """``(segments, n)`` low corners of the segment MBRs (frozen)."""
+        return self._low_matrix
+
+    @property
+    def high_matrix(self) -> np.ndarray:
+        """``(segments, n)`` high corners of the segment MBRs (frozen)."""
+        return self._high_matrix
+
+    @property
     def mbrs(self) -> list[MBR]:
         """The segment MBRs, in order."""
         return [s.mbr for s in self._segments]
@@ -195,18 +205,11 @@ class PartitionedSequence:
     def mbr_distance_row(self, query_mbr: MBR) -> np.ndarray:
         """``Dmbr(query_mbr, segment t)`` for every segment, vectorised.
 
-        Phase 3 of the search computes one row per (query MBR, sequence)
-        pair and reuses it across all ``Dnorm`` anchors, so this is the hot
-        kernel of the second pruning step.
+        One row per (query MBR, sequence) pair, reused across all ``Dnorm``
+        anchors — the single-sequence form of the rows Phase 3 computes
+        over the database's segment table.
         """
-        gaps = np.maximum(
-            0.0,
-            np.maximum(
-                self._low_matrix - query_mbr.high,
-                query_mbr.low - self._high_matrix,
-            ),
-        )
-        return np.sqrt(np.sum(gaps * gaps, axis=1))
+        return query_mbr.min_distance_rows(self._low_matrix, self._high_matrix)
 
     def __len__(self) -> int:
         return len(self._segments)

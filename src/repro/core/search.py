@@ -15,6 +15,17 @@ Algorithm SIMILARITY_SEARCH:
   points participating in each sub-threshold ``Dnorm`` computation are
   accumulated into the sequence's approximate solution interval (§3.3).
 
+Phase 3 runs as one batched kernel, :func:`phase3_kernel`, over the rows
+of the database's :class:`~repro.core.database.SegmentTable` that survived
+Phase 2: per query MBR one ``Dmbr`` row over all their segments, every
+``LD`` / ``RD`` window of every sequence at once, and the solution
+intervals by one sort-and-merge.  It returns exactly what
+:func:`repro.core.distance.normalized_distance_row` — the per-sequence
+reference, still used for single sequences, ``explain`` and the contract
+validators — would return candidate by candidate (a property test holds
+the two equal), including the reference's tie-break between equal windows.
+The k-NN bounds read the same table.
+
 A k-nearest-sequences extension (:meth:`SimilaritySearch.knn`) implements
 the optimal multi-step algorithm of Seidl & Kriegel over the same ``Dmbr``
 lower bound — not part of the paper, but the natural follow-up query its
@@ -24,13 +35,14 @@ metrics enable.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.contracts import BOUND_TOLERANCE, ContractViolation, lower_bounds
-from repro.core.database import SequenceDatabase
+from repro.core.database import SegmentTable, SequenceDatabase
 from repro.core.distance import (
     NormalizedDistance,
     normalized_distance_row,
@@ -50,11 +62,18 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MatchExplanation",
+    "Phase3Windows",
     "SearchResult",
     "SearchStats",
     "SimilaritySearch",
     "SubsequenceHit",
+    "phase3_kernel",
 ]
+
+#: Phase 3 takes the Phase-2 survivors in chunks of about this many
+#: segments: one cancellation checkpoint per chunk and query MBR (well
+#: under a millisecond apart), and temporaries that stay cache-sized.
+_PHASE3_CHUNK_SEGMENTS = 2048
 
 
 @dataclass(frozen=True)
@@ -228,6 +247,348 @@ def _validate_explanation(
         )
 
 
+@dataclass(frozen=True)
+class Phase3Windows:
+    """The ``Dnorm`` windows one Phase-3 pass settled on, as flat arrays.
+
+    One entry per window that some anchor with ``Dnorm <= eps`` took its
+    value from: the anchor's own segment when that holds ``|q_i|`` points,
+    its winning ``LD`` / ``RD`` window otherwise, the whole sequence in the
+    short-sequence fallback.  ``start:stop`` is the run of the sequence's
+    points the window covers — exactly ``|q_i|`` consecutive points for an
+    ``LD`` / ``RD`` window — which is what §3.3 unions into the solution
+    interval.  Segment and point positions are sequence-local.
+    """
+
+    #: Table row of the data sequence, and index of the query MBR.
+    row: np.ndarray
+    probe: np.ndarray
+    #: First and last data segment taking part, and the window's ``Dnorm``.
+    first: np.ndarray
+    last: np.ndarray
+    value: np.ndarray
+    #: The half-open point range covered.
+    start: np.ndarray
+    stop: np.ndarray
+
+    def solution_intervals(self) -> dict[int, IntervalSet]:
+        """Union the windows of each row: ``row -> IntervalSet`` (§3.3).
+
+        One sort by (row, start) and a running maximum of the stops merge
+        every row's overlapping or touching spans at once.
+        """
+        if len(self.row) == 0:
+            return {}
+        stride = int(self.stop.max()) + 1  # keeps rows apart on one axis
+        low = self.row * stride + self.start
+        order = np.argsort(low)
+        low = low[order]
+        reach = np.maximum.accumulate((self.row * stride + self.stop)[order])
+        heads = np.flatnonzero(np.append(True, low[1:] > reach[:-1]))
+        tails = np.append(heads[1:], len(low)) - 1
+        rows = low[heads] // stride
+        spans: dict[int, list[tuple[int, int]]] = {}
+        for row, start, stop in zip(
+            rows.tolist(),
+            (low[heads] - rows * stride).tolist(),
+            (reach[tails] - rows * stride).tolist(),
+        ):
+            spans.setdefault(row, []).append((start, stop))
+        return {row: IntervalSet(merged) for row, merged in spans.items()}
+
+
+#: Field by field, what :class:`Phase3Windows` holds when nothing matched.
+_NO_WINDOWS: tuple[np.ndarray, ...] = (
+    *[np.zeros(0, dtype=np.int64)] * 4,
+    np.zeros(0),
+    *[np.zeros(0, dtype=np.int64)] * 2,
+)
+
+
+def _gather_rows(
+    table: SegmentTable, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The segments of some table rows, laid out contiguously.
+
+    Returns ``(lows, highs, counts, offsets)``: sequence ``i`` of ``rows``
+    owns the gathered entries ``offsets[i]:offsets[i + 1]``.
+    """
+    first = table.sequence_offsets[rows]
+    sizes = table.sequence_offsets[rows + 1] - first
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    take = np.arange(offsets[-1]) + np.repeat(first - offsets[:-1], sizes)
+    return table.lows[take], table.highs[take], table.counts[take], offsets
+
+
+def _sequence_bounds(
+    query_partition: PartitionedSequence,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    offsets: np.ndarray,
+    site: str,
+) -> np.ndarray:
+    """Lemma 1's bound for many sequences: ``min Dmbr`` over all MBR pairs.
+
+    The sequences are the runs ``offsets[i]:offsets[i + 1]`` of the corner
+    matrices (a whole segment table, or rows gathered from one).
+    """
+    if len(offsets) == 1:
+        return np.zeros(0)
+    best = np.full(len(lows), np.inf)
+    for segment in query_partition:
+        checkpoint(site)
+        np.minimum(best, segment.mbr.min_distance_rows(lows, highs), out=best)
+    return np.minimum.reduceat(best, offsets[:-1])
+
+
+def _validate_phase3_windows(
+    result: tuple[np.ndarray, Phase3Windows],
+    database: SequenceDatabase,
+    rows: np.ndarray,
+    query_partition: PartitionedSequence,
+    epsilon: float,
+    *,
+    find_intervals: bool,
+    stats: SearchStats,
+) -> None:
+    """Lemma 2 for every window the kernel emitted: ``Dnorm`` is a convex
+    combination of the window's ``Dmbr`` values, so it cannot fall below
+    their minimum — recomputed here from the MBR objects themselves, not
+    from the rows the kernel computed."""
+    windows = result[1]
+    ids = database.segment_table.ids
+    for row, probe, first, last, value in zip(
+        windows.row.tolist(),
+        windows.probe.tolist(),
+        windows.first.tolist(),
+        windows.last.tolist(),
+        windows.value.tolist(),
+    ):
+        query_mbr = query_partition[probe].mbr
+        data_mbrs = database.partition(ids[row]).mbrs[first : last + 1]
+        bound = min(query_mbr.min_distance(mbr) for mbr in data_mbrs)
+        if value < bound - BOUND_TOLERANCE:
+            raise ContractViolation(
+                f"Dnorm contract violated in Phase 3: value {value!r} falls "
+                f"below the window's minimum Dmbr {bound!r} (sequence "
+                f"{ids[row]!r}, query MBR {probe}, window ({first}, {last})) "
+                f"— Lemma 2 no longer holds"
+            )
+
+
+@lower_bounds(
+    _validate_phase3_windows, label="Phase-3 windows >= window min Dmbr"
+)
+def phase3_kernel(
+    database: SequenceDatabase,
+    rows: np.ndarray,
+    query_partition: PartitionedSequence,
+    epsilon: float,
+    *,
+    find_intervals: bool,
+    stats: SearchStats,
+) -> tuple[np.ndarray, Phase3Windows]:
+    """Phase 3 for many stored sequences at once.
+
+    Parameters
+    ----------
+    rows:
+        Ascending rows of ``database.segment_table``; each sequence must
+        hold at least as many points as the query (the long-query case
+        swaps roles and is handled per sequence).
+    find_intervals:
+        When false, a sequence is dropped from the later query MBRs as
+        soon as one matched it, and no windows are reported.
+
+    Returns
+    -------
+    (matched, windows)
+        The rows with some ``Dnorm <= epsilon`` (ascending), and the
+        windows behind their solution intervals.
+
+    Notes
+    -----
+    For a query MBR of ``|q_i|`` points and a sequence whose segments
+    start at points ``P[0] < P[1] < ...``, Definition 5's windows are runs
+    of exactly ``|q_i|`` consecutive points: the ``LD`` window starting at
+    segment ``k`` covers ``[P[k], P[k] + |q_i|)``, the ``RD`` window ending
+    at segment ``e`` covers ``[P[e + 1] - |q_i|, P[e + 1])``.  A binary
+    search on ``P`` finds the marginal segment, prefix sums of
+    ``Dmbr * count`` give the value, and a window exists only if it stays
+    inside its own sequence.  The prefix sums restart at every sequence,
+    so each value carries the same rounding as the reference's running
+    sum.  ``stats.dmbr_rows`` counts one row per examined sequence and
+    query MBR, ``stats.dnorm_evaluations`` the segments of the sequences
+    whose row minimum is within ``epsilon``.
+    """
+    epsilon = check_threshold(epsilon)
+    table = database.segment_table
+    matched = [rows[:0]]
+    emitted = [_NO_WINDOWS]
+    if len(rows):
+        sizes = table.sequence_offsets[rows + 1] - table.sequence_offsets[rows]
+        chunk_of = (np.cumsum(sizes) - 1) // _PHASE3_CHUNK_SEGMENTS
+        for chunk in np.split(rows, np.flatnonzero(np.diff(chunk_of)) + 1):
+            found = _phase3_chunk(
+                table, chunk, query_partition, epsilon, find_intervals, stats, emitted
+            )
+            matched.append(chunk[found])
+    return np.concatenate(matched), Phase3Windows(
+        *(np.concatenate(parts) for parts in zip(*emitted))
+    )
+
+
+def _phase3_chunk(
+    table: SegmentTable,
+    rows: np.ndarray,
+    query_partition: PartitionedSequence,
+    epsilon: float,
+    find_intervals: bool,
+    stats: SearchStats,
+    emitted: list[tuple[np.ndarray, ...]],
+) -> np.ndarray:
+    """One chunk of :func:`phase3_kernel`: a mask of the ``rows`` that matched."""
+    lows, highs, counts, offsets = _gather_rows(table, rows)
+    sizes = np.diff(offsets)
+    owner = np.repeat(np.arange(len(rows)), sizes)  # sequence of each segment
+    local = np.arange(len(counts)) - offsets[:-1][owner]  # its index therein
+    points = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=points[1:])
+    origin = points[offsets[:-1]]  # first point of each sequence
+    lengths = table.lengths[rows]
+    begin = origin[owner]
+    end = begin + lengths[owner]
+    # Per-sequence running sums of Dmbr * count live in one padded matrix,
+    # a row per sequence: slot[s] holds the sum *before* segment s and
+    # slot[s] + 1 the sum including it.  Column 0 stays 0, and whatever an
+    # earlier query MBR left behind a sequence's last slot feeds no slot
+    # that is read, so the matrix is reused as it is.
+    width = int(sizes.max()) + 1
+    weighted = np.zeros((len(rows), width))
+    prefix = weighted.reshape(-1)
+    slot = owner * width + local
+
+    found = np.zeros(len(rows), dtype=bool)
+    pending = ~found
+    for probe in query_partition:
+        checkpoint("search.phase3")
+        size = int(probe.count)
+        row = probe.mbr.min_distance_rows(lows, highs)
+        stats.dmbr_rows += int(pending.sum())
+        # Dnorm is a weighted mean of row values, so it cannot fall below
+        # the row minimum: only a sequence whose minimum is within epsilon
+        # can match this query MBR.
+        active = pending & (np.minimum.reduceat(row, offsets[:-1]) <= epsilon)
+        if not active.any():
+            continue
+        stats.dnorm_evaluations += int(sizes[active].sum())
+        live = active[owner]
+        small = live & (counts < size)
+        prefix[slot + 1] = row * counts
+        np.cumsum(weighted, axis=1, out=weighted)
+
+        # Anchors holding >= |q_i| points: Dnorm is their own Dmbr.
+        solo = np.flatnonzero(live & ~small & (row <= epsilon))
+        # LD windows, one per first segment: the |q_i| points from its
+        # first point on; the marginal segment holds the last of them.
+        reach = points[:-1] + size
+        ld_first = np.flatnonzero(small & (reach <= end))
+        ld_last = np.searchsorted(points, reach[ld_first], side="left") - 1
+        ld = (
+            prefix[slot[ld_last]]
+            - prefix[slot[ld_first]]
+            + row[ld_last] * (reach[ld_first] - points[ld_last])
+        ) / size
+        # RD windows, one per last segment: the |q_i| points up to its
+        # last point; the marginal segment holds the first of them.
+        floor = points[1:] - size
+        rd_last = np.flatnonzero(small & (floor >= begin))
+        rd_first = np.searchsorted(points, floor[rd_last], side="right") - 1
+        rd = (
+            prefix[slot[rd_last] + 1]
+            - prefix[slot[rd_first] + 1]
+            + row[rd_first] * (points[rd_first + 1] - floor[rd_last])
+        ) / size
+        # A sequence shorter than |q_i| has no window: every MBR counts in
+        # full, normalised by the sequence length (Definition 5's fallback).
+        short = np.flatnonzero(active & (lengths < size))
+        whole = prefix[short * width + sizes[short]] / lengths[short]
+
+        keep = ld <= epsilon
+        ld_first, ld_last, ld = ld_first[keep], ld_last[keep], ld[keep]
+        keep = rd <= epsilon
+        rd_first, rd_last, rd = rd_first[keep], rd_last[keep], rd[keep]
+        keep = whole <= epsilon
+        short, whole = short[keep], whole[keep]
+        found[owner[solo]] = True
+        found[owner[ld_first]] = True
+        found[owner[rd_last]] = True
+        found[short] = True
+        if not find_intervals:
+            pending = ~found
+            continue
+
+        # The windows in the reference's order: LD by first segment, then
+        # RD by last.  An LD window serves every segment but its last as
+        # anchor, an RD window every segment but its first.
+        first = np.concatenate([ld_first, rd_first])
+        last = np.concatenate([ld_last, rd_last])
+        value = np.concatenate([ld, rd])
+        start = np.concatenate([points[ld_first], floor[rd_last]])
+        won = _winning_windows(
+            np.concatenate([ld_first, rd_first + 1]), last - first, value
+        )
+        first = np.concatenate([solo, first[won], offsets[:-1][short]])
+        last = np.concatenate([solo, last[won], offsets[1:][short] - 1])
+        start = np.concatenate([points[solo], start[won], origin[short]])
+        span = np.concatenate(
+            [counts[solo], np.full(len(won), size), lengths[short]]
+        )
+        sequence = owner[first]
+        start -= origin[sequence]
+        emitted.append(
+            (
+                rows[sequence],
+                np.full(len(first), probe.index),
+                local[first],
+                local[last],
+                np.concatenate([row[solo], value[won], whole]),
+                start,
+                start + span,
+            )
+        )
+    return found
+
+
+def _winning_windows(
+    first_anchor: np.ndarray, anchors: np.ndarray, value: np.ndarray
+) -> np.ndarray:
+    """The windows that give some anchor its ``Dnorm`` (indices, ascending).
+
+    Window ``w`` covers the ``anchors[w]`` anchors from ``first_anchor[w]``
+    on.  Each anchor takes the smallest value among the windows covering
+    it and, between equal values, the earliest window — the reference's
+    strict ``<`` over LD windows by start, then RD windows by end, which is
+    the order the caller passes them in.  Only windows within the threshold
+    are passed: a larger one cannot win an anchor that ends up within it.
+    """
+    if len(value) == 0:
+        return np.zeros(0, dtype=np.int64)
+    window = np.repeat(np.arange(len(anchors)), anchors)
+    anchor = (
+        np.arange(len(window))
+        - np.repeat(np.cumsum(anchors) - anchors, anchors)
+        + first_anchor[window]
+    )
+    # lexsort is stable, so equal (anchor, value) pairs keep window order.
+    order = np.lexsort((value[window], anchor))
+    ranked = anchor[order]
+    wins = np.zeros(len(value), dtype=bool)
+    wins[window[order[np.append(True, ranked[1:] != ranked[:-1])]]] = True
+    return np.flatnonzero(wins)
+
+
 class SimilaritySearch:
     """Range and k-NN similarity search over a :class:`SequenceDatabase`."""
 
@@ -299,28 +660,22 @@ class SimilaritySearch:
             for entry in index.search_within(segment.mbr, epsilon):
                 candidate_ids.add(entry.payload.sequence_id)
         stats.node_accesses = index.stats.node_accesses - accesses_before
-        candidates = [sid for sid in self.database.ids() if sid in candidate_ids]
+        rows = self._rows_of(candidate_ids)
+        ids = self.database.segment_table.ids
+        candidates = [ids[row] for row in rows.tolist()]
         stats.phase2_seconds = time.perf_counter() - started
         stats.candidates_after_dmbr = len(candidates)
 
         # Phase 3: second pruning with Dnorm + solution intervals.
         started = time.perf_counter()
-        answers: list[object] = []
-        intervals: dict[object, IntervalSet] = {}
-        for sequence_id in candidates:
-            checkpoint("search.phase3")
-            partition = self.database.partition(sequence_id)
-            matched, interval = self._examine_candidate(
-                query_partition,
-                partition,
-                epsilon,
-                find_intervals=find_intervals,
-                stats=stats,
-            )
-            if matched:
-                answers.append(sequence_id)
-                if find_intervals:
-                    intervals[sequence_id] = interval
+        intervals = self._match_rows(
+            query_partition,
+            rows,
+            epsilon,
+            find_intervals=find_intervals,
+            stats=stats,
+        )
+        answers = list(intervals)
         stats.phase3_seconds = time.perf_counter() - started
         stats.answers_after_dnorm = len(answers)
 
@@ -329,12 +684,58 @@ class SimilaritySearch:
             query_partition=query_partition,
             candidates=candidates,
             answers=answers,
-            solution_intervals=intervals,
+            solution_intervals=intervals if find_intervals else {},
             stats=stats,
         )
 
+    def _match_rows(
+        self,
+        query_partition: PartitionedSequence,
+        rows: np.ndarray,
+        epsilon: float,
+        *,
+        find_intervals: bool,
+        stats: SearchStats,
+    ) -> dict[object, IntervalSet]:
+        """Phase 3 for the given table rows (ascending).
+
+        Returns ``id -> solution interval`` for every sequence with some
+        ``Dnorm <= epsilon``, in row order (the intervals are empty unless
+        asked for).  Sequences at least as long as the query go through
+        :func:`phase3_kernel` together; the paper's long-query case, where
+        the roles of the two partitions swap, is examined per sequence.
+        """
+        table = self.database.segment_table
+        long_query = table.lengths[rows] < len(query_partition.sequence)
+        matched, windows = phase3_kernel(
+            self.database,
+            rows[~long_query],
+            query_partition,
+            epsilon,
+            find_intervals=find_intervals,
+            stats=stats,
+        )
+        # With intervals on, every matched row has at least one window.
+        found = (
+            windows.solution_intervals()
+            if find_intervals
+            else dict.fromkeys(matched.tolist(), IntervalSet())
+        )
+        for row in rows[long_query].tolist():
+            checkpoint("search.phase3")
+            hit, interval = self._examine_candidate_long_query(
+                query_partition,
+                self.database.partition(table.ids[row]),
+                epsilon,
+                find_intervals=find_intervals,
+                stats=stats,
+            )
+            if hit:
+                found[row] = interval
+        return {table.ids[row]: found[row] for row in sorted(found)}
+
     # ------------------------------------------------------------------
-    # Single-candidate building blocks (reused by the serving cache)
+    # Building blocks reused by the serving cache
     # ------------------------------------------------------------------
     def candidate_lower_bound(
         self, query_partition: PartitionedSequence, sequence_id: object
@@ -402,6 +803,58 @@ class SimilaritySearch:
             stats=SearchStats(),
         )
 
+    def candidates_within(
+        self,
+        query_partition: PartitionedSequence,
+        sequence_ids: Iterable[object],
+        epsilon: float,
+    ) -> list[object]:
+        """Those of ``sequence_ids`` that are Phase-2 candidates at ``epsilon``.
+
+        :meth:`candidate_within` for many stored sequences in one pass over
+        the segment table; the result is in database insertion order.
+        """
+        epsilon = check_threshold(epsilon)
+        table = self.database.segment_table
+        rows = self._rows_of(sequence_ids)
+        lows, highs, _, offsets = _gather_rows(table, rows)
+        bounds = _sequence_bounds(
+            query_partition, lows, highs, offsets, "search.phase2"
+        )
+        return [table.ids[row] for row in rows[bounds <= epsilon].tolist()]
+
+    def match_candidates(
+        self,
+        query_partition: PartitionedSequence,
+        sequence_ids: Iterable[object],
+        epsilon: float,
+        *,
+        find_intervals: bool = True,
+    ) -> dict[object, IntervalSet]:
+        """Run Phase 3 for many stored sequences at once.
+
+        :meth:`match_candidate` for a whole list: maps every sequence that
+        matches at ``epsilon`` to its approximate solution interval (empty
+        unless ``find_intervals``), in database insertion order.  This is
+        the same batched kernel :meth:`search` runs over the Phase-2
+        survivors, so refining a cached result costs what Phase 3 costs.
+        """
+        epsilon = check_threshold(epsilon)
+        return self._match_rows(
+            query_partition,
+            self._rows_of(sequence_ids),
+            epsilon,
+            find_intervals=find_intervals,
+            stats=SearchStats(),
+        )
+
+    def _rows_of(self, sequence_ids: Iterable[object]) -> np.ndarray:
+        """Ascending segment-table rows of some stored ids (unknown: KeyError)."""
+        index = self.database.segment_table.rows
+        return np.array(
+            sorted({index[sid] for sid in sequence_ids}), dtype=np.int64
+        )
+
     def _examine_candidate(
         self,
         query_partition: PartitionedSequence,
@@ -412,6 +865,9 @@ class SimilaritySearch:
         stats: SearchStats,
     ) -> tuple[bool, IntervalSet]:
         """Phase 3 for one candidate: any ``Dnorm <= eps``?  Collect spans.
+
+        The per-sequence reference of :func:`phase3_kernel`, kept for
+        single ids: with one sequence it is the cheaper of the two.
 
         In the paper's long-query case (query holds more points than the
         data sequence) the roles of the two partitions are swapped before
@@ -532,14 +988,8 @@ class SimilaritySearch:
             max_points=self.database.max_points,
         )
 
-        bounds: list[tuple[float, object]] = []
-        for sequence_id, partition in self.database.partitions():
-            checkpoint("knn.bounds")
-            lower = min(
-                float(partition.mbr_distance_row(segment.mbr).min())
-                for segment in query_partition
-            )
-            bounds.append((lower, sequence_id))
+        table = self.database.segment_table
+        bounds = list(zip(self._lower_bounds(query_partition).tolist(), table.ids))
         bounds.sort(key=lambda pair: pair[0])
 
         exact: list[tuple[float, object]] = []
@@ -553,6 +1003,17 @@ class SimilaritySearch:
             exact.append((distance, sequence_id))
             exact.sort(key=lambda pair: pair[0])
         return exact[:k]
+
+    def _lower_bounds(self, query_partition: PartitionedSequence) -> np.ndarray:
+        """Lemma 1's ``min Dmbr`` bound of every stored sequence, by table row."""
+        table = self.database.segment_table
+        return _sequence_bounds(
+            query_partition,
+            table.lows,
+            table.highs,
+            table.sequence_offsets,
+            "knn.bounds",
+        )
 
     def knn_subsequences(
         self, query: SequenceLike, k: int, *, exclude_overlapping: bool = True
@@ -600,15 +1061,16 @@ class SimilaritySearch:
         )
         length = len(query)
 
-        bounds: list[tuple[float, object]] = []
-        for sequence_id, partition in self.database.partitions():
-            if len(partition.sequence) < length:
-                continue  # no alignment of the full query exists
-            lower = min(
-                float(partition.mbr_distance_row(segment.mbr).min())
-                for segment in query_partition
+        table = self.database.segment_table
+        bounds = [
+            (lower, sequence_id)
+            for lower, sequence_id, points in zip(
+                self._lower_bounds(query_partition).tolist(),
+                table.ids,
+                table.lengths.tolist(),
             )
-            bounds.append((lower, sequence_id))
+            if points >= length  # else no alignment of the full query exists
+        ]
         bounds.sort(key=lambda pair: pair[0])
 
         hits: list[SubsequenceHit] = []

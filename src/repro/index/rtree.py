@@ -408,8 +408,12 @@ class RTree:
         """
         self._check_query(query)
         epsilon = check_threshold(epsilon)
+        # The query is checked above and every node MBR is of the tree's
+        # dimension, so the per-entry distance need not check again.
         return list(
-            self._traverse(lambda mbr: mbr.min_distance(query) <= epsilon)
+            self._traverse(
+                lambda mbr: mbr.min_distance_unchecked(query) <= epsilon
+            )
         )
 
     def search_point_radius(

@@ -325,11 +325,21 @@ class QueryEngine:
 
     @staticmethod
     def _materialise(database: SequenceDatabase) -> None:
-        """Force the index build so readers never trigger (racy) rebuilds."""
-        if len(database.index) != database.segment_count:
+        """Force the index and segment-table builds before publication.
+
+        Both are built lazily and neither build is thread-safe, so readers
+        must only ever find them ready.  The table also gives the segment
+        total the index is checked against.
+        """
+        table = database.segment_table
+        if len(table.ids) != len(database) or len(database.index) != len(
+            table.counts
+        ):
             raise RuntimeError(
-                f"index holds {len(database.index)} entries for "
-                f"{database.segment_count} segments — inconsistent database"
+                f"index holds {len(database.index)} entries and the segment "
+                f"table {len(table.counts)} segments of {len(table.ids)} "
+                f"sequences for a database of {len(database)} — "
+                f"inconsistent database"
             )
 
     # ------------------------------------------------------------------
@@ -1189,34 +1199,25 @@ class QueryEngine:
         verdict for free.
         """
         search = snapshot.search
+        database = snapshot.database
         stats = SearchStats(query_segments=len(entry.query_partition))
-        candidates: list[object] = []
-        answers: list[object] = []
-        intervals: dict[object, IntervalSet] = {}
-        for sid in snapshot.database.ids():
-            checkpoint("engine.refine")
-            if sid not in entry.candidates:
-                continue
-            if not search.candidate_within(
-                entry.query_partition, sid, epsilon
-            ):
-                continue
-            candidates.append(sid)
-            if sid not in entry.answers:
-                continue
-            matched, interval = search.match_candidate(
-                entry.query_partition,
-                sid,
-                epsilon,
-                find_intervals=find_intervals,
-            )
-            stats.dnorm_evaluations += len(
-                snapshot.database.partition(sid).counts
-            )
-            if matched:
-                answers.append(sid)
-                if find_intervals:
-                    intervals[sid] = interval
+        checkpoint("engine.refine")
+        candidates = search.candidates_within(
+            entry.query_partition,
+            [sid for sid in entry.candidates if sid in database],
+            epsilon,
+        )
+        examined = [sid for sid in candidates if sid in entry.answers]
+        stats.dnorm_evaluations = sum(
+            len(database.partition(sid)) for sid in examined
+        )
+        intervals = search.match_candidates(
+            entry.query_partition,
+            examined,
+            epsilon,
+            find_intervals=find_intervals,
+        )
+        answers = list(intervals)
         stats.candidates_after_dmbr = len(candidates)
         stats.answers_after_dnorm = len(answers)
         return SearchResult(
@@ -1224,7 +1225,7 @@ class QueryEngine:
             query_partition=entry.query_partition,
             candidates=candidates,
             answers=answers,
-            solution_intervals=intervals,
+            solution_intervals=intervals if find_intervals else {},
             stats=stats,
         )
 

@@ -204,18 +204,47 @@ def test_search_passes_contract_unmutated():
     assert "target" in result.answers
 
 
+def _break_phase3(monkeypatch):
+    """Make the Phase-3 kernel dismiss every candidate it is handed."""
+    kernel = search_module.phase3_kernel
+
+    def dismissing(database, rows, *args, **kwargs):
+        return kernel(database, rows[:0], *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "phase3_kernel", dismissing)
+
+
 def test_false_dismissal_is_caught(monkeypatch):
     monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
     engine, query = _search_fixture()
-    monkeypatch.setattr(
-        search_module, "normalized_distance_row", lambda *args, **kwargs: []
-    )
+    _break_phase3(monkeypatch)
 
     # Silent wrong answer while checking is off: the true match vanishes.
     assert "target" not in engine.search(query, 0.05).answers
 
     with checking_contracts():
         with pytest.raises(ContractViolation, match="false dismissal"):
+            engine.search(query, 0.05)
+
+
+def test_undershooting_phase3_kernel_is_caught(monkeypatch):
+    """Lemma 2 on the kernel's own windows: its validator recomputes each
+    window's minimum Dmbr from the MBR objects, so rows that undershoot
+    (here: every Dmbr halved) cannot pass while checking is on."""
+    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
+    engine, _ = _search_fixture()
+    query = MultidimensionalSequence(_loop_corpus()[10:40] + 0.03)
+    rows = MBR.min_distance_rows
+
+    def halved(self, lows, highs):
+        return rows(self, lows, highs) * 0.5
+
+    monkeypatch.setattr(MBR, "min_distance_rows", halved)
+    assert engine.search(query, 0.05).solution_intervals  # silently generous
+    with checking_contracts():
+        with pytest.raises(
+            ContractViolation, match="Dnorm contract violated in Phase 3"
+        ):
             engine.search(query, 0.05)
 
 
@@ -264,9 +293,7 @@ def test_audit_search_counts_and_validates(monkeypatch):
 
     # audit_search enables checking itself, so a broken kernel surfaces
     # without any explicit checking_contracts() at the call site.
-    monkeypatch.setattr(
-        search_module, "normalized_distance_row", lambda *args, **kwargs: []
-    )
+    _break_phase3(monkeypatch)
     with pytest.raises(ContractViolation, match="false dismissal"):
         audit_search(engine, queries, 0.05)
 

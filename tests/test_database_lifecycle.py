@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
 from repro.core.database import SequenceDatabase
 from repro.core.search import SimilaritySearch
+from repro.service.engine import QueryEngine
+from repro.util.freeze import checking_freeze, verify_frozen
 
 
 class TestRemove:
@@ -51,6 +55,118 @@ class TestRemove:
         db.add(points, sequence_id=2)
         assert 2 in db
         db.index.check_invariants()
+
+
+class TestSegmentTable:
+    """The table is derived state: whatever happened to the database, it
+    must describe the partitions as they are now."""
+
+    @staticmethod
+    def _walk(seed, length):
+        rng = np.random.default_rng(seed)
+        return np.clip(0.5 + np.cumsum(rng.normal(0, 0.03, (length, 2)), axis=0), 0, 1)
+
+    @staticmethod
+    def _outcome(database, query, epsilon):
+        result = SimilaritySearch(database).search(query, epsilon)
+        return (
+            result.candidates,
+            result.answers,
+            result.solution_intervals,
+            result.stats.dmbr_rows,
+            result.stats.dnorm_evaluations,
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "append", "remove", "clone", "search"]),
+                st.integers(0, 10_000),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        st.sampled_from(["rtree", "str"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_search_equals_a_database_rebuilt_from_scratch(self, steps, kind):
+        database = SequenceDatabase(2, max_points=6, index_kind=kind)
+        database.add(self._walk(1, 30), sequence_id="seed")
+        query = self._walk(1, 30)[5:20]
+        added = 0
+        for verb, number in steps:
+            ids = database.ids()
+            if verb == "add":
+                added += 1
+                database.add(
+                    self._walk(number, 5 + number % 40), sequence_id=f"s{added}"
+                )
+            elif verb == "append" and ids:
+                database.append_points(
+                    ids[number % len(ids)], self._walk(number, 1 + number % 9)
+                )
+            elif verb == "remove" and ids:
+                database.remove(ids[number % len(ids)])
+            elif verb == "clone":
+                database = database.clone()
+            else:
+                database.segment_table  # a read between writes builds it
+            fresh = database.empty_twin()
+            for sequence_id, partition in database.partitions():
+                fresh.add(partition.sequence.points, sequence_id=sequence_id)
+            for epsilon in (0.05, 0.3):
+                assert self._outcome(database, query, epsilon) == self._outcome(
+                    fresh, query, epsilon
+                )
+            table = database.segment_table
+            assert list(table.ids) == database.ids()
+            assert len(table.counts) == database.segment_count
+            assert int(table.lengths.sum()) == database.point_count
+
+    def test_clone_shares_the_table_until_it_mutates(self, rng):
+        database = SequenceDatabase(2)
+        for i in range(4):
+            database.add(rng.random((30, 2)), sequence_id=i)
+        table = database.segment_table
+        lows = table.lows.copy()
+        twin = database.clone()
+        assert twin.segment_table is table
+        twin.add(rng.random((30, 2)), sequence_id="new")
+        twin.remove(0)
+        assert twin.segment_table is not table
+        assert twin.segment_table.ids == (1, 2, 3, "new")
+        assert database.segment_table is table
+        assert table.ids == (0, 1, 2, 3)
+        assert np.array_equal(table.lows, lows)
+
+    def test_table_arrays_and_row_map_reject_writes(self, rng):
+        database = SequenceDatabase(2)
+        database.add(rng.random((30, 2)), sequence_id="a")
+        table = database.segment_table
+        for name in (
+            "lows",
+            "highs",
+            "counts",
+            "point_offsets",
+            "sequence_offsets",
+            "lengths",
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 0
+        with pytest.raises(RuntimeError, match="frozen"):
+            table.rows["b"] = 1
+
+    def test_published_snapshots_carry_a_built_frozen_table(self, rng):
+        database = SequenceDatabase(2)
+        database.add(rng.random((30, 2)), sequence_id="a")
+        with checking_freeze(), QueryEngine(database, workers=1) as engine:
+            assert engine._snapshot.database._table is not None
+            engine.insert(rng.random((30, 2)), sequence_id="b")
+            engine.append("b", rng.random((5, 2)))
+            snapshot = engine._snapshot
+            assert snapshot.database._table is not None
+            assert snapshot.database._table.ids == ("a", "b")
+            verify_frozen(snapshot, role="engine.snapshot", site="test")
 
 
 class TestPersistence:

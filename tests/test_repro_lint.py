@@ -874,6 +874,30 @@ def test_rep300_item_write_through_parameter(tmp_path):
     assert "REP300" in codes_in(path)
 
 
+def test_rep300_segment_table_writes_are_caught(tmp_path):
+    # The table's arrays are shared by every reader of a snapshot, like the
+    # partition matrices they are concatenated from.
+    path = write_module(
+        tmp_path,
+        "src/repro/core/tablewrites.py",
+        '''
+        """Doc."""
+        from repro.core.database import SegmentTable
+
+        __all__ = []
+
+
+        def shift(table: SegmentTable) -> None:
+            table.lows += 1.0
+            table.point_offsets[0] = 1
+            offsets = table.sequence_offsets
+            offsets[1:] -= 1
+        ''',
+    )
+    violations = [v for v in lint_file(path) if v.rule == "REP300"]
+    assert len(violations) == 3
+
+
 def test_rep300_copies_are_clean(tmp_path):
     path = write_module(
         tmp_path,

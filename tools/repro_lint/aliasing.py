@@ -98,6 +98,15 @@ FROZEN_ATTR_KINDS: dict[str, dict[str, str]] = {
         "_segments": _KIND_CONTAINER,
         "_sequence": _KIND_STRUCT,
     },
+    "repro.core.database": {
+        "_table": _KIND_STRUCT,
+        "lows": _KIND_ARRAY,
+        "highs": _KIND_ARRAY,
+        "counts": _KIND_ARRAY,
+        "point_offsets": _KIND_ARRAY,
+        "sequence_offsets": _KIND_ARRAY,
+        "lengths": _KIND_ARRAY,
+    },
     "repro.service.wal": {"_recovered": _KIND_CONTAINER},
 }
 
@@ -109,6 +118,7 @@ FROZEN_TYPE_NAMES: frozenset[str] = frozenset(
         "MBR",
         "MultidimensionalSequence",
         "PartitionedSequence",
+        "SegmentTable",
         "SequenceSegment",
     }
 )
@@ -182,8 +192,15 @@ _ARRAY_ATTR_NAMES = frozenset(
         "_points",
         "counts",
         "high",
+        "high_matrix",
+        "highs",
+        "lengths",
         "low",
+        "low_matrix",
+        "lows",
+        "point_offsets",
         "points",
+        "sequence_offsets",
     }
 )
 # numpy helpers that alias their argument (no copy guarantee).

@@ -1,0 +1,154 @@
+"""Parity of ``SimilaritySearch`` between two checkouts of this repo.
+
+Builds the ``core_range`` benchmark inputs (``perf/benchkit/inputs.py``:
+N=500 video corpus, 600 queries, seed 2000), runs every query at the three
+benchmark thresholds with solution intervals on and off, plus ``knn`` for
+the first 100 queries, and requires the other checkout to produce the
+*same* ``candidates``, ``answers``, ``solution_intervals``, ``dmbr_rows``,
+``dnorm_evaluations`` and ``(distance, id)`` lists — not merely sound ones.
+
+Usage::
+
+    python tools/search_parity.py --against /path/to/other/checkout
+    python tools/search_parity.py --against ../parent --queries 60   # quicker
+
+Each side runs in its own interpreter with only its own ``src/`` on the
+import path; ``--dump FILE`` is that child mode.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Any
+
+__all__ = ["main"]
+
+_CORPUS_SIZE = 500
+_QUERY_POOL = 600
+_KNN_QUERIES = 100
+_KNN_K = 5
+_EPSILONS = (0.05, 0.10, 0.20)
+
+
+def _dump(path: Path, seed: int, queries: int) -> None:
+    """Run every search on the importable ``repro`` and write the outcomes."""
+    from repro.core import SequenceDatabase, SimilaritySearch
+    from repro.datagen import generate_queries, generate_video_corpus
+
+    corpus = generate_video_corpus(
+        _CORPUS_SIZE, length_range=(56, 512), seed=seed
+    )
+    pool = generate_queries(
+        corpus, _QUERY_POOL, length_range=(16, 64), noise=0.01, seed=seed + 1
+    ).queries[:queries]
+    database = SequenceDatabase(3)
+    for sequence in corpus:
+        database.add(sequence)
+    search = SimilaritySearch(database)
+
+    searches = []
+    for query in pool:
+        for epsilon in _EPSILONS:
+            for find_intervals in (True, False):
+                result = search.search(
+                    query.points, epsilon, find_intervals=find_intervals
+                )
+                searches.append(
+                    [
+                        result.candidates,
+                        result.answers,
+                        {
+                            str(sid): interval.intervals
+                            for sid, interval in result.solution_intervals.items()
+                        },
+                        result.stats.dmbr_rows,
+                        result.stats.dnorm_evaluations,
+                    ]
+                )
+    knn = [
+        [
+            [distance.hex(), sid]
+            for distance, sid in search.knn(query.points, _KNN_K)
+        ]
+        for query in pool[:_KNN_QUERIES]
+    ]
+    path.write_text(json.dumps({"searches": searches, "knn": knn}))
+
+
+def _run_side(root: Path, out: Path, seed: int, queries: int) -> None:
+    subprocess.run(
+        [
+            sys.executable,
+            str(Path(__file__).resolve()),
+            "--dump",
+            str(out),
+            "--seed",
+            str(seed),
+            "--queries",
+            str(queries),
+        ],
+        check=True,
+        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+        timeout=1800,
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Compare this checkout with ``--against``; returns a process exit code."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, help="the other checkout's root")
+    parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int, default=2000)
+    parser.add_argument("--queries", type=int, default=_QUERY_POOL)
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        _dump(args.dump, args.seed, args.queries)
+        return 0
+    if args.against is None:
+        parser.error("--against is required")
+
+    here = Path(__file__).resolve().parent.parent
+    with tempfile.TemporaryDirectory(prefix="repro-parity-") as tmp:
+        sides: dict[str, Any] = {}
+        other: Path = args.against.resolve()
+        for name, root in (("this", here), ("other", other)):
+            out = Path(tmp) / f"{name}.json"
+            _run_side(root, out, args.seed, args.queries)
+            sides[name] = json.loads(out.read_text())
+    fields = (
+        "candidates",
+        "answers",
+        "solution_intervals",
+        "dmbr_rows",
+        "dnorm_evaluations",
+    )
+    differing = 0
+    for index, (mine, theirs) in enumerate(
+        zip(sides["this"]["searches"], sides["other"]["searches"], strict=True)
+    ):
+        for field, a, b in zip(fields, mine, theirs):
+            if a != b:
+                differing += 1
+                if differing <= 10:
+                    print(f"search {index}: {field} differs: {a!r} != {b!r}")
+    for index, (mine, theirs) in enumerate(
+        zip(sides["this"]["knn"], sides["other"]["knn"], strict=True)
+    ):
+        if mine != theirs:
+            differing += 1
+            if differing <= 10:
+                print(f"knn {index} differs: {mine!r} != {theirs!r}")
+    print(
+        f"{len(sides['this']['searches'])} searches, "
+        f"{len(sides['this']['knn'])} knn calls: {differing} differences"
+    )
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
