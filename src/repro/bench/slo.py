@@ -125,7 +125,10 @@ DEFAULT_SLO_RULES: tuple[SloRule, ...] = (
     SloRule("service", "end_to_end", "p99_ms", ceiling=30_000.0),
     SloRule("service", "end_to_end", "error_ratio", ceiling=0.0),
     SloRule("service", "cache_hit_ratio", "hit_ratio", floor=0.2),
-    SloRule("service", "wal_recovery", "recovery_ms", ceiling=60_000.0),
+    # Write-path gates, ~10x the measured values of the larger (full)
+    # profile so both profiles fit: recovery replays 64 records in
+    # ~170 ms, a cold follower applies ~800-1500 shipped records/s.
+    SloRule("service", "wal_recovery", "recovery_ms", ceiling=2_000.0),
     # Overload acceptance: under ~2x offered load the engine must keep
     # serving at least 70% of its healthy-load QPS as within-deadline
     # completions, burn under 5% of completions on answers nobody waits
@@ -140,7 +143,8 @@ DEFAULT_SLO_RULES: tuple[SloRule, ...] = (
     ),
     SloRule("cluster", "scatter_gather", "complete_ratio", floor=1.0),
     SloRule("cluster", "scatter_gather", "killed_p95_ms", ceiling=30_000.0),
-    SloRule("cluster", "replica_catchup", "catchup_s", ceiling=120.0),
+    SloRule("cluster", "replica_catchup", "catchup_s", ceiling=60.0),
+    SloRule("cluster", "replica_catchup", "records_per_s", floor=100.0),
 )
 
 

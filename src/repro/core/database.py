@@ -271,7 +271,9 @@ class SequenceDatabase:
         A growing video stream keeps its already-closed segments; only the
         *last* segment can change (the greedy MCOST partitioner never
         revisits earlier ones), so that segment is re-partitioned together
-        with the new points and the index is patched incrementally.
+        with the new points (:meth:`PartitionedSequence.extended_to`) and only
+        it is swapped in the index: the work grows with the points
+        appended, not with the stream's length.
         """
         old_partition = self.partition(sequence_id)  # raises on unknown id
         new_block = np.asarray(points, dtype=np.float64)
@@ -285,38 +287,27 @@ class SequenceDatabase:
                 f"dimension {self.dimension}"
             )
 
-        old_sequence = old_partition.sequence
         extended = MultidimensionalSequence(
-            np.vstack([old_sequence.points, new_block]),
+            np.concatenate([old_partition.sequence.points, new_block]),
             sequence_id=sequence_id,
         )
-        new_partition = partition_sequence(
-            extended,
-            cost_constant=self.cost_constant,
-            max_points=self.max_points,
+        new_partition = old_partition.extended_to(
+            extended, max_points=self.max_points
         )
-
         self._table = None
         if not self._incremental:
             self._partitions[sequence_id] = new_partition
             self._index_dirty = True
             return
 
-        # Patch the index: drop every old segment from the first segment
-        # whose (start, count, mbr) changed onwards, insert the new tail.
+        # Patch the index: the closed segments are the same objects in both
+        # partitions, so only the re-partitioned tail is swapped.
         index = self._live_index()
         old_segments = old_partition.segments
         new_segments = new_partition.segments
-        stable = 0
-        for old_segment, new_segment in zip(old_segments, new_segments):
-            if (
-                old_segment.start == new_segment.start
-                and old_segment.count == new_segment.count
-                and old_segment.mbr == new_segment.mbr
-            ):
-                stable += 1
-            else:
-                break
+        stable = len(old_segments) - 1
+        if new_segments[stable] is old_segments[stable]:
+            stable += 1
         for segment in old_segments[stable:]:
             removed = index.delete(
                 segment.mbr, SegmentKey(sequence_id, segment.index)
@@ -434,12 +425,12 @@ class SequenceDatabase:
     @property
     def segment_count(self) -> int:
         """Total number of segment MBRs across all sequences."""
-        return sum(len(p) for p in self._partitions.values())
+        return int(self.segment_table.counts.shape[0])
 
     @property
     def point_count(self) -> int:
         """Total number of stored points across all sequences."""
-        return sum(len(p.sequence) for p in self._partitions.values())
+        return int(self.segment_table.point_offsets[-1])
 
     # ------------------------------------------------------------------
     # Index

@@ -14,6 +14,16 @@ one axis, and rectangles separated along both axes (corner-to-corner).
 
 The module also provides the geometric predicates and measures needed by the
 R-tree substrate (volume, margin, enlargement, overlap) and by partitioning.
+
+All rectangle-to-rectangle geometry runs on plain Python floats (the
+``low_tuple`` / ``high_tuple`` corners): index maintenance evaluates it
+millions of times on 2-8 numbers, where scalar arithmetic beats NumPy by
+an order of magnitude.  The results are bit-identical to the NumPy
+formulation — ``min``/``max`` are exact, products run left to right exactly
+as ``np.prod`` does, and sums follow ``np.sum``'s pairwise order
+(:func:`_numpy_order_sum`) — so tree layouts do not depend on which one
+computed them.  The ``low`` / ``high`` ndarrays exist for the vectorised
+row kernels and are built on first access only.
 """
 
 from __future__ import annotations
@@ -31,6 +41,37 @@ if TYPE_CHECKING:
     import numpy.typing as npt
 
 __all__ = ["MBR"]
+
+
+def _numpy_order_sum(values: list[float]) -> float:
+    """Sum floats in the order ``np.sum`` adds a contiguous float64 array.
+
+    NumPy sums fewer than 8 elements left to right and longer runs
+    pairwise (eight running accumulators per block of at most 128, blocks
+    halved recursively); reproducing that order keeps ``margin`` and the
+    centre distances bit-identical to the ndarray formulation in every
+    dimension, not just below 8.
+    """
+    size = len(values)
+    if size < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if size > 128:
+        half = size // 2
+        half -= half % 8
+        return _numpy_order_sum(values[:half]) + _numpy_order_sum(values[half:])
+    lanes = values[:8]
+    blocked = size - size % 8
+    for start in range(8, blocked, 8):
+        lanes = [lane + value for lane, value in zip(lanes, values[start:])]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+    )
+    for value in values[blocked:]:
+        total += value
+    return total
 
 
 class MBR:
@@ -70,17 +111,36 @@ class MBR:
             raise ValueError(f"low must be <= high element-wise: {lo} vs {hi}")
         lo.setflags(write=False)
         hi.setflags(write=False)
-        self._low = lo
-        self._high = hi
-        # Plain-float copies: Dmbr is evaluated millions of times during
-        # index traversal, where scalar arithmetic beats numpy by ~10x for
-        # the low dimensionalities (2-8) this library works in.
-        self._low_tuple = tuple(lo.tolist())
-        self._high_tuple = tuple(hi.tolist())
+        self._low: np.ndarray | None = lo
+        self._high: np.ndarray | None = hi
+        self._low_tuple: tuple[float, ...] = tuple(lo.tolist())
+        self._high_tuple: tuple[float, ...] = tuple(hi.tolist())
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+    @classmethod
+    def _trusted(
+        cls, low: tuple[float, ...], high: tuple[float, ...]
+    ) -> "MBR":
+        """An MBR over corners the caller guarantees are valid; no checks.
+
+        Contract: ``low`` and ``high`` are tuples of Python floats, of
+        equal non-zero length, every value finite, ``low[k] <= high[k]``.
+        That holds by construction for anything derived from valid
+        rectangles or validated points with ``min`` / ``max`` (unions,
+        intersections, the partitioner's running corners), which is what
+        this constructor is for; it keeps the tuples by reference and
+        builds no ndarray.  Input from outside the library goes through
+        ``MBR(low, high)``.
+        """
+        mbr = object.__new__(cls)
+        mbr._low = None
+        mbr._high = None
+        mbr._low_tuple = low
+        mbr._high_tuple = high
+        return mbr
+
     @classmethod
     def of_points(cls, points: npt.ArrayLike) -> "MBR":
         """The tightest MBR enclosing a non-empty ``(m, n)`` point array."""
@@ -97,59 +157,84 @@ class MBR:
     def of_point(cls, point: npt.ArrayLike) -> "MBR":
         """The degenerate MBR of a single point (``L == H``)."""
         arr = np.atleast_1d(np.asarray(point, dtype=np.float64))
-        return cls(arr, arr.copy())
+        return cls(arr, arr)
 
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
     @property
+    def low_tuple(self) -> tuple[float, ...]:
+        """The low endpoint ``L`` as plain Python floats."""
+        return self._low_tuple
+
+    @property
+    def high_tuple(self) -> tuple[float, ...]:
+        """The high endpoint ``H`` as plain Python floats."""
+        return self._high_tuple
+
+    @property
     def low(self) -> np.ndarray:
-        """The low endpoint ``L`` (read-only)."""
-        return self._low
+        """The low endpoint ``L`` as an ndarray (read-only, built once)."""
+        low = self._low
+        if low is None:
+            low = self._low = _frozen_vector(self._low_tuple)
+        return low
 
     @property
     def high(self) -> np.ndarray:
-        """The high endpoint ``H`` (read-only)."""
-        return self._high
+        """The high endpoint ``H`` as an ndarray (read-only, built once)."""
+        high = self._high
+        if high is None:
+            high = self._high = _frozen_vector(self._high_tuple)
+        return high
 
     @property
     def dimension(self) -> int:
         """Dimensionality ``n`` of the space."""
-        return self._low.shape[0]
+        return len(self._low_tuple)
 
     @property
     def sides(self) -> np.ndarray:
         """Side lengths ``(h_k - l_k)`` per dimension (the paper's ``L_k``)."""
-        return self._high - self._low
+        return np.array(self._side_list(), dtype=np.float64)
 
     @property
     def center(self) -> np.ndarray:
         """The geometric centre ``(L + H) / 2``."""
-        return (self._low + self._high) / 2.0
+        return np.array(self._center_list(), dtype=np.float64)
 
     def volume(self) -> float:
         """The hyper-volume ``prod(h_k - l_k)``."""
-        return float(np.prod(self.sides))
+        product = 1.0
+        for low, high in zip(self._low_tuple, self._high_tuple):
+            product *= high - low
+        return product
 
     def margin(self) -> float:
         """The margin (sum of side lengths) used by R*-tree split heuristics."""
-        return float(np.sum(self.sides))
+        return _numpy_order_sum(self._side_list())
 
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
     def contains_point(self, point: npt.ArrayLike) -> bool:
         """Whether ``point`` lies inside (or on the boundary of) this MBR."""
-        p = np.asarray(point, dtype=np.float64)
-        self._check_compatible_shape(p)
-        return bool(np.all(self._low <= p) and np.all(p <= self._high))
+        for low, high, value in zip(
+            self._low_tuple, self._high_tuple, self._point_list(point)
+        ):
+            if not low <= value <= high:
+                return False
+        return True
 
     def contains(self, other: "MBR") -> bool:
         """Whether ``other`` is entirely inside this MBR."""
         self._check_compatible(other)
-        return bool(
-            np.all(self._low <= other._low) and np.all(other._high <= self._high)
-        )
+        for a_low, a_high, b_low, b_high in zip(
+            self._low_tuple, self._high_tuple, other._low_tuple, other._high_tuple
+        ):
+            if b_low < a_low or b_high > a_high:
+                return False
+        return True
 
     def intersects(self, other: "MBR") -> bool:
         """Whether the two rectangles share at least a boundary point."""
@@ -167,8 +252,9 @@ class MBR:
     def union(self, other: "MBR") -> "MBR":
         """The smallest MBR covering both rectangles."""
         self._check_compatible(other)
-        return MBR(
-            np.minimum(self._low, other._low), np.maximum(self._high, other._high)
+        return MBR._trusted(
+            tuple(map(min, self._low_tuple, other._low_tuple)),
+            tuple(map(max, self._high_tuple, other._high_tuple)),
         )
 
     @staticmethod
@@ -177,33 +263,66 @@ class MBR:
         items = list(mbrs)
         if not items:
             raise ValueError("union_all requires at least one MBR")
-        low = np.min([m.low for m in items], axis=0)
-        high = np.max([m.high for m in items], axis=0)
-        return MBR(low, high)
+        if len(items) == 1:
+            return items[0]
+        dimension = len(items[0]._low_tuple)
+        for item in items:
+            if len(item._low_tuple) != dimension:
+                raise ValueError(
+                    f"dimension mismatch: {dimension} vs {item.dimension}"
+                )
+        return MBR._trusted(
+            tuple(map(min, zip(*[item._low_tuple for item in items]))),
+            tuple(map(max, zip(*[item._high_tuple for item in items]))),
+        )
 
     def extended_with_point(self, point: npt.ArrayLike) -> "MBR":
         """The smallest MBR covering this rectangle plus one extra point."""
-        p = np.asarray(point, dtype=np.float64)
-        self._check_compatible_shape(p)
-        return MBR(np.minimum(self._low, p), np.maximum(self._high, p))
+        values = self._point_list(point)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("MBR endpoints must be finite")
+        return MBR._trusted(
+            tuple(map(min, self._low_tuple, values)),
+            tuple(map(max, self._high_tuple, values)),
+        )
 
     def intersection(self, other: "MBR") -> "MBR | None":
         """The overlap rectangle, or ``None`` when disjoint."""
         self._check_compatible(other)
-        low = np.maximum(self._low, other._low)
-        high = np.minimum(self._high, other._high)
-        if np.any(low > high):
-            return None
-        return MBR(low, high)
+        low = tuple(map(max, self._low_tuple, other._low_tuple))
+        high = tuple(map(min, self._high_tuple, other._high_tuple))
+        for low_k, high_k in zip(low, high):
+            if low_k > high_k:
+                return None
+        return MBR._trusted(low, high)
 
     def overlap_volume(self, other: "MBR") -> float:
         """Hyper-volume of the overlap region (0.0 when disjoint)."""
-        inter = self.intersection(other)
-        return 0.0 if inter is None else inter.volume()
+        self._check_compatible(other)
+        product = 1.0
+        for a_low, a_high, b_low, b_high in zip(
+            self._low_tuple, self._high_tuple, other._low_tuple, other._high_tuple
+        ):
+            low = a_low if a_low > b_low else b_low
+            high = a_high if a_high < b_high else b_high
+            if low > high:
+                return 0.0
+            product *= high - low
+        return product
 
     def enlargement(self, other: "MBR") -> float:
         """Volume growth needed to absorb ``other`` (Guttman's criterion)."""
-        return self.union(other).volume() - self.volume()
+        self._check_compatible(other)
+        grown = 1.0
+        own = 1.0
+        for a_low, a_high, b_low, b_high in zip(
+            self._low_tuple, self._high_tuple, other._low_tuple, other._high_tuple
+        ):
+            own *= a_high - a_low
+            grown *= (a_high if a_high > b_high else b_high) - (
+                a_low if a_low < b_low else b_low
+            )
+        return grown - own
 
     def expanded(self, epsilon: float) -> "MBR":
         """This MBR grown by ``epsilon`` on every side (Minkowski sum).
@@ -214,7 +333,10 @@ class MBR:
         superset filter that is then refined with :meth:`min_distance`.
         """
         epsilon = check_threshold(epsilon)
-        return MBR(self._low - epsilon, self._high + epsilon)
+        return MBR._trusted(
+            tuple(low - epsilon for low in self._low_tuple),
+            tuple(high + epsilon for high in self._high_tuple),
+        )
 
     # ------------------------------------------------------------------
     # Distances
@@ -264,8 +386,8 @@ class MBR:
         """
         # Same arithmetic as max(0, max(l - h_q, l_q - h))**2 summed per row,
         # written in place: two (r, n) temporaries instead of five.
-        gaps = lows - self._high
-        np.maximum(gaps, self._low - highs, out=gaps)
+        gaps = lows - self.high
+        np.maximum(gaps, self.low - highs, out=gaps)
         np.maximum(gaps, 0.0, out=gaps)
         np.multiply(gaps, gaps, out=gaps)
         distances: np.ndarray = np.sum(gaps, axis=1)
@@ -273,10 +395,13 @@ class MBR:
 
     def min_distance_to_point(self, point: npt.ArrayLike) -> float:
         """Minimum Euclidean distance from ``point`` to this rectangle."""
-        p = np.asarray(point, dtype=np.float64)
-        self._check_compatible_shape(p)
-        gaps = np.maximum(0.0, np.maximum(self._low - p, p - self._high))
-        return float(np.sqrt(np.sum(gaps * gaps)))
+        squares = []
+        for low, high, value in zip(
+            self._low_tuple, self._high_tuple, self._point_list(point)
+        ):
+            gap = max(0.0, low - value, value - high)
+            squares.append(gap * gap)
+        return math.sqrt(_numpy_order_sum(squares))
 
     def max_distance(self, other: "MBR") -> float:
         """Maximum Euclidean distance between any pair of points in the MBRs.
@@ -285,10 +410,25 @@ class MBR:
         useful for upper-bound pruning in the k-NN extension.
         """
         self._check_compatible(other)
-        spans = np.maximum(
-            np.abs(other._high - self._low), np.abs(self._high - other._low)
-        )
-        return float(np.sqrt(np.sum(spans * spans)))
+        squares = []
+        for a_low, a_high, b_low, b_high in zip(
+            self._low_tuple, self._high_tuple, other._low_tuple, other._high_tuple
+        ):
+            span = max(abs(b_high - a_low), abs(a_high - b_low))
+            squares.append(span * span)
+        return math.sqrt(_numpy_order_sum(squares))
+
+    def center_distance_squared(self, other: "MBR") -> float:
+        """Squared Euclidean distance between the two rectangles' centres.
+
+        The R*-tree's forced reinsert orders a node's children by it.
+        """
+        self._check_compatible(other)
+        squares = []
+        for mine, theirs in zip(self._center_list(), other._center_list()):
+            gap = mine - theirs
+            squares.append(gap * gap)
+        return _numpy_order_sum(squares)
 
     # ------------------------------------------------------------------
     # Dunder plumbing
@@ -296,22 +436,43 @@ class MBR:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MBR):
             return NotImplemented
-        return bool(
-            np.array_equal(self._low, other._low)
-            and np.array_equal(self._high, other._high)
+        return (
+            self._low_tuple == other._low_tuple
+            and self._high_tuple == other._high_tuple
         )
 
     def __hash__(self) -> int:
-        return hash((self._low.tobytes(), self._high.tobytes()))
+        return hash((self._low_tuple, self._high_tuple))
 
     def __repr__(self) -> str:
-        low = np.array2string(self._low, precision=4, separator=", ")
-        high = np.array2string(self._high, precision=4, separator=", ")
+        low = np.array2string(self.low, precision=4, separator=", ")
+        high = np.array2string(self.high, precision=4, separator=", ")
         return f"MBR(low={low}, high={high})"
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _side_list(self) -> list[float]:
+        return [
+            high - low for low, high in zip(self._low_tuple, self._high_tuple)
+        ]
+
+    def _center_list(self) -> list[float]:
+        return [
+            (low + high) / 2.0
+            for low, high in zip(self._low_tuple, self._high_tuple)
+        ]
+
+    def _point_list(self, point: npt.ArrayLike) -> list[float]:
+        """``point`` as floats, after checking it has this MBR's shape."""
+        p = np.asarray(point, dtype=np.float64)
+        if p.shape != (self.dimension,):
+            raise ValueError(
+                f"expected a point of shape ({self.dimension},), got {p.shape}"
+            )
+        values: list[float] = p.tolist()
+        return values
+
     def _check_compatible(self, other: "MBR") -> None:
         if not isinstance(other, MBR):
             raise TypeError(f"expected an MBR, got {type(other).__name__}")
@@ -320,8 +481,8 @@ class MBR:
                 f"dimension mismatch: {self.dimension} vs {other.dimension}"
             )
 
-    def _check_compatible_shape(self, point: np.ndarray) -> None:
-        if point.shape != (self.dimension,):
-            raise ValueError(
-                f"expected a point of shape ({self.dimension},), got {point.shape}"
-            )
+
+def _frozen_vector(values: tuple[float, ...]) -> np.ndarray:
+    vector = np.array(values, dtype=np.float64)
+    vector.setflags(write=False)
+    return vector

@@ -20,10 +20,21 @@ Grouping is greedy and order-preserving: a subsequence grows point by point
 while adding the next point does not increase MCOST; when it would (or when
 the configured maximum MBR population is hit), the current MBR is closed and
 a new one starts at that point.
+
+The pass runs on plain Python floats (``points.tolist()``): per point it
+needs ``n`` comparisons and one ``n``-term product, far below the size
+where a NumPy call pays for itself.  ``min``/``max`` are exact and the
+product is taken left to right starting from 1.0, which is the order
+``np.prod`` multiplies a short vector in, so the segments are bit-identical
+to the array formulation (``tests/test_partitioning.py`` keeps that
+formulation as a reference).  Because the greedy pass never revisits a
+closed segment, a sequence that grows at its end is re-partitioned from
+the start of its last segment only (:meth:`PartitionedSequence.extended_to`).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -79,7 +90,7 @@ def marginal_cost(
     return float(np.prod(arr + cost_constant) / point_count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceSegment:
     """One partition cell: a contiguous run of points and its bounding MBR.
 
@@ -123,6 +134,7 @@ class PartitionedSequence:
         "_sequence",
         "_segments",
         "_counts",
+        "_stops",
         "_cost_constant",
         "_low_matrix",
         "_high_matrix",
@@ -155,17 +167,102 @@ class PartitionedSequence:
                 f"segments cover {expected_start} points but the sequence has "
                 f"{len(sequence)}"
             )
+        self._assemble(
+            sequence,
+            list(segments),
+            np.array([s.count for s in segments], dtype=np.int64),
+            np.array([s.mbr.low_tuple for s in segments], dtype=np.float64),
+            np.array([s.mbr.high_tuple for s in segments], dtype=np.float64),
+            cost_constant,
+        )
+
+    def _assemble(
+        self,
+        sequence: MultidimensionalSequence,
+        segments: list[SequenceSegment],
+        counts: np.ndarray,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        cost_constant: float,
+    ) -> None:
+        """Take ownership of an already consistent partition (no checks)."""
         self._sequence = sequence
-        self._segments = list(segments)
+        self._segments = segments
         # The matrices are shared by reference across engine snapshots and
         # cache entries, so they are frozen at construction: an in-place
         # write here would corrupt Dmbr for every concurrent reader.
-        self._counts = freeze(
-            np.array([s.count for s in segments], dtype=np.int64)
-        )
+        self._counts = freeze(counts)
+        self._stops = freeze(np.cumsum(counts))
         self._cost_constant = cost_constant
-        self._low_matrix = freeze(np.vstack([s.mbr.low for s in segments]))
-        self._high_matrix = freeze(np.vstack([s.mbr.high for s in segments]))
+        self._low_matrix = freeze(lows)
+        self._high_matrix = freeze(highs)
+
+    @classmethod
+    def _trusted(
+        cls,
+        sequence: MultidimensionalSequence,
+        segments: list[SequenceSegment],
+        counts: npt.ArrayLike,
+        lows: npt.ArrayLike,
+        highs: npt.ArrayLike,
+        cost_constant: float,
+    ) -> "PartitionedSequence":
+        """A partition from parts a partitioning pass produced; no checks."""
+        partition = object.__new__(cls)
+        partition._assemble(
+            sequence,
+            segments,
+            np.asarray(counts, dtype=np.int64),
+            np.asarray(lows, dtype=np.float64),
+            np.asarray(highs, dtype=np.float64),
+            cost_constant,
+        )
+        return partition
+
+    def extended_to(
+        self,
+        sequence: MultidimensionalSequence,
+        *,
+        max_points: int | None = DEFAULT_MAX_POINTS,
+    ) -> "PartitionedSequence":
+        """The partition of ``sequence``: this one's sequence grown at its end.
+
+        Equal, segment for segment, to partitioning ``sequence`` from
+        scratch with this partition's cost constant and the same
+        ``max_points``: the greedy pass decides each boundary from the
+        current segment alone, so only the last segment can change.  The
+        pass therefore restarts at that segment's first point; every
+        closed segment — and the last one too, when the first new point
+        closes it unchanged — is kept by reference.  The cost is linear in
+        the points added plus the last segment, not in the stream's length.
+
+        The caller guarantees that ``sequence`` starts with this
+        partition's points; that is not re-checked.
+        """
+        if len(sequence) < len(self._sequence):
+            raise ValueError(
+                f"the grown sequence has {len(sequence)} points, fewer than "
+                f"the {len(self._sequence)} already partitioned"
+            )
+        last = self._segments[-1]
+        cells = _partition_rows(
+            sequence.points[last.start :].tolist(),
+            self._cost_constant,
+            max_points,
+        )
+        counts, lows, highs = cells
+        kept = len(self._segments) - 1
+        tail = _segments_of(cells, first_index=kept, first_start=last.start)
+        if tail[0].count == last.count and tail[0].mbr == last.mbr:
+            tail[0] = last
+        return self._trusted(
+            sequence,
+            [*self._segments[:kept], *tail],
+            np.concatenate([self._counts[:kept], counts]),
+            np.concatenate([self._low_matrix[:kept], lows]),
+            np.concatenate([self._high_matrix[:kept], highs]),
+            self._cost_constant,
+        )
 
     @property
     def sequence(self) -> MultidimensionalSequence:
@@ -237,9 +334,10 @@ class PartitionedSequence:
             raise IndexError(
                 f"offset {offset} outside [0, {len(self._sequence)})"
             )
-        starts = [s.start for s in self._segments]
-        position = int(np.searchsorted(starts, offset, side="right")) - 1
-        return self._segments[position]
+        # _stops[i] is one past segment i's last point.
+        return self._segments[
+            int(np.searchsorted(self._stops, offset, side="right"))
+        ]
 
     def total_cost(self) -> float:
         """Sum of per-segment MCOST·count — the estimated total access count."""
@@ -249,6 +347,70 @@ class PartitionedSequence:
                 for s in self._segments
             )
         )
+
+
+#: What one partitioning pass emits: per segment its point count and the
+#: low / high corner of its MBR (segments tile the input in order).
+_Cells = tuple[list[int], list[tuple[float, ...]], list[tuple[float, ...]]]
+
+
+def _partition_rows(
+    rows: list[list[float]], cost_constant: float, max_points: int | None
+) -> _Cells:
+    """The greedy MCOST pass over a non-empty list of points (as floats)."""
+    counts: list[int] = []
+    lows: list[tuple[float, ...]] = []
+    highs: list[tuple[float, ...]] = []
+    capacity = math.inf if max_points is None else max_points
+    # MCOST of a one-point segment: every side is 0, so prod(0 + c) / 1.
+    single_cost = 1.0
+    for _ in rows[0]:
+        single_cost *= cost_constant
+
+    low = high = rows[0]
+    count = 1
+    current_cost = single_cost
+    for point in rows[1:]:
+        new_low = list(map(min, low, point))
+        new_high = list(map(max, high, point))
+        volume = 1.0
+        for low_k, high_k in zip(new_low, new_high):
+            volume *= (high_k - low_k) + cost_constant
+        new_cost = volume / (count + 1)
+        if new_cost > current_cost or count >= capacity:
+            counts.append(count)
+            lows.append(tuple(low))
+            highs.append(tuple(high))
+            low = high = point
+            count = 1
+            current_cost = single_cost
+        else:
+            low = new_low
+            high = new_high
+            count += 1
+            current_cost = new_cost
+    counts.append(count)
+    lows.append(tuple(low))
+    highs.append(tuple(high))
+    return counts, lows, highs
+
+
+def _segments_of(
+    cells: _Cells, *, first_index: int, first_start: int
+) -> list[SequenceSegment]:
+    """Segment objects for consecutive cells, numbered from ``first_index``.
+
+    The corners come from :func:`_partition_rows` — finite floats taken by
+    ``min``/``max`` from validated points — so the MBRs skip validation.
+    """
+    segments = []
+    start = first_start
+    for index, (count, low, high) in enumerate(zip(*cells), first_index):
+        segments.append(
+            SequenceSegment(index, start, count, MBR._trusted(low, high))
+        )
+        start += count
+    return segments
 
 
 def partition_sequence(
@@ -280,43 +442,10 @@ def partition_sequence(
         raise ValueError(f"cost_constant must be > 0, got {cost_constant}")
     if max_points is not None and max_points < 1:
         raise ValueError(f"max_points must be >= 1 or None, got {max_points}")
-
-    points = sequence.points
-    segments: list[SequenceSegment] = []
-    start = 0
-    low = points[0].copy()
-    high = points[0].copy()
-    count = 1
-    current_cost = marginal_cost(high - low, count, cost_constant)
-
-    def close_segment() -> None:
-        segments.append(
-            SequenceSegment(
-                index=len(segments),
-                start=start,
-                count=count,
-                mbr=MBR(low, high),
-            )
-        )
-
-    for offset in range(1, len(points)):
-        point = points[offset]
-        new_low = np.minimum(low, point)
-        new_high = np.maximum(high, point)
-        new_cost = marginal_cost(new_high - new_low, count + 1, cost_constant)
-        at_capacity = max_points is not None and count >= max_points
-        if new_cost > current_cost or at_capacity:
-            close_segment()
-            start = offset
-            low = point.copy()
-            high = point.copy()
-            count = 1
-            current_cost = marginal_cost(high - low, count, cost_constant)
-        else:
-            low = new_low
-            high = new_high
-            count += 1
-            current_cost = new_cost
-    close_segment()
-
-    return PartitionedSequence(sequence, segments, cost_constant)
+    cells = _partition_rows(sequence.points.tolist(), cost_constant, max_points)
+    return PartitionedSequence._trusted(
+        sequence,
+        _segments_of(cells, first_index=0, first_start=0),
+        *cells,
+        cost_constant,
+    )

@@ -35,7 +35,7 @@ metrics enable.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -340,6 +340,31 @@ def _sequence_bounds(
         checkpoint(site)
         np.minimum(best, segment.mbr.min_distance_rows(lows, highs), out=best)
     return np.minimum.reduceat(best, offsets[:-1])
+
+
+#: Cells of one broadcast block in :func:`_nearest_dmbr` (8 MB of float64).
+_BROADCAST_CELLS = 1 << 20
+
+
+def _nearest_dmbr(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    other_lows: np.ndarray,
+    other_highs: np.ndarray,
+) -> np.ndarray:
+    """Per rectangle ``(lows[i], highs[i])``: its least ``Dmbr`` to any of the
+    other rectangles — :meth:`MBR.min_distance_rows` for many rectangles at
+    once, same arithmetic, blocked so the broadcast stays bounded."""
+    nearest = np.empty(len(lows))
+    step = max(1, _BROADCAST_CELLS // other_lows.size)
+    for start in range(0, len(lows), step):
+        block = slice(start, start + step)
+        gaps = other_lows - highs[block, None, :]
+        np.maximum(gaps, lows[block, None, :] - other_highs, out=gaps)
+        np.maximum(gaps, 0.0, out=gaps)
+        np.multiply(gaps, gaps, out=gaps)
+        nearest[block] = np.sqrt(gaps.sum(axis=2).min(axis=1))
+    return nearest
 
 
 def _validate_phase3_windows(
@@ -762,18 +787,42 @@ class SimilaritySearch:
     ) -> bool:
         """Whether one stored sequence is a Phase-2 candidate at ``epsilon``.
 
-        Equivalent to ``candidate_lower_bound(...) <= epsilon`` but stops
-        at the first query segment whose ``Dmbr`` row already reaches the
-        threshold — membership needs an existence witness, not the exact
-        minimum.  The ε-aware result cache uses this to re-derive the
-        Phase-2 verdict for cached candidates without an index probe.
+        Equivalent to ``candidate_lower_bound(...) <= epsilon``; the
+        one-query form of :meth:`queries_within`.
         """
         epsilon = check_threshold(epsilon)
+        return self.queries_within([(query_partition, epsilon)], sequence_id)[0]
+
+    def queries_within(
+        self,
+        queries: Sequence[tuple[PartitionedSequence, float]],
+        sequence_id: object,
+    ) -> list[bool]:
+        """For each ``(query partition, epsilon)``: is one stored sequence a
+        Phase-2 candidate of that query at that threshold?
+
+        The dual of :meth:`candidates_within` — many queries against one
+        sequence — in one broadcast ``Dmbr`` between the stacked query MBRs
+        and the sequence's segment rows.  The ε-aware result cache uses it
+        to re-derive the Phase-2 verdict of every cached query for the one
+        sequence a write touched, without an index probe.
+        """
         partition = self.database.partition(sequence_id)
-        return any(
-            float(partition.mbr_distance_row(segment.mbr).min()) <= epsilon
-            for segment in query_partition
+        if not queries:
+            return []
+        epsilons = np.array([check_threshold(epsilon) for _, epsilon in queries])
+        sizes = [len(query_partition) for query_partition, _ in queries]
+        nearest = _nearest_dmbr(
+            np.concatenate([q.low_matrix for q, _ in queries]),
+            np.concatenate([q.high_matrix for q, _ in queries]),
+            partition.low_matrix,
+            partition.high_matrix,
         )
+        starts = np.cumsum([0, *sizes[:-1]])
+        verdicts: list[bool] = (
+            np.minimum.reduceat(nearest, starts) <= epsilons
+        ).tolist()
+        return verdicts
 
     def match_candidate(
         self,

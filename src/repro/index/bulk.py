@@ -116,5 +116,10 @@ def _tile_axis(items: list, axis: int, dimension: int, capacity: int) -> list[li
 
 
 def _sorted_by_center(items: list, axis: int) -> list:
-    centers = np.array([item.mbr.center[axis] for item in items])
+    centers = np.array(
+        [
+            (item.mbr.low_tuple[axis] + item.mbr.high_tuple[axis]) / 2.0
+            for item in items
+        ]
+    )
     return [items[i] for i in np.argsort(centers, kind="stable")]

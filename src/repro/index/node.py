@@ -21,7 +21,7 @@ from repro.core.mbr import MBR
 __all__ = ["LeafEntry", "Node"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeafEntry:
     """A leaf record: a bounding rectangle and the object it indexes."""
 

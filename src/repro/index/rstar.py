@@ -17,6 +17,8 @@ differs from the Guttman tree in three ways, all implemented here:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.mbr import MBR
@@ -24,7 +26,18 @@ from repro.index.node import LeafEntry, Node
 from repro.index.rtree import RTree
 from repro.util.freeze import freeze_checks_enabled, verify_frozen
 
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterator
+
 __all__ = ["RStarTree"]
+
+
+def _axis_orders(axis: int) -> "tuple[Callable, Callable]":
+    """The two sort keys of one split axis: by lower, then by upper value."""
+    return (
+        lambda child: (child.mbr.low_tuple[axis], child.mbr.high_tuple[axis]),
+        lambda child: (child.mbr.high_tuple[axis], child.mbr.low_tuple[axis]),
+    )
 
 
 class RStarTree(RTree):
@@ -108,9 +121,8 @@ class RStarTree(RTree):
         count = min(count, len(node.children) - self.min_entries)
         if count < 1:
             return []
-        centre = node.mbr.center
         distances = [
-            float(np.sum((child.mbr.center - centre) ** 2))
+            child.mbr.center_distance_squared(node.mbr)
             for child in node.children
         ]
         order = np.argsort(distances)  # ascending: keep the near ones
@@ -184,10 +196,7 @@ class RStarTree(RTree):
         best_margin = float("inf")
         for axis in range(self.dimension):
             margin_sum = 0.0
-            for key in (
-                lambda child: (child.mbr.low[axis], child.mbr.high[axis]),
-                lambda child: (child.mbr.high[axis], child.mbr.low[axis]),
-            ):
+            for key in _axis_orders(axis):
                 ordered = sorted(children, key=key)
                 for group_a, group_b in self._distributions(ordered):
                     margin_sum += MBR.union_all(
@@ -207,10 +216,7 @@ class RStarTree(RTree):
         """Least-overlap (ties: least volume) distribution on the split axis."""
         best = None
         best_key = None
-        for key in (
-            lambda child: (child.mbr.low[axis], child.mbr.high[axis]),
-            lambda child: (child.mbr.high[axis], child.mbr.low[axis]),
-        ):
+        for key in _axis_orders(axis):
             ordered = sorted(children, key=key)
             for group_a, group_b in self._distributions(ordered):
                 mbr_a = MBR.union_all(c.mbr for c in group_a)

@@ -30,6 +30,8 @@ from repro.index.node import LeafEntry, Node
 from repro.util.validation import check_threshold
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     import numpy.typing as npt
 
 __all__ = ["IndexStats", "RTree"]
@@ -355,10 +357,11 @@ class RTree:
         """The pair wasting the most volume if grouped together."""
         best_pair = (0, 1)
         best_waste = float("-inf")
-        for (i, a), (j, b) in itertools.combinations(enumerate(children), 2):
-            waste = (
-                a.mbr.union(b.mbr).volume() - a.mbr.volume() - b.mbr.volume()
-            )
+        mbrs = [child.mbr for child in children]
+        volumes = [mbr.volume() for mbr in mbrs]
+        for i, j in itertools.combinations(range(len(mbrs)), 2):
+            # volume(a ∪ b) - volume(a) - volume(b), in that order.
+            waste = mbrs[i].enlargement(mbrs[j]) - volumes[j]
             if waste > best_waste:
                 best_waste = waste
                 best_pair = (i, j)

@@ -34,7 +34,7 @@ from repro.core.mbr import MBR
 from repro.index.node import LeafEntry, Node
 from repro.index.rstar import RStarTree
 from repro.index.rtree import RTree
-from repro.util.freeze import freeze, freeze_checks_enabled, verify_frozen
+from repro.util.freeze import freeze_checks_enabled, verify_frozen
 
 if TYPE_CHECKING:
     import os
@@ -125,8 +125,8 @@ def save_tree(tree: RTree, path: TreeSink) -> None:
     child_count = np.zeros(node_count, dtype=np.int64)
     first_child = np.full(node_count, -1, dtype=np.int64)
 
-    entry_lows: list[np.ndarray] = []
-    entry_highs: list[np.ndarray] = []
+    entry_lows: list[tuple[float, ...]] = []
+    entry_highs: list[tuple[float, ...]] = []
     payloads: list = []
 
     for position, node in enumerate(nodes):
@@ -136,20 +136,16 @@ def save_tree(tree: RTree, path: TreeSink) -> None:
         if node.is_leaf:
             child_start[position] = len(payloads)
             for entry in node.children:
-                entry_lows.append(entry.mbr.low)
-                entry_highs.append(entry.mbr.high)
+                entry_lows.append(entry.mbr.low_tuple)
+                entry_highs.append(entry.mbr.high_tuple)
                 payloads.append(entry.payload)
         elif node.children:
             first_child[position] = index_of[id(node.children[0])]
 
     entry_count = len(payloads)
     dimension = tree.dimension
-    lows = (
-        np.vstack(entry_lows) if entry_lows else np.empty((0, dimension))
-    )
-    highs = (
-        np.vstack(entry_highs) if entry_highs else np.empty((0, dimension))
-    )
+    lows = np.array(entry_lows, dtype=np.float64).reshape(-1, dimension)
+    highs = np.array(entry_highs, dtype=np.float64).reshape(-1, dimension)
 
     np.savez_compressed(
         path,
@@ -191,12 +187,34 @@ def load_tree(path: TreeSink) -> RTree:
         child_start = archive["child_start"]
         child_count = archive["child_count"]
         first_child = archive["first_child"]
-        # Frozen so nothing rebuilt below can alias a writable buffer:
-        # MBR copies its inputs, but the flag makes any future by-
-        # reference refactor fail loudly instead of sharing mutable state.
-        lows = freeze(archive["entry_lows"])
-        highs = freeze(archive["entry_highs"])
+        # The archive is outside input, so the rectangles are validated —
+        # once, over the whole blob, which is what lets each one skip the
+        # per-rectangle checks of the public MBR constructor below.
+        lows = archive["entry_lows"]
+        highs = archive["entry_highs"]
         payloads = _restricted_loads(bytes(archive["payloads"]))
+        if not (
+            lows.dtype == highs.dtype == np.float64
+            and lows.shape == highs.shape == (len(payloads), dimension)
+        ):
+            raise ValueError(
+                f"corrupt archive: entry rectangles of shape {lows.shape} / "
+                f"{highs.shape} for {len(payloads)} payloads of dimension "
+                f"{dimension}"
+            )
+        if not (
+            np.isfinite(lows).all()
+            and np.isfinite(highs).all()
+            and (lows <= highs).all()
+        ):
+            raise ValueError(
+                "corrupt archive: entry rectangles must be finite with "
+                "low <= high"
+            )
+        rectangles = [
+            MBR._trusted(tuple(low), tuple(high))
+            for low, high in zip(lows.tolist(), highs.tolist())
+        ]
 
         nodes = [
             Node(is_leaf=bool(is_leaf[i]), level=int(levels[i]))
@@ -207,11 +225,8 @@ def load_tree(path: TreeSink) -> RTree:
             if node.is_leaf:
                 start = int(child_start[position])
                 node.children = [
-                    LeafEntry(
-                        MBR(lows[start + offset], highs[start + offset]),
-                        payloads[start + offset],
-                    )
-                    for offset in range(count)
+                    LeafEntry(rectangles[at], payloads[at])
+                    for at in range(start, start + count)
                 ]
             elif count:
                 begin = int(first_child[position])

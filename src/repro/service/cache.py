@@ -242,36 +242,56 @@ class EpsilonCache:
         copy-on-write snapshot swap (and keeps each key's LRU position).
         Returns the number of entries re-examined.
         """
-        patched = 0
         with self._lock:
+            coherent: list[tuple[str, CacheEntry]] = []
             for key, entry in list(self._entries.items()):
-                if entry.version != new_version - 1:
+                if entry.version == new_version - 1:
+                    coherent.append((key, entry))
+                else:
                     del self._entries[key]
                     self._evictions += 1
-                    continue
-                candidates = set(entry.candidates)
-                answers = set(entry.answers)
-                intervals = dict(entry.intervals)
-                candidates.discard(sequence_id)
-                answers.discard(sequence_id)
-                intervals.pop(sequence_id, None)
-                if sequence_id in search.database:
-                    if search.candidate_within(
-                        entry.query_partition, sequence_id, entry.epsilon
-                    ):
-                        candidates.add(sequence_id)
-                        matched, interval = search.match_candidate(
-                            entry.query_partition,
-                            sequence_id,
-                            entry.epsilon,
-                            find_intervals=entry.find_intervals,
-                        )
-                        if matched:
-                            answers.add(sequence_id)
-                            if entry.find_intervals:
-                                intervals[sequence_id] = interval
-                    patched += 1
-                    self._patches += 1
+            present = sequence_id in search.database
+            # Phase 2 for every entry in one broadcast Dmbr; Phase 3 below
+            # runs only where it said yes.
+            verdicts = (
+                search.queries_within(
+                    [(e.query_partition, e.epsilon) for _, e in coherent],
+                    sequence_id,
+                )
+                if present
+                else [False] * len(coherent)
+            )
+            for (key, entry), is_candidate in zip(coherent, verdicts):
+                candidates = entry.candidates
+                answers = entry.answers
+                intervals = entry.intervals
+                if (
+                    is_candidate
+                    or sequence_id in candidates
+                    or sequence_id in answers
+                    or sequence_id in intervals
+                ):
+                    # Only an entry whose result sets change gets new ones;
+                    # the rest share theirs with the entry they replace
+                    # (nothing mutates a stored entry's sets in place).
+                    candidates = set(candidates)
+                    answers = set(answers)
+                    intervals = dict(intervals)
+                    candidates.discard(sequence_id)
+                    answers.discard(sequence_id)
+                    intervals.pop(sequence_id, None)
+                if is_candidate:
+                    candidates.add(sequence_id)
+                    matched, interval = search.match_candidate(
+                        entry.query_partition,
+                        sequence_id,
+                        entry.epsilon,
+                        find_intervals=entry.find_intervals,
+                    )
+                    if matched:
+                        answers.add(sequence_id)
+                        if entry.find_intervals:
+                            intervals[sequence_id] = interval
                 self._entries[key] = _published(
                     CacheEntry(
                         query_partition=entry.query_partition,
@@ -285,4 +305,6 @@ class EpsilonCache:
                     ),
                     "EpsilonCache.apply_write",
                 )
+            patched = len(coherent) if present else 0
+            self._patches += patched
         return patched

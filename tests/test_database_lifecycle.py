@@ -169,6 +169,69 @@ class TestSegmentTable:
             verify_frozen(snapshot, role="engine.snapshot", site="test")
 
 
+class TestAppendEqualsAdd:
+    """A stream that arrives in pieces is stored exactly as if it had
+    arrived whole: ``append_points`` re-partitions the last segment only,
+    and that must not show."""
+
+    @staticmethod
+    def _entries(database):
+        return sorted(
+            (
+                str(entry.payload.sequence_id),
+                entry.payload.segment_index,
+                entry.mbr.low_tuple,
+                entry.mbr.high_tuple,
+            )
+            for entry in database.index.entries()
+        )
+
+    @given(
+        seed=st.integers(0, 10_000),
+        length=st.integers(2, 120),
+        cuts=st.lists(st.integers(1, 119), max_size=6),
+        max_points=st.sampled_from([None, 1, 6, 64]),
+        kind=st.sampled_from(["rtree", "rstar", "str"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_plus_appends_equals_add_of_the_whole(
+        self, seed, length, cuts, max_points, kind
+    ):
+        stream = TestSegmentTable._walk(seed, length)
+        others = [TestSegmentTable._walk(seed + k, 25) for k in (1, 2)]
+        stops = sorted({c for c in cuts if c < length} | {length})
+
+        whole = SequenceDatabase(2, max_points=max_points, index_kind=kind)
+        pieces = whole.empty_twin()
+        for database, first in ((whole, stream), (pieces, stream[: stops[0]])):
+            database.add(others[0], sequence_id="before")
+            database.add(first, sequence_id="stream")
+            database.add(others[1], sequence_id="after")
+        for start, stop in zip(stops, stops[1:]):
+            closed = pieces.partition("stream").segments[:-1]
+            pieces.append_points("stream", stream[start:stop])
+            grown = pieces.partition("stream").segments
+            assert all(new is old for new, old in zip(grown, closed))
+
+        for name in ("lows", "highs", "counts", "point_offsets", "lengths"):
+            np.testing.assert_array_equal(
+                getattr(pieces.segment_table, name),
+                getattr(whole.segment_table, name),
+            )
+        assert self._entries(pieces) == self._entries(whole)
+        pieces.index.check_invariants(check_min_fill=(kind != "str"))
+        assert np.array_equal(
+            pieces.sequence("stream").points, whole.sequence("stream").points
+        )
+        query = stream[: min(12, length)]
+        for epsilon in (0.02, 0.2):
+            got = SimilaritySearch(pieces).search(query, epsilon)
+            expected = SimilaritySearch(whole).search(query, epsilon)
+            assert got.candidates == expected.candidates
+            assert got.answers == expected.answers
+            assert got.solution_intervals == expected.solution_intervals
+
+
 class TestPersistence:
     def test_round_trip(self, rng, tmp_path):
         db = SequenceDatabase(dimension=3, cost_constant=0.25, max_points=32)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mbr import MBR
 from repro.core.partitioning import (
@@ -12,6 +14,7 @@ from repro.core.partitioning import (
     partition_sequence,
 )
 from repro.core.sequence import MultidimensionalSequence
+from tests.conftest import unit_points
 
 
 class TestMarginalCost:
@@ -125,9 +128,9 @@ class TestPartitionedSequenceApi:
 
     def test_segment_of_point(self):
         partition = self._partition()
-        for offset in (0, 17, len(partition.sequence) - 1):
-            segment = partition.segment_of_point(offset)
-            assert segment.start <= offset < segment.stop
+        for segment in partition:
+            for offset in segment.point_range():
+                assert partition.segment_of_point(offset) is segment
 
     def test_segment_of_point_bounds(self):
         partition = self._partition()
@@ -199,3 +202,156 @@ class TestGreedyBehaviour:
                 low, high, count, current = new_low, new_high, count + 1, new_cost
         starts = [segment.start for segment in partition]
         assert starts == [0] + boundaries
+
+
+# ----------------------------------------------------------------------
+# Parity with the array formulation
+# ----------------------------------------------------------------------
+
+
+def reference_partition(points, cost_constant, max_points):
+    """The per-point NumPy formulation the scalar pass replaced.
+
+    Kept here as the reference: ``np.minimum`` / ``np.maximum`` for the
+    running corners and ``np.prod`` for MCOST.  Returns one
+    ``(start, count, low, high)`` per segment.
+    """
+    cells = []
+    start = 0
+    low = points[0].copy()
+    high = points[0].copy()
+    count = 1
+    current_cost = marginal_cost(high - low, count, cost_constant)
+    for offset in range(1, len(points)):
+        point = points[offset]
+        new_low = np.minimum(low, point)
+        new_high = np.maximum(high, point)
+        new_cost = marginal_cost(new_high - new_low, count + 1, cost_constant)
+        at_capacity = max_points is not None and count >= max_points
+        if new_cost > current_cost or at_capacity:
+            cells.append((start, count, low, high))
+            start = offset
+            low = point.copy()
+            high = point.copy()
+            count = 1
+            current_cost = marginal_cost(high - low, count, cost_constant)
+        else:
+            low = new_low
+            high = new_high
+            count += 1
+            current_cost = new_cost
+    cells.append((start, count, low, high))
+    return cells
+
+
+def assert_same_cells(partition, cells):
+    """Bit-for-bit: ``==`` on floats, not ``approx``."""
+    assert len(partition) == len(cells)
+    for segment, (start, count, low, high) in zip(partition, cells):
+        assert (segment.start, segment.count) == (start, count)
+        assert segment.mbr.low_tuple == tuple(low.tolist())
+        assert segment.mbr.high_tuple == tuple(high.tolist())
+    assert partition.counts.tolist() == [count for _, count, _, _ in cells]
+    assert partition.counts.dtype == np.int64
+    np.testing.assert_array_equal(
+        partition.low_matrix, np.vstack([low for _, _, low, _ in cells])
+    )
+    np.testing.assert_array_equal(
+        partition.high_matrix, np.vstack([high for _, _, _, high in cells])
+    )
+
+
+def drifting_points(rng, length, dimension, step):
+    """A bounded random walk: neighbouring points are close, so segments
+    hold many points and the MCOST comparison decides most boundaries."""
+    walk = np.cumsum(rng.normal(0.0, step, (length, dimension)), axis=0)
+    return np.abs((walk + rng.random(dimension)) % 2.0 - 1.0)
+
+
+class TestScalarPassParity:
+    @given(
+        points=st.integers(1, 8).flatmap(
+            lambda d: unit_points(d, st.integers(1, 60))
+        ),
+        max_points=st.sampled_from([None, 1, 7, 64]),
+        cost_constant=st.sampled_from([0.05, 0.3, 1.0, 2.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_identical_segments_on_arbitrary_points(
+        self, points, max_points, cost_constant
+    ):
+        partition = partition_sequence(
+            points, cost_constant=cost_constant, max_points=max_points
+        )
+        assert_same_cells(
+            partition, reference_partition(points, cost_constant, max_points)
+        )
+
+    @pytest.mark.parametrize("dimension", range(1, 9))
+    @pytest.mark.parametrize("max_points", [None, 1, 7, 64])
+    def test_identical_segments_on_drifting_streams(
+        self, dimension, max_points
+    ):
+        rng = np.random.default_rng(100 * dimension + (max_points or 0))
+        for cost_constant in (0.05, 0.3, 1.0, 2.5):
+            for step in (0.002, 0.02, 0.2):
+                points = drifting_points(rng, 300, dimension, step)
+                partition = partition_sequence(
+                    points, cost_constant=cost_constant, max_points=max_points
+                )
+                assert_same_cells(
+                    partition,
+                    reference_partition(points, cost_constant, max_points),
+                )
+
+    def test_segment_mbrs_build_arrays_only_on_demand(self, rng):
+        partition = partition_sequence(rng.random((40, 3)))
+        assert all(s.mbr._low is None for s in partition)
+        first = partition[0].mbr
+        np.testing.assert_array_equal(first.low, partition.low_matrix[0])
+        assert first.low is first.low  # built once, then kept
+        with pytest.raises(ValueError):
+            first.low[0] = 0.0
+
+
+class TestExtendedTo:
+    @given(
+        points=st.integers(1, 4).flatmap(
+            lambda d: unit_points(d, st.integers(2, 60))
+        ),
+        cuts=st.lists(st.integers(1, 59), max_size=5),
+        max_points=st.sampled_from([None, 1, 7, 64]),
+        cost_constant=st.sampled_from([0.05, 0.3, 2.5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_growing_in_steps_equals_partitioning_the_whole(
+        self, points, cuts, max_points, cost_constant
+    ):
+        stops = sorted({c for c in cuts if c < len(points)} | {len(points)})
+        partition = partition_sequence(
+            points[: stops[0]],
+            cost_constant=cost_constant,
+            max_points=max_points,
+        )
+        for stop in stops[1:]:
+            before = partition
+            partition = before.extended_to(
+                MultidimensionalSequence(points[:stop]), max_points=max_points
+            )
+            # Every closed segment is the same object, not a copy.
+            assert all(
+                new is old
+                for new, old in zip(partition.segments, before.segments[:-1])
+            )
+        assert_same_cells(
+            partition, reference_partition(points, cost_constant, max_points)
+        )
+        assert partition.cost_constant == cost_constant
+        assert len(partition.sequence) == len(points)
+
+    def test_rejects_a_shorter_sequence(self, rng):
+        points = rng.random((20, 2))
+        partition = partition_sequence(points)
+        with pytest.raises(ValueError):
+            partition.extended_to(MultidimensionalSequence(points[:10]))
+

@@ -90,6 +90,52 @@ class TestSerializeValidation:
         with pytest.raises(TypeError):
             save_tree("not a tree", tmp_path / "x.npz")
 
+    @staticmethod
+    def _archive_with(rng, tmp_path, **replaced):
+        tree = RTree(dimension=2, max_entries=4)
+        tree.extend(random_boxes(rng, 20))
+        save_tree(tree, tmp_path / "good.npz")
+        with np.load(tmp_path / "good.npz") as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        for name, change in replaced.items():
+            arrays[name] = change(arrays[name].copy())
+        np.savez(tmp_path / "bad.npz", **arrays)
+        return tmp_path / "bad.npz"
+
+    def test_rectangles_are_validated_once_for_the_whole_archive(
+        self, rng, tmp_path
+    ):
+        """Loaded rectangles skip the per-rectangle constructor checks, so
+        the blob they come from is checked as a whole first."""
+
+        def inverted(lows):
+            lows[7, 1] = 2.0  # above its high corner
+            return lows
+
+        def not_finite(highs):
+            highs[3, 0] = np.nan
+            return highs
+
+        for replaced in (
+            {"entry_lows": inverted},
+            {"entry_highs": not_finite},
+            {"entry_lows": lambda lows: lows[:-1]},
+            {"entry_highs": lambda highs: highs.astype(np.float32)},
+            {"entry_lows": lambda lows: lows[:, :1], "entry_highs": lambda h: h[:, :1]},
+        ):
+            with pytest.raises(ValueError, match="corrupt archive"):
+                load_tree(self._archive_with(rng, tmp_path, **replaced))
+
+    def test_loaded_rectangles_hold_no_arrays(self, rng, tmp_path):
+        tree = RTree(dimension=2, max_entries=4)
+        tree.extend(random_boxes(rng, 30))
+        save_tree(tree, tmp_path / "t.npz")
+        loaded = load_tree(tmp_path / "t.npz")
+        assert all(entry.mbr._low is None for entry in loaded.entries())
+        assert sorted(e.payload for e in loaded.entries()) == sorted(
+            e.payload for e in tree.entries()
+        )
+
 
 class TestAppendPoints:
     def test_append_extends_and_index_tracks(self, rng):

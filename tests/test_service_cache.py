@@ -187,6 +187,229 @@ class TestApplyWrite:
         assert len(cache) == 0
 
 
+def reference_apply_write(entries, sequence_id, search, new_version):
+    """The per-entry patch loop the batched ``apply_write`` replaced.
+
+    One entry at a time: Phase 2 as a Python loop over the query segments
+    (one ``Dmbr`` row each, stopping at the first within the threshold),
+    then Phase 3 where that said yes.  ``entries`` maps key to
+    :class:`CacheEntry`; returns the surviving keys' result sets and the
+    number of entries re-examined.
+    """
+    outcome = {}
+    patched = 0
+    for key, entry in entries.items():
+        if entry.version != new_version - 1:
+            continue  # evicted
+        candidates = set(entry.candidates) - {sequence_id}
+        answers = set(entry.answers) - {sequence_id}
+        intervals = {
+            sid: span for sid, span in entry.intervals.items() if sid != sequence_id
+        }
+        if sequence_id in search.database:
+            partition = search.database.partition(sequence_id)
+            if any(
+                float(partition.mbr_distance_row(segment.mbr).min())
+                <= entry.epsilon
+                for segment in entry.query_partition
+            ):
+                candidates.add(sequence_id)
+                matched, interval = search.match_candidate(
+                    entry.query_partition,
+                    sequence_id,
+                    entry.epsilon,
+                    find_intervals=entry.find_intervals,
+                )
+                if matched:
+                    answers.add(sequence_id)
+                    if entry.find_intervals:
+                        intervals[sequence_id] = interval
+            patched += 1
+        outcome[key] = (candidates, answers, intervals)
+    return outcome, patched
+
+
+class TestBatchedApplyWriteParity:
+    """One broadcast Phase 2 over all entries gives what the per-entry
+    loop gave: same result sets, same evictions, same counters."""
+
+    @staticmethod
+    def _walk(rng, length, dimension):
+        steps = rng.normal(0, 0.03, (length, dimension))
+        return np.clip(rng.random(dimension) + np.cumsum(steps, axis=0), 0, 1)
+
+    def _scenario(self, seed, dimension):
+        """A corpus, a cache full of mixed entries, and the entries again."""
+        rng = np.random.default_rng(seed)
+        database = SequenceDatabase(dimension, max_points=6)
+        for ordinal in range(10):
+            database.add(
+                self._walk(rng, int(rng.integers(8, 60)), dimension),
+                sequence_id=f"s{ordinal}",
+            )
+        search = SimilaritySearch(database)
+        cache = EpsilonCache(capacity=64)
+        entries = {}
+        for ordinal in range(24):
+            # Every third query is longer than most stored sequences: the
+            # long-query role swap of Phase 3 must survive the patch too.
+            length = 70 if ordinal % 3 == 0 else int(rng.integers(4, 20))
+            query = self._walk(rng, length, dimension)
+            epsilon = float(rng.choice([0.0, 0.03, 0.1, 0.3, 0.8]))
+            find_intervals = ordinal % 4 != 1
+            result = search.search(query, epsilon, find_intervals=find_intervals)
+            entry = CacheEntry(
+                query_partition=result.query_partition,
+                epsilon=epsilon,
+                find_intervals=find_intervals,
+                candidates=set(result.candidates),
+                answers=set(result.answers),
+                intervals=dict(result.solution_intervals),
+                # Every fifth entry lost a race with an earlier writer.
+                version=3 if ordinal % 5 == 4 else 7,
+                dimension=dimension,
+            )
+            entries[f"q{ordinal}"] = entry
+            assert cache.store(f"q{ordinal}", entry, version=entry.version)
+        return rng, database, cache, entries
+
+    def _check(self, cache, entries, sequence_id, database, new_version):
+        search = SimilaritySearch(database)
+        before = cache.stats()
+        expected, expected_patched = reference_apply_write(
+            entries, sequence_id, search, new_version
+        )
+        assert cache.apply_write(sequence_id, search, new_version) == expected_patched
+        after = cache.stats()
+        assert after["patches"] - before["patches"] == expected_patched
+        assert after["evictions"] - before["evictions"] == len(entries) - len(
+            expected
+        )
+        assert len(cache) == len(expected)
+        patched_entries = {}
+        for key, (candidates, answers, intervals) in expected.items():
+            entry = cache.lookup(key, entries[key].epsilon, version=new_version)
+            assert entry is not None and entry is not entries[key]
+            assert entry.candidates == candidates
+            assert entry.answers == answers
+            assert entry.intervals == intervals
+            assert entry.find_intervals == entries[key].find_intervals
+            # Exactness, not just agreement with the reference: a fresh
+            # search on the new snapshot finds the same sets.
+            fresh = search.search(
+                entry.query_partition.sequence.points,
+                entry.epsilon,
+                find_intervals=entry.find_intervals,
+            )
+            assert entry.candidates == set(fresh.candidates)
+            assert entry.answers == set(fresh.answers)
+            assert entry.intervals == fresh.solution_intervals
+            patched_entries[key] = entry
+        return patched_entries
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_insert_then_append_then_remove(self, seed, dimension):
+        rng, database, cache, entries = self._scenario(seed, dimension)
+        stored = dict(entries)
+        originals = {
+            key: (set(e.candidates), set(e.answers), dict(e.intervals))
+            for key, e in stored.items()
+        }
+
+        grown = database.clone()
+        grown.add(self._walk(rng, 40, dimension), sequence_id="written")
+        entries = self._check(cache, entries, "written", grown, 8)
+
+        appended = grown.clone()
+        appended.append_points("written", self._walk(rng, 30, dimension))
+        entries = self._check(cache, entries, "written", appended, 9)
+
+        # A write to an id the entries already hold (an old sequence grows).
+        appended.append_points("s3", self._walk(rng, 25, dimension))
+        entries = self._check(cache, entries, "s3", appended, 10)
+
+        shrunk = appended.clone()
+        shrunk.remove("written")
+        self._check(cache, entries, "written", shrunk, 11)
+
+        # Copy-on-write: the entries stored before the first write still
+        # hold exactly what they held.
+        for key, held in originals.items():
+            entry = stored[key]
+            assert (entry.candidates, entry.answers, entry.intervals) == held
+            assert entry.version in (3, 7)
+
+    def test_untouched_entries_share_their_result_sets(self, rng):
+        """An entry the write cannot affect is re-stamped, not copied."""
+        database = make_database(rng)
+        search = SimilaritySearch(database)
+        _, entry = entry_from_search(search, np.full((6, 2), 0.01), 0.001)
+        cache = EpsilonCache(capacity=4)
+        cache.store("q", entry, version=0)
+        grown = database.clone()
+        grown.add(np.full((8, 2), 0.99), sequence_id="far-away")
+        assert cache.apply_write("far-away", SimilaritySearch(grown), 1) == 1
+        patched = cache.lookup("q", 0.001, version=1)
+        assert patched is not entry and patched.version == 1
+        assert patched.candidates is entry.candidates
+        assert patched.answers is entry.answers
+        # (The freeze sanitizer re-wraps the interval dict on every publish.)
+        assert patched.intervals == entry.intervals == {}
+        assert entry.version == 0
+
+    def test_empty_cache_and_all_stale(self, rng):
+        database = make_database(rng)
+        search = SimilaritySearch(database)
+        cache = EpsilonCache(capacity=4)
+        assert cache.apply_write("s0", search, 1) == 0
+        _, entry = entry_from_search(search, rng.random((10, 2)), 0.5, version=0)
+        cache.store("q", entry, version=0)
+        assert cache.apply_write("s0", search, 5) == 0
+        assert len(cache) == 0
+        assert cache.stats()["evictions"] == 1
+
+
+class TestQueriesWithin:
+    def test_matches_the_one_query_verdicts(self, rng):
+        database = make_database(rng, count=5)
+        search = SimilaritySearch(database)
+        partitions = [
+            search.search(rng.random((int(rng.integers(3, 30)), 2)), 0.1).query_partition
+            for _ in range(12)
+        ]
+        for epsilon in (0.0, 0.05, 0.2, 0.6):
+            queries = [(partition, epsilon) for partition in partitions]
+            for sid in database.ids():
+                verdicts = search.queries_within(queries, sid)
+                assert verdicts == [
+                    search.candidate_lower_bound(partition, sid) <= epsilon
+                    for partition in partitions
+                ]
+                assert verdicts == [
+                    search.candidate_within(partition, sid, epsilon)
+                    for partition in partitions
+                ]
+        assert search.queries_within([], "s0") == []
+        with pytest.raises(KeyError):
+            search.queries_within([(partitions[0], 0.1)], "missing")
+        with pytest.raises(ValueError):
+            search.queries_within([(partitions[0], -0.1)], "s0")
+
+    def test_blocked_broadcast_equals_one_block(self, rng, monkeypatch):
+        import repro.core.search as search_module
+
+        database = make_database(rng, count=3)
+        search = SimilaritySearch(database)
+        queries = [
+            (search.search(rng.random((25, 2)), 0.1).query_partition, 0.15)
+            for _ in range(9)
+        ]
+        whole = search.queries_within(queries, "s1")
+        monkeypatch.setattr(search_module, "_BROADCAST_CELLS", 1)
+        assert search.queries_within(queries, "s1") == whole
+
+
 class TestEpsilonMonotonicProperty:
     @given(corpora(dims=(1, 2)))
     @settings(max_examples=25, deadline=None)

@@ -5,7 +5,11 @@ N=500 video corpus, 600 queries, seed 2000), runs every query at the three
 benchmark thresholds with solution intervals on and off, plus ``knn`` for
 the first 100 queries, and requires the other checkout to produce the
 *same* ``candidates``, ``answers``, ``solution_intervals``, ``dmbr_rows``,
-``dnorm_evaluations`` and ``(distance, id)`` lists — not merely sound ones.
+``dnorm_evaluations``, ``node_accesses`` and ``(distance, id)`` lists —
+not merely sound ones.  What the searches run on is compared too: every
+sequence's segments (start, count and MBR corners, bit for bit) and the
+R-tree as stored — each node's level and rectangle and each leaf's
+entries, in order.
 
 Usage::
 
@@ -19,6 +23,7 @@ import path; ``--dump FILE`` is that child mode.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -68,6 +73,7 @@ def _dump(path: Path, seed: int, queries: int) -> None:
                         },
                         result.stats.dmbr_rows,
                         result.stats.dnorm_evaluations,
+                        result.stats.node_accesses,
                     ]
                 )
     knn = [
@@ -77,7 +83,53 @@ def _dump(path: Path, seed: int, queries: int) -> None:
         ]
         for query in pool[:_KNN_QUERIES]
     ]
-    path.write_text(json.dumps({"searches": searches, "knn": knn}))
+    path.write_text(
+        json.dumps(
+            {
+                "searches": searches,
+                "knn": knn,
+                "segments": _segment_digests(database),
+                "tree": _tree_layout(database.index.root),
+            }
+        )
+    )
+
+
+def _segment_digests(database: Any) -> dict[str, str]:
+    """Per sequence: a digest of its segments' starts, counts and corners."""
+    digests = {}
+    for sequence_id, partition in database.partitions():
+        digest = hashlib.sha256()
+        for segment in partition:
+            digest.update(f"{segment.start}:{segment.count};".encode())
+        digest.update(partition.low_matrix.tobytes())
+        digest.update(partition.high_matrix.tobytes())
+        digests[str(sequence_id)] = digest.hexdigest()
+    return digests
+
+
+def _tree_layout(root: Any) -> list[list[Any]]:
+    """The tree in stored (depth-first, child-order) form, one row per node:
+    level, rectangle corners, and the leaf's entries or the child count."""
+    rows = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        corners = (
+            []
+            if node.mbr is None
+            else [x.hex() for x in (*node.mbr.low.tolist(), *node.mbr.high.tolist())]
+        )
+        if node.is_leaf:
+            inside: Any = [
+                [str(entry.payload.sequence_id), entry.payload.segment_index]
+                for entry in node.children
+            ]
+        else:
+            inside = len(node.children)
+            stack.extend(reversed(node.children))
+        rows.append([node.level, corners, inside])
+    return rows
 
 
 def _run_side(root: Path, out: Path, seed: int, queries: int) -> None:
@@ -126,8 +178,24 @@ def main(argv: list[str] | None = None) -> int:
         "solution_intervals",
         "dmbr_rows",
         "dnorm_evaluations",
+        "node_accesses",
     )
     differing = 0
+    segments, other_segments = sides["this"]["segments"], sides["other"]["segments"]
+    for sequence_id in sorted(segments.keys() | other_segments.keys()):
+        if segments.get(sequence_id) != other_segments.get(sequence_id):
+            differing += 1
+            if differing <= 10:
+                print(f"sequence {sequence_id}: segments differ")
+    tree, other_tree = sides["this"]["tree"], sides["other"]["tree"]
+    if len(tree) != len(other_tree):
+        differing += 1
+        print(f"tree: {len(tree)} nodes != {len(other_tree)} nodes")
+    for index, (node, other_node) in enumerate(zip(tree, other_tree)):
+        if node != other_node:
+            differing += 1
+            if differing <= 10:
+                print(f"tree node {index} differs: {node!r} != {other_node!r}")
     for index, (mine, theirs) in enumerate(
         zip(sides["this"]["searches"], sides["other"]["searches"], strict=True)
     ):
@@ -144,6 +212,8 @@ def main(argv: list[str] | None = None) -> int:
             if differing <= 10:
                 print(f"knn {index} differs: {mine!r} != {theirs!r}")
     print(
+        f"{len(sides['this']['segments'])} sequences, "
+        f"{len(sides['this']['tree'])} tree nodes, "
         f"{len(sides['this']['searches'])} searches, "
         f"{len(sides['this']['knn'])} knn calls: {differing} differences"
     )
