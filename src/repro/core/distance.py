@@ -24,20 +24,28 @@ Four levels of distance are defined over the normalised space ``[0,1]^n``:
     ``Dmbr`` values are averaged weighted by point counts.  Lemmas 2-3:
     ``min Dmbr <= min Dnorm <= D(Q, S)`` — a tighter lower bound that still
     never causes a false dismissal when selecting sequences.
+    :func:`dnorm_instances` is the same definition for every anchor of many
+    (sequence, probe MBR) pairs at once — the one body Phase 3 runs.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.core.contracts import BOUND_TOLERANCE, ContractViolation, lower_bounds
-from repro.core.mbr import MBR
+from repro.core.contracts import (
+    BOUND_TOLERANCE,
+    ContractViolation,
+    contracts_enabled,
+    lower_bounds,
+)
+from repro.core.mbr import MBR, dmbr_rows
 from repro.core.sequence import MultidimensionalSequence
+from repro.core.solution_interval import IntervalSet
+from repro.util.budget import checkpoint
 
 if TYPE_CHECKING:
     import numpy.typing as npt
@@ -51,17 +59,20 @@ if TYPE_CHECKING:
 INFINITY = float("inf")
 
 __all__ = [
-    "DnormWindow",
     "INFINITY",
     "NormalizedDistance",
+    "Phase3Windows",
+    "SegmentRuns",
+    "dnorm_between",
+    "dnorm_instances",
     "mbr_min_distance",
     "mean_distance",
     "min_normalized_distance",
     "normalized_distance",
-    "normalized_distance_row",
     "point_distance",
     "sequence_distance",
     "sliding_mean_distances",
+    "union_spans",
 ]
 
 
@@ -243,35 +254,6 @@ def _weighted_window_value(
     return total / query_count
 
 
-def _window_min_dmbr(
-    query_mbr: MBR, data_mbrs: Sequence[MBR], window: tuple[int, int]
-) -> float:
-    """``min Dmbr`` over a window, recomputed from the MBRs themselves.
-
-    Contract validators deliberately ignore any caller-supplied
-    ``dmbr_row`` so that a corrupted precomputed row is caught too.
-    """
-    first, last = window
-    return min(
-        query_mbr.min_distance(data_mbrs[t]) for t in range(first, last + 1)
-    )
-
-
-def _check_dnorm_result(
-    result: NormalizedDistance, query_mbr: MBR, data_mbrs: Sequence[MBR]
-) -> None:
-    """Lemma 2 at one anchor: ``Dnorm`` is a convex combination of the
-    window's ``Dmbr`` values, so it can never fall below their minimum."""
-    bound = _window_min_dmbr(query_mbr, data_mbrs, result.window)
-    if result.value < bound - BOUND_TOLERANCE:
-        raise ContractViolation(
-            f"Dnorm contract violated: value {result.value!r} falls below "
-            f"the window's minimum Dmbr {bound!r} (anchor "
-            f"{result.target_index}, window {result.window}) — Lemma 2 no "
-            f"longer holds"
-        )
-
-
 def _validate_normalized_distance(
     result: NormalizedDistance,
     query_mbr: MBR,
@@ -282,22 +264,21 @@ def _validate_normalized_distance(
     *,
     dmbr_row: np.ndarray | None = None,
 ) -> None:
-    _check_dnorm_result(result, query_mbr, list(data_mbrs))
-
-
-def _validate_normalized_distance_row(
-    result: list[NormalizedDistance],
-    query_mbr: MBR,
-    query_count: int,
-    data_mbrs: MbrsLike,
-    data_counts: CountsLike,
-    *,
-    dmbr_row: np.ndarray | None = None,
-    only_below: float | None = None,
-) -> None:
-    mbr_list = list(data_mbrs)
-    for entry in result:
-        _check_dnorm_result(entry, query_mbr, mbr_list)
+    """Lemma 2 at one anchor: ``Dnorm`` is a convex combination of the
+    window's ``Dmbr`` values, so it can never fall below their minimum —
+    recomputed from the MBRs themselves, ignoring any caller-supplied
+    ``dmbr_row``, so that a corrupted precomputed row is caught too."""
+    first, last = result.window
+    bound = min(
+        query_mbr.min_distance(mbr) for mbr in list(data_mbrs)[first : last + 1]
+    )
+    if result.value < bound - BOUND_TOLERANCE:
+        raise ContractViolation(
+            f"Dnorm contract violated: value {result.value!r} falls below "
+            f"the window's minimum Dmbr {bound!r} (anchor "
+            f"{result.target_index}, window {result.window}) — Lemma 2 no "
+            f"longer holds"
+        )
 
 
 def _validate_min_normalized_distance(
@@ -351,8 +332,8 @@ def normalized_distance(
         Zero-based index ``j`` of the anchor data MBR.
     dmbr_row:
         Optional precomputed array of ``Dmbr(query_mbr, data_mbrs[t])`` for
-        every ``t`` — Phase 3 of the search computes each row once per
-        (query MBR, sequence) pair and reuses it across anchors.
+        every ``t`` — one row serves every anchor of a (query MBR, sequence)
+        pair (:meth:`PartitionedSequence.mbr_distance_row` computes it).
 
     Returns
     -------
@@ -494,206 +475,418 @@ def normalized_distance(
     )
 
 
-@dataclass(frozen=True)
-class DnormWindow:
-    """One candidate ``Dnorm`` window shared by a run of anchors.
+# ----------------------------------------------------------------------
+# Dnorm for many (target run, probe) instances at once — Phase 3's body
+# ----------------------------------------------------------------------
+#: :func:`dnorm_instances` takes its instances in chunks of about this many
+#: target segments: one cancellation checkpoint per chunk (well under a
+#: millisecond apart), and temporaries that stay cache-sized.
+_PHASE3_CHUNK_SEGMENTS = 2048
 
-    A window's value and membership do not depend on the anchor — only its
-    *validity* does (the anchor must lie among the fully-weighted MBRs).
-    ``normalized_distance_row`` therefore enumerates each window once and
-    lets every anchor in ``[anchor_first, anchor_last]`` consider it.
+
+class SegmentRuns(NamedTuple):
+    """Runs of consecutive segment MBRs in flat arrays.
+
+    Run ``t`` — one partitioned sequence — owns the entries
+    ``offsets[t]:offsets[t + 1]`` of the ``(S, n)`` corner matrices ``lows``
+    / ``highs`` and of ``counts`` (points per segment), ``lengths[t]``
+    points in all.  A database's segment table has this shape, and so do
+    stacked partitions (:meth:`of`).
     """
 
-    value: float
-    first: int
-    last: int
-    marginal_index: int | None
-    marginal_count: int
-    marginal_side: str
-    anchor_first: int
-    anchor_last: int
+    lows: np.ndarray
+    highs: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
 
-    def as_result(self, anchor: int) -> NormalizedDistance:
-        """This window viewed as the result for one anchor."""
-        return NormalizedDistance(
-            value=self.value,
-            target_index=anchor,
-            window=(self.first, self.last),
-            marginal_index=self.marginal_index,
-            marginal_count=self.marginal_count,
-            marginal_side=self.marginal_side,
+    @classmethod
+    def of(cls, partitions: Sequence[PartitionedSequence]) -> "SegmentRuns":
+        """The given partitions, one run each, in order."""
+        return cls(
+            np.concatenate([p.low_matrix for p in partitions]),
+            np.concatenate([p.high_matrix for p in partitions]),
+            np.concatenate([p.counts for p in partitions]),
+            np.cumsum([0, *(len(p) for p in partitions)]),
+            np.array([len(p.sequence) for p in partitions], dtype=np.int64),
         )
+
+    def gather(
+        self, runs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The segments of ``runs`` (any order, repeats allowed), contiguous.
+
+        Returns ``(lows, highs, counts, offsets)``: entry ``i`` of ``runs``
+        owns the gathered entries ``offsets[i]:offsets[i + 1]``.
+        """
+        first = self.offsets[runs]
+        sizes = self.offsets[runs + 1] - first
+        offsets = np.zeros(len(runs) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        take = np.arange(offsets[-1]) + np.repeat(first - offsets[:-1], sizes)
+        # ndarray.take gathers rows several times faster than lows[take].
+        return (
+            self.lows.take(take, axis=0),
+            self.highs.take(take, axis=0),
+            self.counts[take],
+            offsets,
+        )
+
+
+def union_spans(
+    keys: np.ndarray, start: np.ndarray, stop: np.ndarray
+) -> dict[int, IntervalSet]:
+    """Union the half-open spans ``start:stop`` of each key (§3.3).
+
+    One sort by (key, start) and a running maximum of the stops merge
+    every key's overlapping or touching spans at once.
+    """
+    if len(keys) == 0:
+        return {}
+    stride = int(stop.max()) + 1  # keeps the keys apart on one axis
+    low = keys * stride + start
+    order = np.argsort(low)
+    low = low[order]
+    reach = np.maximum.accumulate((keys * stride + stop)[order])
+    heads = np.flatnonzero(np.append(True, low[1:] > reach[:-1]))
+    tails = np.append(heads[1:], len(low)) - 1
+    owners = low[heads] // stride
+    spans: dict[int, list[tuple[int, int]]] = {}
+    for key, first, last in zip(
+        owners.tolist(),
+        (low[heads] - owners * stride).tolist(),
+        (reach[tails] - owners * stride).tolist(),
+    ):
+        spans.setdefault(key, []).append((first, last))
+    return {key: IntervalSet(merged) for key, merged in spans.items()}
+
+
+@dataclass(frozen=True)
+class Phase3Windows:
+    """The ``Dnorm`` windows one :func:`dnorm_instances` pass settled on.
+
+    One entry per window that some anchor with ``Dnorm <= eps`` took its
+    value from: the anchor's own segment when that holds ``|q_i|`` points,
+    its winning ``LD`` / ``RD`` window otherwise, the whole run in the
+    short-sequence fallback.  ``start:stop`` is the range of the run's
+    points the window covers — exactly ``|q_i|`` consecutive points for an
+    ``LD`` / ``RD`` window — which is what §3.3 unions into the solution
+    interval.  Segment and point positions are local to the target run.
+    """
+
+    #: The instance, and the first anchor that took its value from the window.
+    instance: np.ndarray
+    anchor: np.ndarray
+    #: First and last segment taking part, and the window's ``Dnorm``.
+    first: np.ndarray
+    last: np.ndarray
+    value: np.ndarray
+    #: The half-open point range covered.
+    start: np.ndarray
+    stop: np.ndarray
+
+    def solution_intervals(self, keys: np.ndarray) -> dict[int, IntervalSet]:
+        """The windows' point ranges, unioned per ``keys[instance]``."""
+        return union_spans(keys[self.instance], self.start, self.stop)
+
+
+#: Field by field, what :class:`Phase3Windows` holds when nothing matched.
+_NO_WINDOWS: tuple[np.ndarray, ...] = (
+    *[np.zeros(0, dtype=np.int64)] * 4,
+    np.zeros(0),
+    *[np.zeros(0, dtype=np.int64)] * 2,
+)
+
+
+def _validate_phase3_windows(
+    result: tuple[np.ndarray, np.ndarray, Phase3Windows],
+    targets: SegmentRuns,
+    target: np.ndarray,
+    probe_lows: np.ndarray,
+    probe_highs: np.ndarray,
+    probe_counts: np.ndarray,
+    epsilons: np.ndarray,
+    *,
+    windows: bool = True,
+) -> None:
+    """Lemma 2 for every window emitted: ``Dnorm`` is a convex combination
+    of the window's ``Dmbr`` values, so it cannot fall below their minimum
+    — recomputed here between MBR objects, one pair at a time, not from the
+    rows the body computed."""
+    emitted = result[2]
+    for instance, first, last, value in zip(
+        emitted.instance.tolist(),
+        emitted.first.tolist(),
+        emitted.last.tolist(),
+        emitted.value.tolist(),
+    ):
+        probe = MBR(probe_lows[instance], probe_highs[instance])
+        base = int(targets.offsets[target[instance]])
+        bound = min(
+            probe.min_distance(MBR(targets.lows[t], targets.highs[t]))
+            for t in range(base + first, base + last + 1)
+        )
+        if value < bound - BOUND_TOLERANCE:
+            raise ContractViolation(
+                f"Dnorm contract violated in Phase 3: value {value!r} falls "
+                f"below the window's minimum Dmbr {bound!r} (instance "
+                f"{instance}, target run {int(target[instance])}, window "
+                f"({first}, {last})) — Lemma 2 no longer holds"
+            )
 
 
 @lower_bounds(
-    _validate_normalized_distance_row, label="Dnorm row >= window min Dmbr"
+    _validate_phase3_windows, label="Phase-3 windows >= window min Dmbr"
 )
-def normalized_distance_row(
-    query_mbr: MBR,
-    query_count: int,
-    data_mbrs: MbrsLike,
-    data_counts: CountsLike,
+def dnorm_instances(
+    targets: SegmentRuns,
+    target: np.ndarray,
+    probe_lows: np.ndarray,
+    probe_highs: np.ndarray,
+    probe_counts: np.ndarray,
+    epsilons: np.ndarray,
     *,
-    dmbr_row: np.ndarray | None = None,
-    only_below: float | None = None,
-) -> list[NormalizedDistance]:
-    """``Dnorm`` against *every* anchor of a data sequence at once.
+    windows: bool = True,
+) -> tuple[np.ndarray, np.ndarray, Phase3Windows]:
+    """``Dnorm`` of many *instances* at once: the one body of Phase 3.
 
-    Semantically identical to calling :func:`normalized_distance` for each
-    ``target_index`` (a property test asserts this), but O(r) instead of
-    O(r^2): every candidate window is enumerated once via prefix sums of
-    the point counts and of ``Dmbr * count``, and each anchor then takes
-    the minimum over the windows whose fully-weighted span covers it.
+    An instance is a probe rectangle holding ``|q_i|`` points, the run of
+    target segments it is measured against, and a threshold.  A range
+    search asks for (query MBR, stored sequence) instances; a long query
+    swaps the roles — each data segment probes the query's partition; the
+    ε-cache asks for one stored sequence under the query MBRs of many
+    cached queries, each at its own threshold; ``explain`` and
+    :func:`min_normalized_distance` ask at ``eps = inf``.
 
     Parameters
     ----------
-    only_below:
-        When given, only the anchors whose ``Dnorm`` is at most this value
-        are materialised (the search's Phase 3 only acts on sub-threshold
-        anchors); ``None`` returns every anchor, in order.
+    targets, target:
+        The target runs, and the run of each instance.
+    probe_lows, probe_highs, probe_counts, epsilons:
+        Per instance: the probe's corners, its point count ``|q_i|`` and
+        the threshold.
+    windows:
+        When false only the verdicts are wanted and no windows are
+        reported (while contracts are checked they are reported anyway,
+        so that the validator sees what every verdict rests on).
 
     Returns
     -------
-    list of NormalizedDistance
-        One entry per anchor (filtered and still anchor-ordered when
-        ``only_below`` is given).
+    (nearest, found, windows)
+        Per instance the least ``Dmbr`` between its probe and its run,
+        and whether some anchor has ``Dnorm <= eps``; and the windows
+        behind those anchors.
+
+    Notes
+    -----
+    For a probe of ``|q_i|`` points and a run whose segments start at
+    points ``P[0] < P[1] < ...``, Definition 5's windows are runs of
+    exactly ``|q_i|`` consecutive points: the ``LD`` window starting at
+    segment ``k`` covers ``[P[k], P[k] + |q_i|)``, the ``RD`` window ending
+    at segment ``e`` covers ``[P[e + 1] - |q_i|, P[e + 1])``.  A binary
+    search on ``P`` finds the marginal segment, prefix sums of
+    ``Dmbr * count`` give the value, and a window exists only if it stays
+    inside its own run.  Every instance gets its own copy of its run's
+    segments and its own prefix sums (one padded matrix row each), so a
+    value is the floating-point number a running sum over that one run
+    produces, whatever else shares the pass.
     """
-    counts = np.asarray(data_counts, dtype=np.int64)
-    mbr_list = list(data_mbrs)
-    r = len(mbr_list)
-    if counts.shape != (r,):
-        raise ValueError(
-            f"data_counts must have one entry per data MBR; got {counts.shape} "
-            f"for {r} MBRs"
+    windows = windows or contracts_enabled()
+    nearest = np.empty(len(target))
+    found = np.zeros(len(target), dtype=bool)
+    emitted = [_NO_WINDOWS]
+    sizes = targets.offsets[target + 1] - targets.offsets[target]
+    chunk_of = (np.cumsum(sizes) - 1) // _PHASE3_CHUNK_SEGMENTS
+    cuts = [0, *(np.flatnonzero(np.diff(chunk_of)) + 1).tolist(), len(target)]
+    for start, stop in zip(cuts, cuts[1:]):
+        checkpoint("search.phase3")
+        part = slice(start, stop)
+        nearest[part], found[part], fields = _dnorm_chunk(
+            targets,
+            target[part],
+            probe_lows[part],
+            probe_highs[part],
+            probe_counts[part],
+            epsilons[part],
+            windows,
         )
-    if r == 0:
-        raise ValueError("data sequence has no MBRs")
-    if np.any(counts < 1):
-        raise ValueError("every data MBR must contain at least one point")
-    if query_count < 1:
-        raise ValueError(f"query_count must be >= 1, got {query_count}")
-    if dmbr_row is None:
-        dmbr_row = np.array(
-            [query_mbr.min_distance(m) for m in mbr_list], dtype=np.float64
-        )
-    else:
-        dmbr_row = np.asarray(dmbr_row, dtype=np.float64)
-        if dmbr_row.shape != (r,):
-            raise ValueError(
-                f"dmbr_row must have one entry per data MBR; got {dmbr_row.shape}"
-            )
+        if fields:
+            emitted.append((fields[0] + start, *fields[1:]))
+    return nearest, found, Phase3Windows(
+        *(np.concatenate(parts) for parts in zip(*emitted))
+    )
 
-    # The remainder runs in plain Python: the per-sequence segment counts
-    # this operates on are tiny (typically < 100), where list arithmetic
-    # and bisect beat numpy's per-call overhead by an order of magnitude.
-    count_list = counts.tolist()
-    row_list = dmbr_row.tolist()
-    prefix = [0] * (r + 1)
-    weighted_prefix = [0.0] * (r + 1)
-    for index in range(r):
-        prefix[index + 1] = prefix[index] + count_list[index]
-        weighted_prefix[index + 1] = (
-            weighted_prefix[index] + row_list[index] * count_list[index]
-        )
-    total = prefix[-1]
 
-    windows: list[DnormWindow] = []
-    # LD windows, one per start k: fully weighted k..l-1, marginal l.
-    for k in range(r):
-        l = bisect.bisect_left(prefix, prefix[k] + query_count) - 1
-        if l >= r or l <= k:
-            continue
-        marginal = query_count - (prefix[l] - prefix[k])
-        value = (
-            weighted_prefix[l] - weighted_prefix[k] + row_list[l] * marginal
-        ) / query_count
-        windows.append(
-            DnormWindow(
-                value=value,
-                first=k,
-                last=l,
-                marginal_index=l,
-                marginal_count=marginal,
-                marginal_side="right",
-                anchor_first=k,
-                anchor_last=l - 1,
-            )
-        )
-    # RD windows, one per end q_end: marginal p, fully weighted p+1..q_end.
-    for q_end in range(r):
-        threshold = prefix[q_end + 1] - query_count
-        if threshold < 0:
-            continue
-        p = bisect.bisect_right(prefix, threshold) - 1
-        if p >= q_end:
-            continue
-        marginal = query_count - (prefix[q_end + 1] - prefix[p + 1])
-        value = (
-            weighted_prefix[q_end + 1]
-            - weighted_prefix[p + 1]
-            + row_list[p] * marginal
-        ) / query_count
-        windows.append(
-            DnormWindow(
-                value=value,
-                first=p,
-                last=q_end,
-                marginal_index=p,
-                marginal_count=marginal,
-                marginal_side="left",
-                anchor_first=p + 1,
-                anchor_last=q_end,
-            )
-        )
+def _dnorm_chunk(
+    targets: SegmentRuns,
+    target: np.ndarray,
+    probe_lows: np.ndarray,
+    probe_highs: np.ndarray,
+    probe_counts: np.ndarray,
+    epsilons: np.ndarray,
+    windows: bool,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """One chunk of :func:`dnorm_instances`: ``(nearest, found)`` of its
+    instances and, if wanted, their windows (the fields of
+    :class:`Phase3Windows`, instances numbered within the chunk)."""
+    lows, highs, counts, offsets = targets.gather(target)
+    sizes = np.diff(offsets)
+    owner = np.repeat(np.arange(len(target)), sizes)  # instance of each segment
+    local = np.arange(len(counts)) - offsets[:-1][owner]  # its index in the run
+    row = dmbr_rows(
+        probe_lows.take(owner, axis=0), probe_highs.take(owner, axis=0), lows, highs
+    )
+    nearest = np.minimum.reduceat(row, offsets[:-1])
+    # Dnorm is a weighted mean of row values, so it cannot fall below the
+    # row minimum: only an instance whose minimum is within its threshold
+    # can have a matching anchor.
+    active = nearest <= epsilons
+    found = np.zeros(len(target), dtype=bool)
+    if not active.any():
+        return nearest, found, ()
+    points = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=points[1:])
+    origin = points[offsets[:-1]]  # first point of each instance's run
+    lengths = targets.lengths[target]
+    begin = origin[owner]
+    end = begin + lengths[owner]
+    size = probe_counts[owner]
+    epsilon = epsilons[owner]
+    # Per-instance running sums of Dmbr * count live in one padded matrix,
+    # a row per instance: slot[s] holds the sum *before* segment s and
+    # slot[s] + 1 the sum including it; column 0 stays 0.
+    width = int(sizes.max()) + 1
+    weighted = np.zeros((len(target), width))
+    prefix = weighted.reshape(-1)
+    slot = owner * width + local
+    prefix[slot + 1] = row * counts
+    np.cumsum(weighted, axis=1, out=weighted)
 
-    fallback_value = weighted_prefix[-1] / total
+    live = active[owner]
+    small = live & (counts < size)
+    # Anchors holding >= |q_i| points: Dnorm is their own Dmbr.
+    solo = np.flatnonzero(live & ~small & (row <= epsilon))
+    # LD windows, one per first segment: the |q_i| points from its first
+    # point on; the marginal segment holds the last of them.
+    reach = points[:-1] + size
+    ld_first = np.flatnonzero(small & (reach <= end))
+    ld_last = np.searchsorted(points, reach[ld_first], side="left") - 1
+    ld = (
+        prefix[slot[ld_last]]
+        - prefix[slot[ld_first]]
+        + row[ld_last] * (reach[ld_first] - points[ld_last])
+    ) / size[ld_first]
+    # RD windows, one per last segment: the |q_i| points up to its last
+    # point; the marginal segment holds the first of them.
+    floor = points[1:] - size
+    rd_last = np.flatnonzero(small & (floor >= begin))
+    rd_first = np.searchsorted(points, floor[rd_last], side="right") - 1
+    rd = (
+        prefix[slot[rd_last] + 1]
+        - prefix[slot[rd_first] + 1]
+        + row[rd_first] * (points[rd_first + 1] - floor[rd_last])
+    ) / size[rd_last]
+    # A run shorter than |q_i| has no window: every MBR counts in full,
+    # normalised by the run's length (Definition 5's fallback).
+    short = np.flatnonzero(active & (lengths < probe_counts))
+    whole = prefix[short * width + sizes[short]] / lengths[short]
 
-    # Anchor-wise minimum over covering windows; no result objects are
-    # built for anchors the caller will discard.
-    values = [
-        row_list[anchor] if count_list[anchor] >= query_count else INFINITY
-        for anchor in range(r)
-    ]
-    window_of = [-1] * r
-    for window_id, window in enumerate(windows):
-        value = window.value
-        for anchor in range(window.anchor_first, window.anchor_last + 1):
-            if count_list[anchor] < query_count and value < values[anchor]:
-                values[anchor] = value
-                window_of[anchor] = window_id
-    for anchor in range(r):
-        if count_list[anchor] < query_count and window_of[anchor] == -1:
-            values[anchor] = fallback_value
+    keep = ld <= epsilon[ld_first]
+    ld_first, ld_last, ld = ld_first[keep], ld_last[keep], ld[keep]
+    keep = rd <= epsilon[rd_last]
+    rd_first, rd_last, rd = rd_first[keep], rd_last[keep], rd[keep]
+    keep = whole <= epsilons[short]
+    short, whole = short[keep], whole[keep]
+    found[owner[solo]] = True
+    found[owner[ld_first]] = True
+    found[owner[rd_last]] = True
+    found[short] = True
+    if not windows:
+        return nearest, found, ()
 
-    def materialise(anchor: int) -> NormalizedDistance:
-        if count_list[anchor] >= query_count:
-            return NormalizedDistance(
-                value=row_list[anchor],
-                target_index=anchor,
-                window=(anchor, anchor),
-                marginal_index=None,
-                marginal_count=0,
-                marginal_side="none",
-            )
-        window_id = window_of[anchor]
-        if window_id >= 0:
-            return windows[window_id].as_result(anchor)
-        return NormalizedDistance(
-            value=fallback_value,
-            target_index=anchor,
-            window=(0, r - 1),
-            marginal_index=None,
-            marginal_count=0,
-            marginal_side="none",
-        )
+    # The windows in the reference's order: LD by first segment, then RD by
+    # last.  An LD window serves every segment but its last as anchor, an
+    # RD window every segment but its first.
+    first = np.concatenate([ld_first, rd_first])
+    last = np.concatenate([ld_last, rd_last])
+    value = np.concatenate([ld, rd])
+    start = np.concatenate([points[ld_first], floor[rd_last]])
+    won, anchor = _winning_windows(
+        np.concatenate([ld_first, rd_first + 1]), last - first, value
+    )
+    head = offsets[:-1][short]
+    span = np.concatenate([counts[solo], size[first[won]], lengths[short]])
+    first = np.concatenate([solo, first[won], head])
+    last = np.concatenate([solo, last[won], offsets[1:][short] - 1])
+    anchor = np.concatenate([solo, anchor, head])
+    start = np.concatenate([points[solo], start[won], origin[short]])
+    instance = owner[first]
+    start -= origin[instance]
+    return nearest, found, (
+        instance,
+        local[anchor],
+        local[first],
+        local[last],
+        np.concatenate([row[solo], value[won], whole]),
+        start,
+        start + span,
+    )
 
-    if only_below is None:
-        return [materialise(anchor) for anchor in range(r)]
-    return [
-        materialise(anchor)
-        for anchor in range(r)
-        if values[anchor] <= only_below
-    ]
+
+def _winning_windows(
+    first_anchor: np.ndarray, anchors: np.ndarray, value: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The windows that give some anchor its ``Dnorm`` (indices, ascending),
+    and the first anchor each of them gives it to.
+
+    Window ``w`` covers the ``anchors[w]`` anchors from ``first_anchor[w]``
+    on.  Each anchor takes the smallest value among the windows covering
+    it and, between equal values, the earliest window — Definition 5's
+    minimum read with a strict ``<`` over LD windows by start, then RD
+    windows by end, which is the order the caller passes them in.  Only
+    windows within the threshold are passed: a larger one cannot win an
+    anchor that ends up within it.
+    """
+    if len(value) == 0:
+        return first_anchor, first_anchor
+    window = np.repeat(np.arange(len(anchors)), anchors)
+    anchor = (
+        np.arange(len(window))
+        - np.repeat(np.cumsum(anchors) - anchors, anchors)
+        + first_anchor[window]
+    )
+    # lexsort is stable, so equal (anchor, value) pairs keep window order.
+    order = np.lexsort((value[window], anchor))
+    ranked = anchor[order]
+    wins = np.zeros(len(window), dtype=bool)
+    wins[order[np.append(True, ranked[1:] != ranked[:-1])]] = True
+    # (window, anchor) pairs are listed by window, anchors ascending: a
+    # window's first winning pair is where the window changes.
+    pairs = np.flatnonzero(wins)
+    heads = pairs[np.append(True, window[pairs][1:] != window[pairs][:-1])]
+    return window[heads], anchor[heads]
+
+
+def dnorm_between(
+    query_partition: PartitionedSequence, data_partition: PartitionedSequence
+) -> tuple[np.ndarray, Phase3Windows]:
+    """Every anchor's ``Dnorm``, no threshold, between two partitions:
+    ``(nearest, windows)`` of :func:`dnorm_instances` with one instance per
+    MBR of the partition holding fewer points, in order, measured against
+    the other's segments (so the query probes unless it is the longer of
+    the two — see :func:`min_normalized_distance`)."""
+    probes, targets = query_partition, data_partition
+    if len(probes.sequence) > len(targets.sequence):
+        probes, targets = targets, probes
+    nearest, _, windows = dnorm_instances(
+        SegmentRuns.of([targets]),
+        np.zeros(len(probes), dtype=np.int64),
+        probes.low_matrix,
+        probes.high_matrix,
+        probes.counts,
+        np.full(len(probes), np.inf),
+    )
+    return nearest, windows
 
 
 @lower_bounds(
@@ -709,31 +902,19 @@ def min_normalized_distance(
     the paper's *long query* case the roles reverse — the data sequence
     slides inside the query — and applying ``Dnorm`` naively can exceed
     ``D(Q, S)`` (the query-side point weights then overcount points that a
-    best alignment never matches).  This helper therefore swaps the two
-    partitions whenever the query holds more points, which restores the
+    best alignment never matches).  The two partitions are therefore
+    swapped whenever the query holds more points, which restores the
     lemma with ``Q`` and ``S`` exchanged; the result is a sound lower bound
     of ``D(Q, S)`` in *both* directions.
 
     Parameters
     ----------
     query_partition, data_partition:
-        :class:`~repro.core.partitioning.PartitionedSequence` instances
-        (anything exposing ``mbrs``, ``counts`` and ``mbr_distance_row``).
+        :class:`~repro.core.partitioning.PartitionedSequence` instances.
 
     Returns
     -------
     float
         ``min over (i, j) of Dnorm(mbr_i(shorter), mbr_j(longer))``.
     """
-    if int(np.sum(query_partition.counts)) > int(np.sum(data_partition.counts)):
-        query_partition, data_partition = data_partition, query_partition
-    data_mbrs = data_partition.mbrs
-    counts = data_partition.counts
-    best = np.inf
-    for segment in query_partition:
-        row = data_partition.mbr_distance_row(segment.mbr)
-        results = normalized_distance_row(
-            segment.mbr, int(segment.count), data_mbrs, counts, dmbr_row=row
-        )
-        best = min(best, min(result.value for result in results))
-    return float(best)
+    return float(dnorm_between(query_partition, data_partition)[1].value.min())

@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 
     import numpy.typing as npt
 
-__all__ = ["MBR"]
+__all__ = ["MBR", "dmbr_rows"]
 
 
 def _numpy_order_sum(values: list[float]) -> float:
@@ -378,20 +378,9 @@ class MBR:
         return math.sqrt(total)
 
     def min_distance_rows(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """``Dmbr`` from this rectangle to each row of ``(lows, highs)``.
-
-        ``lows`` / ``highs`` are ``(r, n)`` corner matrices (one partition's,
-        or a whole database's segment table); the result is the ``(r,)``
-        vector of :meth:`min_distance` values, computed in one pass.
-        """
-        # Same arithmetic as max(0, max(l - h_q, l_q - h))**2 summed per row,
-        # written in place: two (r, n) temporaries instead of five.
-        gaps = lows - self.high
-        np.maximum(gaps, self.low - highs, out=gaps)
-        np.maximum(gaps, 0.0, out=gaps)
-        np.multiply(gaps, gaps, out=gaps)
-        distances: np.ndarray = np.sum(gaps, axis=1)
-        return np.sqrt(distances, out=distances)
+        """:func:`dmbr_rows` from this rectangle: the ``(r,)`` vector of
+        :meth:`min_distance` values to the rows of ``(lows, highs)``."""
+        return dmbr_rows(self.low, self.high, lows, highs)
 
     def min_distance_to_point(self, point: npt.ArrayLike) -> float:
         """Minimum Euclidean distance from ``point`` to this rectangle."""
@@ -486,3 +475,23 @@ def _frozen_vector(values: tuple[float, ...]) -> np.ndarray:
     vector = np.array(values, dtype=np.float64)
     vector.setflags(write=False)
     return vector
+
+
+def dmbr_rows(
+    low: np.ndarray, high: np.ndarray, lows: np.ndarray, highs: np.ndarray
+) -> np.ndarray:
+    """``Dmbr`` between ``(low, high)`` and each row of ``(lows, highs)``.
+
+    ``lows`` / ``highs`` are ``(r, n)`` corner matrices (one partition's,
+    rows of a database's segment table); ``(low, high)`` is one rectangle
+    (``(n,)`` corners) or one per row (``(r, n)``).  Entry ``t`` of the
+    result is the :meth:`MBR.min_distance` of pair ``t``, all in one pass.
+    """
+    # Same arithmetic as max(0, max(l - h_q, l_q - h))**2 summed per row,
+    # written in place: two (r, n) temporaries instead of five.
+    gaps = lows - high
+    np.maximum(gaps, low - highs, out=gaps)
+    np.maximum(gaps, 0.0, out=gaps)
+    np.multiply(gaps, gaps, out=gaps)
+    distances: np.ndarray = np.sum(gaps, axis=1)
+    return np.sqrt(distances, out=distances)

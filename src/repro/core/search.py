@@ -15,16 +15,17 @@ Algorithm SIMILARITY_SEARCH:
   points participating in each sub-threshold ``Dnorm`` computation are
   accumulated into the sequence's approximate solution interval (§3.3).
 
-Phase 3 runs as one batched kernel, :func:`phase3_kernel`, over the rows
-of the database's :class:`~repro.core.database.SegmentTable` that survived
-Phase 2: per query MBR one ``Dmbr`` row over all their segments, every
-``LD`` / ``RD`` window of every sequence at once, and the solution
-intervals by one sort-and-merge.  It returns exactly what
-:func:`repro.core.distance.normalized_distance_row` — the per-sequence
-reference, still used for single sequences, ``explain`` and the contract
-validators — would return candidate by candidate (a property test holds
-the two equal), including the reference's tie-break between equal windows.
-The k-NN bounds read the same table.
+Phase 3 is one pass of :func:`repro.core.distance.dnorm_instances` over
+*instances* — a probe rectangle, the run of target segments it is measured
+against, a threshold — and every caller here only builds instances:
+:meth:`SimilaritySearch.search` and :meth:`~SimilaritySearch.match_candidates`
+pair one query with many rows of the database's
+:class:`~repro.core.database.SegmentTable`,
+:meth:`~SimilaritySearch.match_queries` pairs many queries with one row, and
+a pair whose query holds more points than the stored sequence (the paper's
+long-query case) swaps roles: each data segment probes the query's
+partition.  ``explain`` reads the same body at ``eps = inf``.  The k-NN
+bounds read the same table.
 
 A k-nearest-sequences extension (:meth:`SimilaritySearch.knn`) implements
 the optimal multi-step algorithm of Seidl & Kriegel over the same ``Dmbr``
@@ -44,10 +45,12 @@ import numpy as np
 from repro.core.contracts import BOUND_TOLERANCE, ContractViolation, lower_bounds
 from repro.core.database import SegmentTable, SequenceDatabase
 from repro.core.distance import (
-    NormalizedDistance,
-    normalized_distance_row,
+    SegmentRuns,
+    dnorm_between,
+    dnorm_instances,
     sequence_distance,
     sliding_mean_distances,
+    union_spans,
 )
 from repro.core.partitioning import PartitionedSequence, partition_sequence
 from repro.core.sequence import MultidimensionalSequence
@@ -62,19 +65,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MatchExplanation",
-    "Phase3Windows",
     "SearchResult",
     "SearchStats",
     "SimilaritySearch",
     "SubsequenceHit",
     "phase3_kernel",
 ]
-
-#: Phase 3 takes the Phase-2 survivors in chunks of about this many
-#: segments: one cancellation checkpoint per chunk and query MBR (well
-#: under a millisecond apart), and temporaries that stay cache-sized.
-_PHASE3_CHUNK_SEGMENTS = 2048
-
 
 @dataclass(frozen=True)
 class SubsequenceHit:
@@ -247,80 +243,6 @@ def _validate_explanation(
         )
 
 
-@dataclass(frozen=True)
-class Phase3Windows:
-    """The ``Dnorm`` windows one Phase-3 pass settled on, as flat arrays.
-
-    One entry per window that some anchor with ``Dnorm <= eps`` took its
-    value from: the anchor's own segment when that holds ``|q_i|`` points,
-    its winning ``LD`` / ``RD`` window otherwise, the whole sequence in the
-    short-sequence fallback.  ``start:stop`` is the run of the sequence's
-    points the window covers — exactly ``|q_i|`` consecutive points for an
-    ``LD`` / ``RD`` window — which is what §3.3 unions into the solution
-    interval.  Segment and point positions are sequence-local.
-    """
-
-    #: Table row of the data sequence, and index of the query MBR.
-    row: np.ndarray
-    probe: np.ndarray
-    #: First and last data segment taking part, and the window's ``Dnorm``.
-    first: np.ndarray
-    last: np.ndarray
-    value: np.ndarray
-    #: The half-open point range covered.
-    start: np.ndarray
-    stop: np.ndarray
-
-    def solution_intervals(self) -> dict[int, IntervalSet]:
-        """Union the windows of each row: ``row -> IntervalSet`` (§3.3).
-
-        One sort by (row, start) and a running maximum of the stops merge
-        every row's overlapping or touching spans at once.
-        """
-        if len(self.row) == 0:
-            return {}
-        stride = int(self.stop.max()) + 1  # keeps rows apart on one axis
-        low = self.row * stride + self.start
-        order = np.argsort(low)
-        low = low[order]
-        reach = np.maximum.accumulate((self.row * stride + self.stop)[order])
-        heads = np.flatnonzero(np.append(True, low[1:] > reach[:-1]))
-        tails = np.append(heads[1:], len(low)) - 1
-        rows = low[heads] // stride
-        spans: dict[int, list[tuple[int, int]]] = {}
-        for row, start, stop in zip(
-            rows.tolist(),
-            (low[heads] - rows * stride).tolist(),
-            (reach[tails] - rows * stride).tolist(),
-        ):
-            spans.setdefault(row, []).append((start, stop))
-        return {row: IntervalSet(merged) for row, merged in spans.items()}
-
-
-#: Field by field, what :class:`Phase3Windows` holds when nothing matched.
-_NO_WINDOWS: tuple[np.ndarray, ...] = (
-    *[np.zeros(0, dtype=np.int64)] * 4,
-    np.zeros(0),
-    *[np.zeros(0, dtype=np.int64)] * 2,
-)
-
-
-def _gather_rows(
-    table: SegmentTable, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The segments of some table rows, laid out contiguously.
-
-    Returns ``(lows, highs, counts, offsets)``: sequence ``i`` of ``rows``
-    owns the gathered entries ``offsets[i]:offsets[i + 1]``.
-    """
-    first = table.sequence_offsets[rows]
-    sizes = table.sequence_offsets[rows + 1] - first
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    take = np.arange(offsets[-1]) + np.repeat(first - offsets[:-1], sizes)
-    return table.lows[take], table.highs[take], table.counts[take], offsets
-
-
 def _sequence_bounds(
     query_partition: PartitionedSequence,
     lows: np.ndarray,
@@ -367,251 +289,84 @@ def _nearest_dmbr(
     return nearest
 
 
-def _validate_phase3_windows(
-    result: tuple[np.ndarray, Phase3Windows],
-    database: SequenceDatabase,
-    rows: np.ndarray,
-    query_partition: PartitionedSequence,
-    epsilon: float,
-    *,
-    find_intervals: bool,
-    stats: SearchStats,
-) -> None:
-    """Lemma 2 for every window the kernel emitted: ``Dnorm`` is a convex
-    combination of the window's ``Dmbr`` values, so it cannot fall below
-    their minimum — recomputed here from the MBR objects themselves, not
-    from the rows the kernel computed."""
-    windows = result[1]
-    ids = database.segment_table.ids
-    for row, probe, first, last, value in zip(
-        windows.row.tolist(),
-        windows.probe.tolist(),
-        windows.first.tolist(),
-        windows.last.tolist(),
-        windows.value.tolist(),
-    ):
-        query_mbr = query_partition[probe].mbr
-        data_mbrs = database.partition(ids[row]).mbrs[first : last + 1]
-        bound = min(query_mbr.min_distance(mbr) for mbr in data_mbrs)
-        if value < bound - BOUND_TOLERANCE:
-            raise ContractViolation(
-                f"Dnorm contract violated in Phase 3: value {value!r} falls "
-                f"below the window's minimum Dmbr {bound!r} (sequence "
-                f"{ids[row]!r}, query MBR {probe}, window ({first}, {last})) "
-                f"— Lemma 2 no longer holds"
-            )
+def _stored_runs(table: SegmentTable) -> SegmentRuns:
+    """The table's sequences as the runs :func:`dnorm_instances` reads."""
+    return SegmentRuns(
+        table.lows, table.highs, table.counts, table.sequence_offsets, table.lengths
+    )
 
 
-@lower_bounds(
-    _validate_phase3_windows, label="Phase-3 windows >= window min Dmbr"
-)
 def phase3_kernel(
-    database: SequenceDatabase,
-    rows: np.ndarray,
-    query_partition: PartitionedSequence,
-    epsilon: float,
+    table: SegmentTable,
+    queries: Sequence[tuple[PartitionedSequence, float]],
+    pair_query: np.ndarray,
+    pair_row: np.ndarray,
     *,
     find_intervals: bool,
     stats: SearchStats,
-) -> tuple[np.ndarray, Phase3Windows]:
-    """Phase 3 for many stored sequences at once.
+) -> dict[int, IntervalSet]:
+    """Phase 3 for many (query, stored sequence) pairs at once.
 
-    Parameters
-    ----------
-    rows:
-        Ascending rows of ``database.segment_table``; each sequence must
-        hold at least as many points as the query (the long-query case
-        swaps roles and is handled per sequence).
-    find_intervals:
-        When false, a sequence is dropped from the later query MBRs as
-        soon as one matched it, and no windows are reported.
+    Pair ``p`` is ``queries[pair_query[p]]`` — a partition and its
+    threshold — against table row ``pair_row[p]``.  Returns ``p -> solution
+    interval`` for the pairs with some ``Dnorm <= eps``, ascending (the
+    intervals are empty unless ``find_intervals``; without them a pair also
+    stops being examined — and counted in ``stats`` — at its first probe
+    that matches).
 
-    Returns
-    -------
-    (matched, windows)
-        The rows with some ``Dnorm <= epsilon`` (ascending), and the
-        windows behind their solution intervals.
-
-    Notes
-    -----
-    For a query MBR of ``|q_i|`` points and a sequence whose segments
-    start at points ``P[0] < P[1] < ...``, Definition 5's windows are runs
-    of exactly ``|q_i|`` consecutive points: the ``LD`` window starting at
-    segment ``k`` covers ``[P[k], P[k] + |q_i|)``, the ``RD`` window ending
-    at segment ``e`` covers ``[P[e + 1] - |q_i|, P[e + 1])``.  A binary
-    search on ``P`` finds the marginal segment, prefix sums of
-    ``Dmbr * count`` give the value, and a window exists only if it stays
-    inside its own sequence.  The prefix sums restart at every sequence,
-    so each value carries the same rounding as the reference's running
-    sum.  ``stats.dmbr_rows`` counts one row per examined sequence and
-    query MBR, ``stats.dnorm_evaluations`` the segments of the sequences
-    whose row minimum is within ``epsilon``.
+    Usually the query's MBRs probe the stored sequence's segments, and the
+    sub-threshold windows make the interval.  Where the query holds more
+    points than the sequence (the paper's long-query case) the roles swap
+    — Lemmas 2-3 assume the probing side is the shorter sequence, and the
+    swap keeps the bound sound (see
+    :func:`repro.core.distance.min_normalized_distance`): each data
+    segment probes the query's partition, and a hit contributes that data
+    segment's whole span, since all of it aligns inside the query.
     """
-    epsilon = check_threshold(epsilon)
-    table = database.segment_table
-    matched = [rows[:0]]
-    emitted = [_NO_WINDOWS]
-    if len(rows):
-        sizes = table.sequence_offsets[rows + 1] - table.sequence_offsets[rows]
-        chunk_of = (np.cumsum(sizes) - 1) // _PHASE3_CHUNK_SEGMENTS
-        for chunk in np.split(rows, np.flatnonzero(np.diff(chunk_of)) + 1):
-            found = _phase3_chunk(
-                table, chunk, query_partition, epsilon, find_intervals, stats, emitted
-            )
-            matched.append(chunk[found])
-    return np.concatenate(matched), Phase3Windows(
-        *(np.concatenate(parts) for parts in zip(*emitted))
-    )
-
-
-def _phase3_chunk(
-    table: SegmentTable,
-    rows: np.ndarray,
-    query_partition: PartitionedSequence,
-    epsilon: float,
-    find_intervals: bool,
-    stats: SearchStats,
-    emitted: list[tuple[np.ndarray, ...]],
-) -> np.ndarray:
-    """One chunk of :func:`phase3_kernel`: a mask of the ``rows`` that matched."""
-    lows, highs, counts, offsets = _gather_rows(table, rows)
-    sizes = np.diff(offsets)
-    owner = np.repeat(np.arange(len(rows)), sizes)  # sequence of each segment
-    local = np.arange(len(counts)) - offsets[:-1][owner]  # its index therein
-    points = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=points[1:])
-    origin = points[offsets[:-1]]  # first point of each sequence
-    lengths = table.lengths[rows]
-    begin = origin[owner]
-    end = begin + lengths[owner]
-    # Per-sequence running sums of Dmbr * count live in one padded matrix,
-    # a row per sequence: slot[s] holds the sum *before* segment s and
-    # slot[s] + 1 the sum including it.  Column 0 stays 0, and whatever an
-    # earlier query MBR left behind a sequence's last slot feeds no slot
-    # that is read, so the matrix is reused as it is.
-    width = int(sizes.max()) + 1
-    weighted = np.zeros((len(rows), width))
-    prefix = weighted.reshape(-1)
-    slot = owner * width + local
-
-    found = np.zeros(len(rows), dtype=bool)
-    pending = ~found
-    for probe in query_partition:
-        checkpoint("search.phase3")
-        size = int(probe.count)
-        row = probe.mbr.min_distance_rows(lows, highs)
-        stats.dmbr_rows += int(pending.sum())
-        # Dnorm is a weighted mean of row values, so it cannot fall below
-        # the row minimum: only a sequence whose minimum is within epsilon
-        # can match this query MBR.
-        active = pending & (np.minimum.reduceat(row, offsets[:-1]) <= epsilon)
-        if not active.any():
+    stored = _stored_runs(table)
+    asked = SegmentRuns.of([partition for partition, _ in queries])
+    epsilons = np.array([epsilon for _, epsilon in queries])[pair_query]
+    swapped = asked.lengths[pair_query] > stored.lengths[pair_row]
+    found: dict[int, IntervalSet] = {}
+    for swap, probes, probe_run, targets, target_run in (
+        (False, asked, pair_query, stored, pair_row),
+        (True, stored, pair_row, asked, pair_query),
+    ):
+        pairs = np.flatnonzero(swapped == swap)
+        if len(pairs) == 0:
             continue
-        stats.dnorm_evaluations += int(sizes[active].sum())
-        live = active[owner]
-        small = live & (counts < size)
-        prefix[slot + 1] = row * counts
-        np.cumsum(weighted, axis=1, out=weighted)
-
-        # Anchors holding >= |q_i| points: Dnorm is their own Dmbr.
-        solo = np.flatnonzero(live & ~small & (row <= epsilon))
-        # LD windows, one per first segment: the |q_i| points from its
-        # first point on; the marginal segment holds the last of them.
-        reach = points[:-1] + size
-        ld_first = np.flatnonzero(small & (reach <= end))
-        ld_last = np.searchsorted(points, reach[ld_first], side="left") - 1
-        ld = (
-            prefix[slot[ld_last]]
-            - prefix[slot[ld_first]]
-            + row[ld_last] * (reach[ld_first] - points[ld_last])
-        ) / size
-        # RD windows, one per last segment: the |q_i| points up to its
-        # last point; the marginal segment holds the first of them.
-        floor = points[1:] - size
-        rd_last = np.flatnonzero(small & (floor >= begin))
-        rd_first = np.searchsorted(points, floor[rd_last], side="right") - 1
-        rd = (
-            prefix[slot[rd_last] + 1]
-            - prefix[slot[rd_first] + 1]
-            + row[rd_first] * (points[rd_first + 1] - floor[rd_last])
-        ) / size
-        # A sequence shorter than |q_i| has no window: every MBR counts in
-        # full, normalised by the sequence length (Definition 5's fallback).
-        short = np.flatnonzero(active & (lengths < size))
-        whole = prefix[short * width + sizes[short]] / lengths[short]
-
-        keep = ld <= epsilon
-        ld_first, ld_last, ld = ld_first[keep], ld_last[keep], ld[keep]
-        keep = rd <= epsilon
-        rd_first, rd_last, rd = rd_first[keep], rd_last[keep], rd[keep]
-        keep = whole <= epsilon
-        short, whole = short[keep], whole[keep]
-        found[owner[solo]] = True
-        found[owner[ld_first]] = True
-        found[owner[rd_last]] = True
-        found[short] = True
+        # One instance per segment of the probing run of each pair.
+        lows, highs, counts, offsets = probes.gather(probe_run[pairs])
+        sizes = np.diff(offsets)
+        pair = np.repeat(pairs, sizes)
+        run = target_run[pair]
+        epsilon = epsilons[pair]
+        nearest, hit, windows = dnorm_instances(
+            targets, run, lows, highs, counts, epsilon,
+            windows=find_intervals and not swap,
+        )  # fmt: skip
+        # One Dmbr row per examined instance; Dnorm over the target's
+        # segments where the row minimum is within the threshold.
+        examined = np.ones(len(pair), dtype=bool)
         if not find_intervals:
-            pending = ~found
-            continue
-
-        # The windows in the reference's order: LD by first segment, then
-        # RD by last.  An LD window serves every segment but its last as
-        # anchor, an RD window every segment but its first.
-        first = np.concatenate([ld_first, rd_first])
-        last = np.concatenate([ld_last, rd_last])
-        value = np.concatenate([ld, rd])
-        start = np.concatenate([points[ld_first], floor[rd_last]])
-        won = _winning_windows(
-            np.concatenate([ld_first, rd_first + 1]), last - first, value
+            # A pair is settled by its first matching probe.
+            earlier = np.cumsum(hit) - hit
+            examined = earlier == np.repeat(earlier[offsets[:-1]], sizes)
+        stats.dmbr_rows += int(examined.sum())
+        within = examined & (nearest <= epsilon)
+        stats.dnorm_evaluations += int(
+            (targets.offsets[run + 1] - targets.offsets[run])[within].sum()
         )
-        first = np.concatenate([solo, first[won], offsets[:-1][short]])
-        last = np.concatenate([solo, last[won], offsets[1:][short] - 1])
-        start = np.concatenate([points[solo], start[won], origin[short]])
-        span = np.concatenate(
-            [counts[solo], np.full(len(won), size), lengths[short]]
-        )
-        sequence = owner[first]
-        start -= origin[sequence]
-        emitted.append(
-            (
-                rows[sequence],
-                np.full(len(first), probe.index),
-                local[first],
-                local[last],
-                np.concatenate([row[solo], value[won], whole]),
-                start,
-                start + span,
-            )
-        )
-    return found
-
-
-def _winning_windows(
-    first_anchor: np.ndarray, anchors: np.ndarray, value: np.ndarray
-) -> np.ndarray:
-    """The windows that give some anchor its ``Dnorm`` (indices, ascending).
-
-    Window ``w`` covers the ``anchors[w]`` anchors from ``first_anchor[w]``
-    on.  Each anchor takes the smallest value among the windows covering
-    it and, between equal values, the earliest window — the reference's
-    strict ``<`` over LD windows by start, then RD windows by end, which is
-    the order the caller passes them in.  Only windows within the threshold
-    are passed: a larger one cannot win an anchor that ends up within it.
-    """
-    if len(value) == 0:
-        return np.zeros(0, dtype=np.int64)
-    window = np.repeat(np.arange(len(anchors)), anchors)
-    anchor = (
-        np.arange(len(window))
-        - np.repeat(np.cumsum(anchors) - anchors, anchors)
-        + first_anchor[window]
-    )
-    # lexsort is stable, so equal (anchor, value) pairs keep window order.
-    order = np.lexsort((value[window], anchor))
-    ranked = anchor[order]
-    wins = np.zeros(len(value), dtype=bool)
-    wins[window[order[np.append(True, ranked[1:] != ranked[:-1])]]] = True
-    return np.flatnonzero(wins)
+        if not find_intervals:
+            found.update(dict.fromkeys(pair[hit].tolist(), IntervalSet()))
+        elif not swap:
+            # Every matched pair has at least one window.
+            found.update(windows.solution_intervals(pair))
+        else:
+            stop = np.cumsum(counts)
+            stop -= np.repeat((stop - counts)[offsets[:-1]], sizes)
+            found.update(union_spans(pair[hit], (stop - counts)[hit], stop[hit]))
+    return {p: found[p] for p in sorted(found)}
 
 
 class SimilaritySearch:
@@ -655,23 +410,11 @@ class SimilaritySearch:
         SearchResult
         """
         epsilon = check_threshold(epsilon)
-        if not isinstance(query, MultidimensionalSequence):
-            query = MultidimensionalSequence(query)
-        if query.dimension != self.database.dimension:
-            raise ValueError(
-                f"query dimension {query.dimension} != database dimension "
-                f"{self.database.dimension}"
-            )
-
         stats = SearchStats()
 
         # Phase 1: partition the query sequence.
         started = time.perf_counter()
-        query_partition = partition_sequence(
-            query,
-            cost_constant=self.database.cost_constant,
-            max_points=self.database.max_points,
-        )
+        query, query_partition = self._prepare(query)
         stats.phase1_seconds = time.perf_counter() - started
         stats.query_segments = len(query_partition)
 
@@ -713,6 +456,28 @@ class SimilaritySearch:
             stats=stats,
         )
 
+    def _coerce(self, query: SequenceLike) -> MultidimensionalSequence:
+        """``query`` as a sequence of this database's dimension."""
+        if not isinstance(query, MultidimensionalSequence):
+            query = MultidimensionalSequence(query)
+        if query.dimension != self.database.dimension:
+            raise ValueError(
+                f"query dimension {query.dimension} != database dimension "
+                f"{self.database.dimension}"
+            )
+        return query
+
+    def _prepare(
+        self, query: SequenceLike
+    ) -> tuple[MultidimensionalSequence, PartitionedSequence]:
+        """Phase 1: the validated query and its MCOST partition."""
+        query = self._coerce(query)
+        return query, partition_sequence(
+            query,
+            cost_constant=self.database.cost_constant,
+            max_points=self.database.max_points,
+        )
+
     def _match_rows(
         self,
         query_partition: PartitionedSequence,
@@ -722,77 +487,22 @@ class SimilaritySearch:
         find_intervals: bool,
         stats: SearchStats,
     ) -> dict[object, IntervalSet]:
-        """Phase 3 for the given table rows (ascending).
-
-        Returns ``id -> solution interval`` for every sequence with some
-        ``Dnorm <= epsilon``, in row order (the intervals are empty unless
-        asked for).  Sequences at least as long as the query go through
-        :func:`phase3_kernel` together; the paper's long-query case, where
-        the roles of the two partitions swap, is examined per sequence.
-        """
+        """Phase 3 for one query and the given table rows (ascending):
+        ``id -> solution interval`` of those that match, in row order."""
         table = self.database.segment_table
-        long_query = table.lengths[rows] < len(query_partition.sequence)
-        matched, windows = phase3_kernel(
-            self.database,
-            rows[~long_query],
-            query_partition,
-            epsilon,
+        found = phase3_kernel(
+            table,
+            [(query_partition, epsilon)],
+            np.zeros(len(rows), dtype=np.int64),
+            rows,
             find_intervals=find_intervals,
             stats=stats,
         )
-        # With intervals on, every matched row has at least one window.
-        found = (
-            windows.solution_intervals()
-            if find_intervals
-            else dict.fromkeys(matched.tolist(), IntervalSet())
-        )
-        for row in rows[long_query].tolist():
-            checkpoint("search.phase3")
-            hit, interval = self._examine_candidate_long_query(
-                query_partition,
-                self.database.partition(table.ids[row]),
-                epsilon,
-                find_intervals=find_intervals,
-                stats=stats,
-            )
-            if hit:
-                found[row] = interval
-        return {table.ids[row]: found[row] for row in sorted(found)}
+        return {table.ids[rows[p]]: interval for p, interval in found.items()}
 
     # ------------------------------------------------------------------
     # Building blocks reused by the serving cache
     # ------------------------------------------------------------------
-    def candidate_lower_bound(
-        self, query_partition: PartitionedSequence, sequence_id: object
-    ) -> float:
-        """The Phase-2 bound ``min Dmbr`` for one stored sequence.
-
-        The minimum over all (query segment, data segment) MBR pairs —
-        exactly the quantity the index probe thresholds, so a sequence is
-        a Phase-2 candidate at ``eps`` iff this value is ``<= eps``.
-        ``Dmbr`` is symmetric in its two rectangles, so the result is
-        independent of the long-query role swap.
-        """
-        partition = self.database.partition(sequence_id)
-        return min(
-            float(partition.mbr_distance_row(segment.mbr).min())
-            for segment in query_partition
-        )
-
-    def candidate_within(
-        self,
-        query_partition: PartitionedSequence,
-        sequence_id: object,
-        epsilon: float,
-    ) -> bool:
-        """Whether one stored sequence is a Phase-2 candidate at ``epsilon``.
-
-        Equivalent to ``candidate_lower_bound(...) <= epsilon``; the
-        one-query form of :meth:`queries_within`.
-        """
-        epsilon = check_threshold(epsilon)
-        return self.queries_within([(query_partition, epsilon)], sequence_id)[0]
-
     def queries_within(
         self,
         queries: Sequence[tuple[PartitionedSequence, float]],
@@ -811,46 +521,45 @@ class SimilaritySearch:
         if not queries:
             return []
         epsilons = np.array([check_threshold(epsilon) for _, epsilon in queries])
-        sizes = [len(query_partition) for query_partition, _ in queries]
+        asked = SegmentRuns.of([query_partition for query_partition, _ in queries])
         nearest = _nearest_dmbr(
-            np.concatenate([q.low_matrix for q, _ in queries]),
-            np.concatenate([q.high_matrix for q, _ in queries]),
-            partition.low_matrix,
-            partition.high_matrix,
+            asked.lows, asked.highs, partition.low_matrix, partition.high_matrix
         )
-        starts = np.cumsum([0, *sizes[:-1]])
         verdicts: list[bool] = (
-            np.minimum.reduceat(nearest, starts) <= epsilons
+            np.minimum.reduceat(nearest, asked.offsets[:-1]) <= epsilons
         ).tolist()
         return verdicts
 
-    def match_candidate(
+    def match_queries(
         self,
-        query_partition: PartitionedSequence,
+        queries: Sequence[tuple[PartitionedSequence, float, bool]],
         sequence_id: object,
-        epsilon: float,
-        *,
-        find_intervals: bool = True,
-    ) -> tuple[bool, IntervalSet]:
-        """Run Phase 3 for a single stored sequence.
+    ) -> list[IntervalSet | None]:
+        """Run Phase 3 for many queries against one stored sequence.
 
-        Evaluates ``Dnorm`` between the pre-partitioned query and the
-        stored sequence exactly as :meth:`search` does for each Phase-2
-        survivor, returning whether the sequence matches at ``epsilon``
-        and (when requested) its approximate solution interval.  The
-        ε-aware result cache of :mod:`repro.service` uses this to refine a
-        cached wider-threshold result down to a tighter one — sound by
-        the monotonicity of Lemmas 2-3 — without re-running Phases 1-2.
+        The Phase-3 dual of :meth:`queries_within`: per ``(query partition,
+        epsilon, find_intervals)`` the sequence's approximate solution
+        interval if it matches that query at that threshold (empty unless
+        asked for), else ``None`` — all in one pass.  The ε-aware result
+        cache uses it to re-examine the one sequence a write touched
+        under every cached query that admits it.
         """
-        epsilon = check_threshold(epsilon)
-        partition = self.database.partition(sequence_id)
-        return self._examine_candidate(
-            query_partition,
-            partition,
-            epsilon,
-            find_intervals=find_intervals,
+        table = self.database.segment_table
+        row = table.rows[sequence_id]
+        if not queries:
+            return []
+        found = phase3_kernel(
+            table,
+            [(partition, check_threshold(eps)) for partition, eps, _ in queries],
+            np.arange(len(queries)),
+            np.full(len(queries), row),
+            find_intervals=any(wanted for _, _, wanted in queries),
             stats=SearchStats(),
         )
+        return [
+            (found[p] if wanted else IntervalSet()) if p in found else None
+            for p, (_, _, wanted) in enumerate(queries)
+        ]
 
     def candidates_within(
         self,
@@ -860,13 +569,13 @@ class SimilaritySearch:
     ) -> list[object]:
         """Those of ``sequence_ids`` that are Phase-2 candidates at ``epsilon``.
 
-        :meth:`candidate_within` for many stored sequences in one pass over
-        the segment table; the result is in database insertion order.
+        Exactly the sequences the index probe would return among them, in
+        one pass over the segment table; database insertion order.
         """
         epsilon = check_threshold(epsilon)
         table = self.database.segment_table
         rows = self._rows_of(sequence_ids)
-        lows, highs, _, offsets = _gather_rows(table, rows)
+        lows, highs, _, offsets = _stored_runs(table).gather(rows)
         bounds = _sequence_bounds(
             query_partition, lows, highs, offsets, "search.phase2"
         )
@@ -882,11 +591,12 @@ class SimilaritySearch:
     ) -> dict[object, IntervalSet]:
         """Run Phase 3 for many stored sequences at once.
 
-        :meth:`match_candidate` for a whole list: maps every sequence that
-        matches at ``epsilon`` to its approximate solution interval (empty
-        unless ``find_intervals``), in database insertion order.  This is
-        the same batched kernel :meth:`search` runs over the Phase-2
-        survivors, so refining a cached result costs what Phase 3 costs.
+        Maps every one of ``sequence_ids`` that matches at ``epsilon`` to
+        its approximate solution interval (empty unless
+        ``find_intervals``), in database insertion order — what
+        :meth:`search` does with the Phase-2 survivors, so refining a
+        cached result down to a tighter threshold (sound by the
+        monotonicity of Lemmas 2-3) skips Phases 1-2.
         """
         epsilon = check_threshold(epsilon)
         return self._match_rows(
@@ -903,106 +613,6 @@ class SimilaritySearch:
         return np.array(
             sorted({index[sid] for sid in sequence_ids}), dtype=np.int64
         )
-
-    def _examine_candidate(
-        self,
-        query_partition: PartitionedSequence,
-        partition: PartitionedSequence,
-        epsilon: float,
-        *,
-        find_intervals: bool,
-        stats: SearchStats,
-    ) -> tuple[bool, IntervalSet]:
-        """Phase 3 for one candidate: any ``Dnorm <= eps``?  Collect spans.
-
-        The per-sequence reference of :func:`phase3_kernel`, kept for
-        single ids: with one sequence it is the cheaper of the two.
-
-        In the paper's long-query case (query holds more points than the
-        data sequence) the roles of the two partitions are swapped before
-        applying ``Dnorm`` — Lemmas 2-3 assume the query is the shorter
-        sequence, and the swap keeps the bound sound (see
-        :func:`repro.core.distance.min_normalized_distance`).  A match then
-        contributes the matching *data* segment's full point span to the
-        solution interval, since the whole data segment aligns inside the
-        query.
-        """
-        query_points = len(query_partition.sequence)
-        data_points = len(partition.sequence)
-        if query_points > data_points:
-            return self._examine_candidate_long_query(
-                query_partition,
-                partition,
-                epsilon,
-                find_intervals=find_intervals,
-                stats=stats,
-            )
-        counts = partition.counts
-        segments = partition.segments
-        matched = False
-        spans: list[tuple[int, int]] = []
-        for query_segment in query_partition:
-            checkpoint("search.phase3.candidate")
-            row = partition.mbr_distance_row(query_segment.mbr)
-            stats.dmbr_rows += 1
-            if float(row.min()) > epsilon:
-                # Dnorm is a weighted mean of row values, so it cannot fall
-                # below the row minimum: no anchor of this pair can match.
-                continue
-            matches = normalized_distance_row(
-                query_segment.mbr,
-                int(query_segment.count),
-                partition.mbrs,
-                counts,
-                dmbr_row=row,
-                only_below=epsilon,
-            )
-            stats.dnorm_evaluations += len(counts)
-            if matches:
-                matched = True
-                if not find_intervals:
-                    return True, IntervalSet()
-                for result in matches:
-                    for t, first, last in result.involved_points(counts):
-                        base = segments[t].start
-                        spans.append((base + first, base + last + 1))
-        return matched, IntervalSet(spans)
-
-    def _examine_candidate_long_query(
-        self,
-        query_partition: PartitionedSequence,
-        partition: PartitionedSequence,
-        epsilon: float,
-        *,
-        find_intervals: bool,
-        stats: SearchStats,
-    ) -> tuple[bool, IntervalSet]:
-        """Phase 3 with swapped roles: data segments probe the query MBRs."""
-        query_mbrs = query_partition.mbrs
-        query_counts = query_partition.counts
-        matched = False
-        spans: list[tuple[int, int]] = []
-        for data_segment in partition:
-            checkpoint("search.phase3.long-query")
-            row = query_partition.mbr_distance_row(data_segment.mbr)
-            stats.dmbr_rows += 1
-            if float(row.min()) > epsilon:
-                continue
-            matches = normalized_distance_row(
-                data_segment.mbr,
-                int(data_segment.count),
-                query_mbrs,
-                query_counts,
-                dmbr_row=row,
-                only_below=epsilon,
-            )
-            stats.dnorm_evaluations += len(query_counts)
-            if matches:
-                matched = True
-                if not find_intervals:
-                    return True, IntervalSet()
-                spans.append((data_segment.start, data_segment.stop))
-        return matched, IntervalSet(spans)
 
     # ------------------------------------------------------------------
     # k-nearest sequences (extension)
@@ -1024,18 +634,7 @@ class SimilaritySearch:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not isinstance(query, MultidimensionalSequence):
-            query = MultidimensionalSequence(query)
-        if query.dimension != self.database.dimension:
-            raise ValueError(
-                f"query dimension {query.dimension} != database dimension "
-                f"{self.database.dimension}"
-            )
-        query_partition = partition_sequence(
-            query,
-            cost_constant=self.database.cost_constant,
-            max_points=self.database.max_points,
-        )
+        query, query_partition = self._prepare(query)
 
         table = self.database.segment_table
         bounds = list(zip(self._lower_bounds(query_partition).tolist(), table.ids))
@@ -1096,18 +695,7 @@ class SimilaritySearch:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not isinstance(query, MultidimensionalSequence):
-            query = MultidimensionalSequence(query)
-        if query.dimension != self.database.dimension:
-            raise ValueError(
-                f"query dimension {query.dimension} != database dimension "
-                f"{self.database.dimension}"
-            )
-        query_partition = partition_sequence(
-            query,
-            cost_constant=self.database.cost_constant,
-            max_points=self.database.max_points,
-        )
+        query, query_partition = self._prepare(query)
         length = len(query)
 
         table = self.database.segment_table
@@ -1162,48 +750,16 @@ class SimilaritySearch:
         MatchExplanation
         """
         epsilon = check_threshold(epsilon)
-        if not isinstance(query, MultidimensionalSequence):
-            query = MultidimensionalSequence(query)
-        if query.dimension != self.database.dimension:
-            raise ValueError(
-                f"query dimension {query.dimension} != database dimension "
-                f"{self.database.dimension}"
-            )
+        query, query_partition = self._prepare(query)
         partition = self.database.partition(sequence_id)
-        query_partition = partition_sequence(
-            query,
-            cost_constant=self.database.cost_constant,
-            max_points=self.database.max_points,
-        )
-
         long_query = len(query) > len(partition.sequence)
-        if long_query:
-            probe_partition, target_partition = partition, query_partition
-        else:
-            probe_partition, target_partition = query_partition, partition
-
-        per_probe_dmbr: list[float] = []
-        best_dnorm: tuple[int, NormalizedDistance] | None = None
-        for segment in probe_partition:
-            row = target_partition.mbr_distance_row(segment.mbr)
-            per_probe_dmbr.append(float(row.min()))
-            for result in normalized_distance_row(
-                segment.mbr,
-                int(segment.count),
-                target_partition.mbrs,
-                target_partition.counts,
-                dmbr_row=row,
-            ):
-                if best_dnorm is None or result.value < best_dnorm[1].value:
-                    best_dnorm = (segment.index, result)
-
+        # Every anchor of every probe; the reported one is the first, in
+        # (probe, anchor) order, among those with the smallest Dnorm.
+        nearest, windows = dnorm_between(query_partition, partition)
+        best = np.lexsort((windows.anchor, windows.instance, windows.value))[0]
+        min_dmbr = float(nearest.min())
+        min_dnorm = float(windows.value[best])
         exact = sequence_distance(query, partition.sequence)
-        min_dmbr = min(per_probe_dmbr)
-        if best_dnorm is None:
-            raise RuntimeError(
-                "explain() found no Dnorm result — empty partition"
-            )
-        probe_index, dnorm_result = best_dnorm
         return MatchExplanation(
             sequence_id=sequence_id,
             epsilon=epsilon,
@@ -1211,14 +767,14 @@ class SimilaritySearch:
             query_segments=len(query_partition),
             data_segments=len(partition),
             min_dmbr=min_dmbr,
-            min_dnorm=float(dnorm_result.value),
+            min_dnorm=min_dnorm,
             exact_distance=float(exact),
             survives_phase2=min_dmbr <= epsilon,
-            survives_phase3=dnorm_result.value <= epsilon,
+            survives_phase3=min_dnorm <= epsilon,
             truly_relevant=exact <= epsilon,
-            best_probe_segment=probe_index,
-            best_anchor=dnorm_result.target_index,
-            best_window=dnorm_result.window,
+            best_probe_segment=int(windows.instance[best]),
+            best_anchor=int(windows.anchor[best]),
+            best_window=(int(windows.first[best]), int(windows.last[best])),
         )
 
     @staticmethod

@@ -9,7 +9,7 @@ threshold ε' therefore bounds every request at ε <= ε' from above:
   — no index probe needed, because any sequence outside ``candidates(ε')``
   has ``min Dmbr > ε' >= ε``;
 * the exact answer set at ε is obtained by re-running Phase 3
-  (:meth:`~repro.core.search.SimilaritySearch.match_candidate`) over that
+  (:meth:`~repro.core.search.SimilaritySearch.match_candidates`) over that
   candidate set only — Phases 1 and 2, the index-bound part of the search,
   are skipped entirely.
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -251,16 +252,25 @@ class EpsilonCache:
                     del self._entries[key]
                     self._evictions += 1
             present = sequence_id in search.database
-            # Phase 2 for every entry in one broadcast Dmbr; Phase 3 below
-            # runs only where it said yes.
-            verdicts = (
-                search.queries_within(
+            verdicts = [False] * len(coherent)
+            matches: Iterator[IntervalSet | None] = iter(())
+            if present:
+                # Phase 2 for every entry in one broadcast Dmbr, then Phase 3
+                # in one pass for the entries where it said yes.
+                verdicts = search.queries_within(
                     [(e.query_partition, e.epsilon) for _, e in coherent],
                     sequence_id,
                 )
-                if present
-                else [False] * len(coherent)
-            )
+                matches = iter(
+                    search.match_queries(
+                        [
+                            (e.query_partition, e.epsilon, e.find_intervals)
+                            for (_, e), admitted in zip(coherent, verdicts)
+                            if admitted
+                        ],
+                        sequence_id,
+                    )
+                )
             for (key, entry), is_candidate in zip(coherent, verdicts):
                 candidates = entry.candidates
                 answers = entry.answers
@@ -282,13 +292,8 @@ class EpsilonCache:
                     intervals.pop(sequence_id, None)
                 if is_candidate:
                     candidates.add(sequence_id)
-                    matched, interval = search.match_candidate(
-                        entry.query_partition,
-                        sequence_id,
-                        entry.epsilon,
-                        find_intervals=entry.find_intervals,
-                    )
-                    if matched:
+                    interval = next(matches)
+                    if interval is not None:
                         answers.add(sequence_id)
                         if entry.find_intervals:
                             intervals[sequence_id] = interval

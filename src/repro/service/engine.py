@@ -1063,27 +1063,15 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Request bodies (run on worker threads, against one snapshot)
     # ------------------------------------------------------------------
-    def _coerce(
-        self, query: SequenceLike, snapshot: _Snapshot
-    ) -> MultidimensionalSequence:
-        if not isinstance(query, MultidimensionalSequence):
-            query = MultidimensionalSequence(query)
-        if query.dimension != snapshot.database.dimension:
-            raise ValueError(
-                f"query dimension {query.dimension} != database dimension "
-                f"{snapshot.database.dimension}"
-            )
-        return query
-
     def _do_knn(self, query: SequenceLike, k: int) -> list[tuple[float, object]]:
         snapshot = self._snapshot
-        return snapshot.search.knn(self._coerce(query, snapshot), k)
+        return snapshot.search.knn(query, k)
 
     def _do_search(
         self, query: SequenceLike, epsilon: float, find_intervals: bool
     ) -> ServiceResponse:
         snapshot = self._snapshot
-        sequence = self._coerce(query, snapshot)
+        sequence = snapshot.search._coerce(query)
         if self._cache is None:
             result = snapshot.search.search(
                 sequence, epsilon, find_intervals=find_intervals

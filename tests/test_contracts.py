@@ -205,11 +205,11 @@ def test_search_passes_contract_unmutated():
 
 
 def _break_phase3(monkeypatch):
-    """Make the Phase-3 kernel dismiss every candidate it is handed."""
+    """Make the Phase-3 kernel dismiss every pair it is handed."""
     kernel = search_module.phase3_kernel
 
-    def dismissing(database, rows, *args, **kwargs):
-        return kernel(database, rows[:0], *args, **kwargs)
+    def dismissing(table, queries, pair_query, pair_row, **kwargs):
+        return kernel(table, queries, pair_query[:0], pair_row[:0], **kwargs)
 
     monkeypatch.setattr(search_module, "phase3_kernel", dismissing)
 
@@ -228,18 +228,18 @@ def test_false_dismissal_is_caught(monkeypatch):
 
 
 def test_undershooting_phase3_kernel_is_caught(monkeypatch):
-    """Lemma 2 on the kernel's own windows: its validator recomputes each
-    window's minimum Dmbr from the MBR objects, so rows that undershoot
+    """Lemma 2 on the Phase-3 body's own windows: its validator recomputes
+    each window's minimum Dmbr between MBR objects, so rows that undershoot
     (here: every Dmbr halved) cannot pass while checking is on."""
     monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
     engine, _ = _search_fixture()
     query = MultidimensionalSequence(_loop_corpus()[10:40] + 0.03)
-    rows = MBR.min_distance_rows
+    rows = distance_module.dmbr_rows
 
-    def halved(self, lows, highs):
-        return rows(self, lows, highs) * 0.5
+    def halved(low, high, lows, highs):
+        return rows(low, high, lows, highs) * 0.5
 
-    monkeypatch.setattr(MBR, "min_distance_rows", halved)
+    monkeypatch.setattr(distance_module, "dmbr_rows", halved)
     assert engine.search(query, 0.05).solution_intervals  # silently generous
     with checking_contracts():
         with pytest.raises(

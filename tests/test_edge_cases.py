@@ -11,8 +11,9 @@ import pytest
 from repro.baselines.sequential import SequentialScan, exact_solution_interval
 from repro.core.database import SequenceDatabase
 from repro.core.distance import (
+    SegmentRuns,
+    dnorm_instances,
     normalized_distance,
-    normalized_distance_row,
     sequence_distance,
 )
 from repro.core.mbr import MBR
@@ -132,6 +133,26 @@ class TestQueryShapes:
         assert relevant <= set(result.answers)
 
 
+def batched_dnorm(query, query_count, mbrs, counts, epsilon=np.inf):
+    """One instance of the batched body: ``(found, windows)``."""
+    run = SegmentRuns(
+        np.array([mbr.low for mbr in mbrs]),
+        np.array([mbr.high for mbr in mbrs]),
+        np.array(counts),
+        np.array([0, len(mbrs)]),
+        np.array([sum(counts)]),
+    )
+    _, found, windows = dnorm_instances(
+        run,
+        np.zeros(1, dtype=np.int64),
+        query.low[None, :],
+        query.high[None, :],
+        np.array([query_count]),
+        np.array([epsilon]),
+    )
+    return bool(found[0]), windows
+
+
 class TestDnormDegeneracies:
     def test_every_count_one(self):
         """Single-point MBRs: the windows are pure point runs."""
@@ -141,8 +162,9 @@ class TestDnormDegeneracies:
         result = normalized_distance(query, 2, mbrs, counts, 0)
         # window [0..1]: (0.1 + 0.2) / 2
         assert result.value == pytest.approx(0.15)
-        row = normalized_distance_row(query, 2, mbrs, counts)
-        assert row[0].value == pytest.approx(0.15)
+        _, windows = batched_dnorm(query, 2, mbrs, counts)
+        assert windows.anchor[0] == 0
+        assert windows.value[0] == pytest.approx(0.15)
 
     def test_query_count_one_is_always_plain(self):
         query = MBR([0.0], [0.0])
@@ -155,15 +177,16 @@ class TestDnormDegeneracies:
     def test_row_only_below_filters(self):
         query = MBR([0.0], [0.0])
         mbrs = [MBR([0.1], [0.1]), MBR([0.9], [0.9])]
-        rows = normalized_distance_row(
-            query, 1, mbrs, [5, 5], only_below=0.5
-        )
-        assert [r.target_index for r in rows] == [0]
+        found, windows = batched_dnorm(query, 1, mbrs, [5, 5], epsilon=0.5)
+        assert found
+        assert windows.anchor.tolist() == [0]
 
     def test_row_only_below_empty(self):
         query = MBR([0.0], [0.0])
         mbrs = [MBR([0.9], [0.9])]
-        assert normalized_distance_row(query, 1, mbrs, [5], only_below=0.1) == []
+        found, windows = batched_dnorm(query, 1, mbrs, [5], epsilon=0.1)
+        assert not found
+        assert len(windows.anchor) == 0
 
 
 class TestExactIntervalEdges:

@@ -1,25 +1,44 @@
-"""The batched Phase-3 kernel against the per-sequence reference.
+"""The one Phase-3 body against the per-sequence row reference.
 
-``phase3_kernel`` must return *the same* verdicts, solution intervals and
-work counters as running ``normalized_distance_row`` sequence by sequence
-— including the reference's tie-break between equal ``Dnorm`` windows —
-not merely sound ones.  The corpora here are built to make ties and edge
-windows common: random walks whose steps are often exactly zero
-(duplicated points, all-zero ``Dmbr`` rows), one-point segments
-(``max_points`` 1), sequences shorter than a query MBR (the fallback
-window), long queries, and survivor lists that are empty or touch the
-first, last and adjacent rows of the segment table.
+``repro.core.distance.dnorm_instances`` — through every caller that builds
+instances for it: ``phase3_kernel`` / ``match_candidates`` (one query, many
+sequences), ``match_queries`` (many queries, one sequence), the swapped
+instances of the long-query case, ``explain`` and
+``min_normalized_distance`` — must return *the same* verdicts, solution
+intervals, work counters and values as running ``normalized_distance_row``
+sequence by sequence, including its tie-break between equal ``Dnorm``
+windows, not merely sound ones.  ``normalized_distance_row`` is the O(r)
+per-sequence implementation that used to live in ``repro.core.distance``;
+it is kept here, unchanged, as the reference.  The corpora are built to
+make ties and edge windows common: random walks whose steps are often
+exactly zero (duplicated points, all-zero ``Dmbr`` rows), one-point
+segments (``max_points`` 1), sequences shorter than a query MBR (the
+fallback window), long queries, and survivor lists that are empty or touch
+the first, last and adjacent rows of the segment table.
 """
 
 from __future__ import annotations
 
+import bisect
+from dataclasses import dataclass
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.core.distance as distance_module
+from repro.core.contracts import contracts_enabled, lower_bounds
 from repro.core.database import SequenceDatabase
-from repro.core.distance import normalized_distance_row
+from repro.core.distance import (
+    INFINITY,
+    NormalizedDistance,
+    SegmentRuns,
+    _validate_normalized_distance,
+    dnorm_instances,
+    min_normalized_distance,
+)
 from repro.core.partitioning import partition_sequence
 from repro.core.search import SearchStats, SimilaritySearch, phase3_kernel
 from repro.core.solution_interval import IntervalSet
@@ -28,6 +47,233 @@ _STEPS = [0.0, 0.0, 0.0, 0.01, -0.01, 0.05, -0.05, 0.4, -0.4]
 _EPSILONS = [0.0, 0.02, 0.1, 0.3, 1.0]
 
 
+# ----------------------------------------------------------------------
+# The reference: Dnorm against every anchor of one sequence, in Python
+# ----------------------------------------------------------------------
+def _validate_normalized_distance_row(
+    result: list[NormalizedDistance],
+    query_mbr,
+    query_count: int,
+    data_mbrs,
+    data_counts,
+    *,
+    dmbr_row: np.ndarray | None = None,
+    only_below: float | None = None,
+) -> None:
+    mbr_list = list(data_mbrs)
+    for entry in result:
+        _validate_normalized_distance(
+            entry, query_mbr, query_count, mbr_list, data_counts, entry.target_index
+        )
+
+
+@dataclass(frozen=True)
+class DnormWindow:
+    """One candidate ``Dnorm`` window shared by a run of anchors.
+
+    A window's value and membership do not depend on the anchor — only its
+    *validity* does (the anchor must lie among the fully-weighted MBRs).
+    ``normalized_distance_row`` therefore enumerates each window once and
+    lets every anchor in ``[anchor_first, anchor_last]`` consider it.
+    """
+
+    value: float
+    first: int
+    last: int
+    marginal_index: int | None
+    marginal_count: int
+    marginal_side: str
+    anchor_first: int
+    anchor_last: int
+
+    def as_result(self, anchor: int) -> NormalizedDistance:
+        """This window viewed as the result for one anchor."""
+        return NormalizedDistance(
+            value=self.value,
+            target_index=anchor,
+            window=(self.first, self.last),
+            marginal_index=self.marginal_index,
+            marginal_count=self.marginal_count,
+            marginal_side=self.marginal_side,
+        )
+
+
+@lower_bounds(
+    _validate_normalized_distance_row, label="Dnorm row >= window min Dmbr"
+)
+def normalized_distance_row(
+    query_mbr,
+    query_count: int,
+    data_mbrs,
+    data_counts,
+    *,
+    dmbr_row: np.ndarray | None = None,
+    only_below: float | None = None,
+) -> list[NormalizedDistance]:
+    """``Dnorm`` against *every* anchor of a data sequence at once.
+
+    Semantically identical to calling :func:`normalized_distance` for each
+    ``target_index`` (a property test asserts this), but O(r) instead of
+    O(r^2): every candidate window is enumerated once via prefix sums of
+    the point counts and of ``Dmbr * count``, and each anchor then takes
+    the minimum over the windows whose fully-weighted span covers it.
+
+    Parameters
+    ----------
+    only_below:
+        When given, only the anchors whose ``Dnorm`` is at most this value
+        are materialised (the search's Phase 3 only acts on sub-threshold
+        anchors); ``None`` returns every anchor, in order.
+
+    Returns
+    -------
+    list of NormalizedDistance
+        One entry per anchor (filtered and still anchor-ordered when
+        ``only_below`` is given).
+    """
+    counts = np.asarray(data_counts, dtype=np.int64)
+    mbr_list = list(data_mbrs)
+    r = len(mbr_list)
+    if counts.shape != (r,):
+        raise ValueError(
+            f"data_counts must have one entry per data MBR; got {counts.shape} "
+            f"for {r} MBRs"
+        )
+    if r == 0:
+        raise ValueError("data sequence has no MBRs")
+    if np.any(counts < 1):
+        raise ValueError("every data MBR must contain at least one point")
+    if query_count < 1:
+        raise ValueError(f"query_count must be >= 1, got {query_count}")
+    if dmbr_row is None:
+        dmbr_row = np.array(
+            [query_mbr.min_distance(m) for m in mbr_list], dtype=np.float64
+        )
+    else:
+        dmbr_row = np.asarray(dmbr_row, dtype=np.float64)
+        if dmbr_row.shape != (r,):
+            raise ValueError(
+                f"dmbr_row must have one entry per data MBR; got {dmbr_row.shape}"
+            )
+
+    # The remainder runs in plain Python: the per-sequence segment counts
+    # this operates on are tiny (typically < 100), where list arithmetic
+    # and bisect beat numpy's per-call overhead by an order of magnitude.
+    count_list = counts.tolist()
+    row_list = dmbr_row.tolist()
+    prefix = [0] * (r + 1)
+    weighted_prefix = [0.0] * (r + 1)
+    for index in range(r):
+        prefix[index + 1] = prefix[index] + count_list[index]
+        weighted_prefix[index + 1] = (
+            weighted_prefix[index] + row_list[index] * count_list[index]
+        )
+    total = prefix[-1]
+
+    windows: list[DnormWindow] = []
+    # LD windows, one per start k: fully weighted k..l-1, marginal l.
+    for k in range(r):
+        l = bisect.bisect_left(prefix, prefix[k] + query_count) - 1
+        if l >= r or l <= k:
+            continue
+        marginal = query_count - (prefix[l] - prefix[k])
+        value = (
+            weighted_prefix[l] - weighted_prefix[k] + row_list[l] * marginal
+        ) / query_count
+        windows.append(
+            DnormWindow(
+                value=value,
+                first=k,
+                last=l,
+                marginal_index=l,
+                marginal_count=marginal,
+                marginal_side="right",
+                anchor_first=k,
+                anchor_last=l - 1,
+            )
+        )
+    # RD windows, one per end q_end: marginal p, fully weighted p+1..q_end.
+    for q_end in range(r):
+        threshold = prefix[q_end + 1] - query_count
+        if threshold < 0:
+            continue
+        p = bisect.bisect_right(prefix, threshold) - 1
+        if p >= q_end:
+            continue
+        marginal = query_count - (prefix[q_end + 1] - prefix[p + 1])
+        value = (
+            weighted_prefix[q_end + 1]
+            - weighted_prefix[p + 1]
+            + row_list[p] * marginal
+        ) / query_count
+        windows.append(
+            DnormWindow(
+                value=value,
+                first=p,
+                last=q_end,
+                marginal_index=p,
+                marginal_count=marginal,
+                marginal_side="left",
+                anchor_first=p + 1,
+                anchor_last=q_end,
+            )
+        )
+
+    fallback_value = weighted_prefix[-1] / total
+
+    # Anchor-wise minimum over covering windows; no result objects are
+    # built for anchors the caller will discard.
+    values = [
+        row_list[anchor] if count_list[anchor] >= query_count else INFINITY
+        for anchor in range(r)
+    ]
+    window_of = [-1] * r
+    for window_id, window in enumerate(windows):
+        value = window.value
+        for anchor in range(window.anchor_first, window.anchor_last + 1):
+            if count_list[anchor] < query_count and value < values[anchor]:
+                values[anchor] = value
+                window_of[anchor] = window_id
+    for anchor in range(r):
+        if count_list[anchor] < query_count and window_of[anchor] == -1:
+            values[anchor] = fallback_value
+
+    def materialise(anchor: int) -> NormalizedDistance:
+        if count_list[anchor] >= query_count:
+            return NormalizedDistance(
+                value=row_list[anchor],
+                target_index=anchor,
+                window=(anchor, anchor),
+                marginal_index=None,
+                marginal_count=0,
+                marginal_side="none",
+            )
+        window_id = window_of[anchor]
+        if window_id >= 0:
+            return windows[window_id].as_result(anchor)
+        return NormalizedDistance(
+            value=fallback_value,
+            target_index=anchor,
+            window=(0, r - 1),
+            marginal_index=None,
+            marginal_count=0,
+            marginal_side="none",
+        )
+
+    if only_below is None:
+        return [materialise(anchor) for anchor in range(r)]
+    return [
+        materialise(anchor)
+        for anchor in range(r)
+        if values[anchor] <= only_below
+    ]
+
+
+
+
+# ----------------------------------------------------------------------
+# Strategies and the per-pair reference built on it
+# ----------------------------------------------------------------------
 def walks(dimension: int, length):
     """Strategy: a clipped random walk with many exactly repeated points."""
     steps = arrays(
@@ -39,7 +285,8 @@ def walks(dimension: int, length):
 
 
 @st.composite
-def cases(draw, min_sequences=0):
+def corpora(draw, min_sequences=0):
+    """A small database, plus a way to draw queries that often match it."""
     dimension = draw(st.integers(1, 3))
     max_points = draw(st.integers(1, 8))
     corpus = draw(
@@ -49,15 +296,27 @@ def cases(draw, min_sequences=0):
             max_size=6,
         )
     )
-    query = draw(walks(dimension, st.integers(1, 50)))
+    database = SequenceDatabase(dimension, max_points=max_points)
+    for ordinal, points in enumerate(corpus):
+        database.add(points, sequence_id=f"s{ordinal}")
+    return database, corpus
+
+
+@st.composite
+def queries_for(draw, corpus, dimension, max_length=50):
+    query = draw(walks(dimension, st.integers(1, max_length)))
     if corpus and draw(st.booleans()):
         # A query cut out of the corpus: exact zeros and real matches.
         source = corpus[draw(st.integers(0, len(corpus) - 1))]
         start = draw(st.integers(0, len(source) - 1))
         query = source[start : start + draw(st.integers(1, 30))]
-    database = SequenceDatabase(dimension, max_points=max_points)
-    for ordinal, points in enumerate(corpus):
-        database.add(points, sequence_id=f"s{ordinal}")
+    return query
+
+
+@st.composite
+def cases(draw, min_sequences=0):
+    database, corpus = draw(corpora(min_sequences))
+    query = draw(queries_for(corpus, database.dimension))
     chosen = (
         draw(st.lists(st.sampled_from(sorted(database.ids())), unique=True))
         if corpus
@@ -67,26 +326,32 @@ def cases(draw, min_sequences=0):
 
 
 def reference_phase3(query_partition, partition, epsilon, find_intervals):
-    """Phase 3 for one sequence, straight from ``normalized_distance_row``.
+    """Phase 3 for one (query, sequence) pair from ``normalized_distance_row``.
 
     Returns ``(matched, interval, dmbr_rows, dnorm_evaluations)``; without
-    intervals it stops at the first query MBR that matches, as the search
-    always has.
+    intervals it stops at the first probe that matches, as the search
+    always has.  A query holding more points than the sequence swaps the
+    roles: each data segment probes the query's partition, and a hit
+    contributes that data segment's whole span.
     """
-    counts = partition.counts
-    segments = partition.segments
+    swapped = len(query_partition.sequence) > len(partition.sequence)
+    probes, targets = (
+        (partition, query_partition) if swapped else (query_partition, partition)
+    )
+    counts = targets.counts
+    segments = targets.segments
     spans = []
     matched = False
     dmbr_rows = dnorm_evaluations = 0
-    for query_segment in query_partition:
-        row = partition.mbr_distance_row(query_segment.mbr)
+    for probe in probes:
+        row = targets.mbr_distance_row(probe.mbr)
         dmbr_rows += 1
         if float(row.min()) > epsilon:
             continue
         results = normalized_distance_row(
-            query_segment.mbr,
-            int(query_segment.count),
-            partition.mbrs,
+            probe.mbr,
+            int(probe.count),
+            targets.mbrs,
             counts,
             dmbr_row=row,
             only_below=epsilon,
@@ -96,6 +361,9 @@ def reference_phase3(query_partition, partition, epsilon, find_intervals):
             matched = True
             if not find_intervals:
                 break
+            if swapped:
+                spans.append((probe.start, probe.stop))
+                continue
             for result in results:
                 for t, first, last in result.involved_points(counts):
                     base = segments[t].start
@@ -103,6 +371,141 @@ def reference_phase3(query_partition, partition, epsilon, find_intervals):
     return matched, IntervalSet(spans), dmbr_rows, dnorm_evaluations
 
 
+def kernel_rows(database, rows, query_partition, epsilon, find_intervals, stats):
+    """``phase3_kernel`` for one query against table rows: ``row -> interval``."""
+    found = phase3_kernel(
+        database.segment_table,
+        [(query_partition, epsilon)],
+        np.zeros(len(rows), dtype=np.int64),
+        rows,
+        find_intervals=find_intervals,
+        stats=stats,
+    )
+    return {int(rows[pair]): interval for pair, interval in found.items()}
+
+
+def reference_best(query_partition, partition):
+    """What ``explain`` reports, the way it used to find it: every anchor of
+    every probe in order, a strict ``<`` keeping the first smallest
+    ``Dnorm``.  Returns ``(min Dmbr, probe index, NormalizedDistance)``."""
+    swapped = len(query_partition.sequence) > len(partition.sequence)
+    probes, targets = (
+        (partition, query_partition) if swapped else (query_partition, partition)
+    )
+    floors = []
+    best = None
+    for probe in probes:
+        row = targets.mbr_distance_row(probe.mbr)
+        floors.append(float(row.min()))
+        for result in normalized_distance_row(
+            probe.mbr, int(probe.count), targets.mbrs, targets.counts, dmbr_row=row
+        ):
+            if best is None or result.value < best[1].value:
+                best = (probe.index, result)
+    return min(floors), best[0], best[1]
+
+
+# ----------------------------------------------------------------------
+# The body itself, instance by instance
+# ----------------------------------------------------------------------
+@st.composite
+def instance_sets(draw):
+    """Stacked runs and instances over them, probe counts unconstrained:
+    a probe may hold more points than its whole target run (Definition 5's
+    fallback), which no search can ask for."""
+    dimension = draw(st.integers(1, 3))
+    max_points = draw(st.integers(1, 6))
+    partitions = [
+        partition_sequence(points, max_points=max_points)
+        for points in draw(
+            st.lists(walks(dimension, st.integers(1, 25)), min_size=1, max_size=4)
+        )
+    ]
+    instances = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(partitions) - 1),  # target run
+                st.integers(0, len(partitions) - 1),  # partition of the probe
+                st.integers(0, 24),  # its segment (wrapped)
+                st.integers(1, 30),  # |q_i|
+                st.sampled_from([*_EPSILONS, INFINITY]),
+            ),
+            max_size=8,
+        )
+    )
+    return partitions, instances
+
+
+class TestBodyEqualsRowReference:
+    @given(instance_sets(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_every_instance(self, drawn, chunked):
+        partitions, instances = drawn
+        runs = SegmentRuns.of(partitions)
+        probes = [
+            partitions[p].segments[s % len(partitions[p])].mbr
+            for _, p, s, _, _ in instances
+        ]
+        arguments = (
+            runs,
+            np.array([t for t, *_ in instances], dtype=np.int64),
+            np.array([mbr.low for mbr in probes]).reshape(-1, runs.lows.shape[1]),
+            np.array([mbr.high for mbr in probes]).reshape(-1, runs.lows.shape[1]),
+            np.array([count for *_, count, _ in instances], dtype=np.int64),
+            np.array([epsilon for *_, epsilon in instances], dtype=np.float64),
+        )
+        original = distance_module._PHASE3_CHUNK_SEGMENTS
+        distance_module._PHASE3_CHUNK_SEGMENTS = 1 if chunked else original
+        try:
+            nearest, found, windows = dnorm_instances(*arguments)
+            _, found_only, none = dnorm_instances(*arguments, windows=False)
+        finally:
+            distance_module._PHASE3_CHUNK_SEGMENTS = original
+        assert found_only.tolist() == found.tolist()
+        if not contracts_enabled():
+            assert len(none.instance) == 0
+
+        emitted = {}
+        for fields in zip(
+            *(
+                getattr(windows, name).tolist()
+                for name in (
+                    "instance", "anchor", "first", "last", "value", "start", "stop"
+                )
+            )
+        ):
+            emitted.setdefault(fields[0], set()).add(fields[1:])
+        for index, ((target, _, _, count, epsilon), probe) in enumerate(
+            zip(instances, probes)
+        ):
+            partition = partitions[target]
+            counts = partition.counts
+            row = partition.mbr_distance_row(probe)
+            results = normalized_distance_row(
+                probe, count, partition.mbrs, counts, dmbr_row=row, only_below=epsilon
+            )
+            assert nearest[index] == row.min()
+            assert found[index] == bool(results)
+            expected = {}
+            for result in results:  # anchors ascend: the first one is kept
+                points = [
+                    (partition.segments[t].start + first, partition.segments[t].start + last + 1)
+                    for t, first, last in result.involved_points(counts)
+                ]
+                # An LD and an RD window may cover the same segments.
+                expected.setdefault(
+                    (*result.window, result.value, result.marginal_side),
+                    (result.target_index, points[0][0], points[-1][1]),
+                )
+            assert emitted.get(index, set()) == {
+                (anchor, first, last, value, start, stop)
+                for (first, last, value, _), (anchor, start, stop) in expected.items()
+            }
+
+
+# ----------------------------------------------------------------------
+# One query, many sequences
+# ----------------------------------------------------------------------
 class TestKernelEqualsReference:
     @given(cases(), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -117,16 +520,11 @@ class TestKernelEqualsReference:
         )
 
         stats = SearchStats()
-        matched, windows = phase3_kernel(
-            database,
-            rows,
-            query_partition,
-            epsilon,
-            find_intervals=find_intervals,
-            stats=stats,
+        found = kernel_rows(
+            database, rows, query_partition, epsilon, find_intervals, stats
         )
-        intervals = windows.solution_intervals()
 
+        expected = {}
         expected_rows = expected_evaluations = 0
         for row in rows.tolist():
             hit, interval, dmbr_rows, dnorm_evaluations = reference_phase3(
@@ -137,20 +535,21 @@ class TestKernelEqualsReference:
             )
             expected_rows += dmbr_rows
             expected_evaluations += dnorm_evaluations
-            assert (row in matched.tolist()) == hit, table.ids[row]
-            assert intervals.get(row, IntervalSet()) == interval, table.ids[row]
+            if hit:
+                expected[row] = interval
+                # Every match has points behind it when they are asked for.
+                assert bool(interval) == find_intervals, table.ids[row]
+        assert found == expected
+        assert list(found) == list(expected)  # ascending rows
         assert stats.dmbr_rows == expected_rows
         assert stats.dnorm_evaluations == expected_evaluations
-        # Every match has a window behind it when windows are asked for.
-        assert set(intervals) == (
-            set(matched.tolist()) if find_intervals else set()
-        )
 
     @given(cases(), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_batched_siblings_equal_single_id_calls(self, case, find_intervals):
-        """``match_candidates`` / ``candidates_within`` against one id at a
-        time — which also sends long queries down the role-swapped path."""
+        """``match_candidates`` / ``candidates_within`` over a list against
+        one-element lists and against the reference — which also sends
+        long queries down the role-swapped instances."""
         database, query, chosen, epsilon = case
         search = SimilaritySearch(database)
         query_partition = partition_sequence(
@@ -161,15 +560,18 @@ class TestKernelEqualsReference:
         assert search.candidates_within(query_partition, chosen, epsilon) == [
             sid
             for sid in in_order
-            if search.candidate_within(query_partition, sid, epsilon)
+            if search.candidates_within(query_partition, [sid], epsilon)
         ]
         expected = {}
         for sid in in_order:
-            hit, interval = search.match_candidate(
-                query_partition, sid, epsilon, find_intervals=find_intervals
+            hit, interval, _, _ = reference_phase3(
+                query_partition, database.partition(sid), epsilon, find_intervals
             )
-            if hit:
-                expected[sid] = interval
+            alone = search.match_candidates(
+                query_partition, [sid], epsilon, find_intervals=find_intervals
+            )
+            assert alone == ({sid: interval} if hit else {})
+            expected.update(alone)
         got = search.match_candidates(
             query_partition, chosen, epsilon, find_intervals=find_intervals
         )
@@ -187,28 +589,133 @@ class TestKernelEqualsReference:
         partition = partition_sequence(query)
         assert search.match_candidates(partition, [], 0.3) == {}
         assert search.candidates_within(partition, [], 0.3) == []
+        assert search.match_queries([], "only") == []
 
     def test_a_window_never_reaches_into_the_next_sequence(self):
-        """Two one-point sequences side by side in the table: a 2-point
-        query MBR finds no window in either (only the fallback), so the
-        near one must not borrow the far one's point, nor the reverse."""
+        """Two-point sequences of one-point segments side by side in the
+        table: a 2-point query MBR has exactly one window in each, so the
+        near ones must not borrow the far one's points, nor the reverse."""
         database = SequenceDatabase(1, max_points=1)
-        database.add([[0.5]], sequence_id="near")
-        database.add([[0.9]], sequence_id="far")
-        database.add([[0.5]], sequence_id="near-too")
+        database.add([[0.5], [0.5]], sequence_id="near")
+        database.add([[0.9], [0.9]], sequence_id="far")
+        database.add([[0.5], [0.5]], sequence_id="near-too")
         search = SimilaritySearch(database)
         partition = partition_sequence(np.array([[0.5], [0.5]]), max_points=2)
         assert len(partition) == 1 and partition[0].count == 2
-        stats = SearchStats()
-        matched, windows = phase3_kernel(
-            database, np.arange(3), partition, 0.1, find_intervals=True, stats=stats
+        found = kernel_rows(
+            database, np.arange(3), partition, 0.1, True, SearchStats()
         )
-        assert matched.tolist() == [0, 2]
-        assert windows.solution_intervals() == {
-            0: IntervalSet([(0, 1)]),
-            2: IntervalSet([(0, 1)]),
-        }
+        assert found == {0: IntervalSet([(0, 2)]), 2: IntervalSet([(0, 2)])}
         assert search.search(np.array([[0.5], [0.5]]), 0.1).answers == [
             "near",
             "near-too",
         ]
+
+
+# ----------------------------------------------------------------------
+# Long queries: the swapped instances, batched
+# ----------------------------------------------------------------------
+class TestLongQueryCandidates:
+    @given(corpora(min_sequences=1), st.data(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_hits_spans_and_counters(self, drawn, data, find_intervals):
+        """Every stored sequence is shorter than the query, so every
+        candidate takes the role swap — all of them in one pass."""
+        database, corpus = drawn
+        longest = max(len(points) for points in corpus)
+        query = data.draw(
+            walks(database.dimension, st.integers(longest + 1, longest + 30))
+        )
+        if data.draw(st.booleans()):
+            # The query contains a stored sequence: a real long-query match.
+            query[3 : 3 + len(corpus[0])] = corpus[0][: len(query) - 3]
+        epsilon = data.draw(st.sampled_from(_EPSILONS))
+        query_partition = partition_sequence(query, max_points=database.max_points)
+        search = SimilaritySearch(database)
+
+        result = search.search(query, epsilon, find_intervals=find_intervals)
+        expected = {}
+        expected_rows = expected_evaluations = 0
+        for sid in result.candidates:
+            hit, interval, dmbr_rows, dnorm_evaluations = reference_phase3(
+                query_partition, database.partition(sid), epsilon, find_intervals
+            )
+            expected_rows += dmbr_rows
+            expected_evaluations += dnorm_evaluations
+            if hit:
+                expected[sid] = interval
+        assert result.answers == list(expected)
+        assert result.solution_intervals == (expected if find_intervals else {})
+        assert result.stats.dmbr_rows == expected_rows
+        assert result.stats.dnorm_evaluations == expected_evaluations
+
+
+# ----------------------------------------------------------------------
+# Many queries, one sequence (the ε-cache patch)
+# ----------------------------------------------------------------------
+class TestMatchQueries:
+    @given(corpora(min_sequences=1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_each_query_at_its_own_threshold(self, drawn, data):
+        database, corpus = drawn
+        search = SimilaritySearch(database)
+        sid = data.draw(st.sampled_from(sorted(database.ids())))
+        queries = [
+            (
+                partition_sequence(
+                    data.draw(queries_for(corpus, database.dimension)),
+                    max_points=database.max_points,
+                ),
+                data.draw(st.sampled_from(_EPSILONS)),
+                data.draw(st.booleans()),
+            )
+            for _ in range(data.draw(st.integers(0, 6)))
+        ]
+        expected = []
+        for query_partition, epsilon, find_intervals in queries:
+            hit, interval, _, _ = reference_phase3(
+                query_partition, database.partition(sid), epsilon, find_intervals
+            )
+            expected.append(interval if hit else None)
+        assert search.match_queries(queries, sid) == expected
+
+    def test_validation(self):
+        database = SequenceDatabase(1)
+        database.add(np.full((12, 1), 0.9), sequence_id="only")
+        search = SimilaritySearch(database)
+        partition = partition_sequence(np.full((4, 1), 0.5))
+        assert search.match_queries(
+            [(partition, 0.0, True), (partition, 0.5, True), (partition, 0.5, False)],
+            "only",
+        ) == [None, IntervalSet([(0, 12)]), IntervalSet()]
+        with pytest.raises(KeyError):
+            search.match_queries([(partition, 0.1, True)], "missing")
+        with pytest.raises(ValueError):
+            search.match_queries([(partition, -0.1, True)], "only")
+
+
+# ----------------------------------------------------------------------
+# explain / min_normalized_distance: the same body at eps = inf
+# ----------------------------------------------------------------------
+class TestUnthresholdedCallers:
+    @given(cases(min_sequences=1))
+    @settings(max_examples=200, deadline=None)
+    def test_explain_and_min_dnorm_are_the_references(self, case):
+        database, query, _, epsilon = case
+        search = SimilaritySearch(database)
+        query_partition = partition_sequence(
+            query, max_points=database.max_points
+        )
+        for sid, partition in database.partitions():
+            min_dmbr, probe, best = reference_best(query_partition, partition)
+            explanation = search.explain(query, epsilon, sid)
+            # Bit for bit: these are the same sums in the same order.
+            assert explanation.min_dmbr.hex() == min_dmbr.hex()
+            assert explanation.min_dnorm.hex() == float(best.value).hex()
+            assert explanation.best_probe_segment == probe
+            assert explanation.best_anchor == best.target_index
+            assert explanation.best_window == best.window
+            assert (
+                min_normalized_distance(query_partition, partition).hex()
+                == float(best.value).hex()
+            )

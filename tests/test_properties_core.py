@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.distance import (
+    dnorm_between,
     mean_distance,
     min_normalized_distance,
     normalized_distance,
-    normalized_distance_row,
     point_distance,
     sequence_distance,
 )
@@ -163,32 +163,50 @@ class TestRowApiEquivalence:
     @given(paired_points(min_len=2, max_len=30))
     @settings(max_examples=100, deadline=None)
     def test_row_matches_scalar_anchors(self, pair):
-        """normalized_distance_row must agree with per-anchor calls, both in
-        value and in the size of the participating window."""
-        q, s = pair
+        """The batched body must agree with per-anchor ``normalized_distance``
+        calls, both in value and in the size of the participating window:
+        at ``eps = inf`` every anchor takes its value from a reported window
+        that contains it."""
+        q, s = sorted(pair, key=len)  # the one with fewer points probes
         qp = partition_sequence(MultidimensionalSequence(q), max_points=4)
         dp = partition_sequence(MultidimensionalSequence(s), max_points=3)
         counts = dp.counts
-        for qs in qp:
-            row_results = normalized_distance_row(
-                qs.mbr, int(qs.count), dp.mbrs, counts
+        _, windows = dnorm_between(qp, dp)
+        reported = list(
+            zip(
+                windows.instance.tolist(),
+                windows.anchor.tolist(),
+                windows.first.tolist(),
+                windows.last.tolist(),
+                windows.value.tolist(),
+                (windows.stop - windows.start).tolist(),
             )
-            assert len(row_results) == len(dp)
-            for anchor, fast in enumerate(row_results):
+        )
+        for qs in qp:
+            for anchor in range(len(dp)):
                 slow = normalized_distance(
                     qs.mbr, int(qs.count), dp.mbrs, counts, anchor
-                )
-                assert abs(fast.value - slow.value) <= TOLERANCE
-                assert fast.target_index == anchor
-                fast_points = sum(
-                    last - first + 1
-                    for _, first, last in fast.involved_points(counts)
                 )
                 slow_points = sum(
                     last - first + 1
                     for _, first, last in slow.involved_points(counts)
                 )
-                assert fast_points == slow_points
+                assert any(
+                    instance == qs.index
+                    and first <= anchor <= last
+                    and abs(value - slow.value) <= TOLERANCE
+                    and points == slow_points
+                    for instance, _, first, last, value, points in reported
+                )
+        for instance, anchor, _, _, value, points in reported:
+            # The anchor a window is reported for does take that value.
+            slow = normalized_distance(
+                qp[instance].mbr, int(qp[instance].count), dp.mbrs, counts, anchor
+            )
+            assert abs(value - slow.value) <= TOLERANCE
+            assert points == sum(
+                last - first + 1 for _, first, last in slow.involved_points(counts)
+            )
 
 
 class TestDistanceProperties:

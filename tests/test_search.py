@@ -165,19 +165,22 @@ class TestStatsAndValidation:
         assert 4 in result
 
     def test_candidate_within_matches_lower_bound(self, populated, rng):
-        """The early-exit membership test agrees with the exact bound at
-        every threshold, including exactly at the bound value."""
+        """The membership test agrees with the exact bound at every
+        threshold, including exactly at the bound value."""
         db, _ = populated
         engine = SimilaritySearch(db)
         partition = engine.search(smooth_walk(rng, 30), 0.2).query_partition
         for sid in list(db.ids())[:8]:
-            bound = engine.candidate_lower_bound(partition, sid)
+            bound = min(
+                float(db.partition(sid).mbr_distance_row(segment.mbr).min())
+                for segment in partition
+            )
             for epsilon in (bound / 2, bound, bound * 2, 0.0, 0.5):
-                assert engine.candidate_within(partition, sid, epsilon) == (
-                    bound <= epsilon
+                assert engine.candidates_within(partition, [sid], epsilon) == (
+                    [sid] if bound <= epsilon else []
                 )
         with pytest.raises(ValueError, match="epsilon"):
-            engine.candidate_within(partition, 0, -0.5)
+            engine.candidates_within(partition, [0], -0.5)
 
 
 class TestKnn:

@@ -214,16 +214,16 @@ def reference_apply_write(entries, sequence_id, search, new_version):
                 for segment in entry.query_partition
             ):
                 candidates.add(sequence_id)
-                matched, interval = search.match_candidate(
+                matched = search.match_candidates(
                     entry.query_partition,
-                    sequence_id,
+                    [sequence_id],
                     entry.epsilon,
                     find_intervals=entry.find_intervals,
                 )
                 if matched:
                     answers.add(sequence_id)
                     if entry.find_intervals:
-                        intervals[sequence_id] = interval
+                        intervals.update(matched)
             patched += 1
         outcome[key] = (candidates, answers, intervals)
     return outcome, patched
@@ -382,12 +382,17 @@ class TestQueriesWithin:
             queries = [(partition, epsilon) for partition in partitions]
             for sid in database.ids():
                 verdicts = search.queries_within(queries, sid)
+                stored = database.partition(sid)
                 assert verdicts == [
-                    search.candidate_lower_bound(partition, sid) <= epsilon
+                    min(
+                        float(stored.mbr_distance_row(segment.mbr).min())
+                        for segment in partition
+                    )
+                    <= epsilon
                     for partition in partitions
                 ]
                 assert verdicts == [
-                    search.candidate_within(partition, sid, epsilon)
+                    search.candidates_within(partition, [sid], epsilon) == [sid]
                     for partition in partitions
                 ]
         assert search.queries_within([], "s0") == []

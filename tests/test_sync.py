@@ -490,37 +490,35 @@ class TestClusterStress:
 class TestSeededInversion:
     def test_staged_inversion_is_caught(self):
         """The acceptance check: wire a deliberate a->b / b->a inversion
-        through two threads and require the sanitizer to name it."""
+        through two threads and require the sanitizer to name it.
+
+        The order graph is cumulative, so the two acquisitions need not
+        overlap in time: the writer records checkpoint -> cache and is
+        gone before the evictor takes cache -> checkpoint.  Which thread
+        closes the cycle is then fixed, not left to the scheduler.
+        """
         checkpoint_lock = TracedLock("seeded.checkpoint")
         cache_lock = TracedLock("seeded.cache")
-        barrier = threading.Barrier(2, timeout=5.0)
         caught = []
 
         def writer():
             with checkpoint_lock:
-                barrier.wait()
-                time.sleep(0.01)
                 with cache_lock:
                     pass
 
         def evictor():
             try:
                 with cache_lock:
-                    barrier.wait()
-                    time.sleep(0.01)
                     with checkpoint_lock:
                         pass
             except LockOrderViolation as error:
                 caught.append(error)
 
         with checking_sync():
-            threads = [
-                threading.Thread(target=writer),
-                threading.Thread(target=evictor),
-            ]
-            for thread in threads:
+            for body in (writer, evictor):
+                thread = threading.Thread(target=body)
                 thread.start()
-            for thread in threads:
                 thread.join(timeout=10.0)
+                assert not thread.is_alive()
         assert len(caught) == 1
         assert set(caught[0].cycle) >= {"seeded.checkpoint", "seeded.cache"}

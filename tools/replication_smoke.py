@@ -111,16 +111,25 @@ def _corpus_fingerprint(export: dict) -> list[tuple]:
     )
 
 
-def _await_caught_up(client, what: str) -> dict:
-    """Poll ``/healthz`` until the follower's replication lag is zero."""
+def _await_caught_up(client, leader, what: str) -> dict:
+    """Poll ``/healthz`` until the follower has applied the leader's last
+    record.
+
+    The target is read from the leader, not from the follower's own
+    ``lag``: a restarted follower reports ``lag == 0`` with the cursor it
+    persisted before it has polled once.  A durable leader publishes
+    ``snapshot_version == wal_last_seq`` after every commit, so its
+    ``/healthz`` ``snapshot_version`` is the sequence number to reach.
+    """
+    target = leader.healthz()["snapshot_version"]
     deadline = time.monotonic() + CATCHUP_DEADLINE
     status: dict = {}
     while time.monotonic() < deadline:
         status = dict(client.healthz()["replication"])
-        if status["lag"] == 0 and status["applied_seq"] > 0:
+        if status["applied_seq"] == target:
             return status
         time.sleep(0.2)
-    raise RuntimeError(f"{what} never caught up: {status}")
+    raise RuntimeError(f"{what} never reached seq {target}: {status}")
 
 
 def _phase_one(tmp: Path) -> None:
@@ -205,8 +214,8 @@ def _phase_one(tmp: Path) -> None:
 
         follower_a = ServiceClient(fa_url, timeout=10.0)
         follower_b = ServiceClient(fb_url, timeout=10.0)
-        status_a = _await_caught_up(follower_a, "follower A")
-        status_b = _await_caught_up(follower_b, "follower B (restarted)")
+        status_a = _await_caught_up(follower_a, leader, "follower A")
+        status_b = _await_caught_up(follower_b, leader, "follower B (restarted)")
         if status_b["resyncs"] != 0:
             raise RuntimeError(
                 "restarted follower fell back to a snapshot resync "
