@@ -30,7 +30,8 @@ PROBES = 200
 
 def _database():
     corpus = generate_video_corpus(120, length_range=(56, 256), seed=303)
-    database = SequenceDatabase(dimension=3)
+    # Pages are R-tree nodes: the object tree, not the default packed arrays.
+    database = SequenceDatabase(dimension=3, index_kind="rtree")
     for stream in corpus:
         database.add(stream)
     return database

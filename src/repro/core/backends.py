@@ -18,23 +18,35 @@ registration.  Third-party backends can register their own factories::
         "mytree",
         factory=lambda dimension, max_entries: MyTree(dimension),
     )
+
+There are two families.  A *tree* backend holds ``(MBR, payload)`` leaf
+entries the database inserts and deletes one by one (or bulk-loads): the
+paper's §3.4.1 substrate.  An *array-backed* backend (``table_factory``)
+is derived from the database's segment table — the corner arrays, not one
+object per segment — and answers Phase 2 for all of a query's MBRs in one
+call; ``"packed"``, the database's default, is one.
 """
 
 from __future__ import annotations
 
 import importlib
 import threading
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.core.mbr import MBR
 
 __all__ = [
+    "ArrayIndexBackend",
     "IndexBackend",
     "IndexBackendSpec",
+    "IndexCounters",
     "IndexEntry",
+    "TreeIndexBackend",
     "available_backends",
     "bulk_build_index",
     "create_index",
@@ -58,11 +70,36 @@ class IndexEntry(Protocol):
     def payload(self) -> object: ...
 
 
+class IndexCounters(Protocol):
+    """The access counters an index carries across probes."""
+
+    node_accesses: int
+
+
 class IndexBackend(Protocol):
-    """The structural interface ``core`` requires of a spatial index.
+    """What ``SequenceDatabase.index`` offers whatever the kind.
+
+    ``search_within`` is the Phase-2 probe for one rectangle: the entries
+    with ``Dmbr <= epsilon``, as a sized collection — leaf entries of a
+    tree, ``(sequence row, segment index)`` pairs of an array-backed
+    index.  ``stats.node_accesses`` grows with every probe.
+    """
+
+    @property
+    def stats(self) -> IndexCounters: ...
+
+    def search_within(
+        self, query_mbr: MBR, epsilon: float
+    ) -> Collection[object]: ...
+
+    def __len__(self) -> int: ...
+
+
+class TreeIndexBackend(IndexBackend, Protocol):
+    """A tree of ``(MBR, payload)`` leaf entries the database maintains.
 
     Any object with these methods can serve as a ``SequenceDatabase``
-    index; the R-tree family in :mod:`repro.index` provides the defaults.
+    index; the R-tree family in :mod:`repro.index` provides three.
     """
 
     def insert(self, mbr: MBR, payload: object) -> None: ...
@@ -71,21 +108,52 @@ class IndexBackend(Protocol):
 
     def search_within(
         self, query_mbr: MBR, epsilon: float
-    ) -> Iterator[IndexEntry]: ...
-
-    def __len__(self) -> int: ...
+    ) -> Collection[IndexEntry]: ...
 
 
-#: ``factory(dimension, max_entries) -> IndexBackend``
-Factory = Callable[[int, int], IndexBackend]
-#: ``bulk_factory(items, dimension, max_entries) -> IndexBackend``
+class ArrayIndexBackend(IndexBackend, Protocol):
+    """An index derived from the segment table's arrays.
+
+    Immutable: a write yields a successor through the backend's
+    ``table_factory``, never a change to this object.
+    """
+
+    def candidate_rows(
+        self, lows: np.ndarray, highs: np.ndarray, epsilon: float
+    ) -> tuple[np.ndarray, int]:
+        """Phase 2 for all probes ``(lows[i], highs[i])`` at once: the
+        ascending table rows of the sequences owning an entry within
+        ``epsilon`` of some probe, and the node accesses spent."""
+        ...
+
+
+#: ``factory(dimension, max_entries) -> TreeIndexBackend``
+Factory = Callable[[int, int], TreeIndexBackend]
+#: ``bulk_factory(items, dimension, max_entries) -> TreeIndexBackend``
 BulkFactory = Callable[
-    [Sequence[tuple["MBR", object]], int, int], IndexBackend
+    [Sequence[tuple["MBR", object]], int, int], TreeIndexBackend
+]
+#: ``table_factory(low_columns, high_columns, sequence_offsets, previous,
+#: written_rows) -> ArrayIndexBackend`` — the index of a segment table
+#: given by its column-major ``(n, S)`` corner arrays and the ``(N + 1,)``
+#: first segment of each sequence row.  ``previous`` is the index of the
+#: table this one was written from (``None``: build anew) and
+#: ``written_rows`` the rows added or rewritten since; rows may only have
+#: been appended or rewritten in place between the two, never removed.
+TableFactory = Callable[
+    [
+        "np.ndarray",
+        "np.ndarray",
+        "np.ndarray",
+        "ArrayIndexBackend | None",
+        Sequence[int],
+    ],
+    ArrayIndexBackend,
 ]
 #: ``dumps(index) -> bytes`` — flat persistence of a built index.
-Dumps = Callable[[IndexBackend], bytes]
-#: ``loads(data) -> IndexBackend`` — inverse of ``Dumps``.
-Loads = Callable[[bytes], IndexBackend]
+Dumps = Callable[[TreeIndexBackend], bytes]
+#: ``loads(data) -> TreeIndexBackend`` — inverse of ``Dumps``.
+Loads = Callable[[bytes], TreeIndexBackend]
 
 
 @dataclass(frozen=True)
@@ -102,6 +170,10 @@ class IndexBackendSpec:
     bulk_factory:
         Builds a packed index from all items at once; ``None`` falls back
         to ``factory`` plus an insert loop.
+    table_factory:
+        Makes the backend array-backed: it derives the index from the
+        segment table's arrays (see :data:`TableFactory`) and the database
+        builds no ``(MBR, payload)`` entries for it at all.
     incremental:
         Whether the backend supports in-place insert/delete.  Bulk-only
         backends (STR packing) are rebuilt lazily by the database instead.
@@ -119,8 +191,18 @@ class IndexBackendSpec:
     incremental: bool = True
     dumps: Dumps | None = None
     loads: Loads | None = None
+    table_factory: TableFactory | None = None
 
     def __post_init__(self) -> None:
+        if self.table_factory is not None:
+            if (
+                self.factory or self.bulk_factory or self.dumps or self.incremental
+            ):
+                raise ValueError(
+                    f"array-backed backend {self.name!r} takes a "
+                    f"table_factory alone (incremental=False)"
+                )
+            return
         if self.factory is None and self.bulk_factory is None:
             raise ValueError(
                 f"backend {self.name!r} needs a factory or a bulk_factory"
@@ -149,6 +231,7 @@ def register_index_backend(
     incremental: bool = True,
     dumps: Dumps | None = None,
     loads: Loads | None = None,
+    table_factory: TableFactory | None = None,
 ) -> IndexBackendSpec:
     """Register (or replace) an index backend under ``name``."""
     if not name or not isinstance(name, str):
@@ -160,6 +243,7 @@ def register_index_backend(
         incremental=incremental,
         dumps=dumps,
         loads=loads,
+        table_factory=table_factory,
     )
     with _REGISTRY_LOCK:
         _REGISTRY[name] = spec
@@ -199,7 +283,7 @@ def get_backend(name: str) -> IndexBackendSpec:
 
 def create_index(
     name: str, dimension: int, *, max_entries: int
-) -> IndexBackend:
+) -> TreeIndexBackend:
     """Build an empty incremental index of the given kind."""
     spec = get_backend(name)
     if spec.factory is None:
@@ -216,8 +300,8 @@ def bulk_build_index(
     dimension: int,
     *,
     max_entries: int,
-) -> IndexBackend:
-    """Build an index of the given kind holding ``items``.
+) -> TreeIndexBackend:
+    """Build a tree index of the given kind holding ``items``.
 
     Uses the backend's bulk loader when it has one; otherwise creates an
     empty index and inserts item by item.
@@ -232,7 +316,7 @@ def bulk_build_index(
     return index
 
 
-def serialize_index(name: str, index: IndexBackend) -> bytes | None:
+def serialize_index(name: str, index: TreeIndexBackend) -> bytes | None:
     """Flat-serialise a built index, or ``None`` if the backend can't.
 
     The bytes round-trip through :func:`deserialize_index` with identical
@@ -244,7 +328,7 @@ def serialize_index(name: str, index: IndexBackend) -> bytes | None:
     return spec.dumps(index)
 
 
-def deserialize_index(name: str, data: bytes) -> IndexBackend:
+def deserialize_index(name: str, data: bytes) -> TreeIndexBackend:
     """Restore an index serialised by :func:`serialize_index`."""
     spec = get_backend(name)
     if spec.loads is None:

@@ -2,38 +2,49 @@
 
 Index construction (§3.4.1 of the paper) is pre-processing: each
 multidimensional sequence is partitioned into subsequences with the MCOST
-algorithm, each subsequence's MBR becomes one leaf entry of an R-tree (or a
-variant), keyed by ``(sequence id, segment index)``.  The database owns both
+algorithm and each subsequence's MBR is indexed.  The database owns both
 halves — the partitions (needed by ``Dnorm`` and solution intervals, which
 require point counts and offsets) and the spatial index (needed by the
-Phase-2 ``Dmbr`` probe).
+Phase-2 ``Dmbr`` probe, :meth:`SequenceDatabase.candidate_rows`).
 
 It also owns the **segment table** (:class:`SegmentTable`): every
 partition's MBR matrices and point counts concatenated, in insertion
 order, into a handful of flat frozen arrays.  Phase 3 and the k-NN bounds
 read it instead of visiting one partition object per sequence, so one
 NumPy call covers all candidates at once.  The table is derived state: it
-is built on first use, dropped by every mutation, and shared by
-:meth:`SequenceDatabase.clone` until the twin mutates.
+is built on first use, replaced after every mutation — spliced from its
+predecessor when one write separates the two, rebuilt otherwise — and
+shared by :meth:`SequenceDatabase.clone` until the twin mutates.
+
+The index is one of two families (:mod:`repro.core.backends`).  The
+default, ``"packed"``, is *array-backed*: derived from the segment table
+like the table is from the partitions, immutable, shared by ``clone()``,
+and advanced — not rebuilt — by a write.  The R-tree family (``"rtree"``,
+``"rstar"``, ``"str"``; the paper's substrate) holds one leaf entry per
+segment, keyed by ``(sequence id, segment index)``, which the database
+inserts and deletes as sequences come, grow and go.
 """
 
 from __future__ import annotations
 
 import mmap
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
 from repro.core.backends import (
+    ArrayIndexBackend,
     IndexBackend,
+    TreeIndexBackend,
     bulk_build_index,
-    create_index,
     deserialize_index,
     get_backend,
     serialize_index,
 )
+from repro.core.contracts import ContractViolation, lower_bounds
+from repro.core.distance import min_dmbr_runs
 from repro.core.partitioning import (
     DEFAULT_COST_CONSTANT,
     DEFAULT_MAX_POINTS,
@@ -41,7 +52,9 @@ from repro.core.partitioning import (
     partition_sequence,
 )
 from repro.core.sequence import MultidimensionalSequence
+from repro.util.budget import checkpoint
 from repro.util.freeze import FrozenDict, freeze
+from repro.util.validation import check_threshold
 
 if TYPE_CHECKING:
     import os
@@ -51,7 +64,7 @@ if TYPE_CHECKING:
     SequenceLike = MultidimensionalSequence | npt.ArrayLike
     PathLike = "str | os.PathLike[str]"
 
-__all__ = ["SegmentKey", "SegmentTable", "SequenceDatabase"]
+__all__ = ["SegmentKey", "SegmentTable", "SequenceDatabase", "mapped_blocks"]
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,12 @@ class SegmentTable:
     ids, rows:
         Sequence id per row, and the inverse mapping.
     lows, highs:
-        ``(S, n)`` low / high corners of the segment MBRs.
+        ``(S, n)`` low / high corners of the segment MBRs, a segment per
+        row: what Phase 3 gathers runs of.
+    low_columns, high_columns:
+        The same corners as ``(n, S)``, a contiguous column per dimension:
+        what Phase 2, the k-NN bounds and the packed index scan
+        (:func:`repro.core.mbr.dmbr_columns`).
     counts:
         ``(S,)`` points per segment.
     point_offsets:
@@ -89,12 +107,22 @@ class SegmentTable:
         ``(N,)`` points per sequence.
 
     Every array is frozen; the table is replaced, never patched.
+
+    All the arrays are views of one anonymous memory mapping rather than
+    ``malloc`` blocks.  A serving engine makes a table on every write,
+    each a little larger than the last and freed only when the previous
+    snapshot dies; on the heap of the writing thread those
+    quarter-megabyte blocks left holes that no later table fitted
+    (measured: 3 MB of resident memory after 300 writes to 300
+    sequences).  A mapping goes back to the system when the table does.
     """
 
     ids: tuple[object, ...]
     rows: FrozenDict
     lows: np.ndarray
     highs: np.ndarray
+    low_columns: np.ndarray
+    high_columns: np.ndarray
     counts: np.ndarray
     point_offsets: np.ndarray
     sequence_offsets: np.ndarray
@@ -104,51 +132,157 @@ class SegmentTable:
     def build(
         cls, dimension: int, partitions: dict[object, PartitionedSequence]
     ) -> "SegmentTable":
-        """Concatenate the partitions' matrices in insertion order.
-
-        All six arrays are views of one anonymous memory mapping rather
-        than ``malloc`` blocks.  A serving engine builds a table on every
-        write, each a little larger than the last and freed only when the
-        previous snapshot dies; on the heap of the writing thread those
-        quarter-megabyte blocks left holes that no later table fitted
-        (measured: 3 MB of resident memory after 300 writes to 300
-        sequences).  A mapping goes back to the system when the table does.
-        """
+        """Concatenate the partitions' matrices in insertion order: the
+        cold-start path, and the reference :meth:`spliced` must equal."""
         parts = list(partitions.values())
-        total = sum(len(p) for p in parts)
-        corners = total * dimension
-        words = np.frombuffer(
-            mmap.mmap(-1, 8 * (2 * corners + 2 * total + 2 * len(parts) + 2)),
-            dtype=np.int64,
-        )
-        low_words, high_words, counts, point_offsets, sequence_offsets, lengths = (
-            np.split(
-                words,
-                np.cumsum([corners, corners, total, total + 1, len(parts) + 1]),
-            )
-        )
-        lows = low_words.view(np.float64).reshape(total, dimension)
-        highs = high_words.view(np.float64).reshape(total, dimension)
+        blank = _blank_arrays(dimension, sum(len(p) for p in parts), len(parts))
         if parts:
-            np.concatenate([p.low_matrix for p in parts], out=lows)
-            np.concatenate([p.high_matrix for p in parts], out=highs)
-            np.concatenate([p.counts for p in parts], out=counts)
-        np.cumsum([len(p) for p in parts], out=sequence_offsets[1:])
-        np.cumsum(counts, out=point_offsets[1:])
-        lengths[:] = np.diff(point_offsets[sequence_offsets])
-        return cls(
-            ids=tuple(partitions),
-            rows=FrozenDict(
+            np.concatenate([p.low_matrix for p in parts], out=blank["lows"])
+            np.concatenate([p.high_matrix for p in parts], out=blank["highs"])
+            np.concatenate([p.counts for p in parts], out=blank["counts"])
+            blank["low_columns"][:] = blank["lows"].T
+            blank["high_columns"][:] = blank["highs"].T
+        return cls._sealed(
+            tuple(partitions),
+            FrozenDict(
                 {sid: row for row, sid in enumerate(partitions)},
                 role="database.table",
                 site="SegmentTable.build",
             ),
-            lows=freeze(lows),
-            highs=freeze(highs),
-            counts=freeze(counts),
-            point_offsets=freeze(point_offsets),
-            sequence_offsets=freeze(sequence_offsets),
-            lengths=freeze(lengths),
+            [len(p) for p in parts],
+            blank,
+        )
+
+    def spliced(
+        self, sequence_id: object, partition: PartitionedSequence | None
+    ) -> "SegmentTable":
+        """The table one write after this one.
+
+        ``partition`` is what the database now stores under
+        ``sequence_id`` (``None``: it was removed).  An unknown id appends
+        a run at the end, a known one has its run replaced — or cut — and
+        everything around the run is copied block-wise, so the cost is a
+        ``memcpy`` of the table, not a concatenation of ``N`` matrices.
+        """
+        sequences, dimension = len(self.ids), self.lows.shape[1]
+        row = self.rows.get(sequence_id, sequences)
+        start, stop = self.sequence_offsets[[row, min(row + 1, sequences)]].tolist()
+        sizes = np.diff(self.sequence_offsets)
+        ids, rows = self.ids, self.rows
+        if partition is None:  # cut the run
+            low_run = high_run = np.empty((dimension, 0))
+            count_run = np.empty(0, dtype=np.int64)
+            sizes, ids = np.delete(sizes, row), ids[:row] + ids[row + 1 :]
+        else:
+            low_run, high_run = partition.low_matrix.T, partition.high_matrix.T
+            count_run = partition.counts
+            if row == sequences:  # append a run
+                sizes, ids = np.append(sizes, len(count_run)), (*ids, sequence_id)
+            else:  # replace the run
+                sizes = sizes.copy()
+                sizes[row] = len(count_run)
+        if ids is not self.ids:
+            rows = FrozenDict(
+                {sid: at for at, sid in enumerate(ids)},
+                role="database.table",
+                site="SegmentTable.spliced",
+            )
+        blank = _blank_arrays(dimension, int(sizes.sum()), len(ids))
+        end = start + len(count_run)
+        # With the segment axis last, one loop splices every array.
+        for new, old, run in (
+            (blank["lows"].T, self.lows.T, low_run),
+            (blank["highs"].T, self.highs.T, high_run),
+            (blank["low_columns"], self.low_columns, low_run),
+            (blank["high_columns"], self.high_columns, high_run),
+            (blank["counts"], self.counts, count_run),
+        ):
+            new[..., :start] = old[..., :start]
+            new[..., start:end] = run
+            new[..., end:] = old[..., stop:]
+        return self._sealed(ids, rows, sizes, blank)
+
+    @classmethod
+    def _sealed(
+        cls,
+        ids: tuple[object, ...],
+        rows: FrozenDict,
+        sizes: "npt.ArrayLike",
+        blank: dict[str, np.ndarray],
+    ) -> "SegmentTable":
+        """The table over ``blank`` arrays whose corners and counts are
+        filled in: derive the offsets (``sizes``: segments per sequence)
+        and freeze the lot."""
+        np.cumsum(sizes, out=blank["sequence_offsets"][1:])
+        np.cumsum(blank["counts"], out=blank["point_offsets"][1:])
+        blank["lengths"][:] = np.diff(
+            blank["point_offsets"][blank["sequence_offsets"]]
+        )
+        return cls(
+            ids=ids,
+            rows=rows,
+            **{name: freeze(array) for name, array in blank.items()},
+        )
+
+
+def mapped_blocks(sizes: Sequence[int]) -> list[np.ndarray]:
+    """Zeroed ``int64`` blocks of the given sizes, cut from one fresh
+    anonymous memory mapping (see :class:`SegmentTable` for why not the
+    heap); the mapping lives as long as any view of a block does."""
+    words = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=np.int64)
+    return np.split(words[: sum(sizes)], np.cumsum(sizes)[:-1])
+
+
+def _blank_arrays(
+    dimension: int, segments: int, sequences: int
+) -> dict[str, np.ndarray]:
+    """The arrays of a :class:`SegmentTable` in the making, by field name:
+    writable and zeroed, in one mapping."""
+    corners = segments * dimension
+    lows, highs, low_columns, high_columns, *rest = mapped_blocks(
+        [*[corners] * 4, segments, segments + 1, sequences + 1, sequences]
+    )
+    return {
+        "lows": lows.view(np.float64).reshape(segments, dimension),
+        "highs": highs.view(np.float64).reshape(segments, dimension),
+        "low_columns": low_columns.view(np.float64).reshape(dimension, segments),
+        "high_columns": high_columns.view(np.float64).reshape(dimension, segments),
+        **dict(
+            zip(("counts", "point_offsets", "sequence_offsets", "lengths"), rest)
+        ),
+    }
+
+
+def _validate_candidate_rows(
+    result: tuple[np.ndarray, int],
+    database: "SequenceDatabase",
+    query_partition: PartitionedSequence,
+    epsilon: float,
+) -> None:
+    """Phase 2 against its definition: the rows an index probe returns are
+    those whose least ``Dmbr`` to the query's MBRs, scanned flat over the
+    whole segment table, is within the threshold — no more (a stale entry
+    survived a write) and no fewer (a node rectangle does not cover what is
+    below it, a written row never reached the index).  Exact: every index
+    kind adds the squared gaps in the flat scan's order."""
+    table = database.segment_table
+    bounds = min_dmbr_runs(
+        query_partition.low_matrix,
+        query_partition.high_matrix,
+        table.low_columns,
+        table.high_columns,
+        table.sequence_offsets,
+        site="search.phase2",
+    )
+    expected = np.flatnonzero(bounds <= epsilon)
+    if not np.array_equal(result[0], expected):
+        wrong = np.setxor1d(result[0], expected)
+        raise ContractViolation(
+            f"Phase 2 disagrees with a flat scan of the segment table at "
+            f"epsilon {epsilon!r}: the {database.index_kind!r} index "
+            f"{'missed' if wrong[0] in expected else 'invented'} sequence "
+            f"{table.ids[wrong[0]]!r} (min Dmbr {bounds[wrong[0]]!r}); "
+            f"{len(wrong)} rows differ"
         )
 
 
@@ -164,11 +298,13 @@ class SequenceDatabase:
     max_points:
         Cap on points per segment MBR (``None`` disables).
     index_kind:
-        ``"rtree"`` (Guttman, default), ``"rstar"`` (R*-tree) or ``"str"``
-        (STR bulk loading — the index is packed lazily on first use and
-        repacked after later insertions).
+        ``"packed"`` (default: the array-backed index of
+        :mod:`repro.index.packed`, derived from the segment table),
+        ``"rtree"`` (Guttman — the paper's substrate), ``"rstar"``
+        (R*-tree) or ``"str"`` (an object tree bulk-loaded by STR, packed
+        lazily on first use and repacked after later insertions).
     max_entries:
-        R-tree node capacity.
+        R-tree node capacity (the packed index has its own fixed fan-out).
 
     Examples
     --------
@@ -186,29 +322,29 @@ class SequenceDatabase:
         *,
         cost_constant: float = DEFAULT_COST_CONSTANT,
         max_points: int | None = DEFAULT_MAX_POINTS,
-        index_kind: str = "rtree",
+        index_kind: str = "packed",
         max_entries: int = 16,
     ) -> None:
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
-        backend = get_backend(index_kind)  # raises ValueError for unknown kinds
+        self._backend = get_backend(index_kind)  # ValueError for unknown kinds
         self.dimension = dimension
         self.cost_constant = cost_constant
         self.max_points = max_points
         self.index_kind = index_kind
         self.max_entries = max_entries
-        self._incremental = backend.incremental
         self._partitions: dict[object, PartitionedSequence] = {}
-        self._index: IndexBackend | None = (
-            self._new_dynamic_index() if backend.incremental else None
-        )
-        self._index_dirty = False
+        #: Derived state, ``None`` while stale.  A tree of an incremental
+        #: kind is kept current by every write instead.
+        self._index: IndexBackend | None = None
         self._table: SegmentTable | None = None
-
-    def _new_dynamic_index(self) -> IndexBackend:
-        return create_index(
-            self.index_kind, self.dimension, max_entries=self.max_entries
-        )
+        #: The last table and the id written since, while exactly one write
+        #: separates that table from the partitions: the next table is
+        #: spliced from it.
+        self._splice: tuple[SegmentTable, object] | None = None
+        #: Array-backed kinds: ids added or appended to since ``_index``
+        #: was current — what the next index takes into its delta.
+        self._unindexed: tuple[object, ...] = ()
 
     # ------------------------------------------------------------------
     # Population
@@ -246,17 +382,14 @@ class SequenceDatabase:
             cost_constant=self.cost_constant,
             max_points=self.max_points,
         )
-        self._partitions[sequence_id] = partition
-        self._table = None
-        if not self._incremental:
-            # Packed backends (STR) have no insertion order: repack lazily.
-            self._index_dirty = True
-        else:
-            index = self._live_index()
+        if self._backend.incremental:
+            index = self._live_tree()
             for segment in partition:
                 index.insert(
                     segment.mbr, SegmentKey(sequence_id, segment.index)
                 )
+        self._partitions[sequence_id] = partition
+        self._written(sequence_id)
         return sequence_id
 
     def add_all(self, sequences: Iterable[SequenceLike]) -> list[object]:
@@ -272,8 +405,9 @@ class SequenceDatabase:
         *last* segment can change (the greedy MCOST partitioner never
         revisits earlier ones), so that segment is re-partitioned together
         with the new points (:meth:`PartitionedSequence.extended_to`) and only
-        it is swapped in the index: the work grows with the points
-        appended, not with the stream's length.
+        it is swapped in a tree index (an array-backed one notes the row):
+        the work grows with the points appended, not with the stream's
+        length.
         """
         old_partition = self.partition(sequence_id)  # raises on unknown id
         new_block = np.asarray(points, dtype=np.float64)
@@ -294,34 +428,51 @@ class SequenceDatabase:
         new_partition = old_partition.extended_to(
             extended, max_points=self.max_points
         )
-        self._table = None
-        if not self._incremental:
-            self._partitions[sequence_id] = new_partition
-            self._index_dirty = True
-            return
-
-        # Patch the index: the closed segments are the same objects in both
-        # partitions, so only the re-partitioned tail is swapped.
-        index = self._live_index()
-        old_segments = old_partition.segments
-        new_segments = new_partition.segments
-        stable = len(old_segments) - 1
-        if new_segments[stable] is old_segments[stable]:
-            stable += 1
-        for segment in old_segments[stable:]:
-            removed = index.delete(
-                segment.mbr, SegmentKey(sequence_id, segment.index)
-            )
-            if not removed:
-                raise RuntimeError(
-                    f"index entry for {sequence_id!r} segment "
-                    f"{segment.index} was missing during append"
+        if self._backend.incremental:
+            # Patch the tree: the closed segments are the same objects in
+            # both partitions, so only the re-partitioned tail is swapped.
+            index = self._live_tree()
+            old_segments = old_partition.segments
+            new_segments = new_partition.segments
+            stable = len(old_segments) - 1
+            if new_segments[stable] is old_segments[stable]:
+                stable += 1
+            for segment in old_segments[stable:]:
+                removed = index.delete(
+                    segment.mbr, SegmentKey(sequence_id, segment.index)
                 )
-        for segment in new_segments[stable:]:
-            index.insert(
-                segment.mbr, SegmentKey(sequence_id, segment.index)
-            )
+                if not removed:
+                    raise RuntimeError(
+                        f"index entry for {sequence_id!r} segment "
+                        f"{segment.index} was missing during append"
+                    )
+            for segment in new_segments[stable:]:
+                index.insert(
+                    segment.mbr, SegmentKey(sequence_id, segment.index)
+                )
         self._partitions[sequence_id] = new_partition
+        self._written(sequence_id)
+
+    def _written(self, sequence_id: object, *, removed: bool = False) -> None:
+        """Mark the derived state stale after one write to ``sequence_id``.
+
+        The table is spliced from its predecessor if this is the only
+        write since that was current, and rebuilt otherwise.  An
+        incremental tree was patched by the caller.  An array-backed index
+        takes an added or grown row into its next delta; a removal
+        renumbers the rows behind it, which no delta can express, so that
+        drops the index — as any write drops a bulk-only tree, which has
+        no insertion order to patch.
+        """
+        self._splice = None if self._table is None else (self._table, sequence_id)
+        self._table = None
+        if self._backend.table_factory is None:
+            if not self._backend.incremental:
+                self._index = None
+        elif removed:
+            self._index, self._unindexed = None, ()
+        else:
+            self._unindexed += (sequence_id,)
 
     def empty_twin(self) -> "SequenceDatabase":
         """An empty database with this one's configuration."""
@@ -336,38 +487,36 @@ class SequenceDatabase:
     def clone(self) -> "SequenceDatabase":
         """A copy-on-write snapshot copy: mutations never cross over.
 
-        The partition objects (immutable) are shared between the original
-        and the copy; the index is structurally cloned when the backend
-        supports it (the R-tree family does, via ``clone()``), otherwise
-        the copy rebuilds its index lazily on first use.  This is the
-        primitive :class:`repro.service.engine.QueryEngine` uses to give
-        writers a private tree while in-flight readers finish on the old
-        snapshot.
+        The partition objects, the segment table and an array-backed index
+        (all immutable) are shared between the original and the copy — the
+        default kind copies nothing but the id-to-partition ``dict``.  A
+        tree index is structurally cloned when the backend supports it
+        (the R-tree family does, via ``clone()``, one object per node),
+        otherwise the copy rebuilds its index lazily on first use.  This
+        is the primitive :class:`repro.service.engine.QueryEngine` uses to
+        give writers a private database while in-flight readers finish on
+        the old snapshot.
         """
         twin = self.empty_twin()
         twin._partitions = dict(self._partitions)
-        twin._table = self._table  # frozen; the twin drops it on mutation
-        if self._index is not None and not self._index_dirty:
+        twin._table, twin._splice = self._table, self._splice
+        if self._backend.table_factory is not None:
+            twin._index, twin._unindexed = self._index, self._unindexed
+        elif self._index is not None:
             cloner = getattr(self._index, "clone", None)
-            if callable(cloner):
-                twin._index = cloner()
-                twin._index_dirty = False
-                return twin
-        twin._index_dirty = len(twin._partitions) > 0
+            twin._index = cloner() if callable(cloner) else None
         return twin
 
     def remove(self, sequence_id: object) -> None:
         """Remove a sequence and its index entries.
 
-        Raises ``KeyError`` for unknown ids.  Packed (non-incremental)
-        backends simply mark the tree stale and repack it on next use.
+        Raises ``KeyError`` for unknown ids.  Incremental trees delete the
+        entries; the other kinds drop the index and derive it anew on next
+        use.
         """
         partition = self.partition(sequence_id)  # raises on unknown id
-        self._table = None
-        if not self._incremental:
-            self._index_dirty = True
-        else:
-            index = self._live_index()
+        if self._backend.incremental:
+            index = self._live_tree()
             for segment in partition:
                 removed = index.delete(
                     segment.mbr, SegmentKey(sequence_id, segment.index)
@@ -378,6 +527,7 @@ class SequenceDatabase:
                         f"{segment.index} was missing"
                     )
         del self._partitions[sequence_id]
+        self._written(sequence_id, removed=True)
 
     # ------------------------------------------------------------------
     # Access
@@ -412,14 +562,21 @@ class SequenceDatabase:
 
     @property
     def segment_table(self) -> SegmentTable:
-        """The flat segment arrays, (re)built on first use after a mutation.
+        """The flat segment arrays, derived on first use after a mutation.
 
-        Building is not thread-safe; :class:`repro.service.engine.QueryEngine`
+        Deriving is not thread-safe; :class:`repro.service.engine.QueryEngine`
         forces it before publishing a snapshot so readers only ever find it
         ready.
         """
         if self._table is None:
-            self._table = SegmentTable.build(self.dimension, self._partitions)
+            if self._splice is None:
+                self._table = SegmentTable.build(self.dimension, self._partitions)
+            else:
+                table, sequence_id = self._splice
+                self._table = table.spliced(
+                    sequence_id, self._partitions.get(sequence_id)
+                )
+                self._splice = None
         return self._table
 
     @property
@@ -437,27 +594,74 @@ class SequenceDatabase:
     # ------------------------------------------------------------------
     @property
     def index(self) -> IndexBackend:
-        """The MBR index, (re)built lazily for packed backends."""
-        return self._live_index()
+        """The MBR index, derived on first use after a mutation unless it
+        is an incremental tree.  Like :attr:`segment_table`, deriving is
+        not thread-safe, and :class:`~repro.service.engine.QueryEngine`
+        forces it on the writer — packing a new base included — before a
+        snapshot is published."""
+        if self._backend.table_factory is not None:
+            return self._live_arrays()
+        return self._live_tree()
 
-    def _live_index(self) -> IndexBackend:
-        if self._index is None or self._index_dirty:
-            self._rebuild_index()
-        index = self._index
-        if index is None:
-            raise RuntimeError("index rebuild produced no index")
-        return index
+    def _live_tree(self) -> TreeIndexBackend:
+        if self._index is None:
+            self._index = bulk_build_index(
+                self.index_kind,
+                [
+                    (segment.mbr, SegmentKey(sequence_id, segment.index))
+                    for sequence_id, partition in self._partitions.items()
+                    for segment in partition
+                ],
+                self.dimension,
+                max_entries=self.max_entries,
+            )
+        return cast(TreeIndexBackend, self._index)
 
-    def _rebuild_index(self) -> None:
-        items = [
-            (segment.mbr, SegmentKey(sequence_id, segment.index))
-            for sequence_id, partition in self._partitions.items()
-            for segment in partition
-        ]
-        self._index = bulk_build_index(
-            self.index_kind, items, self.dimension, max_entries=self.max_entries
+    def _live_arrays(self) -> ArrayIndexBackend:
+        factory = self._backend.table_factory
+        if factory is None:
+            raise RuntimeError(f"{self.index_kind!r} is not an array-backed index")
+        if self._index is None or self._unindexed:
+            table = self.segment_table
+            self._index = factory(
+                table.low_columns,
+                table.high_columns,
+                table.sequence_offsets,
+                cast("ArrayIndexBackend | None", self._index),
+                [table.rows[sequence_id] for sequence_id in self._unindexed],
+            )
+            self._unindexed = ()
+        return cast(ArrayIndexBackend, self._index)
+
+    @lower_bounds(_validate_candidate_rows, label="Phase 2 == flat min Dmbr scan")
+    def candidate_rows(
+        self, query_partition: PartitionedSequence, epsilon: float
+    ) -> tuple[np.ndarray, int]:
+        """Phase 2 (§3.4.2): probe the index with every query MBR.
+
+        Returns the ascending :attr:`segment_table` rows of the sequences
+        owning a segment with ``Dmbr <= epsilon`` to some MBR of
+        ``query_partition`` — the paper's ``AS_mbr`` — and the index node
+        accesses the probe cost.  An array-backed index answers for all the
+        MBRs in one batched descent; a tree is probed once per MBR.
+        """
+        epsilon = check_threshold(epsilon)
+        if self._backend.table_factory is not None:
+            return self._live_arrays().candidate_rows(
+                query_partition.low_matrix, query_partition.high_matrix, epsilon
+            )
+        index = self._live_tree()
+        accesses_before = index.stats.node_accesses
+        found: set[object] = set()
+        for segment in query_partition:
+            checkpoint("search.phase2")
+            for entry in index.search_within(segment.mbr, epsilon):
+                found.add(entry.payload.sequence_id)
+        rows = self.segment_table.rows
+        return (
+            np.array(sorted(rows[sid] for sid in found), dtype=np.int64),
+            index.stats.node_accesses - accesses_before,
         )
-        self._index_dirty = False
 
     def __repr__(self) -> str:
         return (
@@ -473,12 +677,13 @@ class SequenceDatabase:
         """Persist the database to an ``.npz`` archive, crash-safely.
 
         Stored: the configuration and every sequence's points and id, and —
-        when the backend supports flat serialisation and ``include_index``
-        is true — the index tree itself (via the
-        :func:`repro.core.backends.serialize_index` seam).  :meth:`load`
-        then restores the tree instead of re-running index construction,
-        which is the startup-latency path ``repro serve`` depends on.
-        Archives without the embedded tree remain loadable (the index is
+        when the backend supports flat serialisation (the R-tree family)
+        and ``include_index`` is true — the index tree itself (via the
+        :func:`repro.core.backends.serialize_index` seam), which
+        :meth:`load` then restores instead of re-inserting every segment.
+        Archives without the embedded tree — those of the default
+        ``"packed"`` kind, whose index is packed from the segment table in
+        milliseconds, always are — remain loadable (the index is
         rebuilt from the sequences).  Sequence ids are stored via ``repr``
         round-tripping for the common id types (str, int); exotic id
         objects are rejected.
@@ -511,8 +716,8 @@ class SequenceDatabase:
             f"sequence_{ordinal}": self._partitions[sequence_id].sequence.points
             for ordinal, sequence_id in enumerate(ids)
         }
-        if include_index:
-            blob = serialize_index(self.index_kind, self._live_index())
+        if include_index and self._backend.dumps is not None:
+            blob = serialize_index(self.index_kind, self._live_tree())
             if blob is not None:
                 arrays["_index"] = np.frombuffer(blob, dtype=np.uint8)
         arrays["_meta"] = np.frombuffer(
@@ -611,5 +816,4 @@ class SequenceDatabase:
                     f"{database.segment_count} segments"
                 )
             database._index = index
-            database._index_dirty = False
         return database

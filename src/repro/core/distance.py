@@ -42,7 +42,7 @@ from repro.core.contracts import (
     contracts_enabled,
     lower_bounds,
 )
-from repro.core.mbr import MBR, dmbr_rows
+from repro.core.mbr import MBR, dmbr_rows, min_dmbr_columns
 from repro.core.sequence import MultidimensionalSequence
 from repro.core.solution_interval import IntervalSet
 from repro.util.budget import checkpoint
@@ -67,9 +67,11 @@ __all__ = [
     "dnorm_instances",
     "mbr_min_distance",
     "mean_distance",
+    "min_dmbr_runs",
     "min_normalized_distance",
     "normalized_distance",
     "point_distance",
+    "run_entries",
     "sequence_distance",
     "sliding_mean_distances",
     "union_spans",
@@ -484,6 +486,45 @@ def normalized_distance(
 _PHASE3_CHUNK_SEGMENTS = 2048
 
 
+def run_entries(
+    offsets: np.ndarray, runs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where the entries of some runs sit in flat arrays cut by ``offsets``.
+
+    Returns ``(take, gathered)``: the flat positions of the entries of
+    ``runs`` (any order, repeats allowed), run after run, and the offsets
+    that cut *those* — entry ``i`` of ``runs`` owns
+    ``take[gathered[i]:gathered[i + 1]]``.
+    """
+    first = offsets[runs]
+    sizes = offsets[runs + 1] - first
+    gathered = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=gathered[1:])
+    take = np.arange(gathered[-1]) + np.repeat(first - gathered[:-1], sizes)
+    return take, gathered
+
+
+def min_dmbr_runs(
+    probe_lows: np.ndarray,
+    probe_highs: np.ndarray,
+    low_columns: np.ndarray,
+    high_columns: np.ndarray,
+    offsets: np.ndarray,
+    *,
+    site: str,
+) -> np.ndarray:
+    """Lemma 1's bound for many sequences: per run ``offsets[i]:offsets[i + 1]``
+    of the column-major corners (a whole segment table's, or rows gathered
+    from one), the least ``Dmbr`` between any probe and any of its segments.
+    """
+    if len(offsets) == 1:
+        return np.zeros(0)
+    nearest = min_dmbr_columns(
+        probe_lows, probe_highs, low_columns, high_columns, axis=0, site=site
+    )
+    return np.minimum.reduceat(nearest, offsets[:-1])
+
+
 class SegmentRuns(NamedTuple):
     """Runs of consecutive segment MBRs in flat arrays.
 
@@ -519,11 +560,7 @@ class SegmentRuns(NamedTuple):
         Returns ``(lows, highs, counts, offsets)``: entry ``i`` of ``runs``
         owns the gathered entries ``offsets[i]:offsets[i + 1]``.
         """
-        first = self.offsets[runs]
-        sizes = self.offsets[runs + 1] - first
-        offsets = np.zeros(len(runs) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        take = np.arange(offsets[-1]) + np.repeat(first - offsets[:-1], sizes)
+        take, offsets = run_entries(self.offsets, runs)
         # ndarray.take gathers rows several times faster than lows[take].
         return (
             self.lows.take(take, axis=0),

@@ -24,15 +24,23 @@ as ``np.prod`` does, and sums follow ``np.sum``'s pairwise order
 (:func:`_numpy_order_sum`) — so tree layouts do not depend on which one
 computed them.  The ``low`` / ``high`` ndarrays exist for the vectorised
 row kernels and are built on first access only.
+
+``Dmbr`` has three bodies — the scalar :meth:`MBR.min_distance`, the
+row-major :func:`dmbr_rows` (one rectangle per matrix row, Phase 3) and the
+column-major :func:`dmbr_columns` (one contiguous array per dimension,
+Phase 2 and the k-NN bounds) — and all three add the squared gaps in that
+same ``np.sum`` order, so a threshold test gives one verdict whichever of
+them evaluates it, in every dimension.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
+from repro.util.budget import checkpoint
 from repro.util.validation import check_threshold
 
 if TYPE_CHECKING:
@@ -40,22 +48,39 @@ if TYPE_CHECKING:
 
     import numpy.typing as npt
 
-__all__ = ["MBR", "dmbr_rows"]
+__all__ = [
+    "BROADCAST_CELLS",
+    "MBR",
+    "dmbr_columns",
+    "dmbr_rows",
+    "min_dmbr_columns",
+]
+
+#: Cells of one broadcast block of a column-major ``Dmbr`` pass (8 MB of
+#: float64): the temporaries stay bounded and a cancellation checkpoint
+#: falls between blocks.
+BROADCAST_CELLS = 1 << 20
+
+_Addend = TypeVar("_Addend", float, np.ndarray)
 
 
-def _numpy_order_sum(values: list[float]) -> float:
+def _numpy_order_sum(values: list[_Addend]) -> _Addend:
     """Sum floats in the order ``np.sum`` adds a contiguous float64 array.
 
     NumPy sums fewer than 8 elements left to right and longer runs
     pairwise (eight running accumulators per block of at most 128, blocks
-    halved recursively); reproducing that order keeps ``margin`` and the
-    centre distances bit-identical to the ndarray formulation in every
-    dimension, not just below 8.
+    halved recursively); reproducing that order keeps ``margin``, ``Dmbr``
+    and the centre distances bit-identical to the ndarray formulation in
+    every dimension, not just below 8.
+
+    The values may as well be equal-shaped arrays, one per dimension
+    (:func:`dmbr_columns`); a short run is then accumulated into its first
+    array, which the caller must own.
     """
     size = len(values)
     if size < 8:
-        total = 0.0
-        for value in values:
+        total = values[0]
+        for value in values[1:]:
             total += value
         return total
     if size > 128:
@@ -364,10 +389,16 @@ class MBR:
         of this dimension — the index probe validates its query once, not
         once per node entry.
         """
-        total = 0.0
-        for a_low, a_high, b_low, b_high in zip(
+        corners = zip(
             self._low_tuple, self._high_tuple, other._low_tuple, other._high_tuple
-        ):
+        )
+        if len(self._low_tuple) >= 8:
+            gaps = [max(bl - ah, al - bh, 0.0) for al, ah, bl, bh in corners]
+            return math.sqrt(_numpy_order_sum([gap * gap for gap in gaps]))
+        # np.sum adds fewer than 8 terms left to right, where skipping a
+        # zero gap changes no partial sum.
+        total = 0.0
+        for a_low, a_high, b_low, b_high in corners:
             if b_low > a_high:
                 gap = b_low - a_high
             elif a_low > b_high:
@@ -485,7 +516,9 @@ def dmbr_rows(
     ``lows`` / ``highs`` are ``(r, n)`` corner matrices (one partition's,
     rows of a database's segment table); ``(low, high)`` is one rectangle
     (``(n,)`` corners) or one per row (``(r, n)``).  Entry ``t`` of the
-    result is the :meth:`MBR.min_distance` of pair ``t``, all in one pass.
+    result is the :meth:`MBR.min_distance` of pair ``t``, all in one pass,
+    to the bit: ``np.sum`` along a row is the order the scalar method and
+    :func:`dmbr_columns` reproduce.
     """
     # Same arithmetic as max(0, max(l - h_q, l_q - h))**2 summed per row,
     # written in place: two (r, n) temporaries instead of five.
@@ -495,3 +528,67 @@ def dmbr_rows(
     np.multiply(gaps, gaps, out=gaps)
     distances: np.ndarray = np.sum(gaps, axis=1)
     return np.sqrt(distances, out=distances)
+
+
+def dmbr_columns(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    low_columns: np.ndarray,
+    high_columns: np.ndarray,
+) -> np.ndarray:
+    """``Dmbr`` between probe rectangles and rectangles stored by column.
+
+    ``lows`` / ``highs`` are the ``(p, n)`` corners of ``p`` probes.  The
+    stored rectangles come one array per dimension — ``low_columns[k]`` is
+    coordinate ``k`` of every low corner — in either of two shapes:
+
+    * ``(n, s)``: every probe against each of ``s`` rectangles; the result
+      is the ``(p, s)`` distance matrix (a flat scan);
+    * ``(n, p, f)``: probe ``i`` against its own ``f`` rectangles — the
+      children of the node a descent paired it with; the result is
+      ``(p, f)``.
+
+    Each dimension is one pass over contiguous memory, which is what makes
+    this several times faster than :func:`dmbr_rows` on the same corners,
+    and the squared gaps are added in ``np.sum``'s order, so the two agree
+    to the bit.  An *empty* rectangle (``low = +inf``, ``high = -inf``: the
+    padding of a packed level) is at distance ``inf`` from every probe.
+    """
+    squares = []
+    for k in range(lows.shape[1]):
+        gaps = low_columns[k] - highs[:, k, None]
+        np.maximum(gaps, lows[:, k, None] - high_columns[k], out=gaps)
+        np.maximum(gaps, 0.0, out=gaps)
+        squares.append(np.multiply(gaps, gaps, out=gaps))
+    distances: np.ndarray = _numpy_order_sum(squares)
+    return np.sqrt(distances, out=distances)
+
+
+def min_dmbr_columns(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    low_columns: np.ndarray,
+    high_columns: np.ndarray,
+    *,
+    axis: int,
+    site: str,
+) -> np.ndarray:
+    """The least ``Dmbr`` of a flat :func:`dmbr_columns` scan, per stored
+    rectangle over the probes (``axis=0``) or per probe over the stored
+    rectangles (``axis=1``).
+
+    The probes are taken in blocks of :data:`BROADCAST_CELLS` matrix
+    cells, with one cancellation ``checkpoint(site)`` per block.
+    """
+    probes, stored = len(lows), low_columns.shape[1]
+    nearest = np.full(stored if axis == 0 else probes, np.inf)
+    step = max(1, BROADCAST_CELLS // max(1, stored))
+    for start in range(0, probes, step):
+        checkpoint(site)
+        block = slice(start, start + step)
+        distances = dmbr_columns(lows[block], highs[block], low_columns, high_columns)
+        if axis == 0:
+            np.minimum(nearest, distances.min(axis=0), out=nearest)
+        else:
+            nearest[block] = distances.min(axis=1, initial=np.inf)
+    return nearest

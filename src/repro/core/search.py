@@ -4,10 +4,14 @@ Algorithm SIMILARITY_SEARCH:
 
 * **Phase 1 — query partitioning.**  The query sequence is partitioned into
   MBRs with the same MCOST algorithm used for data sequences.
-* **Phase 2 — first pruning (index search).**  For each query MBR the
-  R-tree is probed for data-segment MBRs with ``Dmbr <= eps``; every
-  sequence owning at least one such segment becomes a candidate
-  (``AS_mbr``).  Lemma 1 guarantees no false dismissals.
+* **Phase 2 — first pruning (index search).**  The index is probed with
+  the query MBRs for data-segment MBRs with ``Dmbr <= eps``
+  (:meth:`SequenceDatabase.candidate_rows
+  <repro.core.database.SequenceDatabase.candidate_rows>`: one batched
+  descent for all of them on the default packed index, one R-tree probe
+  each on the paper's substrate); every sequence owning at least one such
+  segment becomes a candidate (``AS_mbr``).  Lemma 1 guarantees no false
+  dismissals.
 * **Phase 3 — second pruning and solution intervals.**  For each candidate
   sequence and each query MBR, ``Dnorm`` is evaluated against every data
   segment; sequences with some ``Dnorm <= eps`` survive (``AS_norm``,
@@ -25,7 +29,9 @@ pair one query with many rows of the database's
 a pair whose query holds more points than the stored sequence (the paper's
 long-query case) swaps roles: each data segment probes the query's
 partition.  ``explain`` reads the same body at ``eps = inf``.  The k-NN
-bounds read the same table.
+bounds and the ε-cache's Phase-2 shortcuts (``candidates_within``,
+``queries_within``) scan the same table's corner columns with the kernel
+the index descends with.
 
 A k-nearest-sequences extension (:meth:`SimilaritySearch.knn`) implements
 the optimal multi-step algorithm of Seidl & Kriegel over the same ``Dmbr``
@@ -48,10 +54,13 @@ from repro.core.distance import (
     SegmentRuns,
     dnorm_between,
     dnorm_instances,
+    min_dmbr_runs,
+    run_entries,
     sequence_distance,
     sliding_mean_distances,
     union_spans,
 )
+from repro.core.mbr import min_dmbr_columns
 from repro.core.partitioning import PartitionedSequence, partition_sequence
 from repro.core.sequence import MultidimensionalSequence
 from repro.core.solution_interval import IntervalSet
@@ -243,52 +252,6 @@ def _validate_explanation(
         )
 
 
-def _sequence_bounds(
-    query_partition: PartitionedSequence,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    offsets: np.ndarray,
-    site: str,
-) -> np.ndarray:
-    """Lemma 1's bound for many sequences: ``min Dmbr`` over all MBR pairs.
-
-    The sequences are the runs ``offsets[i]:offsets[i + 1]`` of the corner
-    matrices (a whole segment table, or rows gathered from one).
-    """
-    if len(offsets) == 1:
-        return np.zeros(0)
-    best = np.full(len(lows), np.inf)
-    for segment in query_partition:
-        checkpoint(site)
-        np.minimum(best, segment.mbr.min_distance_rows(lows, highs), out=best)
-    return np.minimum.reduceat(best, offsets[:-1])
-
-
-#: Cells of one broadcast block in :func:`_nearest_dmbr` (8 MB of float64).
-_BROADCAST_CELLS = 1 << 20
-
-
-def _nearest_dmbr(
-    lows: np.ndarray,
-    highs: np.ndarray,
-    other_lows: np.ndarray,
-    other_highs: np.ndarray,
-) -> np.ndarray:
-    """Per rectangle ``(lows[i], highs[i])``: its least ``Dmbr`` to any of the
-    other rectangles — :meth:`MBR.min_distance_rows` for many rectangles at
-    once, same arithmetic, blocked so the broadcast stays bounded."""
-    nearest = np.empty(len(lows))
-    step = max(1, _BROADCAST_CELLS // other_lows.size)
-    for start in range(0, len(lows), step):
-        block = slice(start, start + step)
-        gaps = other_lows - highs[block, None, :]
-        np.maximum(gaps, lows[block, None, :] - other_highs, out=gaps)
-        np.maximum(gaps, 0.0, out=gaps)
-        np.multiply(gaps, gaps, out=gaps)
-        nearest[block] = np.sqrt(gaps.sum(axis=2).min(axis=1))
-    return nearest
-
-
 def _stored_runs(table: SegmentTable) -> SegmentRuns:
     """The table's sequences as the runs :func:`dnorm_instances` reads."""
     return SegmentRuns(
@@ -420,15 +383,9 @@ class SimilaritySearch:
 
         # Phase 2: first pruning via the Dmbr index probe.
         started = time.perf_counter()
-        index = self.database.index
-        accesses_before = index.stats.node_accesses
-        candidate_ids: set[object] = set()
-        for segment in query_partition:
-            checkpoint("search.phase2")
-            for entry in index.search_within(segment.mbr, epsilon):
-                candidate_ids.add(entry.payload.sequence_id)
-        stats.node_accesses = index.stats.node_accesses - accesses_before
-        rows = self._rows_of(candidate_ids)
+        rows, stats.node_accesses = self.database.candidate_rows(
+            query_partition, epsilon
+        )
         ids = self.database.segment_table.ids
         candidates = [ids[row] for row in rows.tolist()]
         stats.phase2_seconds = time.perf_counter() - started
@@ -512,8 +469,8 @@ class SimilaritySearch:
         Phase-2 candidate of that query at that threshold?
 
         The dual of :meth:`candidates_within` — many queries against one
-        sequence — in one broadcast ``Dmbr`` between the stacked query MBRs
-        and the sequence's segment rows.  The ε-aware result cache uses it
+        sequence — in one column-wise ``Dmbr`` between the stacked query
+        MBRs and the sequence's segments.  The ε-aware result cache uses it
         to re-derive the Phase-2 verdict of every cached query for the one
         sequence a write touched, without an index probe.
         """
@@ -522,8 +479,13 @@ class SimilaritySearch:
             return []
         epsilons = np.array([check_threshold(epsilon) for _, epsilon in queries])
         asked = SegmentRuns.of([query_partition for query_partition, _ in queries])
-        nearest = _nearest_dmbr(
-            asked.lows, asked.highs, partition.low_matrix, partition.high_matrix
+        nearest = min_dmbr_columns(
+            asked.lows,
+            asked.highs,
+            partition.low_matrix.T,
+            partition.high_matrix.T,
+            axis=1,
+            site="search.phase2",
         )
         verdicts: list[bool] = (
             np.minimum.reduceat(nearest, asked.offsets[:-1]) <= epsilons
@@ -570,14 +532,20 @@ class SimilaritySearch:
         """Those of ``sequence_ids`` that are Phase-2 candidates at ``epsilon``.
 
         Exactly the sequences the index probe would return among them, in
-        one pass over the segment table; database insertion order.
+        one pass over their segments' columns of the table; database
+        insertion order.
         """
         epsilon = check_threshold(epsilon)
         table = self.database.segment_table
         rows = self._rows_of(sequence_ids)
-        lows, highs, _, offsets = _stored_runs(table).gather(rows)
-        bounds = _sequence_bounds(
-            query_partition, lows, highs, offsets, "search.phase2"
+        take, offsets = run_entries(table.sequence_offsets, rows)
+        bounds = min_dmbr_runs(
+            query_partition.low_matrix,
+            query_partition.high_matrix,
+            table.low_columns.take(take, axis=1),
+            table.high_columns.take(take, axis=1),
+            offsets,
+            site="search.phase2",
         )
         return [table.ids[row] for row in rows[bounds <= epsilon].tolist()]
 
@@ -655,12 +623,13 @@ class SimilaritySearch:
     def _lower_bounds(self, query_partition: PartitionedSequence) -> np.ndarray:
         """Lemma 1's ``min Dmbr`` bound of every stored sequence, by table row."""
         table = self.database.segment_table
-        return _sequence_bounds(
-            query_partition,
-            table.lows,
-            table.highs,
+        return min_dmbr_runs(
+            query_partition.low_matrix,
+            query_partition.high_matrix,
+            table.low_columns,
+            table.high_columns,
             table.sequence_offsets,
-            "knn.bounds",
+            site="knn.bounds",
         )
 
     def knn_subsequences(

@@ -1,15 +1,18 @@
-"""Spatial index substrate: the R-tree family used to store segment MBRs.
+"""Spatial index substrate: where the segment MBRs are stored and probed.
 
 The paper stores every sequence-segment MBR "into a database by using the
 R-tree or its variants" (§3.4.1).  This subpackage provides:
 
-* :class:`~repro.index.rtree.RTree` — the classic Guttman tree
-  (quadratic split), the default index.
-* :class:`~repro.index.rstar.RStarTree` — the R*-tree variant.
-* :func:`~repro.index.bulk.bulk_load_str` — STR-packed bulk construction
-  for offline index building.
+* :class:`~repro.index.packed.PackedIndex` (``"packed"``) — the database's
+  default: an STR-packed tree held in a handful of arrays, derived from
+  the segment table and probed for all query MBRs in one batched descent.
+* :class:`~repro.index.rtree.RTree` (``"rtree"``) — the classic Guttman
+  tree (quadratic split), the paper's substrate and the parity reference.
+* :class:`~repro.index.rstar.RStarTree` (``"rstar"``) — the R*-tree variant.
+* :func:`~repro.index.bulk.bulk_load_str` (``"str"``) — STR-packed bulk
+  construction of an object tree for offline index building.
 
-All trees support the Phase-2 probe of the paper's search algorithm:
+All of them support the Phase-2 probe of the paper's search algorithm:
 ``search_within(query_mbr, epsilon)`` returns every leaf entry whose
 rectangle-to-rectangle minimum distance (``Dmbr``) to the query rectangle is
 at most ``epsilon``.
@@ -18,6 +21,7 @@ at most ``epsilon``.
 from repro.core.backends import register_index_backend
 from repro.index.bulk import bulk_load_str
 from repro.index.node import LeafEntry, Node
+from repro.index.packed import PackedBase, PackedIndex, index_table
 from repro.index.paging import (
     PageStats,
     PageStore,
@@ -40,7 +44,8 @@ def _dumps_backend(index: object) -> bytes:
 
 # Self-register the default backends with the core registry (the lazy
 # provider seam of repro.core.backends imports this module by name).
-# All three kinds build RTree-family trees, so they share the flat
+register_index_backend("packed", table_factory=index_table, incremental=False)
+# The other three kinds build RTree-family trees, so they share the flat
 # dumps/loads pair of repro.index.serialize.
 register_index_backend(
     "rtree",
@@ -72,6 +77,8 @@ __all__ = [
     "IndexStats",
     "LeafEntry",
     "Node",
+    "PackedBase",
+    "PackedIndex",
     "PageStats",
     "PageStore",
     "RStarTree",
@@ -80,6 +87,7 @@ __all__ = [
     "bulk_load_str",
     "detach_page_store",
     "dumps_tree",
+    "index_table",
     "load_tree",
     "loads_tree",
     "save_tree",

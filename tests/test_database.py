@@ -88,14 +88,14 @@ class TestIndexKinds:
         assert second is not first
 
     def test_payloads_are_segment_keys(self, rng):
-        db = SequenceDatabase(dimension=2)
+        db = SequenceDatabase(dimension=2, index_kind="rtree")
         db.add(rng.random((30, 2)), sequence_id="s")
         entry = next(iter(db.index.entries()))
         assert isinstance(entry.payload, SegmentKey)
         assert entry.payload.sequence_id == "s"
 
     def test_index_mbrs_match_partition(self, rng):
-        db = SequenceDatabase(dimension=2)
+        db = SequenceDatabase(dimension=2, index_kind="rtree")
         db.add(rng.random((40, 2)), sequence_id="s")
         partition = db.partition("s")
         for entry in db.index.entries():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
-from repro.core.database import SequenceDatabase
+from repro.core.database import SegmentTable, SequenceDatabase
 from repro.core.search import SimilaritySearch
 from repro.service.engine import QueryEngine
 from repro.util.freeze import checking_freeze, verify_frozen
@@ -86,7 +86,7 @@ class TestSegmentTable:
             min_size=1,
             max_size=14,
         ),
-        st.sampled_from(["rtree", "str"]),
+        st.sampled_from(["packed", "rtree", "str"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_search_equals_a_database_rebuilt_from_scratch(self, steps, kind):
@@ -123,6 +123,93 @@ class TestSegmentTable:
             assert len(table.counts) == database.segment_count
             assert int(table.lengths.sum()) == database.point_count
 
+    @staticmethod
+    def _assert_equals_built(database):
+        table = database.segment_table
+        built = SegmentTable.build(database.dimension, dict(database.partitions()))
+        assert table.ids == built.ids and dict(table.rows) == dict(built.rows)
+        for name in (
+            "lows",
+            "highs",
+            "low_columns",
+            "high_columns",
+            "counts",
+            "point_offsets",
+            "sequence_offsets",
+            "lengths",
+        ):
+            ours, theirs = getattr(table, name), getattr(built, name)
+            assert ours.dtype == theirs.dtype and not ours.flags.writeable
+            np.testing.assert_array_equal(ours, theirs, err_msg=name)
+        assert np.array_equal(table.low_columns, table.lows.T)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "append", "remove", "clone", "two"]),
+                st.integers(0, 10_000),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_spliced_table_equals_a_built_one(self, steps):
+        """One write after a table was current splices it — append a run,
+        replace a run, cut a run; any other history rebuilds.  Either way
+        the result is ``SegmentTable.build`` of the partitions, array for
+        array."""
+        database = SequenceDatabase(2, max_points=6)
+        database.add(self._walk(1, 30), sequence_id="seed")
+        added = 0
+        for verb, number in steps:
+            previous = database.segment_table  # current: the next write splices
+            ids = database.ids()
+            if verb in ("add", "two") or not ids:
+                added += 1
+                database.add(
+                    self._walk(number, 1 + number % 40), sequence_id=f"s{added}"
+                )
+            elif verb == "append":
+                database.append_points(
+                    ids[number % len(ids)], self._walk(number, 1 + number % 9)
+                )
+            elif verb == "remove":
+                database.remove(ids[number % len(ids)])
+            else:
+                database = database.clone()
+                assert database.segment_table is previous
+                continue
+            if verb == "two":  # a second write before the table is read
+                database.append_points(f"s{added}", self._walk(number + 1, 3))
+                assert database._splice is None
+            else:
+                assert database._splice is not None
+            assert database.segment_table is not previous
+            assert database._splice is None
+            self._assert_equals_built(database)
+
+    def test_splices_at_the_edges(self, rng):
+        database = SequenceDatabase(3)
+        for name in "abc":
+            database.add(rng.random((25, 3)), sequence_id=name)
+        for write in (
+            lambda db: db.remove("a"),  # first run
+            lambda db: db.remove("c"),  # last run
+            lambda db: db.append_points("c", rng.random((40, 3))),
+            lambda db: db.append_points("a", rng.random((1, 3))),
+            lambda db: (db.remove("b"), db.add(rng.random((9, 3)), sequence_id="b")),
+        ):
+            twin = database.clone()
+            twin.segment_table
+            write(twin)
+            self._assert_equals_built(twin)
+        for name in "abc":  # down to nothing
+            database.segment_table
+            database.remove(name)
+            self._assert_equals_built(database)
+        assert database.segment_table.lows.shape == (0, 3)
+
     def test_clone_shares_the_table_until_it_mutates(self, rng):
         database = SequenceDatabase(2)
         for i in range(4):
@@ -146,6 +233,8 @@ class TestSegmentTable:
         for name in (
             "lows",
             "highs",
+            "low_columns",
+            "high_columns",
             "counts",
             "point_offsets",
             "sequence_offsets",

@@ -898,6 +898,30 @@ def test_rep300_segment_table_writes_are_caught(tmp_path):
     assert len(violations) == 3
 
 
+def test_rep300_packed_index_writes_are_caught(tmp_path):
+    # A packed base is shared by every snapshot since it was packed.
+    path = write_module(
+        tmp_path,
+        "src/repro/index/packedwrites.py",
+        '''
+        """Doc."""
+        from repro.index.packed import PackedBase, PackedIndex
+
+        __all__ = []
+
+
+        def renumber(base: PackedBase, index: PackedIndex) -> None:
+            base.entry_row += 1
+            lows, highs = base.levels[0]
+            lows[0, 0] = 0.0
+            index.delta_rows[0] = 0
+            index.base.row_entries[0] = 0
+        ''',
+    )
+    violations = [v for v in lint_file(path) if v.rule == "REP300"]
+    assert len(violations) == 4
+
+
 def test_rep300_copies_are_clean(tmp_path):
     path = write_module(
         tmp_path,

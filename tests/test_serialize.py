@@ -139,7 +139,7 @@ class TestSerializeValidation:
 
 class TestAppendPoints:
     def test_append_extends_and_index_tracks(self, rng):
-        db = SequenceDatabase(dimension=2)
+        db = SequenceDatabase(dimension=2, index_kind="rtree")
         db.add(rng.random((40, 2)), sequence_id="s")
         db.append_points("s", rng.random((25, 2)))
         assert len(db.sequence("s")) == 65
@@ -360,8 +360,8 @@ class TestDatabaseIndexEmbedding:
     """save() embeds the flat index tree; load() restores it directly
     instead of re-inserting every segment."""
 
-    def _database(self, rng, count=8, **kwargs):
-        db = SequenceDatabase(dimension=2, **kwargs)
+    def _database(self, rng, count=8, index_kind="rtree", **kwargs):
+        db = SequenceDatabase(dimension=2, index_kind=index_kind, **kwargs)
         for ordinal in range(count):
             db.add(rng.random((22, 2)), sequence_id=f"s{ordinal}")
         return db
@@ -372,6 +372,47 @@ class TestDatabaseIndexEmbedding:
         db.save(path)
         with np.load(path) as archive:
             assert "_index" in archive.files
+
+    def test_default_kind_archives_carry_no_index_blob(self, rng, tmp_path):
+        """The packed index is derived from the segment table in
+        milliseconds; nothing of it is persisted, so nothing of it can be
+        torn or stale on disk."""
+        db = self._database(rng, index_kind="packed")
+        assert SequenceDatabase(dimension=2).index_kind == "packed"
+        db.index  # a live index changes nothing
+        path = tmp_path / "db.npz"
+        db.save(path)
+        with np.load(path) as archive:
+            assert "_index" not in archive.files
+        loaded = SequenceDatabase.load(path)
+        assert loaded.index_kind == "packed"
+        assert loaded._index is None  # packed on first use, once
+        query = rng.random((9, 2))
+        original = SimilaritySearch(db).search(query, 0.25)
+        restored = SimilaritySearch(loaded).search(query, 0.25)
+        assert restored.candidates == original.candidates
+        assert restored.answers == original.answers
+        assert restored.solution_intervals == original.solution_intervals
+        assert restored.stats.node_accesses == original.stats.node_accesses
+        assert len(loaded.index) == loaded.segment_count
+
+    def test_rtree_archives_load_as_rtree_databases(self, rng, tmp_path):
+        """An archive written when ``"rtree"`` was the default names its
+        kind and embeds its tree; it keeps loading as what it is."""
+        import json
+
+        db = self._database(rng, index_kind="rtree")
+        path = tmp_path / "old.npz"
+        db.save(path)
+        with np.load(path) as archive:
+            meta = json.loads(bytes(archive["_meta"]).decode())
+            assert meta["index_kind"] == "rtree" and "_index" in archive.files
+        loaded = SequenceDatabase.load(path)
+        assert loaded.index_kind == "rtree"
+        assert type(loaded.index).__name__ == "RTree"
+        loaded.index.check_invariants()
+        loaded.add(rng.random((22, 2)), sequence_id="later")
+        assert len(loaded.index) == loaded.segment_count
 
     def test_include_index_false_falls_back(self, rng, tmp_path):
         db = self._database(rng)

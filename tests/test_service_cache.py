@@ -402,7 +402,7 @@ class TestQueriesWithin:
             search.queries_within([(partitions[0], -0.1)], "s0")
 
     def test_blocked_broadcast_equals_one_block(self, rng, monkeypatch):
-        import repro.core.search as search_module
+        import repro.core.mbr as mbr_module
 
         database = make_database(rng, count=3)
         search = SimilaritySearch(database)
@@ -411,7 +411,7 @@ class TestQueriesWithin:
             for _ in range(9)
         ]
         whole = search.queries_within(queries, "s1")
-        monkeypatch.setattr(search_module, "_BROADCAST_CELLS", 1)
+        monkeypatch.setattr(mbr_module, "BROADCAST_CELLS", 1)
         assert search.queries_within(queries, "s1") == whole
 
 

@@ -100,12 +100,26 @@ FROZEN_ATTR_KINDS: dict[str, dict[str, str]] = {
     },
     "repro.core.database": {
         "_table": _KIND_STRUCT,
+        "_index": _KIND_STRUCT,
         "lows": _KIND_ARRAY,
         "highs": _KIND_ARRAY,
+        "low_columns": _KIND_ARRAY,
+        "high_columns": _KIND_ARRAY,
         "counts": _KIND_ARRAY,
         "point_offsets": _KIND_ARRAY,
         "sequence_offsets": _KIND_ARRAY,
         "lengths": _KIND_ARRAY,
+    },
+    "repro.index.packed": {
+        "base": _KIND_STRUCT,
+        "entry_row": _KIND_ARRAY,
+        "entry_segment": _KIND_ARRAY,
+        "row_entries": _KIND_ARRAY,
+        "delta_rows": _KIND_ARRAY,
+        "_delta_lows": _KIND_ARRAY,
+        "_delta_highs": _KIND_ARRAY,
+        "_delta_row": _KIND_ARRAY,
+        "_delta_segment": _KIND_ARRAY,
     },
     "repro.service.wal": {"_recovered": _KIND_CONTAINER},
 }
@@ -117,6 +131,8 @@ FROZEN_TYPE_NAMES: frozenset[str] = frozenset(
         "CacheEntry",
         "MBR",
         "MultidimensionalSequence",
+        "PackedBase",
+        "PackedIndex",
         "PartitionedSequence",
         "SegmentTable",
         "SequenceSegment",

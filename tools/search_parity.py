@@ -1,22 +1,35 @@
-"""Parity of ``SimilaritySearch`` between two checkouts of this repo.
+"""Parity of ``SimilaritySearch`` between two checkouts of this repo, and
+between index kinds within this one.
 
 Builds the ``core_range`` benchmark inputs (``perf/benchkit/inputs.py``:
-N=500 video corpus, 600 queries, seed 2000), runs every query at the three
-benchmark thresholds with solution intervals on and off, plus ``knn`` for
-the first 100 queries, and requires the other checkout to produce the
-*same* ``candidates``, ``answers``, ``solution_intervals``, ``dmbr_rows``,
-``dnorm_evaluations``, ``node_accesses`` and ``(distance, id)`` lists —
-not merely sound ones.  Forty more queries of 96-256 points go through the
-same searches (the corpus holds 56-512 points a sequence, so a large share
-of their candidates take the long-query role swap); ``explain`` and
-``min_normalized_distance`` are compared for 100 (query, id) pairs, floats
-as ``float.hex()``; and a ``QueryEngine(cache_size=128)`` replays searches,
-60 inserts/appends, then the same searches again, every response compared
-(answers, intervals, cache outcome) — which is what reaches the ε-cache's
-refine and write-patch paths.  What the searches run on is compared too:
-every sequence's segments (start, count and MBR corners, bit for bit) and
-the R-tree as stored — each node's level and rectangle and each leaf's
-entries, in order.
+N=500 video corpus, 600 queries, seed 2000) in a default
+``SequenceDatabase``, runs every query at the three benchmark thresholds
+with solution intervals on and off, plus ``knn`` for the first 100 queries,
+and requires the other checkout to *return* the same: ``candidates``,
+``answers``, ``solution_intervals``, ``dmbr_rows``, ``dnorm_evaluations``
+and ``(distance, id)`` lists — not merely sound ones.  Forty more queries
+of 96-256 points go through the same searches (the corpus holds 56-512
+points a sequence, so a large share of their candidates take the
+long-query role swap); ``explain`` and ``min_normalized_distance`` are
+compared for 100 (query, id) pairs, floats as ``float.hex()``; and a
+``QueryEngine(cache_size=128)`` replays searches, 60 writes (inserts,
+appends to new and to old ids, removes), then the same searches again,
+every response compared (answers, intervals, cache outcome) — which is
+what reaches the ε-cache's refine and write-patch paths and, on the
+default index, the delta, the masking of rewritten rows and a re-pack.
+What the searches run on is compared too: every sequence's segments
+(start, count and MBR corners, bit for bit).
+
+How the default index is laid out and how many nodes a probe visits are
+*not* compared: they are whatever the default kind makes them.  They are
+compared for an explicit ``index_kind="rtree"`` build — the R-tree as
+stored (each node's level and rectangle and each leaf's entries, in order)
+and ``node_accesses`` per search — since that is the substrate the paper's
+figures are measured on.
+
+A third section needs no other checkout: the default kind against the
+R-tree, same corpus, same 3 840 searches — identical candidate sets —
+and again after each of a run of writes applied to both.
 
 Usage::
 
@@ -24,7 +37,8 @@ Usage::
     python tools/search_parity.py --against ../parent --queries 60   # quicker
 
 Each side runs in its own interpreter with only its own ``src/`` on the
-import path; ``--dump FILE`` is that child mode.
+import path; ``--dump FILE`` is that child mode (``--cross-kind`` adds the
+third section's after-writes half, which only this checkout is asked for).
 """
 
 from __future__ import annotations
@@ -51,7 +65,7 @@ _CACHED_QUERIES = (40, 10)  # short, long
 _WRITES = 60
 
 
-def _dump(path: Path, seed: int, queries: int) -> None:
+def _dump(path: Path, seed: int, queries: int, cross_kind: bool) -> None:
     """Run every search on the importable ``repro`` and write the outcomes."""
     from repro.core import SequenceDatabase, SimilaritySearch
     from repro.datagen import generate_queries, generate_video_corpus
@@ -62,24 +76,22 @@ def _dump(path: Path, seed: int, queries: int) -> None:
     pool = generate_queries(
         corpus, _QUERY_POOL, length_range=(16, 64), noise=0.01, seed=seed + 1
     ).queries[:queries]
-    database = SequenceDatabase(3)
-    for sequence in corpus:
-        database.add(sequence)
-    search = SimilaritySearch(database)
-
     long_pool = generate_queries(
         corpus, _LONG_QUERIES, length_range=(96, 256), noise=0.01, seed=seed + 2
     ).queries
-    searches = []
-    for query in [*pool, *long_pool]:
-        for epsilon in _EPSILONS:
-            for find_intervals in (True, False):
-                result = search.search(
-                    query.points, epsilon, find_intervals=find_intervals
-                )
-                searches.append(
-                    [*_outcome(result), result.stats.node_accesses]
-                )
+    database = SequenceDatabase(3)
+    tree = SequenceDatabase(3, index_kind="rtree")
+    for sequence in corpus:
+        database.add(sequence)
+        tree.add(sequence)
+    search = SimilaritySearch(database)
+
+    searches = [
+        _outcome(search.search(query.points, epsilon, find_intervals=find_intervals))
+        for query in [*pool, *long_pool]
+        for epsilon in _EPSILONS
+        for find_intervals in (True, False)
+    ]
     knn = [
         [
             [distance.hex(), sid]
@@ -87,18 +99,80 @@ def _dump(path: Path, seed: int, queries: int) -> None:
         ]
         for query in pool[:_KNN_QUERIES]
     ]
-    path.write_text(
-        json.dumps(
-            {
-                "searches": searches,
-                "knn": knn,
-                "explain": _explanations(search, [*long_pool, *pool]),
-                "replay": _cache_replay(corpus, pool, long_pool, seed),
-                "segments": _segment_digests(database),
-                "tree": _tree_layout(database.index.root),
-            }
-        )
+    dumped = {
+        "searches": searches,
+        "knn": knn,
+        "explain": _explanations(search, [*long_pool, *pool]),
+        "replay": _cache_replay(corpus, pool, long_pool, seed),
+        "segments": _segment_digests(database),
+        "rtree": {
+            "tree": _tree_layout(tree.index.root),
+            "probes": _probes(tree, [*pool, *long_pool]),
+        },
+    }
+    if cross_kind:
+        # Last: the writes change both databases.
+        sample = [*pool[: _CACHED_QUERIES[0]], *long_pool[: _CACHED_QUERIES[1]]]
+        dumped["after_writes"] = _write_directly(database, tree, sample, seed)
+    path.write_text(json.dumps(dumped))
+
+
+def _probes(database: Any, queries: list[Any]) -> list[list[Any]]:
+    """Phase 2 of each (query, threshold): the candidates and what the
+    probe cost in node accesses."""
+    from repro.core import SimilaritySearch
+
+    search = SimilaritySearch(database)
+    probes = []
+    for query in queries:
+        for epsilon in _EPSILONS:
+            result = search.search(query.points, epsilon, find_intervals=False)
+            probes.append([result.candidates, result.stats.node_accesses])
+    return probes
+
+
+def _writes(ids: list[Any], seed: int) -> list[tuple[str, Any, Any]]:
+    """A run of writes over a corpus holding ``ids``: per written sequence
+    an insert of its first half, an append of the rest to it or to an old
+    id, and now and then the removal of an old id."""
+    from repro.datagen import generate_video_corpus
+
+    written = generate_video_corpus(
+        _WRITES // 2, length_range=(56, 256), seed=seed + 3
     )
+    writes: list[tuple[str, Any, Any]] = []
+    for index, sequence in enumerate(written):
+        half = len(sequence) // 2
+        name = f"written-{index}"
+        writes.append(("insert", name, sequence.points[:half]))
+        writes.append(
+            ("append", name if index % 2 == 0 else ids[index], sequence.points[half:])
+        )
+        if index % 6 == 2:  # the run ends on writes no removal follows
+            writes.append(("remove", ids[100 + index], None))
+    return writes
+
+
+def _write_directly(
+    database: Any, tree: Any, queries: list[Any], seed: int
+) -> dict[str, list[list[Any]]]:
+    """Apply the writes to both databases, probing both after every one
+    with a few of ``queries`` in turn: the default kind is then seen with
+    a delta of every size the run produces, with rewritten rows masked,
+    and just after a removal made it pack anew."""
+    probes: dict[str, list[list[Any]]] = {"default": [], "rtree": []}
+    writes = _writes(list(database.ids()), seed)
+    for number, (verb, sequence_id, points) in enumerate(writes):
+        asked = [queries[(3 * number + k) % len(queries)] for k in range(3)]
+        for kind, side in (("default", database), ("rtree", tree)):
+            if verb == "insert":
+                side.add(points, sequence_id=sequence_id)
+            elif verb == "append":
+                side.append_points(sequence_id, points)
+            else:
+                side.remove(sequence_id)
+            probes[kind].extend(_probes(side, asked))
+    return probes
 
 
 def _outcome(result: Any) -> list[Any]:
@@ -152,10 +226,10 @@ def _cache_replay(
     corpus: list[Any], pool: list[Any], long_pool: list[Any], seed: int
 ) -> list[list[Any]]:
     """Every response of one engine with a result cache: each cached query
-    at descending thresholds (a miss, then refines), a run of inserts and
-    appends that patch the cached entries, and the same searches again."""
+    at descending thresholds (a miss, then refines), a run of inserts,
+    appends and removes that patch the cached entries, and the same
+    searches again."""
     from repro.core import SequenceDatabase
-    from repro.datagen import generate_video_corpus
     from repro.service import QueryEngine
 
     database = SequenceDatabase(3)
@@ -168,9 +242,6 @@ def _cache_replay(
         for index, query in enumerate([*pool[:short], *long_pool[:long]])
         for epsilon in sorted(_EPSILONS, reverse=True)
     ]
-    written = generate_video_corpus(
-        _WRITES // 2, length_range=(56, 256), seed=seed + 3
-    )
     responses = []
     engine = QueryEngine(database, workers=1, cache_size=128)
     try:
@@ -187,15 +258,13 @@ def _cache_replay(
                     ]
                 )
             if round_ == 0:
-                for index, sequence in enumerate(written):
-                    half = len(sequence) // 2
-                    name = f"written-{index}"
-                    engine.insert(sequence.points[:half], sequence_id=name)
-                    # The rest continues it, or an old sequence.
-                    engine.append(
-                        name if index % 2 == 0 else ids[index],
-                        sequence.points[half:],
-                    )
+                for verb, sequence_id, points in _writes(ids, seed):
+                    if verb == "insert":
+                        engine.insert(points, sequence_id=sequence_id)
+                    elif verb == "append":
+                        engine.append(sequence_id, points)
+                    else:
+                        engine.remove(sequence_id)
     finally:
         engine.close()
     return responses
@@ -238,7 +307,9 @@ def _tree_layout(root: Any) -> list[list[Any]]:
     return rows
 
 
-def _run_side(root: Path, out: Path, seed: int, queries: int) -> None:
+def _run_side(
+    root: Path, out: Path, seed: int, queries: int, cross_kind: bool
+) -> None:
     subprocess.run(
         [
             sys.executable,
@@ -249,6 +320,7 @@ def _run_side(root: Path, out: Path, seed: int, queries: int) -> None:
             str(seed),
             "--queries",
             str(queries),
+            *(["--cross-kind"] if cross_kind else []),
         ],
         check=True,
         env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
@@ -256,16 +328,35 @@ def _run_side(root: Path, out: Path, seed: int, queries: int) -> None:
     )
 
 
+class _Differences:
+    """Counts differences and prints the first ten."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def add(self, message: str) -> None:
+        self.count += 1
+        if self.count <= 10:
+            print(message)
+
+    def compare(self, what: str, mine: list[Any], theirs: list[Any]) -> None:
+        """Item by item; a length mismatch is an error, not a difference."""
+        for index, (a, b) in enumerate(zip(mine, theirs, strict=True)):
+            if a != b:
+                self.add(f"{what} {index} differs: {a!r} != {b!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     """Compare this checkout with ``--against``; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", type=Path, help="the other checkout's root")
     parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--cross-kind", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=2000)
     parser.add_argument("--queries", type=int, default=_QUERY_POOL)
     args = parser.parse_args(argv)
     if args.dump is not None:
-        _dump(args.dump, args.seed, args.queries)
+        _dump(args.dump, args.seed, args.queries, args.cross_kind)
         return 0
     if args.against is None:
         parser.error("--against is required")
@@ -276,58 +367,81 @@ def main(argv: list[str] | None = None) -> int:
         other: Path = args.against.resolve()
         for name, root in (("this", here), ("other", other)):
             out = Path(tmp) / f"{name}.json"
-            _run_side(root, out, args.seed, args.queries)
+            _run_side(root, out, args.seed, args.queries, name == "this")
             sides[name] = json.loads(out.read_text())
+    this, that = sides["this"], sides["other"]
+
+    # 1. What a search returns, default kind, against the other checkout.
+    returned = _Differences()
+    for sequence_id in sorted(this["segments"].keys() | that["segments"].keys()):
+        if this["segments"].get(sequence_id) != that["segments"].get(sequence_id):
+            returned.add(f"sequence {sequence_id}: segments differ")
     fields = (
         "candidates",
         "answers",
         "solution_intervals",
         "dmbr_rows",
         "dnorm_evaluations",
-        "node_accesses",
     )
-    differing = 0
-    segments, other_segments = sides["this"]["segments"], sides["other"]["segments"]
-    for sequence_id in sorted(segments.keys() | other_segments.keys()):
-        if segments.get(sequence_id) != other_segments.get(sequence_id):
-            differing += 1
-            if differing <= 10:
-                print(f"sequence {sequence_id}: segments differ")
-    tree, other_tree = sides["this"]["tree"], sides["other"]["tree"]
+    for index, (mine, theirs) in enumerate(
+        zip(this["searches"], that["searches"], strict=True)
+    ):
+        for field, a, b in zip(fields, mine, theirs, strict=True):
+            if a != b:
+                returned.add(f"search {index}: {field} differs: {a!r} != {b!r}")
+    for kind in ("knn", "explain", "replay"):
+        returned.compare(kind, this[kind], that[kind])
+    print(
+        f"returned results: {len(this['segments'])} sequences, "
+        f"{len(this['searches'])} searches, {len(this['knn'])} knn calls, "
+        f"{len(this['explain'])} explanations, "
+        f"{len(this['replay'])} cached responses: "
+        f"{returned.count} differences"
+    )
+
+    # 2. The R-tree as stored and as probed, against the other checkout.
+    layout = _Differences()
+    tree, other_tree = this["rtree"]["tree"], that["rtree"]["tree"]
     if len(tree) != len(other_tree):
-        differing += 1
-        print(f"tree: {len(tree)} nodes != {len(other_tree)} nodes")
+        layout.add(f"tree: {len(tree)} nodes != {len(other_tree)} nodes")
     for index, (node, other_node) in enumerate(zip(tree, other_tree)):
         if node != other_node:
-            differing += 1
-            if differing <= 10:
-                print(f"tree node {index} differs: {node!r} != {other_node!r}")
-    for index, (mine, theirs) in enumerate(
-        zip(sides["this"]["searches"], sides["other"]["searches"], strict=True)
-    ):
-        for field, a, b in zip(fields, mine, theirs):
-            if a != b:
-                differing += 1
-                if differing <= 10:
-                    print(f"search {index}: {field} differs: {a!r} != {b!r}")
-    for kind in ("knn", "explain", "replay"):
-        for index, (mine, theirs) in enumerate(
-            zip(sides["this"][kind], sides["other"][kind], strict=True)
-        ):
-            if mine != theirs:
-                differing += 1
-                if differing <= 10:
-                    print(f"{kind} {index} differs: {mine!r} != {theirs!r}")
+            layout.add(f"tree node {index} differs: {node!r} != {other_node!r}")
+    layout.compare("rtree probe", this["rtree"]["probes"], that["rtree"]["probes"])
     print(
-        f"{len(sides['this']['segments'])} sequences, "
-        f"{len(sides['this']['tree'])} tree nodes, "
-        f"{len(sides['this']['searches'])} searches, "
-        f"{len(sides['this']['knn'])} knn calls, "
-        f"{len(sides['this']['explain'])} explanations, "
-        f"{len(sides['this']['replay'])} cached responses: "
-        f"{differing} differences"
+        f"index_kind='rtree': {len(tree)} tree nodes, "
+        f"{len(this['rtree']['probes'])} probes (candidates, node accesses): "
+        f"{layout.count} differences"
     )
-    return 1 if differing else 0
+
+    # 3. The default kind against the R-tree, within this checkout.
+    cross = _Differences()
+    after = this["after_writes"]
+    for what, packed, tree_side in (
+        # A probe per (query, epsilon); a search per (query, epsilon, intervals).
+        *(
+            (f"search {index}", outcome[0], this["rtree"]["probes"][index // 2][0])
+            for index, outcome in enumerate(this["searches"])
+        ),
+        *(
+            (f"probe {index} during the writes", mine[0], theirs[0])
+            for index, (mine, theirs) in enumerate(
+                zip(after["default"], after["rtree"], strict=True)
+            )
+        ),
+    ):
+        if packed != tree_side:
+            cross.add(
+                f"{what}: only the default kind has "
+                f"{[sid for sid in packed if sid not in tree_side]!r}, only "
+                f"rtree has {[sid for sid in tree_side if sid not in packed]!r}"
+            )
+    print(
+        f"default kind vs rtree: candidate sets of {len(this['searches'])} "
+        f"searches, and of {len(after['default'])} probes during the write "
+        f"replay: {cross.count} differences"
+    )
+    return 1 if returned.count + layout.count + cross.count else 0
 
 
 if __name__ == "__main__":
