@@ -24,7 +24,7 @@ def _build(kind, corpus):
     started = time.perf_counter()
     for sequence in corpus:
         database.add(sequence)
-    database.index  # force lazy STR packing inside the timed region
+    database.index  # the index is derived on first use: build it in the timed region
     return database, time.perf_counter() - started
 
 
@@ -76,6 +76,7 @@ def test_index_build_benchmark(benchmark):
         database = SequenceDatabase(dimension=3, index_kind="rtree")
         for sequence in corpus:
             database.add(sequence)
+        database.index  # derived on first use: without this no tree is built
         return database
 
     database = benchmark(build)

@@ -11,38 +11,33 @@ It also owns the **segment table** (:class:`SegmentTable`): every
 partition's MBR matrices and point counts concatenated, in insertion
 order, into a handful of flat frozen arrays.  Phase 3 and the k-NN bounds
 read it instead of visiting one partition object per sequence, so one
-NumPy call covers all candidates at once.  The table is derived state: it
-is built on first use, replaced after every mutation — spliced from its
-predecessor when one write separates the two, rebuilt otherwise — and
-shared by :meth:`SequenceDatabase.clone` until the twin mutates.
+NumPy call covers all candidates at once.
 
-The index is one of two families (:mod:`repro.core.backends`).  The
-default, ``"packed"``, is *array-backed*: derived from the segment table
-like the table is from the partitions, immutable, shared by ``clone()``,
-and advanced — not rebuilt — by a write.  The R-tree family (``"rtree"``,
-``"rstar"``, ``"str"``; the paper's substrate) holds one leaf entry per
-segment, keyed by ``(sequence id, segment index)``, which the database
-inserts and deletes as sequences come, grow and go.
+Table and index are **derived state** under one rule: a write records the
+id it touched and changes neither; the next use derives both from the
+partitions as they are then — the table spliced from its predecessor when
+one write separates the two and rebuilt otherwise, the index by its kind's
+build (:mod:`repro.core.backends`); and :meth:`SequenceDatabase.clone`
+shares them by reference, since nothing ever patches them in place.  The
+default kind, ``"packed"``, advances from its predecessor, so a write
+costs what it changes.  The R-tree kinds (``"rtree"``, ``"rstar"``,
+``"str"``; the paper's §3.4.1 substrate, one leaf entry per segment keyed
+by ``(sequence id, segment index)``) are built anew — the paper's static
+model: they serve the figure and ablation benches and parity checks, not
+a corpus that interleaves writes with reads.
 """
 
 from __future__ import annotations
 
+import itertools
 import mmap
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, cast
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.backends import (
-    ArrayIndexBackend,
-    IndexBackend,
-    TreeIndexBackend,
-    bulk_build_index,
-    deserialize_index,
-    get_backend,
-    serialize_index,
-)
+from repro.core.backends import IndexBackend, get_backend
 from repro.core.contracts import ContractViolation, lower_bounds
 from repro.core.distance import min_dmbr_runs
 from repro.core.partitioning import (
@@ -299,10 +294,10 @@ class SequenceDatabase:
         Cap on points per segment MBR (``None`` disables).
     index_kind:
         ``"packed"`` (default: the array-backed index of
-        :mod:`repro.index.packed`, derived from the segment table),
-        ``"rtree"`` (Guttman — the paper's substrate), ``"rstar"``
-        (R*-tree) or ``"str"`` (an object tree bulk-loaded by STR, packed
-        lazily on first use and repacked after later insertions).
+        :mod:`repro.index.packed`, advanced by each write), or one of the
+        static substrates, rebuilt on first use after a write: ``"rtree"``
+        (Guttman — the paper's), ``"rstar"`` (R*-tree) or ``"str"`` (an
+        object tree bulk-loaded by STR).
     max_entries:
         R-tree node capacity (the packed index has its own fixed fan-out).
 
@@ -334,17 +329,12 @@ class SequenceDatabase:
         self.index_kind = index_kind
         self.max_entries = max_entries
         self._partitions: dict[object, PartitionedSequence] = {}
-        #: Derived state, ``None`` while stale.  A tree of an incremental
-        #: kind is kept current by every write instead.
-        self._index: IndexBackend | None = None
+        #: Derived state as of one moment — the table, and the index once
+        #: something has asked for it — and the ids written since, oldest
+        #: first.  The next use of either brings both up to the partitions.
         self._table: SegmentTable | None = None
-        #: The last table and the id written since, while exactly one write
-        #: separates that table from the partitions: the next table is
-        #: spliced from it.
-        self._splice: tuple[SegmentTable, object] | None = None
-        #: Array-backed kinds: ids added or appended to since ``_index``
-        #: was current — what the next index takes into its delta.
-        self._unindexed: tuple[object, ...] = ()
+        self._index: IndexBackend | None = None
+        self._stale: tuple[object, ...] = ()
 
     # ------------------------------------------------------------------
     # Population
@@ -361,7 +351,9 @@ class SequenceDatabase:
             point array of the database's dimensionality.
         sequence_id:
             Explicit id; defaults to the sequence's own id, falling back to
-            the insertion ordinal.  Duplicate ids are rejected.
+            the insertion ordinal — or, once a removal has left that taken,
+            the first integer after it that is free.  Duplicate ids are
+            rejected.
         """
         if not isinstance(sequence, MultidimensionalSequence):
             sequence = MultidimensionalSequence(sequence)
@@ -373,8 +365,12 @@ class SequenceDatabase:
         if sequence_id is None:
             sequence_id = sequence.sequence_id
         if sequence_id is None:
-            sequence_id = len(self._partitions)
-        if sequence_id in self._partitions:
+            sequence_id = next(
+                ordinal
+                for ordinal in itertools.count(len(self._partitions))
+                if ordinal not in self._partitions
+            )
+        elif sequence_id in self._partitions:
             raise KeyError(f"sequence id {sequence_id!r} already stored")
 
         partition = partition_sequence(
@@ -382,12 +378,6 @@ class SequenceDatabase:
             cost_constant=self.cost_constant,
             max_points=self.max_points,
         )
-        if self._backend.incremental:
-            index = self._live_tree()
-            for segment in partition:
-                index.insert(
-                    segment.mbr, SegmentKey(sequence_id, segment.index)
-                )
         self._partitions[sequence_id] = partition
         self._written(sequence_id)
         return sequence_id
@@ -404,10 +394,8 @@ class SequenceDatabase:
         A growing video stream keeps its already-closed segments; only the
         *last* segment can change (the greedy MCOST partitioner never
         revisits earlier ones), so that segment is re-partitioned together
-        with the new points (:meth:`PartitionedSequence.extended_to`) and only
-        it is swapped in a tree index (an array-backed one notes the row):
-        the work grows with the points appended, not with the stream's
-        length.
+        with the new points (:meth:`PartitionedSequence.extended_to`): the
+        work grows with the points appended, not with the stream's length.
         """
         old_partition = self.partition(sequence_id)  # raises on unknown id
         new_block = np.asarray(points, dtype=np.float64)
@@ -428,51 +416,17 @@ class SequenceDatabase:
         new_partition = old_partition.extended_to(
             extended, max_points=self.max_points
         )
-        if self._backend.incremental:
-            # Patch the tree: the closed segments are the same objects in
-            # both partitions, so only the re-partitioned tail is swapped.
-            index = self._live_tree()
-            old_segments = old_partition.segments
-            new_segments = new_partition.segments
-            stable = len(old_segments) - 1
-            if new_segments[stable] is old_segments[stable]:
-                stable += 1
-            for segment in old_segments[stable:]:
-                removed = index.delete(
-                    segment.mbr, SegmentKey(sequence_id, segment.index)
-                )
-                if not removed:
-                    raise RuntimeError(
-                        f"index entry for {sequence_id!r} segment "
-                        f"{segment.index} was missing during append"
-                    )
-            for segment in new_segments[stable:]:
-                index.insert(
-                    segment.mbr, SegmentKey(sequence_id, segment.index)
-                )
         self._partitions[sequence_id] = new_partition
         self._written(sequence_id)
 
-    def _written(self, sequence_id: object, *, removed: bool = False) -> None:
-        """Mark the derived state stale after one write to ``sequence_id``.
-
-        The table is spliced from its predecessor if this is the only
-        write since that was current, and rebuilt otherwise.  An
-        incremental tree was patched by the caller.  An array-backed index
-        takes an added or grown row into its next delta; a removal
-        renumbers the rows behind it, which no delta can express, so that
-        drops the index — as any write drops a bulk-only tree, which has
-        no insertion order to patch.
+    def _written(self, sequence_id: object) -> None:
+        """Record one write; table and index stay as they are, stale, until
+        the next use derives them anew.  A new tuple each time: the old
+        one may be a clone's.  While nothing has been derived (a corpus
+        being populated) there is nothing to go stale and nothing to record.
         """
-        self._splice = None if self._table is None else (self._table, sequence_id)
-        self._table = None
-        if self._backend.table_factory is None:
-            if not self._backend.incremental:
-                self._index = None
-        elif removed:
-            self._index, self._unindexed = None, ()
-        else:
-            self._unindexed += (sequence_id,)
+        if self._table is not None:
+            self._stale = (*self._stale, sequence_id)
 
     def empty_twin(self) -> "SequenceDatabase":
         """An empty database with this one's configuration."""
@@ -487,47 +441,28 @@ class SequenceDatabase:
     def clone(self) -> "SequenceDatabase":
         """A copy-on-write snapshot copy: mutations never cross over.
 
-        The partition objects, the segment table and an array-backed index
-        (all immutable) are shared between the original and the copy — the
-        default kind copies nothing but the id-to-partition ``dict``.  A
-        tree index is structurally cloned when the backend supports it
-        (the R-tree family does, via ``clone()``, one object per node),
-        otherwise the copy rebuilds its index lazily on first use.  This
-        is the primitive :class:`repro.service.engine.QueryEngine` uses to
-        give writers a private database while in-flight readers finish on
-        the old snapshot.
+        The partition objects, the segment table and the index are shared
+        between the original and the copy — nothing is copied but the
+        id-to-partition ``dict`` — and stay shared until one side writes
+        and derives its own.  This is the primitive
+        :class:`repro.service.engine.QueryEngine` uses to give writers a
+        private database while in-flight readers finish on the old
+        snapshot.
         """
         twin = self.empty_twin()
         twin._partitions = dict(self._partitions)
-        twin._table, twin._splice = self._table, self._splice
-        if self._backend.table_factory is not None:
-            twin._index, twin._unindexed = self._index, self._unindexed
-        elif self._index is not None:
-            cloner = getattr(self._index, "clone", None)
-            twin._index = cloner() if callable(cloner) else None
+        twin._table, twin._index = self._table, self._index
+        twin._stale = self._stale
         return twin
 
     def remove(self, sequence_id: object) -> None:
-        """Remove a sequence and its index entries.
-
-        Raises ``KeyError`` for unknown ids.  Incremental trees delete the
-        entries; the other kinds drop the index and derive it anew on next
-        use.
-        """
-        partition = self.partition(sequence_id)  # raises on unknown id
-        if self._backend.incremental:
-            index = self._live_tree()
-            for segment in partition:
-                removed = index.delete(
-                    segment.mbr, SegmentKey(sequence_id, segment.index)
-                )
-                if not removed:
-                    raise RuntimeError(
-                        f"index entry for {sequence_id!r} segment "
-                        f"{segment.index} was missing"
-                    )
+        """Remove a sequence; raises ``KeyError`` for unknown ids."""
+        self.partition(sequence_id)  # raises on unknown id
         del self._partitions[sequence_id]
-        self._written(sequence_id, removed=True)
+        # The rows behind it are renumbered, which no index can follow:
+        # whatever the kind, the next one is built anew.
+        self._index = None
+        self._written(sequence_id)
 
     # ------------------------------------------------------------------
     # Access
@@ -568,16 +503,29 @@ class SequenceDatabase:
         forces it before publishing a snapshot so readers only ever find it
         ready.
         """
-        if self._table is None:
-            if self._splice is None:
-                self._table = SegmentTable.build(self.dimension, self._partitions)
-            else:
-                table, sequence_id = self._splice
-                self._table = table.spliced(
-                    sequence_id, self._partitions.get(sequence_id)
-                )
-                self._splice = None
+        if self._table is None or self._stale:
+            return self._derive()
         return self._table
+
+    def _derive(self) -> SegmentTable:
+        """Bring the derived state up to the partitions; returns the table.
+
+        The table is spliced from its predecessor if one write separates
+        the two and rebuilt otherwise; an index that was derived for the
+        predecessor is succeeded by its kind's build for this table.
+        """
+        table, previous, written = self._table, self._index, self._stale
+        # Forgotten first: a build that fails leaves nothing stale behind
+        # to be trusted, only more to derive next time.
+        self._table, self._index, self._stale = None, None, ()
+        if table is not None and len(written) == 1:
+            table = table.spliced(written[0], self._partitions.get(written[0]))
+        else:
+            table = SegmentTable.build(self.dimension, self._partitions)
+        self._table = table
+        if previous is not None:
+            self._index = self._backend.build(self, previous, written)
+        return table
 
     @property
     def segment_count(self) -> int:
@@ -594,44 +542,16 @@ class SequenceDatabase:
     # ------------------------------------------------------------------
     @property
     def index(self) -> IndexBackend:
-        """The MBR index, derived on first use after a mutation unless it
-        is an incremental tree.  Like :attr:`segment_table`, deriving is
-        not thread-safe, and :class:`~repro.service.engine.QueryEngine`
-        forces it on the writer — packing a new base included — before a
-        snapshot is published."""
-        if self._backend.table_factory is not None:
-            return self._live_arrays()
-        return self._live_tree()
-
-    def _live_tree(self) -> TreeIndexBackend:
+        """The MBR index, derived on first use and again after a mutation
+        — a rebuild for every kind but the default, which advances.  Like
+        :attr:`segment_table`, deriving is not thread-safe, and
+        :class:`~repro.service.engine.QueryEngine` forces it on the writer
+        — packing a new base included — before a snapshot is published."""
+        if self._table is None or self._stale:
+            self._derive()  # the table first: an existing index follows it
         if self._index is None:
-            self._index = bulk_build_index(
-                self.index_kind,
-                [
-                    (segment.mbr, SegmentKey(sequence_id, segment.index))
-                    for sequence_id, partition in self._partitions.items()
-                    for segment in partition
-                ],
-                self.dimension,
-                max_entries=self.max_entries,
-            )
-        return cast(TreeIndexBackend, self._index)
-
-    def _live_arrays(self) -> ArrayIndexBackend:
-        factory = self._backend.table_factory
-        if factory is None:
-            raise RuntimeError(f"{self.index_kind!r} is not an array-backed index")
-        if self._index is None or self._unindexed:
-            table = self.segment_table
-            self._index = factory(
-                table.low_columns,
-                table.high_columns,
-                table.sequence_offsets,
-                cast("ArrayIndexBackend | None", self._index),
-                [table.rows[sequence_id] for sequence_id in self._unindexed],
-            )
-            self._unindexed = ()
-        return cast(ArrayIndexBackend, self._index)
+            self._index = self._backend.build(self, None, ())
+        return self._index
 
     @lower_bounds(_validate_candidate_rows, label="Phase 2 == flat min Dmbr scan")
     def candidate_rows(
@@ -646,11 +566,12 @@ class SequenceDatabase:
         MBRs in one batched descent; a tree is probed once per MBR.
         """
         epsilon = check_threshold(epsilon)
-        if self._backend.table_factory is not None:
-            return self._live_arrays().candidate_rows(
+        index = self.index
+        batched = getattr(index, "candidate_rows", None)
+        if batched is not None:
+            return batched(
                 query_partition.low_matrix, query_partition.high_matrix, epsilon
             )
-        index = self._live_tree()
         accesses_before = index.stats.node_accesses
         found: set[object] = set()
         for segment in query_partition:
@@ -673,20 +594,15 @@ class SequenceDatabase:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: PathLike, *, include_index: bool = True) -> None:
+    def save(self, path: PathLike) -> None:
         """Persist the database to an ``.npz`` archive, crash-safely.
 
-        Stored: the configuration and every sequence's points and id, and —
-        when the backend supports flat serialisation (the R-tree family)
-        and ``include_index`` is true — the index tree itself (via the
-        :func:`repro.core.backends.serialize_index` seam), which
-        :meth:`load` then restores instead of re-inserting every segment.
-        Archives without the embedded tree — those of the default
-        ``"packed"`` kind, whose index is packed from the segment table in
-        milliseconds, always are — remain loadable (the index is
-        rebuilt from the sequences).  Sequence ids are stored via ``repr``
-        round-tripping for the common id types (str, int); exotic id
-        objects are rejected.
+        Stored: the configuration and every sequence's points and id —
+        nothing derived, so nothing that can be torn or stale on disk;
+        :meth:`load` partitions the sequences again and the index is built
+        on first use.  Sequence ids are stored via ``repr`` round-tripping
+        for the common id types (str, int); exotic id objects — ``bool``
+        among them, which would come back as a string — are rejected.
 
         The archive is written to a temporary file in the target
         directory, fsynced, and atomically renamed into place
@@ -699,7 +615,9 @@ class SequenceDatabase:
 
         ids = list(self._partitions)
         for sequence_id in ids:
-            if not isinstance(sequence_id, (str, int)):
+            if not isinstance(sequence_id, (str, int)) or isinstance(
+                sequence_id, bool
+            ):
                 raise TypeError(
                     f"only str/int sequence ids can be persisted, got "
                     f"{type(sequence_id).__name__}"
@@ -716,10 +634,6 @@ class SequenceDatabase:
             f"sequence_{ordinal}": self._partitions[sequence_id].sequence.points
             for ordinal, sequence_id in enumerate(ids)
         }
-        if include_index and self._backend.dumps is not None:
-            blob = serialize_index(self.index_kind, self._live_tree())
-            if blob is not None:
-                arrays["_index"] = np.frombuffer(blob, dtype=np.uint8)
         arrays["_meta"] = np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8
         )
@@ -767,15 +681,15 @@ class SequenceDatabase:
     def load(cls, path: PathLike) -> "SequenceDatabase":
         """Rebuild a database saved with :meth:`save`.
 
-        When the archive embeds the flat index tree, the tree is restored
-        directly (identical node layout, hence identical query results and
-        node-access counts) and only the partitions — which ``Dnorm`` and
-        solution intervals need — are recomputed.  Older archives without
-        the tree fall back to full reconstruction.
+        Sequences are added in the saved order, so every derived structure
+        — a tree's node layout included, hence its node-access counts —
+        comes out as in the database that was saved.  The ``_index``
+        member of archives written before the index was derived state is
+        not read.
         """
         import json
 
-        with np.load(path) as archive:
+        with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(bytes(archive["_meta"]).decode())
             database = cls(
                 dimension=int(meta["dimension"]),
@@ -786,34 +700,9 @@ class SequenceDatabase:
                 index_kind=meta["index_kind"],
                 max_entries=int(meta["max_entries"]),
             )
-            index_blob = (
-                archive["_index"].tobytes()
-                if "_index" in archive.files
-                else None
-            )
-            if index_blob is None:
-                for ordinal, (type_name, raw) in enumerate(meta["ids"]):
-                    sequence_id = int(raw) if type_name == "int" else raw
-                    database.add(
-                        archive[f"sequence_{ordinal}"], sequence_id=sequence_id
-                    )
-                return database
             for ordinal, (type_name, raw) in enumerate(meta["ids"]):
-                sequence_id = int(raw) if type_name == "int" else raw
-                sequence = MultidimensionalSequence(
-                    archive[f"sequence_{ordinal}"], sequence_id=sequence_id
+                database.add(
+                    archive[f"sequence_{ordinal}"],
+                    sequence_id=int(raw) if type_name == "int" else raw,
                 )
-                database._partitions[sequence_id] = partition_sequence(
-                    sequence,
-                    cost_constant=database.cost_constant,
-                    max_points=database.max_points,
-                )
-            index = deserialize_index(database.index_kind, index_blob)
-            if len(index) != database.segment_count:
-                raise ValueError(
-                    f"corrupt archive: embedded index holds {len(index)} "
-                    f"entries but the partitions produce "
-                    f"{database.segment_count} segments"
-                )
-            database._index = index
         return database

@@ -18,7 +18,9 @@ rectangle-to-rectangle minimum distance (``Dmbr``) to the query rectangle is
 at most ``epsilon``.
 """
 
-from repro.core.backends import register_index_backend
+from repro.core.backends import Build, IndexBackend, register_index_backend
+from repro.core.database import SegmentKey, SequenceDatabase
+from repro.core.mbr import MBR
 from repro.index.bulk import bulk_load_str
 from repro.index.node import LeafEntry, Node
 from repro.index.packed import PackedBase, PackedIndex, index_table
@@ -32,45 +34,40 @@ from repro.index.rstar import RStarTree
 from repro.index.serialize import dumps_tree, load_tree, loads_tree, save_tree
 from repro.index.rtree import IndexStats, RTree
 
-def _dumps_backend(index: object) -> bytes:
-    """Registry ``dumps`` hook: flat-serialise any tree of this family."""
-    if not isinstance(index, RTree):
-        raise TypeError(
-            f"cannot flat-serialise {type(index).__name__}; expected an "
-            f"RTree-family index"
-        )
-    return dumps_tree(index)
+
+def _leaf_entries(database: SequenceDatabase) -> list[tuple[MBR, SegmentKey]]:
+    """One ``(MBR, key)`` leaf entry per stored segment, in insertion order."""
+    return [
+        (segment.mbr, SegmentKey(sequence_id, segment.index))
+        for sequence_id, partition in database.partitions()
+        for segment in partition
+    ]
+
+
+def _grown(tree_class: type[RTree]) -> Build:
+    """The build of a dynamic tree: insert every entry, in insertion order
+    — so a database, its clone and its reloaded archive hold one layout."""
+
+    def build(
+        database: SequenceDatabase, previous: IndexBackend | None, written: object
+    ) -> RTree:
+        tree = tree_class(database.dimension, max_entries=database.max_entries)
+        tree.extend(_leaf_entries(database))
+        return tree
+
+    return build
 
 
 # Self-register the default backends with the core registry (the lazy
 # provider seam of repro.core.backends imports this module by name).
-register_index_backend("packed", table_factory=index_table, incremental=False)
-# The other three kinds build RTree-family trees, so they share the flat
-# dumps/loads pair of repro.index.serialize.
-register_index_backend(
-    "rtree",
-    factory=lambda dimension, max_entries: RTree(
-        dimension, max_entries=max_entries
-    ),
-    dumps=_dumps_backend,
-    loads=loads_tree,
-)
-register_index_backend(
-    "rstar",
-    factory=lambda dimension, max_entries: RStarTree(
-        dimension, max_entries=max_entries
-    ),
-    dumps=_dumps_backend,
-    loads=loads_tree,
-)
+register_index_backend("packed", index_table)
+register_index_backend("rtree", _grown(RTree))
+register_index_backend("rstar", _grown(RStarTree))
 register_index_backend(
     "str",
-    bulk_factory=lambda items, dimension, max_entries: bulk_load_str(
-        items, dimension, max_entries=max_entries
+    lambda database, previous, written: bulk_load_str(
+        _leaf_entries(database), database.dimension, max_entries=database.max_entries
     ),
-    incremental=False,
-    dumps=_dumps_backend,
-    loads=loads_tree,
 )
 
 __all__ = [

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backends import ArrayIndexBackend
-from repro.core.database import mapped_blocks
+from repro.core.backends import IndexBackend
+from repro.core.database import SequenceDatabase, mapped_blocks
 from repro.core.distance import run_entries
 from repro.core.mbr import BROADCAST_CELLS, MBR, dmbr_columns, min_dmbr_columns
 from repro.index.rtree import IndexStats
@@ -344,27 +344,30 @@ class PackedIndex:
 
 
 def index_table(
-    low_columns: np.ndarray,
-    high_columns: np.ndarray,
-    sequence_offsets: np.ndarray,
-    previous: ArrayIndexBackend | None,
-    written_rows: Sequence[int],
+    database: SequenceDatabase,
+    previous: IndexBackend | None,
+    written: Sequence[object],
 ) -> PackedIndex:
-    """The index of a segment table — the ``"packed"`` backend's factory.
+    """The index of a database's segment table — the ``"packed"`` backend's
+    build (:data:`repro.core.backends.Build`).
 
-    The table comes as its column-major ``(n, S)`` corner arrays and the
-    ``(N + 1,)`` first segment of each sequence row.  With ``previous`` —
-    the index of the table this one was written from, rows only added at
-    the end or rewritten in place since, ``written_rows`` naming them —
-    the result shares ``previous.base`` and takes the written rows into
-    its delta; a new base is packed when there is no previous index or
-    the delta would pass :data:`MERGE_DELTA_SEGMENTS` segments.
+    With ``previous`` — the index of the table this one was written from,
+    rows only added at the end or rewritten in place since, ``written``
+    naming their sequences — the result shares ``previous.base`` and takes
+    the written rows into its delta; a new base is packed when there is no
+    previous index or the delta would pass :data:`MERGE_DELTA_SEGMENTS`
+    segments.
     """
+    table = database.segment_table
+    low_columns, high_columns = table.low_columns, table.high_columns
+    sequence_offsets = table.sequence_offsets
     if isinstance(previous, PackedIndex):
-        written = np.zeros(len(sequence_offsets) - 1, dtype=bool)
-        written[previous.delta_rows] = True
-        written[np.asarray(written_rows, dtype=np.int64)] = True
-        delta_rows = np.flatnonzero(written)
+        in_delta = np.zeros(len(sequence_offsets) - 1, dtype=bool)
+        in_delta[previous.delta_rows] = True
+        in_delta[
+            np.array([table.rows[sid] for sid in written], dtype=np.int64)
+        ] = True
+        delta_rows = np.flatnonzero(in_delta)
         delta_segments = int(
             (sequence_offsets[delta_rows + 1] - sequence_offsets[delta_rows]).sum()
         )

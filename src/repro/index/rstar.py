@@ -71,14 +71,6 @@ class RStarTree(RTree):
         self._levels_reinserted: set[int] = set()
         self._pending: list[tuple[object, int]] = []
 
-    def _empty_clone(self) -> "RStarTree":
-        return type(self)(
-            self.dimension,
-            max_entries=self.max_entries,
-            min_entries=self.min_entries,
-            reinsert_fraction=self.reinsert_fraction,
-        )
-
     # ------------------------------------------------------------------
     # Insertion driver with deferred reinsertion
     # ------------------------------------------------------------------

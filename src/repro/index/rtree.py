@@ -115,43 +115,6 @@ class RTree:
         )
 
     # ------------------------------------------------------------------
-    # Structural copy (snapshot support)
-    # ------------------------------------------------------------------
-    def _empty_clone(self) -> "RTree":
-        """A fresh tree of the same kind and parameters, no contents."""
-        return type(self)(
-            self.dimension,
-            max_entries=self.max_entries,
-            min_entries=self.min_entries,
-        )
-
-    def clone(self) -> "RTree":
-        """A structurally identical copy sharing no mutable node state.
-
-        Node objects are duplicated; the immutable building blocks
-        (:class:`~repro.core.mbr.MBR`, :class:`LeafEntry`, payloads) are
-        shared, so cloning costs one object per node/entry rather than a
-        full rebuild.  Inserts and deletes on either tree never affect the
-        other — the copy-on-write primitive behind
-        :meth:`repro.core.database.SequenceDatabase.clone`.  The clone
-        starts with fresh (zeroed) :attr:`stats`.
-        """
-        twin = self._empty_clone()
-        twin.root = self._clone_node(self.root)
-        twin._size = self._size
-        return twin
-
-    @classmethod
-    def _clone_node(cls, node: Node) -> Node:
-        copy = Node(is_leaf=node.is_leaf, level=node.level)
-        copy.mbr = node.mbr
-        if node.is_leaf:
-            copy.children = list(node.children)
-        else:
-            copy.children = [cls._clone_node(child) for child in node.children]
-        return copy
-
-    # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
     def insert(self, mbr: MBR, payload: Any = None) -> None:

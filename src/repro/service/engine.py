@@ -9,10 +9,11 @@ route that changes the corpus — ``insert`` / ``append`` / ``remove``, a
 shipped batch (``apply_records``) and a full ``restore`` — runs the same
 sequence in :meth:`QueryEngine._commit`: admission check, the single
 writer lock, a private database (a copy-on-write
-:meth:`SequenceDatabase.clone` — partitions shared, index structurally
-copied — or an empty twin when the corpus is replaced), the mutation, the
-index check, the durability barrier, the cache action, and one atomic
-swap of the snapshot reference.  Readers grab the snapshot reference once
+:meth:`SequenceDatabase.clone` — partitions, segment table and index
+shared by reference — or an empty twin when the corpus is replaced), the
+mutation, the derivation of the clone's own table and index with a
+consistency check, the durability barrier, the cache action, and one
+atomic swap of the snapshot reference.  Readers grab the snapshot reference once
 per request and run entirely against it: no reader locks on the hot path,
 and an in-flight search finishes on the snapshot it started with
 (readers-never-block-writers, writers-never-tear-readers).

@@ -19,6 +19,21 @@ class TestPopulation:
         ids = [db.add(rng.random((10, 2))) for _ in range(3)]
         assert ids == [0, 1, 2]
 
+    def test_auto_ids_skip_ordinals_still_in_use_after_a_remove(self, rng):
+        """The count is no longer a free id once something was removed:
+        add x3, remove(0), add used to raise ``KeyError: sequence id 2
+        already stored`` — and went on raising on every retry."""
+        db = SequenceDatabase(dimension=2)
+        for _ in range(3):
+            db.add(rng.random((10, 2)))
+        db.remove(0)
+        assert db.add(rng.random((10, 2))) == 3
+        db.remove(1)
+        db.remove(3)
+        assert db.add(rng.random((10, 2))) == 1  # the count again, and free
+        assert db.add(rng.random((10, 2))) == 3
+        assert db.ids() == [2, 1, 3]
+
     def test_id_from_sequence_object(self, rng):
         db = SequenceDatabase(dimension=2)
         seq = MultidimensionalSequence(rng.random((10, 2)), sequence_id="named")

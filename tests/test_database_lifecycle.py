@@ -86,7 +86,7 @@ class TestSegmentTable:
             min_size=1,
             max_size=14,
         ),
-        st.sampled_from(["packed", "rtree", "str"]),
+        st.sampled_from(["packed", "rtree", "rstar", "str"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_search_equals_a_database_rebuilt_from_scratch(self, steps, kind):
@@ -182,11 +182,9 @@ class TestSegmentTable:
                 continue
             if verb == "two":  # a second write before the table is read
                 database.append_points(f"s{added}", self._walk(number + 1, 3))
-                assert database._splice is None
-            else:
-                assert database._splice is not None
+            assert len(database._stale) == (2 if verb == "two" else 1)
             assert database.segment_table is not previous
-            assert database._splice is None
+            assert database._stale == ()
             self._assert_equals_built(database)
 
     def test_splices_at_the_edges(self, rng):

@@ -313,23 +313,39 @@ class TestWritesAgainstTheTree:
         assert 3 <= len(bases) <= 6
 
     def test_a_twin_never_changes_its_parent(self):
-        parent = populated("packed", count=20)
+        """Whatever the kind, a clone shares the index by reference until
+        it writes, and then derives its own: the parent's index object,
+        its size and what it returns stay as they were.  The default kind
+        goes on sharing the base."""
         queries = [walk(seed, 25) for seed in (3, 11)]
-        before = [outcome(parent, query, 0.15) for query in queries]
-        base, delta = parent.index.base, parent.index.delta_rows.tolist()
-        twin = parent.clone()
-        assert twin.index is parent.index  # nothing copied
-        twin.add(queries[0], sequence_id="new")
-        twin.append_points(4, queries[1])
-        assert twin.index.base is base  # shared by reference
-        assert twin.index.delta_rows.tolist() == [4, 20]
-        assert "new" in outcome(twin, queries[0], 0.15)[1]
-        assert [outcome(parent, query, 0.15) for query in queries] == before
-        twin.remove(0)
-        assert twin.index.base is not base
-        assert [outcome(parent, query, 0.15) for query in queries] == before
-        assert parent.index.base is base
-        assert parent.index.delta_rows.tolist() == delta
+        probes = [partition_sequence(query) for query in queries]
+
+        def seen(database):
+            return (
+                [outcome(database, query, 0.15) for query in queries],
+                [database.candidate_rows(p, 0.15)[0].tolist() for p in probes],
+            )
+
+        for kind in KINDS:
+            parent = populated(kind, count=20)
+            index, size, before = parent.index, len(parent.index), seen(parent)
+            twin = parent.clone()
+            assert twin.index is index  # nothing copied
+            twin.add(queries[0], sequence_id="new")
+            twin.append_points(4, queries[1])
+            assert twin.index is not index
+            assert len(twin.index) == twin.segment_count > size
+            assert "new" in outcome(twin, queries[0], 0.15)[1]
+            if kind == "packed":
+                assert twin.index.base is index.base  # shared by reference
+                assert twin.index.delta_rows.tolist() == [4, 20]
+            twin.remove(0)
+            assert len(twin.index) == twin.segment_count
+            if kind == "packed":
+                assert twin.index.base is not index.base
+                assert index.delta_rows.tolist() == []
+            assert parent.index is index and len(index) == size
+            assert seen(parent) == before
 
     def test_two_hundred_writes_pack_a_handful_of_times(self, monkeypatch):
         packs = []
@@ -388,7 +404,6 @@ class TestPhase2Contract:
         database.append_points(3, far)
         table = database.segment_table
         # Pretend nothing was written: the old base, no delta.
-        database._unindexed = ()
         database._index = PackedIndex(
             stale.base,
             table.low_columns,

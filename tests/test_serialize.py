@@ -336,42 +336,17 @@ class TestBytesRoundTrip:
         assert loaded.height == tree.height
         loaded.check_invariants()
 
-    def test_backend_registry_serialization(self, rng):
-        from repro.core.backends import (
-            create_index,
-            deserialize_index,
-            get_backend,
-            serialize_index,
-        )
-
-        for kind in ("rtree", "rstar"):
-            spec = get_backend(kind)
-            assert spec.dumps is not None and spec.loads is not None
-            index = create_index(kind, 2, max_entries=8)
-            for ordinal, (mbr, payload) in enumerate(random_boxes(rng, 15)):
-                index.insert(mbr, payload)
-            blob = serialize_index(kind, index)
-            assert blob is not None
-            restored = deserialize_index(kind, blob)
-            assert len(restored) == 15
-
 
 class TestDatabaseIndexEmbedding:
-    """save() embeds the flat index tree; load() restores it directly
-    instead of re-inserting every segment."""
+    """The index is derived state whatever the kind: an archive holds
+    sequences, ids and partition parameters, and a loaded database derives
+    the index the saved one had."""
 
     def _database(self, rng, count=8, index_kind="rtree", **kwargs):
         db = SequenceDatabase(dimension=2, index_kind=index_kind, **kwargs)
         for ordinal in range(count):
             db.add(rng.random((22, 2)), sequence_id=f"s{ordinal}")
         return db
-
-    def test_archive_contains_index_blob(self, rng, tmp_path):
-        db = self._database(rng)
-        path = tmp_path / "db.npz"
-        db.save(path)
-        with np.load(path) as archive:
-            assert "_index" in archive.files
 
     def test_default_kind_archives_carry_no_index_blob(self, rng, tmp_path):
         """The packed index is derived from the segment table in
@@ -398,7 +373,7 @@ class TestDatabaseIndexEmbedding:
 
     def test_rtree_archives_load_as_rtree_databases(self, rng, tmp_path):
         """An archive written when ``"rtree"`` was the default names its
-        kind and embeds its tree; it keeps loading as what it is."""
+        kind; it keeps loading as what it is."""
         import json
 
         db = self._database(rng, index_kind="rtree")
@@ -406,7 +381,7 @@ class TestDatabaseIndexEmbedding:
         db.save(path)
         with np.load(path) as archive:
             meta = json.loads(bytes(archive["_meta"]).decode())
-            assert meta["index_kind"] == "rtree" and "_index" in archive.files
+            assert meta["index_kind"] == "rtree" and "_index" not in archive.files
         loaded = SequenceDatabase.load(path)
         assert loaded.index_kind == "rtree"
         assert type(loaded.index).__name__ == "RTree"
@@ -414,23 +389,13 @@ class TestDatabaseIndexEmbedding:
         loaded.add(rng.random((22, 2)), sequence_id="later")
         assert len(loaded.index) == loaded.segment_count
 
-    def test_include_index_false_falls_back(self, rng, tmp_path):
-        db = self._database(rng)
-        path = tmp_path / "db.npz"
-        db.save(path, include_index=False)
-        with np.load(path) as archive:
-            assert "_index" not in archive.files
-        loaded = SequenceDatabase.load(path)
-        query = rng.random((9, 2))
-        assert (
-            SimilaritySearch(loaded).search(query, 0.3).answers
-            == SimilaritySearch(db).search(query, 0.3).answers
-        )
-
     def test_loaded_index_layout_identical(self, rng, tmp_path):
-        """The restored tree has the same node layout: identical answers
-        AND identical node-access counts."""
+        """The re-derived tree has the same node layout — same entries in
+        the same insertion order — also after appends and a remove:
+        identical answers AND identical node-access counts."""
         db = self._database(rng)
+        db.append_points("s2", rng.random((30, 2)))
+        db.remove("s4")
         path = tmp_path / "db.npz"
         db.save(path)
         loaded = SequenceDatabase.load(path)
@@ -451,7 +416,7 @@ class TestDatabaseIndexEmbedding:
         path = tmp_path / "db_str.npz"
         db.save(path)
         with np.load(path) as archive:
-            assert "_index" in archive.files
+            assert "_index" not in archive.files
         loaded = SequenceDatabase.load(path)
         query = rng.random((9, 2))
         assert (
@@ -459,18 +424,35 @@ class TestDatabaseIndexEmbedding:
             == SimilaritySearch(db).search(query, 0.3).answers
         )
 
-    def test_mismatched_index_rejected(self, rng, tmp_path):
-        small = self._database(rng, count=3)
-        big = self._database(rng, count=6)
-        small_path = tmp_path / "small.npz"
-        big_path = tmp_path / "big.npz"
-        small.save(small_path)
-        big.save(big_path)
-        with np.load(small_path) as archive:
+    def test_an_old_archive_s_index_member_is_never_read(self, rng, tmp_path):
+        """Archives written before the index was derived state embed a
+        pickled tree under ``_index``.  It is ignored — here it is garbage
+        no unpickler could take — and the tree is derived from the
+        sequences, with the layout the embedded one had."""
+        db = self._database(rng)
+        path = tmp_path / "db.npz"
+        db.save(path)
+        with np.load(path) as archive:
             arrays = {name: archive[name] for name in archive.files}
-        with np.load(big_path) as archive:
-            arrays["_index"] = archive["_index"]
-        spliced = tmp_path / "spliced.npz"
-        np.savez(spliced, **arrays)
-        with pytest.raises(ValueError, match="corrupt archive"):
-            SequenceDatabase.load(spliced)
+        arrays["_index"] = np.frombuffer(b"cos\nsystem\n(S'false'\ntR.", np.uint8)
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, **arrays)
+        loaded = SequenceDatabase.load(old)
+        assert loaded.index_kind == "rtree" and loaded.ids() == db.ids()
+        loaded.index.check_invariants()
+        query = rng.random((9, 2))
+        original = SimilaritySearch(db).search(query, 0.25)
+        restored = SimilaritySearch(loaded).search(query, 0.25)
+        assert restored.answers == original.answers
+        assert restored.solution_intervals == original.solution_intervals
+        assert restored.stats.node_accesses == original.stats.node_accesses
+
+
+def test_save_rejects_bool_ids_instead_of_renaming_them(tmp_path):
+    """``True`` is an ``int`` to ``isinstance``; written as
+    ``["bool", "True"]`` it would come back as the string ``'True'``."""
+    db = SequenceDatabase(dimension=2)
+    db.add(np.zeros((5, 2)), sequence_id=True)
+    with pytest.raises(TypeError, match="bool"):
+        db.save(tmp_path / "db.npz")
+    assert not list(tmp_path.iterdir())

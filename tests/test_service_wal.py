@@ -229,6 +229,28 @@ class TestEngineRecovery:
             got = recovered._snapshot.database.sequence("durable").points
             np.testing.assert_allclose(got, new_points)
 
+    def test_default_ids_after_a_remove_are_logged_as_assigned(self, rng, tmp_path):
+        """An insert without an id after a remove takes a free ordinal
+        (it used to collide with a stored one, on every retry); the WAL
+        record names the id that was assigned, so replay gives every
+        sequence the id it was acknowledged under."""
+        config = DurabilityConfig(tmp_path / "data", checkpoint_on_close=False)
+        blocks = [rng.random((12, 2)) for _ in range(5)]
+        with QueryEngine(
+            SequenceDatabase(dimension=2), workers=1, durability=config
+        ) as engine:
+            assert [engine.insert(block) for block in blocks[:3]] == [0, 1, 2]
+            engine.remove(0)
+            assert [engine.insert(block) for block in blocks[3:]] == [3, 4]
+        with QueryEngine(None, workers=1, durability=config) as recovered:
+            database = recovered._snapshot.database
+            assert database.ids() == [1, 2, 3, 4]
+            for sequence_id in database.ids():
+                np.testing.assert_array_equal(
+                    database.sequence(sequence_id).points, blocks[sequence_id]
+                )
+            assert recovered.insert(blocks[0]) == 5
+
     def test_recovered_search_matches_never_crashed_engine(self, rng, tmp_path):
         seed = build_database(rng)
         config = DurabilityConfig(

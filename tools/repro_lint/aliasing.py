@@ -101,6 +101,7 @@ FROZEN_ATTR_KINDS: dict[str, dict[str, str]] = {
     "repro.core.database": {
         "_table": _KIND_STRUCT,
         "_index": _KIND_STRUCT,
+        "_stale": _KIND_STRUCT,
         "lows": _KIND_ARRAY,
         "highs": _KIND_ARRAY,
         "low_columns": _KIND_ARRAY,
