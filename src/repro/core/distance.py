@@ -42,7 +42,13 @@ from repro.core.contracts import (
     contracts_enabled,
     lower_bounds,
 )
-from repro.core.mbr import MBR, dmbr_rows, min_dmbr_columns
+from repro.core.mbr import (
+    BROADCAST_CELLS,
+    MBR,
+    _numpy_order_sum,
+    dmbr_rows,
+    min_dmbr_columns,
+)
 from repro.core.sequence import MultidimensionalSequence
 from repro.core.solution_interval import IntervalSet
 from repro.util.budget import checkpoint
@@ -128,7 +134,13 @@ def sliding_mean_distances(short: SequenceLike, long: SequenceLike) -> np.ndarra
     Returns an array of length ``len(long) - len(short) + 1`` whose entry
     ``j`` is ``Dmean(short, long[j : j + len(short)])`` (zero-based ``j``).
     This enumerates the alignments minimised over in Definition 3 and is the
-    kernel of the sequential-scan baseline.
+    kernel of every exact ``D``: k-NN refinement, ``explain``, the contract
+    validators and the sequential-scan baseline.
+
+    Row ``j`` of the point-distance matrix ``d(long[j + t], short[t])`` is
+    alignment ``j``.  Each dimension is one contiguous pass, the squared
+    gaps are added in ``np.sum``'s order and the rows are contiguous, so
+    every entry is, to the bit, the :func:`mean_distance` of its alignment.
     """
     a = _as_points(short)
     b = _as_points(long)
@@ -142,11 +154,26 @@ def sliding_mean_distances(short: SequenceLike, long: SequenceLike) -> np.ndarra
             f"short sequence (length {k}) is longer than long sequence "
             f"(length {m})"
         )
-    # windows[j, t, :] = long[j + t, :]; per-alignment mean of point norms.
-    windows = np.lib.stride_tricks.sliding_window_view(b, (k, b.shape[1]))
-    windows = windows.reshape(m - k + 1, k, b.shape[1])
-    diffs = windows - a[None, :, :]
-    return np.mean(np.sqrt(np.sum(diffs * diffs, axis=2)), axis=1)
+    n = a.shape[1]
+    columns = np.ascontiguousarray(b.T)
+    cell = columns.itemsize
+    # windows[c, j, t] = long[j + t, c]: alignment j + 1 starts one point
+    # after alignment j, so the rows overlap in memory and nothing is copied.
+    windows = np.lib.stride_tricks.as_strided(
+        columns, (n, m - k + 1, k), (m * cell, cell, cell), writeable=False
+    )
+    short_columns = a.T[:, None, :]
+    means = np.empty(m - k + 1)
+    step = max(1, BROADCAST_CELLS // (n * k))  # alignments per block
+    for start in range(0, m - k + 1, step):
+        checkpoint("distance.sliding")
+        # C order: np.mean adds a contiguous row pairwise, as it does a vector.
+        gaps = np.subtract(windows[:, start : start + step], short_columns, order="C")
+        np.multiply(gaps, gaps, out=gaps)
+        distances = _numpy_order_sum(list(gaps))
+        np.sqrt(distances, out=distances)
+        means[start : start + step] = np.mean(distances, axis=1)
+    return means
 
 
 def sequence_distance(s1: SequenceLike, s2: SequenceLike) -> float:

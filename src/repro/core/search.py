@@ -34,16 +34,18 @@ bounds and the ε-cache's Phase-2 shortcuts (``candidates_within``,
 the index descends with.
 
 A k-nearest-sequences extension (:meth:`SimilaritySearch.knn`) implements
-the optimal multi-step algorithm of Seidl & Kriegel over the same ``Dmbr``
-lower bound — not part of the paper, but the natural follow-up query its
+the optimal multi-step algorithm of Seidl & Kriegel over a mean of the same
+``Dmbr`` values — not part of the paper, but the natural follow-up query its
 metrics enable.
 """
 
 from __future__ import annotations
 
+import bisect
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,7 +62,7 @@ from repro.core.distance import (
     sliding_mean_distances,
     union_spans,
 )
-from repro.core.mbr import min_dmbr_columns
+from repro.core.mbr import BROADCAST_CELLS, dmbr_columns, min_dmbr_columns
 from repro.core.partitioning import PartitionedSequence, partition_sequence
 from repro.core.sequence import MultidimensionalSequence
 from repro.core.solution_interval import IntervalSet
@@ -249,6 +251,69 @@ def _validate_explanation(
             f"explain({sequence_id!r}): min Dnorm {result.min_dnorm!r} "
             f"exceeds the exact distance {result.exact_distance!r} — "
             f"Lemma 3 violated"
+        )
+
+
+def _scanned_profiles(
+    engine: "SimilaritySearch", query: SequenceLike
+) -> tuple[MultidimensionalSequence, list[np.ndarray]]:
+    """The k-NN validators' full scan: per table row, ``Dmean`` at every
+    alignment of the shorter of (query, sequence) inside the longer, once
+    the row's lower bound is checked against the least of them, ``D``."""
+    query, query_partition = engine._prepare(query)
+    ids = engine.database.segment_table.ids
+    profiles = []
+    for sid, lower in zip(ids, engine._lower_bounds(query_partition).tolist()):
+        stored = engine.database.sequence(sid).points
+        short, long = sorted((query.points, stored), key=len)
+        profiles.append(sliding_mean_distances(short, long))
+        if lower > profiles[-1].min() + BOUND_TOLERANCE:
+            raise ContractViolation(
+                f"k-NN bound {lower!r} of sequence {sid!r} exceeds its distance "
+                f"{float(profiles[-1].min())!r}: a neighbour may go unrefined"
+            )
+    return query, profiles
+
+
+def _validate_knn(
+    result: list[tuple[float, object]],
+    engine: "SimilaritySearch",
+    query: SequenceLike,
+    k: int,
+) -> None:
+    """The answer is the head of a full scan sorted by (``D``, table row)."""
+    _, profiles = _scanned_profiles(engine, query)
+    scan = zip((float(p.min()) for p in profiles), engine.database.segment_table.ids)
+    expected = sorted(scan, key=lambda pair: pair[0])[:k]  # stable: ties by row
+    if result != expected:
+        raise ContractViolation(
+            f"knn(k={k}) returned {result!r}; a full scan finds {expected!r}"
+        )
+
+
+def _validate_knn_subsequences(
+    result: list[SubsequenceHit],
+    engine: "SimilaritySearch",
+    query: SequenceLike,
+    k: int,
+    *,
+    exclude_overlapping: bool = True,
+) -> None:
+    """The hits are the head of a full scan of the eligible alignments,
+    sorted by (``Dmean``, table row, offset)."""
+    table = engine.database.segment_table
+    query, profiles = _scanned_profiles(engine, query)
+    scan = sorted(
+        (float(profile[offset]), row, int(offset))
+        for row, profile in enumerate(profiles)
+        if table.lengths[row] >= len(query)
+        for offset in engine._candidate_offsets(profile, exclude_overlapping)
+    )[:k]
+    hits = [(hit.distance, table.rows[hit.sequence_id], hit.offset) for hit in result]
+    if hits != scan:
+        raise ContractViolation(
+            f"knn_subsequences(k={k}) returned (distance, row, offset) {hits!r}; "
+            f"a full scan finds {scan!r}"
         )
 
 
@@ -585,53 +650,76 @@ class SimilaritySearch:
     # ------------------------------------------------------------------
     # k-nearest sequences (extension)
     # ------------------------------------------------------------------
+    @lower_bounds(_validate_knn, label="k-NN exact; mean Dmbr <= D")
     def knn(self, query: SequenceLike, k: int) -> list[tuple[float, object]]:
         """The ``k`` database sequences nearest to ``query`` under ``D``.
 
-        Optimal multi-step k-NN (Seidl & Kriegel '98): sequences are ranked
-        by their ``Dmbr`` lower bound (Lemma 1) and refined with the exact
-        sliding distance in ascending bound order; refinement stops as soon
-        as the next lower bound exceeds the current k-th exact distance,
-        which guarantees an exact answer with the fewest refinements.
+        Optimal multi-step k-NN (Seidl & Kriegel '98): sequences are
+        refined with the exact sliding distance in ascending order of
+        their lower bound (:meth:`_lower_bounds`) until the next bound is
+        past the current k-th exact distance — exactly those whose bound
+        is within the final k-th distance, the fewest this bound allows.
 
         Returns
         -------
         list of (distance, sequence_id)
-            The exact distances, ascending; fewer than ``k`` when the
-            database is smaller than ``k``.
+            Ascending by (exact distance, insertion order); fewer than
+            ``k`` when the database is smaller than ``k``.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         query, query_partition = self._prepare(query)
-
-        table = self.database.segment_table
-        bounds = list(zip(self._lower_bounds(query_partition).tolist(), table.ids))
-        bounds.sort(key=lambda pair: pair[0])
-
-        exact: list[tuple[float, object]] = []
-        for lower, sequence_id in bounds:
+        ids = self.database.segment_table.ids
+        bounds = self._lower_bounds(query_partition)
+        nearest: list[tuple[float, int]] = []  # (distance, table row), <= k
+        for row in np.argsort(bounds, kind="stable").tolist():
             checkpoint("knn.refine")
-            if len(exact) >= k and lower > exact[k - 1][0]:
+            # The bound's weighted sums round differently from D's pairwise
+            # mean and may exceed it by a few ulps: hence the tolerance.
+            if len(nearest) == k and bounds[row] - BOUND_TOLERANCE > nearest[-1][0]:
                 break
-            distance = sequence_distance(
-                query, self.database.sequence(sequence_id)
-            )
-            exact.append((distance, sequence_id))
-            exact.sort(key=lambda pair: pair[0])
-        return exact[:k]
+            distance = sequence_distance(query, self.database.sequence(ids[row]))
+            bisect.insort(nearest, (distance, row))
+            del nearest[k:]
+        return [(distance, ids[row]) for distance, row in nearest]
 
     def _lower_bounds(self, query_partition: PartitionedSequence) -> np.ndarray:
-        """Lemma 1's ``min Dmbr`` bound of every stored sequence, by table row."""
+        """A lower bound of ``D(Q, S)`` per stored sequence, by table row.
+
+        ``D`` pairs *every* point of the shorter sequence with one of the
+        other, no closer than the MBRs holding them.  So for ``|S| >= |Q|``
+        the ``|q_i|``-weighted mean, over the query MBRs, of the ``Dmbr``
+        to their nearest segment of ``S`` bounds every alignment's
+        ``Dmean``; for ``|S| < |Q|`` the roles swap (``|s_g|``-weighted,
+        over the segments of ``S``).  Either mean is at least Lemma 1's
+        minimum of the same values (docs/algorithms.md, "k-NN").
+        """
         table = self.database.segment_table
-        return min_dmbr_runs(
-            query_partition.low_matrix,
-            query_partition.high_matrix,
-            table.low_columns,
-            table.high_columns,
-            table.sequence_offsets,
-            site="knn.bounds",
+        heads = table.sequence_offsets[:-1]
+        forward = np.zeros(len(heads))  # sum_i |q_i| * min_g Dmbr(q_i, s_g)
+        nearest = np.full(len(table.counts), np.inf)  # min_i Dmbr(q_i, s_g)
+        step = max(1, BROADCAST_CELLS // max(1, len(table.counts)))
+        for start in range(0, len(query_partition), step):
+            checkpoint("knn.bounds")
+            block = slice(start, start + step)
+            distances = dmbr_columns(
+                query_partition.low_matrix[block],
+                query_partition.high_matrix[block],
+                table.low_columns,
+                table.high_columns,
+            )
+            forward += query_partition.counts[block] @ np.minimum.reduceat(
+                distances, heads, axis=1
+            )
+            np.minimum(nearest, distances.min(axis=0), out=nearest)
+        length = len(query_partition.sequence)
+        return np.where(
+            table.lengths >= length,
+            forward / length,
+            np.add.reduceat(nearest * table.counts, heads) / table.lengths,
         )
 
+    @lower_bounds(_validate_knn_subsequences, label="top-k alignments exact")
     def knn_subsequences(
         self, query: SequenceLike, k: int, *, exclude_overlapping: bool = True
     ) -> list[SubsequenceHit]:
@@ -639,10 +727,10 @@ class SimilaritySearch:
 
         Where :meth:`knn` ranks whole sequences by ``D(Q, S)``, this ranks
         individual alignments — "the five best scenes anywhere in the
-        archive".  Sequences are refined in ascending order of their
-        Lemma-1 lower bound (``min Dmbr``), evaluating the exact sliding
-        ``Dmean`` at every alignment; refinement stops when the next
-        sequence's bound exceeds the current k-th best alignment.
+        archive".  Sequences are refined in ascending order of the same
+        lower bound, evaluating the exact sliding ``Dmean`` at every
+        alignment; refinement stops when the next sequence's bound
+        exceeds the current k-th best alignment.
 
         Parameters
         ----------
@@ -659,45 +747,30 @@ class SimilaritySearch:
         Returns
         -------
         list of SubsequenceHit
-            Ascending by exact distance; fewer than ``k`` when the corpus
-            has fewer eligible alignments.
+            Ascending by (exact distance, insertion order, offset); fewer
+            than ``k`` when the corpus has fewer eligible alignments.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         query, query_partition = self._prepare(query)
-        length = len(query)
-
         table = self.database.segment_table
-        bounds = [
-            (lower, sequence_id)
-            for lower, sequence_id, points in zip(
-                self._lower_bounds(query_partition).tolist(),
-                table.ids,
-                table.lengths.tolist(),
-            )
-            if points >= length  # else no alignment of the full query exists
-        ]
-        bounds.sort(key=lambda pair: pair[0])
-
-        hits: list[SubsequenceHit] = []
-        for lower, sequence_id in bounds:
-            if len(hits) >= k and lower > hits[k - 1].distance:
-                break
-            sequence = self.database.sequence(sequence_id)
+        bounds = self._lower_bounds(query_partition)
+        best: list[tuple[float, int, int]] = []  # (distance, row, offset), <= k
+        for row in np.argsort(bounds, kind="stable").tolist():
+            checkpoint("knn.refine")
+            if table.lengths[row] < len(query):
+                continue  # no alignment of the full query exists
+            if len(best) == k and bounds[row] - BOUND_TOLERANCE > best[-1][0]:
+                break  # the tolerance: as in knn
+            sequence = self.database.sequence(table.ids[row])
             distances = sliding_mean_distances(query, sequence)
             offsets = self._candidate_offsets(distances, exclude_overlapping)
-            for offset in offsets:
-                hits.append(
-                    SubsequenceHit(
-                        distance=float(distances[offset]),
-                        sequence_id=sequence_id,
-                        offset=int(offset),
-                        length=length,
-                    )
-                )
-            hits.sort(key=lambda hit: hit.distance)
-            del hits[max(k, 0) * 4 :]  # keep a slack buffer while refining
-        return hits[:k]
+            found = zip(distances[offsets].tolist(), repeat(row), offsets.tolist())
+            best = sorted([*best, *found])[:k]
+        return [
+            SubsequenceHit(distance, table.ids[row], offset, len(query))
+            for distance, row, offset in best
+        ]
 
     # ------------------------------------------------------------------
     # Explanation (debugging / teaching aid)

@@ -249,6 +249,105 @@ def test_undershooting_phase3_kernel_is_caught(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Mutation test C: a k-NN bound that overshoots is caught
+# ----------------------------------------------------------------------
+def _knn_fixture():
+    """Six concentric arcs of 12-60 points and a 30-point query lying on
+    the third: longer than some, shorter than others.  The innermost is
+    the query's fourth neighbour (D = 0.14, bound 0.085) and the fifth
+    arc its fifth (D = 0.16, bound 0.051)."""
+    t = np.linspace(0.0, 1.0, 60)
+    circle = np.stack([np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)], axis=1)
+    database = SequenceDatabase(dimension=2, max_points=8)
+    arcs = [(0.05, 60), (0.12, 12), (0.19, 45), (0.26, 20), (0.35, 60), (0.42, 16)]
+    for ordinal, (radius, points) in enumerate(arcs):
+        database.add(0.5 + radius * circle[:points], sequence_id=f"arc-{ordinal}")
+    return SimilaritySearch(database), 0.5 + 0.19 * circle[5:35]
+
+
+def test_knn_passes_contract_unmutated():
+    engine, query = _knn_fixture()
+    with checking_contracts():
+        nearest = engine.knn(query, 3)
+        hits = engine.knn_subsequences(query, 3)
+    assert nearest[0] == (0.0, "arc-2")
+    assert (hits[0].sequence_id, hits[0].offset) == ("arc-2", 5)
+
+
+def test_doubled_knn_bound_is_caught(monkeypatch):
+    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
+    engine, query = _knn_fixture()
+    honest = engine.knn(query, 4)
+    assert [name for _, name in honest] == ["arc-2", "arc-1", "arc-3", "arc-0"]
+    bounds = SimilaritySearch._lower_bounds
+    monkeypatch.setattr(
+        SimilaritySearch,
+        "_lower_bounds",
+        lambda self, query_partition: 2.0 * bounds(self, query_partition),
+    )
+    # Silently wrong while checking is off: the fourth neighbour's doubled
+    # bound is past the fifth's distance, so it is never refined.
+    assert [name for _, name in engine.knn(query, 4)][3] == "arc-4"
+    with checking_contracts():
+        with pytest.raises(ContractViolation, match="k-NN bound"):
+            engine.knn(query, 4)
+        with pytest.raises(ContractViolation, match="k-NN bound"):
+            engine.knn_subsequences(query, 4)
+
+
+def test_knn_bound_without_its_dual_is_caught(monkeypatch):
+    """For a stored sequence shorter than the query the sequence slides
+    inside the query, and only *its* points are all paired: weighting the
+    query's MBRs there (the ``|S| >= |Q|`` form) counts query points the
+    best alignment never matches, and overshoots."""
+    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
+    engine, query = _knn_fixture()
+    engine.database.add(query[8:20], sequence_id="piece")  # D = 0
+
+    def forward_only(self, query_partition):
+        return np.array(
+            [
+                sum(
+                    segment.count * partition.mbr_distance_row(segment.mbr).min()
+                    for segment in query_partition
+                )
+                / len(query_partition.sequence)
+                for _, partition in self.database.partitions()
+            ]
+        )
+
+    # Where the query is the shorter, the mutant is the bound itself.
+    _, query_partition = engine._prepare(query)
+    longer = engine.database.segment_table.lengths >= len(query)
+    np.testing.assert_allclose(
+        forward_only(engine, query_partition)[longer],
+        engine._lower_bounds(query_partition)[longer],
+        atol=1e-12,
+    )
+    monkeypatch.setattr(SimilaritySearch, "_lower_bounds", forward_only)
+    with checking_contracts():
+        with pytest.raises(ContractViolation, match="k-NN bound .* 'piece'"):
+            engine.knn(query, 3)
+
+
+def test_wrong_knn_answer_is_caught(monkeypatch):
+    """Sound bounds, wrong answer: an exact distance that comes back
+    inflated for one sequence drops it from the head of the list."""
+    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
+    engine, query = _knn_fixture()
+    target = engine.database.sequence("arc-2")
+    distance = search_module.sequence_distance
+    monkeypatch.setattr(
+        search_module,
+        "sequence_distance",
+        lambda a, b: distance(a, b) + (1.0 if b is target else 0.0),
+    )
+    with checking_contracts():
+        with pytest.raises(ContractViolation, match="a full scan finds"):
+            engine.knn(query, 3)
+
+
+# ----------------------------------------------------------------------
 # Analysis-level helpers
 # ----------------------------------------------------------------------
 def test_lower_bound_chain_orders_the_hierarchy():

@@ -1,8 +1,11 @@
 """Unit tests for point/sequence distances (Definitions 2-3, Figure 1)."""
 
+import time
+
 import numpy as np
 import pytest
 
+import repro.core.distance as distance_module
 from repro.core.distance import (
     mean_distance,
     point_distance,
@@ -10,6 +13,7 @@ from repro.core.distance import (
     sliding_mean_distances,
 )
 from repro.core.sequence import MultidimensionalSequence
+from repro.util.budget import Deadline, OperationCancelled, deadline_scope
 
 
 class TestPointDistance:
@@ -116,6 +120,73 @@ class TestSlidingMeanDistances:
         distances = sliding_mean_distances(a, b)
         assert distances.shape == (1,)
         assert distances[0] == pytest.approx(0.2)
+
+
+def window_mean_distances(short, long):
+    """The window formulation ``sliding_mean_distances`` had until it became
+    a per-dimension matrix kernel — kept here, unchanged, as the reference:
+    one strided ``(alignments, k, n)`` tensor reduced over its last axis."""
+    a = np.asarray(short, dtype=np.float64)
+    b = np.asarray(long, dtype=np.float64)
+    k, m = a.shape[0], b.shape[0]
+    # windows[j, t, :] = long[j + t, :]; per-alignment mean of point norms.
+    windows = np.lib.stride_tricks.sliding_window_view(b, (k, b.shape[1]))
+    windows = windows.reshape(m - k + 1, k, b.shape[1])
+    diffs = windows - a[None, :, :]
+    return np.mean(np.sqrt(np.sum(diffs * diffs, axis=2)), axis=1)
+
+
+def _hex(values):
+    return [value.hex() for value in np.asarray(values).tolist()]
+
+
+class TestKernelMatchesWindowReference:
+    """The kernel returns the reference's floats, bit for bit."""
+
+    @staticmethod
+    def check_shapes(seed, dimension):
+        rng = np.random.default_rng(seed)
+        # Includes k = 1 and k = m.
+        for k, m in [(1, 1), (1, 50), (7, 9), (50, 50), (40, 284), (130, 400)]:
+            short, long = rng.random((k, dimension)), rng.random((m, dimension))
+            assert _hex(sliding_mean_distances(short, long)) == _hex(
+                window_mean_distances(short, long)
+            ), (k, m)
+
+    @pytest.mark.parametrize("dimension", range(1, 13))
+    def test_every_dimension_and_shape(self, dimension):
+        # Eight and more dimensions are where np.sum turns pairwise.
+        self.check_shapes(dimension, dimension)
+
+    @pytest.mark.parametrize("cells", [1, 64, 1000])
+    def test_long_side_spanning_several_blocks(self, monkeypatch, cells):
+        monkeypatch.setattr(distance_module, "BROADCAST_CELLS", cells)
+        self.check_shapes(cells, 3)
+
+    def test_each_entry_is_the_mean_distance_of_its_alignment(self):
+        rng = np.random.default_rng(11)
+        for dimension in (1, 3, 9):
+            short, long = rng.random((13, dimension)), rng.random((90, dimension))
+            assert _hex(sliding_mean_distances(short, long)) == [
+                mean_distance(short, long[j : j + 13]).hex() for j in range(78)
+            ]
+
+    def test_duplicated_points_and_strided_inputs(self):
+        # Views with odd strides (a reversed, column-sliced array) and runs
+        # of identical points (exact zeros inside the sums).
+        rng = np.random.default_rng(5)
+        wide = np.repeat(rng.random((60, 6)), 3, axis=0)[::-1, ::2]
+        short = wide[20:45]
+        assert _hex(sliding_mean_distances(short, wide)) == _hex(
+            window_mean_distances(short, wide)
+        )
+        assert sliding_mean_distances(short, wide)[20] == 0.0
+
+    def test_a_block_boundary_is_a_cancellation_point(self, monkeypatch):
+        monkeypatch.setattr(distance_module, "BROADCAST_CELLS", 16)
+        with deadline_scope(Deadline(time.monotonic() - 0.01)):
+            with pytest.raises(OperationCancelled, match="distance.sliding"):
+                sliding_mean_distances(np.zeros((4, 2)), np.zeros((40, 2)))
 
 
 class TestSequenceDistance:

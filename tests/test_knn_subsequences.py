@@ -1,5 +1,7 @@
 """Unit tests for the k-best-subsequence search extension."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from repro.core.database import SequenceDatabase
 from repro.core.distance import sliding_mean_distances
 from repro.core.search import SimilaritySearch, SubsequenceHit
 from repro.core.sequence import MultidimensionalSequence
-from tests.test_search import smooth_walk
+from repro.util.budget import Deadline, OperationCancelled, deadline_scope
+from tests.test_search import reversed_bounds, smooth_walk
 
 
 def brute_force_best_local_minima(corpus, query, k):
@@ -123,3 +126,34 @@ class TestKnnSubsequences:
         engine = SimilaritySearch(db)
         hits = engine.knn_subsequences(smooth_walk(rng, 8), 2)
         assert all(isinstance(hit, SubsequenceHit) for hit in hits)
+
+    def test_an_expired_deadline_stops_the_refinement(self, corpus_db, rng):
+        db, _ = corpus_db
+        engine = SimilaritySearch(db)
+        query = smooth_walk(rng, 8)
+        ready = engine._lower_bounds(engine._prepare(query)[1])
+        engine._lower_bounds = lambda query_partition: ready
+        with deadline_scope(Deadline(time.monotonic() - 0.01)):
+            with pytest.raises(OperationCancelled, match="knn.refine"):
+                engine.knn_subsequences(query, 2)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_ties_by_insertion_order_then_offset(self, rng, reverse):
+        """Duplicate sequences, each holding the query twice: the k hits
+        are the earliest (row, offset) pairs whatever the bound order."""
+        db = SequenceDatabase(dimension=3, max_points=8)
+        motif = smooth_walk(rng, 12)
+        stored = np.concatenate(
+            [smooth_walk(rng, 20), motif, smooth_walk(rng, 15), motif]
+        )
+        db.add(smooth_walk(rng, 60), sequence_id="other")
+        for name in ("dup-a", "dup-b", "dup-c"):
+            db.add(stored, sequence_id=name)
+        engine = SimilaritySearch(db)
+        if reverse:
+            reversed_bounds(engine)
+        expected = [("dup-a", 20), ("dup-a", 47), ("dup-b", 20), ("dup-b", 47)]
+        for k in (1, 2, 3, 4):
+            hits = engine.knn_subsequences(motif, k)
+            assert [(hit.sequence_id, hit.offset) for hit in hits] == expected[:k]
+            assert all(hit.distance == 0.0 for hit in hits)

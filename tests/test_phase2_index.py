@@ -22,6 +22,7 @@ from repro.core.partitioning import partition_sequence
 from repro.core.search import SimilaritySearch
 from repro.index.packed import PackedBase, PackedIndex
 from repro.service.engine import QueryEngine
+from tests.test_search import lemma1_bounds
 
 KINDS = ("packed", "rtree", "rstar", "str")
 
@@ -95,7 +96,7 @@ class TestOneSummationOrder:
             searches[kind] = SimilaritySearch(database)
         search = searches["packed"]
         partition = search.search(query, 0.1).query_partition
-        bounds = search._lower_bounds(partition).tolist()
+        bounds = lemma1_bounds(search, partition).tolist()
         ids = search.database.ids()
         assert any(bound > 0 for bound in bounds)
         for epsilon in bounds:
@@ -424,6 +425,7 @@ class TestPhase2Contract:
         with checking_contracts():
             for seed in range(5):
                 query = walk(seed, 30, 9)
-                bounds = search._lower_bounds(search.search(query, 0.1).query_partition)
+                partition = search.search(query, 0.1).query_partition
+                bounds = lemma1_bounds(search, partition)
                 for epsilon in np.sort(bounds)[:6].tolist():
                     search.search(query, epsilon, find_intervals=False)

@@ -13,9 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.baselines.sequential import exact_range_search, exact_solution_interval
+from repro.core.contracts import BOUND_TOLERANCE
 from repro.core.database import SequenceDatabase
+from repro.core.distance import sequence_distance, sliding_mean_distances
 from repro.core.search import SimilaritySearch
 from repro.core.sequence import MultidimensionalSequence
+from tests.test_knn_subsequences import brute_force_best_local_minima
+from tests.test_search import lemma1_bounds
 
 
 def corpora(min_sequences=2, max_sequences=6, dims=(1, 3)):
@@ -89,8 +93,6 @@ class TestEndToEndGuarantees:
     @given(corpora(dims=(1, 2), max_sequences=4))
     @settings(max_examples=30, deadline=None)
     def test_knn_first_hit_is_true_minimum(self, case):
-        from repro.core.distance import sequence_distance
-
         sequences, query, _ = case
         database = SequenceDatabase(dimension=sequences[0].shape[1], max_points=4)
         corpus = {}
@@ -135,3 +137,124 @@ class TestSolutionIntervalQuality:
         assert len(exact) > 0
         covered = approx.intersection_size(exact)
         assert covered / len(exact) >= 0.5
+
+
+# ----------------------------------------------------------------------
+# k-NN: exact to the bit, ranked by the mean-Dmbr bound
+# ----------------------------------------------------------------------
+def brute_force_knn(engine, query, k):
+    """``(distance, id)`` of a full scan, by (distance, insertion order)."""
+    scan = [
+        (sequence_distance(query, partition.sequence), sequence_id)
+        for sequence_id, partition in engine.database.partitions()
+    ]
+    return sorted(scan, key=lambda pair: pair[0])[:k]
+
+
+def knn_cases(query_length=st.integers(1, 60)):
+    """Strategy: corpus, query (shorter or longer than the stored
+    sequences, which hold 3-25 points), ``max_points`` and ``k``."""
+
+    def build(dimension):
+        def points(length):
+            return arrays(
+                np.float64,
+                st.tuples(length, st.just(dimension)),
+                # A coarse grid makes duplicated points, zero gaps and tied
+                # distances common.
+                elements=st.integers(0, 8).map(lambda step: step / 8),
+            )
+
+        return st.tuples(
+            st.lists(points(st.integers(3, 25)), min_size=1, max_size=7),
+            points(query_length),
+            st.sampled_from([1, 4, 16]),
+            st.integers(1, 9),
+        )
+
+    return st.integers(1, 3).flatmap(build)
+
+
+def knn_engine(sequences, max_points):
+    database = SequenceDatabase(
+        dimension=sequences[0].shape[1], max_points=max_points
+    )
+    for ordinal, points in enumerate(sequences):
+        database.add(points, sequence_id=ordinal)
+    return SimilaritySearch(database)
+
+
+class TestKnnIsExact:
+    @given(knn_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_knn_is_the_sorted_brute_force(self, case):
+        """Distances bit-equal to a full scan's — shorter and longer
+        queries, one-point MBRs, ``k >= N`` — ties in insertion order."""
+        sequences, query, max_points, k = case
+        engine = knn_engine(sequences, max_points)
+        assert engine.knn(query, k) == brute_force_knn(engine, query, k)
+
+    @given(knn_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_mean_bound_sits_between_lemma_1_and_the_distance(self, case):
+        sequences, query, max_points, _ = case
+        engine = knn_engine(sequences, max_points)
+        _, query_partition = engine._prepare(query)
+        bounds = engine._lower_bounds(query_partition)
+        weakest = lemma1_bounds(engine, query_partition)
+        exact = np.array(
+            [sequence_distance(query, points) for points in sequences]
+        )
+        assert np.all(bounds >= weakest - BOUND_TOLERANCE)
+        assert np.all(bounds <= exact + BOUND_TOLERANCE)
+
+    @given(knn_cases(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_stored_subsequence_is_found_at_distance_zero(self, case, data):
+        sequences, _, max_points, k = case
+        engine = knn_engine(sequences, max_points)
+        source = data.draw(st.integers(0, len(sequences) - 1))
+        stop = data.draw(st.integers(1, len(sequences[source])))
+        start = data.draw(st.integers(0, stop - 1))
+        found = engine.knn(sequences[source][start:stop], k)
+        assert found == brute_force_knn(engine, sequences[source][start:stop], k)
+        assert found[0][0] == 0.0
+
+    @given(knn_cases(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_after_add_append_and_remove(self, case, data):
+        sequences, query, max_points, k = case
+        engine = knn_engine(sequences, max_points)
+        database = engine.database
+        engine.knn(query, k)  # derive the table the writes then replace
+        database.add(sequences[0][::-1], sequence_id="added")
+        assert engine.knn(query, k) == brute_force_knn(engine, query, k)
+        target = data.draw(st.sampled_from(list(database.ids())))
+        database.append_points(target, sequences[-1][:3])
+        assert engine.knn(query, k) == brute_force_knn(engine, query, k)
+        database.remove(data.draw(st.sampled_from(list(database.ids()))))
+        assert engine.knn(query, k) == brute_force_knn(engine, query, k)
+
+    @given(knn_cases(query_length=st.integers(1, 25)), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_knn_subsequences_is_the_sorted_brute_force(self, case, exclude):
+        sequences, query, max_points, k = case
+        engine = knn_engine(sequences, max_points)
+        if exclude:  # one hit per dip of the profile
+            expected = brute_force_best_local_minima(
+                dict(enumerate(sequences)), query, k
+            )
+        else:  # every alignment
+            expected = sorted(
+                (distance, row, offset)
+                for row, points in enumerate(sequences)
+                if len(points) >= len(query)
+                for offset, distance in enumerate(
+                    sliding_mean_distances(query, points).tolist()
+                )
+            )[:k]
+        hits = engine.knn_subsequences(query, k, exclude_overlapping=exclude)
+        assert [(hit.distance, hit.sequence_id, hit.offset) for hit in hits] == (
+            expected
+        )
+        assert all(hit.length == len(query) for hit in hits)

@@ -1,12 +1,18 @@
 """Integration tests for the three-phase SIMILARITY_SEARCH algorithm."""
 
+import time
+
 import numpy as np
 import pytest
 
+import repro.core.search as search_module
+from repro.core.contracts import BOUND_TOLERANCE
 from repro.core.database import SequenceDatabase
-from repro.core.distance import sequence_distance
+from repro.core.distance import min_dmbr_runs, sequence_distance
 from repro.core.search import SimilaritySearch
 from repro.core.sequence import MultidimensionalSequence
+from repro.datagen import generate_queries, generate_video_corpus
+from repro.util.budget import Deadline, OperationCancelled, deadline_scope
 
 
 def smooth_walk(rng, length, dimension=3, step=0.03):
@@ -14,6 +20,21 @@ def smooth_walk(rng, length, dimension=3, step=0.03):
     steps = rng.normal(0.0, step, size=(length, dimension))
     walk = np.clip(0.5 + np.cumsum(steps, axis=0), 0.0, 1.0)
     return walk
+
+
+def lemma1_bounds(engine, query_partition):
+    """Lemma 1's ``min Dmbr`` per table row: the threshold from which a
+    sequence is a Phase-2 candidate, and the bound ``knn`` ranked by before
+    the mean bound replaced it — kept as the comparison."""
+    table = engine.database.segment_table
+    return min_dmbr_runs(
+        query_partition.low_matrix,
+        query_partition.high_matrix,
+        table.low_columns,
+        table.high_columns,
+        table.sequence_offsets,
+        site="knn.bounds",
+    )
 
 
 @pytest.fixture
@@ -218,3 +239,117 @@ class TestKnn:
             engine.knn(smooth_walk(rng, 10), 0)
         with pytest.raises(ValueError, match="dimension"):
             engine.knn(rng.random((5, 2)), 1)
+
+    def test_an_expired_deadline_stops_the_refinement(self, populated, rng):
+        db, _ = populated
+        engine = SimilaritySearch(db)
+        query = smooth_walk(rng, 10)
+        with deadline_scope(Deadline(time.monotonic() - 0.01)):
+            with pytest.raises(OperationCancelled, match="knn.bounds"):
+                engine.knn(query, 3)
+        # Past the bounds, every refinement is a cancellation point too.
+        ready = engine._lower_bounds(engine._prepare(query)[1])
+        engine._lower_bounds = lambda query_partition: ready
+        with deadline_scope(Deadline(time.monotonic() - 0.01)):
+            with pytest.raises(OperationCancelled, match="knn.refine"):
+                engine.knn(query, 3)
+
+
+def reversed_bounds(engine):
+    """Make ``engine`` rank the *last* table row first: bounds that are
+    still lower bounds (each at most its own), in descending row order."""
+    own = engine._lower_bounds
+
+    def bounds(query_partition):
+        exact = own(query_partition)
+        return exact.min() * np.linspace(1.0, 0.0, len(exact))
+
+    engine._lower_bounds = bounds
+
+
+class TestKnnTieOrder:
+    """Equal distances come back in database insertion order, whatever
+    order the bounds had their sequences refined in."""
+
+    def duplicates(self, rng):
+        db = SequenceDatabase(dimension=3, max_points=8)
+        walk = smooth_walk(rng, 40)
+        db.add(smooth_walk(rng, 50), sequence_id="other-first")
+        for name in ("dup-a", "dup-b", "dup-c", "dup-d"):
+            db.add(walk, sequence_id=name)
+        db.add(smooth_walk(rng, 30), sequence_id="other-last")
+        return SimilaritySearch(db), walk[5:25]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lowest_rows_win(self, rng, reverse):
+        engine, query = self.duplicates(rng)
+        if reverse:
+            reversed_bounds(engine)
+        for k in (1, 2, 3):
+            assert engine.knn(query, k) == [
+                (0.0, name) for name in ("dup-a", "dup-b", "dup-c")[:k]
+            ]
+
+    def test_a_bound_an_ulp_above_its_distance_is_still_refined(self):
+        """Six query points at 0 against nine at 0.1: the bound's
+        ``6 * 0.1 / 6`` rounds an ulp above the pairwise mean ``D`` is, so
+        without ``BOUND_TOLERANCE`` in the stop test row 0 would be
+        skipped once its duplicate in row 1 has been refined."""
+        db = SequenceDatabase(dimension=1, max_points=64)
+        db.add(np.full((9, 1), 0.1), sequence_id="first")
+        db.add(np.full((9, 1), 0.1), sequence_id="second")
+        engine = SimilaritySearch(db)
+        query = np.zeros((6, 1))
+        exact = sequence_distance(query, np.full((9, 1), 0.1))
+        own = engine._lower_bounds(engine._prepare(query)[1])
+        assert exact < own[0] <= exact + BOUND_TOLERANCE
+        engine._lower_bounds = lambda query_partition: own * [1.0, 0.0]
+        assert engine.knn(query, 1) == [(exact, "first")]
+
+
+class TestKnnRefinements:
+    """``knn`` refines exactly the rows whose bound is within the final
+    k-th distance — and fewer of them than under Lemma 1's bound."""
+
+    @pytest.fixture(scope="class")
+    def video(self):
+        corpus = generate_video_corpus(200, length_range=(56, 256), seed=77)
+        queries = generate_queries(
+            corpus, 12, length_range=(16, 64), noise=0.01, seed=78
+        ).queries
+        db = SequenceDatabase(dimension=3)
+        for sequence in corpus:
+            db.add(sequence)
+        return SimilaritySearch(db), [query.points for query in queries]
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def counting(query, sequence):
+            calls.append(1)
+            return sequence_distance(query, sequence)
+
+        monkeypatch.setattr(search_module, "sequence_distance", counting)
+        return calls
+
+    def test_one_refinement_per_row_within_the_final_radius(
+        self, video, monkeypatch
+    ):
+        engine, queries = video
+        calls = self.counted(monkeypatch)
+        for query in queries:
+            del calls[:]
+            kth = engine.knn(query, 5)[-1][0]
+            bounds = engine._lower_bounds(engine._prepare(query)[1])
+            assert len(calls) == int((bounds - BOUND_TOLERANCE <= kth).sum())
+
+    def test_fewer_refinements_than_under_lemma_1(self, video, monkeypatch):
+        engine, queries = video
+        calls = self.counted(monkeypatch)
+        answers = [engine.knn(query, 5) for query in queries]
+        mean_bound_calls = len(calls)
+        monkeypatch.setattr(SimilaritySearch, "_lower_bounds", lemma1_bounds)
+        del calls[:]
+        assert [engine.knn(query, 5) for query in queries] == answers
+        assert mean_bound_calls < len(calls)

@@ -4,13 +4,15 @@ between index kinds within this one.
 Builds the ``core_range`` benchmark inputs (``perf/benchkit/inputs.py``:
 N=500 video corpus, 600 queries, seed 2000) in a default
 ``SequenceDatabase``, runs every query at the three benchmark thresholds
-with solution intervals on and off, plus ``knn`` for the first 100 queries,
-and requires the other checkout to *return* the same: ``candidates``,
+with solution intervals on and off, plus ``knn`` for all of them and
+``knn_subsequences`` (overlaps excluded and not) for the first 100, and
+requires the other checkout to *return* the same: ``candidates``,
 ``answers``, ``solution_intervals``, ``dmbr_rows``, ``dnorm_evaluations``
-and ``(distance, id)`` lists — not merely sound ones.  Forty more queries
-of 96-256 points go through the same searches (the corpus holds 56-512
-points a sequence, so a large share of their candidates take the
-long-query role swap); ``explain`` and ``min_normalized_distance`` are
+and ``(distance, id[, offset])`` lists, in order — not merely sound ones.
+Forty more queries of 96-256 points go through the same searches and both
+k-NN calls (the corpus holds 56-512 points a sequence, so a large share of
+their candidates take the long-query role swap, and ``knn`` the dual of
+its lower bound); ``explain`` and ``min_normalized_distance`` are
 compared for 100 (query, id) pairs, floats as ``float.hex()``; and a
 ``QueryEngine(cache_size=128)`` replays searches, 60 writes (inserts,
 appends to new and to old ids, removes), then the same searches again,
@@ -61,7 +63,7 @@ __all__ = ["main"]
 
 _CORPUS_SIZE = 500
 _QUERY_POOL = 600
-_KNN_QUERIES = 100
+_KNN_SUBSEQUENCE_QUERIES = 100
 _KNN_K = 5
 _EPSILONS = (0.05, 0.10, 0.20)
 _LONG_QUERIES = 40
@@ -102,11 +104,22 @@ def _dump(path: Path, seed: int, queries: int, cross_kind: bool) -> None:
             [distance.hex(), sid]
             for distance, sid in search.knn(query.points, _KNN_K)
         ]
-        for query in pool[:_KNN_QUERIES]
+        for query in [*pool, *long_pool]
+    ]
+    knn_subsequences = [
+        [
+            [hit.distance.hex(), hit.sequence_id, hit.offset, hit.length]
+            for hit in search.knn_subsequences(
+                query.points, _KNN_K, exclude_overlapping=exclude_overlapping
+            )
+        ]
+        for query in [*pool[:_KNN_SUBSEQUENCE_QUERIES], *long_pool]
+        for exclude_overlapping in (True, False)
     ]
     dumped = {
         "searches": searches,
         "knn": knn,
+        "knn_subsequences": knn_subsequences,
         "explain": _explanations(search, [*long_pool, *pool]),
         "replay": _cache_replay(corpus, pool, long_pool, seed),
         "segments": _segment_digests(database),
@@ -395,11 +408,12 @@ def main(argv: list[str] | None = None) -> int:
         for field, a, b in zip(fields, mine, theirs, strict=True):
             if a != b:
                 returned.add(f"search {index}: {field} differs: {a!r} != {b!r}")
-    for kind in ("knn", "explain", "replay"):
+    for kind in ("knn", "knn_subsequences", "explain", "replay"):
         returned.compare(kind, this[kind], that[kind])
     print(
         f"returned results: {len(this['segments'])} sequences, "
-        f"{len(this['searches'])} searches, {len(this['knn'])} knn calls, "
+        f"{len(this['searches'])} searches, {len(this['knn'])} knn and "
+        f"{len(this['knn_subsequences'])} knn_subsequences calls, "
         f"{len(this['explain'])} explanations, "
         f"{len(this['replay'])} cached responses: "
         f"{returned.count} differences"
