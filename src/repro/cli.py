@@ -619,6 +619,8 @@ def _command_serve(args: argparse.Namespace) -> int:
             server, engine, drain_timeout=args.drain_timeout
         )
         accept_loop.join(timeout=5.0)
+        if leader is not None:
+            leader.close()
         suffix = "" if drained else " (drain timed out)"
         print(f"repro serve: shut down cleanly{suffix}", flush=True)
     return 0
@@ -791,6 +793,9 @@ def _command_cluster_serve(args: argparse.Namespace) -> int:
         prober.join(timeout=args.probe_interval + 1.0)
         for engine in engines:
             engine.close()
+        for member in [*backends, *(follower for follower, _ in followers)]:
+            if isinstance(member, ServiceClient):
+                member.close()
         suffix = "" if drained else " (drain timed out)"
         print(f"repro cluster-serve: shut down cleanly{suffix}", flush=True)
     return 0

@@ -1,9 +1,16 @@
-"""A fault-tolerant urllib client for the ``repro serve`` HTTP endpoint.
+"""A fault-tolerant keep-alive client for the ``repro serve`` HTTP endpoint.
 
 Mirrors the :class:`~repro.service.engine.QueryEngine` surface over JSON
 and rebuilds the typed serving errors from the server's error payloads,
 so ``except Overloaded`` works the same whether the engine is embedded or
-behind HTTP.  stdlib-only, like the server.
+behind HTTP.  stdlib-only (:mod:`http.client`), like the server.
+
+Requests ride **pooled keep-alive connections**: a connection is parked
+only once its reply was read in full and did not say ``close``, and a
+parked socket found readable (EOF, stray bytes) is discarded.  A *read*
+that dies on a reused connection before a status line arrives is sent once
+more on a fresh one (``reconnects``); a *write* is never sent twice.
+Thread-safe; :meth:`ServiceClient.close` (or ``with``) closes what is parked.
 
 A ``search``/``knn`` call given a ``timeout`` treats it as an
 **end-to-end budget**: the client stamps a :class:`~repro.util.budget.
@@ -46,14 +53,15 @@ All layers surface counters through :meth:`ServiceClient.transport_stats`.
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import random
+import select
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, TypedDict, cast
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -138,12 +146,10 @@ class EngineStatsPayload(TypedDict, total=False):
 #: Transport-level failures a retry may safely cover for idempotent reads
 #: (and the cluster coordinator treats as grounds for replica failover).
 TRANSPORT_ERRORS = (
-    urllib.error.URLError,
     ConnectionError,
     TimeoutError,
     http.client.HTTPException,
 )
-_TRANSPORT_ERRORS = TRANSPORT_ERRORS
 
 #: Slack added to the budget when clamping the *socket* timeout: when a
 #: request's budget expires server-side, the server's typed 504 response
@@ -151,6 +157,11 @@ _TRANSPORT_ERRORS = TRANSPORT_ERRORS
 #: up at the same instant and a clean ``DeadlineExceeded`` degrades into
 #: a raw ``TimeoutError``.
 _BUDGET_SOCKET_SLACK = 0.25
+
+
+def _idempotent(method: str, path: str) -> bool:
+    """Whether a call only reads: safe to retry, or to resend once reconnected."""
+    return method == "GET" or path in ("/search", "/knn", "/wal/tail")
 
 
 def _typed_error(status: int, detail: dict) -> Exception:
@@ -219,9 +230,10 @@ def _raise_typed(
 ) -> None:
     """Raise the typed rebuild of an error payload, chaining ``cause``.
 
-    ``cause`` is the transport-layer original (the ``HTTPError`` the
-    payload rode in on); chaining it keeps the real fault visible under
-    the typed costume (the REP402 invariant, enforced at runtime by
+    ``cause`` is a local exception the payload was recovered from, if
+    any (a status reply is the server's own statement and has none);
+    chaining it keeps the real fault visible under the typed costume (the
+    REP402 invariant, enforced at runtime by
     :func:`repro.util.errtrace.translated`).
     """
     error = _typed_error(status, detail)
@@ -480,13 +492,14 @@ class ServiceClient:
     Parameters
     ----------
     base_url:
-        e.g. ``"http://127.0.0.1:8765"`` (trailing slash optional).
+        e.g. ``"http://127.0.0.1:8765"`` (trailing slash optional; a
+        path prefix is kept; ``http`` or ``https`` only).
     timeout:
         Socket-level timeout (seconds) for each HTTP call — distinct from
         the per-request serving deadline, which travels in the body.
     retry:
-        Optional :class:`RetryPolicy`; ``None`` (default) fails fast like
-        the plain urllib client.  Only idempotent reads are retried.
+        Optional :class:`RetryPolicy`; ``None`` (default) fails fast.
+        Only idempotent reads are retried.
     breaker:
         Optional :class:`CircuitBreaker` shared by all this client's
         requests; ``None`` disables circuit breaking.
@@ -515,6 +528,17 @@ class ServiceClient:
         if timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be http(s)://host..., got {base_url!r}")
+        https = url.scheme == "https"
+        connect = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._dial = functools.partial(connect, url.hostname, url.port)
+        self._path_prefix = url.path
+        #: Idle connections, most recently used last; the lock is a leaf,
+        #: held only to pop/push — never across a socket call (REP202).
+        self._pool: list[http.client.HTTPConnection] = []
+        self._pool_lock = TracedLock("client.pool")
         self.timeout = timeout
         self.retry = retry
         self.breaker = breaker
@@ -534,19 +558,34 @@ class ServiceClient:
             "retry_budget_exhausted": 0,
             "deadline_exhausted": 0,
             "retry_wait_s": 0.0,
+            "connections_opened": 0,
+            "reconnects": 0,
         }
+
+    def close(self) -> None:
+        """Close the parked connections; a later call dials a new one."""
+        with self._pool_lock:
+            parked, self._pool = self._pool, []
+        for connection in parked:
+            connection.close()
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Endpoints
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
         """Liveness probe: status, degraded flag, counts, snapshot version."""
-        reply = self._request("GET", "/healthz", idempotent=True)
+        reply = self._request("GET", "/healthz")
         return dict(reply)
 
     def stats(self) -> EngineStatsPayload:
         """The engine's full metrics block (see :class:`EngineStatsPayload`)."""
-        reply = self._request("GET", "/stats", idempotent=True)
+        reply = self._request("GET", "/stats")
         return cast(EngineStatsPayload, dict(reply))
 
     def search(
@@ -567,7 +606,7 @@ class ServiceClient:
         }
         if timeout is not None:
             body["timeout"] = timeout
-        reply = self._request("POST", "/search", body, idempotent=True)
+        reply = self._request("POST", "/search", body)
         return dict(reply)
 
     def knn(
@@ -581,7 +620,7 @@ class ServiceClient:
         body: dict[str, Any] = {"points": self._point_list(points), "k": k}
         if timeout is not None:
             body["timeout"] = timeout
-        payload = self._request("POST", "/knn", body, idempotent=True)
+        payload = self._request("POST", "/knn", body)
         return [
             (float(entry["distance"]), entry["sequence_id"])
             for entry in payload["neighbors"]
@@ -640,7 +679,7 @@ class ServiceClient:
         body: dict[str, Any] = {"after_seq": after_seq, "limit": limit}
         if snapshot_version is not None:
             body["snapshot_version"] = snapshot_version
-        reply = self._request("POST", "/wal/tail", body, idempotent=True)
+        reply = self._request("POST", "/wal/tail", body)
         return dict(reply)
 
     def export_sequences(
@@ -656,7 +695,7 @@ class ServiceClient:
         the :class:`~repro.service.follower.ReplicationLeader` protocol
         and are applied client-side.
         """
-        reply = dict(self._request("GET", "/sequences", idempotent=True))
+        reply = dict(self._request("GET", "/sequences"))
         sequences = list(reply.get("sequences", []))
         if sequence_ids is not None:
             wanted = set(sequence_ids)
@@ -711,12 +750,7 @@ class ServiceClient:
         return listed
 
     def _request(
-        self,
-        method: str,
-        path: str,
-        body: dict | None = None,
-        *,
-        idempotent: bool = False,
+        self, method: str, path: str, body: dict | None = None
     ) -> Any:
         self._count("requests")
         if self.retry_budget is not None:
@@ -728,7 +762,7 @@ class ServiceClient:
         deadline = Deadline.after(None if budget is None else float(budget))
         attempts = (
             self.retry.max_attempts
-            if (self.retry is not None and idempotent)
+            if (self.retry is not None and _idempotent(method, path))
             else 1
         )
         last_error: Exception | None = None
@@ -776,7 +810,7 @@ class ServiceClient:
                     raise
             except CircuitOpen:
                 raise
-            except _TRANSPORT_ERRORS as error:
+            except TRANSPORT_ERRORS as error:
                 last_error = error
                 if attempt == attempts - 1:
                     raise
@@ -813,36 +847,86 @@ class ServiceClient:
                 socket_timeout, remaining + _BUDGET_SOCKET_SLACK
             )
         data = None if body is None else json.dumps(body).encode("utf-8")
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers=headers,
-        )
         try:
-            with urllib.request.urlopen(request, timeout=socket_timeout) as reply:
-                payload = json.loads(reply.read())
-        except urllib.error.HTTPError as error:
-            # An HTTP error status is still a response: the server is
-            # reachable, so the breaker treats it as success.
-            if self.breaker is not None:
-                self.breaker.record_success()
-            raw = error.read()
-            try:
-                detail = json.loads(raw).get("error", {})
-            except (json.JSONDecodeError, AttributeError):
-                detail = {"message": raw.decode("utf-8", "replace")}
-            if "retry_after" not in detail:
-                header = error.headers.get("Retry-After")
-                if header is not None:
-                    detail["retry_after"] = header
-            _raise_typed(error.code, detail, cause=error)
-            raise  # unreachable: _raise_typed always raises
-        except _TRANSPORT_ERRORS:
+            reply, raw = self._exchange(method, path, data, headers, socket_timeout)
+        except TRANSPORT_ERRORS:
             self._count("transport_errors")
             if self.breaker is not None:
                 self.breaker.record_failure()
             raise
+        # Any reply — even an error status — proves the server reachable,
+        # so the breaker treats it as success.
         if self.breaker is not None:
             self.breaker.record_success()
-        return payload
+        if not 200 <= reply.status < 300:
+            cause = None
+            try:
+                detail = json.loads(raw).get("error", {})
+            except (json.JSONDecodeError, AttributeError) as error:
+                detail, cause = {"message": raw.decode("utf-8", "replace")}, error
+            if "retry_after" not in detail:
+                header = reply.getheader("Retry-After")
+                if header is not None:
+                    detail["retry_after"] = header
+            _raise_typed(reply.status, detail, cause=cause)
+        return json.loads(raw)
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        data: bytes | None,
+        headers: dict[str, str],
+        timeout: float,
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request and its fully read reply over a pooled connection."""
+        connection = self._checkout()
+        while True:
+            reused, reply = connection.sock is not None, None
+            try:
+                if reused:
+                    connection.sock.settimeout(timeout)
+                else:
+                    connection.timeout = timeout
+                    try:
+                        connection.connect()
+                    except OSError as error:
+                        if isinstance(error, TRANSPORT_ERRORS):
+                            raise
+                        # ``gaierror``, ``EHOSTUNREACH``: transport errors too.
+                        raise ConnectionError(f"{self.base_url}: {error}") from error
+                    self._count("connections_opened")
+                connection.request(method, self._path_prefix + path, data, headers)
+                reply = connection.getresponse()
+                raw = reply.read()
+            except ConnectionError:
+                connection.close()
+                if reply is not None or not (reused and _idempotent(method, path)):
+                    raise
+                # No status line on a reused connection: the peer had closed
+                # it and its FIN lost the race with the idle check.  Nothing
+                # proves the request went unseen, so only an idempotent call
+                # is sent again — once, at once, on a connection of its own.
+                self._count("reconnects")
+                connection = self._dial()
+            except BaseException:
+                connection.close()
+                raise
+            else:
+                if not reply.will_close:
+                    with self._pool_lock:
+                        self._pool.append(connection)
+                return reply, raw
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        """A parked connection that is still quiet, else an undialled one."""
+        while True:
+            with self._pool_lock:
+                if not self._pool:
+                    return self._dial()
+                connection = self._pool.pop()
+            # Readable while idle is EOF (the peer closed) or stray bytes
+            # (a desynchronised stream): unusable either way.
+            if not select.select([connection.sock], [], [], 0)[0]:
+                return connection
+            connection.close()

@@ -57,12 +57,19 @@ dispatch) and :class:`DrainingHTTPServer` the in-flight tracking, so the
 cluster coordinator's endpoint (:mod:`repro.cluster.http`) serves the
 same wire protocol from the same base classes.
 
+Connections are persistent (HTTP/1.1), one handler thread each: a reply
+leaves in **one send**; the body is read **before** the reply is chosen (a
+reply that leaves it unread — bad ``Content-Length``, the draining 503 —
+says ``Connection: close``); a socket idle, or stalled mid-body
+(``dropped_responses``), for ``JsonRequestHandler.timeout`` s is hung up on.
+
 Shutdown is graceful: :meth:`DrainingHTTPServer.drain` waits for
 in-flight requests to finish (new requests on kept-alive connections are
 answered with a typed 503 once draining starts), so a request racing
 SIGTERM gets a real response — a result or ``EngineClosed`` — never a
-connection reset.  ``repro serve --drain-timeout`` wires this into the
-CLI via :func:`shutdown_gracefully`.
+connection reset; it then closes the idle kept-alive connections, so no
+client stays parked on a handler of a closed engine.  ``repro serve
+--drain-timeout`` wires this into the CLI via :func:`shutdown_gracefully`.
 
 Sequence ids survive the JSON round trip when they are strings, numbers,
 booleans or null; solution-interval maps are keyed by ``str(sequence_id)``
@@ -71,11 +78,13 @@ because JSON object keys must be strings.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Callable, cast
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
@@ -313,6 +322,10 @@ def knn_payload(neighbors: list[tuple[float, object]]) -> dict:
     }
 
 
+class _BodyStalled(ConnectionError):
+    """A request body that never arrived: hang up, send no reply."""
+
+
 class JsonRequestHandler(BaseHTTPRequestHandler):
     """JSON route dispatch with typed error mapping and drain awareness.
 
@@ -324,6 +337,14 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: Seconds a handler waits on its socket — for the next request of an
+    #: idle kept-alive connection, or for a stalled body — before hanging up.
+    timeout = 30.0
+    # One send per reply: headers and body collect in a buffered ``wfile``
+    # flushed once.  As two small segments the second waits ~40 ms on Nagle +
+    # the client's delayed ACK; ``TCP_NODELAY`` covers bodies past the buffer.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     #: path -> bound-method name, filled in by subclasses.
     get_routes: dict[str, str] = {}
@@ -339,84 +360,72 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self._dispatch("POST", self.post_routes)
 
     def _dispatch(self, verb: str, routes: dict[str, str]) -> None:
-        name = routes.get(self.path)
-        if name is None:
-            self._send_json(
-                404,
-                {
-                    "error": {
-                        "type": "NotFound",
-                        "message": f"no such route: {verb} {self.path}",
-                    }
-                },
-            )
-            return
-        self._handle(self.path.lstrip("/"), getattr(self, name))
+        server = cast("DrainingHTTPServer", self.server)
+        op = self.path.lstrip("/")
+        headers: dict[str, str] = {}
+        server.request_started(self.connection)
+        try:
+            try:
+                if server.draining:
+                    # Kept-alive connections can deliver requests after the
+                    # accept loop stopped; answer with a typed 503 instead
+                    # of racing the engine teardown.
+                    raise EngineClosed("server is draining for shutdown")
+                # The body is read before a reply is chosen: left on the
+                # socket, it would be parsed as the connection's next request.
+                body = self._read_body()
+                name = routes.get(self.path)
+                if name is None:
+                    message = f"no such route: {verb} {self.path}"
+                    status = 404
+                    payload = {"error": {"type": "NotFound", "message": message}}
+                else:
+                    status, payload = 200, getattr(self, name)(body)
+            except _BodyStalled:
+                raise  # no reply; the server counts it in ``dropped_responses``
+            except Exception as error:  # error-ok: reporting boundary — every error maps to a typed status payload
+                record_propagated(
+                    error, role="http.boundary", site=f"http.{op}"
+                )
+                status, payload = error_status(error, op), error_payload(error)
+                headers = error_headers(error)
+            self._send_json(status, payload, headers)
+        finally:
+            server.request_finished(self.connection)
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0") or "0")
-        if length == 0:
-            return {}
-        raw = self.rfile.read(length)
+        header = self.headers.get("Content-Length") or "0"
+        if not header.isdecimal():
+            self.close_connection = True  # whatever follows stays unread
+            raise ValueError(f"Content-Length {header!r} is not a byte count")
         try:
-            body = json.loads(raw)
+            body = json.loads(self.rfile.read(int(header)) or b"{}")
+        except TimeoutError as error:
+            raise _BodyStalled(f"{header}-byte body stalled") from error
         except json.JSONDecodeError as error:
             raise ValueError(f"request body is not valid JSON: {error}") from error
         if not isinstance(body, dict):
             raise ValueError("request body must be a JSON object")
         return body
 
-    def _handle(self, op: str, route: Callable[[dict], dict]) -> None:
-        server = cast("DrainingHTTPServer", self.server)
-        server.request_started()
-        try:
-            if server.draining:
-                # Kept-alive connections can deliver requests after the
-                # accept loop stopped; answer with a typed 503 instead of
-                # racing the engine teardown.
-                self.close_connection = True
-                self._send_json(
-                    503,
-                    error_payload(
-                        EngineClosed("server is draining for shutdown")
-                    ),
-                )
-                return
-            try:
-                body = self._read_body()
-                payload = route(body)
-            except Exception as error:  # error-ok: reporting boundary — every error maps to a typed status payload
-                record_propagated(
-                    error, role="http.boundary", site=f"http.{op}"
-                )
-                self._send_json(
-                    error_status(error, op),
-                    error_payload(error),
-                    headers=error_headers(error),
-                )
-                return
-            self._send_json(200, payload)
-        finally:
-            server.request_finished()
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict,
-        headers: dict[str, str] | None = None,
-    ) -> None:
+    def _send_json(self, status: int, payload: dict, headers: dict[str, str]) -> None:
         inject("http.response")
         data = json.dumps(payload, default=str).encode("utf-8")
+        if cast("DrainingHTTPServer", self.server).draining:
+            self.close_connection = True  # also covers the unread body of a 503
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+        self.wfile.flush()  # on the wire before the request counts as finished
 
     def log_message(self, format: str, *args: Any) -> None:
         """Suppress per-request stderr noise unless the server is verbose."""
@@ -537,6 +546,8 @@ class DrainingHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    #: Listen backlog; the stdlib's 5 turns a connection burst into SYN retransmits.
+    request_queue_size = 128
 
     def __init__(
         self,
@@ -550,6 +561,7 @@ class DrainingHTTPServer(ThreadingHTTPServer):
         self.draining = False
         self.dropped_responses = 0
         self._inflight = 0
+        self._parked: set[socket.socket] = set()  # kept alive, between requests
         self._inflight_lock = TracedLock("http.inflight")
         self._idle = threading.Event()
         self._idle.set()
@@ -557,15 +569,23 @@ class DrainingHTTPServer(ThreadingHTTPServer):
     # ------------------------------------------------------------------
     # In-flight request tracking (drives graceful drain)
     # ------------------------------------------------------------------
-    def request_started(self) -> None:
+    def shutdown_request(self, request: Any) -> None:
+        """Forget a socket its handler is done with, then close it."""
+        with self._inflight_lock:
+            self._parked.discard(request)
+        super().shutdown_request(request)
+
+    def request_started(self, connection: socket.socket) -> None:
         """Count one request entering a handler."""
         with self._inflight_lock:
             self._inflight += 1
             self._idle.clear()
+            self._parked.discard(connection)
 
-    def request_finished(self) -> None:
+    def request_finished(self, connection: socket.socket) -> None:
         """Count one request leaving its handler."""
         with self._inflight_lock:
+            self._parked.add(connection)
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()
@@ -582,11 +602,19 @@ class DrainingHTTPServer(ThreadingHTTPServer):
         Returns ``True`` once no request is in a handler, ``False`` if
         some were still running when ``timeout`` expired (they keep
         running; closing the engine afterwards turns them into typed
-        ``EngineClosed`` responses, not connection resets).
+        ``EngineClosed`` responses, not connection resets).  Then the idle
+        kept-alive connections are shut down — their clients see EOF and
+        reconnect to whatever listens next; a straggler closes its own.
         """
         with self._inflight_lock:
             self.draining = True
-        return self._idle.wait(timeout)
+        drained = self._idle.wait(timeout)
+        with self._inflight_lock:
+            parked = list(self._parked)
+        for connection in parked:
+            with contextlib.suppress(OSError):  # its handler closed it first
+                connection.shutdown(socket.SHUT_RDWR)
+        return drained
 
     def handle_error(
         self, request: Any, client_address: Any

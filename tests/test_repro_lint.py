@@ -678,6 +678,70 @@ def test_rep202_flags_sleep_under_lock(tmp_path):
     assert "time.sleep" in violations[0].message
 
 
+_POOLED_TRANSPORT = '''
+    """Doc."""
+    import http.client
+    import select
+
+    from repro.util.sync import TracedLock
+
+    __all__ = []
+
+
+    class Pool:
+        def __init__(self) -> None:
+            self._pool_lock = TracedLock("client.pool")
+            self._pool: list[http.client.HTTPConnection] = []
+
+        def exchange(self) -> bytes:
+            {body}
+'''
+
+
+def test_rep202_flags_socket_io_under_the_pool_lock(tmp_path):
+    """The calls that replaced ``urlopen``: idle check, dial, send, receive."""
+    path = write_module(
+        tmp_path,
+        "src/repro/service/pooled_bad.py",
+        _POOLED_TRANSPORT.format(
+            body="""with self._pool_lock:
+                connection = self._pool.pop()
+                if select.select([connection.sock], [], [], 0)[0]:
+                    connection.connect()
+                connection.request("GET", "/healthz")
+                raw = connection.getresponse().read()
+                self._pool.append(connection)
+            return raw"""
+        ),
+    )
+    violations = [v for v in lint_file(path) if v.rule == "REP202"]
+    assert sorted(v.message.split("()")[0].split()[-1] for v in violations) == [
+        "connection.connect",
+        "connection.getresponse",
+        "connection.request",
+        "select.select",
+    ]
+
+
+def test_rep202_accepts_a_pool_lock_held_only_to_pop_and_push(tmp_path):
+    path = write_module(
+        tmp_path,
+        "src/repro/service/pooled_good.py",
+        _POOLED_TRANSPORT.format(
+            body="""with self._pool_lock:
+                connection = self._pool.pop()
+            if select.select([connection.sock], [], [], 0)[0]:
+                connection.connect()
+            connection.request("GET", "/healthz")
+            raw = connection.getresponse().read()
+            with self._pool_lock:
+                self._pool.append(connection)
+            return raw"""
+        ),
+    )
+    assert codes_in(path) & {"REP100", "REP202"} == set()
+
+
 # ----------------------------------------------------------------------
 # REP203 — raw threading primitives in service/cluster
 # ----------------------------------------------------------------------

@@ -3,11 +3,19 @@
 Backoff schedules are asserted with a seeded RNG and a recorded sleep
 seam (no real sleeping); the breaker runs on an injectable fake clock, so
 every state transition is deterministic.  The end-to-end dropped-response
-retry lives in ``test_service_faults.py``.
+retry lives in ``test_service_faults.py``.  The pooled transport is driven
+against scripted loopback peers here (a peer that hangs up exactly when
+the test says so) and against the real server in ``test_service_http.py``.
 """
 
+import contextlib
+import http.client
+import json
 import random
 import socket
+import socketserver
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -17,7 +25,9 @@ from repro.service import (
     Overloaded,
     RetryPolicy,
     ServiceClient,
+    ServiceError,
 )
+from repro.service.client import TRANSPORT_ERRORS
 
 
 class FakeClock:
@@ -34,6 +44,36 @@ class FakeClock:
 def make_client(**kwargs) -> ServiceClient:
     """A client whose base_url is never dialled by these tests."""
     return ServiceClient("http://127.0.0.1:1", timeout=1.0, **kwargs)
+
+
+@contextlib.contextmanager
+def plain_http_server(status, payload, headers=()):
+    """The URL of a stdlib HTTP/1.0 peer answering every GET the same way.
+
+    ``http.server`` as it comes: one reply per connection, then it closes.
+    """
+
+    class FixedReply(BaseHTTPRequestHandler):
+        def do_GET(self):  # noqa: N802 - http.server API
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(payload)))
+            for name, value in headers:
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), FixedReply)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
 
 
 class TestRetryPolicy:
@@ -351,38 +391,270 @@ class TestTypedErrorProvenance:
         assert info.value.__cause__ is None
 
     def test_http_error_rebuild_chains_end_to_end(self):
-        """A served error status arrives typed with the HTTPError chained."""
-        import json
-        import threading
-        from http.server import BaseHTTPRequestHandler, HTTPServer
-        from urllib.error import HTTPError
+        """A served error status arrives typed, fields and header intact.
 
-        class AlwaysBusy(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - http.server API
-                payload = json.dumps(
-                    {"error": {"message": "busy", "queue_depth": 9}}
-                ).encode()
-                self.send_response(429)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        server = HTTPServer(("127.0.0.1", 0), AlwaysBusy)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_port}", timeout=2.0
-            )
+        A status reply is a reply, not a local exception (``urllib`` made
+        it one): the rebuild has nothing to chain, so ``__cause__`` is
+        ``None`` — the server's payload *is* the provenance.
+        """
+        payload = json.dumps(
+            {"error": {"message": "busy", "queue_depth": 9, "capacity": 4}}
+        ).encode()
+        with plain_http_server(429, payload, [("Retry-After", "3")]) as url:
             with pytest.raises(Overloaded) as info:
-                client.healthz()
-            assert isinstance(info.value.__cause__, HTTPError)
-            assert info.value.__cause__.code == 429
-        finally:
-            server.shutdown()
-            thread.join()
-            server.server_close()
+                ServiceClient(url, timeout=2.0).healthz()
+        assert type(info.value) is Overloaded
+        assert info.value.args[0] == "busy"
+        assert info.value.queue_depth == 9
+        assert info.value.capacity == 4
+        # Not in the body: the Retry-After header is the fallback.
+        assert info.value.retry_after == 3.0
+        assert info.value.__cause__ is None
+
+    def test_non_json_error_body_chains_the_decode_failure(self):
+        """A reply outside the protocol keeps its text and says why."""
+        with plain_http_server(502, b"<html>bad gateway</html>") as url:
+            with pytest.raises(ServiceError, match="HTTP 502.*bad gateway") as info:
+                ServiceClient(url, timeout=2.0).healthz()
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+
+class ScriptedPeer:
+    """A loopback HTTP/1.1 peer that hangs up exactly when told to.
+
+    ``script(connection, ordinal, method, path)`` — both counted from 1 —
+    returns ``"reply"`` (a 200 keep-alive JSON reply naming the connection
+    and path), ``"close"`` (hang up *without* replying: what a handler
+    that died, or a parked connection whose FIN is still in flight, looks
+    like to the client) or raw bytes to send verbatim.  Every request
+    that arrived is in ``seen`` as ``(connection, method, path)``; the
+    accepted sockets are in ``sockets`` so a test can hang up, or talk
+    out of turn, on a connection the client has parked.
+    """
+
+    def __init__(self, script=lambda connection, ordinal, method, path: "reply"):
+        peer = self
+        self.seen: list[tuple[int, str, str]] = []
+        self.sockets: dict[int, socket.socket] = {}
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                connection, ordinal = len(peer.sockets) + 1, 0
+                peer.sockets[connection] = self.request
+                while line := self.rfile.readline():
+                    method, path, _ = line.decode().split()
+                    length = 0
+                    while (header := self.rfile.readline()) not in (b"\r\n", b""):
+                        name, _, value = header.decode().partition(":")
+                        if name.lower() == "content-length":
+                            length = int(value)
+                    self.rfile.read(length)
+                    peer.seen.append((connection, method, path))
+                    ordinal += 1
+                    action = script(connection, ordinal, method, path)
+                    if action == "close":
+                        return
+                    if action == "reply":
+                        payload = json.dumps(
+                            {"connection": connection, "path": path}
+                        ).encode()
+                        head = f"HTTP/1.1 200 OK\r\nContent-Length: {len(payload)}"
+                        action = head.encode() + b"\r\n\r\n" + payload
+                    self.wfile.write(action)
+
+        class Server(socketserver.ThreadingTCPServer):
+            daemon_threads = True
+            allow_reuse_address = True
+
+        self.server = Server(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, daemon=True
+        )
+        self.thread.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.server.shutdown()
+        self.thread.join(timeout=5.0)
+        self.server.server_close()
+
+
+def hang_up_on_second_request(connection, ordinal, method, path):
+    """Connection 1 answers once, then dies on its next request."""
+    return "close" if (connection, ordinal) == (1, 2) else "reply"
+
+
+class TestPooledTransport:
+    def test_keep_alive_peer_is_dialled_once(self):
+        with ScriptedPeer() as peer, ServiceClient(peer.url, timeout=2.0) as client:
+            for _ in range(6):
+                assert client.healthz()["connection"] == 1
+            assert client.remove("x")["connection"] == 1
+            assert len(peer.sockets) == 1
+            assert client.transport_stats()["connections_opened"] == 1
+            assert len(client._pool) == 1
+
+    def test_http_10_peer_is_never_pooled(self):
+        """A plain ``http.server`` closes after every reply: still works."""
+        with plain_http_server(200, b'{"status": "ok"}') as url:
+            client = ServiceClient(url, timeout=2.0)
+            for _ in range(4):
+                assert client.healthz() == {"status": "ok"}
+                assert client._pool == []
+            stats = client.transport_stats()
+            assert stats["connections_opened"] == 4
+            assert stats["reconnects"] == 0
+
+    def test_reply_that_says_close_is_not_pooled(self):
+        reply = (
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\n"
+            b"Content-Length: 2\r\n\r\n{}"
+        )
+        with ScriptedPeer(lambda *request: reply) as peer:
+            client = ServiceClient(peer.url, timeout=2.0)
+            assert client.healthz() == {}
+            assert client.healthz() == {}
+            assert client._pool == []
+            assert len(peer.sockets) == 2
+
+    @pytest.mark.parametrize(
+        "stray", [b"", b"HTTP/1.1 408 Request Timeout\r\n\r\n"]
+    )
+    def test_parked_socket_readable_at_checkout_is_discarded(self, stray):
+        """The idle check: after EOF or stray bytes the socket is not used."""
+        with ScriptedPeer() as peer, ServiceClient(peer.url, timeout=2.0) as client:
+            client.healthz()
+            (parked,) = client._pool
+            if stray:  # the peer talks out of turn: desynchronised
+                peer.sockets[1].sendall(stray)
+            else:  # the peer hangs up on the idle connection
+                peer.sockets[1].shutdown(socket.SHUT_RDWR)
+            parked.sock.settimeout(2.0)
+            assert parked.sock.recv(1, socket.MSG_PEEK) == stray[:1]  # arrived
+            # Exact, so a write is as safe on the pool as a read.
+            assert client.remove("x")["connection"] == 2
+            assert peer.seen == [(1, "GET", "/healthz"), (2, "POST", "/remove")]
+            stats = client.transport_stats()
+            assert stats["connections_opened"] == 2
+            assert stats["reconnects"] == 0
+            assert stats["transport_errors"] == 0
+            assert parked.sock is None
+
+    def test_read_on_a_dead_reused_connection_is_resent_once(self):
+        """The race the idle check cannot close: the FIN is in flight."""
+        with ScriptedPeer(hang_up_on_second_request) as peer:
+            client = ServiceClient(peer.url, timeout=2.0)
+            assert client.healthz()["connection"] == 1
+            assert client.search([[0.1, 0.2]], 0.5)["connection"] == 2
+            assert peer.seen == [
+                (1, "GET", "/healthz"),
+                (1, "POST", "/search"),
+                (2, "POST", "/search"),
+            ]
+            stats = client.transport_stats()
+            # At once: no backoff, no retry-budget token, one attempt.
+            assert stats["reconnects"] == 1
+            assert stats["connections_opened"] == 2
+            assert stats["attempts"] == 2
+            assert stats["retries"] == 0
+            assert stats["transport_errors"] == 0
+
+    def test_write_on_a_dead_reused_connection_is_never_resent(self):
+        with ScriptedPeer(hang_up_on_second_request) as peer:
+            client = ServiceClient(
+                peer.url,
+                timeout=2.0,
+                retry=RetryPolicy(max_attempts=4, base_delay=0.0),
+            )
+            assert client.healthz()["connection"] == 1
+            with pytest.raises(TRANSPORT_ERRORS):
+                client.insert([[0.1, 0.2]], sequence_id="once")
+            # The peer may have applied it: it was sent exactly once.
+            assert peer.seen == [(1, "GET", "/healthz"), (1, "POST", "/insert")]
+            stats = client.transport_stats()
+            assert stats["reconnects"] == 0
+            assert stats["retries"] == 0
+            assert stats["transport_errors"] == 1
+            assert client._pool == []
+            assert client.healthz()["connection"] == 2
+
+    def test_resend_is_one_send_not_a_loop(self):
+        def script(connection, ordinal, method, path):
+            return "close" if path == "/stats" else "reply"
+
+        with ScriptedPeer(script) as peer:
+            client = ServiceClient(peer.url, timeout=2.0)
+            client.healthz()
+            with pytest.raises(TRANSPORT_ERRORS):
+                client.stats()
+            assert peer.seen[1:] == [(1, "GET", "/stats"), (2, "GET", "/stats")]
+            stats = client.transport_stats()
+            assert stats["reconnects"] == 1
+            assert stats["transport_errors"] == 1
+
+    def test_timeout_on_a_reused_connection_is_not_resent(self):
+        """A slow peer is not a stale connection: no second copy is sent."""
+        release = threading.Event()
+
+        def script(connection, ordinal, method, path):
+            if path == "/stats":
+                release.wait(5.0)
+                return "close"
+            return "reply"
+
+        with ScriptedPeer(script) as peer:
+            client = ServiceClient(peer.url, timeout=0.2)
+            client.healthz()
+            try:
+                with pytest.raises(TimeoutError):
+                    client.stats()
+            finally:
+                release.set()
+            assert peer.seen == [(1, "GET", "/healthz"), (1, "GET", "/stats")]
+            assert client.transport_stats()["reconnects"] == 0
+            assert client._pool == []
+
+    def test_base_url_picks_scheme_and_keeps_a_path_prefix(self):
+        for bad in ("ftp://127.0.0.1:21", "127.0.0.1:8765", "http://", ""):
+            with pytest.raises(ValueError, match="base_url"):
+                ServiceClient(bad)
+        with pytest.raises(ValueError):
+            ServiceClient("http://127.0.0.1:notaport")
+        secure = ServiceClient("https://127.0.0.1:8443")._dial()
+        assert isinstance(secure, http.client.HTTPSConnection)
+        assert (secure.host, secure.port) == ("127.0.0.1", 8443)
+        with ScriptedPeer() as peer:
+            with ServiceClient(peer.url + "/api/v1/", timeout=2.0) as client:
+                assert client.healthz()["path"] == "/api/v1/healthz"
+                assert client.remove("x")["path"] == "/api/v1/remove"
+
+    def test_connect_phase_oserrors_surface_as_connection_error(self):
+        """What ``urllib`` wrapped in ``URLError`` stays a transport error."""
+
+        class Unresolvable(http.client.HTTPConnection):
+            def connect(self):
+                raise socket.gaierror(-2, "Name or service not known")
+
+        client = make_client()
+        client._dial = lambda: Unresolvable("unresolvable.invalid")
+        with pytest.raises(ConnectionError, match="127.0.0.1:1.*not known") as info:
+            client.healthz()
+        assert isinstance(info.value.__cause__, socket.gaierror)
+        assert isinstance(info.value, TRANSPORT_ERRORS)
+        assert not isinstance(socket.gaierror(), TRANSPORT_ERRORS)
+        stats = client.transport_stats()
+        assert stats["transport_errors"] == 1
+        assert stats["connections_opened"] == 0
+
+    def test_refused_connection_stays_itself(self):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=1.0)
+        with pytest.raises(ConnectionRefusedError):
+            client.healthz()
+        assert client._pool == []

@@ -16,8 +16,10 @@ ISSUE 9's acceptance tests for the deadline layer:
   under contracts and through the engine's worker pool alike.
 """
 
+import json
+import threading
 import time
-import urllib.request
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -230,38 +232,54 @@ class TestClientDeadlineDebit:
         assert stats["retries"] == 1
         assert stats["retry_wait_s"] <= 0.06
 
-    def test_wire_carries_shrunk_budget(self, monkeypatch):
-        client = ServiceClient("http://127.0.0.1:9", timeout=30.0)
+    def test_wire_carries_shrunk_budget(self):
+        """Header, body and socket timeout, captured off a real loopback."""
         captured = {}
 
-        class _Reply:
-            def read(self):
-                return b"{}"
+        class Capture(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
 
-            def __enter__(self):
-                return self
+            def do_POST(self):  # noqa: N802 - http.server API
+                length = int(self.headers["Content-Length"])
+                captured["headers"] = {
+                    key.lower(): value for key, value in self.headers.items()
+                }
+                captured["body"] = self.rfile.read(length)
+                self.send_response(200)
+                self.send_header("Content-Length", "2")
+                self.end_headers()
+                self.wfile.write(b"{}")
 
-            def __exit__(self, *exc_info):
-                return False
+            def log_message(self, *args):
+                pass
 
-        def fake_urlopen(request, timeout):
-            captured["headers"] = {
-                key.lower(): value for key, value in request.headers.items()
-            }
-            captured["body"] = request.data
-            captured["socket_timeout"] = timeout
-            return _Reply()
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-        deadline = Deadline.after(0.5)
-        time.sleep(0.02)
-        client._request_once(
-            "POST",
-            "/search",
-            {"points": [], "epsilon": 0.1, "timeout": 0.5},
-            deadline,
+        server = HTTPServer(("127.0.0.1", 0), Capture)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = ServiceClient(
+            f"http://127.0.0.1:{server.server_port}", timeout=30.0
         )
-        import json
+        try:
+            # An unbudgeted call first, so the budgeted one rides a
+            # *reused* socket still carrying the 30 s client timeout.
+            client._request_once("POST", "/search", {"points": []})
+            (parked,) = client._pool
+            assert parked.sock.gettimeout() == 30.0
+            deadline = Deadline.after(0.5)
+            time.sleep(0.02)
+            client._request_once(
+                "POST",
+                "/search",
+                {"points": [], "epsilon": 0.1, "timeout": 0.5},
+                deadline,
+            )
+            assert client._pool == [parked]
+            captured["socket_timeout"] = parked.sock.gettimeout()
+        finally:
+            client.close()
+            server.shutdown()
+            thread.join()
+            server.server_close()
 
         body = json.loads(captured["body"])
         # The body's timeout was rewritten to the *remaining* budget and

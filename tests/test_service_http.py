@@ -3,10 +3,15 @@
 The server binds port 0 (a free ephemeral port) so tests never collide;
 each fixture tears the server and engine down deterministically.  Status
 codes are asserted at the raw urllib level; the typed-exception round
-trip (429 → Overloaded etc.) through :class:`ServiceClient`.
+trip (429 → Overloaded etc.) through :class:`ServiceClient`.  The pooled
+transport and the server's connection lifecycle (one-send replies, body
+before reply, idle timeout, drain closing parked connections, backlog)
+are driven over real loopback sockets, raw ``http.client`` where the
+client would hide the effect.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -47,6 +52,7 @@ def served(rng):
     engine = QueryEngine(build_database(rng), workers=2, cache_size=8)
     server, client = start_server(engine)
     yield engine, client
+    client.close()
     server.shutdown()
     server.server_close()
     engine.close()
@@ -431,6 +437,397 @@ class TestGracefulShutdown:
             while server.inflight != 0 and time.monotonic() < deadline:
                 time.sleep(0.005)
             assert server.inflight == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            engine.close()
+
+
+def raw_connection(client):
+    """A plain keep-alive ``http.client`` connection to the client's server."""
+    connection = client._dial()
+    connection.timeout = 10.0
+    return connection
+
+
+def settle(condition, timeout=5.0):
+    """Poll ``condition`` until it holds (handler threads finish async)."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return condition()
+
+
+class TestPooledConnections:
+    def test_sequential_calls_share_one_connection(self, rng, served):
+        _, client = served
+        query = rng.random((10, 2))
+        for _ in range(5):
+            client.healthz()
+            client.search(query, 0.5)
+        client.insert(rng.random((12, 2)), sequence_id="pooled")
+        client.stats()
+        stats = client.transport_stats()
+        assert stats["connections_opened"] == 1
+        assert stats["reconnects"] == 0
+        assert stats["requests"] == 12
+
+    @pytest.mark.parametrize("sync_checks", [False, True])
+    def test_threads_share_one_client(self, rng, served, sync_checks):
+        from contextlib import nullcontext
+
+        from repro.util.sync import checking_sync
+
+        _, client = served
+        query = rng.random((10, 2))
+        expected = client.search(query, 0.5)["answers"]
+        failures: list = []
+
+        def worker():
+            try:
+                for _ in range(50):
+                    if client.search(query, 0.5)["answers"] != expected:
+                        failures.append("different answers")
+            except Exception as error:  # noqa: BLE001 - recorded for assert
+                failures.append(error)
+
+        with checking_sync() if sync_checks else nullcontext():
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        stats = client.transport_stats()
+        assert stats["requests"] == 401
+        # At most one connection per concurrent caller, however the
+        # threads interleave; never one per request.
+        assert 1 <= stats["connections_opened"] <= 8
+        assert len(client._pool) == stats["connections_opened"]
+
+    def test_close_and_context_manager_close_parked_connections(self, served):
+        _, client = served
+        with client as entered:
+            assert entered is client
+            client.healthz()
+            (parked,) = client._pool
+        assert client._pool == [] and parked.sock is None
+        # A closed client is not a dead one: the next call dials again.
+        assert client.healthz()["status"] == "ok"
+        assert client.transport_stats()["connections_opened"] == 2
+        client.close()
+
+    def test_restart_on_the_same_port_reaches_the_new_engine(self, rng):
+        """Drain closes parked connections: no zombie handler answers."""
+        from repro.service.http import shutdown_gracefully
+
+        engine = QueryEngine(build_database(rng, count=2), workers=1)
+        server, client = start_server(engine)
+        port = server.server_address[1]
+        assert client.healthz()["sequences"] == 2
+        assert shutdown_gracefully(server, engine, drain_timeout=5.0) is True
+        successor = QueryEngine(build_database(rng, count=5), workers=1)
+        server = serve(successor, port=port)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            # A naive pool reuses the socket parked on the old server's
+            # handler thread and gets EngineClosed from the closed engine.
+            health = client.healthz()
+            assert health["status"] == "ok"
+            assert health["sequences"] == 5
+            assert client.transport_stats()["connections_opened"] == 2
+        finally:
+            shutdown_gracefully(server, successor, drain_timeout=5.0)
+
+    def test_drain_closes_idle_connections_but_not_a_straggler(self, rng):
+        from repro.service.http import shutdown_gracefully
+
+        engine = QueryEngine(build_database(rng, count=2), workers=1)
+        release = threading.Event()
+        inner = engine._do_search
+        engine._do_search = lambda *args: (release.wait(5), inner(*args))[1]
+        server, client = start_server(engine)
+        idle = raw_connection(client)
+        idle.request("GET", "/healthz")
+        assert idle.getresponse().read()
+        assert settle(lambda: server.inflight == 0)
+        outcome: dict = {}
+        query = rng.random((8, 2))
+
+        def straggle():
+            try:
+                outcome["reply"] = client.search(query, 0.5)
+            except EngineClosed as error:
+                outcome["closed"] = error
+
+        racer = threading.Thread(target=straggle)
+        racer.start()
+        assert settle(lambda: server.inflight == 1)
+        assert shutdown_gracefully(server, engine, drain_timeout=0.05) is False
+        # The idle connection saw EOF at once.  The straggler's was left
+        # alone: it still gets a reply — its result, or a typed
+        # EngineClosed now that its engine closed under it; never a reset
+        # — and that reply says close, so nothing is parked.
+        assert idle.sock.recv(1) == b""
+        idle.close()
+        release.set()
+        racer.join(timeout=10.0)
+        assert not racer.is_alive()
+        assert outcome.keys() & {"reply", "closed"}
+        assert client._pool == []
+
+    def test_dropped_reply_on_a_reused_connection(self, rng):
+        """Reads reconnect, then retry; the dead socket is never reused."""
+        from repro.service import RetryPolicy
+        from repro.service.faults import FaultRule, fault_plan
+
+        engine = QueryEngine(build_database(rng, count=2), workers=1)
+        server = serve(engine, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        client = ServiceClient(
+            f"http://127.0.0.1:{server.server_address[1]}",
+            timeout=10.0,
+            retry=RetryPolicy(max_attempts=3, base_delay=0.01, seed=7),
+        )
+        try:
+            client.healthz()
+            (parked,) = client._pool
+            with fault_plan(FaultRule("http.response", "raise", times=2)):
+                assert client.healthz()["status"] == "ok"
+            stats = client.transport_stats()
+            # Reply 1 dropped on the reused connection: resent at once on
+            # a fresh one.  Reply 2 dropped there: a transport error, which
+            # the retry policy covers on a third connection.
+            assert stats["reconnects"] == 1
+            assert stats["retries"] == 1
+            assert stats["transport_errors"] == 1
+            assert stats["connections_opened"] == 3
+            assert parked.sock is None and client._pool != [parked]
+            assert settle(lambda: server.dropped_responses == 2)
+        finally:
+            server.shutdown()
+            server.server_close()
+            engine.close()
+
+    def test_a_write_is_sent_at_most_once(self, rng, served):
+        """An insert whose reply is dropped surfaces; it is not replayed."""
+        from repro.service.client import TRANSPORT_ERRORS
+        from repro.service.faults import FaultRule, fault_plan
+
+        engine, client = served
+        client.healthz()  # the insert below rides a *reused* connection
+        before = len(engine)
+        with fault_plan(FaultRule("http.response", "raise")):
+            with pytest.raises(TRANSPORT_ERRORS):
+                client.insert(rng.random((12, 2)), sequence_id="once")
+        stats = client.transport_stats()
+        assert stats["reconnects"] == 0
+        assert stats["transport_errors"] == 1
+        # Applied exactly once server-side — a resend would have been a
+        # 409 here and a duplicate under a server-assigned id.
+        assert len(engine) == before + 1
+        assert engine.stats()["requests"]["insert"] == 1
+
+
+class TestConnectionLifecycle:
+    def test_reply_before_body_does_not_poison_the_connection(self, served):
+        _, client = served
+        connection = raw_connection(client)
+        try:
+            body = json.dumps({"points": [[0.1, 0.2]] * 40}).encode()
+            connection.request("POST", "/nope", body=body)
+            reply = connection.getresponse()
+            assert reply.status == 404
+            assert json.loads(reply.read())["error"]["type"] == "NotFound"
+            assert not reply.will_close
+            # Same connection: the 404's body must not be parsed as this
+            # request (http.server would answer an HTML 400).
+            connection.request("GET", "/healthz")
+            reply = connection.getresponse()
+            assert reply.status == 200
+            assert json.loads(reply.read())["status"] == "ok"
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["nonsense", "-5", "1e3"])
+    def test_bad_content_length_is_a_typed_400_and_closes(self, served, length):
+        _, client = served
+        connection = raw_connection(client)
+        try:
+            connection.putrequest("POST", "/search")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            reply = connection.getresponse()
+            assert reply.status == 400
+            detail = json.loads(reply.read())["error"]
+            assert detail["type"] == "ValueError"
+            assert "Content-Length" in detail["message"]
+            # Whatever body follows was not consumed: the server hangs up
+            # rather than parse it as a request.
+            assert reply.will_close
+        finally:
+            connection.close()
+
+    def test_reply_is_sent_before_the_request_counts_as_finished(self, rng):
+        """Drain shuts idle sockets down: a buffered reply must be out first."""
+        engine = QueryEngine(build_database(rng, count=2), workers=1)
+        server, client = start_server(engine)
+        replied = threading.Event()
+        finished_unsent = []
+        finish = server.request_finished
+
+        def finishing(connection):
+            finished_unsent.append(not replied.wait(2.0))
+            finish(connection)
+
+        server.request_finished = finishing
+        try:
+            assert client.healthz()["status"] == "ok"
+            replied.set()
+            assert settle(lambda: finished_unsent == [False])
+        finally:
+            server.shutdown()
+            server.server_close()
+            engine.close()
+
+    def test_draining_reply_says_close(self, rng):
+        engine = QueryEngine(build_database(rng, count=2), workers=1)
+        server, client = start_server(engine)
+        connection = raw_connection(client)
+        try:
+            server.draining = True
+            connection.request("POST", "/search", body=b'{"points": []}')
+            reply = connection.getresponse()
+            assert reply.status == 503
+            assert reply.will_close
+            reply.read()
+        finally:
+            connection.close()
+            server.draining = False
+            server.shutdown()
+            server.server_close()
+            engine.close()
+
+    def test_stalled_body_is_dropped_and_frees_the_drain(self, rng, monkeypatch):
+        """One stalled peer must not pin a handler or defeat the drain."""
+        from repro.service.http import JsonRequestHandler, shutdown_gracefully
+
+        monkeypatch.setattr(JsonRequestHandler, "timeout", 0.2)
+        engine = QueryEngine(build_database(rng, count=2), workers=1)
+        server, client = start_server(engine)
+        peer = socket.create_connection(server.server_address, timeout=10.0)
+        try:
+            peer.sendall(
+                b"POST /search HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100\r\n\r\n0123456789"
+            )
+            assert settle(lambda: server.inflight == 1)
+            # On expiry: no reply, connection closed, counted as dropped.
+            assert peer.recv(4096) == b""
+            assert settle(lambda: server.inflight == 0)
+            assert server.dropped_responses == 1
+            started = time.monotonic()
+            assert shutdown_gracefully(server, engine, drain_timeout=3.0) is True
+            assert time.monotonic() - started < 1.0
+        finally:
+            peer.close()
+
+    def test_idle_connection_times_out_and_the_client_reconnects(
+        self, rng, monkeypatch
+    ):
+        from repro.service.http import JsonRequestHandler
+
+        monkeypatch.setattr(JsonRequestHandler, "timeout", 0.15)
+        engine = QueryEngine(build_database(rng, count=2), workers=1)
+        server, client = start_server(engine)
+        try:
+            assert client.healthz()["status"] == "ok"
+            (parked,) = client._pool
+            # The server hangs up on the idle connection (EOF, no reply)...
+            parked.sock.settimeout(5.0)
+            assert parked.sock.recv(1, socket.MSG_PEEK) == b""
+            # ...which is not a dropped response, and the pooled client
+            # simply dials again on its next call.
+            assert client.healthz()["status"] == "ok"
+            stats = client.transport_stats()
+            assert stats["connections_opened"] == 2
+            assert stats["transport_errors"] == 0
+            assert server.dropped_responses == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            engine.close()
+
+    def test_connection_burst_is_absorbed_by_the_backlog(self, served):
+        """48 fresh connections at once: none waits for a SYN retransmit."""
+        _, client = served
+        barrier = threading.Barrier(48)
+        elapsed: list[float] = []
+        failures: list = []
+
+        def dial():
+            fresh = ServiceClient(client.base_url, timeout=10.0)
+            barrier.wait(timeout=10.0)
+            started = time.monotonic()
+            try:
+                fresh.healthz()
+                elapsed.append(time.monotonic() - started)
+            except Exception as error:  # noqa: BLE001 - recorded for assert
+                failures.append(error)
+            finally:
+                fresh.close()
+
+        threads = [threading.Thread(target=dial) for _ in range(48)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert failures == []
+        assert len(elapsed) == 48
+        # With the stdlib backlog of 5 the overflow retransmits its SYN
+        # after 1 s (then 3 s, 7 s).
+        assert max(elapsed) < 1.0
+
+    def test_keep_alive_replies_do_not_stall_on_nagle(self, rng, served):
+        """Latency guard: a reply leaves as one segment.
+
+        Sent as header flush + body, the second small segment waits for
+        the client's delayed ACK: 38–41 ms per call on a kept-alive
+        connection.
+        """
+        _, client = served
+        body = json.dumps(
+            {"points": rng.random((10, 2)).tolist(), "epsilon": 0.5}
+        ).encode()
+        connection = raw_connection(client)
+        try:
+            timings = []
+            for _ in range(30):
+                started = time.perf_counter()
+                connection.request("POST", "/search", body=body)
+                reply = connection.getresponse()
+                assert reply.status == 200
+                reply.read()
+                timings.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert sorted(timings)[len(timings) // 2] < 0.020
+
+    def test_reply_larger_than_the_write_buffer(self, rng):
+        """A body past the 8 KiB buffer arrives whole, and promptly."""
+        engine = QueryEngine(build_database(rng, count=40), workers=1)
+        server, client = start_server(engine)
+        try:
+            timings = []
+            for _ in range(10):
+                started = time.perf_counter()
+                export = client.export_sequences()
+                timings.append(time.perf_counter() - started)
+            assert len(export["sequences"]) == 40
+            assert len(json.dumps(export)) > 3 * 8192
+            assert client.transport_stats()["connections_opened"] == 1
+            assert sorted(timings)[len(timings) // 2] < 0.030
         finally:
             server.shutdown()
             server.server_close()

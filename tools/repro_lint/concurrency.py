@@ -35,6 +35,7 @@ from tools.repro_lint.model import Checker, ModuleContext, Rule, Violation
 
 __all__ = [
     "BLOCKING_CALLS",
+    "BLOCKING_METHODS",
     "CONCURRENCY_RULE_SPECS",
     "MODULE_LOCK_ORDER",
     "THREAD_SAFE_WAIVER",
@@ -79,8 +80,15 @@ BLOCKING_CALLS: frozenset[str] = frozenset(
         "subprocess.check_output",
         "subprocess.Popen",
         "socket.create_connection",
+        "select.select",
         "urllib.request.urlopen",
     }
+)
+
+# Methods that block whatever they are called on: the socket I/O of an
+# ``http.client`` connection (``repro.service.client``'s pooled transport).
+BLOCKING_METHODS: frozenset[str] = frozenset(
+    {"connect", "request", "getresponse"}
 )
 
 # ``# thread-safe: <reason>`` — the REP200 waiver; a reason is required.
@@ -440,7 +448,14 @@ def _check_blocking_under_lock(
                     continue
                 for node in _own_calls(statement):
                     name = _dotted_name(node.func)
-                    if name in BLOCKING_CALLS and not _waived(context, node):
+                    if (
+                        isinstance(node.func, ast.Attribute)
+                        and node.func.attr in BLOCKING_METHODS
+                    ):
+                        name = name or f"<connection>.{node.func.attr}"
+                    elif name not in BLOCKING_CALLS:
+                        continue
+                    if not _waived(context, node):
                         holder = next(
                             frame for frame in frames if frame.lockish
                         )

@@ -2,9 +2,11 @@
 
 Boots the real CLI (``python -m repro serve``) on a tiny generated corpus
 and a free port, waits for the banner line, hits ``/healthz``, ``/search``
-and ``/stats`` through :class:`repro.service.client.ServiceClient`, then
-sends SIGINT and requires a clean exit with the shutdown banner — i.e. the
-whole serve path a user would touch, end to end, in a few seconds.
+and ``/stats`` through :class:`repro.service.client.ServiceClient` — all
+four calls over one kept-alive connection — then sends SIGINT *with that
+connection still parked* and requires a clean exit with the shutdown
+banner: the drain must close what it parked.  The whole serve path a user
+would touch, end to end, in a few seconds.
 
 Usage::
 
@@ -103,6 +105,9 @@ def main() -> int:
             stats = client.stats()
             if stats["requests_total"] < 2 or stats["cache"]["hits"] < 1:
                 raise RuntimeError(f"bad /stats reply: {stats}")
+            transport = client.transport_stats()
+            if transport["connections_opened"] != 1:
+                raise RuntimeError(f"calls did not share a connection: {transport}")
 
             server.send_signal(signal.SIGINT)
             deadline = time.monotonic() + 15
@@ -121,8 +126,8 @@ def main() -> int:
                 server.wait(timeout=10)
 
     print(
-        "serve smoke OK: /healthz, /search (miss then hit), /stats, "
-        "clean SIGINT shutdown"
+        "serve smoke OK: /healthz, /search (miss then hit), /stats over one "
+        "connection, clean SIGINT shutdown with it parked"
     )
     return 0
 
