@@ -38,7 +38,12 @@ __all__ = ["Backend", "LocalBackend"]
 
 @runtime_checkable
 class Backend(Protocol):
-    """The client surface the coordinator requires of every backend."""
+    """The client surface the coordinator requires of every backend.
+
+    Optional: a class attribute ``in_process = True`` declares that calls
+    are plain CPU work in this interpreter; the coordinator then makes
+    them on its caller's thread instead of handing them to a pool.
+    """
 
     def healthz(self) -> dict:
         """Liveness probe payload."""
@@ -99,6 +104,9 @@ class LocalBackend:
     one, and parity tests exercise the same code paths either way.
     """
 
+    #: Searched in a plain loop on the coordinator caller's thread.
+    in_process = True
+
     def __init__(
         self,
         engine: QueryEngine,
@@ -138,6 +146,7 @@ class LocalBackend:
             epsilon,
             find_intervals=find_intervals,
             timeout=timeout,
+            on_caller=True,
         )
         return dict(
             _round_trip(search_payload(response, find_intervals=find_intervals))
@@ -152,7 +161,7 @@ class LocalBackend:
     ) -> list[tuple[float, object]]:
         """Local kNN, shaped like ``ServiceClient.knn``."""
         neighbors = self.engine.knn(
-            np.asarray(points, dtype=np.float64), k, timeout=timeout
+            np.asarray(points, dtype=np.float64), k, timeout=timeout, on_caller=True
         )
         payload = _round_trip(knn_payload(neighbors))
         return [

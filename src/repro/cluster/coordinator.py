@@ -12,19 +12,30 @@ the paper's operations cluster-wide:
   bit-identical to a single node over the union corpus, preserving the
   no-false-dismissal guarantee of Lemmas 1-3 across the distribution
   seams.
+* **One loop, one pool**: a read is one event loop on the *calling*
+  thread (``_scatter_read``), and every attempt — a write's replica calls
+  too — starts in ``_dispatch``.  A backend declaring ``in_process =
+  True`` (``LocalBackend``) is called right there: replicas inside one
+  interpreter share its GIL, so a thread hand-off buys wake-ups, not
+  parallelism (7-8 ms a query with them, 3 ms without; the measured
+  table is in ``docs/cluster.md``).  Anything else goes to the one pool.
 * **Hedging** cuts tail latency: when a shard's first attempt exceeds the
   recent latency quantile (:class:`HedgePolicy`), a second replica is
   asked concurrently and the first answer wins.  Losing hedges and
   stragglers are cancelled where possible (queued sub-calls are dropped;
-  running ones at least stop being waited on).
+  running ones at least stop being waited on).  A hedge races two
+  *nodes*: an in-process attempt is over before the loop waits, so its
+  timer never arms and such a cluster is a plain loop over its shards.
 * **Request budgets**: a read's ``timeout`` is a whole-request budget
   (:class:`~repro.util.budget.Deadline`), not a per-hop constant.  Every
   sub-call is dispatched with the budget *remaining at dispatch time* —
   failover attempts and hedges inherit what their predecessors left, the
-  hedge delay itself is capped by the remaining budget, and a sub-call
-  is never dispatched at all once the budget falls below
-  ``min_subcall_budget`` (it could only return after the caller stopped
-  caring).
+  hedge delay is capped by it, no sub-call is dispatched below
+  ``min_subcall_budget``, and the loop's own waits are capped too: a
+  backend that ignores its ``timeout`` ends the read as
+  ``DeadlineExceeded``, never a hang or a silent partial.  (An in-process
+  attempt cannot be abandoned by its own thread: the engine's Phase 2/3
+  checkpoints, then its late-completion rule, bound it.)
 * **Partial-result degradation** is typed, not exceptional: when *every*
   replica of a shard is unavailable, ``search`` returns
   ``complete=False`` plus the missing shard list — sound answers, no
@@ -58,6 +69,7 @@ replication lag that gates their read eligibility.
 
 from __future__ import annotations
 
+import math
 import time
 import uuid
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
@@ -215,6 +227,18 @@ class ClusterKnnResult:
     missing_shards: tuple[int, ...] = ()
 
 
+@dataclass
+class _ShardRead:
+    """One shard's progress through a scatter (calling thread only)."""
+
+    shard: int
+    order: list[int]  # node indices to try: replicas, then fresh followers
+    launched: int = 0
+    inflight: int = 0
+    hedged: bool = False  # at most one hedge per shard
+    hedge_due: float = math.inf  # monotonic; inf while no timer is armed
+
+
 class ClusterCoordinator:
     """Scatter-gather serving over sharded, replicated backends.
 
@@ -328,16 +352,12 @@ class ClusterCoordinator:
             )
         self.write_quorum = write_quorum
         self._hedge_rng = ensure_rng(None if hedge is None else hedge.seed)
-        self._rng_lock = TracedLock("coordinator.rng")
         self._latency = LatencyWindow(1024)
+        # Guards the window and the jitter rng drawn beside it.
         self._latency_lock = TracedLock("coordinator.latency")
-        # Two pools so a shard-gather blocking on its backend futures can
-        # never deadlock against the futures it waits for.
-        self._scatter_pool = ThreadPoolExecutor(
-            max_workers=max(4, self.router.num_shards),
-            thread_name_prefix="repro-cluster-scatter",
-        )
-        self._backend_pool = ThreadPoolExecutor(
+        # The one pool: attempts on remote backends and repair drains.
+        # In-process attempts never touch it (see ``_dispatch``).
+        self._pool = ThreadPoolExecutor(
             max_workers=max(4, 2 * len(self._nodes)),
             thread_name_prefix="repro-cluster-io",
         )
@@ -393,12 +413,11 @@ class ClusterCoordinator:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the scatter pools down (backends stay up; not owned)."""
+        """Shut the pool down (backends stay up; not owned)."""
         if self._closed:
             return
         self._closed = True  # thread-safe: monotonic latch, races are benign
-        self._scatter_pool.shutdown(wait=False)
-        self._backend_pool.shutdown(wait=False)
+        self._pool.shutdown(wait=False)
         self.journal.close()
 
     def __enter__(self) -> "ClusterCoordinator":
@@ -449,31 +468,21 @@ class ClusterCoordinator:
         payloads, missing = self._scatter_read(
             "search",
             lambda backend, budget: backend.search(
-                query,
-                epsilon,
-                find_intervals=find_intervals,
-                timeout=budget,
+                query, epsilon, find_intervals=find_intervals, timeout=budget
             ),
-            Deadline.after(timeout),
+            timeout,
+            fail_closed,
         )
-        if missing and fail_closed:
-            raise ShardUnavailable(
-                f"search lost shard(s) {sorted(missing)}: every replica "
-                "unavailable",
-                missing_shards=missing,
-            )
         merged: MergedSearch = merge_search_payloads(
             payloads, order=self._order_key
         )
-        if missing:
-            self._count("partial_results")
         return ClusterSearchResult(
             epsilon=epsilon,
             answers=merged.answers,
             candidates=merged.candidates,
             intervals=merged.intervals,
             complete=not missing,
-            missing_shards=tuple(sorted(missing)),
+            missing_shards=tuple(missing),
             stats=merged.stats,
             snapshot_versions=merged.snapshot_versions,
         )
@@ -519,23 +528,16 @@ class ClusterCoordinator:
         payloads, missing = self._scatter_read(
             "knn",
             lambda backend, budget: backend.knn(query, k, timeout=budget),
-            Deadline.after(timeout),
+            timeout,
+            fail_closed,
         )
-        if missing and fail_closed:
-            raise ShardUnavailable(
-                f"knn lost shard(s) {sorted(missing)}: the global top-{k} "
-                "cannot be certified with a shard missing",
-                missing_shards=missing,
-            )
         neighbors = merge_knn(
             list(payloads.values()), k, order=self._order_key
         )
-        if missing:
-            self._count("partial_results")
         return ClusterKnnResult(
             neighbors=neighbors,
             complete=not missing,
-            missing_shards=tuple(sorted(missing)),
+            missing_shards=tuple(missing),
         )
 
     # ------------------------------------------------------------------
@@ -595,17 +597,12 @@ class ClusterCoordinator:
         self._note_order(sequence_id)
         futures: dict[Future, int] = {}
         skipped: list[int] = []
-
-        def call(backend: Backend, _budget: float | None) -> Any:
-            return self._send_write(backend, record)
-
-        for backend_index in placement.replicas:
+        for backend_index in sorted(placement.replicas, key=self._in_process):
             if self.health.usable(backend_index):
-                futures[
-                    self._backend_pool.submit(
-                        self._call_backend, backend_index, call
-                    )
-                ] = backend_index
+                future = self._dispatch(
+                    backend_index, lambda b, _budget: self._send_write(b, record)
+                )
+                futures[future] = backend_index
             else:
                 skipped.append(backend_index)
         acks = 0
@@ -859,143 +856,132 @@ class ClusterCoordinator:
         self,
         op: str,
         call: Callable[[Backend, float | None], Any],
-        deadline: Deadline,
+        timeout: float | None,
+        fail_closed: bool,
     ) -> tuple[dict[int, Any], list[int]]:
-        """Fan ``call`` out to one replica per shard; gather or degrade."""
-        self._count("requests")
-        shards = range(self.router.num_shards)
-        futures = {
-            self._scatter_pool.submit(
-                self._gather_shard, shard, call, deadline
-            ): shard
-            for shard in shards
-        }
-        payloads: dict[int, Any] = {}
-        missing: list[int] = []
-        caller_error: Exception | None = None
-        for future, shard in futures.items():
-            try:
-                payloads[shard] = future.result()
-            except ShardUnavailable:
-                missing.append(shard)
-                self._count("shard_misses")
-            except (KeyError, TypeError, ValueError) as error:
-                caller_error = error
-        if caller_error is not None:
-            raise caller_error
-        return payloads, sorted(missing)
+        """One read over every shard: the event loop, on this thread.
 
-    def _gather_shard(
-        self,
-        shard: int,
-        call: Callable[[Backend, float | None], Any],
-        deadline: Deadline,
-    ) -> Any:
-        """One shard's result from its healthiest replica, with hedging.
-
-        Every attempt (first, failover, hedge) is dispatched with the
-        request budget remaining at that moment; once the budget falls
-        below ``min_subcall_budget`` no further attempt is sent.  When a
-        winner returns, the losing attempts are cancelled: queued
-        sub-calls never run, and running ones stop being waited on.
+        ``owed`` holds the shards owed an attempt — their first, a
+        failover, a hedge — which exists only once its predecessor failed
+        or its timer fired: nothing parks per shard.  When the budget
+        runs out the loop first makes the attempts it owes (tripping the
+        dispatch floor), then drops what is pending and raises.
         """
-        replicas = self.router.replicas_of(shard)
-        attempt_order = [
-            index
-            for index in replicas
-            if self.health.usable(index) or self.health.probe_due(index)
-        ]
-        # Fresh-enough followers of this shard's replicas ride at the end
-        # of the order: extra failover / hedge capacity, never preferred
-        # over a writable replica.
-        attempt_order.extend(self._follower_candidates(replicas))
-        if not attempt_order:
-            raise ShardUnavailable(
-                f"shard {shard}: no usable replica among {list(replicas)}",
-                missing_shards=[shard],
-            )
-        pending: dict[Future, int] = {}
-        launched = 0
-        budget_exhausted = False
-
-        def launch_next() -> bool:
-            nonlocal launched, budget_exhausted
-            if launched >= len(attempt_order):
-                return False
-            remaining = deadline.remaining()
-            if remaining is not None and remaining < self.min_subcall_budget:
-                # The dispatch floor: a sub-call with this little budget
-                # could only answer after the caller's deadline.
-                budget_exhausted = True
-                self._count("budget_floor_skips")
-                return False
-            index = attempt_order[launched]
-            launched += 1
-            pending[
-                self._backend_pool.submit(
-                    self._call_backend, index, call, deadline
-                )
-            ] = index
-            return True
-
-        def cancel_losers() -> None:
+        self._count("requests")
+        deadline = Deadline.after(timeout)
+        expiry = math.inf if deadline.expires_at is None else deadline.expires_at
+        floor = self.min_subcall_budget
+        hedge = self.hedge if self.hedge and self.hedge.enabled else None
+        hedge_delay: float | None = None
+        shards = range(self.router.num_shards)
+        payloads: dict[int, Any] = {}
+        pending: dict[Future, tuple[_ShardRead, int]] = {}
+        stranded = False  # a shard with nothing in flight fell to the floor
+        owed: list[_ShardRead] = []
+        health = self.health
+        for shard in shards:
+            replicas = self.router.replicas_of(shard)
+            order = [i for i in replicas if health.usable(i) or health.probe_due(i)]
+            # Fresh-enough followers ride at the end: extra failover / hedge
+            # capacity, never preferred over a writable replica.
+            order.extend(self._follower_candidates(replicas))
+            if order:
+                owed.append(_ShardRead(shard, order))
+        # Remote first attempts go out before any in-process one runs,
+        # so wire time overlaps local compute.
+        owed.sort(key=lambda read: self._in_process(read.order[0]))
+        try:
+            while True:
+                while owed:
+                    read = owed.pop(0)
+                    if read.launched == len(read.order):
+                        continue  # every candidate tried
+                    remaining = deadline.remaining()
+                    if remaining is not None and remaining < floor:
+                        # The dispatch floor: a sub-call with this little
+                        # budget could only answer after the deadline.
+                        self._count("budget_floor_skips")
+                        stranded = stranded or not read.inflight
+                        continue
+                    if read.launched and not read.inflight:
+                        self._count("failovers")
+                    node = read.order[read.launched]
+                    read.launched += 1
+                    read.inflight += 1
+                    future = self._dispatch(node, call, deadline)
+                    pending[future] = (read, node)
+                    read.hedge_due = math.inf
+                    if (
+                        hedge is not None
+                        and not read.hedged
+                        and read.launched < len(read.order)
+                        and not future.done()
+                    ):
+                        if hedge_delay is None:  # once per scatter: it sorts
+                            with self._latency_lock:
+                                hedge_delay = hedge.delay(
+                                    self._latency, self._hedge_rng
+                                )
+                        # Clamped: never fires after the budget is spent.
+                        read.hedge_due = min(time.monotonic() + hedge_delay, expiry)
+                if stranded or (pending and deadline.expired()):
+                    raise DeadlineExceeded(
+                        f"{op}: remaining budget fell below the {floor}s "
+                        f"dispatch floor with {len(pending)} attempt(s) unanswered",
+                        timeout=float(timeout or 0.0),
+                    )
+                if not pending:
+                    break
+                due = min(expiry, *(read.hedge_due for read, _ in pending.values()))
+                patience = None if due == math.inf else due - time.monotonic()
+                done, _ = wait(pending, patience, return_when=FIRST_COMPLETED)
+                for future in done:
+                    if future not in pending:
+                        continue  # a loser dropped this turn
+                    read, node = pending.pop(future)
+                    read.inflight -= 1
+                    try:
+                        payload = future.result()
+                    except _FAILOVER_ERRORS:
+                        # A hedge in flight is the failover, else the next
+                        # replica is; any other error propagates.
+                        if read.inflight:
+                            self._count("failovers")
+                        else:
+                            owed.append(read)
+                        continue
+                    payloads[read.shard] = payload
+                    if read.hedged and node != read.order[0]:
+                        self._count("hedge_wins")
+                    if node >= len(self.backends):
+                        self._count("follower_reads")
+                    for loser in [f for f, (r, _) in pending.items() if r is read]:
+                        del pending[loser]
+                        if loser.cancel():  # queued: it never runs
+                            self._count("stragglers_cancelled")
+                now = time.monotonic()
+                for read, _ in pending.values():
+                    if read.hedge_due <= now:
+                        # The hedge timer fired before the primary answered.
+                        read.hedged, read.hedge_due = True, math.inf
+                        self._count("hedges")
+                        owed.append(read)
+        finally:
+            # Left by a raise; running stragglers finish in the background.
             for future in pending:
                 if future.cancel():
                     self._count("stragglers_cancelled")
-
-        launch_next()
-        hedged = False
-        errors: dict[int, Exception] = {}
-        while pending:
-            may_hedge = (
-                self.hedge is not None
-                and self.hedge.enabled
-                and not hedged
-                and launched < len(attempt_order)
-            )
-            hedge_timeout = self._hedge_delay(deadline) if may_hedge else None
-            done, _ = wait(
-                pending, timeout=hedge_timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                # The hedge timer fired before the primary answered.
-                hedged = True
-                self._count("hedges")
-                launch_next()
-                continue
-            for future in done:
-                index = pending.pop(future)
-                try:
-                    payload = future.result()
-                except _FAILOVER_ERRORS as error:
-                    errors[index] = error
-                    if pending or launch_next():
-                        if launched > 1:
-                            self._count("failovers")
-                        continue
-                else:
-                    if hedged and index != attempt_order[0]:
-                        self._count("hedge_wins")
-                    if index >= len(self.backends):
-                        self._count("follower_reads")
-                    # Cancel the losing attempts: queued ones never run;
-                    # already-running stragglers finish in the background
-                    # (their health outcomes are recorded inside
-                    # _call_backend) but nothing waits for them.
-                    cancel_losers()
-                    return payload
-        if budget_exhausted:
-            raise DeadlineExceeded(
-                f"shard {shard}: remaining budget fell below the "
-                f"{self.min_subcall_budget}s dispatch floor after "
-                f"{launched} attempt(s)",
-                timeout=float(self.min_subcall_budget),
-            )
-        raise ShardUnavailable(
-            f"shard {shard}: every replica failed "
-            f"({ {i: type(e).__name__ for i, e in errors.items()} })",
-            missing_shards=[shard],
-        )
+        missing = [shard for shard in shards if shard not in payloads]
+        if missing:
+            # Every candidate of these shards failed (or none was usable).
+            self._count("shard_misses", len(missing))
+            if fail_closed:
+                raise ShardUnavailable(
+                    f"{op} lost shard(s) {missing}: every replica unavailable",
+                    missing_shards=missing,
+                )
+            self._count("partial_results")
+        return payloads, missing
 
     def _follower_candidates(self, replicas: tuple[int, ...]) -> list[int]:
         """Follower node indices read-eligible for a shard's replicas.
@@ -1021,16 +1007,30 @@ class ClusterCoordinator:
                 candidates.append(node_index)
         return candidates
 
-    def _hedge_delay(self, deadline: Deadline | None = None) -> float:
-        if self.hedge is None:
-            return 0.0
-        remaining = None if deadline is None else deadline.remaining()
-        with self._latency_lock:
-            window = self._latency
-            with self._rng_lock:
-                return self.hedge.delay(
-                    window, self._hedge_rng, remaining=remaining
-                )
+    def _in_process(self, node: int) -> bool:
+        """Whether ``node`` declared its calls CPU work in this interpreter."""
+        return bool(getattr(self._nodes[node], "in_process", False))
+
+    def _dispatch(
+        self,
+        node: int,
+        call: Callable[[Backend, float | None], Any],
+        deadline: Deadline | None = None,
+    ) -> Future:
+        """Start one attempt on ``node``; the future carries its outcome.
+
+        The only place an attempt (read or write) meets a thread: an
+        in-process backend is called *now*, on this one, and the future
+        comes back complete; everything else goes to the pool.
+        """
+        if not self._in_process(node):
+            return self._pool.submit(self._call_backend, node, call, deadline)
+        future: Future = Future()
+        try:
+            future.set_result(self._call_backend(node, call, deadline))
+        except Exception as error:  # error-ok: the future carries it; callers read result()
+            future.set_exception(error)
+        return future
 
     def _call_backend(
         self,
@@ -1081,7 +1081,7 @@ class ClusterCoordinator:
             # catch its replicas up without blocking this request.
             # (Followers take no writes, so they have nothing to drain.)
             self.health.take_recovered()
-            self._backend_pool.submit(self._drain_repairs, backend_index)
+            self._pool.submit(self._drain_repairs, backend_index)
         return payload
 
     # ------------------------------------------------------------------

@@ -504,6 +504,7 @@ class QueryEngine:
         *,
         find_intervals: bool = True,
         timeout: float | None = None,
+        on_caller: bool = False,
     ) -> ServiceResponse:
         """Range search returning serving metadata alongside the result."""
         epsilon = check_threshold(epsilon)
@@ -511,6 +512,7 @@ class QueryEngine:
             "search",
             lambda: self._do_search(query, epsilon, find_intervals),
             timeout,
+            on_caller=on_caller,
         )
 
     def range_query(
@@ -535,11 +537,14 @@ class QueryEngine:
         k: int,
         *,
         timeout: float | None = None,
+        on_caller: bool = False,
     ) -> list[tuple[float, object]]:
         """The ``k`` nearest stored sequences (exact; Seidl-Kriegel)."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        return self._execute("knn", lambda: self._do_knn(query, k), timeout)
+        return self._execute(
+            "knn", lambda: self._do_knn(query, k), timeout, on_caller=on_caller
+        )
 
     # ------------------------------------------------------------------
     # Writes (serialised; every route publishes through _commit)
@@ -907,7 +912,12 @@ class QueryEngine:
     # Execution plumbing
     # ------------------------------------------------------------------
     def _execute(
-        self, op: str, fn: Callable[[], _T], timeout: float | None
+        self,
+        op: str,
+        fn: Callable[[], _T],
+        timeout: float | None,
+        *,
+        on_caller: bool = False,
     ) -> _T:
         if self._closed:
             raise EngineClosed("engine is closed")
@@ -928,6 +938,26 @@ class QueryEngine:
         self._note_admitted(depth_before)
         self._stats.record_request(op)
         admitted_at = time.monotonic()
+        if on_caller:
+            # The caller is a thread of this interpreter (LocalBackend):
+            # under one GIL a hand-off only adds wake-ups, so the body
+            # runs here — same ticket, fault sites, scope and counts, zero
+            # queue wait.  A thread cannot abandon itself at expiry: the
+            # checkpoints bound it, and a body that returns late raises
+            # what the pooled caller saw at expiry (wasted work counted).
+            try:
+                result = self._run(op, fn, deadline, timeout, admitted_at)
+                if deadline.expired():
+                    raise DeadlineExceeded(
+                        f"{op} did not finish within its {timeout}s deadline",
+                        timeout=float(timeout if timeout is not None else 0.0),
+                    )
+                return result
+            except DeadlineExceeded:
+                self._stats.record_deadline_exceeded()
+                raise
+            finally:
+                self._admission.release()
         try:
             future = self._pool.submit(
                 self._run, op, fn, deadline, timeout, admitted_at

@@ -11,7 +11,11 @@ crash), with the paper's result contracts armed via
 """
 
 import json
+import threading
+import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -27,6 +31,7 @@ from repro.core.database import SequenceDatabase
 from repro.service import QueryEngine
 from repro.service.errors import (
     CircuitOpen,
+    DeadlineExceeded,
     ShardUnavailable,
     WriteQuorumFailed,
 )
@@ -104,7 +109,16 @@ def make_cluster(
     hedge=None,
     health=None,
     write_quorum=None,
+    wrap=KillableBackend,
+    backend_class=LocalBackend,
 ):
+    """A cluster over in-process engines.
+
+    ``wrap`` stands in for a remote transport: a wrapper does not forward
+    ``in_process``, so the coordinator hands its calls to the pool.
+    ``wrap=None`` leaves the backends bare — searched in a plain loop on
+    the caller's thread.
+    """
     router = ShardRouter(
         num_backends=num_backends,
         num_shards=num_shards,
@@ -119,9 +133,11 @@ def make_cluster(
         for database in databases
     ]
     backends = [
-        KillableBackend(LocalBackend(engine, name=f"local-{i}"))
+        backend_class(engine, name=f"local-{i}")
         for i, engine in enumerate(engines)
     ]
+    if wrap is not None:
+        backends = [wrap(backend) for backend in backends]
     coordinator = ClusterCoordinator(
         backends,
         num_shards=num_shards,
@@ -632,6 +648,230 @@ class TestReadRepair:
             assert coordinator.repair_pending() == {0: 1}
             coordinator.probe()
             assert coordinator.repair_pending() == {}
+        finally:
+            close_all(engines, coordinator)
+
+
+class ThreadRecordingBackend(LocalBackend):
+    """A ``LocalBackend`` (still ``in_process``) noting who calls it."""
+
+    def __init__(self, engine, **options):
+        super().__init__(engine, **options)
+        self.callers = []
+
+    def search(self, *args, **options):
+        self.callers.append(threading.get_ident())
+        return super().search(*args, **options)
+
+    def knn(self, *args, **options):
+        self.callers.append(threading.get_ident())
+        return super().knn(*args, **options)
+
+    def insert(self, *args, **options):
+        self.callers.append(threading.get_ident())
+        return super().insert(*args, **options)
+
+
+class DeafBackend(KillableBackend):
+    """Remote-looking, and deaf to the ``timeout`` it is handed."""
+
+    def search(self, points, epsilon, *, find_intervals=True, timeout=None):
+        time.sleep(1.0)
+        return super().search(
+            points, epsilon, find_intervals=find_intervals, timeout=timeout
+        )
+
+
+def assert_parity(coordinator, single, query, epsilon, k):
+    expected = single_node_search(single, query, epsilon)
+    result = coordinator.search(query, epsilon)
+    assert result.complete
+    assert result.answers == expected["answers"]
+    assert result.candidates == expected["candidates"]
+    assert result.intervals == expected["intervals"]
+    assert coordinator.knn(query, k).neighbors == single_node_knn(
+        single, query, k
+    )
+
+
+class TestInProcessScatter:
+    """Bare ``LocalBackend``s: a plain loop on the caller's thread."""
+
+    @pytest.mark.parametrize("wrap", [None, KillableBackend])
+    def test_backend_calls_stay_on_the_calling_thread_unless_remote(self, wrap):
+        # The guard that the thread hand-off does not creep back: every
+        # in-process attempt (read or write) runs on the caller's thread;
+        # the same backends behind a wrapper are remote, and none does.
+        corpus = make_corpus(9)
+        engines, backends, coordinator = make_cluster(
+            corpus,
+            # On, but too slow to fire on a loaded box.
+            hedge=HedgePolicy(min_delay=0.5, max_delay=0.5),
+            wrap=wrap,
+            backend_class=ThreadRecordingBackend,
+        )
+        rng = np.random.default_rng(4)
+        query = rng.random((10, DIMENSION))
+        try:
+            coordinator.search(query, 0.5)
+            coordinator.knn(query, 3)
+            coordinator.insert(rng.random((12, DIMENSION)), sequence_id="new")
+            callers = [
+                ident
+                for backend in backends
+                for ident in getattr(backend, "inner", backend).callers
+            ]
+            # 3 shards x (search + knn) + 2 replicas of one insert.
+            assert len(callers) == 8
+            here = threading.get_ident()
+            if wrap is None:
+                assert set(callers) == {here}
+            else:
+                assert here not in callers
+            stats = coordinator.stats()
+            assert stats["backend_calls"] == 8
+            assert stats["hedges"] == 0 and stats["failovers"] == 0
+        finally:
+            close_all(engines, coordinator)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        count=st.integers(min_value=4, max_value=10),
+        k=st.integers(min_value=1, max_value=6),
+    )
+    def test_in_process_remote_and_single_node_agree(self, seed, count, k):
+        rng = np.random.default_rng(seed)
+        corpus = [
+            (f"seq-{i}", rng.random((int(rng.integers(5, 14)), DIMENSION)))
+            for i in range(count)
+        ]
+        # A twin under a later id: a kNN tie, broken by insertion order.
+        corpus.append(("twin", corpus[0][1].copy()))
+        query = rng.random((8, DIMENSION))
+        single = make_single(corpus)
+        clusters = [make_cluster(corpus, wrap=wrap) for wrap in (None, KillableBackend)]
+        try:
+            with checking_contracts():
+                for _, _, coordinator in clusters:
+                    assert_parity(coordinator, single, query, 0.6, k)
+        finally:
+            for engines, _, coordinator in clusters:
+                close_all(engines, coordinator)
+            single.close()
+
+    def test_mixed_cluster_answers_with_parity(self):
+        corpus = make_corpus()
+        single = make_single(corpus)
+        engines, backends, coordinator = make_cluster(
+            corpus,
+            hedge=HedgePolicy(),
+            wrap=lambda backend: (
+                backend
+                if backend.name == "local-0"
+                else KillableBackend(backend)
+            ),
+        )
+        rng = np.random.default_rng(12)
+        try:
+            assert [
+                coordinator._in_process(node) for node in range(3)
+            ] == [True, False, False]
+            with checking_contracts():
+                for epsilon in (0.3, 0.6):
+                    assert_parity(
+                        coordinator, single, rng.random((15, DIMENSION)), epsilon, 5
+                    )
+            points = rng.random((16, DIMENSION))
+            coordinator.insert(points, sequence_id="mixed")
+            single.insert(points, sequence_id="mixed")
+            assert_parity(coordinator, single, points[:9], 0.2, 3)
+        finally:
+            close_all(engines, coordinator, single)
+
+    def test_closed_engine_fails_over_to_the_replica(self):
+        corpus = make_corpus()
+        single = make_single(corpus)
+        engines, _, coordinator = make_cluster(corpus, wrap=None)
+        query = np.random.default_rng(9).random((15, DIMENSION))
+        try:
+            engines[0].close()
+            primaries = [
+                shard
+                for shard in range(coordinator.router.num_shards)
+                if coordinator.router.replicas_of(shard)[0] == 0
+            ]
+            assert len(primaries) == 1
+            assert_parity(coordinator, single, query, 0.5, 4)
+            # One failover per read of the one shard engine 0 led.
+            assert coordinator.stats()["failovers"] == 2
+            assert coordinator.stats()["backend_failures"] == 2
+        finally:
+            close_all(engines, coordinator, single)
+
+    def test_both_replicas_closed_degrades_typed(self):
+        corpus = make_corpus()
+        engines, _, coordinator = make_cluster(corpus, wrap=None)
+        query = np.random.default_rng(9).random((15, DIMENSION))
+        try:
+            engines[0].close()
+            engines[1].close()
+            lost = tuple(
+                shard
+                for shard in range(coordinator.router.num_shards)
+                if set(coordinator.router.replicas_of(shard)) <= {0, 1}
+            )
+            assert lost
+            result = coordinator.search(query, 0.5)
+            assert not result.complete
+            assert result.missing_shards == lost
+            with pytest.raises(ShardUnavailable) as excinfo:
+                coordinator.knn(query, 3)
+            assert excinfo.value.missing_shards == lost
+            stats = coordinator.stats()
+            assert stats["shard_misses"] == 2 * len(lost)
+            assert stats["partial_results"] == 1
+        finally:
+            close_all(engines, coordinator)
+
+
+class TestBudgetBoundsTheScatter:
+    def test_a_backend_deaf_to_its_timeout_cannot_hang_the_read(self):
+        # Regression: the scatter waited on its futures with no timeout
+        # whenever no hedge was armed, so this search took the backend's
+        # full second (forever, had it hung) and then *succeeded*.
+        corpus = make_corpus(8)
+        engines, _, coordinator = make_cluster(
+            corpus, hedge=None, wrap=DeafBackend
+        )
+        query = np.random.default_rng(3).random((8, DIMENSION))
+        try:
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceeded) as excinfo:
+                coordinator.search(query, 0.5, timeout=0.1)
+            assert time.monotonic() - started < 0.5
+            assert excinfo.value.timeout == pytest.approx(0.1)
+        finally:
+            close_all(engines, coordinator)
+
+    def test_hedge_delay_is_taken_once_per_scatter(self):
+        corpus = make_corpus(8)
+        policy = HedgePolicy(min_delay=0.5, max_delay=0.5)
+        engines, _, coordinator = make_cluster(corpus, hedge=policy)
+        sorts = []
+        window = coordinator._latency
+        inner = window.quantile
+        window.quantile = lambda q: (sorts.append(q), inner(q))[1]
+        query = np.random.default_rng(3).random((8, DIMENSION))
+        # Each attempt outlives its dispatch, so every shard arms a timer.
+        stall = FaultRule("cluster.backend.slow", "sleep", seconds=0.02, times=None)
+        try:
+            coordinator.search(query, 0.5)  # fills the latency window
+            sorts.clear()
+            with fault_plan(stall):
+                coordinator.search(query, 0.5)
+            # Three remote shards armed three timers off one window sort.
+            assert sorts == [policy.quantile]
         finally:
             close_all(engines, coordinator)
 

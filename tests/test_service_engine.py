@@ -20,6 +20,9 @@ from repro.service import (
     Overloaded,
     QueryEngine,
 )
+from repro.service.faults import FaultRule, fault_plan
+from repro.util.budget import OperationCancelled
+from repro.util.faults import FaultInjected
 
 EPSILONS = (0.6, 0.3, 0.45)
 
@@ -264,6 +267,182 @@ class TestAdmissionAndDeadlines:
             assert engine.search(query, 0.5) is not None
         finally:
             engine.close()
+
+
+COUNTED = ("requests", "completed", "failures", "deadline_exceeded", "cancelled")
+
+
+class TestOnCallerEntry:
+    """``on_caller=True``: the same request, run on the calling thread."""
+
+    def test_body_runs_on_the_calling_thread(self, rng):
+        with QueryEngine(build_database(rng, count=4), workers=2) as engine:
+            seen = []
+            inner_search, inner_knn = engine._do_search, engine._do_knn
+            engine._do_search = lambda *args: (
+                seen.append(threading.get_ident()),
+                inner_search(*args),
+            )[1]
+            engine._do_knn = lambda *args: (
+                seen.append(threading.get_ident()),
+                inner_knn(*args),
+            )[1]
+            query = rng.random((9, 2))
+            engine.search_detailed(query, 0.5, on_caller=True)
+            engine.knn(query, 2, on_caller=True)
+            assert seen == [threading.get_ident()] * 2
+            engine.search_detailed(query, 0.5)
+            assert seen[-1] != threading.get_ident()  # the pool is untouched
+
+    def test_counts_match_the_pooled_path(self, rng):
+        database = build_database(rng)
+        queries = [rng.random((10, 2)) for _ in range(2)]
+        blocks, results = [], []
+        for on_caller in (False, True):
+            with QueryEngine(
+                database.clone(), workers=2, cache_size=8
+            ) as engine:
+                outcomes = []
+                for query in queries:
+                    for epsilon in (0.5, 0.5, 0.2):
+                        detailed = engine.search_detailed(
+                            query, epsilon, on_caller=on_caller
+                        )
+                        outcomes.append(
+                            (detailed.cache, detailed.result.answers)
+                        )
+                outcomes.append(engine.knn(queries[0], 3, on_caller=on_caller))
+                with pytest.raises(ValueError):  # wrong dimension: a failure
+                    engine.search_detailed(
+                        rng.random((5, 3)), 0.5, on_caller=on_caller
+                    )
+                stats = engine.stats()
+                assert stats["queue_depth"] == 0
+                assert stats["admission"]["queue_wait_ms"]["window"] == 8
+                blocks.append(
+                    {key: stats[key] for key in COUNTED}
+                    | {"cache": stats["cache"]}
+                )
+                results.append(outcomes)
+        assert results[0] == results[1]
+        assert blocks[0] == blocks[1]
+        assert blocks[1]["cache"]["hits"] == 2
+        assert blocks[1]["cache"]["refines"] == 2
+        assert blocks[1]["failures"] == {"search": 1}
+
+    def test_ticket_returns_after_success_error_and_cancellation(self, rng):
+        with QueryEngine(build_database(rng, count=3), workers=1) as engine:
+            query = rng.random((8, 2))
+            engine.search_detailed(query, 0.5, on_caller=True)
+            assert engine.queue_depth == 0
+            inner = engine._do_search
+
+            def explode(*args):
+                raise RuntimeError("boom")
+
+            engine._do_search = explode
+            with pytest.raises(RuntimeError, match="boom"):
+                engine.search_detailed(query, 0.5, on_caller=True)
+            assert engine.queue_depth == 0
+
+            def cancelled(*args):
+                raise OperationCancelled("stopped", expired=True)
+
+            engine._do_search = cancelled
+            with pytest.raises(DeadlineExceeded, match="checkpoint"):
+                engine.search_detailed(query, 0.5, timeout=5, on_caller=True)
+            assert engine.queue_depth == 0
+            stats = engine.stats()
+            assert stats["cancelled"] == 1
+            assert stats["deadline_exceeded"] == 1
+            engine._do_search = inner
+            assert engine.search_detailed(query, 0.5, on_caller=True)
+
+    def test_overloaded_when_callers_hold_every_ticket(self, rng):
+        engine = QueryEngine(
+            build_database(rng, count=3), workers=1, queue_cap=1
+        )
+        gate = threading.Event()
+        inner = engine._do_search
+        engine._do_search = lambda *args: (gate.wait(5), inner(*args))[1]
+        query = rng.random((8, 2))
+        holders = [
+            threading.Thread(
+                target=lambda: engine.search_detailed(
+                    query, 0.5, on_caller=True
+                )
+            )
+            for _ in range(2)
+        ]
+        for holder in holders:
+            holder.start()
+        try:
+            deadline = time.monotonic() + 5
+            while engine.queue_depth < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            with pytest.raises(Overloaded) as caught:
+                engine.search_detailed(query, 0.5, on_caller=True)
+            assert caught.value.queue_depth == 2
+        finally:
+            gate.set()
+            for holder in holders:
+                holder.join(5)
+            engine.close()
+        assert not any(holder.is_alive() for holder in holders)
+        assert engine.stats()["rejected_overload"] == 1
+        assert engine.queue_depth == 0
+
+    def test_expiry_mid_body_stops_at_a_checkpoint(self, rng):
+        with QueryEngine(
+            build_database(rng, count=40), workers=1, cache_size=0
+        ) as engine:
+            inner = engine._do_search
+            # The budget runs out inside the body, before the scan: the
+            # first Phase 2/3 checkpoint must stop it (no sleep-free way
+            # to expire mid-scan is deterministic on a loaded box).
+            engine._do_search = lambda *args: (time.sleep(0.05), inner(*args))[1]
+            with pytest.raises(DeadlineExceeded, match="checkpoint"):
+                engine.search_detailed(
+                    rng.random((40, 2)), 0.9, timeout=0.02, on_caller=True
+                )
+            stats = engine.stats()
+            assert stats["cancelled"] == 1
+            assert stats["deadline_exceeded"] == 1
+            assert stats["wasted_work"] == 0
+            assert stats["queue_depth"] == 0
+
+    def test_late_body_raises_what_the_pooled_caller_saw(self, rng):
+        with QueryEngine(build_database(rng, count=3), workers=1) as engine:
+            inner = engine._do_search
+            # Slow *after* the last checkpoint: nothing can stop the body.
+            engine._do_search = lambda *args: (inner(*args), time.sleep(0.15))[0]
+            with pytest.raises(DeadlineExceeded) as caught:
+                engine.search_detailed(
+                    rng.random((8, 2)), 0.5, timeout=0.05, on_caller=True
+                )
+            assert caught.value.timeout == pytest.approx(0.05)
+            stats = engine.stats()
+            assert stats["deadline_exceeded"] == 1
+            assert stats["wasted_work"] == 1
+            assert stats["queue_depth"] == 0
+
+    def test_worker_fault_surfaces_as_on_the_pool(self, rng):
+        with QueryEngine(build_database(rng, count=3), workers=1) as engine:
+            query = rng.random((8, 2))
+            for on_caller in (False, True):
+                with fault_plan(FaultRule("engine.worker", "raise", times=1)):
+                    with pytest.raises(FaultInjected):
+                        engine.search_detailed(
+                            query, 0.5, on_caller=on_caller
+                        )
+            assert engine.stats()["failures"] == {"search": 2}
+            assert engine.queue_depth == 0
+
+    def test_closed_engine_refuses(self, rng):
+        engine = QueryEngine(build_database(rng, count=3), workers=1)
+        engine.close()
+        with pytest.raises(EngineClosed):
+            engine.search_detailed(rng.random((8, 2)), 0.5, on_caller=True)
 
 
 class TestContractsUnderConcurrency:

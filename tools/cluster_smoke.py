@@ -16,6 +16,13 @@ the failure ladder end to end:
    restarted backend and the cluster serves complete results again;
 6. SIGINT everything and require clean shutdown banners.
 
+A second, short leg boots the *self-contained* mode — ``repro
+cluster-serve --corpus`` over in-process ``LocalBackend``s, which the
+coordinator searches in a plain loop on the request's own thread — and
+requires ``/search`` and ``/knn`` parity with a single node, a write
+visible to the next search, ``hedges == 0`` with the default (enabled)
+hedge policy, and the same clean shutdown.
+
 Usage::
 
     PYTHONPATH=src python tools/cluster_smoke.py
@@ -32,6 +39,7 @@ import tempfile
 import time
 import urllib.request
 from pathlib import Path
+from typing import Any
 
 __all__ = ["main"]
 
@@ -98,6 +106,78 @@ def _post(base_url: str, path: str, body: dict) -> dict:
     )
     with urllib.request.urlopen(request, timeout=10.0) as reply:
         return dict(json.loads(reply.read()))
+
+
+def _in_process_leg(tmp: Path, corpus: dict, rng: Any) -> None:
+    """``cluster-serve --corpus``: in-process shards, one request thread."""
+    from repro.core.database import SequenceDatabase
+    from repro.service import QueryEngine
+    from repro.service.client import ServiceClient
+    from repro.service.http import search_payload
+
+    database = SequenceDatabase(DIMENSION)
+    for sequence_id, points in corpus.items():
+        database.add(points, sequence_id=sequence_id)
+    database.save(tmp / "corpus.npz")
+    single = QueryEngine(database, workers=1, cache_size=0)
+    coordinator: subprocess.Popen | None = _popen(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "cluster-serve",
+            "--corpus",
+            str(tmp / "corpus.npz"),
+            "--local-backends",
+            "3",
+            "--replication",
+            str(REPLICATION),
+            "--probe-interval",
+            "30",
+            "--port",
+            "0",
+        ]
+    )
+    try:
+        host, port = _await_banner(coordinator, "in-process coordinator")
+        client = ServiceClient(f"http://{host}:{port}", timeout=10.0)
+        query = rng.random((8, DIMENSION))
+        for epsilon in (0.3, 0.45):
+            expected = json.loads(
+                json.dumps(
+                    search_payload(
+                        single.search_detailed(query, epsilon),
+                        find_intervals=True,
+                    )
+                )
+            )
+            reply = client.search(query, epsilon)
+            if not reply["complete"] or any(
+                reply[key] != expected[key]
+                for key in ("answers", "candidates", "intervals")
+            ):
+                raise RuntimeError(
+                    f"in-process search differs from a single node: {reply}"
+                )
+        if client.knn(query, 3) != single.knn(query, 3):
+            raise RuntimeError("in-process knn differs from a single node")
+        fresh = rng.random((20, DIMENSION))
+        client.insert(fresh, "fresh")
+        if "fresh" not in client.search(fresh[:8], 0.05)["answers"]:
+            raise RuntimeError("an insert was not visible to the next search")
+        stats = client.stats()
+        if stats["hedges"] != 0 or stats["backend_calls"] <= 0:
+            raise RuntimeError(
+                "in-process shards must be searched without hedging: "
+                f"hedges={stats['hedges']} calls={stats['backend_calls']}"
+            )
+        _stop_cleanly(coordinator, "in-process coordinator")
+        coordinator = None
+    finally:
+        single.close()
+        if coordinator is not None and coordinator.poll() is None:
+            coordinator.kill()
+            coordinator.wait(timeout=10)
 
 
 def main() -> int:
@@ -263,9 +343,12 @@ def main() -> int:
                     process.kill()
                     process.wait(timeout=10)
 
+        _in_process_leg(Path(tmp), corpus, rng)
+
     print(
         "cluster smoke OK: scatter-gather parity, failover past a kill -9, "
-        "typed partial results, write-quorum + read-repair, clean shutdown"
+        "typed partial results, write-quorum + read-repair, clean shutdown; "
+        "in-process mode: single-node parity, write visibility, no hedges"
     )
     return 0
 

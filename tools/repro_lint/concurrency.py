@@ -60,7 +60,6 @@ MODULE_LOCK_ORDER: dict[str, tuple[str, ...]] = {
     "repro.cluster.coordinator": (
         "_order_lock",
         "_latency_lock",
-        "_rng_lock",
         "_lag_lock",
         "_counters_lock",
     ),
