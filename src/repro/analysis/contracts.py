@@ -11,11 +11,12 @@ rather than waiting for decorated calls to fire:
   contract checking enabled, so every decorated call in the hot path is
   verified against independently recomputed bounds.
 
-Enable checking globally with ``REPRO_CHECK_CONTRACTS=1`` or locally::
+Enable checking globally with ``REPRO_CHECK_CONTRACTS=1`` or for a scope
+(see "Runtime checks" in ``docs/static_analysis.md``)::
 
-    from repro.analysis.contracts import checking_contracts
+    from repro.analysis.contracts import checking
 
-    with checking_contracts():
+    with checking("contracts"):
         engine.search(query, 0.1)   # validated, or ContractViolation
 """
 
@@ -25,15 +26,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.contracts import (
-    BOUND_TOLERANCE,
-    CONTRACTS_ENV_VAR,
-    ContractViolation,
-    checking_contracts,
-    contracts_enabled,
-    lower_bounds,
-)
+from repro.core.contracts import BOUND_TOLERANCE, ContractViolation, lower_bounds
 from repro.core.distance import min_normalized_distance, sequence_distance
+from repro.util.checks import checking
 from repro.util.validation import check_threshold
 
 if TYPE_CHECKING:
@@ -44,11 +39,9 @@ if TYPE_CHECKING:
 __all__ = [
     "BOUND_TOLERANCE",
     "BoundChain",
-    "CONTRACTS_ENV_VAR",
     "ContractViolation",
     "audit_search",
-    "checking_contracts",
-    "contracts_enabled",
+    "checking",
     "lower_bound_chain",
     "lower_bounds",
 ]
@@ -122,7 +115,7 @@ def audit_search(
     """
     epsilon = check_threshold(epsilon)
     searches = 0
-    with checking_contracts():
+    with checking("contracts"):
         for query in queries:
             engine.search(query, epsilon, find_intervals=find_intervals)
             searches += 1

@@ -31,7 +31,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.cluster.router import canonical_id
-from repro.util.freeze import deep_freeze, freeze_checks_enabled
+from repro.util.checks import FREEZE
+from repro.util.freeze import deep_freeze
 
 __all__ = ["MergedSearch", "merge_knn", "merge_search_payloads"]
 
@@ -67,7 +68,7 @@ def merge_search_payloads(
         Sort key reproducing the single-node corpus order; applied to the
         merged ``answers`` and ``candidates`` lists.
     """
-    if freeze_checks_enabled():
+    if FREEZE.on:
         # The per-shard payloads are shared with the read-repair and
         # degradation paths; the merge must never mutate them.  Under
         # checks, freeze the inputs so any such write raises here.
@@ -138,7 +139,7 @@ def merge_knn(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if freeze_checks_enabled():
+    if FREEZE.on:
         shard_neighbors = deep_freeze(
             [list(neighbors) for neighbors in shard_neighbors],
             role="cluster.merge",

@@ -12,12 +12,10 @@ alone will catch.  This module provides the machinery to verify the bounds
 *at call time* against independently recomputed values:
 
 * :func:`lower_bounds` — a decorator factory attaching a validator to a
-  function.  The validator only runs when contract checking is enabled;
-  when disabled (the default) the overhead is one dict lookup per call.
-* :func:`checking_contracts` — a context manager enabling checking for a
-  scope (used by the contract test suite and the analysis audit helpers).
-* ``REPRO_CHECK_CONTRACTS=1`` — an environment variable enabling checking
-  process-wide (CI runs the tier-1 suite under it).
+  function.  The validator only runs while the ``contracts`` check is on
+  (:mod:`repro.util.checks`; "Runtime checks" in
+  ``docs/static_analysis.md``); off, the default, it costs one attribute
+  read per call.
 
 Violations raise :class:`ContractViolation` (a ``RuntimeError``: the library
 itself is in an inconsistent state, not the caller's arguments).
@@ -30,37 +28,20 @@ analysis-facing surface (including audit helpers) is
 
 from __future__ import annotations
 
-import contextvars
 import functools
-import os
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from typing import Any, TypeVar
 
-__all__ = [
-    "BOUND_TOLERANCE",
-    "CONTRACTS_ENV_VAR",
-    "ContractViolation",
-    "checking_contracts",
-    "contracts_enabled",
-    "lower_bounds",
-]
+from repro.util.checks import CONTRACTS
+
+__all__ = ["BOUND_TOLERANCE", "ContractViolation", "lower_bounds"]
 
 _F = TypeVar("_F", bound=Callable[..., Any])
-
-#: Environment variable that enables contract checking process-wide.
-CONTRACTS_ENV_VAR = "REPRO_CHECK_CONTRACTS"
 
 #: Absolute slack allowed when comparing two independently computed floats.
 #: The bounds are exact in real arithmetic; the tolerance only absorbs
 #: round-off between different summation orders.
 BOUND_TOLERANCE = 1e-9
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-_scope_depth: contextvars.ContextVar[int] = contextvars.ContextVar(
-    "repro_contract_scope_depth", default=0
-)
 
 
 class ContractViolation(RuntimeError):
@@ -69,28 +50,6 @@ class ContractViolation(RuntimeError):
     Raised only while contract checking is enabled; signals a bug in the
     library's pruning/distance layer, never bad caller input.
     """
-
-
-def contracts_enabled() -> bool:
-    """Whether contract validators run for the current context."""
-    if _scope_depth.get() > 0:
-        return True
-    return os.environ.get(CONTRACTS_ENV_VAR, "").strip().lower() in _TRUTHY
-
-
-@contextmanager
-def checking_contracts() -> Iterator[None]:
-    """Enable contract checking for the duration of the ``with`` block.
-
-    Nested uses are allowed; checking stays on until the outermost block
-    exits.  The toggle is a :mod:`contextvars` variable, so concurrent
-    tasks/threads with separate contexts do not observe each other's scope.
-    """
-    token = _scope_depth.set(_scope_depth.get() + 1)
-    try:
-        yield
-    finally:
-        _scope_depth.reset(token)
 
 
 def lower_bounds(
@@ -112,14 +71,14 @@ def lower_bounds(
     -----
     The wrapped function's behaviour is unchanged: the validator sees the
     result but cannot alter it, and when checking is disabled the only
-    cost is one environment lookup.
+    cost is one attribute read.
     """
 
     def decorate(func: _F) -> _F:
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             result = func(*args, **kwargs)
-            if contracts_enabled():
+            if CONTRACTS.on:
                 validator(result, *args, **kwargs)
             return result
 

@@ -36,12 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.core.contracts import (
-    BOUND_TOLERANCE,
-    ContractViolation,
-    contracts_enabled,
-    lower_bounds,
-)
+from repro.core.contracts import BOUND_TOLERANCE, ContractViolation, lower_bounds
 from repro.core.mbr import (
     BROADCAST_CELLS,
     MBR,
@@ -52,6 +47,7 @@ from repro.core.mbr import (
 from repro.core.sequence import MultidimensionalSequence
 from repro.core.solution_interval import IntervalSet
 from repro.util.budget import checkpoint
+from repro.util.checks import CONTRACTS
 
 if TYPE_CHECKING:
     import numpy.typing as npt
@@ -755,7 +751,7 @@ def dnorm_instances(
     value is the floating-point number a running sum over that one run
     produces, whatever else shares the pass.
     """
-    windows = windows or contracts_enabled()
+    windows = windows or CONTRACTS.on
     nearest = np.empty(len(target))
     found = np.zeros(len(target), dtype=bool)
     emitted = [_NO_WINDOWS]

@@ -31,7 +31,6 @@ from repro.index.paging import (
     detach_page_store,
 )
 from repro.index.rstar import RStarTree
-from repro.index.serialize import dumps_tree, load_tree, loads_tree, save_tree
 from repro.index.rtree import IndexStats, RTree
 
 
@@ -83,9 +82,5 @@ __all__ = [
     "attach_page_store",
     "bulk_load_str",
     "detach_page_store",
-    "dumps_tree",
     "index_table",
-    "load_tree",
-    "loads_tree",
-    "save_tree",
 ]

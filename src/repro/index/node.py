@@ -51,11 +51,6 @@ class Node:
         kind = "leaf" if self.is_leaf else "internal"
         return f"Node({kind}, level={self.level}, children={len(self.children)})"
 
-    def child_mbr(self, index: int) -> MBR:
-        """The MBR of child ``index`` (entry MBR or child-node MBR)."""
-        child = self.children[index]
-        return child.mbr
-
     def add(self, child: "LeafEntry | Node") -> None:
         """Append a child (entry or node) and grow the cached MBR."""
         self.children.append(child)

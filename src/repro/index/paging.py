@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.index.rtree import RTree
-from repro.util.freeze import freeze_checks_enabled, verify_frozen
+from repro.util.checks import FREEZE
+from repro.util.freeze import verify_frozen
 
 if TYPE_CHECKING:
     from repro.core.mbr import MBR
@@ -75,7 +76,7 @@ class PageStore:
 
     def access(self, node: "Node") -> bool:
         """Record one access to ``node``'s page; returns ``True`` on a hit."""
-        if freeze_checks_enabled() and getattr(node, "mbr", None) is not None:
+        if FREEZE.on and getattr(node, "mbr", None) is not None:
             # A page served to a reader must carry a frozen rectangle: a
             # writable MBR here means some split/reinsert leaked a
             # mutable buffer into the shared tree.

@@ -24,7 +24,8 @@ import numpy as np
 from repro.core.mbr import MBR
 from repro.index.node import LeafEntry, Node
 from repro.index.rtree import RTree
-from repro.util.freeze import freeze_checks_enabled, verify_frozen
+from repro.util.checks import FREEZE
+from repro.util.freeze import verify_frozen
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterator
@@ -88,7 +89,7 @@ class RStarTree(RTree):
             self._levels_reinserted.add(node.level)
             removed = self._shed_for_reinsert(node)
             if removed:
-                if freeze_checks_enabled():
+                if FREEZE.on:
                     # Shed children hop levels through the pending queue
                     # while readers can still reach their rectangles; a
                     # writable MBR here would let the reinsert scribble

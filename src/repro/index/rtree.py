@@ -135,7 +135,7 @@ class RTree:
     def _insert_entry(
         self, item: LeafEntry | Node, target_level: int
     ) -> None:
-        """Insert an entry (level 0) or an orphaned subtree at its level."""
+        """Insert an entry (level 0) or a subtree shed for reinsertion at its level."""
         split = self._insert_recursive(self.root, item, target_level)
         if split is not None:
             new_root = Node(is_leaf=False, level=self.root.level + 1)
@@ -169,92 +169,6 @@ class RTree:
         return ``None``.
         """
         return self._split(node)
-
-    # ------------------------------------------------------------------
-    # Deletion (Guttman's Delete / CondenseTree)
-    # ------------------------------------------------------------------
-    def delete(self, mbr: MBR, payload: Any = None) -> bool:
-        """Remove one leaf entry matching ``(mbr, payload)`` exactly.
-
-        Returns ``True`` when an entry was found and removed.  Underfull
-        nodes on the path are dissolved and their contents reinserted
-        (Guttman's CondenseTree), so the occupancy invariants survive.
-        """
-        if mbr.dimension != self.dimension:
-            raise ValueError(
-                f"entry dimension {mbr.dimension} != index dimension "
-                f"{self.dimension}"
-            )
-        path = self._find_leaf_path(self.root, mbr, payload)
-        if path is None:
-            return False
-        leaf = path[-1]
-        for index, entry in enumerate(leaf.children):
-            if entry.mbr == mbr and entry.payload == payload:
-                del leaf.children[index]
-                break
-        self._condense_tree(path)
-        self._size -= 1
-        # Shrink the root: an internal root with one child is redundant.
-        while not self.root.is_leaf and len(self.root.children) == 1:
-            self.root = self.root.children[0]
-        self.root.recompute_mbr()
-        return True
-
-    def _find_leaf_path(
-        self, node: Node, mbr: MBR, payload: Any
-    ) -> list[Node] | None:
-        """Root-to-leaf path of the node holding the entry, or ``None``."""
-        if node.mbr is None or not node.mbr.contains(mbr):
-            return None
-        if node.is_leaf:
-            for entry in node.children:
-                if entry.mbr == mbr and entry.payload == payload:
-                    return [node]
-            return None
-        for child in node.children:
-            found = self._find_leaf_path(child, mbr, payload)
-            if found is not None:
-                return [node, *found]
-        return None
-
-    def _condense_tree(self, path: list[Node]) -> None:
-        """Dissolve underfull nodes bottom-up and reinsert their contents."""
-        orphans: list[tuple[LeafEntry | Node, int]] = []
-        for depth in range(len(path) - 1, 0, -1):
-            node = path[depth]
-            parent = path[depth - 1]
-            if len(node.children) < self.min_entries:
-                parent.children.remove(node)
-                # Children were hosted at this node's level: leaf entries go
-                # back into a level-0 node, subtrees into a node at the
-                # dissolved node's own level.
-                orphans.extend((child, node.level) for child in node.children)
-            else:
-                node.recompute_mbr()
-        path[0].recompute_mbr()
-        for item, level in orphans:
-            # A dissolved subtree may sit above the current root after
-            # cascading shrinks; reinsert its leaf entries instead.
-            if level > 0 and level >= self.root.level:
-                for entry in self._collect_entries(item):
-                    self._insert_entry(entry, target_level=0)
-            else:
-                self._insert_entry(item, target_level=level)
-
-    @staticmethod
-    def _collect_entries(item: LeafEntry | Node) -> list[LeafEntry]:
-        if isinstance(item, LeafEntry):
-            return [item]
-        entries: list[LeafEntry] = []
-        stack = [item]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                entries.extend(node.children)
-            else:
-                stack.extend(node.children)
-        return entries
 
     def _choose_subtree(self, node: Node, mbr: MBR) -> Node:
         """Guttman's ChooseLeaf step: least enlargement, ties by volume."""

@@ -35,7 +35,8 @@ import numpy as np
 
 from repro.core.search import SimilaritySearch
 from repro.core.solution_interval import IntervalSet
-from repro.util.freeze import deep_freeze, freeze, freeze_checks_enabled
+from repro.util.checks import FREEZE
+from repro.util.freeze import deep_freeze, freeze
 from repro.util.sync import TracedLock
 from repro.util.validation import check_threshold
 
@@ -84,7 +85,7 @@ def _published(entry: CacheEntry, site: str) -> CacheEntry:
     corrupting readers still holding the entry.  The disabled path
     returns the entry untouched.
     """
-    if not freeze_checks_enabled():
+    if not FREEZE.on:
         return entry
     entry.candidates = freeze(entry.candidates, role="cache.entry", site=site)
     entry.answers = freeze(entry.answers, role="cache.entry", site=site)

@@ -65,10 +65,10 @@ derived from queue depth.
 The only intentional cross-thread mutation on the read path is the index's
 access-counter block (``index.stats``), whose increments may race benignly
 under concurrent readers; treat per-engine node-access counts as
-approximate.  Use :func:`repro.core.contracts.checking_contracts` via the
-``REPRO_CHECK_CONTRACTS`` environment variable to have every served
-result — cached or not — re-validated against the no-false-dismissal
-contract.
+approximate.  Switch the ``contracts`` check on (``REPRO_CHECK_CONTRACTS``
+or ``repro.util.checks.checking("contracts")``) to have every served
+result — cached or not, on whichever thread — re-validated against the
+no-false-dismissal contract.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from repro.analysis.tracing import search_record
-from repro.core.contracts import contracts_enabled
 from repro.core.database import SequenceDatabase
 from repro.core.search import SearchResult, SearchStats, SimilaritySearch
 from repro.core.sequence import MultidimensionalSequence
@@ -112,6 +111,7 @@ from repro.util.budget import (
     checkpoint,
     deadline_scope,
 )
+from repro.util.checks import CONTRACTS
 from repro.util.errtrace import error_stats, translated
 from repro.util.freeze import verify_frozen
 from repro.util.sync import TracedLock
@@ -893,8 +893,8 @@ class QueryEngine:
                 "repro_version": REPRO_VERSION,
                 "degraded": self.degraded,
                 # Per-site swallow/translate/propagate counters from the
-                # errtrace sanitizer; empty unless REPRO_ERROR_CHECKS=1
-                # (or checking_errors()) is active somewhere in-process.
+                # errtrace sanitizer; empty until the "errors" check has
+                # been on somewhere in-process.
                 "errors": error_stats(),
                 "durability": {
                     "enabled": self.durable,
@@ -1262,7 +1262,7 @@ class QueryEngine:
         cache re-use the same validator here, so ``REPRO_CHECK_CONTRACTS``
         covers every serving path.
         """
-        if not contracts_enabled():
+        if not CONTRACTS.on:
             return
         validator: Any = getattr(
             SimilaritySearch.search, "__contract_validator__", None

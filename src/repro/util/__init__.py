@@ -1,16 +1,13 @@
-"""Shared utilities: validation, RNG plumbing, sync and freeze sanitizers."""
+"""Shared utilities: validation, RNG plumbing, the runtime checks."""
 
+from repro.util.checks import check_stats, checking, enabled, reset_checks
 from repro.util.freeze import (
-    FREEZE_ENV_VAR,
     FrozenDict,
     FrozenList,
     FrozenWriteViolation,
-    checking_freeze,
     deep_freeze,
     freeze,
-    freeze_checks_enabled,
     frozen_view,
-    reset_freeze_state,
     verify_frozen,
 )
 from repro.util.rng import ensure_rng, spawn_rngs
@@ -23,7 +20,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "FREEZE_ENV_VAR",
     "FrozenDict",
     "FrozenList",
     "FrozenWriteViolation",
@@ -31,14 +27,15 @@ __all__ = [
     "check_fraction",
     "check_positive",
     "check_probability",
+    "check_stats",
     "check_threshold",
-    "checking_freeze",
+    "checking",
     "deep_freeze",
+    "enabled",
     "ensure_rng",
     "freeze",
-    "freeze_checks_enabled",
     "frozen_view",
-    "reset_freeze_state",
+    "reset_checks",
     "spawn_rngs",
     "verify_frozen",
 ]

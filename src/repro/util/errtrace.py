@@ -32,14 +32,12 @@ Instrumented catch-sites call one of three primitives:
   lint should have caught statically.
 
 Checks are **off by default**: every primitive's disabled path is a
-single module-flag read (benchmarked in
-``benchmarks/bench_errtrace_overhead.py``, same budget as
-:mod:`repro.util.freeze`).  Enable process-wide with
-``REPRO_ERROR_CHECKS=1`` or for a scope with :func:`checking_errors`
-(process-global and nestable, for the same reason as ``checking_sync``:
-errors are swallowed on worker/tail threads that never inherit the
-enabling caller's context).  :func:`error_stats` snapshots the per-site
-counters; the engine folds it into ``stats()`` as the ``errors`` block.
+single attribute read (benchmarked in
+``benchmarks/bench_checks_overhead.py``).  They are the ``errors`` check
+of :mod:`repro.util.checks` (``REPRO_ERROR_CHECKS``; "Runtime checks" in
+``docs/static_analysis.md``).  :func:`error_stats` snapshots the
+per-site counters; the engine folds it into ``stats()`` as the
+``errors`` block.
 
 The static half of the gate is ``tools/repro_lint`` rules REP400–REP407;
 the taxonomy-to-HTTP mapping the instrumented sites protect is
@@ -48,28 +46,18 @@ documented in ``docs/errors.md``.
 
 from __future__ import annotations
 
-import os
 import threading
-from collections.abc import Iterator
-from contextlib import contextmanager
 from typing import TypeVar
 
+from repro.util.checks import ERRORS
+
 __all__ = [
-    "ERRTRACE_ENV_VAR",
     "SwallowedErrorViolation",
-    "checking_errors",
-    "error_checks_enabled",
     "error_stats",
     "record_propagated",
     "record_swallowed",
-    "reset_error_state",
     "translated",
 ]
-
-#: Environment variable that enables error-path checking process-wide.
-ERRTRACE_ENV_VAR = "REPRO_ERROR_CHECKS"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 _E = TypeVar("_E", bound=BaseException)
 
@@ -79,10 +67,6 @@ _E = TypeVar("_E", bound=BaseException)
 _NEVER_SWALLOW = frozenset({"OperationCancelled", "DeadlineExceeded"})
 
 _EVENTS = ("swallowed", "translated", "propagated", "unchained")
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(ERRTRACE_ENV_VAR, "").strip().lower() in _TRUTHY
 
 
 class SwallowedErrorViolation(RuntimeError):
@@ -104,47 +88,13 @@ class SwallowedErrorViolation(RuntimeError):
         self.site = site
 
 
-# Whether checks are active.  Kept as a plain module global so the
-# disabled fast path costs one load; recomputed whenever the scope
-# counter or (via reset_error_state) the environment changes.
 _state_lock = threading.Lock()
-_forced = 0
-_active = _env_enabled()
 _counters: dict[str, dict[str, int]] = {}
 
 
-def error_checks_enabled() -> bool:
-    """Whether error-path checking is active for this process."""
-    return _active
-
-
-@contextmanager
-def checking_errors() -> Iterator[None]:
-    """Enable error-path checks for a scope (process-wide, nestable).
-
-    Process-global, not a context variable, for the same reason as
-    :func:`repro.util.sync.checking_sync`: errors are swallowed on
-    bench-worker and follower-tail threads that never inherit the
-    enabling caller's context.
-    """
-    global _forced, _active
-    with _state_lock:
-        _forced += 1
-        _active = True
-    try:
-        yield
-    finally:
-        with _state_lock:
-            _forced -= 1
-            _active = _forced > 0 or _env_enabled()
-
-
-def reset_error_state() -> None:
-    """Re-read the environment and clear counters (test isolation)."""
-    global _active
+def _clear() -> None:
     with _state_lock:
         _counters.clear()
-        _active = _forced > 0 or _env_enabled()
 
 
 def error_stats() -> dict[str, dict[str, int]]:
@@ -155,6 +105,10 @@ def error_stats() -> dict[str, dict[str, int]]:
     """
     with _state_lock:
         return {site: dict(events) for site, events in _counters.items()}
+
+
+ERRORS.clear = _clear
+ERRORS.stats = error_stats
 
 
 def _count(site: str, event: str) -> None:
@@ -181,7 +135,7 @@ def record_swallowed(
 ) -> None:
     """An ``except`` block absorbed ``error`` on purpose.
 
-    Disabled, this is one module-flag read.  Enabled, the swallow is
+    Disabled, this is one attribute read.  Enabled, the swallow is
     counted for ``site``; absorbing a cancellation/budget type
     (``OperationCancelled``, ``DeadlineExceeded``) raises
     :class:`SwallowedErrorViolation` unless the site passed
@@ -189,7 +143,7 @@ def record_swallowed(
     every failure (a follower tail, an operator probe sweep) and whose
     waiver comment says so.
     """
-    if not _active:
+    if not ERRORS.on:
         return
     _count(site, "swallowed")
     if not cancellation_ok and _is_never_swallow(error):
@@ -213,13 +167,13 @@ def translated(
 
     Use as ``raise translated(err, TypedError(...), ...) from err`` so
     the provenance chain is explicit in the source (what REP402 checks
-    statically).  Disabled, this is one module-flag read.  Enabled, the
+    statically).  Disabled, this is one attribute read.  Enabled, the
     translation is counted for ``site``; a translation with no caught
     original raises :class:`SwallowedErrorViolation`, and the
     ``__cause__`` chain is established here as well, so provenance
     survives even a call-site that forgot ``from``.
     """
-    if not _active:
+    if not ERRORS.on:
         return replacement
     _count(site, "translated")
     if original is None:
@@ -240,13 +194,13 @@ def record_propagated(
 ) -> None:
     """``error`` crossed a reporting boundary (surfaced, not swallowed).
 
-    Disabled, this is one module-flag read.  Enabled, the propagation is
+    Disabled, this is one attribute read.  Enabled, the propagation is
     counted for ``site``; an error raised *during* handling of another
     without an explicit ``from`` (``__context__`` set, ``__cause__``
     unset, context not suppressed) is additionally counted in the
     ``unchained`` bucket — provenance was dropped somewhere upstream.
     """
-    if not _active:
+    if not ERRORS.on:
         return
     _count(site, "propagated")
     if (

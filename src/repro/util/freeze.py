@@ -19,14 +19,12 @@ scatter-gather can alias it freely.  This module makes that invariant
 * :func:`verify_frozen` is the boundary check: with checks enabled it
   walks an object graph (snapshot, cache entry, index node, merge
   payload) and raises :class:`FrozenWriteViolation` if any reachable
-  ndarray is still writable; disabled, it is one module-flag read, like
+  ndarray is still writable; disabled, it is one attribute read, like
   :mod:`repro.util.sync`.
 
-Checks are **off by default**.  Enable them process-wide with
-``REPRO_FREEZE_CHECKS=1`` or for a scope with :func:`checking_freeze`
-(process-global and nestable, for the same reason as ``checking_sync``:
-snapshots are published on writer threads and verified on worker-pool
-threads that never inherit a caller's context).
+Checks are **off by default**; they are the ``freeze`` check of
+:mod:`repro.util.checks` (``REPRO_FREEZE_CHECKS``; "Runtime checks" in
+``docs/static_analysis.md``).
 
 The proxies intercept every *Python-level* mutation (``append``,
 ``update``, item assignment, ``sort`` …).  C extensions that bypass the
@@ -41,38 +39,24 @@ ownership and boundary placement are documented in
 
 from __future__ import annotations
 
-import os
-import threading
 from collections.abc import Iterator, Mapping
-from contextlib import contextmanager
 from typing import Any, NoReturn, TypeVar, cast
 
 import numpy as np
 
+from repro.util.checks import FREEZE
+
 __all__ = [
-    "FREEZE_ENV_VAR",
     "FrozenDict",
     "FrozenList",
     "FrozenWriteViolation",
-    "checking_freeze",
     "deep_freeze",
     "freeze",
-    "freeze_checks_enabled",
     "frozen_view",
-    "reset_freeze_state",
     "verify_frozen",
 ]
 
-#: Environment variable that enables frozen-boundary checking process-wide.
-FREEZE_ENV_VAR = "REPRO_FREEZE_CHECKS"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
 _T = TypeVar("_T")
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(FREEZE_ENV_VAR, "").strip().lower() in _TRUTHY
 
 
 class FrozenWriteViolation(RuntimeError):
@@ -92,47 +76,6 @@ class FrozenWriteViolation(RuntimeError):
         #: The boundary that published/verified it (e.g.
         #: ``QueryEngine._commit``, ``EpsilonCache.store``).
         self.site = site
-
-
-# Whether checks are active.  Kept as a plain module global so the
-# disabled fast path costs one load; recomputed whenever the scope
-# counter or (via reset_freeze_state) the environment changes.
-_state_lock = threading.Lock()
-_forced = 0
-_active = _env_enabled()
-
-
-def freeze_checks_enabled() -> bool:
-    """Whether frozen-boundary checking is active for this process."""
-    return _active
-
-
-@contextmanager
-def checking_freeze() -> Iterator[None]:
-    """Enable freeze checks for a scope (process-wide, nestable).
-
-    Process-global, not a context variable, for the same reason as
-    :func:`repro.util.sync.checking_sync`: snapshots published on a
-    writer thread are verified on worker-pool threads that never inherit
-    the enabling caller's context.
-    """
-    global _forced, _active
-    with _state_lock:
-        _forced += 1
-        _active = True
-    try:
-        yield
-    finally:
-        with _state_lock:
-            _forced -= 1
-            _active = _forced > 0 or _env_enabled()
-
-
-def reset_freeze_state() -> None:
-    """Re-read the environment (test isolation after monkeypatching)."""
-    global _active
-    with _state_lock:
-        _active = _forced > 0 or _env_enabled()
 
 
 def _refuse(role: str, site: str, operation: str) -> NoReturn:
@@ -410,13 +353,13 @@ _OPAQUE = (
 def verify_frozen(value: _T, *, role: str, site: str) -> _T:
     """Boundary check: every reachable ndarray must be read-only.
 
-    With checks disabled this is one module-flag read and returns the
+    With checks disabled this is one attribute read and returns the
     value unchanged.  Enabled, it walks the object graph (containers,
     ``__dict__``/``__slots__`` objects, with cycle protection) and
     raises :class:`FrozenWriteViolation` naming the first writable array
     found, the owning ``role`` and the publishing ``site``.
     """
-    if not _active:
+    if not FREEZE.on:
         return value
     _verify(value, role, role, site, set())
     return value

@@ -22,14 +22,12 @@ those bugs *observable*:
   the *calling* thread (the raw primitive cannot tell which thread holds
   a plain ``Lock``).
 
-Checks are **off by default**: the disabled fast path is one module-flag
+Checks are **off by default**: the disabled fast path is one attribute
 read before delegating to the raw primitive, so production behaviour is
-unchanged (``benchmarks/bench_sync_overhead.py`` keeps the claim honest).
-Enable them process-wide with ``REPRO_SYNC_CHECKS=1`` (mirroring
-``REPRO_CHECK_CONTRACTS``) or for a scope with :func:`checking_sync`.
-The scope toggle is process-global, not a context variable, deliberately:
-lock acquisitions happen on worker-pool threads that never inherit the
-enabling context, and the order graph they feed is global anyway.
+unchanged (``benchmarks/bench_checks_overhead.py`` keeps the claim
+honest).  They are the ``sync`` check of :mod:`repro.util.checks`
+(``REPRO_SYNC_CHECKS``; "Runtime checks" in ``docs/static_analysis.md``),
+whose ``reset_checks()`` also clears the order graph and statistics.
 
 Lock *names* are roles, not instances: every engine's writer lock is
 ``engine.write``.  The order graph is keyed by name, so an inversion
@@ -43,35 +41,22 @@ what is visible lexically, this module checks what actually happens.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from types import TracebackType
 
+from repro.util.checks import SYNC
+
 __all__ = [
-    "SYNC_ENV_VAR",
     "LockOrderViolation",
     "TracedCondition",
     "TracedLock",
     "TracedRLock",
-    "checking_sync",
     "held_locks",
     "lock_order_edges",
-    "reset_sync_state",
-    "sync_checks_enabled",
     "sync_stats",
 ]
-
-#: Environment variable that enables lock-order/race checking process-wide.
-SYNC_ENV_VAR = "REPRO_SYNC_CHECKS"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(SYNC_ENV_VAR, "").strip().lower() in _TRUTHY
 
 
 class LockOrderViolation(RuntimeError):
@@ -139,56 +124,21 @@ _edges: dict[str, set[str]] = {}
 _stats: dict[str, _LockStats] = {}
 _held = _HeldStack()
 
-# Whether checks are active.  Kept as a plain module global so the
-# disabled fast path costs one load; recomputed whenever the scope
-# counter or (via reset_sync_state) the environment changes.
-_forced = 0
-_active = _env_enabled()
 
+def _clear() -> None:
+    """Forget the order graph, the statistics and this thread's held stack.
 
-def sync_checks_enabled() -> bool:
-    """Whether lock-order/race checking is active for this process."""
-    return _active
-
-
-@contextmanager
-def checking_sync() -> Iterator[None]:
-    """Enable sync checks for a scope (process-wide, nestable).
-
-    Unlike :func:`repro.core.contracts.checking_contracts` this toggle is
-    global, not a context variable: the locks being checked are acquired
-    on worker-pool threads that do not inherit the caller's context.
-    """
-    global _forced, _active
-    with _registry_lock:
-        _forced += 1
-        _active = True
-    try:
-        yield
-    finally:
-        with _registry_lock:
-            _forced -= 1
-            _active = _forced > 0 or _env_enabled()
-
-
-def reset_sync_state() -> None:
-    """Clear the order graph, statistics, and re-read the environment.
-
-    Intended for test isolation: the order graph is cumulative across the
-    process lifetime (that is what makes single-run cycle detection
-    possible), so independent tests that stage *intentional* inversions
-    must reset between stages.
-
-    Also drops the *calling thread's* held-lock stack: a test that died
+    The order graph is cumulative across the process lifetime (that is
+    what makes single-run cycle detection possible), so independent
+    tests that stage *intentional* inversions clear it between stages.
+    The calling thread's held-lock stack goes too: a test that died
     mid-acquisition would otherwise poison every later test on the same
-    thread with a phantom held lock. Other threads' stacks are theirs.
+    thread with a phantom held lock.  Other threads' stacks are theirs.
     """
-    global _active
     with _registry_lock:
         _edges.clear()
         _stats.clear()
         _held.stack = []
-        _active = _forced > 0 or _env_enabled()
 
 
 def sync_stats() -> dict[str, dict[str, float]]:
@@ -206,6 +156,10 @@ def lock_order_edges() -> dict[str, tuple[str, ...]]:
 def held_locks() -> tuple[str, ...]:
     """Names of the traced locks the calling thread currently holds."""
     return tuple(entry.owner.name for entry in _held.stack)
+
+
+SYNC.clear = _clear
+SYNC.stats = sync_stats
 
 
 def _find_path(start: str, target: str) -> list[str] | None:
@@ -335,7 +289,7 @@ class TracedLock:
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         """Acquire the lock (same contract as the raw primitive)."""
-        if not _active:
+        if not SYNC.on:
             return self.raw.acquire(blocking, timeout)
         return _traced_acquire(
             self, blocking, timeout, reentrant=self._reentrant
@@ -343,7 +297,7 @@ class TracedLock:
 
     def release(self) -> None:
         """Release the lock."""
-        if not _active:
+        if not SYNC.on:
             self.raw.release()
             return
         _traced_release(self)
@@ -423,7 +377,7 @@ class TracedCondition:
         self.lock.release()
 
     def _require_held(self, op: str) -> None:
-        if _active and not any(
+        if SYNC.on and not any(
             entry.owner is self.lock for entry in _held.stack
         ):
             raise RuntimeError(
@@ -434,7 +388,7 @@ class TracedCondition:
     def wait(self, timeout: float | None = None) -> bool:
         """Wait for a notification (lock must be held by this thread)."""
         self._require_held("wait")
-        if not _active:
+        if not SYNC.on:
             return self._cond.wait(timeout)
         # The wait releases the raw lock: take it off this thread's
         # stack for the duration, then restore it through the traced

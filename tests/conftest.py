@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.mbr import MBR
 from repro.core.sequence import MultidimensionalSequence
+from repro.util.checks import CONTRACTS, ERRORS, FREEZE, SYNC, reset_checks
 
 # ----------------------------------------------------------------------
 # Hypothesis strategies
@@ -57,6 +58,40 @@ def mbr_pairs(dimension: int):
 def rng():
     """A deterministic RNG shared by randomised (non-hypothesis) tests."""
     return np.random.default_rng(20000301)
+
+
+@pytest.fixture
+def check_env(monkeypatch):
+    """Set runtime-check switches in the environment for one test.
+
+    ``check_env(contracts="1", sync=None)`` sets one switch and removes
+    another.  The registry reads the environment only in
+    ``reset_checks()``, so it runs after the change and again once the
+    test's environment is restored.
+    """
+    env_vars = {
+        check.name: check.env_var for check in (CONTRACTS, SYNC, FREEZE, ERRORS)
+    }
+
+    def apply(**values: str | None) -> None:
+        for name, value in values.items():
+            if value is None:
+                monkeypatch.delenv(env_vars[name], raising=False)
+            else:
+                monkeypatch.setenv(env_vars[name], value)
+        reset_checks()
+
+    yield apply
+    monkeypatch.undo()
+    reset_checks()
+
+
+@pytest.fixture
+def checks_off(check_env):
+    """All four runtime checks off, whatever the suite's environment says:
+    for tests that pin a default-off behaviour or show a silently wrong
+    answer before a ``checking(...)`` scope catches it."""
+    check_env(contracts=None, sync=None, freeze=None, errors=None)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ engine holding the union corpus.  Backend failures are injected either
 through a wrapper that raises transport errors (a killed process) or
 through the ``cluster.backend.<i>.request`` fault sites (a mid-scatter
 crash), with the paper's result contracts armed via
-:func:`checking_contracts` where parity is asserted.
+:func:`repro.util.checks.checking` where parity is asserted.
 """
 
 import json
@@ -26,7 +26,6 @@ from repro.cluster import (
     ShardRouter,
 )
 from repro.cluster.health import HealthTracker
-from repro.core.contracts import checking_contracts
 from repro.core.database import SequenceDatabase
 from repro.service import QueryEngine
 from repro.service.errors import (
@@ -37,6 +36,7 @@ from repro.service.errors import (
 )
 from repro.service.faults import FaultRule, fault_plan
 from repro.service.http import search_payload
+from repro.util.checks import checking
 
 DIMENSION = 3
 
@@ -197,7 +197,7 @@ class TestParity:
         )
         rng = np.random.default_rng(5)
         try:
-            with checking_contracts():
+            with checking("contracts"):
                 for epsilon in (0.3, 0.6):
                     query = rng.random((20, DIMENSION))
                     expected = single_node_search(single, query, epsilon)
@@ -246,7 +246,7 @@ class TestFailover:
         backends[0].dead = True
         query = np.random.default_rng(9).random((15, DIMENSION))
         try:
-            with checking_contracts():
+            with checking("contracts"):
                 expected = single_node_search(single, query, 0.5)
                 result = coordinator.search(query, 0.5)
             assert result.complete
@@ -265,7 +265,7 @@ class TestFailover:
         engines, _, coordinator = make_cluster(corpus, replication=2)
         query = np.random.default_rng(2).random((15, DIMENSION))
         try:
-            with checking_contracts():
+            with checking("contracts"):
                 expected = single_node_search(single, query, 0.6)
                 with fault_plan(
                     FaultRule(
@@ -752,7 +752,7 @@ class TestInProcessScatter:
         single = make_single(corpus)
         clusters = [make_cluster(corpus, wrap=wrap) for wrap in (None, KillableBackend)]
         try:
-            with checking_contracts():
+            with checking("contracts"):
                 for _, _, coordinator in clusters:
                     assert_parity(coordinator, single, query, 0.6, k)
         finally:
@@ -777,7 +777,7 @@ class TestInProcessScatter:
             assert [
                 coordinator._in_process(node) for node in range(3)
             ] == [True, False, False]
-            with checking_contracts():
+            with checking("contracts"):
                 for epsilon in (0.3, 0.6):
                     assert_parity(
                         coordinator, single, rng.random((15, DIMENSION)), epsilon, 5

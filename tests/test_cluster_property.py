@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import ShardRouter
-from repro.core.contracts import checking_contracts
 from repro.service.errors import ShardUnavailable
+from repro.util.checks import checking
 from tests.test_cluster_coordinator import (
     DIMENSION,
     close_all,
@@ -79,7 +79,7 @@ def test_cluster_matches_single_node_or_degrades_typed(shape):
             backends[killed].dead = True
         missing = expected_missing_shards(coordinator.router, killed)
         query = np.random.default_rng(corpus_seed + 1).random((8, DIMENSION))
-        with checking_contracts():
+        with checking("contracts"):
             result = coordinator.search(query, 0.6)
             expected = single_node_search(single, query, 0.6)
             if not missing:

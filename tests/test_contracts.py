@@ -1,9 +1,10 @@
 """The lower-bound contract checker.
 
-Two kinds of coverage:
+Three kinds of coverage:
 
-* the toggle machinery (off by default, env var, ``checking_contracts``
-  scoping, the ``lower_bounds`` decorator); and
+* the ``contracts`` switch, through the helpers ``tests/test_checks.py``
+  shares with the other three checks;
+* the ``lower_bounds`` decorator; and
 * *mutation tests*: deliberately break the ``Dnorm`` computation and the
   Phase-3 refinement and assert the contract net catches each — the whole
   point of the subsystem is that a bug violating Lemmas 2-3 cannot pass
@@ -23,13 +24,7 @@ from repro.analysis.contracts import (
     audit_search,
     lower_bound_chain,
 )
-from repro.core.contracts import (
-    CONTRACTS_ENV_VAR,
-    ContractViolation,
-    checking_contracts,
-    contracts_enabled,
-    lower_bounds,
-)
+from repro.core.contracts import ContractViolation, lower_bounds
 from repro.core.database import SequenceDatabase
 from repro.core.distance import normalized_distance
 from repro.core.mbr import MBR
@@ -42,46 +37,40 @@ from repro.core.solution_interval import (
     _validate_intersection,
     _validate_union,
 )
+from repro.util.checks import checking
+from tests.test_checks import (
+    FALSY,
+    TRUTHY,
+    assert_env_value,
+    assert_off_by_default,
+    assert_restores_on_exception,
+    assert_scopes_nest,
+)
 
 
 # ----------------------------------------------------------------------
-# Toggle machinery
+# The "contracts" switch (shared behaviour: tests/test_checks.py)
 # ----------------------------------------------------------------------
-def test_contracts_disabled_by_default(monkeypatch):
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
-    assert not contracts_enabled()
+def test_contracts_disabled_by_default(check_env):
+    assert_off_by_default("contracts", check_env)
 
 
-@pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
-def test_env_var_enables_contracts(monkeypatch, value):
-    monkeypatch.setenv(CONTRACTS_ENV_VAR, value)
-    assert contracts_enabled()
+@pytest.mark.parametrize("value", TRUTHY)
+def test_env_var_enables_contracts(check_env, value):
+    assert_env_value("contracts", check_env, value, True)
 
 
-@pytest.mark.parametrize("value", ["", "0", "false", "off"])
-def test_falsy_env_values_keep_contracts_off(monkeypatch, value):
-    monkeypatch.setenv(CONTRACTS_ENV_VAR, value)
-    assert not contracts_enabled()
+@pytest.mark.parametrize("value", FALSY)
+def test_falsy_env_values_keep_contracts_off(check_env, value):
+    assert_env_value("contracts", check_env, value, False)
 
 
-def test_checking_contracts_scopes_and_nests(monkeypatch):
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
-    assert not contracts_enabled()
-    with checking_contracts():
-        assert contracts_enabled()
-        with checking_contracts():
-            assert contracts_enabled()
-        # still on: the outermost scope has not exited yet
-        assert contracts_enabled()
-    assert not contracts_enabled()
+def test_checking_contracts_scopes_and_nests(checks_off):
+    assert_scopes_nest("contracts")
 
 
-def test_checking_contracts_restores_on_exception(monkeypatch):
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
-    with pytest.raises(RuntimeError, match="boom"):
-        with checking_contracts():
-            raise RuntimeError("boom")
-    assert not contracts_enabled()
+def test_checking_contracts_restores_on_exception(checks_off):
+    assert_restores_on_exception("contracts")
 
 
 def test_contract_violation_is_a_runtime_error():
@@ -91,8 +80,7 @@ def test_contract_violation_is_a_runtime_error():
 # ----------------------------------------------------------------------
 # The lower_bounds decorator
 # ----------------------------------------------------------------------
-def test_lower_bounds_validator_runs_only_when_enabled(monkeypatch):
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
+def test_lower_bounds_validator_runs_only_when_enabled(checks_off):
     calls = []
 
     def validator(result, x):
@@ -105,7 +93,7 @@ def test_lower_bounds_validator_runs_only_when_enabled(monkeypatch):
     assert double(3) == 6
     assert calls == []  # disabled: zero validator overhead
 
-    with checking_contracts():
+    with checking("contracts"):
         assert double(4) == 8
     assert calls == [(8, 4)]  # validator sees (result, *args)
 
@@ -125,15 +113,13 @@ def test_lower_bounds_label_defaults_to_validator_name():
     assert unit.__contract_label__ == "my_validator"
 
 
-def test_lower_bounds_propagates_validator_failure(monkeypatch):
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
-
+def test_lower_bounds_propagates_validator_failure(checks_off):
     @lower_bounds(lambda result: (_ for _ in ()).throw(ContractViolation("bad")))
     def broken() -> int:
         return 1
 
     assert broken() == 1  # fine while checking is off
-    with checking_contracts():
+    with checking("contracts"):
         with pytest.raises(ContractViolation, match="bad"):
             broken()
 
@@ -149,13 +135,12 @@ def _dnorm_fixture():
 
 def test_normalized_distance_passes_contract_unmutated():
     query_mbr, data_mbrs = _dnorm_fixture()
-    with checking_contracts():
+    with checking("contracts"):
         result = normalized_distance(query_mbr, 3, data_mbrs, [1] * 5, 2)
     assert result.value > 0.0
 
 
-def test_broken_dnorm_kernel_is_caught(monkeypatch):
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
+def test_broken_dnorm_kernel_is_caught(monkeypatch, checks_off):
     query_mbr, data_mbrs = _dnorm_fixture()
     original = distance_module._weighted_window_value
 
@@ -168,7 +153,7 @@ def test_broken_dnorm_kernel_is_caught(monkeypatch):
     normalized_distance(query_mbr, 3, data_mbrs, [1] * 5, 2)
 
     # ... with checking it cannot.
-    with checking_contracts():
+    with checking("contracts"):
         with pytest.raises(ContractViolation, match="Dnorm contract violated"):
             normalized_distance(query_mbr, 3, data_mbrs, [1] * 5, 2)
 
@@ -199,7 +184,7 @@ def _search_fixture():
 
 def test_search_passes_contract_unmutated():
     engine, query = _search_fixture()
-    with checking_contracts():
+    with checking("contracts"):
         result = engine.search(query, 0.05)
     assert "target" in result.answers
 
@@ -214,24 +199,22 @@ def _break_phase3(monkeypatch):
     monkeypatch.setattr(search_module, "phase3_kernel", dismissing)
 
 
-def test_false_dismissal_is_caught(monkeypatch):
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
+def test_false_dismissal_is_caught(monkeypatch, checks_off):
     engine, query = _search_fixture()
     _break_phase3(monkeypatch)
 
     # Silent wrong answer while checking is off: the true match vanishes.
     assert "target" not in engine.search(query, 0.05).answers
 
-    with checking_contracts():
+    with checking("contracts"):
         with pytest.raises(ContractViolation, match="false dismissal"):
             engine.search(query, 0.05)
 
 
-def test_undershooting_phase3_kernel_is_caught(monkeypatch):
+def test_undershooting_phase3_kernel_is_caught(monkeypatch, checks_off):
     """Lemma 2 on the Phase-3 body's own windows: its validator recomputes
     each window's minimum Dmbr between MBR objects, so rows that undershoot
     (here: every Dmbr halved) cannot pass while checking is on."""
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
     engine, _ = _search_fixture()
     query = MultidimensionalSequence(_loop_corpus()[10:40] + 0.03)
     rows = distance_module.dmbr_rows
@@ -241,7 +224,7 @@ def test_undershooting_phase3_kernel_is_caught(monkeypatch):
 
     monkeypatch.setattr(distance_module, "dmbr_rows", halved)
     assert engine.search(query, 0.05).solution_intervals  # silently generous
-    with checking_contracts():
+    with checking("contracts"):
         with pytest.raises(
             ContractViolation, match="Dnorm contract violated in Phase 3"
         ):
@@ -267,15 +250,14 @@ def _knn_fixture():
 
 def test_knn_passes_contract_unmutated():
     engine, query = _knn_fixture()
-    with checking_contracts():
+    with checking("contracts"):
         nearest = engine.knn(query, 3)
         hits = engine.knn_subsequences(query, 3)
     assert nearest[0] == (0.0, "arc-2")
     assert (hits[0].sequence_id, hits[0].offset) == ("arc-2", 5)
 
 
-def test_doubled_knn_bound_is_caught(monkeypatch):
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
+def test_doubled_knn_bound_is_caught(monkeypatch, checks_off):
     engine, query = _knn_fixture()
     honest = engine.knn(query, 4)
     assert [name for _, name in honest] == ["arc-2", "arc-1", "arc-3", "arc-0"]
@@ -288,19 +270,18 @@ def test_doubled_knn_bound_is_caught(monkeypatch):
     # Silently wrong while checking is off: the fourth neighbour's doubled
     # bound is past the fifth's distance, so it is never refined.
     assert [name for _, name in engine.knn(query, 4)][3] == "arc-4"
-    with checking_contracts():
+    with checking("contracts"):
         with pytest.raises(ContractViolation, match="k-NN bound"):
             engine.knn(query, 4)
         with pytest.raises(ContractViolation, match="k-NN bound"):
             engine.knn_subsequences(query, 4)
 
 
-def test_knn_bound_without_its_dual_is_caught(monkeypatch):
+def test_knn_bound_without_its_dual_is_caught(monkeypatch, checks_off):
     """For a stored sequence shorter than the query the sequence slides
     inside the query, and only *its* points are all paired: weighting the
     query's MBRs there (the ``|S| >= |Q|`` form) counts query points the
     best alignment never matches, and overshoots."""
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
     engine, query = _knn_fixture()
     engine.database.add(query[8:20], sequence_id="piece")  # D = 0
 
@@ -325,15 +306,14 @@ def test_knn_bound_without_its_dual_is_caught(monkeypatch):
         atol=1e-12,
     )
     monkeypatch.setattr(SimilaritySearch, "_lower_bounds", forward_only)
-    with checking_contracts():
+    with checking("contracts"):
         with pytest.raises(ContractViolation, match="k-NN bound .* 'piece'"):
             engine.knn(query, 3)
 
 
-def test_wrong_knn_answer_is_caught(monkeypatch):
+def test_wrong_knn_answer_is_caught(monkeypatch, checks_off):
     """Sound bounds, wrong answer: an exact distance that comes back
     inflated for one sequence drops it from the head of the list."""
-    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
     engine, query = _knn_fixture()
     target = engine.database.sequence("arc-2")
     distance = search_module.sequence_distance
@@ -342,7 +322,7 @@ def test_wrong_knn_answer_is_caught(monkeypatch):
         "sequence_distance",
         lambda a, b: distance(a, b) + (1.0 if b is target else 0.0),
     )
-    with checking_contracts():
+    with checking("contracts"):
         with pytest.raises(ContractViolation, match="a full scan finds"):
             engine.knn(query, 3)
 
@@ -391,7 +371,7 @@ def test_audit_search_counts_and_validates(monkeypatch):
     assert audit_search(engine, queries, 0.05) == 2
 
     # audit_search enables checking itself, so a broken kernel surfaces
-    # without any explicit checking_contracts() at the call site.
+    # without any explicit checking("contracts") at the call site.
     _break_phase3(monkeypatch)
     with pytest.raises(ContractViolation, match="false dismissal"):
         audit_search(engine, queries, 0.05)
@@ -403,7 +383,7 @@ def test_audit_search_counts_and_validates(monkeypatch):
 def test_interval_algebra_validated_clean_under_checking():
     left = IntervalSet([(0, 5), (10, 15)])
     right = IntervalSet([(3, 12)])
-    with checking_contracts():
+    with checking("contracts"):
         assert left.union(right) == IntervalSet([(0, 15)])
         assert left.intersection(right) == IntervalSet([(3, 5), (10, 12)])
         assert left.difference(right) == IntervalSet([(0, 3), (12, 15)])

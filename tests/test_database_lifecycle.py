@@ -9,7 +9,8 @@ from repro.cli import build_parser, main
 from repro.core.database import SegmentTable, SequenceDatabase
 from repro.core.search import SimilaritySearch
 from repro.service.engine import QueryEngine
-from repro.util.freeze import checking_freeze, verify_frozen
+from repro.util.checks import checking
+from repro.util.freeze import verify_frozen
 
 
 class TestRemove:
@@ -246,7 +247,7 @@ class TestSegmentTable:
     def test_published_snapshots_carry_a_built_frozen_table(self, rng):
         database = SequenceDatabase(2)
         database.add(rng.random((30, 2)), sequence_id="a")
-        with checking_freeze(), QueryEngine(database, workers=1) as engine:
+        with checking("freeze"), QueryEngine(database, workers=1) as engine:
             assert engine._snapshot.database._table is not None
             engine.insert(rng.random((30, 2)), sequence_id="b")
             engine.append("b", rng.random((5, 2)))

@@ -1,6 +1,4 @@
-"""The swallowed-error sanitizer: toggles, violations, counters, parity."""
-
-import threading
+"""The swallowed-error sanitizer: violations, counters, parity."""
 
 import numpy as np
 import pytest
@@ -15,68 +13,47 @@ from repro.core.database import SequenceDatabase
 from repro.service import QueryEngine
 from repro.service.errors import DeadlineExceeded, ServiceError
 from repro.util.budget import OperationCancelled
+from repro.util.checks import check_stats, checking, reset_checks
 from repro.util.errtrace import (
-    ERRTRACE_ENV_VAR,
     SwallowedErrorViolation,
-    checking_errors,
-    error_checks_enabled,
     error_stats,
     record_propagated,
     record_swallowed,
-    reset_error_state,
     translated,
+)
+from tests.test_checks import (
+    assert_env_value,
+    assert_scopes_nest,
+    assert_visible_across_threads,
 )
 
 
 @pytest.fixture(autouse=True)
-def _clean_state(monkeypatch):
-    monkeypatch.delenv(ERRTRACE_ENV_VAR, raising=False)
-    reset_error_state()
-    yield
-    reset_error_state()
+def _clean_state(check_env):
+    """Errors off and counters cleared, before and after each test."""
+    check_env(errors=None)
 
 
 class TestToggle:
     def test_disabled_by_default(self):
-        assert not error_checks_enabled()
         # Even a swallowed cancellation is a no-op with checks off.
         record_swallowed(DeadlineExceeded("late", timeout=0.1), site="t")
         assert error_stats() == {}
 
-    def test_env_var_enables(self, monkeypatch):
-        monkeypatch.setenv(ERRTRACE_ENV_VAR, "1")
-        reset_error_state()
-        assert error_checks_enabled()
-        monkeypatch.setenv(ERRTRACE_ENV_VAR, "off")
-        reset_error_state()
-        assert not error_checks_enabled()
+    def test_env_var_enables(self, check_env):
+        assert_env_value("errors", check_env, "1", True)
+        assert_env_value("errors", check_env, "off", False)
 
     def test_context_manager_nests(self):
-        assert not error_checks_enabled()
-        with checking_errors():
-            assert error_checks_enabled()
-            with checking_errors():
-                assert error_checks_enabled()
-            # Still on: the outer scope holds the count up.
-            assert error_checks_enabled()
-        assert not error_checks_enabled()
+        assert_scopes_nest("errors")
 
     def test_scope_is_process_wide_across_threads(self):
-        seen = {}
-
-        def probe():
-            seen["enabled"] = error_checks_enabled()
-
-        with checking_errors():
-            worker = threading.Thread(target=probe)
-            worker.start()
-            worker.join()
-        assert seen["enabled"] is True
+        assert_visible_across_threads("errors")
 
 
 class TestRecordSwallowed:
     def test_cancellation_swallow_is_a_violation(self):
-        with checking_errors():
+        with checking("errors"):
             with pytest.raises(SwallowedErrorViolation) as info:
                 record_swallowed(
                     DeadlineExceeded("late", timeout=0.1), role="worker", site="loop"
@@ -85,19 +62,19 @@ class TestRecordSwallowed:
         assert info.value.site == "loop"
 
     def test_operation_cancelled_also_never_swallowed(self):
-        with checking_errors():
+        with checking("errors"):
             with pytest.raises(SwallowedErrorViolation):
                 record_swallowed(OperationCancelled("stop"), site="loop")
 
     def test_cancellation_ok_sites_count_instead(self):
-        with checking_errors():
+        with checking("errors"):
             record_swallowed(
                 DeadlineExceeded("late", timeout=0.1), site="tail", cancellation_ok=True
             )
         assert error_stats()["tail"]["swallowed"] == 1
 
     def test_ordinary_errors_are_counted_not_raised(self):
-        with checking_errors():
+        with checking("errors"):
             record_swallowed(ValueError("bad"), site="loop")
             record_swallowed(ValueError("bad"), site="loop")
         assert error_stats()["loop"]["swallowed"] == 2
@@ -107,14 +84,14 @@ class TestTranslated:
     def test_returns_replacement_and_chains_cause(self):
         original = ValueError("low-level")
         replacement = ServiceError("typed")
-        with checking_errors():
+        with checking("errors"):
             got = translated(original, replacement, site="boundary")
         assert got is replacement
         assert got.__cause__ is original
         assert error_stats()["boundary"]["translated"] == 1
 
     def test_missing_original_is_a_violation(self):
-        with checking_errors():
+        with checking("errors"):
             with pytest.raises(SwallowedErrorViolation):
                 translated(None, ServiceError("typed"), site="boundary")
 
@@ -122,7 +99,7 @@ class TestTranslated:
         first = KeyError("first")
         replacement = ServiceError("typed")
         replacement.__cause__ = first
-        with checking_errors():
+        with checking("errors"):
             translated(ValueError("second"), replacement, site="b")
         assert replacement.__cause__ is first
 
@@ -134,7 +111,7 @@ class TestTranslated:
 
 class TestRecordPropagated:
     def test_counts_propagations(self):
-        with checking_errors():
+        with checking("errors"):
             record_propagated(ValueError("x"), site="http")
         assert error_stats()["http"]["propagated"] == 1
         assert error_stats()["http"]["unchained"] == 0
@@ -147,7 +124,7 @@ class TestRecordPropagated:
                 raise ServiceError("outer with no from")
         except ServiceError as error:
             unchained = error
-        with checking_errors():
+        with checking("errors"):
             record_propagated(unchained, site="http")
         assert error_stats()["http"]["unchained"] == 1
 
@@ -159,23 +136,25 @@ class TestRecordPropagated:
                 raise ServiceError("outer") from inner
         except ServiceError as error:
             chained = error
-        with checking_errors():
+        with checking("errors"):
             record_propagated(chained, site="http")
         assert error_stats()["http"]["unchained"] == 0
 
 
 class TestStats:
     def test_snapshot_is_a_deep_copy(self):
-        with checking_errors():
+        with checking("errors"):
             record_swallowed(ValueError("x"), site="a")
         snapshot = error_stats()
         snapshot["a"]["swallowed"] = 99
         assert error_stats()["a"]["swallowed"] == 1
 
     def test_reset_clears_counters(self):
-        with checking_errors():
+        with checking("errors"):
             record_swallowed(ValueError("x"), site="a")
-        reset_error_state()
+        assert check_stats()["errors"] == error_stats()
+        assert error_stats()["a"]["swallowed"] == 1
+        reset_checks()
         assert error_stats() == {}
 
 
@@ -191,7 +170,7 @@ def build_database(rng, count=4, dimension=2):
 class TestEngineParity:
     def test_engine_serves_cleanly_with_checks_on(self, rng):
         """Tier-1 parity: normal serving trips no violation."""
-        with checking_errors():
+        with checking("errors"):
             with QueryEngine(build_database(rng), workers=2) as engine:
                 result = engine.search(rng.random((8, 2)), 0.5)
                 assert isinstance(result.answers, list)
@@ -199,7 +178,7 @@ class TestEngineParity:
         assert isinstance(stats["errors"], dict)
 
     def test_cancellation_translation_is_counted(self, rng):
-        with checking_errors():
+        with checking("errors"):
             with QueryEngine(build_database(rng), workers=1) as engine:
                 with pytest.raises(DeadlineExceeded) as info:
                     engine.search(
@@ -223,7 +202,7 @@ class TestWorkloadSwallows:
         )
         operations = generate_operations(spec, seed=5)
         queries = [rng.random((10, 2)) for _ in range(spec.query_pool)]
-        with checking_errors():
+        with checking("errors"):
             with QueryEngine(build_database(rng), workers=2) as engine:
                 report = run_closed_loop(
                     engine,

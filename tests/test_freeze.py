@@ -1,8 +1,8 @@
 """The frozen-snapshot sanitizer and its integration tests.
 
-Unit tests pin the sanitizer's contract — off by default, env-var and
-:func:`checking_freeze` toggling, shallow/deep freezing, read-only
-proxies, :func:`verify_frozen` boundary walks — and the integration
+Unit tests pin the sanitizer's contract — a passthrough while off,
+shallow/deep freezing, read-only proxies, :func:`verify_frozen`
+boundary walks — and the integration
 tests run the real engine and cluster with checks armed, asserting that
 no :class:`FrozenWriteViolation` fires and that the regression shapes
 (the once-writable partition matrices, in-place patching of a shared
@@ -20,33 +20,28 @@ from repro.core.search import SimilaritySearch
 from repro.core.sequence import MultidimensionalSequence
 from repro.service import QueryEngine
 from repro.service.cache import CacheEntry, EpsilonCache
+from repro.util.checks import checking
 from repro.util.freeze import (
-    FREEZE_ENV_VAR,
     FrozenDict,
     FrozenList,
     FrozenWriteViolation,
-    checking_freeze,
     deep_freeze,
     freeze,
-    freeze_checks_enabled,
     frozen_view,
-    reset_freeze_state,
     verify_frozen,
 )
+from tests.test_checks import assert_env_value, assert_scopes_nest
 
 DIMENSION = 2
 
 
 @pytest.fixture(autouse=True)
-def clean_freeze_state(monkeypatch):
-    """Normalize ``REPRO_FREEZE_CHECKS`` away: these tests pin the
-    *default-off* contract and arm checks explicitly via
-    :func:`checking_freeze`, so they must behave identically under CI's
-    immutability-gate job (which exports the variable suite-wide)."""
-    monkeypatch.delenv(FREEZE_ENV_VAR, raising=False)
-    reset_freeze_state()
-    yield
-    reset_freeze_state()
+def clean_freeze_state(check_env):
+    """Switch ``REPRO_FREEZE_CHECKS`` off: these tests pin the disabled
+    path and arm checks explicitly via ``checking("freeze")``, so they
+    must behave identically under CI's sanitizer job (which exports the
+    variable suite-wide)."""
+    check_env(freeze=None)
 
 
 # ----------------------------------------------------------------------
@@ -54,27 +49,17 @@ def clean_freeze_state(monkeypatch):
 # ----------------------------------------------------------------------
 class TestToggle:
     def test_disabled_by_default(self):
-        assert not freeze_checks_enabled()
         # verify_frozen is a no-op passthrough when disabled, even on a
         # blatantly writable structure.
         writable = {"arr": np.zeros(3)}
         assert verify_frozen(writable, role="t", site="t") is writable
 
     def test_checking_freeze_scope_nests(self):
-        with checking_freeze():
-            assert freeze_checks_enabled()
-            with checking_freeze():
-                assert freeze_checks_enabled()
-            assert freeze_checks_enabled()
-        assert not freeze_checks_enabled()
+        assert_scopes_nest("freeze")
 
-    def test_env_var_enables(self, monkeypatch):
-        monkeypatch.setenv(FREEZE_ENV_VAR, "1")
-        reset_freeze_state()
-        assert freeze_checks_enabled()
-        monkeypatch.setenv(FREEZE_ENV_VAR, "0")
-        reset_freeze_state()
-        assert not freeze_checks_enabled()
+    def test_env_var_enables(self, check_env):
+        assert_env_value("freeze", check_env, "1", True)
+        assert_env_value("freeze", check_env, "0", False)
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +168,7 @@ class TestFreeze:
 class TestVerifyFrozen:
     def test_accepts_frozen_structure(self):
         frozen = deep_freeze({"arr": np.zeros(3), "ids": [1]})
-        with checking_freeze():
+        with checking("freeze"):
             assert verify_frozen(frozen, role="t", site="t") is frozen
 
     def test_seeded_writable_array_is_named(self):
@@ -192,7 +177,7 @@ class TestVerifyFrozen:
         # post-freeze (a dict subclass write bypassing the proxy, as a C
         # extension could).
         dict.__setitem__(structure, "bad", np.zeros(2))
-        with checking_freeze():
+        with checking("freeze"):
             with pytest.raises(FrozenWriteViolation) as caught:
                 verify_frozen(
                     structure, role="engine.snapshot", site="test.seed"
@@ -204,7 +189,7 @@ class TestVerifyFrozen:
     def test_walks_slots_objects(self):
         sequence = MultidimensionalSequence(np.zeros((4, DIMENSION)))
         partition = partition_sequence(sequence)
-        with checking_freeze():
+        with checking("freeze"):
             # PartitionedSequence freezes its matrices at construction;
             # the walk covers __slots__ and must find nothing writable.
             verify_frozen(partition, role="t", site="t")
@@ -262,7 +247,7 @@ class TestCachePublication:
     def test_stored_entry_sets_are_frozen_under_checks(self, rng):
         cache = EpsilonCache(capacity=4)
         entry = small_entry(rng)
-        with checking_freeze():
+        with checking("freeze"):
             assert cache.store("q", entry, version=0)
             shared = cache.lookup("q", 0.5, version=0)
             assert shared is entry  # ownership transferred, not copied
@@ -283,7 +268,7 @@ class TestCachePublication:
         database.add(rng.random((20, DIMENSION)), sequence_id="s1")
         search = SimilaritySearch(database)
         cache = EpsilonCache(capacity=4)
-        with checking_freeze():
+        with checking("freeze"):
             cache.store("q", small_entry(rng, version=0), version=0)
             cache.apply_write("s1", search, new_version=1)
             patched = cache.lookup("q", 0.5, version=1)
@@ -304,7 +289,7 @@ class TestMergeFreezing:
             1: {"answers": ["b"], "candidates": ["b"], "stats": {}},
         }
         order = {"a": 0, "b": 1}
-        with checking_freeze():
+        with checking("freeze"):
             merged = merge_search_payloads(
                 payloads, order=lambda sid: order[str(sid)]
             )
@@ -315,7 +300,7 @@ class TestMergeFreezing:
 
     def test_merge_knn_inputs_frozen(self):
         lists = [[(0.3, "a"), (0.1, "b")], [(0.2, "c"), (0.1, "b")]]
-        with checking_freeze():
+        with checking("freeze"):
             top = merge_knn(lists, 2, order=str)
         assert top == [(0.1, "b"), (0.2, "c")]
 
@@ -334,7 +319,7 @@ class TestIntegrationUnderChecks:
                 sequence_id=f"seed-{i}",
             )
         queries = [rng.random((8, DIMENSION)) for _ in range(3)]
-        with checking_freeze():
+        with checking("freeze"):
             engine = QueryEngine(
                 database,
                 workers=2,
@@ -361,7 +346,7 @@ class TestIntegrationUnderChecks:
         reference = SimilaritySearch(database)
         for query in queries:
             expected = reference.search(query, 0.5)
-            with checking_freeze():
+            with checking("freeze"):
                 engine = QueryEngine(database, workers=2, cache_size=8)
                 try:
                     got = engine.search(query, 0.5)
@@ -384,7 +369,7 @@ class TestIntegrationUnderChecks:
             union.add(points, sequence_id=sequence_id)
         reference = SimilaritySearch(union)
         queries = [rng.random((8, DIMENSION)) for _ in range(3)]
-        with checking_freeze():
+        with checking("freeze"):
             engines = [
                 QueryEngine(database, workers=2, cache_size=8)
                 for database in databases

@@ -11,17 +11,14 @@ from hypothesis import strategies as st
 
 import repro.index.packed as packed
 from repro.core.backends import available_backends
-from repro.core.contracts import (
-    CONTRACTS_ENV_VAR,
-    ContractViolation,
-    checking_contracts,
-)
+from repro.core.contracts import ContractViolation
 from repro.core.database import SequenceDatabase
 from repro.core.mbr import MBR, dmbr_columns, dmbr_rows
 from repro.core.partitioning import partition_sequence
 from repro.core.search import SimilaritySearch
 from repro.index.packed import PackedBase, PackedIndex
 from repro.service.engine import QueryEngine
+from repro.util.checks import checking
 from tests.test_search import lemma1_bounds
 
 KINDS = ("packed", "rtree", "rstar", "str")
@@ -269,7 +266,7 @@ class TestWritesAgainstTheTree:
                 elif verb == "clone":
                     sides[kind] = database.clone()
             for epsilon in (0.05, 0.3):
-                with checking_contracts():
+                with checking("contracts"):
                     assert outcome(sides["packed"], query, epsilon) == outcome(
                         sides["rtree"], query, epsilon
                     )
@@ -373,8 +370,7 @@ class TestWritesAgainstTheTree:
 class TestPhase2Contract:
     """``REPRO_CHECK_CONTRACTS``: the probe's rows against a flat scan."""
 
-    def test_shrinking_a_parent_box_is_caught(self, monkeypatch):
-        monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
+    def test_shrinking_a_parent_box_is_caught(self, checks_off):
         database = SequenceDatabase(2)
         for number in range(60):  # everything in the upper right quarter
             database.add(0.5 + walk(number, 60) / 2, sequence_id=number)
@@ -395,7 +391,7 @@ class TestPhase2Contract:
             levels=(index.base.levels[0], (lows, highs), *index.base.levels[2:]),
         )
         assert search.search(island, 0.05).candidates == []  # silently wrong
-        with checking_contracts(), pytest.raises(ContractViolation, match="missed"):
+        with checking("contracts"), pytest.raises(ContractViolation, match="missed"):
             search.search(island, 0.05)
 
     def test_a_write_that_never_reached_the_index_is_caught(self):
@@ -412,7 +408,7 @@ class TestPhase2Contract:
             table.sequence_offsets,
             np.zeros(0, dtype=np.int64),
         )
-        with checking_contracts(), pytest.raises(ContractViolation, match="missed"):
+        with checking("contracts"), pytest.raises(ContractViolation, match="missed"):
             SimilaritySearch(database).search(far[:10], 0.01)
         # The engine's consistency check sees the entry count is off.
         with pytest.raises(RuntimeError, match="inconsistent database"):
@@ -422,7 +418,7 @@ class TestPhase2Contract:
     def test_every_kind_passes_the_validator(self, kind):
         database = populated(kind, count=25, dimension=9)
         search = SimilaritySearch(database)
-        with checking_contracts():
+        with checking("contracts"):
             for seed in range(5):
                 query = walk(seed, 30, 9)
                 partition = search.search(query, 0.1).query_partition

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro.core.distance as distance_module
-from repro.core.contracts import contracts_enabled, lower_bounds
+from repro.core.contracts import lower_bounds
 from repro.core.database import SequenceDatabase
 from repro.core.distance import (
     INFINITY,
@@ -42,6 +42,7 @@ from repro.core.distance import (
 from repro.core.partitioning import partition_sequence
 from repro.core.search import SearchStats, SimilaritySearch, phase3_kernel
 from repro.core.solution_interval import IntervalSet
+from repro.util.checks import enabled
 
 _STEPS = [0.0, 0.0, 0.0, 0.01, -0.01, 0.05, -0.05, 0.4, -0.4]
 _EPSILONS = [0.0, 0.02, 0.1, 0.3, 1.0]
@@ -462,7 +463,7 @@ class TestBodyEqualsRowReference:
         finally:
             distance_module._PHASE3_CHUNK_SEGMENTS = original
         assert found_only.tolist() == found.tolist()
-        if not contracts_enabled():
+        if not enabled("contracts"):
             assert len(none.instance) == 0
 
         emitted = {}

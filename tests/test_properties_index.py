@@ -176,46 +176,30 @@ def layout(tree):
     return describe(tree.root)
 
 
-def run_operations(kind, dimension, operations, max_entries):
-    """Apply ``("insert", box) | ("delete", k)`` steps; return the layout."""
+def run_inserts(kind, dimension, boxes, max_entries):
+    """Insert the boxes in order; return the layout and build counters."""
     cls = RStarTree if kind == "rstar" else RTree
     tree = cls(dimension, max_entries=max_entries)
-    live = []
-    for payload, (action, argument) in enumerate(operations):
-        if action == "insert":
-            tree.insert(argument, payload)
-            live.append((argument, payload))
-        elif live:
-            mbr, old_payload = live.pop(argument % len(live))
-            assert tree.delete(mbr, old_payload)
+    for payload, box in enumerate(boxes):
+        tree.insert(box, payload)
     tree.check_invariants()
     return layout(tree), (tree.stats.splits, tree.stats.reinserts)
-
-
-def operations_strategy(dimension, max_count=70):
-    insert = boxes_strategy(dimension, max_count=1).map(
-        lambda boxes: ("insert", boxes[0])
-    )
-    delete = st.integers(0, 1000).map(lambda k: ("delete", k))
-    return st.lists(
-        st.one_of(insert, insert, insert, delete), min_size=1, max_size=max_count
-    )
 
 
 @pytest.mark.parametrize("kind", ["rtree", "rstar"])
 class TestLayoutParity:
     @given(
         case=st.integers(1, 8).flatmap(
-            lambda d: st.tuples(st.just(d), operations_strategy(d))
+            lambda d: st.tuples(st.just(d), boxes_strategy(d, max_count=70))
         ),
         max_entries=st.sampled_from([4, 6, 16]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_same_nodes_after_insert_delete_mix(self, kind, case, max_entries):
-        dimension, operations = case
+    def test_same_nodes_after_inserts(self, kind, case, max_entries):
+        dimension, boxes = case
         with numpy_geometry():
-            expected = run_operations(kind, dimension, operations, max_entries)
-        assert run_operations(kind, dimension, operations, max_entries) == expected
+            expected = run_inserts(kind, dimension, boxes, max_entries)
+        assert run_inserts(kind, dimension, boxes, max_entries) == expected
 
     @pytest.mark.parametrize("dimension", [1, 2, 3, 5, 8, 9])
     def test_same_nodes_on_clustered_boxes(self, kind, dimension):
@@ -224,18 +208,16 @@ class TestLayoutParity:
         show."""
         rng = np.random.default_rng(dimension)
         centres = rng.random((6, dimension))
-        operations = []
+        boxes = []
         for step in range(260):
             centre = centres[step % 6] + rng.normal(0.0, 0.02, dimension)
             half = rng.random(dimension) * 0.01
-            operations.append(
-                ("insert", MBR(np.clip(centre - half, 0, 1), np.clip(centre + half, 0, 1)))
+            boxes.append(
+                MBR(np.clip(centre - half, 0, 1), np.clip(centre + half, 0, 1))
             )
-            if step % 5 == 4:
-                operations.append(("delete", int(rng.integers(0, 1000))))
         with numpy_geometry():
-            expected = run_operations(kind, dimension, operations, 8)
-        assert run_operations(kind, dimension, operations, 8) == expected
+            expected = run_inserts(kind, dimension, boxes, 8)
+        assert run_inserts(kind, dimension, boxes, 8) == expected
 
 
 class TestGeometryParity:

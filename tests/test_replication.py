@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, LocalBackend, RepairJournal
-from repro.core.contracts import checking_contracts
 from repro.core.database import SequenceDatabase
 from repro.service import (
     DurabilityConfig,
@@ -33,6 +32,7 @@ from repro.service import (
 )
 from repro.service.errors import SnapshotRequired
 from repro.service.faults import FaultInjected, FaultRule, fault_plan
+from repro.util.checks import checking
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DIMENSION = 2
@@ -256,7 +256,7 @@ print("UNREACHABLE", flush=True)
         assert completed.returncode == 137, completed.stderr
         assert "ACK" in completed.stdout
         assert "UNREACHABLE" not in completed.stdout
-        with checking_contracts():
+        with checking("contracts"):
             with durable_engine(data_dir, database=None) as recovered:
                 assert sorted(recovered.sequence_ids()) == [
                     "ship-0",

@@ -1,6 +1,4 @@
-"""Unit tests for R-tree serialisation and streaming append / calibration."""
-
-import os
+"""Database archives, streaming append and threshold calibration."""
 
 import numpy as np
 import pytest
@@ -8,133 +6,7 @@ import pytest
 from repro.analysis.calibration import calibrate_epsilon, selectivity_curve
 from repro.core.database import SequenceDatabase
 from repro.core.distance import sequence_distance
-from repro.core.mbr import MBR
 from repro.core.search import SimilaritySearch
-from repro.index.rstar import RStarTree
-from repro.index.rtree import RTree
-from repro.index.serialize import load_tree, save_tree
-from tests.test_rtree import random_boxes
-
-
-@pytest.mark.parametrize("cls", [RTree, RStarTree])
-class TestTreeSerialization:
-    def test_round_trip_structure(self, rng, tmp_path, cls):
-        tree = cls(dimension=3, max_entries=5)
-        tree.extend(random_boxes(rng, 90, dimension=3))
-        path = tmp_path / "tree.npz"
-        save_tree(tree, path)
-        loaded = load_tree(path)
-
-        assert type(loaded) is cls
-        assert len(loaded) == len(tree)
-        assert loaded.height == tree.height
-        assert loaded.max_entries == tree.max_entries
-        assert loaded.min_entries == tree.min_entries
-        loaded.check_invariants()
-        assert {e.payload for e in loaded.entries()} == {
-            e.payload for e in tree.entries()
-        }
-
-    def test_round_trip_query_identical(self, rng, tmp_path, cls):
-        tree = cls(dimension=2, max_entries=4)
-        tree.extend(random_boxes(rng, 70))
-        path = tmp_path / "tree.npz"
-        save_tree(tree, path)
-        loaded = load_tree(path)
-
-        for _ in range(10):
-            low = rng.random(2) * 0.7
-            probe = MBR(low, low + 0.2)
-            epsilon = float(rng.random() * 0.2)
-            original = {e.payload for e in tree.search_within(probe, epsilon)}
-            reloaded = {
-                e.payload for e in loaded.search_within(probe, epsilon)
-            }
-            assert reloaded == original
-
-    def test_access_counts_identical(self, rng, tmp_path, cls):
-        """Identical layout means identical node-access counts."""
-        tree = cls(dimension=2, max_entries=4)
-        tree.extend(random_boxes(rng, 80))
-        path = tmp_path / "tree.npz"
-        save_tree(tree, path)
-        loaded = load_tree(path)
-        probe = MBR([0.3, 0.3], [0.5, 0.5])
-        tree.stats.reset_query_counters()
-        loaded.stats.reset_query_counters()
-        tree.search_within(probe, 0.1)
-        loaded.search_within(probe, 0.1)
-        assert loaded.stats.node_accesses == tree.stats.node_accesses
-
-    def test_empty_tree(self, tmp_path, cls, rng):
-        tree = cls(dimension=2)
-        path = tmp_path / "empty.npz"
-        save_tree(tree, path)
-        loaded = load_tree(path)
-        assert len(loaded) == 0
-        assert loaded.search_within(MBR([0, 0], [1, 1]), 1.0) == []
-
-    def test_insert_after_load(self, rng, tmp_path, cls):
-        tree = cls(dimension=2, max_entries=4)
-        tree.extend(random_boxes(rng, 30))
-        path = tmp_path / "tree.npz"
-        save_tree(tree, path)
-        loaded = load_tree(path)
-        loaded.insert(MBR([0.9, 0.9], [0.95, 0.95]), "late")
-        assert len(loaded) == 31
-        loaded.check_invariants()
-
-
-class TestSerializeValidation:
-    def test_unknown_type_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_tree("not a tree", tmp_path / "x.npz")
-
-    @staticmethod
-    def _archive_with(rng, tmp_path, **replaced):
-        tree = RTree(dimension=2, max_entries=4)
-        tree.extend(random_boxes(rng, 20))
-        save_tree(tree, tmp_path / "good.npz")
-        with np.load(tmp_path / "good.npz") as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        for name, change in replaced.items():
-            arrays[name] = change(arrays[name].copy())
-        np.savez(tmp_path / "bad.npz", **arrays)
-        return tmp_path / "bad.npz"
-
-    def test_rectangles_are_validated_once_for_the_whole_archive(
-        self, rng, tmp_path
-    ):
-        """Loaded rectangles skip the per-rectangle constructor checks, so
-        the blob they come from is checked as a whole first."""
-
-        def inverted(lows):
-            lows[7, 1] = 2.0  # above its high corner
-            return lows
-
-        def not_finite(highs):
-            highs[3, 0] = np.nan
-            return highs
-
-        for replaced in (
-            {"entry_lows": inverted},
-            {"entry_highs": not_finite},
-            {"entry_lows": lambda lows: lows[:-1]},
-            {"entry_highs": lambda highs: highs.astype(np.float32)},
-            {"entry_lows": lambda lows: lows[:, :1], "entry_highs": lambda h: h[:, :1]},
-        ):
-            with pytest.raises(ValueError, match="corrupt archive"):
-                load_tree(self._archive_with(rng, tmp_path, **replaced))
-
-    def test_loaded_rectangles_hold_no_arrays(self, rng, tmp_path):
-        tree = RTree(dimension=2, max_entries=4)
-        tree.extend(random_boxes(rng, 30))
-        save_tree(tree, tmp_path / "t.npz")
-        loaded = load_tree(tmp_path / "t.npz")
-        assert all(entry.mbr._low is None for entry in loaded.entries())
-        assert sorted(e.payload for e in loaded.entries()) == sorted(
-            e.payload for e in tree.entries()
-        )
 
 
 class TestAppendPoints:
@@ -251,90 +123,6 @@ class TestCalibration:
             calibrate_epsilon(db, [], 0.5)
         with pytest.raises(ValueError):
             selectivity_curve(db, [], [0.1])
-
-
-class TestRestrictedUnpickling:
-    """The payload pickle is resolved through an allowlist-only unpickler:
-    archives naming any global outside SAFE_PICKLE_GLOBALS must fail
-    before the reference is resolved, never execute it."""
-
-    def _tampered_archive(self, rng, tmp_path, payload_bytes):
-        import io
-
-        tree = RTree(dimension=2, max_entries=4)
-        tree.extend(random_boxes(rng, 20))
-        buffer = io.BytesIO()
-        save_tree(tree, buffer)
-        buffer.seek(0)
-        with np.load(buffer, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["payloads"] = np.frombuffer(payload_bytes, dtype=np.uint8)
-        out = tmp_path / "tampered.npz"
-        np.savez(out, **arrays)
-        return out
-
-    def test_forbidden_global_rejected(self, rng, tmp_path):
-        import pickle
-
-        evil = pickle.dumps([os.system for _ in range(1)])
-        path = self._tampered_archive(rng, tmp_path, evil)
-        with pytest.raises(pickle.UnpicklingError, match="forbidden global"):
-            load_tree(path)
-
-    def test_reduce_based_payload_rejected(self, rng, tmp_path):
-        import pickle
-
-        class Exploit:
-            def __reduce__(self):
-                return (os.system, ("true",))
-
-        evil = pickle.dumps([Exploit()])
-        path = self._tampered_archive(rng, tmp_path, evil)
-        with pytest.raises(pickle.UnpicklingError, match="forbidden global"):
-            load_tree(path)
-
-    def test_non_list_payload_rejected(self, rng, tmp_path):
-        import pickle
-
-        path = self._tampered_archive(rng, tmp_path, pickle.dumps({"a": 1}))
-        with pytest.raises(pickle.UnpicklingError, match="must unpickle to a list"):
-            load_tree(path)
-
-    def test_allowlist_names_segment_key_and_primitives(self):
-        from repro.index.serialize import SAFE_PICKLE_GLOBALS
-
-        assert ("repro.core.database", "SegmentKey") in SAFE_PICKLE_GLOBALS
-        assert ("builtins", "tuple") in SAFE_PICKLE_GLOBALS
-        assert not any(module == "os" for module, _ in SAFE_PICKLE_GLOBALS)
-        assert not any(module == "posix" for module, _ in SAFE_PICKLE_GLOBALS)
-
-    def test_legitimate_payloads_still_load(self, rng, tmp_path):
-        from repro.core.database import SegmentKey
-
-        tree = RTree(dimension=2, max_entries=4)
-        for ordinal, (mbr, _) in enumerate(random_boxes(rng, 25)):
-            tree.insert(mbr, SegmentKey(f"s{ordinal}", ordinal))
-        path = tmp_path / "legit.npz"
-        save_tree(tree, path)
-        loaded = load_tree(path)
-        payloads = {entry.payload for entry in loaded.entries()}
-        assert payloads == {entry.payload for entry in tree.entries()}
-        assert all(isinstance(p, SegmentKey) for p in payloads)
-
-
-class TestBytesRoundTrip:
-    def test_dumps_loads_tree(self, rng):
-        from repro.index.serialize import dumps_tree, loads_tree
-
-        tree = RStarTree(dimension=3, max_entries=5)
-        tree.extend(random_boxes(rng, 60, dimension=3))
-        blob = dumps_tree(tree)
-        assert isinstance(blob, bytes) and blob
-        loaded = loads_tree(blob)
-        assert type(loaded) is RStarTree
-        assert len(loaded) == len(tree)
-        assert loaded.height == tree.height
-        loaded.check_invariants()
 
 
 class TestDatabaseIndexEmbedding:

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, HedgePolicy, LocalBackend
-from repro.core.contracts import checking_contracts
 from repro.core.database import SequenceDatabase
 from repro.core.search import SimilaritySearch
 from repro.service import QueryEngine
@@ -43,6 +42,7 @@ from repro.service.errors import (
 from repro.service.faults import FaultRule, fault_plan
 from repro.service.http import error_status, request_budget
 from repro.util.budget import Deadline, OperationCancelled, deadline_scope
+from repro.util.checks import checking
 
 DIMENSION = 3
 
@@ -317,7 +317,7 @@ class TestCooperativeCancellation:
         query = np.random.default_rng(2).random((12, DIMENSION))
         abandoned = Deadline.after(60.0)
         abandoned.cancel()
-        with checking_contracts():
+        with checking("contracts"):
             with deadline_scope(abandoned):
                 with pytest.raises(OperationCancelled) as caught:
                     searcher.search(query, 0.5)

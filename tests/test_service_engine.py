@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.analysis.tracing import read_trace
+from repro.core.contracts import lower_bounds
 from repro.core.database import SequenceDatabase
 from repro.core.search import SimilaritySearch
 from repro.service import (
@@ -22,6 +23,7 @@ from repro.service import (
 )
 from repro.service.faults import FaultRule, fault_plan
 from repro.util.budget import OperationCancelled
+from repro.util.checks import checking
 from repro.util.faults import FaultInjected
 
 EPSILONS = (0.6, 0.3, 0.45)
@@ -446,11 +448,36 @@ class TestOnCallerEntry:
 
 
 class TestContractsUnderConcurrency:
-    def test_concurrent_insert_and_search_with_contracts(self, rng, monkeypatch):
+    def test_pooled_reads_are_validated_on_the_workers(self, rng, monkeypatch):
+        """A ``checking("contracts")`` scope reaches the engine's pool: the
+        search validator runs on a ``repro-serve`` worker for a miss and
+        for a cache hit, not only on the thread that opened the scope."""
+        validate = SimilaritySearch.search.__contract_validator__
+        threads = []
+
+        def spy(result, *args, **kwargs):
+            threads.append(threading.current_thread().name)
+            validate(result, *args, **kwargs)
+
+        monkeypatch.setattr(
+            SimilaritySearch,
+            "search",
+            lower_bounds(spy)(SimilaritySearch.search.__wrapped__),
+        )
+        query = rng.random((9, 2))
+        with QueryEngine(build_database(rng, count=5), workers=2, cache_size=8) as engine:
+            with checking("contracts"):
+                for expected in ("miss", "hit"):
+                    threads.clear()
+                    assert engine.search_detailed(query, 0.5).cache == expected
+                    assert threads, expected
+                    assert all(name.startswith("repro-serve") for name in threads)
+
+    def test_concurrent_insert_and_search_with_contracts(self, rng, check_env):
         """Sustained mixed read/write traffic under REPRO_CHECK_CONTRACTS=1
         finishes without deadlock and without contract violations on any
         serving path (miss, hit and refine all re-validate)."""
-        monkeypatch.setenv("REPRO_CHECK_CONTRACTS", "1")
+        check_env(contracts="1")
         database = build_database(rng, count=5)
         queries = [rng.random((9, 2)) for _ in range(2)]
         inserts = [rng.random((24, 2)) for _ in range(4)]

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.contracts import checking_contracts
 from repro.core.database import SequenceDatabase
 from repro.core.search import SimilaritySearch
 from repro.service import (
@@ -34,6 +33,7 @@ from repro.service.faults import (
     inject,
     parse_fault_spec,
 )
+from repro.util.checks import checking
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -220,7 +220,7 @@ class TestWalFaults:
         with QueryEngine(None, workers=1, durability=config) as recovered:
             assert "lost" not in recovered.sequence_ids()
             assert "kept" in recovered.sequence_ids()
-            with checking_contracts():
+            with checking("contracts"):
                 got = recovered.search(query, 0.4)
             reference = pristine
             reference.add(
@@ -250,7 +250,7 @@ class TestWalFaults:
         pristine.add(extra, sequence_id="added")
         pristine.remove("s0")
         reference = SimilaritySearch(pristine)
-        with checking_contracts():
+        with checking("contracts"):
             with QueryEngine(None, workers=1, durability=config) as recovered:
                 assert "added" in recovered.sequence_ids()
                 assert "s0" not in recovered.sequence_ids()
@@ -313,7 +313,7 @@ print("UNREACHABLE", flush=True)
         assert completed.returncode == 137, completed.stderr
         assert "ACK" in completed.stdout
         assert "UNREACHABLE" not in completed.stdout
-        with checking_contracts():
+        with checking("contracts"):
             with QueryEngine(
                 None, workers=1, durability=DurabilityConfig(data_dir)
             ) as recovered:

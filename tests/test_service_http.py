@@ -476,7 +476,7 @@ class TestPooledConnections:
     def test_threads_share_one_client(self, rng, served, sync_checks):
         from contextlib import nullcontext
 
-        from repro.util.sync import checking_sync
+        from repro.util.checks import checking
 
         _, client = served
         query = rng.random((10, 2))
@@ -491,7 +491,7 @@ class TestPooledConnections:
             except Exception as error:  # noqa: BLE001 - recorded for assert
                 failures.append(error)
 
-        with checking_sync() if sync_checks else nullcontext():
+        with checking("sync") if sync_checks else nullcontext():
             threads = [threading.Thread(target=worker) for _ in range(8)]
             for thread in threads:
                 thread.start()

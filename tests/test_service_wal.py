@@ -16,7 +16,6 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.contracts import checking_contracts
 from repro.core.database import SequenceDatabase
 from repro.core.search import SimilaritySearch
 from repro.service import (
@@ -27,6 +26,7 @@ from repro.service import (
     replay_into,
 )
 from repro.service.faults import FaultInjected, FaultRule, fault_plan
+from repro.util.checks import checking
 
 _MAGIC = b"REPROWAL1\n"
 _HEADER = struct.Struct("<II")
@@ -266,7 +266,7 @@ class TestEngineRecovery:
         pristine.add(extra, sequence_id="added")
         pristine.remove("s1")
         reference = SimilaritySearch(pristine)
-        with checking_contracts():
+        with checking("contracts"):
             with QueryEngine(None, durability=config) as recovered:
                 for epsilon in (0.5, 0.25):
                     got = recovered.search(query, epsilon)

@@ -1,8 +1,8 @@
 """The runtime lock-order/race sanitizer and its integration stress tests.
 
-Unit tests pin the sanitizer's contract — off by default, inversion and
-self-deadlock detection under :func:`checking_sync`, condition
-discipline, statistics — and the stress tests run the real concurrent
+Unit tests pin the sanitizer's contract — a plain lock while off,
+inversion and self-deadlock detection under ``checking("sync")``,
+condition discipline, statistics — and the stress tests run the real concurrent
 subsystems (:class:`QueryEngine` insert/search/checkpoint,
 :class:`ClusterCoordinator` scatter + read-repair) with checks armed,
 asserting that no :class:`LockOrderViolation` fires and that results
@@ -20,36 +20,32 @@ from repro.core.database import SequenceDatabase
 from repro.core.search import SimilaritySearch
 from repro.service import QueryEngine
 from repro.service.wal import DurabilityConfig
+from repro.util.checks import checking
 from repro.util.sync import (
-    SYNC_ENV_VAR,
     LockOrderViolation,
     TracedCondition,
     TracedLock,
     TracedRLock,
-    checking_sync,
     held_locks,
     lock_order_edges,
-    reset_sync_state,
-    sync_checks_enabled,
     sync_stats,
 )
+from tests.test_checks import assert_env_value, assert_scopes_nest
 
 DIMENSION = 2
 
 
 @pytest.fixture(autouse=True)
-def clean_sync_state(monkeypatch):
+def clean_sync_state(check_env):
     """The order graph is process-global and cumulative: isolate tests.
 
-    Also normalizes ``REPRO_SYNC_CHECKS`` away: these tests pin the
-    *default-off* contract and arm checks explicitly via
-    :func:`checking_sync`, so they must behave identically under CI's
-    concurrency-gate job (which exports the variable suite-wide).
+    Also switches ``REPRO_SYNC_CHECKS`` off: these tests pin the
+    disabled path and arm checks explicitly via ``checking("sync")``, so
+    they must behave identically under CI's sanitizer job (which exports
+    the variable suite-wide).  ``check_env`` resets the checks, and with
+    them the order graph, before and after each test.
     """
-    monkeypatch.delenv(SYNC_ENV_VAR, raising=False)
-    reset_sync_state()
-    yield
-    reset_sync_state()
+    check_env(sync=None)
 
 
 def run_thread(fn):
@@ -75,27 +71,17 @@ def run_thread(fn):
 # ----------------------------------------------------------------------
 class TestToggle:
     def test_disabled_by_default(self):
-        assert not sync_checks_enabled()
         lock = TracedLock("toggle.a")
         with lock:
             pass  # no bookkeeping when disabled...
         assert sync_stats() == {}  # ...so no stats either
 
     def test_checking_sync_scope(self):
-        with checking_sync():
-            assert sync_checks_enabled()
-            with checking_sync():  # nests
-                assert sync_checks_enabled()
-            assert sync_checks_enabled()
-        assert not sync_checks_enabled()
+        assert_scopes_nest("sync")
 
-    def test_env_var_enables(self, monkeypatch):
-        monkeypatch.setenv(SYNC_ENV_VAR, "1")
-        reset_sync_state()  # re-reads the environment
-        assert sync_checks_enabled()
-        monkeypatch.setenv(SYNC_ENV_VAR, "0")
-        reset_sync_state()
-        assert not sync_checks_enabled()
+    def test_env_var_enables(self, check_env):
+        assert_env_value("sync", check_env, "1", True)
+        assert_env_value("sync", check_env, "0", False)
 
     def test_disabled_path_is_plain_lock(self):
         lock = TracedLock("toggle.plain")
@@ -111,7 +97,7 @@ class TestToggle:
 class TestLockOrder:
     def test_inversion_raises_with_cycle(self):
         a, b = TracedLock("order.a"), TracedLock("order.b")
-        with checking_sync():
+        with checking("sync"):
             with a:
                 with b:
                     pass  # teaches the graph a -> b
@@ -138,7 +124,7 @@ class TestLockOrder:
             with b, c:
                 pass
 
-        with checking_sync():
+        with checking("sync"):
             for _ in range(3):
                 consistent()
                 run_thread(consistent)
@@ -146,7 +132,7 @@ class TestLockOrder:
 
     def test_self_deadlock_detected(self):
         lock = TracedLock("self.deadlock")
-        with checking_sync():
+        with checking("sync"):
             with lock:
                 with pytest.raises(LockOrderViolation, match="re-acquired"):
                     lock.acquire()
@@ -155,7 +141,7 @@ class TestLockOrder:
         # acquire(blocking=False) on a lock this thread holds is the
         # single-flight idiom, not a deadlock: it must return False.
         lock = TracedLock("self.tryagain")
-        with checking_sync():
+        with checking("sync"):
             with lock:
                 assert lock.acquire(blocking=False) is False
             assert lock.acquire(blocking=False) is True
@@ -163,7 +149,7 @@ class TestLockOrder:
 
     def test_rlock_reentry_allowed(self):
         lock = TracedRLock("self.reentrant")
-        with checking_sync():
+        with checking("sync"):
             with lock:
                 with lock:
                     assert held_locks() == (
@@ -174,21 +160,21 @@ class TestLockOrder:
 
     def test_same_name_peers_rejected(self):
         first, second = TracedLock("peer.x"), TracedLock("peer.x")
-        with checking_sync():
+        with checking("sync"):
             with first:
                 with pytest.raises(LockOrderViolation, match="same-role"):
                     second.acquire()
 
     def test_cross_thread_held_stacks_independent(self):
         lock = TracedLock("held.mine")
-        with checking_sync():
+        with checking("sync"):
             with lock:
                 assert held_locks() == ("held.mine",)
                 assert run_thread(held_locks) == ()
 
     def test_stats_recorded(self):
         lock = TracedLock("stats.lock")
-        with checking_sync():
+        with checking("sync"):
             with lock:
                 time.sleep(0.002)
             stats = sync_stats()["stats.lock"]
@@ -198,7 +184,7 @@ class TestLockOrder:
 
     def test_nonblocking_contention_returns_false(self):
         lock = TracedLock("contend.lock")
-        with checking_sync():
+        with checking("sync"):
             with lock:
                 assert run_thread(lambda: lock.acquire(blocking=False)) is False
 
@@ -209,7 +195,7 @@ class TestLockOrder:
 class TestCondition:
     def test_notify_requires_lock(self):
         cond = TracedCondition(name="cond.guarded")
-        with checking_sync():
+        with checking("sync"):
             with pytest.raises(RuntimeError, match="without holding"):
                 cond.notify()
             with pytest.raises(RuntimeError, match="without holding"):
@@ -220,13 +206,13 @@ class TestCondition:
         ready = []
 
         def waiter():
-            with checking_sync():
+            with checking("sync"):
                 with cond:
                     while not ready:
                         cond.wait(5.0)
                     return ready[0]
 
-        with checking_sync():
+        with checking("sync"):
             thread = threading.Thread(target=waiter)
             thread.start()
             time.sleep(0.02)
@@ -239,7 +225,7 @@ class TestCondition:
     def test_wait_for_predicate(self):
         cond = TracedCondition(name="cond.predicate")
         flag = []
-        with checking_sync():
+        with checking("sync"):
 
             def setter():
                 time.sleep(0.02)
@@ -258,7 +244,7 @@ class TestCondition:
         observed = []
 
         def prober():
-            with checking_sync():
+            with checking("sync"):
                 time.sleep(0.02)
                 observed.append(cond.acquire(blocking=False))
                 if observed[-1]:
@@ -266,7 +252,7 @@ class TestCondition:
                 with cond:
                     cond.notify_all()
 
-        with checking_sync():
+        with checking("sync"):
             thread = threading.Thread(target=prober)
             thread.start()
             with cond:
@@ -322,7 +308,7 @@ class TestEngineStress:
 
             return run
 
-        with checking_sync():
+        with checking("sync"):
             engine = QueryEngine(
                 database,
                 workers=4,
@@ -411,7 +397,7 @@ class TestClusterStress:
 
             return run
 
-        with checking_sync():
+        with checking("sync"):
             engines = [
                 QueryEngine(database, workers=2, cache_size=16)
                 for database in databases
@@ -514,7 +500,7 @@ class TestSeededInversion:
             except LockOrderViolation as error:
                 caught.append(error)
 
-        with checking_sync():
+        with checking("sync"):
             for body in (writer, evictor):
                 thread = threading.Thread(target=body)
                 thread.start()

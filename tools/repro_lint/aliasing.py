@@ -62,21 +62,18 @@ from tools.repro_lint.model import (
     ModuleContext,
     Rule,
     Violation,
+    bare_waiver_checker,
+    waived,
 )
 
 __all__ = [
     "ALIASING_RULE_SPECS",
-    "ALIAS_OK_WAIVER",
     "FROZEN_ATTR_KINDS",
     "FROZEN_PARAM_NAMES",
     "FROZEN_TYPE_NAMES",
     "MUTATING_METHODS",
     "NARROW_DTYPES",
 ]
-
-#: A reasoned waiver: ``# alias-ok: <reason>`` (reason mandatory).
-ALIAS_OK_WAIVER = re.compile(r"#\s*alias-ok:\s*\S")
-_ALIAS_OK_ANY = re.compile(r"#\s*alias-ok\b")
 
 _KIND_ARRAY = "array"
 _KIND_CONTAINER = "container"
@@ -256,12 +253,6 @@ _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 def _in_scope(context: ModuleContext) -> bool:
     """Library ``repro.*`` modules only; tests and scripts are exempt."""
     return context.is_library and context.layer is not None
-
-
-def _waived(context: ModuleContext, line: int) -> bool:
-    if not 1 <= line <= len(context.source_lines):
-        return False
-    return ALIAS_OK_WAIVER.search(context.source_lines[line - 1]) is not None
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -776,7 +767,7 @@ def _emit(rule: Rule, context: ModuleContext, code: str) -> Iterator[Violation]:
     for event_code, node, message in _module_events(context):
         if event_code != code:
             continue
-        if _waived(context, getattr(node, "lineno", 1)):
+        if waived(context, getattr(node, "lineno", 1), "alias-ok"):
             continue
         yield rule.violation(context, node, message)
 
@@ -830,30 +821,6 @@ def _check_unfreezing(
     yield from _emit(rule, context, "REP306")
 
 
-def _check_bare_waiver(
-    rule: Rule, context: ModuleContext
-) -> Iterator[Violation]:
-    """REP307: ``# alias-ok`` without a reason."""
-    if not _in_scope(context):
-        return
-    for line_number, line in enumerate(context.source_lines, start=1):
-        match = _ALIAS_OK_ANY.search(line)
-        if match is None:
-            continue
-        if ALIAS_OK_WAIVER.search(line) is not None:
-            continue
-        yield Violation(
-            rule=rule.code,
-            message=(
-                "bare '# alias-ok' waiver without a reason; write "
-                "'# alias-ok: <reason>'"
-            ),
-            path=context.path,
-            line=line_number,
-            col=match.start(),
-        )
-
-
 ALIASING_RULE_SPECS: tuple[tuple[str, str, Checker], ...] = (
     (
         "REP300",
@@ -893,6 +860,6 @@ ALIASING_RULE_SPECS: tuple[tuple[str, str, Checker], ...] = (
     (
         "REP307",
         "every # alias-ok waiver carries a reason",
-        _check_bare_waiver,
+        bare_waiver_checker("alias-ok"),
     ),
 )

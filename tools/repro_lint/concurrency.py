@@ -27,18 +27,16 @@ exempt from REP200.
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from tools.repro_lint.model import Checker, ModuleContext, Rule, Violation
+from tools.repro_lint.model import Checker, ModuleContext, Rule, Violation, waived
 
 __all__ = [
     "BLOCKING_CALLS",
     "BLOCKING_METHODS",
     "CONCURRENCY_RULE_SPECS",
     "MODULE_LOCK_ORDER",
-    "THREAD_SAFE_WAIVER",
 ]
 
 # Layers whose library modules carry the concurrency obligations.  The
@@ -90,9 +88,6 @@ BLOCKING_METHODS: frozenset[str] = frozenset(
     {"connect", "request", "getresponse"}
 )
 
-# ``# thread-safe: <reason>`` — the REP200 waiver; a reason is required.
-THREAD_SAFE_WAIVER = re.compile(r"#\s*thread-safe:\s*\S")
-
 # Constructors that produce a lock-like guard when assigned to ``self``.
 _LOCK_FACTORIES = frozenset(
     {"Lock", "RLock", "TracedLock", "TracedRLock"}
@@ -100,6 +95,9 @@ _LOCK_FACTORIES = frozenset(
 _CONDITION_FACTORIES = frozenset({"Condition", "TracedCondition"})
 _RAW_FACTORIES = frozenset({"Lock", "RLock", "Condition"})
 _CONDITION_METHODS = frozenset({"wait", "wait_for", "notify", "notify_all"})
+
+# ``# thread-safe: <reason>`` waives any REP2xx finding on its line.
+_WAIVER = "thread-safe"
 
 
 def _in_scope(context: ModuleContext) -> bool:
@@ -296,13 +294,6 @@ def _own_calls(statement: ast.stmt) -> Iterator[ast.Call]:
             yield node
 
 
-def _waived(context: ModuleContext, node: ast.AST) -> bool:
-    line = getattr(node, "lineno", 0)
-    if not 1 <= line <= len(context.source_lines):
-        return False
-    return THREAD_SAFE_WAIVER.search(context.source_lines[line - 1]) is not None
-
-
 def _check_guarded_mutation(
     rule: "Rule", context: ModuleContext
 ) -> Iterator[Violation]:
@@ -345,7 +336,7 @@ def _check_guarded_mutation(
                     for frame in frames
                     if frame.attr is not None
                 )
-                if guarded or _waived(context, statement):
+                if guarded or waived(context, statement.lineno, _WAIVER):
                     continue
                 yield rule.violation(
                     context,
@@ -454,7 +445,7 @@ def _check_blocking_under_lock(
                         name = name or f"<connection>.{node.func.attr}"
                     elif name not in BLOCKING_CALLS:
                         continue
-                    if not _waived(context, node):
+                    if not waived(context, node.lineno, _WAIVER):
                         holder = next(
                             frame for frame in frames if frame.lockish
                         )
@@ -490,7 +481,7 @@ def _check_raw_primitives(
             # Bare names count only when imported from threading.
             if _imports_from_threading(context, node.func.id):
                 name = node.func.id
-        if name in _RAW_FACTORIES and not _waived(context, node):
+        if name in _RAW_FACTORIES and not waived(context, node.lineno, _WAIVER):
             traced = {
                 "Lock": "TracedLock",
                 "RLock": "TracedRLock",
@@ -617,14 +608,15 @@ def _check_manual_acquire(
                 ):
                     acquires.append(node)
             for node in acquires:
-                if not has_finally_release and not _waived(context, node):
-                    yield rule.violation(
-                        context,
-                        node,
-                        "manual lock acquire() without a release() in a "
-                        "finally block in the same function; prefer "
-                        "'with', or guarantee the release",
-                    )
+                if has_finally_release or waived(context, node.lineno, _WAIVER):
+                    continue
+                yield rule.violation(
+                    context,
+                    node,
+                    "manual lock acquire() without a release() in a "
+                    "finally block in the same function; prefer "
+                    "'with', or guarantee the release",
+                )
 
 
 # (code, summary, checker) triples; tools.repro_lint.rules wraps these

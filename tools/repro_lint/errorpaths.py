@@ -51,7 +51,6 @@ intra-procedural — the runtime sanitizer checks what actually happens.
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterator
 from functools import lru_cache
 from pathlib import Path
@@ -61,23 +60,20 @@ from tools.repro_lint.model import (
     ModuleContext,
     Rule,
     Violation,
+    bare_waiver_checker,
+    waived,
 )
 
 __all__ = [
     "ALLOWED_PUBLIC_RAISES",
     "CANCELLATION_TYPES",
     "ERRORPATH_RULE_SPECS",
-    "ERROR_OK_WAIVER",
     "ERROR_TAXONOMY",
     "NON_IDEMPOTENT_METHODS",
     "fault_registry",
     "parse_fault_registry",
     "injected_literals",
 ]
-
-#: A reasoned waiver: ``# error-ok: <reason>`` (reason mandatory).
-ERROR_OK_WAIVER = re.compile(r"#\s*error-ok:\s*\S")
-_ERROR_OK_ANY = re.compile(r"#\s*error-ok\b")
 
 #: The serving layer's typed-error taxonomy (``repro.service.errors``).
 ERROR_TAXONOMY: frozenset[str] = frozenset(
@@ -157,12 +153,6 @@ _REQUEST_LAYERS = frozenset({"bench", "cluster", "service"})
 def _in_scope(context: ModuleContext) -> bool:
     """Library ``repro.*`` modules only; tests and scripts are exempt."""
     return context.is_library and context.layer is not None
-
-
-def _waived(context: ModuleContext, line: int) -> bool:
-    if not 1 <= line <= len(context.source_lines):
-        return False
-    return ERROR_OK_WAIVER.search(context.source_lines[line - 1]) is not None
 
 
 def _last_name(node: ast.expr) -> str | None:
@@ -547,7 +537,7 @@ def _emit(rule: Rule, context: ModuleContext, code: str) -> Iterator[Violation]:
     for event_code, node, message in _module_events(context):
         if event_code != code:
             continue
-        if _waived(context, getattr(node, "lineno", 1)):
+        if waived(context, getattr(node, "lineno", 1), "error-ok"):
             continue
         yield rule.violation(context, node, message)
 
@@ -601,30 +591,6 @@ def _check_fault_registry(
     yield from _emit(rule, context, "REP406")
 
 
-def _check_bare_waiver(
-    rule: Rule, context: ModuleContext
-) -> Iterator[Violation]:
-    """REP407: ``# error-ok`` without a reason."""
-    if not _in_scope(context):
-        return
-    for line_number, line in enumerate(context.source_lines, start=1):
-        match = _ERROR_OK_ANY.search(line)
-        if match is None:
-            continue
-        if ERROR_OK_WAIVER.search(line) is not None:
-            continue
-        yield Violation(
-            rule=rule.code,
-            message=(
-                "bare '# error-ok' waiver without a reason; write "
-                "'# error-ok: <reason>'"
-            ),
-            path=context.path,
-            line=line_number,
-            col=match.start(),
-        )
-
-
 ERRORPATH_RULE_SPECS: tuple[tuple[str, str, Checker], ...] = (
     (
         "REP400",
@@ -664,6 +630,6 @@ ERRORPATH_RULE_SPECS: tuple[tuple[str, str, Checker], ...] = (
     (
         "REP407",
         "every # error-ok waiver carries a reason",
-        _check_bare_waiver,
+        bare_waiver_checker("error-ok"),
     ),
 )

@@ -1,10 +1,12 @@
 """Shared data model for the linter: rules, violations, module context.
 
 Everything the rule families (``rules.py`` REP1xx, ``concurrency.py``
-REP2xx, ``aliasing.py`` REP3xx) share lives here so none of them has to
-import another family: :class:`Rule` (code, summary, checker, waiver
-syntax), :class:`Violation`, :class:`ModuleContext`, and the
-distance-name lexicon several rules key on.
+REP2xx, ``aliasing.py`` REP3xx, ``errorpaths.py`` REP4xx) share lives
+here so none of them has to import another family: :class:`Rule` (code,
+summary, checker, waiver syntax), :class:`Violation`,
+:class:`ModuleContext`, the reasoned-waiver grammar (:func:`waived`,
+:func:`bare_waiver_checker`), and the distance-name lexicon several rules
+key on.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import ast
 import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 __all__ = [
@@ -21,6 +24,8 @@ __all__ = [
     "ModuleContext",
     "Rule",
     "Violation",
+    "bare_waiver_checker",
+    "waived",
 ]
 
 _DISABLE_PATTERN = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9,\s]+)")
@@ -123,3 +128,47 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
         )
+
+
+@lru_cache(maxsize=None)
+def _waiver_patterns(tag: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """``# <tag>: <reason>`` (reason mandatory) and any ``# <tag>``."""
+    escaped = re.escape(tag)
+    return (
+        re.compile(rf"#\s*{escaped}:\s*\S"),
+        re.compile(rf"#\s*{escaped}\b"),
+    )
+
+
+def waived(context: ModuleContext, line: int, tag: str) -> bool:
+    """Whether source ``line`` carries a reasoned ``# <tag>: <reason>``."""
+    if not 1 <= line <= len(context.source_lines):
+        return False
+    reasoned, _ = _waiver_patterns(tag)
+    return reasoned.search(context.source_lines[line - 1]) is not None
+
+
+def bare_waiver_checker(tag: str) -> Checker:
+    """The rule that flags a ``# <tag>`` waiver written without a reason
+    in library ``repro.*`` code (such a waiver waives nothing)."""
+    reasoned, anywhere = _waiver_patterns(tag)
+
+    def check(rule: Rule, context: ModuleContext) -> Iterator[Violation]:
+        if not context.is_library or context.layer is None:
+            return
+        for line_number, line in enumerate(context.source_lines, start=1):
+            match = anywhere.search(line)
+            if match is None or reasoned.search(line) is not None:
+                continue
+            yield Violation(
+                rule=rule.code,
+                message=(
+                    f"bare '# {tag}' waiver without a reason; write "
+                    f"'# {tag}: <reason>'"
+                ),
+                path=context.path,
+                line=line_number,
+                col=match.start(),
+            )
+
+    return check
