@@ -30,10 +30,14 @@ a corpus that interleaves writes with reads.
 from __future__ import annotations
 
 import itertools
+import json
 import mmap
-from collections.abc import Iterable, Iterator, Sequence
+import os
+import zipfile
+import zlib
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 
@@ -48,12 +52,11 @@ from repro.core.partitioning import (
 )
 from repro.core.sequence import MultidimensionalSequence
 from repro.util.budget import checkpoint
+from repro.util.checks import CONTRACTS
 from repro.util.freeze import FrozenDict, freeze
 from repro.util.validation import check_threshold
 
 if TYPE_CHECKING:
-    import os
-
     import numpy.typing as npt
 
     SequenceLike = MultidimensionalSequence | npt.ArrayLike
@@ -378,8 +381,7 @@ class SequenceDatabase:
             cost_constant=self.cost_constant,
             max_points=self.max_points,
         )
-        self._partitions[sequence_id] = partition
-        self._written(sequence_id)
+        self._store(sequence_id, partition)
         return sequence_id
 
     def add_all(self, sequences: Iterable[SequenceLike]) -> list[object]:
@@ -416,7 +418,13 @@ class SequenceDatabase:
         new_partition = old_partition.extended_to(
             extended, max_points=self.max_points
         )
-        self._partitions[sequence_id] = new_partition
+        self._store(sequence_id, new_partition)
+
+    def _store(self, sequence_id: object, partition: PartitionedSequence) -> None:
+        """Store ``partition`` under ``sequence_id`` and record the write:
+        the one step :meth:`add`, :meth:`append_points` and :meth:`load`
+        share."""
+        self._partitions[sequence_id] = partition
         self._written(sequence_id)
 
     def _written(self, sequence_id: object) -> None:
@@ -597,22 +605,26 @@ class SequenceDatabase:
     def save(self, path: PathLike) -> None:
         """Persist the database to an ``.npz`` archive, crash-safely.
 
-        Stored: the configuration and every sequence's points and id —
-        nothing derived, so nothing that can be torn or stale on disk;
-        :meth:`load` partitions the sequences again and the index is built
-        on first use.  Sequence ids are stored via ``repr`` round-tripping
-        for the common id types (str, int); exotic id objects — ``bool``
-        among them, which would come back as a string — are rejected.
+        Stored, as uncompressed members: every sequence's points as one
+        row-major ``points`` block with ``point_offsets``, every segment's
+        point count as one ``segment_counts`` column with
+        ``segment_offsets`` (first segment of each sequence), and ``_meta``
+        — the configuration and the ids.  The MBR corners are not stored:
+        :meth:`load` takes them from the points, which is cheaper than
+        reading them and leaves nothing on disk that could disagree with
+        the points.  The index is not stored either; it is derived on
+        first use.  Sequence ids are stored via ``repr`` round-tripping for
+        the common id types (str, int); exotic id objects — ``bool`` among
+        them, which would come back as a string — are rejected.
 
-        The archive is written to a temporary file in the target
-        directory, fsynced, and atomically renamed into place
-        (``os.replace``) — a crash at any point during a save leaves
-        either the old archive or the new one, never a torn file.  This
-        is what lets the serving layer's checkpoint overwrite its
-        snapshot in place (:mod:`repro.service.wal`).
+        The point block is streamed into its member one sequence at a
+        time, never concatenated in memory.  The archive is written to a
+        temporary file in the target directory, fsynced, and atomically
+        renamed into place (``os.replace``) — a crash at any point during a
+        save leaves either the old archive or the new one, never a torn
+        file.  This is what lets the serving layer's checkpoint overwrite
+        its snapshot in place (:mod:`repro.service.wal`).
         """
-        import json
-
         ids = list(self._partitions)
         for sequence_id in ids:
             if not isinstance(sequence_id, (str, int)) or isinstance(
@@ -630,21 +642,25 @@ class SequenceDatabase:
             "max_entries": self.max_entries,
             "ids": [[type(i).__name__, str(i)] for i in ids],
         }
+        parts = list(self._partitions.values())
         arrays = {
-            f"sequence_{ordinal}": self._partitions[sequence_id].sequence.points
-            for ordinal, sequence_id in enumerate(ids)
+            "_meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            "point_offsets": _offsets([len(part.sequence) for part in parts]),
+            "segment_counts": np.concatenate(
+                [np.empty(0, dtype=np.int64), *(part.counts for part in parts)]
+            ),
+            "segment_offsets": _offsets([len(part) for part in parts]),
         }
-        arrays["_meta"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
+        blocks = [part.sequence.points for part in parts]
+        self._write_archive_atomically(
+            path, lambda handle: _write_npz(handle, arrays, blocks, self.dimension)
         )
-        self._write_archive_atomically(path, arrays)
 
     @staticmethod
     def _write_archive_atomically(
-        path: PathLike, arrays: dict[str, Any]
+        path: PathLike, write: Callable[[BinaryIO], None]
     ) -> None:
-        """Write ``arrays`` as an npz at ``path`` via temp file + replace."""
-        import os
+        """Run ``write`` on a temp file, then replace ``path`` with it."""
         from pathlib import Path as _Path
 
         from repro.util.faults import inject
@@ -657,7 +673,7 @@ class SequenceDatabase:
         temp = target.with_name(f".{target.name}.tmp-{os.getpid()}")
         try:
             with open(temp, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
+                write(handle)
                 handle.flush()
                 os.fsync(handle.fileno())
             inject("database.save.replace")
@@ -681,28 +697,179 @@ class SequenceDatabase:
     def load(cls, path: PathLike) -> "SequenceDatabase":
         """Rebuild a database saved with :meth:`save`.
 
-        Sequences are added in the saved order, so every derived structure
-        — a tree's node layout included, hence its node-access counts —
-        comes out as in the database that was saved.  The ``_index``
-        member of archives written before the index was derived state is
-        not read.
-        """
-        import json
+        Each partition is rebuilt from its stored counts, its MBR corners
+        from its points (:meth:`PartitionedSequence._of_counts`); MCOST
+        does not run.  Sequences come back in the saved order, so every
+        derived structure — a tree's node layout included, hence its
+        node-access counts — comes out as in the database that was saved.
 
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(bytes(archive["_meta"]).decode())
-            database = cls(
-                dimension=int(meta["dimension"]),
-                cost_constant=float(meta["cost_constant"]),
-                max_points=(
-                    None if meta["max_points"] is None else int(meta["max_points"])
-                ),
-                index_kind=meta["index_kind"],
-                max_entries=int(meta["max_entries"]),
-            )
-            for ordinal, (type_name, raw) in enumerate(meta["ids"]):
-                database.add(
-                    archive[f"sequence_{ordinal}"],
-                    sequence_id=int(raw) if type_name == "int" else raw,
+        The stored counts are trusted only after their structure is
+        checked: every count at least 1 and at most ``max_points``, each
+        sequence's counts summing to its length, the offsets increasing
+        and in range.  A violation, like an archive whose CRC-32 check
+        fails, is a ``ValueError`` naming the file.  Under the
+        ``contracts`` check (:mod:`repro.util.checks`) every partition is
+        also compared with a fresh MCOST pass, and a difference raises
+        :class:`~repro.core.contracts.ContractViolation`.
+
+        Archives in the older per-sequence layout (one ``sequence_<i>``
+        member each, compressed) load by partitioning every sequence
+        again; the ``_index`` member of archives written before the index
+        was derived state is not read.
+        """
+        name = os.fspath(path)
+        try:
+            with zipfile.ZipFile(name) as archive:
+                damaged = archive.testzip()
+            if damaged is not None:
+                raise zipfile.BadZipFile(f"member {damaged!r} fails its CRC-32 check")
+            with np.load(name, allow_pickle=False) as archive:
+                meta = json.loads(bytes(archive["_meta"]).decode())
+                per_sequence = "points" not in archive.files
+                members = (
+                    [f"sequence_{ordinal}" for ordinal in range(len(meta["ids"]))]
+                    if per_sequence
+                    else ["points", "point_offsets", "segment_counts", "segment_offsets"]
                 )
+                stored = [archive[member] for member in members]
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError, zlib.error) as error:
+            raise ValueError(f"{name}: unreadable database archive: {error}") from error
+
+        database = cls(
+            dimension=int(meta["dimension"]),
+            cost_constant=float(meta["cost_constant"]),
+            max_points=(
+                None if meta["max_points"] is None else int(meta["max_points"])
+            ),
+            index_kind=meta["index_kind"],
+            max_entries=int(meta["max_entries"]),
+        )
+        ids = [int(raw) if kind == "int" else raw for kind, raw in meta["ids"]]
+        if per_sequence:
+            for sequence_id, points in zip(ids, stored):
+                database.add(points, sequence_id=sequence_id)
+            return database
+        for sequence_id, partition in zip(
+            ids, _stored_partitions(name, database, ids, *stored)
+        ):
+            database._store(sequence_id, partition)
+        if CONTRACTS.on:
+            _check_against_mcost(name, database)
         return database
+
+
+def _offsets(sizes: list[int]) -> np.ndarray:
+    """``[0, s0, s0 + s1, ...]``: where each of the runs of ``sizes`` starts,
+    and one past the last."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _write_npz(
+    handle: BinaryIO,
+    arrays: dict[str, np.ndarray],
+    blocks: list[np.ndarray],
+    dimension: int,
+) -> None:
+    """An uncompressed ``.npz`` on ``handle``: each of ``arrays`` as a
+    member, and a ``points`` member holding the float64 ``(m, dimension)``
+    ``blocks`` stacked row-wise — written block by block, so the stack is
+    never in memory."""
+    header = {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "fortran_order": False,
+        "shape": (sum(len(block) for block in blocks), dimension),
+    }
+    with zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for member, array in arrays.items():
+            with archive.open(f"{member}.npy", "w", force_zip64=True) as stream:
+                np.lib.format.write_array(stream, array, allow_pickle=False)
+        with archive.open("points.npy", "w", force_zip64=True) as stream:
+            np.lib.format.write_array_header_1_0(stream, header)
+            for block in blocks:
+                stream.write(block)  # C-contiguous: no copy
+
+
+def _stored_partitions(
+    name: str,
+    database: SequenceDatabase,
+    ids: list[object],
+    points: np.ndarray,
+    point_offsets: np.ndarray,
+    counts: np.ndarray,
+    segment_offsets: np.ndarray,
+) -> list[PartitionedSequence]:
+    """The partitions an archive stores, after checking that its members
+    fit together; a mismatch is a ``ValueError`` naming the file ``name``."""
+
+    def require(holds: object, what: str) -> None:
+        if not holds:
+            raise ValueError(f"{name}: corrupt database archive: {what}")
+
+    sequences = len(ids)
+    require(len(set(ids)) == sequences, "duplicate sequence ids")
+    require(
+        points.dtype == np.float64
+        and points.ndim == 2
+        and points.shape[1] == database.dimension,
+        f"points are {points.dtype} {points.shape}, expected float64 "
+        f"(m, {database.dimension})",
+    )
+    for label, offsets, total in (
+        ("point_offsets", point_offsets, len(points)),
+        ("segment_offsets", segment_offsets, len(counts)),
+    ):
+        require(
+            offsets.dtype == np.int64
+            and offsets.shape == (sequences + 1,)
+            and offsets[0] == 0
+            and offsets[-1] == total
+            and (np.diff(offsets) >= 1).all(),
+            f"{label} are not {sequences + 1} increasing offsets from 0 to "
+            f"{total}",
+        )
+    require(
+        counts.dtype == np.int64 and counts.ndim == 1 and (counts >= 1).all(),
+        "segment_counts are not all positive int64 counts",
+    )
+    require(
+        database.max_points is None or (counts <= database.max_points).all(),
+        f"a segment count exceeds max_points {database.max_points}",
+    )
+    require(
+        sequences == 0
+        or np.array_equal(
+            np.add.reduceat(counts, segment_offsets[:-1]), np.diff(point_offsets)
+        ),
+        "segment_counts do not sum to the sequence lengths",
+    )
+    point_at, segment_at = point_offsets.tolist(), segment_offsets.tolist()
+    return [
+        PartitionedSequence._of_counts(
+            MultidimensionalSequence(points[point_at[row] : point_at[row + 1]]),
+            counts[segment_at[row] : segment_at[row + 1]],
+            database.cost_constant,
+        )
+        for row in range(sequences)
+    ]
+
+
+def _check_against_mcost(name: str, database: SequenceDatabase) -> None:
+    """The ``contracts`` check of a loaded archive: every stored partition
+    is the one the greedy MCOST pass gives its points.  Structure alone is
+    not enough — ``Dnorm`` and the solution intervals read the tiling
+    itself, so a valid but different one is a silently different answer."""
+    for sequence_id, stored in database.partitions():
+        expected = partition_sequence(
+            stored.sequence,
+            cost_constant=database.cost_constant,
+            max_points=database.max_points,
+        )
+        for field in ("counts", "low_matrix", "high_matrix"):
+            mine, theirs = getattr(stored, field), getattr(expected, field)
+            if mine.shape != theirs.shape or mine.tobytes() != theirs.tobytes():
+                raise ContractViolation(
+                    f"{name}: the stored partition of sequence {sequence_id!r} "
+                    f"is not the one MCOST gives its points ({field} differ)"
+                )

@@ -219,6 +219,51 @@ class PartitionedSequence:
         )
         return partition
 
+    @classmethod
+    def _of_counts(
+        cls,
+        sequence: MultidimensionalSequence,
+        counts: np.ndarray,
+        cost_constant: float,
+    ) -> "PartitionedSequence":
+        """The partition of ``sequence`` into consecutive runs of ``counts``
+        points, each run's MBR taken from its points: what a stored
+        partition is loaded as, without running the greedy pass again.
+
+        The caller has checked that ``counts`` are positive and sum to the
+        sequence's length.  The corners equal the greedy pass's to the bit
+        when the counts are its own; that they are is not re-checked.
+        """
+        points = sequence.points
+        starts = np.cumsum(counts) - counts
+        lows = np.minimum.reduceat(points, starts)
+        highs = np.maximum.reduceat(points, starts)
+        if (np.signbit(points) & (points >= 0.0)).any():
+            # A -0.0 (sign bit set, yet not below zero).  Of two equal
+            # values NumPy keeps the later, the greedy pass (Python's min /
+            # max) the earlier: the corners differ only in the sign of a
+            # zero, so a sequence holding -0.0 takes the Python path for
+            # every segment.
+            for segment, (start, count) in enumerate(
+                zip(starts.tolist(), counts.tolist())
+            ):
+                columns = list(zip(*points[start : start + count].tolist()))
+                lows[segment] = [min(column) for column in columns]
+                highs[segment] = [max(column) for column in columns]
+        cells = (
+            counts.tolist(),
+            list(map(tuple, lows.tolist())),
+            list(map(tuple, highs.tolist())),
+        )
+        return cls._trusted(
+            sequence,
+            _segments_of(cells, first_index=0, first_start=0),
+            counts,
+            lows,
+            highs,
+            cost_constant,
+        )
+
     def extended_to(
         self,
         sequence: MultidimensionalSequence,

@@ -926,7 +926,10 @@ class ServiceClient:
                     return self._dial()
                 connection = self._pool.pop()
             # Readable while idle is EOF (the peer closed) or stray bytes
-            # (a desynchronised stream): unusable either way.
-            if not select.select([connection.sock], [], [], 0)[0]:
+            # (a desynchronised stream): unusable either way.  poll, not
+            # select: select rejects a descriptor numbered 1024 or more.
+            probe = select.poll()
+            probe.register(connection.sock, select.POLLIN)
+            if not probe.poll(0):
                 return connection
             connection.close()

@@ -223,14 +223,23 @@ def request_budget(headers: Any, body: dict | None) -> float | None:
     header is what a budget-aware client re-stamps on every attempt, so
     when both disagree the header is the *fresher* number — but taking
     the min keeps the server honest against either field lying large.
+    Either must be a finite positive number of seconds; anything else
+    (NaN, ±inf, ≤ 0) is a ``ValueError``, hence a 400.
     """
     candidates = []
-    timeout = None if body is None else body.get("timeout")
-    if timeout is not None:
-        candidates.append(float(timeout))
-    header = headers.get("X-Repro-Budget")
-    if header is not None:
-        candidates.append(float(header))
+    for source, raw in (
+        ("body timeout", None if body is None else body.get("timeout")),
+        ("X-Repro-Budget", headers.get("X-Repro-Budget")),
+    ):
+        if raw is None:
+            continue
+        budget = float(raw)
+        if not math.isfinite(budget) or budget <= 0:
+            raise ValueError(
+                f"{source} must be a finite positive number of seconds, "
+                f"got {raw!r}"
+            )
+        candidates.append(budget)
     return min(candidates) if candidates else None
 
 

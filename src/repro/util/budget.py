@@ -31,6 +31,7 @@ never inherit the submitting thread's context anyway.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections.abc import Iterator
@@ -83,11 +84,15 @@ class Deadline:
 
     @classmethod
     def after(cls, budget: float | None) -> "Deadline":
-        """A deadline ``budget`` seconds from now (``None`` = unbounded)."""
+        """A deadline ``budget`` seconds from now (``None`` = unbounded).
+
+        ``budget`` must be finite and positive: an infinite one is spelled
+        ``None``, and a NaN would make a deadline that never expires.
+        """
         if budget is None:
             return cls(None)
-        if budget <= 0:
-            raise ValueError(f"budget must be positive, got {budget}")
+        if not math.isfinite(budget) or budget <= 0:
+            raise ValueError(f"budget must be finite and positive, got {budget}")
         return cls(time.monotonic() + budget)
 
     def remaining(self) -> float | None:

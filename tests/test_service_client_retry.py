@@ -11,6 +11,7 @@ the test says so) and against the real server in ``test_service_http.py``.
 import contextlib
 import http.client
 import json
+import os
 import random
 import socket
 import socketserver
@@ -542,6 +543,32 @@ class TestPooledTransport:
             assert stats["reconnects"] == 0
             assert stats["transport_errors"] == 0
             assert parked.sock is None
+
+    def test_idle_check_works_past_descriptor_1024(self):
+        """``select.select`` rejects a descriptor numbered 1024 or more:
+        the second call, the first that checks a parked socket, raised an
+        untyped ``ValueError`` in a process with that many files open."""
+        resource = pytest.importorskip("resource")
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if hard != resource.RLIM_INFINITY and hard < 2048:
+            pytest.skip(f"hard RLIMIT_NOFILE {hard} < 2048")
+        resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, 2048), hard))
+        filler: list[int] = []
+        try:
+            while not filler or filler[-1] < 1100:
+                filler.append(os.open(os.devnull, os.O_RDONLY))
+            with ScriptedPeer() as peer, ServiceClient(
+                peer.url, timeout=2.0
+            ) as client:
+                assert client.healthz()["connection"] == 1
+                (parked,) = client._pool
+                assert parked.sock.fileno() >= 1024
+                assert client.healthz()["connection"] == 1
+                assert client.transport_stats()["connections_opened"] == 1
+        finally:
+            for descriptor in filler:
+                os.close(descriptor)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
     def test_read_on_a_dead_reused_connection_is_resent_once(self):
         """The race the idle check cannot close: the FIN is in flight."""

@@ -6,6 +6,7 @@ worker count, cache on or off — and under concurrent writes every reader
 observes some *published* snapshot, never a torn intermediate state.
 """
 
+import math
 import threading
 import time
 
@@ -542,6 +543,15 @@ class TestLifecycleAndValidation:
                 engine.knn(rng.random((6, 2)), 0)
             with pytest.raises(ValueError):
                 engine.search(rng.random((6, 3)), 0.1)  # wrong dimension
+
+    def test_a_non_finite_timeout_is_rejected_before_admission(self, rng):
+        """A NaN budget used to make a deadline that never expires (and
+        ``inf`` one no wait could take)."""
+        with QueryEngine(build_database(rng, count=2), workers=1) as engine:
+            for budget in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    engine.search(rng.random((6, 2)), 0.1, timeout=budget)
+            assert engine.stats()["requests_total"] == 0
 
     def test_dimension_and_len(self, rng):
         with QueryEngine(build_database(rng, count=3), workers=1) as engine:

@@ -58,13 +58,13 @@ def served(rng):
     engine.close()
 
 
-def post_status(client, path, body):
+def post_status(client, path, body, headers=()):
     """Raw POST returning the HTTP status code."""
     request = urllib.request.Request(
         client.base_url + path,
         data=json.dumps(body).encode(),
         method="POST",
-        headers={"Content-Type": "application/json"},
+        headers={"Content-Type": "application/json", **dict(headers)},
     )
     try:
         with urllib.request.urlopen(request, timeout=10.0) as reply:
@@ -173,6 +173,25 @@ class TestErrorMapping:
         assert post_status(client, "/search", {"points": points, "epsilon": 0.5, "timeout": -2}) == 400
         with pytest.raises(ValueError):
             client.search(points, -1.0)
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_a_non_finite_or_non_positive_budget_is_400(self, rng, served, where, budget):
+        """At the parent, ``inf`` in the header was a 500 (``OverflowError``),
+        ``NaN`` in the body a 504 and ``nan`` in the header a 200 served
+        under a deadline that never expires."""
+        engine, client = served
+        body = {"points": rng.random((10, 2)).tolist(), "epsilon": 0.5}
+        headers = {}
+        if where == "header":
+            headers["X-Repro-Budget"] = budget
+        else:
+            body["timeout"] = float(budget)  # json writes NaN / Infinity
+        completed = engine.stats()["completed"]
+        for path in ("/search", "/knn"):
+            payload = dict(body, k=2) if path == "/knn" else body
+            assert post_status(client, path, payload, headers) == 400
+        assert engine.stats()["completed"] == completed
 
     def test_unknown_route_is_404(self, served):
         _, client = served

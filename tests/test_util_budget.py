@@ -47,6 +47,12 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline.after(-1.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_budget_rejected(self, budget):
+        """An unbounded deadline is ``None``; NaN would never expire."""
+        with pytest.raises(ValueError, match="finite"):
+            Deadline.after(budget)
+
     def test_expired(self):
         deadline = Deadline(time.monotonic() - 0.01)
         assert deadline.expired()

@@ -12,7 +12,12 @@ The full durability loop, through the real CLI and real processes:
    to be visible;
 5. tier-1 parity: a range search against the recovered server must return
    exactly what a never-crashed in-process engine returns on the same
-   logical state.
+   logical state;
+6. restart from a ``snapshot.npz`` in the older per-sequence archive
+   layout (one ``sequence_<i>`` member each): parity again, then
+   ``SIGTERM`` — the checkpoint written on close must be in the current
+   layout (one point block plus stored segment counts), and a second boot
+   from it must give the same answers.
 
 Usage::
 
@@ -75,6 +80,98 @@ def _boot(arguments: list[str], env: dict[str, str]) -> tuple:
         server.kill()
         raise RuntimeError(f"no address banner in: {banner!r}")
     return server, f"http://{match.group(1)}:{match.group(2)}"
+
+
+def _stop(server: subprocess.Popen, signum: int, what: str) -> None:
+    """Signal ``server`` and require a clean exit within 15 s."""
+    server.send_signal(signum)
+    deadline = time.monotonic() + 15
+    while server.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.1)
+    if server.poll() != 0:
+        raise RuntimeError(
+            f"{what} did not exit cleanly (returncode={server.poll()})"
+        )
+
+
+def _write_old_layout(database, path: Path) -> None:
+    """``database`` as archives were written before the point block: one
+    compressed ``sequence_<i>`` member per sequence beside ``_meta``."""
+    import json
+
+    import numpy as np
+
+    ids = database.ids()
+    meta = {
+        "dimension": database.dimension,
+        "cost_constant": database.cost_constant,
+        "max_points": database.max_points,
+        "index_kind": database.index_kind,
+        "max_entries": database.max_entries,
+        "ids": [[type(i).__name__, str(i)] for i in ids],
+    }
+    members = {
+        f"sequence_{ordinal}": database.sequence(sequence_id).points
+        for ordinal, sequence_id in enumerate(ids)
+    }
+    members["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez_compressed(path, **members)
+
+
+def _old_layout_leg(tmp: Path, corpus: Path, env: dict[str, str]) -> None:
+    """Boot from an old-layout snapshot, then from the checkpoint that
+    boot wrote on close: the same answers as a never-crashed engine, and
+    the second archive in the current layout."""
+    import numpy as np
+
+    from repro.core.database import SequenceDatabase
+    from repro.core.search import SimilaritySearch
+    from repro.service.client import ServiceClient
+
+    reference = SequenceDatabase.load(corpus)
+    data_dir = tmp / "old-layout"
+    data_dir.mkdir()
+    snapshot = data_dir / "snapshot.npz"
+    _write_old_layout(reference, snapshot)
+    queries = np.random.default_rng(2001).random((3, 25, reference.dimension))
+    search = SimilaritySearch(reference)
+    expected = [
+        list(search.search(query, epsilon).answers)
+        for query in queries
+        for epsilon in (0.5, 0.25)
+    ]
+    for boot in ("old-layout snapshot", "its checkpoint"):
+        server, base_url = _boot(["--data-dir", str(data_dir)], env)
+        try:
+            client = ServiceClient(base_url, timeout=10.0)
+            stats = client.stats()
+            if stats["snapshot_version"] != stats["durability"]["wal_last_seq"]:
+                raise RuntimeError(
+                    f"boot from the {boot}: snapshot version "
+                    f"{stats['snapshot_version']} != WAL seq {stats['durability']}"
+                )
+            served = [
+                client.search(query, epsilon)["answers"]
+                for query in queries
+                for epsilon in (0.5, 0.25)
+            ]
+            if served != expected:
+                raise RuntimeError(
+                    f"parity failure after a boot from the {boot}: served "
+                    f"{served}, expected {expected}"
+                )
+            client.close()
+            _stop(server, signal.SIGTERM, f"server booted from the {boot}")
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=10)
+        with np.load(snapshot) as archive:
+            layout = sorted(archive.files)
+        if layout != [
+            "_meta", "point_offsets", "points", "segment_counts", "segment_offsets"
+        ]:
+            raise RuntimeError(f"checkpoint on close wrote members {layout}")
 
 
 def main() -> int:
@@ -163,24 +260,19 @@ def main() -> int:
                         f"{served['answers']}, expected {expected.answers}"
                     )
 
-            server.send_signal(signal.SIGINT)
-            deadline = time.monotonic() + 15
-            while server.poll() is None and time.monotonic() < deadline:
-                time.sleep(0.1)
-            if server.poll() != 0:
-                raise RuntimeError(
-                    f"recovered server did not exit cleanly "
-                    f"(returncode={server.poll()})"
-                )
+            _stop(server, signal.SIGINT, "recovered server")
         finally:
             if server.poll() is None:
                 server.kill()
                 server.wait(timeout=10)
 
+        _old_layout_leg(Path(tmp), corpus, env_checked)
+
     print(
         "crash smoke OK: kill -9 mid-serve, restart from WAL, all "
         "acknowledged writes present, search parity with a never-crashed "
-        "engine (contracts on)"
+        "engine (contracts on); an old-layout snapshot boots with parity "
+        "and is checkpointed in the current layout"
     )
     return 0
 
