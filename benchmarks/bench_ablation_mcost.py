@@ -6,14 +6,27 @@ This bench re-runs it: the constant is swept over 0.1-0.5 (and the point
 cap over three values) on a scaled-down corpus, and for each setting the
 estimated total access cost, segment count and the end-to-end pruning rate
 of a small query batch are reported.
+
+``test_mcost_pass_timing`` times the pass itself: the scalar reference
+(one Python step per point) against the windowed pass that runs, on five
+input families.
 """
+
+import time
 
 import numpy as np
 
 from benchmarks.conftest import publish
 from repro.analysis.experiment import ExperimentConfig, ExperimentRunner
 from repro.analysis.report import format_table
-from repro.core.partitioning import partition_sequence
+from repro.core.partitioning import (
+    DEFAULT_COST_CONSTANT,
+    DEFAULT_MAX_POINTS,
+    _partition_rows,
+    _scalar_pass,
+    partition_sequence,
+)
+from repro.datagen import generate_queries, generate_video_corpus
 from repro.datagen.fractal import generate_fractal_corpus
 
 CONSTANTS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -118,3 +131,89 @@ def test_segment_population_stats(benchmark):
         f"max={counts.max()}",
     )
     assert counts.min() >= 1
+
+
+ROUNDS = 5
+
+
+def _walk(rng, length, step):
+    steps = rng.normal(0.0, step, (length, 3))
+    return np.clip(0.5 + np.cumsum(steps, axis=0), 0.0, 1.0)
+
+
+def _timing_families():
+    """(name, point blocks, max_points) per row of the timing table."""
+    corpus = generate_video_corpus(500, length_range=(56, 512), seed=2000)
+    queries = generate_queries(
+        corpus, 600, length_range=(16, 64), noise=0.01, seed=2001
+    ).queries
+    rng = np.random.default_rng(5)
+    capped = DEFAULT_MAX_POINTS
+    return [
+        ("core_range corpus", [s.points for s in corpus], capped),
+        ("core_range queries", [q.points for q in queries], capped),
+        ("uniform random", [rng.random((300, 3)) for _ in range(100)], capped),
+        ("random walk", [_walk(rng, 300, 0.01) for _ in range(100)], capped),
+        ("walk, 5000, no cap", [_walk(rng, 5000, 0.002) for _ in range(4)], None),
+    ]
+
+
+def _per_sequence(run, blocks):
+    started = time.perf_counter()
+    for block in blocks:
+        run(block)
+    return (time.perf_counter() - started) / len(blocks) * 1e6
+
+
+def test_mcost_pass_timing(benchmark):
+    """µs per sequence: the scalar pass, the windowed pass, and the whole
+    ``partition_sequence`` call (corners and segment objects included)."""
+    constant = DEFAULT_COST_CONSTANT
+    rows = []
+    slower = []
+    for name, blocks, max_points in _timing_families():
+        variants = {
+            "scalar": lambda b: _scalar_pass(b.tolist(), constant, max_points),
+            "windowed": lambda b: _partition_rows(b, constant, max_points),
+            "partition_sequence": lambda b: partition_sequence(
+                b, cost_constant=constant, max_points=max_points
+            ),
+        }
+        best = dict.fromkeys(variants, float("inf"))
+        for _ in range(ROUNDS):
+            for column, run in variants.items():
+                best[column] = min(best[column], _per_sequence(run, blocks))
+        segments = sum(len(_partition_rows(b, constant, max_points)) for b in blocks)
+        rows.append(
+            [
+                name,
+                round(sum(map(len, blocks)) / len(blocks)),
+                f"{segments / len(blocks):.1f}",
+                f"{best['scalar']:.1f}",
+                f"{best['windowed']:.1f}",
+                f"{best['scalar'] / best['windowed']:.2f}x",
+                f"{best['partition_sequence']:.1f}",
+            ]
+        )
+        if best["windowed"] > 1.05 * best["scalar"]:
+            slower.append(name)
+    table = format_table(
+        [
+            "family",
+            "points",
+            "segments",
+            "scalar",
+            "windowed",
+            "speedup",
+            "partition_sequence",
+        ],
+        rows,
+    )
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    publish(
+        "mcost_pass_timing",
+        f"µs per sequence, best of {ROUNDS} interleaved rounds: the scalar pass, "
+        f"the windowed pass,\nspeedup = scalar / windowed, and the whole "
+        f"partition_sequence call (corners,\nsegment objects).\n{table}",
+    )
+    assert not slower, f"the windowed pass is slower than the scalar pass on {slower}"

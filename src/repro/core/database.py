@@ -48,6 +48,8 @@ from repro.core.partitioning import (
     DEFAULT_COST_CONSTANT,
     DEFAULT_MAX_POINTS,
     PartitionedSequence,
+    _checked_cost_constant,
+    _hold_to_scalar_pass,
     partition_sequence,
 )
 from repro.core.sequence import MultidimensionalSequence
@@ -292,7 +294,8 @@ class SequenceDatabase:
     dimension:
         Dimensionality ``n`` of every stored sequence.
     cost_constant:
-        MCOST constant ``Q_k + eps`` used when partitioning (paper: 0.3).
+        MCOST constant ``Q_k + eps`` used when partitioning (paper: 0.3);
+        a finite number above zero.
     max_points:
         Cap on points per segment MBR (``None`` disables).
     index_kind:
@@ -327,7 +330,7 @@ class SequenceDatabase:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self._backend = get_backend(index_kind)  # ValueError for unknown kinds
         self.dimension = dimension
-        self.cost_constant = cost_constant
+        self.cost_constant = _checked_cost_constant(cost_constant)
         self.max_points = max_points
         self.index_kind = index_kind
         self.max_entries = max_entries
@@ -706,10 +709,12 @@ class SequenceDatabase:
         The stored counts are trusted only after their structure is
         checked: every count at least 1 and at most ``max_points``, each
         sequence's counts summing to its length, the offsets increasing
-        and in range.  A violation, like an archive whose CRC-32 check
+        and in range; the stored parameters are held to the constructor's
+        rules (a ``cost_constant`` that is NaN, infinite or not above zero
+        is refused).  A violation, like an archive whose CRC-32 check
         fails, is a ``ValueError`` naming the file.  Under the
         ``contracts`` check (:mod:`repro.util.checks`) every partition is
-        also compared with a fresh MCOST pass, and a difference raises
+        also compared with the scalar MCOST pass, and a difference raises
         :class:`~repro.core.contracts.ContractViolation`.
 
         Archives in the older per-sequence layout (one ``sequence_<i>``
@@ -735,15 +740,18 @@ class SequenceDatabase:
         except (zipfile.BadZipFile, EOFError, KeyError, ValueError, zlib.error) as error:
             raise ValueError(f"{name}: unreadable database archive: {error}") from error
 
-        database = cls(
-            dimension=int(meta["dimension"]),
-            cost_constant=float(meta["cost_constant"]),
-            max_points=(
-                None if meta["max_points"] is None else int(meta["max_points"])
-            ),
-            index_kind=meta["index_kind"],
-            max_entries=int(meta["max_entries"]),
-        )
+        try:
+            database = cls(
+                dimension=int(meta["dimension"]),
+                cost_constant=float(meta["cost_constant"]),
+                max_points=(
+                    None if meta["max_points"] is None else int(meta["max_points"])
+                ),
+                index_kind=meta["index_kind"],
+                max_entries=int(meta["max_entries"]),
+            )
+        except ValueError as error:
+            raise ValueError(f"{name}: corrupt database archive: {error}") from error
         ids = [int(raw) if kind == "int" else raw for kind, raw in meta["ids"]]
         if per_sequence:
             for sequence_id, points in zip(ids, stored):
@@ -857,19 +865,12 @@ def _stored_partitions(
 
 def _check_against_mcost(name: str, database: SequenceDatabase) -> None:
     """The ``contracts`` check of a loaded archive: every stored partition
-    is the one the greedy MCOST pass gives its points.  Structure alone is
+    is the one the scalar MCOST pass gives its points.  Structure alone is
     not enough — ``Dnorm`` and the solution intervals read the tiling
     itself, so a valid but different one is a silently different answer."""
     for sequence_id, stored in database.partitions():
-        expected = partition_sequence(
-            stored.sequence,
-            cost_constant=database.cost_constant,
-            max_points=database.max_points,
+        _hold_to_scalar_pass(
+            stored,
+            database.max_points,
+            f"{name}: the stored partition of sequence {sequence_id!r}",
         )
-        for field in ("counts", "low_matrix", "high_matrix"):
-            mine, theirs = getattr(stored, field), getattr(expected, field)
-            if mine.shape != theirs.shape or mine.tobytes() != theirs.tobytes():
-                raise ContractViolation(
-                    f"{name}: the stored partition of sequence {sequence_id!r} "
-                    f"is not the one MCOST gives its points ({field} differ)"
-                )

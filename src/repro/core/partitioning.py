@@ -21,15 +21,22 @@ while adding the next point does not increase MCOST; when it would (or when
 the configured maximum MBR population is hit), the current MBR is closed and
 a new one starts at that point.
 
-The pass runs on plain Python floats (``points.tolist()``): per point it
-needs ``n`` comparisons and one ``n``-term product, far below the size
-where a NumPy call pays for itself.  ``min``/``max`` are exact and the
-product is taken left to right starting from 1.0, which is the order
-``np.prod`` multiplies a short vector in, so the segments are bit-identical
-to the array formulation (``tests/test_partitioning.py`` keeps that
-formulation as a reference).  Because the greedy pass never revisits a
-closed segment, a sequence that grows at its end is re-partitioned from
-the start of its last segment only (:meth:`PartitionedSequence.extended_to`).
+The pass settles one segment per step (:func:`_partition_rows`).  Whether
+a segment is a single point is decided for every possible start of the
+sequence by one set of NumPy calls (:func:`_one_point_segments`); a
+segment of two or more points is decided in one NumPy pass over a window
+of its points: running corners by ``np.maximum.accumulate``, MCOST of
+every prefix, the first prefix whose cost rises.  Both compute each cost
+with the same IEEE operations in the same order — ``(h_k - l_k) + c``
+multiplied over the dimensions left to right, divided by the population —
+so the boundaries are those of the point-by-point pass bit for bit.  That
+pass is kept as :func:`_scalar_pass`, the reference the ``contracts``
+check holds every partition to.  The pass yields segment counts only; the
+corners are taken from the points by :func:`_runs` (``reduceat``), behind
+partitioning, growing and loading alike.  Because the greedy pass never
+revisits a closed segment, a sequence that grows at its end is
+re-partitioned from the start of its last segment only
+(:meth:`PartitionedSequence.extended_to`).
 """
 
 from __future__ import annotations
@@ -41,9 +48,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.contracts import ContractViolation
 from repro.core.mbr import MBR
 from repro.core.sequence import MultidimensionalSequence
+from repro.util.checks import CONTRACTS
 from repro.util.freeze import freeze
+from repro.util.validation import check_positive
 
 if TYPE_CHECKING:
     import numpy.typing as npt
@@ -62,6 +72,25 @@ DEFAULT_COST_CONSTANT = 0.3
 #: Default cap on points per MBR (the paper's ``max``; value not reported,
 #: chosen here so that even a monotone drift cannot produce one giant MBR).
 DEFAULT_MAX_POINTS = 64
+
+#: Most points one NumPy pass reads; a longer segment (``max_points``
+#: above it, or ``None``) is decided window by window.
+_WINDOW = 64
+
+#: 1.0, 2.0, ...: the populations of a window's prefixes.
+_POPULATIONS = freeze(np.arange(1, _WINDOW + 1, dtype=np.float64))
+
+
+def _checked_cost_constant(value: float) -> float:
+    """``value`` as a float, if it is a finite number above zero.
+
+    NaN or infinity would make every MCOST comparison false, so every
+    segment would silently grow to the population cap.
+    """
+    constant = check_positive("cost_constant", value)
+    if not math.isfinite(constant):
+        raise ValueError(f"cost_constant must be finite, got {value!r}")
+    return constant
 
 
 def marginal_cost(
@@ -82,8 +111,7 @@ def marginal_cost(
     """
     if point_count < 1:
         raise ValueError(f"point_count must be >= 1, got {point_count}")
-    if cost_constant <= 0:
-        raise ValueError(f"cost_constant must be > 0, got {cost_constant}")
+    cost_constant = _checked_cost_constant(cost_constant)
     arr = np.asarray(sides, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError("side lengths must be non-negative")
@@ -198,71 +226,27 @@ class PartitionedSequence:
         self._high_matrix = freeze(highs)
 
     @classmethod
-    def _trusted(
-        cls,
-        sequence: MultidimensionalSequence,
-        segments: list[SequenceSegment],
-        counts: npt.ArrayLike,
-        lows: npt.ArrayLike,
-        highs: npt.ArrayLike,
-        cost_constant: float,
-    ) -> "PartitionedSequence":
-        """A partition from parts a partitioning pass produced; no checks."""
-        partition = object.__new__(cls)
-        partition._assemble(
-            sequence,
-            segments,
-            np.asarray(counts, dtype=np.int64),
-            np.asarray(lows, dtype=np.float64),
-            np.asarray(highs, dtype=np.float64),
-            cost_constant,
-        )
-        return partition
-
-    @classmethod
     def _of_counts(
         cls,
         sequence: MultidimensionalSequence,
-        counts: np.ndarray,
+        counts: npt.ArrayLike,
         cost_constant: float,
     ) -> "PartitionedSequence":
         """The partition of ``sequence`` into consecutive runs of ``counts``
-        points, each run's MBR taken from its points: what a stored
-        partition is loaded as, without running the greedy pass again.
+        points, each run's MBR taken from its points: what the greedy pass's
+        counts, and a stored partition's, are made into.
 
         The caller has checked that ``counts`` are positive and sum to the
-        sequence's length.  The corners equal the greedy pass's to the bit
-        when the counts are its own; that they are is not re-checked.
+        sequence's length.  The corners equal the scalar pass's to the bit;
+        whether the counts are MCOST's own is not re-checked.
         """
-        points = sequence.points
-        starts = np.cumsum(counts) - counts
-        lows = np.minimum.reduceat(points, starts)
-        highs = np.maximum.reduceat(points, starts)
-        if (np.signbit(points) & (points >= 0.0)).any():
-            # A -0.0 (sign bit set, yet not below zero).  Of two equal
-            # values NumPy keeps the later, the greedy pass (Python's min /
-            # max) the earlier: the corners differ only in the sign of a
-            # zero, so a sequence holding -0.0 takes the Python path for
-            # every segment.
-            for segment, (start, count) in enumerate(
-                zip(starts.tolist(), counts.tolist())
-            ):
-                columns = list(zip(*points[start : start + count].tolist()))
-                lows[segment] = [min(column) for column in columns]
-                highs[segment] = [max(column) for column in columns]
-        cells = (
-            counts.tolist(),
-            list(map(tuple, lows.tolist())),
-            list(map(tuple, highs.tolist())),
+        counts = np.asarray(counts, dtype=np.int64)
+        segments, lows, highs = _runs(
+            sequence.points, counts, first_start=0, first_index=0
         )
-        return cls._trusted(
-            sequence,
-            _segments_of(cells, first_index=0, first_start=0),
-            counts,
-            lows,
-            highs,
-            cost_constant,
-        )
+        partition = object.__new__(cls)
+        partition._assemble(sequence, segments, counts, lows, highs, cost_constant)
+        return partition
 
     def extended_to(
         self,
@@ -290,17 +274,20 @@ class PartitionedSequence:
                 f"the {len(self._sequence)} already partitioned"
             )
         last = self._segments[-1]
-        cells = _partition_rows(
-            sequence.points[last.start :].tolist(),
-            self._cost_constant,
-            max_points,
+        counts = np.asarray(
+            _partition_rows(
+                sequence.points[last.start :], self._cost_constant, max_points
+            ),
+            dtype=np.int64,
         )
-        counts, lows, highs = cells
         kept = len(self._segments) - 1
-        tail = _segments_of(cells, first_index=kept, first_start=last.start)
-        if tail[0].count == last.count and tail[0].mbr == last.mbr:
-            tail[0] = last
-        return self._trusted(
+        tail, lows, highs = _runs(
+            sequence.points, counts, first_start=last.start, first_index=kept
+        )
+        if tail[0].count == last.count:
+            tail[0] = last  # the same points: the same segment
+        partition = object.__new__(type(self))
+        partition._assemble(
             sequence,
             [*self._segments[:kept], *tail],
             np.concatenate([self._counts[:kept], counts]),
@@ -308,6 +295,9 @@ class PartitionedSequence:
             np.concatenate([self._high_matrix[:kept], highs]),
             self._cost_constant,
         )
+        if CONTRACTS.on:
+            _hold_to_scalar_pass(partition, max_points, "extended_to's result")
+        return partition
 
     @property
     def sequence(self) -> MultidimensionalSequence:
@@ -394,18 +384,164 @@ class PartitionedSequence:
         )
 
 
-#: What one partitioning pass emits: per segment its point count and the
-#: low / high corner of its MBR (segments tile the input in order).
-_Cells = tuple[list[int], list[tuple[float, ...]], list[tuple[float, ...]]]
+def _runs(
+    points: np.ndarray, counts: np.ndarray, *, first_start: int, first_index: int
+) -> tuple[list[SequenceSegment], np.ndarray, np.ndarray]:
+    """The segments of consecutive runs of ``counts`` points, the first
+    run starting at point ``first_start`` of ``points`` and numbered
+    ``first_index``, with their ``(segments, n)`` low and high corners.
+    Each run's MBR is taken from its points; the corners equal the scalar
+    pass's to the bit.
+    """
+    points = points[first_start:]
+    starts = np.cumsum(counts) - counts
+    lows = np.minimum.reduceat(points, starts)
+    highs = np.maximum.reduceat(points, starts)
+    if (np.signbit(points) & (points >= 0.0)).any():
+        # A -0.0 (sign bit set, yet not below zero).  Of two equal values
+        # NumPy keeps the later, the scalar pass (Python's min / max) the
+        # earlier: the corners differ only in the sign of a zero, so a
+        # sequence holding -0.0 takes the Python path for every segment.
+        for segment, (start, count) in enumerate(
+            zip(starts.tolist(), counts.tolist())
+        ):
+            columns = list(zip(*points[start : start + count].tolist()))
+            lows[segment] = [min(column) for column in columns]
+            highs[segment] = [max(column) for column in columns]
+    # The corners are finite floats taken by min / max from validated
+    # points, so the MBRs skip validation.
+    segments = [
+        SequenceSegment(index, start, count, MBR._trusted(tuple(low), tuple(high)))
+        for index, (start, count, low, high) in enumerate(
+            zip(
+                (starts + first_start).tolist(),
+                counts.tolist(),
+                lows.tolist(),
+                highs.tolist(),
+            ),
+            first_index,
+        )
+    ]
+    return segments, lows, highs
 
 
 def _partition_rows(
-    rows: list[list[float]], cost_constant: float, max_points: int | None
-) -> _Cells:
-    """The greedy MCOST pass over a non-empty list of points (as floats)."""
+    points: np.ndarray, cost_constant: float, max_points: int | None
+) -> list[int]:
+    """The greedy MCOST pass over a non-empty ``(m, n)`` point block: the
+    point count of each segment, in order.
+
+    Whether a segment is a single point is decided for every possible
+    start at once (:func:`_one_point_segments`); a segment of two or more
+    points is decided by :func:`_window_count`.
+    """
+    length = len(points)
+    # Both corners of every prefix from one running maximum: rows 0..n-1
+    # hold the points' coordinates, rows n..2n-1 their negations.
+    columns = np.concatenate([points.T, -points.T])
+    alone = _one_point_segments(columns, cost_constant)
+    capacity = length if max_points is None else max_points
     counts: list[int] = []
-    lows: list[tuple[float, ...]] = []
-    highs: list[tuple[float, ...]] = []
+    start = 0
+    while start < length:
+        limit = min(capacity, length - start)
+        if limit == 1 or alone[start]:
+            count = 1
+        elif limit == 2:
+            count = 2
+        else:
+            count = _window_count(columns, start, limit, cost_constant)
+        counts.append(count)
+        start += count
+    return counts
+
+
+def _one_point_segments(columns: np.ndarray, cost_constant: float) -> list[bool]:
+    """For every start ``i`` but the last: whether a segment that starts
+    at point ``i`` is that point alone — point ``i + 1`` raises its MCOST
+    above a single point's.
+
+    One set of NumPy calls for the whole sequence, so a one-point segment
+    costs a list lookup, not a window pass.  Without it, jumpy input (all
+    one-point segments, as uniform random points give) runs 5.5x slower
+    than the scalar pass; checking further points this way only adds
+    NumPy calls to every sequence (the measured table is in
+    ``docs/algorithms.md``, §3.4.3).
+    """
+    dimension = len(columns) // 2
+    # MCOST of a one-point segment: every side is 0, so prod(0 + c) / 1.
+    single_cost = 1.0
+    for _ in range(dimension):
+        single_cost *= cost_constant
+    corners = np.maximum(columns[:, :-1], columns[:, 1:])
+    sides = corners[:dimension] + corners[dimension:]
+    sides += cost_constant
+    costs = np.multiply.reduce(sides, axis=0)
+    costs /= 2
+    return (costs > single_cost).tolist()
+
+
+def _window_count(
+    columns: np.ndarray, start: int, limit: int, cost_constant: float
+) -> int:
+    """The population of the segment from point ``start``, given that its
+    first two points join it and it takes at most ``limit`` (above 2).
+
+    One NumPy pass per window of up to :data:`_WINDOW` points: the running
+    corners, the MCOST of every prefix, and the first prefix whose cost
+    rises above its predecessor's — that prefix's last point starts the
+    next segment.  A segment longer than the window carries its corners
+    and last cost into the next one.  Each cost is the scalar pass's
+    expression evaluated elementwise: ``h - l`` as ``h + (-l)`` (the same
+    IEEE operation), plus ``c``, multiplied over the dimensions first to
+    last, divided by the population.
+    """
+    dimension = len(columns) // 2
+    done = 0  # points of the segment before this window
+    while True:
+        stop = min(limit, done + _WINDOW)
+        corners = np.maximum.accumulate(
+            columns[:, start + done : start + stop], axis=1
+        )
+        if done:
+            np.maximum(corners, carried, out=corners)
+        sides = corners[:dimension] + corners[dimension:]
+        sides += cost_constant
+        # costs[i] is the MCOST of the segment's first done + i + 1 points.
+        costs = np.multiply.reduce(sides, axis=0)
+        costs /= (
+            _POPULATIONS[:stop]
+            if not done
+            else np.arange(done + 1, stop + 1, dtype=np.float64)
+        )
+        if done and costs[0] > cost:
+            return done
+        # In the first window, the second point is known to join.
+        rise = (
+            np.greater(costs[1:], costs[:-1]).tobytes().find(1, 0 if done else 1)
+        )
+        if rise >= 0:
+            return done + rise + 1
+        if stop == limit:
+            return limit
+        carried = corners[:, -1:]
+        cost = costs[-1]
+        done = stop
+
+
+def _scalar_pass(
+    rows: list[list[float]], cost_constant: float, max_points: int | None
+) -> tuple[list[int], list[list[float]], list[list[float]]]:
+    """The greedy MCOST pass one point at a time, on Python floats: each
+    segment's count, low corner and high corner.
+
+    The reference the ``contracts`` check holds every partition to
+    (:func:`_hold_to_scalar_pass`); :func:`_partition_rows` is the pass
+    that runs.
+    """
+    counts: list[int] = []
+    lows: list[list[float]] = []
+    highs: list[list[float]] = []
     capacity = math.inf if max_points is None else max_points
     # MCOST of a one-point segment: every side is 0, so prod(0 + c) / 1.
     single_cost = 1.0
@@ -424,8 +560,8 @@ def _partition_rows(
         new_cost = volume / (count + 1)
         if new_cost > current_cost or count >= capacity:
             counts.append(count)
-            lows.append(tuple(low))
-            highs.append(tuple(high))
+            lows.append(low)
+            highs.append(high)
             low = high = point
             count = 1
             current_cost = single_cost
@@ -435,27 +571,32 @@ def _partition_rows(
             count += 1
             current_cost = new_cost
     counts.append(count)
-    lows.append(tuple(low))
-    highs.append(tuple(high))
+    lows.append(low)
+    highs.append(high)
     return counts, lows, highs
 
 
-def _segments_of(
-    cells: _Cells, *, first_index: int, first_start: int
-) -> list[SequenceSegment]:
-    """Segment objects for consecutive cells, numbered from ``first_index``.
-
-    The corners come from :func:`_partition_rows` — finite floats taken by
-    ``min``/``max`` from validated points — so the MBRs skip validation.
-    """
-    segments = []
-    start = first_start
-    for index, (count, low, high) in enumerate(zip(*cells), first_index):
-        segments.append(
-            SequenceSegment(index, start, count, MBR._trusted(low, high))
-        )
-        start += count
-    return segments
+def _hold_to_scalar_pass(
+    partition: PartitionedSequence, max_points: int | None, what: str
+) -> None:
+    """The ``contracts`` check of a partition: raise
+    :class:`~repro.core.contracts.ContractViolation` unless its counts and
+    corners are, bit for bit, what the scalar pass gives its points.
+    ``what`` names the partition in the message."""
+    counts, lows, highs = _scalar_pass(
+        partition.sequence.points.tolist(), partition.cost_constant, max_points
+    )
+    for field, expected in (
+        ("counts", np.array(counts, dtype=np.int64)),
+        ("low_matrix", np.array(lows, dtype=np.float64)),
+        ("high_matrix", np.array(highs, dtype=np.float64)),
+    ):
+        actual = getattr(partition, field)
+        if actual.shape != expected.shape or actual.tobytes() != expected.tobytes():
+            raise ContractViolation(
+                f"{what} is not the partition the scalar MCOST pass gives "
+                f"its points ({field} differ)"
+            )
 
 
 def partition_sequence(
@@ -472,7 +613,8 @@ def partition_sequence(
         A :class:`~repro.core.sequence.MultidimensionalSequence` (or raw
         point array) to partition.
     cost_constant:
-        The ``Q_k + eps`` constant of the MCOST formula (paper default 0.3).
+        The ``Q_k + eps`` constant of the MCOST formula (paper default
+        0.3); a finite number above zero.
     max_points:
         Maximum points per MBR; ``None`` disables the cap.
 
@@ -483,14 +625,14 @@ def partition_sequence(
     """
     if not isinstance(sequence, MultidimensionalSequence):
         sequence = MultidimensionalSequence(sequence)
-    if cost_constant <= 0:
-        raise ValueError(f"cost_constant must be > 0, got {cost_constant}")
+    cost_constant = _checked_cost_constant(cost_constant)
     if max_points is not None and max_points < 1:
         raise ValueError(f"max_points must be >= 1 or None, got {max_points}")
-    cells = _partition_rows(sequence.points.tolist(), cost_constant, max_points)
-    return PartitionedSequence._trusted(
+    partition = PartitionedSequence._of_counts(
         sequence,
-        _segments_of(cells, first_index=0, first_start=0),
-        *cells,
+        _partition_rows(sequence.points, cost_constant, max_points),
         cost_constant,
     )
+    if CONTRACTS.on:
+        _hold_to_scalar_pass(partition, max_points, "partition_sequence's result")
+    return partition

@@ -350,6 +350,18 @@ class TestDamage:
             SequenceDatabase.load(path)
         assert str(path) in str(caught.value)
 
+    @pytest.mark.parametrize("constant", [float("nan"), float("inf"), -0.3])
+    def test_a_bad_cost_constant_names_the_file(self, rng, tmp_path, constant):
+        """JSON carries NaN and Infinity, and ``load`` takes the value
+        through ``float``: it must meet the constructor's rule."""
+        path, stored = self._saved(rng, tmp_path)
+        meta = json.loads(bytes(stored["_meta"]).decode())
+        meta["cost_constant"] = constant
+        rewrite(path, _meta=np.frombuffer(json.dumps(meta).encode(), np.uint8))
+        with pytest.raises(ValueError, match="cost_constant") as caught:
+            SequenceDatabase.load(path)
+        assert str(path) in str(caught.value)
+
     def test_a_truncated_archive_names_the_file(self, rng, tmp_path):
         path, _ = self._saved(rng, tmp_path)
         data = path.read_bytes()

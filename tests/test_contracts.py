@@ -5,8 +5,9 @@ Three kinds of coverage:
 * the ``contracts`` switch, through the helpers ``tests/test_checks.py``
   shares with the other three checks;
 * the ``lower_bounds`` decorator; and
-* *mutation tests*: deliberately break the ``Dnorm`` computation and the
-  Phase-3 refinement and assert the contract net catches each — the whole
+* *mutation tests*: deliberately break the ``Dnorm`` computation, the
+  Phase-3 refinement, the k-NN bound and the windowed MCOST pass, and
+  assert the contract net catches each — the whole
   point of the subsystem is that a bug violating Lemmas 2-3 cannot pass
   silently while checking is on.
 """
@@ -18,6 +19,7 @@ import pytest
 
 import repro.analysis.contracts as analysis_contracts
 import repro.core.distance as distance_module
+import repro.core.partitioning as partitioning
 import repro.core.search as search_module
 from repro.analysis.contracts import (
     BoundChain,
@@ -325,6 +327,34 @@ def test_wrong_knn_answer_is_caught(monkeypatch, checks_off):
     with checking("contracts"):
         with pytest.raises(ContractViolation, match="a full scan finds"):
             engine.knn(query, 3)
+
+
+# ----------------------------------------------------------------------
+# Mutation test D: an off-by-one boundary in the windowed MCOST pass is
+# caught against the scalar pass
+# ----------------------------------------------------------------------
+def test_off_by_one_boundary_in_the_window_pass_is_caught(monkeypatch, checks_off):
+    window_count = partitioning._window_count
+
+    def one_early(columns, start, limit, cost_constant):
+        count = window_count(columns, start, limit, cost_constant)
+        return max(2, count - 1)
+
+    monkeypatch.setattr(partitioning, "_window_count", one_early)
+    points = _loop_corpus()
+    head = partition_sequence(points[:30])
+
+    # Without checking the shifted boundaries pass silently ...
+    counts = partition_sequence(points).counts.tolist()
+    assert counts != partitioning._scalar_pass(points.tolist(), 0.3, 64)[0]
+    assert sum(counts) == len(points)
+
+    # ... with checking neither a new partition nor a grown one can.
+    with checking("contracts"):
+        with pytest.raises(ContractViolation, match="partition_sequence.*counts"):
+            partition_sequence(points)
+        with pytest.raises(ContractViolation, match="extended_to.*counts"):
+            head.extended_to(MultidimensionalSequence(points))
 
 
 # ----------------------------------------------------------------------

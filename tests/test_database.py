@@ -74,6 +74,15 @@ class TestPopulation:
         with pytest.raises(ValueError, match="index_kind"):
             SequenceDatabase(dimension=2, index_kind="btree")
 
+    @pytest.mark.parametrize("constant", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_a_cost_constant_that_is_not_finite_and_positive_is_refused(
+        self, constant
+    ):
+        """Refused at construction, not at the first ``add`` (a negative
+        one) or never (NaN and infinity grew every segment to the cap)."""
+        with pytest.raises(ValueError, match="cost_constant"):
+            SequenceDatabase(dimension=3, cost_constant=constant)
+
 
 class TestIndexKinds:
     @pytest.mark.parametrize("kind", ["rtree", "rstar", "str"])

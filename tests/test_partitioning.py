@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.partitioning as partitioning
 from repro.core.mbr import MBR
 from repro.core.partitioning import (
     DEFAULT_COST_CONSTANT,
     PartitionedSequence,
     SequenceSegment,
+    _scalar_pass,
     marginal_cost,
     partition_sequence,
 )
@@ -108,6 +110,17 @@ class TestPartitionStructure:
             partition_sequence([[0.1]], cost_constant=0.0)
         with pytest.raises(ValueError):
             partition_sequence([[0.1]], max_points=0)
+
+    @pytest.mark.parametrize("constant", [float("nan"), float("inf"), -1.0])
+    def test_a_cost_constant_that_is_not_finite_and_positive_is_refused(
+        self, rng, constant
+    ):
+        """NaN and infinity make every MCOST comparison false: they used to
+        be accepted and grew every segment to the cap."""
+        with pytest.raises(ValueError, match="cost_constant"):
+            partition_sequence(rng.random((100, 3)), cost_constant=constant)
+        with pytest.raises(ValueError, match="cost_constant"):
+            marginal_cost([0.1], 1, constant)
 
 
 class TestPartitionedSequenceApi:
@@ -268,6 +281,69 @@ def drifting_points(rng, length, dimension, step):
     return np.abs((walk + rng.random(dimension)) % 2.0 - 1.0)
 
 
+#: Input families the windowed pass must partition exactly as the scalar
+#: pass does, each stressing another part of it.
+FAMILIES = (
+    "random walk",  # segments of many points: the window pass decides
+    "uniform jumps",  # one-point segments: the head check decides
+    "constant runs",  # runs of one repeated point, then a jump
+    "repeated points and ties",  # a 1/4 grid: equal coordinates and costs
+    "signed zeros",  # -0.0 and 0.0 mixed: corner signs
+)
+
+
+def family_points(family, rng, length, dimension):
+    if family == "random walk":
+        return drifting_points(rng, length, dimension, 0.01)
+    if family == "uniform jumps":
+        return rng.random((length, dimension))
+    if family == "constant runs":
+        runs = rng.integers(1, 40, size=length)
+        return np.repeat(rng.random((length, dimension)), runs, axis=0)[:length]
+    if family == "repeated points and ties":
+        # With c = 0.25, sides of k/4 make many costs exactly equal.
+        return rng.integers(0, 4, (length, dimension)) / 4.0
+    assert family == "signed zeros"
+    points = drifting_points(rng, length, dimension, 0.05)
+    points[rng.random(points.shape) < 0.3] = 0.0
+    points[rng.random(points.shape) < 0.3] = -0.0
+    return points
+
+
+def bits(partition):
+    """A partition exactly: starts, counts and corners as ``float.hex``
+    (so ``-0.0`` is not ``0.0``), and the matrices bytewise."""
+    return (
+        [
+            (
+                segment.index,
+                segment.start,
+                segment.count,
+                tuple(map(float.hex, segment.mbr.low_tuple)),
+                tuple(map(float.hex, segment.mbr.high_tuple)),
+            )
+            for segment in partition
+        ],
+        partition.counts.tobytes(),
+        partition.low_matrix.tobytes(),
+        partition.high_matrix.tobytes(),
+    )
+
+
+def assert_is_the_scalar_pass(partition, points, cost_constant, max_points):
+    """Bit for bit what the scalar pass gives ``points``."""
+    counts, lows, highs = _scalar_pass(points.tolist(), cost_constant, max_points)
+    assert partition.counts.tolist() == counts
+    starts = np.cumsum([0, *counts[:-1]]).tolist()
+    assert [(s.start, s.count) for s in partition] == list(zip(starts, counts))
+    for corner, expected in (("low_tuple", lows), ("high_tuple", highs)):
+        assert [tuple(map(float.hex, getattr(s.mbr, corner))) for s in partition] == [
+            tuple(map(float.hex, values)) for values in expected
+        ]
+    assert partition.low_matrix.tobytes() == np.array(lows).tobytes()
+    assert partition.high_matrix.tobytes() == np.array(highs).tobytes()
+
+
 class TestScalarPassParity:
     @given(
         points=st.integers(1, 8).flatmap(
@@ -303,6 +379,71 @@ class TestScalarPassParity:
                     partition,
                     reference_partition(points, cost_constant, max_points),
                 )
+
+    @pytest.mark.parametrize("max_points", [None, 1, 3, 7, 64])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_identical_segments_on_every_family(self, family, max_points):
+        rng = np.random.default_rng(100 * FAMILIES.index(family) + (max_points or 0))
+        for length in (1, 2, 3, 65, 129, 600):
+            for dimension in (1, 3, 8):
+                points = family_points(family, rng, length, dimension)
+                for cost_constant in (0.25, 0.3, 1.0):
+                    assert_is_the_scalar_pass(
+                        partition_sequence(
+                            points, cost_constant=cost_constant, max_points=max_points
+                        ),
+                        points,
+                        cost_constant,
+                        max_points,
+                    )
+
+    @pytest.mark.parametrize("family", ["slow walk", "one repeated point"])
+    def test_a_5000_point_sequence_without_a_cap(self, rng, family):
+        """Segments far longer than a window: the pass carries corners and
+        cost from window to window."""
+        if family == "slow walk":
+            points = drifting_points(rng, 5000, 3, 0.0005)
+        else:
+            points = np.full((5000, 3), 0.5)
+        partition = partition_sequence(points, max_points=None)
+        assert partition.counts.max() > 4 * partitioning._WINDOW
+        assert_is_the_scalar_pass(partition, points, DEFAULT_COST_CONSTANT, None)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 64])
+    def test_every_window_size_gives_the_same_partition(self, monkeypatch, window):
+        """The window's size changes the work, never the partition."""
+        monkeypatch.setattr(partitioning, "_WINDOW", window)
+        rng = np.random.default_rng(window)
+        for family in FAMILIES:
+            for max_points in (None, 3, 64):
+                points = family_points(family, rng, 200, 3)
+                partition = partition_sequence(
+                    points, cost_constant=0.25, max_points=max_points
+                )
+                assert_is_the_scalar_pass(partition, points, 0.25, max_points)
+
+    @given(
+        family=st.sampled_from(FAMILIES),
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(2, 400),
+        dimension=st.sampled_from([1, 3, 8]),
+        cuts=st.lists(st.integers(1, 399), max_size=6),
+        max_points=st.sampled_from([None, 1, 3, 7, 64]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_growing_in_random_steps_equals_partitioning_the_whole(
+        self, family, seed, length, dimension, cuts, max_points
+    ):
+        points = family_points(family, np.random.default_rng(seed), length, dimension)
+        stops = sorted({cut for cut in cuts if cut < length} | {length})
+        partition = partition_sequence(points[: stops[0]], max_points=max_points)
+        for stop in stops[1:]:
+            partition = partition.extended_to(
+                MultidimensionalSequence(points[:stop]), max_points=max_points
+            )
+        whole = partition_sequence(points, max_points=max_points)
+        assert bits(partition) == bits(whole)
+        assert_is_the_scalar_pass(partition, points, DEFAULT_COST_CONSTANT, max_points)
 
     def test_segment_mbrs_build_arrays_only_on_demand(self, rng):
         partition = partition_sequence(rng.random((40, 3)))

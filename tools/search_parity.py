@@ -20,7 +20,12 @@ every response compared (answers, intervals, cache outcome) — which is
 what reaches the ε-cache's refine and write-patch paths and, on the
 default index, the delta, the masking of rewritten rows and a re-pack.
 What the searches run on is compared too: every sequence's segments
-(start, count and MBR corners, bit for bit).
+(counts and MBR corners as ``float.hex()``).  So are the partitions MCOST
+builds of every query's Phase 1 (the long ones included) and of every
+sequence the cached engine stores after its write replay, where appends
+re-partition only the last segment (``PartitionedSequence.extended_to``);
+the engine's stored partitions are read off ``engine._snapshot.database``,
+the one private attribute used.
 
 How the default index is laid out and how many nodes a probe visits are
 *not* compared: they are whatever the default kind makes them.  They are
@@ -32,7 +37,7 @@ it on first use by inserting every stored segment in insertion order,
 which on this add-only corpus is the order a checkout that maintained its
 tree write by write inserted them in — so the two must agree to the node.
 
-A third section needs no other checkout: the default kind against the
+A last section needs no other checkout: the default kind against the
 R-tree, same corpus, same 3 840 searches — identical candidate sets —
 and again after each of a run of writes applied to both, where the
 R-tree side derives a new tree after every write (the price of the
@@ -45,13 +50,12 @@ Usage::
 
 Each side runs in its own interpreter with only its own ``src/`` on the
 import path; ``--dump FILE`` is that child mode (``--cross-kind`` adds the
-third section's after-writes half, which only this checkout is asked for).
+last section's after-writes half, which only this checkout is asked for).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import subprocess
 import sys
@@ -74,7 +78,7 @@ _WRITES = 60
 
 def _dump(path: Path, seed: int, queries: int, cross_kind: bool) -> None:
     """Run every search on the importable ``repro`` and write the outcomes."""
-    from repro.core import SequenceDatabase, SimilaritySearch
+    from repro.core import SequenceDatabase, SimilaritySearch, partition_sequence
     from repro.datagen import generate_queries, generate_video_corpus
 
     corpus = generate_video_corpus(
@@ -92,6 +96,7 @@ def _dump(path: Path, seed: int, queries: int, cross_kind: bool) -> None:
         database.add(sequence)
         tree.add(sequence)
     search = SimilaritySearch(database)
+    replay, replayed = _cache_replay(corpus, pool, long_pool, seed)
 
     searches = [
         _outcome(search.search(query.points, epsilon, find_intervals=find_intervals))
@@ -121,8 +126,22 @@ def _dump(path: Path, seed: int, queries: int, cross_kind: bool) -> None:
         "knn": knn,
         "knn_subsequences": knn_subsequences,
         "explain": _explanations(search, [*long_pool, *pool]),
-        "replay": _cache_replay(corpus, pool, long_pool, seed),
-        "segments": _segment_digests(database),
+        "replay": replay,
+        "segments": {
+            str(sequence_id): _partition_bits(partition)
+            for sequence_id, partition in database.partitions()
+        },
+        "phase1": [
+            _partition_bits(
+                partition_sequence(
+                    query.points,
+                    cost_constant=database.cost_constant,
+                    max_points=database.max_points,
+                )
+            )
+            for query in [*pool, *long_pool]
+        ],
+        "replayed": replayed,
         "rtree": {
             "tree": _tree_layout(tree.index.root),
             "probes": _probes(tree, [*pool, *long_pool]),
@@ -243,11 +262,12 @@ def _explanations(search: Any, queries: list[Any]) -> list[list[Any]]:
 
 def _cache_replay(
     corpus: list[Any], pool: list[Any], long_pool: list[Any], seed: int
-) -> list[list[Any]]:
+) -> tuple[list[list[Any]], dict[str, list[Any]]]:
     """Every response of one engine with a result cache: each cached query
     at descending thresholds (a miss, then refines), a run of inserts,
     appends and removes that patch the cached entries, and the same
-    searches again."""
+    searches again; and the partition of every sequence the engine stores
+    at the end."""
     from repro.core import SequenceDatabase
     from repro.service import QueryEngine
 
@@ -284,22 +304,22 @@ def _cache_replay(
                         engine.append(sequence_id, points)
                     else:
                         engine.remove(sequence_id)
+        stored = {
+            str(sequence_id): _partition_bits(partition)
+            for sequence_id, partition in engine._snapshot.database.partitions()
+        }
     finally:
         engine.close()
-    return responses
+    return responses, stored
 
 
-def _segment_digests(database: Any) -> dict[str, str]:
-    """Per sequence: a digest of its segments' starts, counts and corners."""
-    digests = {}
-    for sequence_id, partition in database.partitions():
-        digest = hashlib.sha256()
-        for segment in partition:
-            digest.update(f"{segment.start}:{segment.count};".encode())
-        digest.update(partition.low_matrix.tobytes())
-        digest.update(partition.high_matrix.tobytes())
-        digests[str(sequence_id)] = digest.hexdigest()
-    return digests
+def _partition_bits(partition: Any) -> list[Any]:
+    """A partition exactly: its segment counts and corners as ``float.hex``."""
+    return [
+        partition.counts.tolist(),
+        [[value.hex() for value in row] for row in partition.low_matrix.tolist()],
+        [[value.hex() for value in row] for row in partition.high_matrix.tolist()],
+    ]
 
 
 def _tree_layout(root: Any) -> list[list[Any]]:
@@ -419,7 +439,20 @@ def main(argv: list[str] | None = None) -> int:
         f"{returned.count} differences"
     )
 
-    # 2. The derived R-tree as stored and as probed, against the other
+    # 2. The partitions MCOST builds: each query's Phase 1, and what the
+    # engine stores after the write replay (appends grow partitions).
+    partitions = _Differences()
+    partitions.compare("query partition", this["phase1"], that["phase1"])
+    for sequence_id in sorted(this["replayed"].keys() | that["replayed"].keys()):
+        if this["replayed"].get(sequence_id) != that["replayed"].get(sequence_id):
+            partitions.add(f"sequence {sequence_id} after the replay differs")
+    print(
+        f"MCOST partitions (counts, corners as float.hex): "
+        f"{len(this['phase1'])} query partitions, {len(this['replayed'])} "
+        f"sequences stored after the write replay: {partitions.count} differences"
+    )
+
+    # 3. The derived R-tree as stored and as probed, against the other
     # checkout's (derived likewise, or maintained insert by insert).
     layout = _Differences()
     tree, other_tree = this["rtree"]["tree"], that["rtree"]["tree"]
@@ -435,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{layout.count} differences"
     )
 
-    # 3. The default kind against the R-tree, within this checkout: the
+    # 4. The default kind against the R-tree, within this checkout: the
     # static corpus, then a tree rebuilt after each write.
     cross = _Differences()
     after = this["after_writes"]
@@ -463,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         f"searches, and of {len(after['default'])} probes during the write "
         f"replay (a new tree per write): {cross.count} differences"
     )
-    return 1 if returned.count + layout.count + cross.count else 0
+    return 1 if returned.count + partitions.count + layout.count + cross.count else 0
 
 
 if __name__ == "__main__":
