@@ -21,6 +21,7 @@ from repro.core.database import SequenceDatabase
 from repro.core.mbr import MBR
 from repro.core.partitioning import marginal_cost
 from repro.datagen.video import generate_video_corpus
+from repro.index import build_tree
 from repro.index.paging import PageStore, attach_page_store, detach_page_store
 
 QUERY_SIDE = 0.15
@@ -29,12 +30,12 @@ PROBES = 200
 
 
 def _database():
+    """The corpus and the R-tree over it: pages are R-tree nodes."""
     corpus = generate_video_corpus(120, length_range=(56, 256), seed=303)
-    # Pages are R-tree nodes: the object tree, not the default packed arrays.
-    database = SequenceDatabase(dimension=3, index_kind="rtree")
+    database = SequenceDatabase(dimension=3)
     for stream in corpus:
         database.add(stream)
-    return database
+    return database, build_tree(database)
 
 
 def _probe_boxes(rng, count):
@@ -43,8 +44,7 @@ def _probe_boxes(rng, count):
 
 
 def test_ablation_buffer_pool(benchmark):
-    database = benchmark.pedantic(_database, rounds=1, iterations=1)
-    index = database.index
+    _, index = benchmark.pedantic(_database, rounds=1, iterations=1)
     rng = np.random.default_rng(304)
     probes = _probe_boxes(rng, PROBES)
 
@@ -79,8 +79,7 @@ def test_ablation_buffer_pool(benchmark):
 
 def test_mcost_model_predicts_access_frequency(benchmark):
     """The partitioning cost model vs measured reality."""
-    database = benchmark.pedantic(_database, rounds=1, iterations=1)
-    index = database.index
+    database, index = benchmark.pedantic(_database, rounds=1, iterations=1)
     rng = np.random.default_rng(305)
     probes = _probe_boxes(rng, PROBES)
 

@@ -2,7 +2,8 @@
 
 The paper allows "the R-tree or its variants" for index construction.  This
 bench compares the three implementations shipped here — Guttman R-tree,
-R*-tree and STR bulk loading — on build time and on the node accesses a
+R*-tree and STR bulk loading, each built beside the database by
+:func:`repro.index.build_tree` — on build time and on the node accesses a
 Phase-2 probe costs, using identical corpora and probes.
 """
 
@@ -14,18 +15,18 @@ from repro.core.database import SequenceDatabase
 from repro.core.partitioning import partition_sequence
 from repro.datagen.queries import generate_queries
 from repro.datagen.video import generate_video_corpus
+from repro.index import TREE_KINDS, build_tree
 
-KINDS = ("rtree", "rstar", "str")
 EPSILON = 0.1
 
 
 def _build(kind, corpus):
-    database = SequenceDatabase(dimension=3, index_kind=kind)
+    """Partition and index the corpus: the database, then its tree."""
     started = time.perf_counter()
+    database = SequenceDatabase(dimension=3)
     for sequence in corpus:
         database.add(sequence)
-    database.index  # the index is derived on first use: build it in the timed region
-    return database, time.perf_counter() - started
+    return build_tree(database, kind), time.perf_counter() - started
 
 
 def test_ablation_index_variants(benchmark):
@@ -40,9 +41,8 @@ def test_ablation_index_variants(benchmark):
 
     rows = []
     accesses_by_kind = {}
-    for kind in KINDS:
-        database, build_seconds = _build(kind, corpus)
-        index = database.index
+    for kind in TREE_KINDS:
+        index, build_seconds = _build(kind, corpus)
         index.stats.reset_query_counters()
         hits = 0
         for query in queries:
@@ -73,24 +73,23 @@ def test_index_build_benchmark(benchmark):
     corpus = generate_video_corpus(60, length_range=(56, 128), seed=101)
 
     def build():
-        database = SequenceDatabase(dimension=3, index_kind="rtree")
+        database = SequenceDatabase(dimension=3)
         for sequence in corpus:
             database.add(sequence)
-        database.index  # derived on first use: without this no tree is built
-        return database
+        return database, build_tree(database)
 
-    database = benchmark(build)
-    assert len(database) == 60
+    database, tree = benchmark(build)
+    assert len(database) == 60 and len(tree) == database.segment_count
 
 
 def test_str_bulk_build_benchmark(benchmark):
     corpus = generate_video_corpus(60, length_range=(56, 128), seed=101)
 
     def build():
-        database = SequenceDatabase(dimension=3, index_kind="str")
+        database = SequenceDatabase(dimension=3)
         for sequence in corpus:
             database.add(sequence)
-        return database.index
+        return build_tree(database, "str")
 
     index = benchmark(build)
     assert len(index) > 0

@@ -8,6 +8,8 @@ sweep, and measures what Phase 3 costs on top of Phase 2.
 
 from benchmarks.conftest import publish
 from repro.analysis.report import format_table
+from repro.core.packed import FANOUT
+from repro.core.partitioning import partition_sequence
 from repro.datagen.queries import generate_queries
 
 
@@ -43,13 +45,14 @@ def test_ablation_phase_contributions(benchmark, synthetic_runner):
             # Element-operation accounting, substrate-independent:
             # the scan computes one point distance per (alignment, query
             # point); the method tests one rectangle per node child during
-            # probes plus one O(1) window evaluation per Dnorm anchor.
+            # probes (FANOUT per node of the database's index) plus one
+            # O(1) window evaluation per Dnorm anchor.
             k = len(query)
             scan_work += sum(
                 max(0, len(corpus[sid]) - k + 1) * k for sid in corpus
             )
             method_work += (
-                result.stats.node_accesses * database.max_entries
+                result.stats.node_accesses * FANOUT
                 + result.stats.dnorm_evaluations
                 + int(result.stats.dmbr_rows * mean_segments)
             )
@@ -96,19 +99,13 @@ def test_phase2_only_benchmark(benchmark, synthetic_runner):
         for sid in synthetic_runner.database.ids()
     }
     query = generate_queries(corpus, 1, seed=4321)[0]
-    from repro.core.partitioning import partition_sequence
-
-    index = synthetic_runner.database.index
+    database = synthetic_runner.database
 
     def phase2():
-        hits = set()
-        for segment in partition_sequence(query):
-            for entry in index.search_within(segment.mbr, 0.15):
-                hits.add(entry.payload.sequence_id)
-        return hits
+        return database.candidate_rows(partition_sequence(query), 0.15)[0]
 
-    hits = benchmark(phase2)
-    assert isinstance(hits, set)
+    rows = benchmark(phase2)
+    assert len(rows) <= len(database)
 
 
 def test_full_search_benchmark(benchmark, synthetic_runner):

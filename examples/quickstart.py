@@ -2,7 +2,7 @@
 
 Covers the whole public API in one page:
 
-1. build a :class:`~repro.SequenceDatabase` (partitioning + R-tree index);
+1. build a :class:`~repro.SequenceDatabase` (partitioning + MBR index);
 2. run the three-phase range search of the paper for one query;
 3. read the answers, the approximate solution intervals and the search
    statistics;
@@ -20,15 +20,15 @@ from repro.datagen import generate_queries, generate_video_corpus
 def main() -> None:
     # 1. A corpus of 200 simulated video streams (3-d colour features).
     corpus = generate_video_corpus(200, length_range=(56, 256), seed=7)
-    # index_kind="rtree" is the paper's substrate; the default ("packed")
-    # holds the same rectangles in flat arrays and searches identically.
-    database = SequenceDatabase(dimension=3, index_kind="rtree")
+    # The MBRs are indexed as an STR-packed tree held in flat arrays; the
+    # paper's R-trees are built beside a database by repro.index.build_tree.
+    database = SequenceDatabase(dimension=3)
     for stream in corpus:
         database.add(stream)  # ids come from the sequences themselves
     print(f"indexed {len(database)} sequences "
           f"({database.point_count} points, "
           f"{database.segment_count} MBRs, "
-          f"R-tree height {database.index.height})")
+          f"index height {len(database.index.base.levels)})")
 
     # 2. A query: a perturbed scene cut from one of the streams.
     workload = generate_queries(

@@ -22,10 +22,10 @@ Subpackages
 ``repro.core``
     The paper's contribution: data model, the ``Dmean``/``D``/``Dmbr``/
     ``Dnorm`` distance hierarchy, MCOST partitioning, the sequence database
-    and the three-phase search algorithm.
+    with its packed MBR index, and the three-phase search algorithm.
 ``repro.index``
-    The R-tree family storing segment MBRs (Guttman R-tree, R*-tree, STR
-    bulk loading).
+    The paper's R-tree family over segment MBRs (Guttman R-tree, R*-tree,
+    STR bulk loading), built beside a database by ``build_tree``.
 ``repro.datagen``
     Workload generators: the paper's fractal synthetic sequences, a
     shot-structured video-stream simulator, 1-d time series, image-region

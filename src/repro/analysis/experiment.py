@@ -57,7 +57,6 @@ class ExperimentConfig:
     query_noise: float = 0.01
     cost_constant: float = 0.3
     max_points: int | None = 64
-    index_kind: str = "rtree"
     seed: int = 2000
 
     # ------------------------------------------------------------------
@@ -185,7 +184,6 @@ class ExperimentRunner:
             dimension=config.dimension,
             cost_constant=config.cost_constant,
             max_points=config.max_points,
-            index_kind=config.index_kind,
         )
         for sequence in self.corpus:
             self.database.add(sequence)

@@ -27,7 +27,7 @@ from repro.util.validation import check_threshold
 if TYPE_CHECKING:
     import numpy.typing as npt
 
-    from repro.index.rtree import IndexStats
+    from repro.core.packed import IndexStats
 
 __all__ = ["DftWholeMatcher", "dft_features"]
 

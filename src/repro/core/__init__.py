@@ -10,6 +10,7 @@ Module                        Paper section
 :mod:`repro.core.distance`    Definitions 2-5, Lemmas 1-3
 :mod:`repro.core.partitioning`  Section 3.4.3 (MCOST partitioning)
 :mod:`repro.core.database`    Section 3.4.1 (index construction)
+:mod:`repro.core.packed`      Section 3.4.1 (the segment MBR index)
 :mod:`repro.core.search`      Section 3.4.2 (SIMILARITY_SEARCH)
 :mod:`repro.core.solution_interval`  Definition 6, Section 3.3
 ============================  =========================================

@@ -5,7 +5,8 @@ multidimensional sequence is partitioned into subsequences with the MCOST
 algorithm and each subsequence's MBR is indexed.  The database owns both
 halves — the partitions (needed by ``Dnorm`` and solution intervals, which
 require point counts and offsets) and the spatial index (needed by the
-Phase-2 ``Dmbr`` probe, :meth:`SequenceDatabase.candidate_rows`).
+Phase-2 ``Dmbr`` probe, :meth:`SequenceDatabase.candidate_rows`): the
+packed index of :mod:`repro.core.packed`, the only one it keeps.
 
 It also owns the **segment table** (:class:`SegmentTable`): every
 partition's MBR matrices and point counts concatenated, in insertion
@@ -16,34 +17,30 @@ NumPy call covers all candidates at once.
 Table and index are **derived state** under one rule: a write records the
 id it touched and changes neither; the next use derives both from the
 partitions as they are then — the table spliced from its predecessor when
-one write separates the two and rebuilt otherwise, the index by its kind's
-build (:mod:`repro.core.backends`); and :meth:`SequenceDatabase.clone`
-shares them by reference, since nothing ever patches them in place.  The
-default kind, ``"packed"``, advances from its predecessor, so a write
-costs what it changes.  The R-tree kinds (``"rtree"``, ``"rstar"``,
-``"str"``; the paper's §3.4.1 substrate, one leaf entry per segment keyed
-by ``(sequence id, segment index)``) are built anew — the paper's static
-model: they serve the figure and ablation benches and parity checks, not
-a corpus that interleaves writes with reads.
+one write separates the two and rebuilt otherwise, the index advanced
+from its predecessor (:func:`~repro.core.packed.index_table`), so a write
+costs what it changes; and :meth:`SequenceDatabase.clone` shares them by
+reference, since nothing ever patches them in place.  The paper's R-tree
+family is built beside a database, not in it
+(:func:`repro.index.build_tree`).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import mmap
 import os
 import zipfile
 import zlib
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 
-from repro.core.backends import IndexBackend, get_backend
 from repro.core.contracts import ContractViolation, lower_bounds
 from repro.core.distance import min_dmbr_runs
+from repro.core.packed import PackedIndex, index_table, mapped_blocks
 from repro.core.partitioning import (
     DEFAULT_COST_CONSTANT,
     DEFAULT_MAX_POINTS,
@@ -53,7 +50,6 @@ from repro.core.partitioning import (
     partition_sequence,
 )
 from repro.core.sequence import MultidimensionalSequence
-from repro.util.budget import checkpoint
 from repro.util.checks import CONTRACTS
 from repro.util.freeze import FrozenDict, freeze
 from repro.util.validation import check_threshold
@@ -64,12 +60,13 @@ if TYPE_CHECKING:
     SequenceLike = MultidimensionalSequence | npt.ArrayLike
     PathLike = "str | os.PathLike[str]"
 
-__all__ = ["SegmentKey", "SegmentTable", "SequenceDatabase", "mapped_blocks"]
+__all__ = ["SegmentKey", "SegmentTable", "SequenceDatabase"]
 
 
 @dataclass(frozen=True)
 class SegmentKey:
-    """Payload of one index leaf entry: which segment of which sequence."""
+    """Which segment of which sequence: the payload of a leaf entry of
+    the trees :func:`repro.index.build_tree` builds beside a database."""
 
     sequence_id: object
     segment_index: int
@@ -93,7 +90,7 @@ class SegmentTable:
         row: what Phase 3 gathers runs of.
     low_columns, high_columns:
         The same corners as ``(n, S)``, a contiguous column per dimension:
-        what Phase 2, the k-NN bounds and the packed index scan
+        what Phase 2, the k-NN bounds and the index scan
         (:func:`repro.core.mbr.dmbr_columns`).
     counts:
         ``(S,)`` points per segment.
@@ -109,12 +106,13 @@ class SegmentTable:
     Every array is frozen; the table is replaced, never patched.
 
     All the arrays are views of one anonymous memory mapping rather than
-    ``malloc`` blocks.  A serving engine makes a table on every write,
-    each a little larger than the last and freed only when the previous
-    snapshot dies; on the heap of the writing thread those
-    quarter-megabyte blocks left holes that no later table fitted
-    (measured: 3 MB of resident memory after 300 writes to 300
-    sequences).  A mapping goes back to the system when the table does.
+    ``malloc`` blocks (:func:`~repro.core.packed.mapped_blocks`).  A
+    serving engine makes a table on every write, each a little larger
+    than the last and freed only when the previous snapshot dies; on the
+    heap of the writing thread those quarter-megabyte blocks left holes
+    that no later table fitted (measured: 3 MB of resident memory after
+    300 writes to 300 sequences).  A mapping goes back to the system when
+    the table does.
     """
 
     ids: tuple[object, ...]
@@ -225,14 +223,6 @@ class SegmentTable:
         )
 
 
-def mapped_blocks(sizes: Sequence[int]) -> list[np.ndarray]:
-    """Zeroed ``int64`` blocks of the given sizes, cut from one fresh
-    anonymous memory mapping (see :class:`SegmentTable` for why not the
-    heap); the mapping lives as long as any view of a block does."""
-    words = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=np.int64)
-    return np.split(words[: sum(sizes)], np.cumsum(sizes)[:-1])
-
-
 def _blank_arrays(
     dimension: int, segments: int, sequences: int
 ) -> dict[str, np.ndarray]:
@@ -263,8 +253,8 @@ def _validate_candidate_rows(
     those whose least ``Dmbr`` to the query's MBRs, scanned flat over the
     whole segment table, is within the threshold — no more (a stale entry
     survived a write) and no fewer (a node rectangle does not cover what is
-    below it, a written row never reached the index).  Exact: every index
-    kind adds the squared gaps in the flat scan's order."""
+    below it, a written row never reached the index).  Exact: the index
+    adds the squared gaps in the flat scan's order."""
     table = database.segment_table
     bounds = min_dmbr_runs(
         query_partition.low_matrix,
@@ -279,7 +269,7 @@ def _validate_candidate_rows(
         wrong = np.setxor1d(result[0], expected)
         raise ContractViolation(
             f"Phase 2 disagrees with a flat scan of the segment table at "
-            f"epsilon {epsilon!r}: the {database.index_kind!r} index "
+            f"epsilon {epsilon!r}: the index "
             f"{'missed' if wrong[0] in expected else 'invented'} sequence "
             f"{table.ids[wrong[0]]!r} (min Dmbr {bounds[wrong[0]]!r}); "
             f"{len(wrong)} rows differ"
@@ -298,14 +288,6 @@ class SequenceDatabase:
         a finite number above zero.
     max_points:
         Cap on points per segment MBR (``None`` disables).
-    index_kind:
-        ``"packed"`` (default: the array-backed index of
-        :mod:`repro.index.packed`, advanced by each write), or one of the
-        static substrates, rebuilt on first use after a write: ``"rtree"``
-        (Guttman — the paper's), ``"rstar"`` (R*-tree) or ``"str"`` (an
-        object tree bulk-loaded by STR).
-    max_entries:
-        R-tree node capacity (the packed index has its own fixed fan-out).
 
     Examples
     --------
@@ -323,23 +305,18 @@ class SequenceDatabase:
         *,
         cost_constant: float = DEFAULT_COST_CONSTANT,
         max_points: int | None = DEFAULT_MAX_POINTS,
-        index_kind: str = "packed",
-        max_entries: int = 16,
     ) -> None:
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
-        self._backend = get_backend(index_kind)  # ValueError for unknown kinds
         self.dimension = dimension
         self.cost_constant = _checked_cost_constant(cost_constant)
         self.max_points = max_points
-        self.index_kind = index_kind
-        self.max_entries = max_entries
         self._partitions: dict[object, PartitionedSequence] = {}
         #: Derived state as of one moment — the table, and the index once
         #: something has asked for it — and the ids written since, oldest
         #: first.  The next use of either brings both up to the partitions.
         self._table: SegmentTable | None = None
-        self._index: IndexBackend | None = None
+        self._index: PackedIndex | None = None
         self._stale: tuple[object, ...] = ()
 
     # ------------------------------------------------------------------
@@ -445,8 +422,6 @@ class SequenceDatabase:
             dimension=self.dimension,
             cost_constant=self.cost_constant,
             max_points=self.max_points,
-            index_kind=self.index_kind,
-            max_entries=self.max_entries,
         )
 
     def clone(self) -> "SequenceDatabase":
@@ -470,8 +445,8 @@ class SequenceDatabase:
         """Remove a sequence; raises ``KeyError`` for unknown ids."""
         self.partition(sequence_id)  # raises on unknown id
         del self._partitions[sequence_id]
-        # The rows behind it are renumbered, which no index can follow:
-        # whatever the kind, the next one is built anew.
+        # The rows behind it are renumbered, which the index cannot
+        # follow: the next one packs a new base.
         self._index = None
         self._written(sequence_id)
 
@@ -523,7 +498,7 @@ class SequenceDatabase:
 
         The table is spliced from its predecessor if one write separates
         the two and rebuilt otherwise; an index that was derived for the
-        predecessor is succeeded by its kind's build for this table.
+        predecessor is advanced to this table.
         """
         table, previous, written = self._table, self._index, self._stale
         # Forgotten first: a build that fails leaves nothing stale behind
@@ -535,7 +510,7 @@ class SequenceDatabase:
             table = SegmentTable.build(self.dimension, self._partitions)
         self._table = table
         if previous is not None:
-            self._index = self._backend.build(self, previous, written)
+            self._index = index_table(table, previous, written)
         return table
 
     @property
@@ -552,16 +527,15 @@ class SequenceDatabase:
     # Index
     # ------------------------------------------------------------------
     @property
-    def index(self) -> IndexBackend:
-        """The MBR index, derived on first use and again after a mutation
-        — a rebuild for every kind but the default, which advances.  Like
+    def index(self) -> PackedIndex:
+        """The MBR index, derived on first use and advanced after a
+        mutation (:func:`~repro.core.packed.index_table`).  Like
         :attr:`segment_table`, deriving is not thread-safe, and
         :class:`~repro.service.engine.QueryEngine` forces it on the writer
         — packing a new base included — before a snapshot is published."""
-        if self._table is None or self._stale:
-            self._derive()  # the table first: an existing index follows it
+        table = self.segment_table  # the table first: an existing index follows it
         if self._index is None:
-            self._index = self._backend.build(self, None, ())
+            self._index = index_table(table, None, ())
         return self._index
 
     @lower_bounds(_validate_candidate_rows, label="Phase 2 == flat min Dmbr scan")
@@ -573,33 +547,18 @@ class SequenceDatabase:
         Returns the ascending :attr:`segment_table` rows of the sequences
         owning a segment with ``Dmbr <= epsilon`` to some MBR of
         ``query_partition`` — the paper's ``AS_mbr`` — and the index node
-        accesses the probe cost.  An array-backed index answers for all the
-        MBRs in one batched descent; a tree is probed once per MBR.
+        accesses the probe cost: one batched descent for all the MBRs.
         """
-        epsilon = check_threshold(epsilon)
-        index = self.index
-        batched = getattr(index, "candidate_rows", None)
-        if batched is not None:
-            return batched(
-                query_partition.low_matrix, query_partition.high_matrix, epsilon
-            )
-        accesses_before = index.stats.node_accesses
-        found: set[object] = set()
-        for segment in query_partition:
-            checkpoint("search.phase2")
-            for entry in index.search_within(segment.mbr, epsilon):
-                found.add(entry.payload.sequence_id)
-        rows = self.segment_table.rows
-        return (
-            np.array(sorted(rows[sid] for sid in found), dtype=np.int64),
-            index.stats.node_accesses - accesses_before,
+        return self.index.candidate_rows(
+            query_partition.low_matrix,
+            query_partition.high_matrix,
+            check_threshold(epsilon),
         )
 
     def __repr__(self) -> str:
         return (
             f"SequenceDatabase(dimension={self.dimension}, "
-            f"sequences={len(self)}, segments={self.segment_count}, "
-            f"index_kind={self.index_kind!r})"
+            f"sequences={len(self)}, segments={self.segment_count})"
         )
 
     # ------------------------------------------------------------------
@@ -641,8 +600,6 @@ class SequenceDatabase:
             "dimension": self.dimension,
             "cost_constant": self.cost_constant,
             "max_points": self.max_points,
-            "index_kind": self.index_kind,
-            "max_entries": self.max_entries,
             "ids": [[type(i).__name__, str(i)] for i in ids],
         }
         parts = list(self._partitions.values())
@@ -703,8 +660,8 @@ class SequenceDatabase:
         Each partition is rebuilt from its stored counts, its MBR corners
         from its points (:meth:`PartitionedSequence._of_counts`); MCOST
         does not run.  Sequences come back in the saved order, so every
-        derived structure — a tree's node layout included, hence its
-        node-access counts — comes out as in the database that was saved.
+        derived structure — the index, hence its node-access counts, and a
+        tree built beside it — comes out as in the database that was saved.
 
         The stored counts are trusted only after their structure is
         checked: every count at least 1 and at most ``max_points``, each
@@ -720,7 +677,9 @@ class SequenceDatabase:
         Archives in the older per-sequence layout (one ``sequence_<i>``
         member each, compressed) load by partitioning every sequence
         again; the ``_index`` member of archives written before the index
-        was derived state is not read.
+        was derived state is not read, nor are the ``index_kind`` and
+        ``max_entries`` of archives written while the database kept more
+        than one kind of index.
         """
         name = os.fspath(path)
         try:
@@ -747,8 +706,6 @@ class SequenceDatabase:
                 max_points=(
                     None if meta["max_points"] is None else int(meta["max_points"])
                 ),
-                index_kind=meta["index_kind"],
-                max_entries=int(meta["max_entries"]),
             )
         except ValueError as error:
             raise ValueError(f"{name}: corrupt database archive: {error}") from error

@@ -1,11 +1,11 @@
-"""Spatial index substrate: where the segment MBRs are stored and probed.
+"""The paper's spatial index substrate, built beside a database.
 
 The paper stores every sequence-segment MBR "into a database by using the
-R-tree or its variants" (§3.4.1).  This subpackage provides:
+R-tree or its variants" (§3.4.1), once, as pre-processing.  The database
+itself keeps one index, the packed one of :mod:`repro.core.packed`; this
+subpackage holds the R-tree family the figure and ablation benches
+measure:
 
-* :class:`~repro.index.packed.PackedIndex` (``"packed"``) — the database's
-  default: an STR-packed tree held in a handful of arrays, derived from
-  the segment table and probed for all query MBRs in one batched descent.
 * :class:`~repro.index.rtree.RTree` (``"rtree"``) — the classic Guttman
   tree (quadratic split), the paper's substrate and the parity reference.
 * :class:`~repro.index.rstar.RStarTree` (``"rstar"``) — the R*-tree variant.
@@ -15,15 +15,13 @@ R-tree or its variants" (§3.4.1).  This subpackage provides:
 All of them support the Phase-2 probe of the paper's search algorithm:
 ``search_within(query_mbr, epsilon)`` returns every leaf entry whose
 rectangle-to-rectangle minimum distance (``Dmbr``) to the query rectangle is
-at most ``epsilon``.
+at most ``epsilon``.  :func:`build_tree` builds one over what a database
+stores.
 """
 
-from repro.core.backends import Build, IndexBackend, register_index_backend
 from repro.core.database import SegmentKey, SequenceDatabase
-from repro.core.mbr import MBR
 from repro.index.bulk import bulk_load_str
 from repro.index.node import LeafEntry, Node
-from repro.index.packed import PackedBase, PackedIndex, index_table
 from repro.index.paging import (
     PageStats,
     PageStore,
@@ -31,56 +29,45 @@ from repro.index.paging import (
     detach_page_store,
 )
 from repro.index.rstar import RStarTree
-from repro.index.rtree import IndexStats, RTree
+from repro.index.rtree import RTree
+
+#: The kinds :func:`build_tree` knows.
+TREE_KINDS = ("rtree", "rstar", "str")
 
 
-def _leaf_entries(database: SequenceDatabase) -> list[tuple[MBR, SegmentKey]]:
-    """One ``(MBR, key)`` leaf entry per stored segment, in insertion order."""
-    return [
+def build_tree(database: SequenceDatabase, kind: str = "rtree") -> RTree:
+    """A static tree over every segment ``database`` stores now.
+
+    One leaf entry per segment, its payload the segment's
+    :class:`~repro.core.database.SegmentKey`, taken in insertion order:
+    ``"rtree"`` / ``"rstar"`` insert them one by one, ``"str"`` bulk-loads
+    them.  So a database, its clone and its reloaded archive give one
+    layout.  The tree is not kept up to date: build another after a write.
+    """
+    if kind not in TREE_KINDS:
+        raise ValueError(f"kind must be one of {TREE_KINDS}, got {kind!r}")
+    entries = [
         (segment.mbr, SegmentKey(sequence_id, segment.index))
         for sequence_id, partition in database.partitions()
         for segment in partition
     ]
+    if kind == "str":
+        return bulk_load_str(entries, database.dimension)
+    tree = (RTree if kind == "rtree" else RStarTree)(database.dimension)
+    tree.extend(entries)
+    return tree
 
-
-def _grown(tree_class: type[RTree]) -> Build:
-    """The build of a dynamic tree: insert every entry, in insertion order
-    — so a database, its clone and its reloaded archive hold one layout."""
-
-    def build(
-        database: SequenceDatabase, previous: IndexBackend | None, written: object
-    ) -> RTree:
-        tree = tree_class(database.dimension, max_entries=database.max_entries)
-        tree.extend(_leaf_entries(database))
-        return tree
-
-    return build
-
-
-# Self-register the default backends with the core registry (the lazy
-# provider seam of repro.core.backends imports this module by name).
-register_index_backend("packed", index_table)
-register_index_backend("rtree", _grown(RTree))
-register_index_backend("rstar", _grown(RStarTree))
-register_index_backend(
-    "str",
-    lambda database, previous, written: bulk_load_str(
-        _leaf_entries(database), database.dimension, max_entries=database.max_entries
-    ),
-)
 
 __all__ = [
-    "IndexStats",
     "LeafEntry",
     "Node",
-    "PackedBase",
-    "PackedIndex",
     "PageStats",
     "PageStore",
     "RStarTree",
     "RTree",
+    "TREE_KINDS",
     "attach_page_store",
+    "build_tree",
     "bulk_load_str",
     "detach_page_store",
-    "index_table",
 ]

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.core.mbr import MBR
+from repro.core.packed import IndexStats
 from repro.index.node import LeafEntry, Node
 from repro.util.validation import check_threshold
 
@@ -34,22 +34,7 @@ if TYPE_CHECKING:
 
     import numpy.typing as npt
 
-__all__ = ["IndexStats", "RTree"]
-
-
-@dataclass
-class IndexStats:
-    """Mutable access counters a tree carries across operations."""
-
-    node_accesses: int = 0
-    leaf_accesses: int = 0
-    splits: int = 0
-    reinserts: int = 0
-
-    def reset_query_counters(self) -> None:
-        """Zero the per-query counters (accesses), keeping build counters."""
-        self.node_accesses = 0
-        self.leaf_accesses = 0
+__all__ = ["RTree"]
 
 
 class RTree:

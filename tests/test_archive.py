@@ -101,16 +101,17 @@ def rewrite(path, **changes):
     np.savez(path, **arrays)
 
 
-def write_old_layout(database, path):
+def write_old_layout(database, path, kind="rtree"):
     """An archive as earlier versions wrote it: one compressed
-    ``sequence_<i>`` member per sequence beside ``_meta``."""
+    ``sequence_<i>`` member per sequence beside ``_meta``, which names the
+    index kind the database then kept."""
     ids = database.ids()
     meta = {
         "dimension": database.dimension,
         "cost_constant": database.cost_constant,
         "max_points": database.max_points,
-        "index_kind": database.index_kind,
-        "max_entries": database.max_entries,
+        "index_kind": kind,
+        "max_entries": 16,
         "ids": [[type(i).__name__, str(i)] for i in ids],
     }
     archive = {
@@ -255,14 +256,14 @@ class TestRoundTrip:
 class TestOldLayout:
     @pytest.mark.parametrize("index_kind", ["packed", "rtree"])
     def test_per_sequence_archives_load_through_mcost(self, rng, tmp_path, index_kind):
-        database = build(rng, 10, index_kind=index_kind)
+        database = build(rng, 10)
         database.append_points("s3", rng.random((25, 2)))
         old = tmp_path / "old.npz"
-        write_old_layout(database, old)
+        write_old_layout(database, old, index_kind)
         with zipfile.ZipFile(old) as archive:
             assert "points.npy" not in archive.namelist()
         loaded = SequenceDatabase.load(old)
-        assert loaded.ids() == database.ids() and loaded.index_kind == index_kind
+        assert loaded.ids() == database.ids()
         assert fingerprint(loaded) == fingerprint(database)
         same_searches(loaded, database, rng)
         # Saved again, it is in the new layout, and loads to the same.

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.database import SegmentKey, SequenceDatabase
 from repro.core.sequence import MultidimensionalSequence
+from repro.index import build_tree
 
 
 class TestPopulation:
@@ -71,8 +72,6 @@ class TestPopulation:
     def test_validation(self):
         with pytest.raises(ValueError):
             SequenceDatabase(dimension=0)
-        with pytest.raises(ValueError, match="index_kind"):
-            SequenceDatabase(dimension=2, index_kind="btree")
 
     @pytest.mark.parametrize("constant", [float("nan"), float("inf"), -1.0, 0.0])
     def test_a_cost_constant_that_is_not_finite_and_positive_is_refused(
@@ -85,13 +84,15 @@ class TestPopulation:
 
 
 class TestIndexKinds:
+    """The trees :func:`repro.index.build_tree` builds beside a database."""
+
     @pytest.mark.parametrize("kind", ["rtree", "rstar", "str"])
     def test_index_holds_every_segment(self, rng, kind):
-        db = SequenceDatabase(dimension=2, index_kind=kind)
+        db = SequenceDatabase(dimension=2)
         for i in range(6):
             db.add(rng.random((int(rng.integers(20, 50)), 2)), sequence_id=i)
-        index = db.index
-        assert len(index) == db.segment_count
+        index = build_tree(db, kind)
+        assert len(index) == len(db.index) == db.segment_count
         keys = {(e.payload.sequence_id, e.payload.segment_index)
                 for e in index.entries()}
         expected = {
@@ -102,27 +103,27 @@ class TestIndexKinds:
         assert keys == expected
 
     def test_str_index_rebuilt_after_late_insert(self, rng):
-        db = SequenceDatabase(dimension=2, index_kind="str")
+        db = SequenceDatabase(dimension=2)
         db.add(rng.random((20, 2)), sequence_id=0)
-        first = db.index
+        first = build_tree(db, "str")
         assert len(first) == db.segment_count
         db.add(rng.random((20, 2)), sequence_id=1)
-        second = db.index
-        assert len(second) == db.segment_count
-        assert second is not first
+        second = build_tree(db, "str")
+        assert len(second) == db.segment_count > len(first)
+        second.check_invariants(check_min_fill=False)
 
     def test_payloads_are_segment_keys(self, rng):
-        db = SequenceDatabase(dimension=2, index_kind="rtree")
+        db = SequenceDatabase(dimension=2)
         db.add(rng.random((30, 2)), sequence_id="s")
-        entry = next(iter(db.index.entries()))
+        entry = next(iter(build_tree(db).entries()))
         assert isinstance(entry.payload, SegmentKey)
         assert entry.payload.sequence_id == "s"
 
     def test_index_mbrs_match_partition(self, rng):
-        db = SequenceDatabase(dimension=2, index_kind="rtree")
+        db = SequenceDatabase(dimension=2)
         db.add(rng.random((40, 2)), sequence_id="s")
         partition = db.partition("s")
-        for entry in db.index.entries():
+        for entry in build_tree(db).entries():
             segment = partition[entry.payload.segment_index]
             assert entry.mbr == segment.mbr
 
@@ -136,4 +137,4 @@ class TestIndexKinds:
     def test_repr(self, rng):
         db = SequenceDatabase(dimension=2)
         db.add(rng.random((10, 2)))
-        assert "sequences=1" in repr(db)
+        assert "sequences=1" in repr(db) and "index_kind" not in repr(db)

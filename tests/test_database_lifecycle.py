@@ -8,29 +8,32 @@ from hypothesis import strategies as st
 from repro.cli import build_parser, main
 from repro.core.database import SegmentTable, SequenceDatabase
 from repro.core.search import SimilaritySearch
+from repro.index import TREE_KINDS, build_tree
 from repro.service.engine import QueryEngine
 from repro.util.checks import checking
 from repro.util.freeze import verify_frozen
+from tests.test_phase2_index import tree_rows
 
 
 class TestRemove:
-    def _database(self, rng, kind="rtree"):
-        db = SequenceDatabase(dimension=2, index_kind=kind)
+    def _database(self, rng):
+        db = SequenceDatabase(dimension=2)
         for i in range(8):
             db.add(rng.random((int(rng.integers(20, 50)), 2)), sequence_id=i)
         return db
 
     @pytest.mark.parametrize("kind", ["rtree", "rstar", "str"])
     def test_remove_drops_sequence_and_index_entries(self, rng, kind):
-        db = self._database(rng, kind)
+        db = self._database(rng)
+        db.index  # derived before the remove, so the remove must drop it
         before = db.segment_count
         removed_segments = len(db.partition(3))
         db.remove(3)
         assert 3 not in db
         assert len(db) == 7
         assert db.segment_count == before - removed_segments
-        index = db.index
-        assert len(index) == db.segment_count
+        index = build_tree(db, kind)
+        assert len(index) == len(db.index) == db.segment_count
         assert all(
             e.payload.sequence_id != 3 for e in index.entries()
         )
@@ -55,7 +58,8 @@ class TestRemove:
         db.remove(2)
         db.add(points, sequence_id=2)
         assert 2 in db
-        db.index.check_invariants()
+        assert len(db.index) == db.segment_count
+        build_tree(db).check_invariants()
 
 
 class TestSegmentTable:
@@ -87,11 +91,13 @@ class TestSegmentTable:
             min_size=1,
             max_size=14,
         ),
-        st.sampled_from(["packed", "rtree", "rstar", "str"]),
+        st.sampled_from(TREE_KINDS),
     )
     @settings(max_examples=40, deadline=None)
     def test_search_equals_a_database_rebuilt_from_scratch(self, steps, kind):
-        database = SequenceDatabase(2, max_points=6, index_kind=kind)
+        """Also a tree built beside the written database: it finds what
+        the rebuilt one's index finds."""
+        database = SequenceDatabase(2, max_points=6)
         database.add(self._walk(1, 30), sequence_id="seed")
         query = self._walk(1, 30)[5:20]
         added = 0
@@ -115,10 +121,14 @@ class TestSegmentTable:
             fresh = database.empty_twin()
             for sequence_id, partition in database.partitions():
                 fresh.add(partition.sequence.points, sequence_id=sequence_id)
+            tree = build_tree(database, kind)
             for epsilon in (0.05, 0.3):
                 assert self._outcome(database, query, epsilon) == self._outcome(
                     fresh, query, epsilon
                 )
+                probe = SimilaritySearch(fresh).search(query, epsilon).query_partition
+                expected = fresh.candidate_rows(probe, epsilon)[0].tolist()
+                assert tree_rows(tree, database, probe, epsilon) == expected
             table = database.segment_table
             assert list(table.ids) == database.ids()
             assert len(table.counts) == database.segment_count
@@ -263,7 +273,7 @@ class TestAppendEqualsAdd:
     and that must not show."""
 
     @staticmethod
-    def _entries(database):
+    def _entries(database, kind):
         return sorted(
             (
                 str(entry.payload.sequence_id),
@@ -271,7 +281,7 @@ class TestAppendEqualsAdd:
                 entry.mbr.low_tuple,
                 entry.mbr.high_tuple,
             )
-            for entry in database.index.entries()
+            for entry in build_tree(database, kind).entries()
         )
 
     @given(
@@ -289,7 +299,7 @@ class TestAppendEqualsAdd:
         others = [TestSegmentTable._walk(seed + k, 25) for k in (1, 2)]
         stops = sorted({c for c in cuts if c < length} | {length})
 
-        whole = SequenceDatabase(2, max_points=max_points, index_kind=kind)
+        whole = SequenceDatabase(2, max_points=max_points)
         pieces = whole.empty_twin()
         for database, first in ((whole, stream), (pieces, stream[: stops[0]])):
             database.add(others[0], sequence_id="before")
@@ -306,8 +316,8 @@ class TestAppendEqualsAdd:
                 getattr(pieces.segment_table, name),
                 getattr(whole.segment_table, name),
             )
-        assert self._entries(pieces) == self._entries(whole)
-        pieces.index.check_invariants(check_min_fill=(kind != "str"))
+        assert self._entries(pieces, kind) == self._entries(whole, kind)
+        build_tree(pieces, kind).check_invariants(check_min_fill=(kind != "str"))
         assert np.array_equal(
             pieces.sequence("stream").points, whole.sequence("stream").points
         )

@@ -22,6 +22,8 @@ from repro.core.mbr import MBR
 from repro.core.partitioning import PartitionedSequence, partition_sequence
 from repro.core.search import SimilaritySearch
 from repro.core.sequence import MultidimensionalSequence
+from repro.index import TREE_KINDS, build_tree
+from tests.test_phase2_index import tree_rows
 
 
 def cube_points(n_range=(2, 15), dim=2, span=0.5):
@@ -106,20 +108,20 @@ class TestInsertionOrderIndependence:
         assert forward == backward == shuffled
 
     def test_index_kind_independence(self, rng):
+        """Phase 2 finds the same sequences whether the database's index
+        or a tree of any kind built beside it is probed."""
         sequences = [rng.random((30, 2)) for _ in range(10)]
         query = sequences[2][5:20]
-        answers = {}
-        for kind in ("rtree", "rstar", "str"):
-            db = SequenceDatabase(dimension=2, index_kind=kind)
-            for i, points in enumerate(sequences):
-                db.add(points, sequence_id=i)
-            result = SimilaritySearch(db).search(query, 0.15)
-            answers[kind] = (
-                set(result.candidates),
-                set(result.answers),
-                result.solution_intervals,
-            )
-        assert answers["rtree"] == answers["rstar"] == answers["str"]
+        db = SequenceDatabase(dimension=2)
+        for i, points in enumerate(sequences):
+            db.add(points, sequence_id=i)
+        result = SimilaritySearch(db).search(query, 0.15)
+        assert result.answers
+        ids = db.ids()
+        for kind in TREE_KINDS:
+            tree = build_tree(db, kind)
+            rows = tree_rows(tree, db, result.query_partition, 0.15)
+            assert [ids[row] for row in rows] == result.candidates, kind
 
 
 class TestDuplication:

@@ -1,6 +1,6 @@
-"""Phase 2 whatever the index kind: the packed base + delta against the
-R-tree it replaces as the default, against a flat scan of the segment
-table, and across writes, clones and re-packs."""
+"""Phase 2: the database's packed base + delta against the R-trees built
+beside it, against a flat scan of the segment table, and across writes,
+clones and re-packs."""
 
 import dataclasses
 
@@ -9,19 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.index.packed as packed
-from repro.core.backends import available_backends
+import repro.core.packed as packed
 from repro.core.contracts import ContractViolation
-from repro.core.database import SequenceDatabase
+from repro.core.database import SequenceDatabase, _validate_candidate_rows
 from repro.core.mbr import MBR, dmbr_columns, dmbr_rows
+from repro.core.packed import PackedBase, PackedIndex
 from repro.core.partitioning import partition_sequence
 from repro.core.search import SimilaritySearch
-from repro.index.packed import PackedBase, PackedIndex
+from repro.index import TREE_KINDS, build_tree
 from repro.service.engine import QueryEngine
 from repro.util.checks import checking
 from tests.test_search import lemma1_bounds
 
-KINDS = ("packed", "rtree", "rstar", "str")
+KINDS = ("packed", *TREE_KINDS)
 
 
 def walk(seed, length, dimension=2, step=0.03):
@@ -37,8 +37,8 @@ def outcome(database, query, epsilon):
     return result.candidates, result.answers, result.solution_intervals
 
 
-def populated(kind, count=30, dimension=2, **kwargs):
-    database = SequenceDatabase(dimension, index_kind=kind, **kwargs)
+def populated(count=30, dimension=2, **kwargs):
+    database = SequenceDatabase(dimension, **kwargs)
     for number in range(count):
         database.add(
             walk(number, 20 + 7 * number % 90, dimension), sequence_id=number
@@ -46,10 +46,28 @@ def populated(kind, count=30, dimension=2, **kwargs):
     return database
 
 
-def test_every_kind_is_registered_and_packed_is_the_default():
-    assert set(KINDS) <= set(available_backends())
-    assert SequenceDatabase(2).index_kind == "packed"
-    assert isinstance(SequenceDatabase(2).index, PackedIndex)
+def tree_rows(tree, database, partition, epsilon):
+    """Phase 2 on a tree built beside ``database``: one probe per query
+    MBR; the ascending table rows of the sequences hit."""
+    rows = database.segment_table.rows
+    return sorted(
+        {
+            rows[entry.payload.sequence_id]
+            for segment in partition
+            for entry in tree.search_within(segment.mbr, epsilon)
+        }
+    )
+
+
+def test_build_tree_builds_the_three_tree_kinds_and_no_other():
+    database = populated(count=10)
+    assert isinstance(database.index, PackedIndex)
+    for kind in TREE_KINDS:
+        tree = build_tree(database, kind)
+        assert len(tree) == database.segment_count
+        tree.check_invariants(check_min_fill=kind != "str")
+    with pytest.raises(ValueError, match="kind"):
+        build_tree(database, "packed")
 
 
 class TestOneSummationOrder:
@@ -85,22 +103,22 @@ class TestOneSummationOrder:
             for _ in range(12)
         ]
         query = walk(rng.integers(1 << 30), 25, dimension, 0.02)
-        searches = {}
-        for kind in KINDS:
-            database = SequenceDatabase(dimension, index_kind=kind)
-            for number, points in enumerate(stored):
-                database.add(points, sequence_id=number)
-            searches[kind] = SimilaritySearch(database)
-        search = searches["packed"]
+        database = SequenceDatabase(dimension)
+        for number, points in enumerate(stored):
+            database.add(points, sequence_id=number)
+        trees = {kind: build_tree(database, kind) for kind in TREE_KINDS}
+        search = SimilaritySearch(database)
         partition = search.search(query, 0.1).query_partition
         bounds = lemma1_bounds(search, partition).tolist()
-        ids = search.database.ids()
+        ids = database.ids()
         assert any(bound > 0 for bound in bounds)
         for epsilon in bounds:
             within = [sid for sid, bound in zip(ids, bounds) if bound <= epsilon]
-            for kind in KINDS:
-                got = searches[kind].search(query, epsilon, find_intervals=False)
-                assert got.candidates == within, (kind, epsilon)
+            got = search.search(query, epsilon, find_intervals=False)
+            assert got.candidates == within, epsilon
+            for kind, tree in trees.items():
+                rows = tree_rows(tree, database, partition, epsilon)
+                assert [ids[row] for row in rows] == within, (kind, epsilon)
             assert search.candidates_within(partition, ids, epsilon) == within
             assert [
                 sid
@@ -111,7 +129,7 @@ class TestOneSummationOrder:
 
 class TestPackedBase:
     def test_levels_cover_their_children_and_padding_is_nan(self):
-        database = populated("packed", count=120)
+        database = populated(count=120)
         table = database.segment_table
         base = database.index.base
         size = base.size
@@ -143,7 +161,7 @@ class TestPackedBase:
             base.levels[0][0][0, 0] = 0.0
 
     def test_an_infinite_threshold_admits_everything_and_no_padding(self):
-        database = populated("packed", count=40)
+        database = populated(count=40)
         search = SimilaritySearch(database)
         result = search.search(walk(7, 20), float("inf"), find_intervals=False)
         assert result.candidates == database.ids()
@@ -174,12 +192,12 @@ class TestPackedBase:
         assert len(database.index) == 1
 
 
-class TestIndexBackendSurface:
+class TestIndexSurface:
     """What ``perf/benchkit/ladder.py`` reads off ``database.index``."""
 
     def test_len_search_within_and_node_accesses(self):
-        database = populated("packed", count=60)
-        tree = populated("rtree", count=60)
+        database = populated(count=60)
+        tree = build_tree(database)
         index = database.index
         assert len(index) == database.segment_count
         partition = partition_sequence(walk(3, 30))
@@ -191,7 +209,7 @@ class TestIndexBackendSurface:
             got = sorted((table.ids[row], at) for row, at in hits.tolist())
             expected = sorted(
                 (entry.payload.sequence_id, entry.payload.segment_index)
-                for entry in tree.index.search_within(segment.mbr, 0.1)
+                for entry in tree.search_within(segment.mbr, 0.1)
             )
             assert got == expected and len(hits) == len(expected)
         with pytest.raises(TypeError, match="MBR"):
@@ -202,7 +220,7 @@ class TestIndexBackendSurface:
             index.search_within(partition[0].mbr, -1.0)
 
     def test_search_reports_the_descent_as_node_accesses(self):
-        database = populated("packed", count=60)
+        database = populated(count=60)
         result = SimilaritySearch(database).search(walk(3, 30), 0.1)
         # The implicit root once per query MBR, then what the descent opens.
         assert result.stats.node_accesses >= result.stats.query_segments
@@ -214,7 +232,8 @@ class TestIndexBackendSurface:
 
 
 class TestWritesAgainstTheTree:
-    """The default kind and the R-tree, side by side, through every write."""
+    """The packed index through every write, against an R-tree built
+    afresh after each."""
 
     @given(
         st.lists(
@@ -238,44 +257,39 @@ class TestWritesAgainstTheTree:
 
     @staticmethod
     def _run(steps):
-        sides = {
-            kind: SequenceDatabase(2, max_points=6, index_kind=kind)
-            for kind in ("packed", "rtree")
-        }
-        for database in sides.values():
-            for number in range(3):
-                database.add(walk(number, 30), sequence_id=f"seed{number}")
-            database.index  # the seeds are the first base
+        database = SequenceDatabase(2, max_points=6)
+        for number in range(3):
+            database.add(walk(number, 30), sequence_id=f"seed{number}")
+        database.index  # the seeds are the first base
         query = walk(1, 30)[5:20]
         added = 0
         for verb, number in steps:
-            ids = sides["packed"].ids()
+            ids = database.ids()
             if verb == "add":
                 added += 1
-            for kind, database in sides.items():
-                if verb == "add":
-                    database.add(
-                        walk(number, 5 + number % 40), sequence_id=f"s{added}"
-                    )
-                elif verb == "append" and ids:
-                    database.append_points(
-                        ids[number % len(ids)], walk(number, 1 + number % 9)
-                    )
-                elif verb == "remove" and ids:
-                    database.remove(ids[number % len(ids)])
-                elif verb == "clone":
-                    sides[kind] = database.clone()
+                database.add(walk(number, 5 + number % 40), sequence_id=f"s{added}")
+            elif verb == "append" and ids:
+                database.append_points(
+                    ids[number % len(ids)], walk(number, 1 + number % 9)
+                )
+            elif verb == "remove" and ids:
+                database.remove(ids[number % len(ids)])
+            elif verb == "clone":
+                database = database.clone()
+            tree = build_tree(database)
             for epsilon in (0.05, 0.3):
                 with checking("contracts"):
-                    assert outcome(sides["packed"], query, epsilon) == outcome(
-                        sides["rtree"], query, epsilon
-                    )
-            index = sides["packed"].index
-            assert len(index) == sides["packed"].segment_count
+                    partition = SimilaritySearch(database).search(
+                        query, epsilon
+                    ).query_partition
+                    rows = database.candidate_rows(partition, epsilon)[0]
+                assert rows.tolist() == tree_rows(tree, database, partition, epsilon)
+            index = database.index
+            assert len(index) == database.segment_count
             assert index.delta_segments <= packed.MERGE_DELTA_SEGMENTS
 
     def test_an_append_masks_the_rows_base_entries(self):
-        database = populated("packed", count=12, max_points=6)
+        database = populated(count=12, max_points=6)
         base = database.index.base
         assert database.index.delta_segments == 0
         database.append_points(5, walk(77, 9))
@@ -294,27 +308,27 @@ class TestWritesAgainstTheTree:
 
     def test_a_full_delta_is_merged_into_a_new_base(self, monkeypatch):
         monkeypatch.setattr(packed, "MERGE_DELTA_SEGMENTS", 40)
-        database = populated("packed", count=12, max_points=6)
-        tree = populated("rtree", count=12, max_points=6)
+        database = populated(count=12, max_points=6)
         query = walk(5, 40)[:15]
+        probe = partition_sequence(query, max_points=6)
         bases = [database.index.base]
         for number in range(20):
-            for side in (database, tree):
-                side.add(walk(200 + number, 30), sequence_id=f"new{number}")
+            database.add(walk(200 + number, 30), sequence_id=f"new{number}")
             index = database.index
             assert index.delta_segments <= 40
             if index.base is not bases[-1]:
                 bases.append(index.base)
                 assert index.delta_segments == 0
                 assert index.base.size == database.segment_count
-            assert outcome(database, query, 0.1) == outcome(tree, query, 0.1)
+            assert database.candidate_rows(probe, 0.1)[0].tolist() == tree_rows(
+                build_tree(database), database, probe, 0.1
+            )
         assert 3 <= len(bases) <= 6
 
     def test_a_twin_never_changes_its_parent(self):
-        """Whatever the kind, a clone shares the index by reference until
-        it writes, and then derives its own: the parent's index object,
-        its size and what it returns stay as they were.  The default kind
-        goes on sharing the base."""
+        """A clone shares the index by reference until it writes, and then
+        derives its own over the same base: the parent's index object, its
+        size and what it returns stay as they were."""
         queries = [walk(seed, 25) for seed in (3, 11)]
         probes = [partition_sequence(query) for query in queries]
 
@@ -324,26 +338,23 @@ class TestWritesAgainstTheTree:
                 [database.candidate_rows(p, 0.15)[0].tolist() for p in probes],
             )
 
-        for kind in KINDS:
-            parent = populated(kind, count=20)
-            index, size, before = parent.index, len(parent.index), seen(parent)
-            twin = parent.clone()
-            assert twin.index is index  # nothing copied
-            twin.add(queries[0], sequence_id="new")
-            twin.append_points(4, queries[1])
-            assert twin.index is not index
-            assert len(twin.index) == twin.segment_count > size
-            assert "new" in outcome(twin, queries[0], 0.15)[1]
-            if kind == "packed":
-                assert twin.index.base is index.base  # shared by reference
-                assert twin.index.delta_rows.tolist() == [4, 20]
-            twin.remove(0)
-            assert len(twin.index) == twin.segment_count
-            if kind == "packed":
-                assert twin.index.base is not index.base
-                assert index.delta_rows.tolist() == []
-            assert parent.index is index and len(index) == size
-            assert seen(parent) == before
+        parent = populated(count=20)
+        index, size, before = parent.index, len(parent.index), seen(parent)
+        twin = parent.clone()
+        assert twin.index is index  # nothing copied
+        twin.add(queries[0], sequence_id="new")
+        twin.append_points(4, queries[1])
+        assert twin.index is not index
+        assert len(twin.index) == twin.segment_count > size
+        assert "new" in outcome(twin, queries[0], 0.15)[1]
+        assert twin.index.base is index.base  # shared by reference
+        assert twin.index.delta_rows.tolist() == [4, 20]
+        twin.remove(0)
+        assert len(twin.index) == twin.segment_count
+        assert twin.index.base is not index.base
+        assert index.delta_rows.tolist() == []
+        assert parent.index is index and len(index) == size
+        assert seen(parent) == before
 
     def test_two_hundred_writes_pack_a_handful_of_times(self, monkeypatch):
         packs = []
@@ -354,7 +365,7 @@ class TestWritesAgainstTheTree:
             return pack(cls, *args)
 
         monkeypatch.setattr(PackedBase, "pack", classmethod(counting))
-        database = populated("packed", count=30)
+        database = populated(count=30)
         with QueryEngine(database, workers=1, cache_size=0) as engine:
             assert len(packs) == 1
             for number in range(200):
@@ -395,7 +406,7 @@ class TestPhase2Contract:
             search.search(island, 0.05)
 
     def test_a_write_that_never_reached_the_index_is_caught(self):
-        database = populated("packed", count=20)
+        database = populated(count=20)
         stale = database.index
         far = np.full((20, 2), 0.001)
         database.append_points(3, far)
@@ -416,12 +427,21 @@ class TestPhase2Contract:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_kind_passes_the_validator(self, kind):
-        database = populated(kind, count=25, dimension=9)
+        """The database's index under the ``contracts`` check; a tree built
+        beside it, its per-MBR probe handed to the same validator."""
+        database = populated(count=25, dimension=9)
         search = SimilaritySearch(database)
+        tree = None if kind == "packed" else build_tree(database, kind)
         with checking("contracts"):
             for seed in range(5):
                 query = walk(seed, 30, 9)
                 partition = search.search(query, 0.1).query_partition
                 bounds = lemma1_bounds(search, partition)
                 for epsilon in np.sort(bounds)[:6].tolist():
-                    search.search(query, epsilon, find_intervals=False)
+                    if tree is None:
+                        search.search(query, epsilon, find_intervals=False)
+                        continue
+                    rows = np.array(
+                        tree_rows(tree, database, partition, epsilon), dtype=np.int64
+                    )
+                    _validate_candidate_rows((rows, 0), database, partition, epsilon)

@@ -966,10 +966,10 @@ def test_rep300_packed_index_writes_are_caught(tmp_path):
     # A packed base is shared by every snapshot since it was packed.
     path = write_module(
         tmp_path,
-        "src/repro/index/packedwrites.py",
+        "src/repro/core/packedwrites.py",
         '''
         """Doc."""
-        from repro.index.packed import PackedBase, PackedIndex
+        from repro.core.packed import PackedBase, PackedIndex
 
         __all__ = []
 

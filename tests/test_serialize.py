@@ -1,5 +1,7 @@
 """Database archives, streaming append and threshold calibration."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,20 @@ from repro.analysis.calibration import calibrate_epsilon, selectivity_curve
 from repro.core.database import SequenceDatabase
 from repro.core.distance import sequence_distance
 from repro.core.search import SimilaritySearch
+from repro.index import build_tree
 
 
 class TestAppendPoints:
     def test_append_extends_and_index_tracks(self, rng):
-        db = SequenceDatabase(dimension=2, index_kind="rtree")
+        db = SequenceDatabase(dimension=2)
         db.add(rng.random((40, 2)), sequence_id="s")
+        db.index
         db.append_points("s", rng.random((25, 2)))
         assert len(db.sequence("s")) == 65
         assert len(db.index) == db.segment_count
-        db.index.check_invariants()
+        tree = build_tree(db)
+        tree.check_invariants()
+        assert len(tree) == db.segment_count
         # The patched index must equal a from-scratch rebuild semantically.
         fresh = SequenceDatabase(dimension=2)
         fresh.add(db.sequence("s").points, sequence_id="s")
@@ -68,11 +74,11 @@ class TestAppendPoints:
             db.append_points(0, rng.random((5, 3)))
 
     def test_append_with_str_index(self, rng):
-        db = SequenceDatabase(dimension=2, index_kind="str")
+        db = SequenceDatabase(dimension=2)
         db.add(rng.random((30, 2)), sequence_id=0)
-        _ = db.index
+        before = build_tree(db, "str")
         db.append_points(0, rng.random((15, 2)))
-        assert len(db.index) == db.segment_count
+        assert len(before) < len(build_tree(db, "str")) == db.segment_count
 
 
 class TestCalibration:
@@ -126,12 +132,12 @@ class TestCalibration:
 
 
 class TestDatabaseIndexEmbedding:
-    """The index is derived state whatever the kind: an archive holds
-    sequences, ids and partition parameters, and a loaded database derives
-    the index the saved one had."""
+    """The index is derived state: an archive holds sequences, ids and
+    partition parameters, and a loaded database derives the index the
+    saved one had — and a tree built beside it the saved one's tree."""
 
-    def _database(self, rng, count=8, index_kind="rtree", **kwargs):
-        db = SequenceDatabase(dimension=2, index_kind=index_kind, **kwargs)
+    def _database(self, rng, count=8, **kwargs):
+        db = SequenceDatabase(dimension=2, **kwargs)
         for ordinal in range(count):
             db.add(rng.random((22, 2)), sequence_id=f"s{ordinal}")
         return db
@@ -140,15 +146,15 @@ class TestDatabaseIndexEmbedding:
         """The packed index is derived from the segment table in
         milliseconds; nothing of it is persisted, so nothing of it can be
         torn or stale on disk."""
-        db = self._database(rng, index_kind="packed")
-        assert SequenceDatabase(dimension=2).index_kind == "packed"
+        db = self._database(rng)
         db.index  # a live index changes nothing
         path = tmp_path / "db.npz"
         db.save(path)
         with np.load(path) as archive:
             assert "_index" not in archive.files
+            meta = json.loads(bytes(archive["_meta"]).decode())
+        assert "index_kind" not in meta and "max_entries" not in meta
         loaded = SequenceDatabase.load(path)
-        assert loaded.index_kind == "packed"
         assert loaded._index is None  # packed on first use, once
         query = rng.random((9, 2))
         original = SimilaritySearch(db).search(query, 0.25)
@@ -159,23 +165,44 @@ class TestDatabaseIndexEmbedding:
         assert restored.stats.node_accesses == original.stats.node_accesses
         assert len(loaded.index) == loaded.segment_count
 
-    def test_rtree_archives_load_as_rtree_databases(self, rng, tmp_path):
-        """An archive written when ``"rtree"`` was the default names its
-        kind; it keeps loading as what it is."""
-        import json
-
-        db = self._database(rng, index_kind="rtree")
+    def _load_archive_naming(self, rng, tmp_path, kind):
+        """Archives written while the database kept several kinds of index
+        name one in ``_meta``, with a node capacity; both are ignored and
+        the archive loads as the one database, with identical answers."""
+        db = self._database(rng)
         path = tmp_path / "old.npz"
         db.save(path)
         with np.load(path) as archive:
-            meta = json.loads(bytes(archive["_meta"]).decode())
-            assert meta["index_kind"] == "rtree" and "_index" not in archive.files
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(bytes(arrays["_meta"]).decode())
+        meta.update({"index_kind": kind, "max_entries": 8})
+        arrays["_meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        np.savez(path, **arrays)
         loaded = SequenceDatabase.load(path)
-        assert loaded.index_kind == "rtree"
-        assert type(loaded.index).__name__ == "RTree"
-        loaded.index.check_invariants()
+        assert loaded.ids() == db.ids()
+        assert not hasattr(loaded, "index_kind") and not hasattr(loaded, "max_entries")
+        query = rng.random((9, 2))
+        original = SimilaritySearch(db).search(query, 0.3)
+        restored = SimilaritySearch(loaded).search(query, 0.3)
+        assert restored.candidates == original.candidates
+        assert restored.answers == original.answers
+        assert restored.solution_intervals == original.solution_intervals
         loaded.add(rng.random((22, 2)), sequence_id="later")
         assert len(loaded.index) == loaded.segment_count
+        tree = build_tree(loaded, kind)
+        tree.check_invariants()
+        assert len(tree) == loaded.segment_count
+
+    def test_rtree_archives_load_as_rtree_databases(self, rng, tmp_path):
+        """An archive written when ``"rtree"`` was the default names its
+        kind; it keeps loading, and an R-tree built beside it is sound."""
+        self._load_archive_naming(rng, tmp_path, "rtree")
+
+    def test_rstar_archives_load_as_the_one_database(self, rng, tmp_path):
+        self._load_archive_naming(rng, tmp_path, "rstar")
+
+    def test_str_backend_roundtrip_with_index(self, rng, tmp_path):
+        self._load_archive_naming(rng, tmp_path, "str")
 
     def test_loaded_index_layout_identical(self, rng, tmp_path):
         """The re-derived tree has the same node layout — same entries in
@@ -198,19 +225,11 @@ class TestDatabaseIndexEmbedding:
         assert restored.candidates == original.candidates
         assert restored.solution_intervals == original.solution_intervals
         assert restored.stats.node_accesses == original.stats.node_accesses
-
-    def test_str_backend_roundtrip_with_index(self, rng, tmp_path):
-        db = self._database(rng, index_kind="str")
-        path = tmp_path / "db_str.npz"
-        db.save(path)
-        with np.load(path) as archive:
-            assert "_index" not in archive.files
-        loaded = SequenceDatabase.load(path)
-        query = rng.random((9, 2))
-        assert (
-            SimilaritySearch(loaded).search(query, 0.3).answers
-            == SimilaritySearch(db).search(query, 0.3).answers
-        )
+        trees = [build_tree(db), build_tree(loaded)]
+        for segment in restored.query_partition:
+            hits = [tree.search_within(segment.mbr, 0.25) for tree in trees]
+            assert [e.payload for e in hits[0]] == [e.payload for e in hits[1]]
+        assert trees[0].stats.node_accesses == trees[1].stats.node_accesses
 
     def test_an_old_archive_s_index_member_is_never_read(self, rng, tmp_path):
         """Archives written before the index was derived state embed a
@@ -226,8 +245,8 @@ class TestDatabaseIndexEmbedding:
         old = tmp_path / "old.npz"
         np.savez_compressed(old, **arrays)
         loaded = SequenceDatabase.load(old)
-        assert loaded.index_kind == "rtree" and loaded.ids() == db.ids()
-        loaded.index.check_invariants()
+        assert loaded.ids() == db.ids()
+        build_tree(loaded).check_invariants()
         query = rng.random((9, 2))
         original = SimilaritySearch(db).search(query, 0.25)
         restored = SimilaritySearch(loaded).search(query, 0.25)

@@ -96,7 +96,8 @@ def _stop(server: subprocess.Popen, signum: int, what: str) -> None:
 
 def _write_old_layout(database, path: Path) -> None:
     """``database`` as archives were written before the point block: one
-    compressed ``sequence_<i>`` member per sequence beside ``_meta``."""
+    compressed ``sequence_<i>`` member per sequence beside ``_meta``, which
+    then also named an index kind and its node capacity (ignored now)."""
     import json
 
     import numpy as np
@@ -106,8 +107,8 @@ def _write_old_layout(database, path: Path) -> None:
         "dimension": database.dimension,
         "cost_constant": database.cost_constant,
         "max_points": database.max_points,
-        "index_kind": database.index_kind,
-        "max_entries": database.max_entries,
+        "index_kind": "rtree",
+        "max_entries": 16,
         "ids": [[type(i).__name__, str(i)] for i in ids],
     }
     members = {

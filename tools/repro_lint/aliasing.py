@@ -108,7 +108,7 @@ FROZEN_ATTR_KINDS: dict[str, dict[str, str]] = {
         "sequence_offsets": _KIND_ARRAY,
         "lengths": _KIND_ARRAY,
     },
-    "repro.index.packed": {
+    "repro.core.packed": {
         "base": _KIND_STRUCT,
         "entry_row": _KIND_ARRAY,
         "entry_segment": _KIND_ARRAY,

@@ -1,5 +1,5 @@
 """Parity of ``SimilaritySearch`` between two checkouts of this repo, and
-between index kinds within this one.
+between the database's index and the paper's R-tree within this one.
 
 Builds the ``core_range`` benchmark inputs (``perf/benchkit/inputs.py``:
 N=500 video corpus, 600 queries, seed 2000) in a default
@@ -17,8 +17,8 @@ compared for 100 (query, id) pairs, floats as ``float.hex()``; and a
 ``QueryEngine(cache_size=128)`` replays searches, 60 writes (inserts,
 appends to new and to old ids, removes), then the same searches again,
 every response compared (answers, intervals, cache outcome) — which is
-what reaches the ε-cache's refine and write-patch paths and, on the
-default index, the delta, the masking of rewritten rows and a re-pack.
+what reaches the ε-cache's refine and write-patch paths and, in the
+index, the delta, the masking of rewritten rows and a re-pack.
 What the searches run on is compared too: every sequence's segments
 (counts and MBR corners as ``float.hex()``).  So are the partitions MCOST
 builds of every query's Phase 1 (the long ones included) and of every
@@ -27,21 +27,22 @@ re-partition only the last segment (``PartitionedSequence.extended_to``);
 the engine's stored partitions are read off ``engine._snapshot.database``,
 the one private attribute used.
 
-How the default index is laid out and how many nodes a probe visits are
-*not* compared: they are whatever the default kind makes them.  They are
-compared for an explicit ``index_kind="rtree"`` build — the R-tree as
-stored (each node's level and rectangle and each leaf's entries, in order)
-and ``node_accesses`` per search — since that is the substrate the paper's
-figures are measured on.  The tree is derived state: the database builds
-it on first use by inserting every stored segment in insertion order,
-which on this add-only corpus is the order a checkout that maintained its
-tree write by write inserted them in — so the two must agree to the node.
+How the database's index is laid out and how many nodes a probe visits
+are *not* compared: they are whatever the packed index makes them.  They
+are compared for the paper's Guttman R-tree built beside the database —
+the tree as stored (each node's level and rectangle and each leaf's
+entries, in order) and, per (query, threshold), the candidates and
+``node_accesses`` of one ``search_within`` per query MBR.  The tree is
+built here, with API every checkout has (``RTree(n).extend`` over the
+stored segments in insertion order, keyed by ``SegmentKey``), which on
+this add-only corpus is the order a checkout that maintained its tree
+write by write inserted them in — so the two must agree to the node.
 
-A last section needs no other checkout: the default kind against the
+A last section needs no other checkout: the database's index against the
 R-tree, same corpus, same 3 840 searches — identical candidate sets —
-and again after each of a run of writes applied to both, where the
-R-tree side derives a new tree after every write (the price of the
-paper's static model: most of this section's minute).
+and again after each of a run of writes, where a new tree is built over
+the database after every write (the price of the paper's static model:
+most of this section's minute).
 
 Usage::
 
@@ -91,10 +92,9 @@ def _dump(path: Path, seed: int, queries: int, cross_kind: bool) -> None:
         corpus, _LONG_QUERIES, length_range=(96, 256), noise=0.01, seed=seed + 2
     ).queries
     database = SequenceDatabase(3)
-    tree = SequenceDatabase(3, index_kind="rtree")
     for sequence in corpus:
         database.add(sequence)
-        tree.add(sequence)
+    tree = _tree(database)
     search = SimilaritySearch(database)
     replay, replayed = _cache_replay(corpus, pool, long_pool, seed)
 
@@ -143,20 +143,35 @@ def _dump(path: Path, seed: int, queries: int, cross_kind: bool) -> None:
         ],
         "replayed": replayed,
         "rtree": {
-            "tree": _tree_layout(tree.index.root),
-            "probes": _probes(tree, [*pool, *long_pool]),
+            "tree": _tree_layout(tree.root),
+            "probes": _tree_probes(database, tree, [*pool, *long_pool]),
         },
     }
     if cross_kind:
-        # Last: the writes change both databases.
+        # Last: the writes change the database.
         sample = [*pool[: _CACHED_QUERIES[0]], *long_pool[: _CACHED_QUERIES[1]]]
-        dumped["after_writes"] = _write_directly(database, tree, sample, seed)
+        dumped["after_writes"] = _write_directly(database, sample, seed)
     path.write_text(json.dumps(dumped))
 
 
+def _tree(database: Any) -> Any:
+    """The paper's R-tree over what ``database`` stores: one leaf entry per
+    segment, keyed by ``SegmentKey``, inserted in insertion order."""
+    from repro.core.database import SegmentKey
+    from repro.index import RTree
+
+    tree = RTree(database.dimension)
+    tree.extend(
+        (segment.mbr, SegmentKey(sequence_id, segment.index))
+        for sequence_id, partition in database.partitions()
+        for segment in partition
+    )
+    return tree
+
+
 def _probes(database: Any, queries: list[Any]) -> list[list[Any]]:
-    """Phase 2 of each (query, threshold): the candidates and what the
-    probe cost in node accesses."""
+    """Phase 2 of each (query, threshold) through the database's index:
+    the candidates and what the probe cost in node accesses."""
     from repro.core import SimilaritySearch
 
     search = SimilaritySearch(database)
@@ -165,6 +180,35 @@ def _probes(database: Any, queries: list[Any]) -> list[list[Any]]:
         for epsilon in _EPSILONS:
             result = search.search(query.points, epsilon, find_intervals=False)
             probes.append([result.candidates, result.stats.node_accesses])
+    return probes
+
+
+def _tree_probes(database: Any, tree: Any, queries: list[Any]) -> list[list[Any]]:
+    """Phase 2 of each (query, threshold) through ``tree``, one
+    ``search_within`` per MBR of the query's Phase-1 partition: the
+    candidates, in insertion order, and the node accesses spent."""
+    from repro.core import partition_sequence
+
+    probes = []
+    for query in queries:
+        partition = partition_sequence(
+            query.points,
+            cost_constant=database.cost_constant,
+            max_points=database.max_points,
+        )
+        for epsilon in _EPSILONS:
+            before = tree.stats.node_accesses
+            found = {
+                entry.payload.sequence_id
+                for segment in partition
+                for entry in tree.search_within(segment.mbr, epsilon)
+            }
+            probes.append(
+                [
+                    [sid for sid in database.ids() if sid in found],
+                    tree.stats.node_accesses - before,
+                ]
+            )
     return probes
 
 
@@ -191,25 +235,26 @@ def _writes(ids: list[Any], seed: int) -> list[tuple[str, Any, Any]]:
 
 
 def _write_directly(
-    database: Any, tree: Any, queries: list[Any], seed: int
+    database: Any, queries: list[Any], seed: int
 ) -> dict[str, list[list[Any]]]:
-    """Apply the writes to both databases, probing both after every one
-    with a few of ``queries`` in turn: the default kind is then seen with
-    a delta of every size the run produces, with rewritten rows masked,
-    and just after a removal made it pack anew; the R-tree is each time
-    one derived from scratch, the reference no write history can skew."""
+    """Apply the writes to the database, probing it and a tree built anew
+    over it after every one with a few of ``queries`` in turn: the
+    database's index is then seen with a delta of every size the run
+    produces, with rewritten rows masked, and just after a removal made it
+    pack anew; the R-tree is each time one built from scratch, the
+    reference no write history can skew."""
     probes: dict[str, list[list[Any]]] = {"default": [], "rtree": []}
     writes = _writes(list(database.ids()), seed)
     for number, (verb, sequence_id, points) in enumerate(writes):
         asked = [queries[(3 * number + k) % len(queries)] for k in range(3)]
-        for kind, side in (("default", database), ("rtree", tree)):
-            if verb == "insert":
-                side.add(points, sequence_id=sequence_id)
-            elif verb == "append":
-                side.append_points(sequence_id, points)
-            else:
-                side.remove(sequence_id)
-            probes[kind].extend(_probes(side, asked))
+        if verb == "insert":
+            database.add(points, sequence_id=sequence_id)
+        elif verb == "append":
+            database.append_points(sequence_id, points)
+        else:
+            database.remove(sequence_id)
+        probes["default"].extend(_probes(database, asked))
+        probes["rtree"].extend(_tree_probes(database, _tree(database), asked))
     return probes
 
 
@@ -410,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
             sides[name] = json.loads(out.read_text())
     this, that = sides["this"], sides["other"]
 
-    # 1. What a search returns, default kind, against the other checkout.
+    # 1. What a search returns against the other checkout.
     returned = _Differences()
     for sequence_id in sorted(this["segments"].keys() | that["segments"].keys()):
         if this["segments"].get(sequence_id) != that["segments"].get(sequence_id):
@@ -452,8 +497,8 @@ def main(argv: list[str] | None = None) -> int:
         f"sequences stored after the write replay: {partitions.count} differences"
     )
 
-    # 3. The derived R-tree as stored and as probed, against the other
-    # checkout's (derived likewise, or maintained insert by insert).
+    # 3. The R-tree built beside the database, as stored and as probed,
+    # against the other checkout's.
     layout = _Differences()
     tree, other_tree = this["rtree"]["tree"], that["rtree"]["tree"]
     if len(tree) != len(other_tree):
@@ -463,13 +508,13 @@ def main(argv: list[str] | None = None) -> int:
             layout.add(f"tree node {index} differs: {node!r} != {other_node!r}")
     layout.compare("rtree probe", this["rtree"]["probes"], that["rtree"]["probes"])
     print(
-        f"index_kind='rtree' (derived on first use): {len(tree)} tree nodes, "
+        f"R-tree built beside the database: {len(tree)} tree nodes, "
         f"{len(this['rtree']['probes'])} probes (candidates, node accesses): "
         f"{layout.count} differences"
     )
 
-    # 4. The default kind against the R-tree, within this checkout: the
-    # static corpus, then a tree rebuilt after each write.
+    # 4. The database's index against the R-tree, within this checkout:
+    # the static corpus, then a tree rebuilt after each write.
     cross = _Differences()
     after = this["after_writes"]
     for what, packed, tree_side in (
@@ -487,12 +532,12 @@ def main(argv: list[str] | None = None) -> int:
     ):
         if packed != tree_side:
             cross.add(
-                f"{what}: only the default kind has "
+                f"{what}: only the database's index has "
                 f"{[sid for sid in packed if sid not in tree_side]!r}, only "
                 f"rtree has {[sid for sid in tree_side if sid not in packed]!r}"
             )
     print(
-        f"default kind vs rtree: candidate sets of {len(this['searches'])} "
+        f"database index vs R-tree: candidate sets of {len(this['searches'])} "
         f"searches, and of {len(after['default'])} probes during the write "
         f"replay (a new tree per write): {cross.count} differences"
     )
