@@ -63,8 +63,6 @@ class BenchProfile:
     overload_calibration_ops: int = 80
     #: End-to-end deadline each overload search carries, seconds.
     overload_deadline_s: float = 0.75
-    #: AIMD queue-wait target handed to the engine, seconds.
-    overload_queue_target_s: float = 0.1
     #: Injected per-request service time (``engine.worker`` sleep) —
     #: pins capacity at ``engine_workers / overload_service_s`` so the
     #: 2x offered rate is a real overload regardless of host speed.
@@ -92,9 +90,6 @@ class BenchProfile:
             "overload_calibration_ops", self.overload_calibration_ops
         )
         check_positive("overload_deadline_s", self.overload_deadline_s)
-        check_positive(
-            "overload_queue_target_s", self.overload_queue_target_s
-        )
         check_positive("overload_service_s", self.overload_service_s)
         check_positive("overload_queue_cap", self.overload_queue_cap)
         check_positive("overload_clients", self.overload_clients)

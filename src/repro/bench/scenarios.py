@@ -327,7 +327,6 @@ def _service_overload_goodput(profile: BenchProfile, seed: int) -> BenchResult:
         _build_database(corpus),
         workers=profile.engine_workers,
         queue_cap=profile.overload_queue_cap,
-        queue_target_s=profile.overload_queue_target_s,
     ) as engine:
         target = _DeadlineTarget(engine, profile.overload_deadline_s)
         with fault_plan(slow_worker):
@@ -382,7 +381,6 @@ def _service_overload_goodput(profile: BenchProfile, seed: int) -> BenchResult:
             "operations": report.total,
             "completed_in_deadline": good,
             "deadline_s": profile.overload_deadline_s,
-            "queue_target_s": profile.overload_queue_target_s,
             "service_s": profile.overload_service_s,
             "queue_cap": profile.overload_queue_cap,
             "clients": profile.overload_clients,

@@ -371,7 +371,7 @@ def _build_payloads(
     return payloads
 
 
-def _execute(
+def _issue(
     target: WorkloadTarget,
     op: Operation,
     queries: Sequence[npt.NDArray[np.float64]],
@@ -465,7 +465,7 @@ def run_closed_loop(
             op = operations[index]
             started = time.perf_counter()
             try:
-                _execute(target, op, queries, payloads)
+                _issue(target, op, queries, payloads)
             except _EXPECTED_ERRORS as error:
                 tally.errors += 1
                 # A budget-exhausted op is a *measured* outcome here, not
@@ -530,7 +530,7 @@ def run_open_loop(
             if delay > 0:
                 time.sleep(delay)
             try:
-                _execute(target, op, queries, payloads)
+                _issue(target, op, queries, payloads)
             except _EXPECTED_ERRORS as error:
                 tally.errors += 1
                 # Same contract as the closed-loop worker: a timed-out op

@@ -85,17 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests allowed to queue beyond the running ones",
     )
     serve.add_argument(
-        "--queue-target",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "queue-wait target for adaptive (AIMD) admission: the limit "
-            "shrinks when dequeued requests waited longer than this and "
-            "grows back while waits hold under it (default: static cap)"
-        ),
-    )
-    serve.add_argument(
         "--cache-size",
         type=int,
         default=128,
@@ -137,15 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         help="seconds to wait for in-flight requests before closing",
-    )
-    serve.add_argument(
-        "--degrade-after",
-        type=int,
-        default=None,
-        help=(
-            "enter degraded mode (shed writes before reads) after this many "
-            "consecutive overload rejections"
-        ),
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log each HTTP request"
@@ -551,12 +531,10 @@ def _command_serve(args: argparse.Namespace) -> int:
         database,
         workers=args.workers,
         queue_cap=args.queue_cap,
-        queue_target_s=args.queue_target,
         cache_size=args.cache_size,
         default_timeout=args.timeout,
         trace_path=args.trace,
         durability=durability,
-        degrade_after=args.degrade_after,
     )
     follower = None
     if leader is not None:

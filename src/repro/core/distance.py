@@ -850,6 +850,12 @@ def _dnorm_chunk(
     # normalised by the run's length (Definition 5's fallback).
     short = np.flatnonzero(active & (lengths < probe_counts))
     whole = prefix[short * width + sizes[short]] / lengths[short]
+    # A difference of running sums can round below the run's least Dmbr,
+    # which Dnorm, a weighted mean of Dmbr values, never is (Lemma 2): the
+    # floor keeps each value where the "nearest <= eps" cut above assumes.
+    ld = np.maximum(ld, nearest[owner[ld_first]])
+    rd = np.maximum(rd, nearest[owner[rd_last]])
+    whole = np.maximum(whole, nearest[short])
 
     keep = ld <= epsilon[ld_first]
     ld_first, ld_last, ld = ld_first[keep], ld_last[keep], ld[keep]

@@ -1,28 +1,26 @@
 """Adaptive admission control: an AIMD concurrency limit with priorities.
 
-The engine used to admit a static ``workers + queue_cap`` requests and
-reject the rest.  That cap is right only at one operating point: when
-requests are cheap the queue could safely be deeper, and when they are
-expensive even a half-full queue already means seconds of wait.  What
-admission control actually defends is **queue wait** — time a request
-spends admitted but not executing — so this module regulates the limit
-on the signal itself:
+A static ``workers + queue_cap`` cap is right only at one operating
+point: when requests are cheap the queue could safely be deeper, and when
+they are expensive even a half-full queue already means seconds of wait.
+What admission control actually defends is **queue wait** — time a
+request spends admitted but not executing — so this module regulates the
+limit on the signal itself:
 
 * **AIMD on observed queue wait.**  Every dequeue reports how long the
-  request waited.  Waits at or under ``target_queue_wait`` grow the
-  limit additively (``+increase/limit`` per observation, concave like
-  TCP); a wait over target shrinks it multiplicatively (``x decrease``),
-  at most once per ``cooldown`` so one burst does not collapse the
-  window.  The limit always stays inside ``[min_limit, max_limit]`` —
-  the floor keeps the worker pool itself reachable, the ceiling is the
-  old static cap as a safety bound.
+  request waited.  Waits at or under the target (:data:`QUEUE_WAIT_TARGET_S`)
+  grow the limit additively (``+1/limit`` per observation, concave like
+  TCP); a wait over target shrinks it multiplicatively (``x 0.9``), at
+  most once per ``cooldown`` so one burst does not collapse the window.
+  The limit always stays inside ``[min_limit, max_limit]`` — the floor
+  keeps the worker pool itself reachable, the ceiling is the
+  ``workers + queue_cap`` cap as a safety bound.  A limit below its
+  ceiling is what the engine reports as ``degraded``.
 * **Priority headroom.**  Not all traffic deserves the last admission
   slot.  Reads may fill the whole limit; writes are shed once usage
   crosses 75 % of it; repair/replication traffic (WAL tailing, record
   application, restores) sheds at 50 %.  Under pressure the engine
-  degrades in the order that preserves client-visible reads longest —
-  the same ordering the degraded mode machinery applies, now fed by a
-  load signal instead of a consecutive-429 strike counter alone.
+  sheds in the order that preserves client-visible reads longest.
 
 Reads *hold a slot* (``acquire``/``release``) because they occupy the
 worker pool; writes and repair traffic execute on their caller's thread
@@ -38,13 +36,21 @@ from collections import Counter
 from repro.service.stats import LatencyWindow
 from repro.util.sync import TracedLock
 
-__all__ = ["PRIORITIES", "AdaptiveLimiter"]
+__all__ = ["PRIORITIES", "QUEUE_WAIT_TARGET_S", "AdaptiveLimiter"]
 
 #: Admission priority classes, highest first.
 PRIORITIES: tuple[str, ...] = ("read", "write", "repair")
 
 #: Fraction of the current limit each class may fill before shedding.
 _HEADROOM: dict[str, float] = {"read": 1.0, "write": 0.75, "repair": 0.5}
+
+#: The engine's queue-wait target, seconds.
+QUEUE_WAIT_TARGET_S = 0.1
+
+#: AIMD coefficients: additive growth per good observation (divided by
+#: the limit) and the multiplicative cut on an over-target one.
+_INCREASE = 1.0
+_DECREASE = 0.9
 
 
 class AdaptiveLimiter:
@@ -56,19 +62,12 @@ class AdaptiveLimiter:
         Lower bound of the adaptive limit (typically the worker count:
         below it the pool itself would idle).
     max_limit:
-        Upper bound (the old static ``workers + queue_cap``).
-    target_queue_wait:
-        The queue-wait target in seconds the limit converges to hold;
-        ``None`` disables adaptation and pins the limit at ``max_limit``
-        (the legacy static behaviour).
-    increase / decrease:
-        AIMD coefficients: additive growth per good observation
-        (``increase / limit``) and the multiplicative factor applied on
-        an over-target observation.
+        Upper bound (``workers + queue_cap``), and the starting limit.
     cooldown:
         Minimum seconds between multiplicative decreases, so a single
         burst's worth of queued requests counts as one congestion
-        signal, not ten.
+        signal, not ten; defaults to the target
+        (:data:`QUEUE_WAIT_TARGET_S`).
     """
 
     def __init__(
@@ -76,10 +75,7 @@ class AdaptiveLimiter:
         *,
         min_limit: int,
         max_limit: int,
-        target_queue_wait: float | None = 0.1,
-        increase: float = 1.0,
-        decrease: float = 0.9,
-        cooldown: float | None = None,
+        cooldown: float = QUEUE_WAIT_TARGET_S,
     ) -> None:
         if min_limit < 1:
             raise ValueError(f"min_limit must be >= 1, got {min_limit}")
@@ -87,28 +83,14 @@ class AdaptiveLimiter:
             raise ValueError(
                 f"max_limit must be >= min_limit ({min_limit}), got {max_limit}"
             )
-        if target_queue_wait is not None and target_queue_wait <= 0:
-            raise ValueError(
-                f"target_queue_wait must be positive or None, got "
-                f"{target_queue_wait}"
-            )
-        if not 0.0 < decrease < 1.0:
-            raise ValueError(f"decrease must be in (0, 1), got {decrease}")
-        if increase <= 0:
-            raise ValueError(f"increase must be positive, got {increase}")
         self.min_limit = min_limit
         self.max_limit = max_limit
-        self.target_queue_wait = target_queue_wait
-        self.increase = increase
-        self.decrease = decrease
-        if cooldown is None:
-            cooldown = target_queue_wait if target_queue_wait else 0.0
         self.cooldown = max(0.0, cooldown)
         self._lock = TracedLock("engine.admission")
         # The limit adapts as a float so additive growth below one slot
         # per observation still accumulates; the effective limit is its
         # floor.  Starts at the ceiling: the first congestion signal
-        # shrinks it, matching the optimistic start of the static cap.
+        # shrinks it.
         self._limit = float(max_limit)
         self._inflight = 0
         self._waits = LatencyWindow(1024)
@@ -124,8 +106,6 @@ class AdaptiveLimiter:
             return self._effective()
 
     def _effective(self) -> int:
-        if self.target_queue_wait is None:
-            return self.max_limit
         return max(self.min_limit, int(self._limit))
 
     def _threshold(self, priority: str) -> int:
@@ -184,25 +164,21 @@ class AdaptiveLimiter:
     # ------------------------------------------------------------------
     def observe(self, queue_wait: float) -> None:
         """Feed one observed queue wait (seconds) into the AIMD loop."""
-        if queue_wait < 0:
-            queue_wait = 0.0
-        target = self.target_queue_wait
+        queue_wait = max(0.0, queue_wait)
         with self._lock:
             self._waits.record(queue_wait)
-            if target is None:
-                return
-            if queue_wait > target:
-                now = time.monotonic()
-                if now - self._last_decrease >= self.cooldown:
-                    self._limit = max(
-                        float(self.min_limit), self._limit * self.decrease
-                    )
-                    self._last_decrease = now
-            else:
+            if queue_wait <= QUEUE_WAIT_TARGET_S:
                 self._limit = min(
                     float(self.max_limit),
-                    self._limit + self.increase / max(1.0, self._limit),
+                    self._limit + _INCREASE / max(1.0, self._limit),
                 )
+                return
+            now = time.monotonic()
+            if now - self._last_decrease >= self.cooldown:
+                self._limit = max(
+                    float(self.min_limit), self._limit * _DECREASE
+                )
+                self._last_decrease = now
 
     # ------------------------------------------------------------------
     # Introspection
@@ -210,15 +186,11 @@ class AdaptiveLimiter:
     def snapshot(self) -> dict:
         """Gauges for ``/stats``: limit, usage, waits, per-class sheds."""
         with self._lock:
-            target = self.target_queue_wait
             return {
                 "limit": self._effective(),
                 "min_limit": self.min_limit,
                 "max_limit": self.max_limit,
-                "adaptive": target is not None,
-                "target_queue_wait_ms": (
-                    None if target is None else target * 1e3
-                ),
+                "target_queue_wait_ms": QUEUE_WAIT_TARGET_S * 1e3,
                 "inflight": self._inflight,
                 "queue_wait_ms": {
                     "p50": self._waits.quantile(0.50) * 1e3,

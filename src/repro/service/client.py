@@ -127,8 +127,6 @@ class EngineStatsPayload(TypedDict, total=False):
     cache: dict[str, Any]
     cache_lru: dict[str, Any]
     snapshots_published: int
-    shed: dict[str, int]
-    degraded_transitions: dict[str, int]
     wal_appends: int
     queue_depth: int
     workers: int
@@ -141,6 +139,7 @@ class EngineStatsPayload(TypedDict, total=False):
     uptime_s: float
     repro_version: str
     degraded: bool
+    errors: dict[str, Any]
     durability: dict[str, Any]
 
 #: Transport-level failures a retry may safely cover for idempotent reads

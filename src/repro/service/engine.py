@@ -21,11 +21,13 @@ and an in-flight search finishes on the snapshot it started with
 **Admission control and deadlines.**  Requests execute on a bounded worker
 pool behind an :class:`~repro.service.admission.AdaptiveLimiter`: the
 admission limit floats between ``workers`` and ``workers + queue_cap``,
-shrinking (AIMD) when observed queue wait exceeds ``queue_target_s`` and
+shrinking (AIMD) when observed queue wait exceeds the 0.1 s target and
 growing back while it holds, with priority headroom so writes and
 repair/replication traffic shed before reads do.  An arrival beyond the
 current limit fast-fails with :class:`~repro.service.errors.Overloaded`
-instead of building an unbounded backlog.  Each request carries a
+(carrying a ``retry_after`` hint derived from queue depth) instead of
+building an unbounded backlog; while the limit sits below its ceiling
+the engine reports itself ``degraded`` (``/healthz``).  Each request carries a
 :class:`~repro.util.budget.Deadline`; one that expires while queued is
 never executed, and one that expires mid-execution is stopped at the next
 cooperative cancellation checkpoint inside the Phase 2/3 loops (counted
@@ -53,15 +55,6 @@ after every route and across restarts.  :meth:`checkpoint` persists the
 current snapshot crash-safely and resets the log; it runs automatically
 every ``checkpoint_every`` records and on clean close.
 
-**Graceful degradation (optional).**  With ``degrade_after`` set, a run
-of consecutive admission-control rejections flips the engine into a
-degraded mode that sheds ``insert``/``append``/``remove`` (readers keep
-their capacity) and — with ``degraded_cache_only`` — serves ``search``
-from the ε-cache alone.  The mode clears itself once a request is
-admitted while the queue has drained below half capacity.  ``/healthz``
-reports it, and every :class:`Overloaded` carries a ``retry_after`` hint
-derived from queue depth.
-
 The only intentional cross-thread mutation on the read path is the index's
 access-counter block (``index.stats``), whose increments may race benignly
 under concurrent readers; treat per-engine node-access counts as
@@ -76,7 +69,7 @@ from __future__ import annotations
 import base64
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,14 +162,9 @@ class QueryEngine:
         Requests allowed to wait beyond the running ones; ``workers +
         queue_cap`` is the admission limiter's ceiling, and an arrival
         that finds the current limit's worth of requests admitted is
-        rejected with :class:`Overloaded`.
-    queue_target_s:
-        Queue-wait target (seconds) for the adaptive admission limit:
-        when a dequeued request waited longer than this, the limit
-        shrinks multiplicatively toward ``workers``; while waits hold
-        under it, the limit grows additively back toward the ceiling.
-        ``None`` (default) pins the limit at the ceiling — the legacy
-        static-cap behaviour.
+        rejected with :class:`Overloaded`.  The limit itself adapts
+        between ``workers`` and that ceiling on observed queue wait
+        (:class:`~repro.service.admission.AdaptiveLimiter`).
     cache_size:
         ε-aware result-cache capacity (entries); ``0`` disables caching.
     default_timeout:
@@ -194,14 +182,6 @@ class QueryEngine:
         an empty directory and may then be ``None``), every mutation is
         WAL-appended and fsynced before it is acknowledged, and
         :meth:`checkpoint` / close persist crash-safe snapshots.
-    degrade_after:
-        Consecutive admission-control rejections after which the engine
-        enters degraded mode (sheds writes; see ``degraded_cache_only``).
-        ``None`` (default) disables degradation.
-    degraded_cache_only:
-        While degraded, serve ``search`` exclusively from the ε-cache —
-        a cache miss is rejected with :class:`Overloaded` instead of
-        occupying a worker.
 
     Examples
     --------
@@ -221,13 +201,10 @@ class QueryEngine:
         *,
         workers: int = 4,
         queue_cap: int = 64,
-        queue_target_s: float | None = None,
         cache_size: int = 128,
         default_timeout: float | None = None,
         trace_path: str | Path | None = None,
         durability: DurabilityConfig | None = None,
-        degrade_after: int | None = None,
-        degraded_cache_only: bool = False,
     ) -> None:
         if database is not None and not isinstance(database, SequenceDatabase):
             raise TypeError(
@@ -242,14 +219,6 @@ class QueryEngine:
         if default_timeout is not None and default_timeout <= 0:
             raise ValueError(
                 f"default_timeout must be positive, got {default_timeout}"
-            )
-        if degrade_after is not None and degrade_after < 1:
-            raise ValueError(
-                f"degrade_after must be >= 1 or None, got {degrade_after}"
-            )
-        if degraded_cache_only and cache_size == 0:
-            raise ValueError(
-                "degraded_cache_only requires a result cache (cache_size > 0)"
             )
         self.durability = durability
         self._wal: WriteAheadLog | None = None
@@ -273,11 +242,8 @@ class QueryEngine:
             site="QueryEngine.__init__",
         )
         self._write_lock = TracedLock("engine.write")
-        self._capacity = workers + queue_cap
         self._admission = AdaptiveLimiter(
-            min_limit=workers,
-            max_limit=self._capacity,
-            target_queue_wait=queue_target_s,
+            min_limit=workers, max_limit=workers + queue_cap
         )
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
@@ -288,11 +254,6 @@ class QueryEngine:
         self._trace_lock = TracedLock("engine.trace")
         self._closed = False
         self._started_at = time.time()
-        self._degrade_after = degrade_after
-        self._degraded_cache_only = degraded_cache_only
-        self._health_lock = TracedLock("engine.health")
-        self._overload_strikes = 0
-        self._degraded = False
 
     def _recover(
         self, database: SequenceDatabase | None, config: DurabilityConfig
@@ -439,9 +400,8 @@ class QueryEngine:
 
     @property
     def degraded(self) -> bool:
-        """Whether the engine is currently shedding load (degraded mode)."""
-        with self._health_lock:
-            return self._degraded
+        """Whether queue wait has cut the admission limit below its ceiling."""
+        return self._admission.effective_limit() < self._admission.max_limit
 
     @property
     def durable(self) -> bool:
@@ -508,7 +468,7 @@ class QueryEngine:
     ) -> ServiceResponse:
         """Range search returning serving metadata alongside the result."""
         epsilon = check_threshold(epsilon)
-        return self._execute(
+        return self._read(
             "search",
             lambda: self._do_search(query, epsilon, find_intervals),
             timeout,
@@ -524,7 +484,7 @@ class QueryEngine:
     ) -> list[object]:
         """The matching sequence ids only (no solution intervals)."""
         epsilon = check_threshold(epsilon)
-        response = self._execute(
+        response = self._read(
             "range",
             lambda: self._do_search(query, epsilon, False),
             timeout,
@@ -542,7 +502,7 @@ class QueryEngine:
         """The ``k`` nearest stored sequences (exact; Seidl-Kriegel)."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        return self._execute(
+        return self._read(
             "knn", lambda: self._do_knn(query, k), timeout, on_caller=on_caller
         )
 
@@ -613,22 +573,15 @@ class QueryEngine:
         barrier is a checkpoint of the new state.  ``advance`` is how
         far the version moves when there is no log to read it off (the
         batch size — what the log would have stamped).  ``repair`` marks
-        replication/repair traffic: it sheds at ``repair`` priority, is
-        not held back by degraded mode, and clears the ε-cache instead
-        of patching the one written id.
+        replication/repair traffic: it sheds at ``repair`` priority and
+        clears the ε-cache instead of patching the one written id.
         """
         if self._closed:
             raise EngineClosed("engine is closed")
         priority = "repair" if repair else "write"
-        if not repair and self._degrade_after is not None and self.degraded:
-            self._stats.record_shed(op)
-            raise self._overloaded_error(op, shed=True)
         # Priority-aware shedding: writes, and replication before them,
         # yield admission headroom to reads well before the hard limit.
         if not self._admission.permits(priority):
-            self._stats.record_shed(op)
-            if not repair:
-                self._note_overload()
             raise self._overloaded_error(op, priority=priority)
         self._stats.record_request(op)
         started = time.monotonic()
@@ -729,7 +682,6 @@ class QueryEngine:
         # Replication traffic sheds first under read pressure: shipping
         # can always resume from the same cursor once the queue drains.
         if not self._admission.permits("repair"):
-            self._stats.record_shed("wal_tail")
             raise self._overloaded_error("wal_tail", priority="repair")
         inject("wal.ship.handshake")
         leader_seq = self._wal.last_seq
@@ -911,14 +863,26 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
-    def _execute(
+    def _read(
         self,
         op: str,
-        fn: Callable[[], _T],
+        body: Callable[[], _T],
         timeout: float | None,
         *,
         on_caller: bool = False,
     ) -> _T:
+        """The one path of a read: admit, run ``body``, wait, account.
+
+        The body runs on a pool worker, or — ``on_caller``, for a caller
+        that is a thread of this interpreter (``LocalBackend``), where a
+        hand-off only adds wake-ups under one GIL — on the calling
+        thread, into an already completed future.  Either way the same
+        ticket, fault sites, deadline scope and counts apply, and the
+        caller waits on the future the same way.  A thread cannot
+        abandon itself at expiry: the checkpoints bound an on-caller
+        body, and one that returns late raises what the pooled caller
+        saw at expiry (wasted work counted).
+        """
         if self._closed:
             raise EngineClosed("engine is closed")
         if timeout is None:
@@ -929,77 +893,96 @@ class QueryEngine:
         # admission stall (or a real one) debits the caller's deadline
         # exactly like queue wait does.
         deadline = Deadline.after(timeout)
+
+        def expired(how: str) -> DeadlineExceeded:
+            return DeadlineExceeded(
+                f"{op} {how}",
+                timeout=float(timeout if timeout is not None else 0.0),
+            )
+
         inject("engine.admission.delay")
-        depth_before = self._admission.acquire("read")
-        if depth_before is None:
+        if self._admission.acquire("read") is None:
             self._stats.record_overloaded()
-            self._note_overload()
             raise self._overloaded_error(op)
-        self._note_admitted(depth_before)
         self._stats.record_request(op)
         admitted_at = time.monotonic()
-        if on_caller:
-            # The caller is a thread of this interpreter (LocalBackend):
-            # under one GIL a hand-off only adds wake-ups, so the body
-            # runs here — same ticket, fault sites, scope and counts, zero
-            # queue wait.  A thread cannot abandon itself at expiry: the
-            # checkpoints bound it, and a body that returns late raises
-            # what the pooled caller saw at expiry (wasted work counted).
+
+        def run() -> _T:
+            # The wait between admission and this start is the signal
+            # the adaptive limit regulates.
+            self._admission.observe(time.monotonic() - admitted_at)
+            if deadline.done():
+                # Expired (or abandoned) while queued: never start it.
+                raise expired(f"spent its whole {timeout}s deadline queued")
+            started = time.monotonic()
             try:
-                result = self._run(op, fn, deadline, timeout, admitted_at)
-                if deadline.expired():
-                    raise DeadlineExceeded(
-                        f"{op} did not finish within its {timeout}s deadline",
-                        timeout=float(timeout if timeout is not None else 0.0),
-                    )
-                return result
+                inject("engine.worker")
+                with deadline_scope(deadline):
+                    result = body()
+            except OperationCancelled as error:
+                # A checkpoint inside the Phase 2/3 loops stopped the
+                # scan: budget spent, but no CPU burned into the void.
+                self._stats.record_cancelled()
+                raise translated(
+                    error,
+                    expired(f"stopped at a cancellation checkpoint ({error})"),
+                    role="engine.worker",
+                    site="QueryEngine._read",
+                ) from error
             except DeadlineExceeded:
-                self._stats.record_deadline_exceeded()
                 raise
-            finally:
+            except Exception:
+                self._stats.record_failure(op)
+                raise
+            if deadline.done():
+                # Completed anyway — the caller already gave up.  Work
+                # that lands here is what more checkpoints would save.
+                self._stats.record_wasted_work()
+            self._stats.record_completed(op, time.monotonic() - started)
+            return result
+
+        future: Future[_T]
+        if on_caller:
+            future = Future()
+            try:
+                future.set_result(run())
+            except Exception as error:  # error-ok: the future carries it; result() below re-raises
+                future.set_exception(error)
+        else:
+            try:
+                future = self._pool.submit(run)
+            except RuntimeError as error:  # pool already shut down
                 self._admission.release()
-        try:
-            future = self._pool.submit(
-                self._run, op, fn, deadline, timeout, admitted_at
-            )
-        except RuntimeError as error:  # pool already shut down
-            self._admission.release()
-            raise EngineClosed("engine is closed") from error
+                raise EngineClosed("engine is closed") from error
         future.add_done_callback(lambda _: self._admission.release())
         try:
             remaining = deadline.remaining()
-            if remaining is not None:
-                remaining = max(0.0, remaining)
-            return future.result(timeout=remaining)
-        except FutureTimeoutError:
-            # Not started: drop it from the queue.  Started: flip the
-            # cancel latch so the next checkpoint inside the scan stops
-            # the worker instead of letting it complete into the void.
-            future.cancel()
-            deadline.cancel()
-            self._stats.record_deadline_exceeded()
-            raise DeadlineExceeded(
-                f"{op} did not finish within its {timeout}s deadline",
-                timeout=float(timeout if timeout is not None else 0.0),
-            ) from None
+            try:
+                result = future.result(
+                    timeout=None if remaining is None else max(0.0, remaining)
+                )
+            except FutureTimeoutError:
+                # Not started: drop it from the queue.  Started: flip the
+                # cancel latch so the next checkpoint inside the scan
+                # stops the worker instead of letting it run into the void.
+                future.cancel()
+                deadline.cancel()
+            if deadline.done():
+                raise expired(f"did not finish within its {timeout}s deadline")
+            return result
         except DeadlineExceeded:
             self._stats.record_deadline_exceeded()
             raise
 
     # ------------------------------------------------------------------
-    # Overload accounting and graceful degradation
+    # Overload accounting
     # ------------------------------------------------------------------
     def _overloaded_error(
-        self, op: str, *, shed: bool = False, priority: str | None = None
+        self, op: str, *, priority: str | None = None
     ) -> Overloaded:
         depth = self.queue_depth
         limit = self._admission.effective_limit()
-        if shed:
-            message = (
-                f"{op} shed: engine degraded after sustained overload "
-                f"(writes resume when the queue drains)"
-            )
-        elif priority is not None:
+        if priority is not None:
             message = (
                 f"{op} shed: {priority}-priority traffic yields its "
                 f"admission headroom under load ({depth} of limit "
@@ -1023,74 +1006,6 @@ class QueryEngine:
         hint = 0.05 * (1.0 + depth / max(1, self.workers))
         return round(min(5.0, max(0.05, hint)), 3)
 
-    def _note_overload(self) -> None:
-        if self._degrade_after is None:
-            return
-        with self._health_lock:
-            self._overload_strikes += 1
-            if (
-                not self._degraded
-                and self._overload_strikes >= self._degrade_after
-            ):
-                self._degraded = True
-                self._stats.record_degraded(True)
-
-    def _note_admitted(self, depth_before: int) -> None:
-        if self._degrade_after is None:
-            return
-        with self._health_lock:
-            self._overload_strikes = 0
-            if self._degraded and depth_before <= self._capacity // 2:
-                self._degraded = False
-                self._stats.record_degraded(False)
-
-    def _run(
-        self,
-        op: str,
-        fn: Callable[[], _T],
-        deadline: Deadline,
-        timeout: float | None,
-        admitted_at: float,
-    ) -> _T:
-        # The wait between admission and this dequeue is the signal the
-        # adaptive limit regulates.
-        self._admission.observe(time.monotonic() - admitted_at)
-        if deadline.done():
-            # Expired (or abandoned) while queued: never start the work.
-            raise DeadlineExceeded(
-                f"{op} spent its whole {timeout}s deadline queued",
-                timeout=float(timeout if timeout is not None else 0.0),
-            )
-        started = time.monotonic()
-        try:
-            inject("engine.worker")
-            with deadline_scope(deadline):
-                result = fn()
-        except OperationCancelled as error:
-            # A checkpoint inside the Phase 2/3 loops stopped the scan:
-            # budget spent mid-flight, but no CPU burned into the void.
-            self._stats.record_cancelled()
-            raise translated(
-                error,
-                DeadlineExceeded(
-                    f"{op} stopped at a cancellation checkpoint ({error})",
-                    timeout=float(timeout if timeout is not None else 0.0),
-                ),
-                role="engine.worker",
-                site="QueryEngine._run",
-            ) from error
-        except DeadlineExceeded:
-            raise
-        except Exception:
-            self._stats.record_failure(op)
-            raise
-        if deadline.done():
-            # Completed anyway — the caller already gave up.  Work that
-            # lands here is exactly what more checkpoints would save.
-            self._stats.record_wasted_work()
-        self._stats.record_completed(op, time.monotonic() - started)
-        return result
-
     # ------------------------------------------------------------------
     # Request bodies (run on worker threads, against one snapshot)
     # ------------------------------------------------------------------
@@ -1109,14 +1024,8 @@ class QueryEngine:
             )
             outcome = "off"
         else:
-            cache_only = (
-                self._degraded_cache_only
-                and self._degrade_after is not None
-                and self.degraded
-            )
             result, outcome = self._search_cached(
-                snapshot, sequence, epsilon, find_intervals,
-                cache_only=cache_only,
+                snapshot, sequence, epsilon, find_intervals
             )
         self._stats.record_cache(outcome)
         self._trace(result, outcome, snapshot.version)
@@ -1130,18 +1039,11 @@ class QueryEngine:
         sequence: MultidimensionalSequence,
         epsilon: float,
         find_intervals: bool,
-        *,
-        cache_only: bool = False,
     ) -> tuple[SearchResult, str]:
         if self._cache is None:
             raise RuntimeError("_search_cached called with caching disabled")
         key = query_fingerprint(sequence.points)
         entry = self._cache.lookup(key, epsilon, snapshot.version)
-        if entry is None and cache_only:
-            # Degraded cache-only serving: a miss would occupy a worker
-            # with a full three-phase search; shed it instead.
-            self._stats.record_shed("search")
-            raise self._overloaded_error("search", shed=True)
         if entry is not None:
             exact_epsilon = (
                 abs(entry.epsilon - epsilon) <= _EPSILON_MATCH_TOLERANCE

@@ -51,8 +51,8 @@ class Overloaded(ServiceError):
 
     Raised *before* any work is queued, so the caller can retry with
     backoff knowing the request consumed (almost) no server resources.
-    Also raised for writes (and, in cache-only mode, search misses) shed
-    by a degraded engine.
+    Also raised for writes and repair traffic shed by the limiter's
+    priority headroom before the limit itself is reached.
     """
 
     def __init__(
@@ -66,7 +66,7 @@ class Overloaded(ServiceError):
         super().__init__(message)
         #: Requests queued or running when the rejection happened.
         self.queue_depth = queue_depth
-        #: The admission limit (workers + queue slots).
+        #: The admission limit in force (at most workers + queue slots).
         self.capacity = capacity
         #: Server-suggested backoff in seconds (the 429 Retry-After header).
         self.retry_after = retry_after

@@ -256,6 +256,8 @@ def healthz_payload(
 ) -> dict:
     """The ``/healthz`` body: liveness plus durability lag.
 
+    ``degraded`` (status ``"degraded"``) is true while observed queue
+    wait holds the engine's admission limit below its ceiling.
     ``wal_records`` is the number of acknowledged writes not yet folded
     into a checkpoint — the durability lag an operator (or the cluster
     health tracker) watches; ``last_checkpoint_version`` /
@@ -263,15 +265,16 @@ def healthz_payload(
     server adds a ``replication`` block (:meth:`WalFollower.status`) so
     the cluster layer can route bounded-staleness reads by ``lag``.
     """
+    degraded = engine.degraded
     if engine.closed:
         status = "closed"
-    elif engine.degraded:
+    elif degraded:
         status = "degraded"
     else:
         status = "ok"
     payload = {
         "status": status,
-        "degraded": engine.degraded,
+        "degraded": degraded,
         "sequences": len(engine),
         "dimension": engine.dimension,
         "snapshot_version": engine.snapshot_version,

@@ -82,9 +82,6 @@ class ServiceStats:
         self._snapshots_published = 0
         self._cache_patches = 0
         self._completed = 0
-        self._shed: Counter[str] = Counter()
-        self._degraded_entered = 0
-        self._degraded_exited = 0
         self._wal_appends = 0
         self._wasted_work = 0
         self._cancelled = 0
@@ -148,19 +145,6 @@ class ServiceStats:
         with self._lock:
             self._snapshots_published += 1
 
-    def record_shed(self, op: str) -> None:
-        """Count one request shed by the degraded engine."""
-        with self._lock:
-            self._shed[op] += 1
-
-    def record_degraded(self, entered: bool) -> None:
-        """Count one degraded-mode transition (entered or exited)."""
-        with self._lock:
-            if entered:
-                self._degraded_entered += 1
-            else:
-                self._degraded_exited += 1
-
     def record_wal_append(self) -> None:
         """Count one durable write-ahead-log append."""
         with self._lock:
@@ -203,10 +187,5 @@ class ServiceStats:
                     "patches": self._cache_patches,
                 },
                 "snapshots_published": self._snapshots_published,
-                "shed": dict(self._shed),
-                "degraded_transitions": {
-                    "entered": self._degraded_entered,
-                    "exited": self._degraded_exited,
-                },
                 "wal_appends": self._wal_appends,
             }

@@ -187,7 +187,7 @@ class TestEngineParity:
         # Whichever path tripped (queued-expiry or a mid-scan
         # checkpoint), the typed error chains its provenance when a
         # checkpoint produced it.
-        if error_stats().get("QueryEngine._run", {}).get("translated"):
+        if error_stats().get("QueryEngine._read", {}).get("translated"):
             assert isinstance(info.value.__cause__, OperationCancelled)
 
 

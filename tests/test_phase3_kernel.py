@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -170,6 +170,9 @@ def normalized_distance_row(
             weighted_prefix[index] + row_list[index] * count_list[index]
         )
     total = prefix[-1]
+    # A difference of running sums can round below the least Dmbr, which
+    # Dnorm never is (Lemma 2); the body floors every value there too.
+    least = min(row_list)
 
     windows: list[DnormWindow] = []
     # LD windows, one per start k: fully weighted k..l-1, marginal l.
@@ -178,9 +181,11 @@ def normalized_distance_row(
         if l >= r or l <= k:
             continue
         marginal = query_count - (prefix[l] - prefix[k])
-        value = (
-            weighted_prefix[l] - weighted_prefix[k] + row_list[l] * marginal
-        ) / query_count
+        value = max(
+            least,
+            (weighted_prefix[l] - weighted_prefix[k] + row_list[l] * marginal)
+            / query_count,
+        )
         windows.append(
             DnormWindow(
                 value=value,
@@ -202,11 +207,15 @@ def normalized_distance_row(
         if p >= q_end:
             continue
         marginal = query_count - (prefix[q_end + 1] - prefix[p + 1])
-        value = (
-            weighted_prefix[q_end + 1]
-            - weighted_prefix[p + 1]
-            + row_list[p] * marginal
-        ) / query_count
+        value = max(
+            least,
+            (
+                weighted_prefix[q_end + 1]
+                - weighted_prefix[p + 1]
+                + row_list[p] * marginal
+            )
+            / query_count,
+        )
         windows.append(
             DnormWindow(
                 value=value,
@@ -220,7 +229,7 @@ def normalized_distance_row(
             )
         )
 
-    fallback_value = weighted_prefix[-1] / total
+    fallback_value = max(least, weighted_prefix[-1] / total)
 
     # Anchor-wise minimum over covering windows; no result objects are
     # built for anchors the caller will discard.
@@ -439,6 +448,24 @@ def instance_sets(draw):
 
 class TestBodyEqualsRowReference:
     @given(instance_sets(), st.booleans())
+    # Eight one-point segments whose last three lie 0.9 - 0.6 from the
+    # probe (0.30000000000000004 in floating point), |q_i| = 2: the running
+    # sums put window (6, 7) at 0.29999999999999993, below every Dmbr of
+    # the run, so at eps = 0.3 the body's "nearest <= eps" cut skipped
+    # what the row reference found, and at eps = inf it reported it.
+    @example(
+        (
+            [
+                partition_sequence(
+                    np.array([[0.5], [0.5], [0.55], [0.55], [0.55], [0.6], [0.6], [0.6]]),
+                    max_points=1,
+                ),
+                partition_sequence(np.array([[0.9]]), max_points=1),
+            ],
+            [(0, 1, 0, 2, 0.3), (0, 1, 0, 2, INFINITY)],
+        ),
+        False,
+    )
     @settings(max_examples=300, deadline=None)
     def test_every_instance(self, drawn, chunked):
         partitions, instances = drawn

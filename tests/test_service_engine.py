@@ -590,6 +590,16 @@ class TestStatsAndTracing:
         assert stats["uptime_s"] >= 0.0
         assert isinstance(stats["snapshot_version"], int)
 
+    def test_stats_keys_are_the_documented_payload(self, rng):
+        """``/stats`` has one documented schema: the TypedDict the client
+        reads is exactly the key set the engine writes."""
+        from repro.service.client import EngineStatsPayload
+
+        with QueryEngine(build_database(rng, count=2), workers=1) as engine:
+            engine.search(rng.random((6, 2)), 0.5)
+            keys = set(engine.stats())
+        assert keys == set(EngineStatsPayload.__annotations__)
+
     def test_trace_records(self, rng, tmp_path):
         trace = tmp_path / "serve_trace.jsonl"
         with QueryEngine(

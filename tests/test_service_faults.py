@@ -21,7 +21,6 @@ from repro.core.search import SimilaritySearch
 from repro.service import (
     DeadlineExceeded,
     DurabilityConfig,
-    Overloaded,
     QueryEngine,
 )
 from repro.service.faults import (
@@ -378,92 +377,6 @@ class TestWorkerFaults:
             result = engine.search(query, 0.5)
             assert isinstance(result.answers, list)
             assert engine.stats()["failures"].get("search") == 1
-
-
-class TestGracefulDegradation:
-    def _degrade(self, engine, query):
-        """Block the single worker, then reject until degraded."""
-        gate = threading.Event()
-        inner = engine._do_search
-        engine._do_search = lambda *args: (gate.wait(5), inner(*args))[1]
-        blocked = threading.Thread(target=lambda: engine.search(query, 0.5))
-        blocked.start()
-        deadline = time.monotonic() + 5
-        while engine.queue_depth == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        while not engine.degraded:
-            with pytest.raises(Overloaded):
-                engine.search(query, 0.5)
-        engine._do_search = inner
-        return gate, blocked
-
-    def test_degraded_mode_sheds_writes_then_recovers(self, rng):
-        engine = QueryEngine(
-            build_database(rng, count=3),
-            workers=1,
-            queue_cap=0,
-            degrade_after=2,
-        )
-        query = rng.random((8, 2))
-        gate, blocked = self._degrade(engine, query)
-        try:
-            with pytest.raises(Overloaded) as caught:
-                engine.insert(rng.random((10, 2)), sequence_id="shed-me")
-            assert "shed" in str(caught.value)
-            assert caught.value.retry_after is not None
-            assert "shed-me" not in engine.sequence_ids()
-        finally:
-            gate.set()
-            blocked.join()
-        # Once the queue drains, the next admitted request clears the mode.
-        result = engine.search(query, 0.5)
-        assert isinstance(result.answers, list)
-        assert not engine.degraded
-        engine.insert(rng.random((10, 2)), sequence_id="accepted")
-        stats = engine.stats()
-        engine.close()
-        assert stats["shed"].get("insert") == 1
-        assert stats["degraded_transitions"] == {"entered": 1, "exited": 1}
-
-    def test_degraded_cache_only_serves_hits_and_sheds_misses(self, rng):
-        """The cache-only mechanism, driven at the serving-path level."""
-        engine = QueryEngine(
-            build_database(rng, count=3),
-            workers=1,
-            cache_size=8,
-            degrade_after=1,
-            degraded_cache_only=True,
-        )
-        try:
-            from repro.core.sequence import MultidimensionalSequence
-
-            warm = MultidimensionalSequence(rng.random((8, 2)))
-            cold = MultidimensionalSequence(rng.random((8, 2)))
-            engine.search(warm, 0.5)  # populate the cache
-            snapshot = engine._snapshot
-            # A warm fingerprint is served even in cache-only mode...
-            result, outcome = engine._search_cached(
-                snapshot, warm, 0.5, True, cache_only=True
-            )
-            assert outcome == "hit"
-            # ...a cold one is shed instead of occupying a worker.
-            with pytest.raises(Overloaded) as caught:
-                engine._search_cached(
-                    snapshot, cold, 0.5, True, cache_only=True
-                )
-            assert "shed" in str(caught.value)
-            assert engine.stats()["shed"].get("search") == 1
-        finally:
-            engine.close()
-
-    def test_cache_only_requires_a_cache(self, rng):
-        with pytest.raises(ValueError, match="cache"):
-            QueryEngine(
-                build_database(rng, count=2),
-                cache_size=0,
-                degrade_after=1,
-                degraded_cache_only=True,
-            )
 
 
 class TestDroppedResponses:

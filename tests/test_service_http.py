@@ -314,22 +314,60 @@ class TestRetryAfterAndDegraded:
             engine.close()
 
     def test_healthz_reports_degraded(self, rng):
+        """``degraded`` is the limiter's own signal: a read that queued past
+        the wait target cuts the limit below its ceiling, and the cut
+        limit's write headroom sheds an insert; no option turns it on."""
         engine = QueryEngine(
-            build_database(rng, count=2), workers=1, degrade_after=1
+            build_database(rng, count=2), workers=1, queue_cap=1
         )
         server, client = start_server(engine)
+        gates = [threading.Event(), threading.Event()]
+        order = iter(gates)
+        inner = engine._do_search
+        engine._do_search = lambda *args: (next(order).wait(5), inner(*args))[1]
+        query = rng.random((8, 2))
+        readers = [
+            threading.Thread(target=lambda: engine.search(query, 0.5))
+            for _ in gates
+        ]
         try:
             health = client.healthz()
             assert health["status"] == "ok"
             assert health["degraded"] is False
             assert health["queue_depth"] == 0
             assert health["durable"] is False
-            with engine._health_lock:
-                engine._degraded = True
+            # The first read holds the single worker; the second queues
+            # behind it for longer than the 0.1 s target.
+            for depth, reader in enumerate(readers, start=1):
+                reader.start()
+                deadline = time.monotonic() + 5
+                while engine.queue_depth < depth and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            time.sleep(0.15)
+            gates[0].set()
+            deadline = time.monotonic() + 5
+            while not engine.degraded and time.monotonic() < deadline:
+                time.sleep(0.005)
             health = client.healthz()
             assert health["status"] == "degraded"
             assert health["degraded"] is True
+            with pytest.raises(Overloaded) as caught:
+                engine.insert(rng.random((10, 2)), sequence_id="shed-me")
+            assert "write-priority" in str(caught.value)
+            assert caught.value.retry_after is not None
+            assert "shed-me" not in engine.sequence_ids()
+            shed = engine.stats()["admission"]["shed_by_priority"]
+            assert shed == {"write": 1}
+            gates[1].set()
+            for reader in readers:
+                reader.join(5)
+            # A read that does not wait grows the limit back to its ceiling.
+            engine._do_search = inner
+            engine.search(query, 0.5)
+            assert client.healthz()["status"] == "ok"
         finally:
+            for gate in gates:
+                gate.set()
             server.shutdown()
             server.server_close()
             engine.close()

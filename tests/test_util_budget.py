@@ -119,26 +119,9 @@ class TestAdaptiveLimiter:
             AdaptiveLimiter(min_limit=0, max_limit=4)
         with pytest.raises(ValueError):
             AdaptiveLimiter(min_limit=4, max_limit=2)
-        with pytest.raises(ValueError):
-            AdaptiveLimiter(min_limit=1, max_limit=4, target_queue_wait=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveLimiter(min_limit=1, max_limit=4, decrease=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveLimiter(min_limit=1, max_limit=4, increase=0.0)
-
-    def test_static_mode_pins_limit(self):
-        limiter = AdaptiveLimiter(
-            min_limit=2, max_limit=6, target_queue_wait=None
-        )
-        for _ in range(50):
-            limiter.observe(10.0)
-        assert limiter.effective_limit() == 6
-        assert limiter.snapshot()["adaptive"] is False
 
     def test_acquire_release_and_shed(self):
-        limiter = AdaptiveLimiter(
-            min_limit=1, max_limit=2, target_queue_wait=None
-        )
+        limiter = AdaptiveLimiter(min_limit=1, max_limit=2)
         assert limiter.acquire() == 0
         assert limiter.acquire() == 1
         assert limiter.acquire() is None  # at the limit: shed
@@ -156,17 +139,13 @@ class TestAdaptiveLimiter:
             limiter.permits("bulk")
 
     def test_overlong_waits_shrink_to_the_floor(self):
-        limiter = AdaptiveLimiter(
-            min_limit=4, max_limit=100, target_queue_wait=0.05, cooldown=0.0
-        )
+        limiter = AdaptiveLimiter(min_limit=4, max_limit=100, cooldown=0.0)
         for _ in range(200):
             limiter.observe(1.0)
         assert limiter.effective_limit() == 4
 
     def test_good_waits_grow_additively_back(self):
-        limiter = AdaptiveLimiter(
-            min_limit=2, max_limit=10, target_queue_wait=0.05, cooldown=0.0
-        )
+        limiter = AdaptiveLimiter(min_limit=2, max_limit=10, cooldown=0.0)
         for _ in range(50):
             limiter.observe(1.0)
         shrunk = limiter.effective_limit()
@@ -177,9 +156,7 @@ class TestAdaptiveLimiter:
         assert shrunk < grown <= 10
 
     def test_cooldown_limits_decrease_rate(self):
-        limiter = AdaptiveLimiter(
-            min_limit=1, max_limit=100, target_queue_wait=0.05, cooldown=60.0
-        )
+        limiter = AdaptiveLimiter(min_limit=1, max_limit=100, cooldown=60.0)
         limiter.observe(1.0)
         first = limiter.effective_limit()
         assert first == 90  # one multiplicative cut: 100 * 0.9
@@ -189,9 +166,7 @@ class TestAdaptiveLimiter:
         assert limiter.effective_limit() == first
 
     def test_priority_headroom_sheds_low_classes_first(self):
-        limiter = AdaptiveLimiter(
-            min_limit=1, max_limit=8, target_queue_wait=None
-        )
+        limiter = AdaptiveLimiter(min_limit=1, max_limit=8)
         for _ in range(4):
             assert limiter.acquire() is not None
         # At 4 of 8: repair (50% headroom) sheds, writes (75%) still fit.

@@ -59,11 +59,12 @@ from functools import lru_cache
 from tools.repro_lint.model import (
     DISTANCE_LEXICON,
     Checker,
+    Event,
     ModuleContext,
     Rule,
     Violation,
     bare_waiver_checker,
-    waived,
+    emit_events,
 )
 
 __all__ = [
@@ -250,11 +251,6 @@ _MUTABLE_ANNOTATIONS = frozenset(
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _in_scope(context: ModuleContext) -> bool:
-    """Library ``repro.*`` modules only; tests and scripts are exempt."""
-    return context.is_library and context.layer is not None
-
-
 def _dotted(node: ast.expr) -> str | None:
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -403,8 +399,6 @@ def _describe(expr: ast.expr) -> str:
         return "<expression>"
 
 
-_Event = tuple[str, ast.AST, str]
-
 _COMPOUND = (
     ast.For,
     ast.AsyncFor,
@@ -479,7 +473,7 @@ def _param_alias(expr: ast.expr, params: frozenset[str]) -> str | None:
 
 
 def _expression_events(
-    root: ast.AST, env: _Env, events: list[_Event], module_name: str | None
+    root: ast.AST, env: _Env, events: list[Event], module_name: str | None
 ) -> None:
     """Events detectable from any expression inside one statement."""
     for node in ast.walk(root):
@@ -521,7 +515,7 @@ def _expression_events(
                     )
 
 
-def _narrowing_events(root: ast.AST, events: list[_Event]) -> None:
+def _narrowing_events(root: ast.AST, events: list[Event]) -> None:
     """REP305: dtype-narrowing casts on distance-like values."""
     targets: list[ast.expr] = []
     if isinstance(root, ast.Assign):
@@ -563,7 +557,7 @@ def _narrowing_events(root: ast.AST, events: list[_Event]) -> None:
 def _walk_body(
     body: list[ast.stmt],
     env: _Env,
-    events: list[_Event],
+    events: list[Event],
     context: ModuleContext,
     public: bool,
     in_init: bool,
@@ -687,7 +681,7 @@ def _assign_events(
     value: ast.expr,
     value_kind: str | None,
     env: _Env,
-    events: list[_Event],
+    events: list[Event],
     in_init: bool,
     mutable_params: frozenset[str],
 ) -> None:
@@ -748,8 +742,8 @@ def _assign_events(
 
 
 @lru_cache(maxsize=16)
-def _module_events(context: ModuleContext) -> tuple[_Event, ...]:
-    events: list[_Event] = []
+def _module_events(context: ModuleContext) -> tuple[Event, ...]:
+    events: list[Event] = []
     for func in _function_defs(context.tree):
         env = _seed_env(func, context)
         public = not func.name.startswith("_")
@@ -762,14 +756,7 @@ def _module_events(context: ModuleContext) -> tuple[_Event, ...]:
 
 
 def _emit(rule: Rule, context: ModuleContext, code: str) -> Iterator[Violation]:
-    if not _in_scope(context):
-        return
-    for event_code, node, message in _module_events(context):
-        if event_code != code:
-            continue
-        if waived(context, getattr(node, "lineno", 1), "alias-ok"):
-            continue
-        yield rule.violation(context, node, message)
+    return emit_events(rule, context, code, _module_events, "alias-ok")
 
 
 def _check_inplace_mutation(

@@ -30,7 +30,14 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from tools.repro_lint.model import Checker, ModuleContext, Rule, Violation, waived
+from tools.repro_lint.model import (
+    Checker,
+    ModuleContext,
+    Rule,
+    Violation,
+    in_library_scope,
+    waived,
+)
 
 __all__ = [
     "BLOCKING_CALLS",
@@ -53,7 +60,6 @@ MODULE_LOCK_ORDER: dict[str, tuple[str, ...]] = {
     "repro.service.engine": (
         "_write_lock",
         "_trace_lock",
-        "_health_lock",
     ),
     "repro.cluster.coordinator": (
         "_order_lock",
@@ -98,10 +104,6 @@ _CONDITION_METHODS = frozenset({"wait", "wait_for", "notify", "notify_all"})
 
 # ``# thread-safe: <reason>`` waives any REP2xx finding on its line.
 _WAIVER = "thread-safe"
-
-
-def _in_scope(context: ModuleContext) -> bool:
-    return context.is_library and context.layer in _CONCURRENT_LAYERS
 
 
 def _call_factory_name(node: ast.expr) -> str | None:
@@ -306,7 +308,7 @@ def _check_guarded_mutation(
     naming contract), and lines carrying a ``# thread-safe: <reason>``
     waiver.
     """
-    if not _in_scope(context):
+    if not in_library_scope(context, _CONCURRENT_LAYERS):
         return
     for info in _module_classes(context):
         if not info.lock_attrs:
@@ -360,7 +362,7 @@ def _check_lock_order(
     The runtime sanitizer covers orders this rule cannot see (locks
     reached through method calls or other objects).
     """
-    if not _in_scope(context):
+    if not in_library_scope(context, _CONCURRENT_LAYERS):
         return
     order = MODULE_LOCK_ORDER.get(context.module_name or "", ())
     rank = {name: index for index, name in enumerate(order)}
@@ -427,7 +429,7 @@ def _check_blocking_under_lock(
 ) -> Iterator[Violation]:
     """REP202: no blocking call (fsync, sleep, sockets, subprocess) while
     a lock is lexically held."""
-    if not _in_scope(context):
+    if not in_library_scope(context, _CONCURRENT_LAYERS):
         return
     for info in _module_classes(context):
         for method in _methods_of(info):
@@ -468,7 +470,7 @@ def _check_raw_primitives(
     runtime lock-order sanitizer; ``Semaphore`` and ``Event`` have no
     traced wrapper (they are not order-relevant) and stay raw.
     """
-    if not _in_scope(context):
+    if not in_library_scope(context, _CONCURRENT_LAYERS):
         return
     for node in ast.walk(context.tree):
         if not isinstance(node, ast.Call):
@@ -508,7 +510,7 @@ def _check_condition_discipline(
     rule: "Rule", context: ModuleContext
 ) -> Iterator[Violation]:
     """REP204: ``wait``/``notify`` on a condition only under its lock."""
-    if not _in_scope(context):
+    if not in_library_scope(context, _CONCURRENT_LAYERS):
         return
     for info in _module_classes(context):
         if not info.condition_attrs:
@@ -548,7 +550,7 @@ def _check_self_deadlock(
     rule: "Rule", context: ModuleContext
 ) -> Iterator[Violation]:
     """REP205: the same lock expression entered twice on one thread."""
-    if not _in_scope(context):
+    if not in_library_scope(context, _CONCURRENT_LAYERS):
         return
     for info in _module_classes(context):
         for method in _methods_of(info):
@@ -584,7 +586,7 @@ def _check_manual_acquire(
     """REP206: a manual ``acquire()`` pairs with ``release()`` in a
     ``finally`` in the same function (else an exception leaks the lock).
     """
-    if not _in_scope(context):
+    if not in_library_scope(context, _CONCURRENT_LAYERS):
         return
     for info in _module_classes(context):
         for method in _methods_of(info):

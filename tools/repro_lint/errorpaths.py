@@ -57,11 +57,12 @@ from pathlib import Path
 
 from tools.repro_lint.model import (
     Checker,
+    Event,
     ModuleContext,
     Rule,
     Violation,
     bare_waiver_checker,
-    waived,
+    emit_events,
 )
 
 __all__ = [
@@ -148,11 +149,6 @@ _BROAD_NAMES = frozenset({"BaseException", "Exception"})
 
 # Layers whose public surface is the request path (REP403/REP404).
 _REQUEST_LAYERS = frozenset({"bench", "cluster", "service"})
-
-
-def _in_scope(context: ModuleContext) -> bool:
-    """Library ``repro.*`` modules only; tests and scripts are exempt."""
-    return context.is_library and context.layer is not None
 
 
 def _last_name(node: ast.expr) -> str | None:
@@ -305,10 +301,7 @@ def injected_literals(src_root: str) -> frozenset[str]:
 # ----------------------------------------------------------------------
 # Event collection (one pass per module, shared by all eight rules)
 # ----------------------------------------------------------------------
-_Event = tuple[str, ast.AST, str]
-
-
-def _handler_events(tree: ast.AST, events: list[_Event]) -> None:
+def _handler_events(tree: ast.AST, events: list[Event]) -> None:
     """REP400/REP401/REP402 over every ``except`` clause."""
     seen_raises: set[int] = set()
     for node in ast.walk(tree):
@@ -360,7 +353,7 @@ def _handler_events(tree: ast.AST, events: list[_Event]) -> None:
                     )
 
 
-def _public_raise_events(context: ModuleContext, events: list[_Event]) -> None:
+def _public_raise_events(context: ModuleContext, events: list[Event]) -> None:
     """REP403 over public request-layer functions."""
     if context.layer not in _REQUEST_LAYERS:
         return
@@ -393,7 +386,7 @@ def _public_raise_events(context: ModuleContext, events: list[_Event]) -> None:
             )
 
 
-def _retry_events(context: ModuleContext, events: list[_Event]) -> None:
+def _retry_events(context: ModuleContext, events: list[Event]) -> None:
     """REP404: retry-shaped loops around non-idempotent mutations."""
     if context.layer not in _REQUEST_LAYERS:
         return
@@ -431,7 +424,7 @@ def _retry_events(context: ModuleContext, events: list[_Event]) -> None:
                 )
 
 
-def _masking_events(tree: ast.AST, events: list[_Event]) -> None:
+def _masking_events(tree: ast.AST, events: list[Event]) -> None:
     """REP405: finally blocks and __exit__ bodies that mask exceptions."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Try) and node.finalbody:
@@ -472,7 +465,7 @@ def _masking_events(tree: ast.AST, events: list[_Event]) -> None:
                     )
 
 
-def _fault_site_events(context: ModuleContext, events: list[_Event]) -> None:
+def _fault_site_events(context: ModuleContext, events: list[Event]) -> None:
     """REP406: inject literals vs the FAULT_SITES registry, both ways."""
     root = _src_root(context.path)
     if root is None:
@@ -521,8 +514,8 @@ class _SyntheticNode(ast.AST):
 
 
 @lru_cache(maxsize=16)
-def _module_events(context: ModuleContext) -> tuple[_Event, ...]:
-    events: list[_Event] = []
+def _module_events(context: ModuleContext) -> tuple[Event, ...]:
+    events: list[Event] = []
     _handler_events(context.tree, events)
     _public_raise_events(context, events)
     _retry_events(context, events)
@@ -532,14 +525,7 @@ def _module_events(context: ModuleContext) -> tuple[_Event, ...]:
 
 
 def _emit(rule: Rule, context: ModuleContext, code: str) -> Iterator[Violation]:
-    if not _in_scope(context):
-        return
-    for event_code, node, message in _module_events(context):
-        if event_code != code:
-            continue
-        if waived(context, getattr(node, "lineno", 1), "error-ok"):
-            continue
-        yield rule.violation(context, node, message)
+    return emit_events(rule, context, code, _module_events, "error-ok")
 
 
 def _check_broad_except(

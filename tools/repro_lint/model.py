@@ -4,16 +4,18 @@ Everything the rule families (``rules.py`` REP1xx, ``concurrency.py``
 REP2xx, ``aliasing.py`` REP3xx, ``errorpaths.py`` REP4xx) share lives
 here so none of them has to import another family: :class:`Rule` (code,
 summary, checker, waiver syntax), :class:`Violation`,
-:class:`ModuleContext`, the reasoned-waiver grammar (:func:`waived`,
-:func:`bare_waiver_checker`), and the distance-name lexicon several rules
-key on.
+:class:`ModuleContext`, the library scope test (:func:`in_library_scope`),
+the reasoned-waiver grammar (:func:`waived`, :func:`bare_waiver_checker`),
+the event-to-violation step of the REP3xx/REP4xx families
+(:func:`emit_events`), and the distance-name lexicon several rules key
+on.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -21,10 +23,13 @@ from pathlib import Path
 __all__ = [
     "Checker",
     "DISTANCE_LEXICON",
+    "Event",
     "ModuleContext",
     "Rule",
     "Violation",
     "bare_waiver_checker",
+    "emit_events",
+    "in_library_scope",
     "waived",
 ]
 
@@ -94,6 +99,9 @@ class ModuleContext:
 
 Checker = Callable[["Rule", "ModuleContext"], Iterator[Violation]]
 
+#: One finding of a whole-module analysis: rule code, node, message.
+Event = tuple[str, ast.AST, str]
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -148,13 +156,41 @@ def waived(context: ModuleContext, line: int, tag: str) -> bool:
     return reasoned.search(context.source_lines[line - 1]) is not None
 
 
+def in_library_scope(
+    context: ModuleContext, layers: Collection[str] | None = None
+) -> bool:
+    """Library ``repro.*`` modules (of ``layers``, if given) only; tests
+    and scripts are exempt."""
+    if not context.is_library or context.layer is None:
+        return False
+    return layers is None or context.layer in layers
+
+
+def emit_events(
+    rule: Rule,
+    context: ModuleContext,
+    code: str,
+    events: Callable[[ModuleContext], Iterable[Event]],
+    tag: str,
+) -> Iterator[Violation]:
+    """The violations of ``code`` among a library module's ``events``
+    (computed only in scope), minus lines waived with ``# <tag>: ...``."""
+    if not in_library_scope(context):
+        return
+    for event_code, node, message in events(context):
+        if event_code == code and not waived(
+            context, getattr(node, "lineno", 1), tag
+        ):
+            yield rule.violation(context, node, message)
+
+
 def bare_waiver_checker(tag: str) -> Checker:
     """The rule that flags a ``# <tag>`` waiver written without a reason
     in library ``repro.*`` code (such a waiver waives nothing)."""
     reasoned, anywhere = _waiver_patterns(tag)
 
     def check(rule: Rule, context: ModuleContext) -> Iterator[Violation]:
-        if not context.is_library or context.layer is None:
+        if not in_library_scope(context):
             return
         for line_number, line in enumerate(context.source_lines, start=1):
             match = anywhere.search(line)

@@ -2,8 +2,10 @@
 
 Boots the real CLI (``python -m repro serve``) on a tiny generated corpus
 and a free port, waits for the banner line, hits ``/healthz``, ``/search``
-and ``/stats`` through :class:`repro.service.client.ServiceClient` — all
-four calls over one kept-alive connection — then sends SIGINT *with that
+and ``/stats`` through :class:`repro.service.client.ServiceClient` — every
+call over one kept-alive connection — checks that the adaptive admission
+limit sits at its ceiling with nothing shed and ``degraded`` false, then
+sends SIGINT *with that
 connection still parked* and requires a clean exit with the shutdown
 banner: the drain must close what it parked.  The whole serve path a user
 would touch, end to end, in a few seconds.
@@ -105,6 +107,15 @@ def main() -> int:
             stats = client.stats()
             if stats["requests_total"] < 2 or stats["cache"]["hits"] < 1:
                 raise RuntimeError(f"bad /stats reply: {stats}")
+            # Light traffic never queues past the wait target: the adaptive
+            # admission limit stays at its ceiling and nothing is shed.
+            admission = stats["admission"]
+            if (
+                admission["limit"] != admission["max_limit"]
+                or admission["shed_by_priority"]
+                or client.healthz()["degraded"] is not False
+            ):
+                raise RuntimeError(f"admission cut at smoke load: {admission}")
             transport = client.transport_stats()
             if transport["connections_opened"] != 1:
                 raise RuntimeError(f"calls did not share a connection: {transport}")
@@ -127,7 +138,8 @@ def main() -> int:
 
     print(
         "serve smoke OK: /healthz, /search (miss then hit), /stats over one "
-        "connection, clean SIGINT shutdown with it parked"
+        "connection, admission limit at its ceiling, clean SIGINT shutdown "
+        "with it parked"
     )
     return 0
 
