@@ -323,10 +323,13 @@ def _service_overload_goodput(profile: BenchProfile, seed: int) -> BenchResult:
         seconds=profile.overload_service_s,
         times=None,
     )
+    # No cache: an exact hit runs on its caller's thread, so it would
+    # sleep its fault beside the pool instead of queueing for it.
     with QueryEngine(
         _build_database(corpus),
         workers=profile.engine_workers,
         queue_cap=profile.overload_queue_cap,
+        cache_size=0,
     ) as engine:
         target = _DeadlineTarget(engine, profile.overload_deadline_s)
         with fault_plan(slow_worker):

@@ -618,7 +618,7 @@ def union_spans(
         (reach[tails] - owners * stride).tolist(),
     ):
         spans.setdefault(key, []).append((first, last))
-    return {key: IntervalSet(merged) for key, merged in spans.items()}
+    return {key: IntervalSet._of_canonical(merged) for key, merged in spans.items()}
 
 
 @dataclass(frozen=True)

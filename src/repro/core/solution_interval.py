@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.core.contracts import ContractViolation, lower_bounds
+from repro.util.checks import CONTRACTS
 
 __all__ = ["IntervalSet"]
 
@@ -154,6 +155,20 @@ class IntervalSet:
     def from_points(cls, points: Iterable[int]) -> "IntervalSet":
         """Build from individual point offsets (runs are coalesced)."""
         return cls((int(p), int(p) + 1) for p in points)
+
+    @classmethod
+    def _of_canonical(cls, intervals: _Spans) -> "IntervalSet":
+        """Wrap spans that are already canonical, without re-normalising.
+
+        For a producer that sorted and merged its spans itself (Phase 3's
+        :func:`~repro.core.distance.union_spans`); the spans must be
+        ``int`` pairs.  The ``contracts`` check verifies the form.
+        """
+        if CONTRACTS.on:
+            _check_canonical("canonical spans", intervals)
+        result = cls.__new__(cls)
+        result._intervals = intervals
+        return result
 
     @classmethod
     def full(cls, length: int) -> "IntervalSet":

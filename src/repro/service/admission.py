@@ -7,8 +7,9 @@ What admission control actually defends is **queue wait** — time a
 request spends admitted but not executing — so this module regulates the
 limit on the signal itself:
 
-* **AIMD on observed queue wait.**  Every dequeue reports how long the
-  request waited.  Waits at or under the target (:data:`QUEUE_WAIT_TARGET_S`)
+* **AIMD on observed queue wait.**  Every dequeue from the worker pool
+  reports how long the request waited; a read run on its caller's thread
+  never queued and reports nothing.  Waits at or under the target (:data:`QUEUE_WAIT_TARGET_S`)
   grow the limit additively (``+1/limit`` per observation, concave like
   TCP); a wait over target shrinks it multiplicatively (``x 0.9``), at
   most once per ``cooldown`` so one burst does not collapse the window.
@@ -23,9 +24,11 @@ limit on the signal itself:
   sheds in the order that preserves client-visible reads longest.
 
 Reads *hold a slot* (``acquire``/``release``) because they occupy the
-worker pool; writes and repair traffic execute on their caller's thread
-serialised by the engine's write lock, so they only consult the gate
-(``permits``) without consuming a slot.
+worker pool (or, ``on_caller``, stand in for work that would); writes
+and repair traffic execute on their caller's thread serialised by the
+engine's write lock, so they only consult the gate (``permits``)
+without consuming a slot.  An exact ε-cache hit is a lookup, not work:
+the engine answers it on the caller without touching this gate.
 """
 
 from __future__ import annotations

@@ -141,11 +141,8 @@ class EpsilonCache:
         epsilon = check_threshold(epsilon)
         with self._lock:
             self._lookups += 1
-            entry = self._entries.get(key)
+            entry = self._usable(key, epsilon, version)
             if entry is None:
-                self._misses += 1
-                return None
-            if entry.version != version or entry.epsilon < epsilon:
                 self._misses += 1
                 return None
             self._hits += 1
@@ -153,6 +150,27 @@ class EpsilonCache:
                 self._refines += 1
             self._entries.move_to_end(key)
             return entry
+
+    def peek(
+        self, key: str, epsilon: float, version: int
+    ) -> CacheEntry | None:
+        """What :meth:`lookup` would return, without its side effects.
+
+        No LRU promotion and no counters: the engine peeks to pick the
+        thread a search runs on, and the body's own lookup is the one
+        that counts.
+        """
+        epsilon = check_threshold(epsilon)
+        with self._lock:
+            return self._usable(key, epsilon, version)
+
+    def _usable(
+        self, key: str, epsilon: float, version: int
+    ) -> CacheEntry | None:
+        entry = self._entries.get(key)
+        if entry is None or entry.version != version or entry.epsilon < epsilon:
+            return None
+        return entry
 
     def store(self, key: str, entry: CacheEntry, version: int) -> bool:
         """Insert ``entry`` unless it is already stale.

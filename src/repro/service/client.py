@@ -10,6 +10,7 @@ only once its reply was read in full and did not say ``close``, and a
 parked socket found readable (EOF, stray bytes) is discarded.  A *read*
 that dies on a reused connection before a status line arrives is sent once
 more on a fresh one (``reconnects``); a *write* is never sent twice.
+A request goes out in one send, its header block and body together.
 Thread-safe; :meth:`ServiceClient.close` (or ``with``) closes what is parked.
 
 A ``search``/``knn`` call given a ``timeout`` treats it as an
@@ -485,6 +486,31 @@ class RetryBudget:
             }
 
 
+class _Connection(http.client.HTTPConnection):
+    """A pooled connection that puts a request on the wire in one send.
+
+    :mod:`http.client` sends the header block, then the body: two
+    segments per ``POST``.  Here a ``bytes`` body joins the header
+    buffer first; any other body takes the stdlib path.
+    """
+
+    def _send_output(
+        self, message_body: Any = None, encode_chunked: bool = False
+    ) -> None:
+        if not isinstance(message_body, bytes) or encode_chunked:
+            super()._send_output(message_body, encode_chunked)  # type: ignore[misc]
+            return
+        buffer: list[bytes] = self.__dict__["_buffer"]
+        buffer.extend((b"", message_body))
+        message = b"\r\n".join(buffer)
+        del buffer[:]
+        self.send(message)
+
+
+class _SecureConnection(_Connection, http.client.HTTPSConnection):
+    """The same one-send request over TLS."""
+
+
 class ServiceClient:
     """Talks JSON to a running ``repro serve`` endpoint.
 
@@ -531,7 +557,7 @@ class ServiceClient:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be http(s)://host..., got {base_url!r}")
         https = url.scheme == "https"
-        connect = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        connect = _SecureConnection if https else _Connection
         self._dial = functools.partial(connect, url.hostname, url.port)
         self._path_prefix = url.path
         #: Idle connections, most recently used last; the lock is a leaf,

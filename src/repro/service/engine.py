@@ -27,7 +27,10 @@ repair/replication traffic shed before reads do.  An arrival beyond the
 current limit fast-fails with :class:`~repro.service.errors.Overloaded`
 (carrying a ``retry_after`` hint derived from queue depth) instead of
 building an unbounded backlog; while the limit sits below its ceiling
-the engine reports itself ``degraded`` (``/healthz``).  Each request carries a
+the engine reports itself ``degraded`` (``/healthz``).  A search the
+ε-cache answers exactly is a lookup, not work: it runs on the calling
+thread, holds no admission slot and is no queue-wait sample, so only
+the reads that queue steer the limit.  Each request carries a
 :class:`~repro.util.budget.Deadline`; one that expires while queued is
 never executed, and one that expires mid-execution is stopped at the next
 cooperative cancellation checkpoint inside the Phase 2/3 loops (counted
@@ -122,6 +125,15 @@ _T = TypeVar("_T")
 
 #: Two thresholds closer than this are served as an exact cache hit.
 _EPSILON_MATCH_TOLERANCE = 1e-12
+
+
+def _answers_exactly(
+    entry: CacheEntry, epsilon: float, find_intervals: bool
+) -> bool:
+    """Whether a usable entry is the answer itself (a hit, not a refine)."""
+    return abs(entry.epsilon - epsilon) <= _EPSILON_MATCH_TOLERANCE and (
+        entry.find_intervals or not find_intervals
+    )
 
 
 @dataclass(frozen=True)
@@ -441,7 +453,7 @@ class QueryEngine:
         return len(self._snapshot.database)
 
     # ------------------------------------------------------------------
-    # Queries (executed on the worker pool)
+    # Queries (work on the worker pool, exact cache hits on the caller)
     # ------------------------------------------------------------------
     def search(
         self,
@@ -451,7 +463,10 @@ class QueryEngine:
         find_intervals: bool = True,
         timeout: float | None = None,
     ) -> SearchResult:
-        """Range search (the paper's SIMILARITY_SEARCH) through the pool."""
+        """Range search (the paper's SIMILARITY_SEARCH).
+
+        Work runs on the pool; an exact ε-cache hit on the calling thread.
+        """
         epsilon = check_threshold(epsilon)
         return self.search_detailed(
             query, epsilon, find_intervals=find_intervals, timeout=timeout
@@ -468,11 +483,8 @@ class QueryEngine:
     ) -> ServiceResponse:
         """Range search returning serving metadata alongside the result."""
         epsilon = check_threshold(epsilon)
-        return self._read(
-            "search",
-            lambda: self._do_search(query, epsilon, find_intervals),
-            timeout,
-            on_caller=on_caller,
+        return self._search(
+            "search", query, epsilon, find_intervals, timeout, on_caller
         )
 
     def range_query(
@@ -484,11 +496,7 @@ class QueryEngine:
     ) -> list[object]:
         """The matching sequence ids only (no solution intervals)."""
         epsilon = check_threshold(epsilon)
-        response = self._read(
-            "range",
-            lambda: self._do_search(query, epsilon, False),
-            timeout,
-        )
+        response = self._search("range", query, epsilon, False, timeout, False)
         return list(response.result.answers)
 
     def knn(
@@ -863,6 +871,54 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
+    def _search(
+        self,
+        op: str,
+        query: SequenceLike,
+        epsilon: float,
+        find_intervals: bool,
+        timeout: float | None,
+        on_caller: bool,
+    ) -> ServiceResponse:
+        """Route one range search: an exact ε-cache hit stays on the caller.
+
+        The snapshot is pinned and the query coerced and fingerprinted
+        here, once; the body gets all three.  A side-effect-free peek at
+        the cache picks the thread: an entry that answers exactly (the
+        body's ``"hit"``) is a lookup, which runs on the calling thread
+        and holds no admission slot — a hand-off would cost more than
+        the hit.  Misses and refines are work and queue for the pool
+        (unless ``on_caller`` forces the caller).  A write that lands
+        between peek and body leaves the body on the pinned snapshot,
+        where it simply misses, on the caller.
+        """
+        snapshot = self._snapshot
+        try:
+            sequence = snapshot.search._coerce(query)
+        except (TypeError, ValueError) as error:
+            # A malformed query fails inside the read, counted as a failure.
+            def malformed() -> ServiceResponse:
+                raise error
+
+            return self._read(op, malformed, timeout, on_caller=on_caller)
+        key = None
+        lookup = False
+        if self._cache is not None:
+            key = query_fingerprint(sequence.points)
+            entry = self._cache.peek(key, epsilon, snapshot.version)
+            lookup = entry is not None and _answers_exactly(
+                entry, epsilon, find_intervals
+            )
+        return self._read(
+            op,
+            lambda: self._do_search(
+                snapshot, sequence, key, epsilon, find_intervals
+            ),
+            timeout,
+            on_caller=on_caller,
+            lookup=lookup,
+        )
+
     def _read(
         self,
         op: str,
@@ -870,18 +926,24 @@ class QueryEngine:
         timeout: float | None,
         *,
         on_caller: bool = False,
+        lookup: bool = False,
     ) -> _T:
         """The one path of a read: admit, run ``body``, wait, account.
 
-        The body runs on a pool worker, or — ``on_caller``, for a caller
-        that is a thread of this interpreter (``LocalBackend``), where a
-        hand-off only adds wake-ups under one GIL — on the calling
-        thread, into an already completed future.  Either way the same
-        ticket, fault sites, deadline scope and counts apply, and the
-        caller waits on the future the same way.  A thread cannot
-        abandon itself at expiry: the checkpoints bound an on-caller
-        body, and one that returns late raises what the pooled caller
-        saw at expiry (wasted work counted).
+        The body runs on a pool worker, or on the calling thread, into an
+        already completed future: for ``on_caller`` (a caller that is a
+        thread of this interpreter, ``LocalBackend``, where a hand-off
+        only adds wake-ups under one GIL) and for a ``lookup`` (an exact
+        cache hit, see :meth:`_search`).  Either way the same fault
+        sites, deadline scope and counts apply, and the caller waits on
+        the future the same way.  Admission guards the pool's queue, so
+        a lookup, which never joins it, holds no slot and is never shed;
+        every other read holds one.  Only a pooled run is a queue-wait
+        sample: a run on the caller waited for nothing, and its 0 s
+        would outvote the congestion signal of the reads that queue.  A
+        thread cannot abandon itself at expiry: the checkpoints bound an
+        on-caller body, and one that returns late raises what the pooled
+        caller saw at expiry (wasted work counted).
         """
         if self._closed:
             raise EngineClosed("engine is closed")
@@ -901,16 +963,18 @@ class QueryEngine:
             )
 
         inject("engine.admission.delay")
-        if self._admission.acquire("read") is None:
+        if not lookup and self._admission.acquire("read") is None:
             self._stats.record_overloaded()
             raise self._overloaded_error(op)
         self._stats.record_request(op)
+        pooled = not (on_caller or lookup)
         admitted_at = time.monotonic()
 
         def run() -> _T:
-            # The wait between admission and this start is the signal
-            # the adaptive limit regulates.
-            self._admission.observe(time.monotonic() - admitted_at)
+            if pooled:
+                # The wait between admission and this start is the
+                # signal the adaptive limit regulates.
+                self._admission.observe(time.monotonic() - admitted_at)
             if deadline.done():
                 # Expired (or abandoned) while queued: never start it.
                 raise expired(f"spent its whole {timeout}s deadline queued")
@@ -942,19 +1006,20 @@ class QueryEngine:
             return result
 
         future: Future[_T]
-        if on_caller:
-            future = Future()
-            try:
-                future.set_result(run())
-            except Exception as error:  # error-ok: the future carries it; result() below re-raises
-                future.set_exception(error)
-        else:
+        if pooled:
             try:
                 future = self._pool.submit(run)
             except RuntimeError as error:  # pool already shut down
                 self._admission.release()
                 raise EngineClosed("engine is closed") from error
-        future.add_done_callback(lambda _: self._admission.release())
+        else:
+            future = Future()
+            try:
+                future.set_result(run())
+            except Exception as error:  # error-ok: the future carries it; result() below re-raises
+                future.set_exception(error)
+        if not lookup:
+            future.add_done_callback(lambda _: self._admission.release())
         try:
             remaining = deadline.remaining()
             try:
@@ -1007,25 +1072,28 @@ class QueryEngine:
         return round(min(5.0, max(0.05, hint)), 3)
 
     # ------------------------------------------------------------------
-    # Request bodies (run on worker threads, against one snapshot)
+    # Request bodies (each runs against one snapshot)
     # ------------------------------------------------------------------
     def _do_knn(self, query: SequenceLike, k: int) -> list[tuple[float, object]]:
         snapshot = self._snapshot
         return snapshot.search.knn(query, k)
 
     def _do_search(
-        self, query: SequenceLike, epsilon: float, find_intervals: bool
+        self,
+        snapshot: _Snapshot,
+        sequence: MultidimensionalSequence,
+        key: str | None,
+        epsilon: float,
+        find_intervals: bool,
     ) -> ServiceResponse:
-        snapshot = self._snapshot
-        sequence = snapshot.search._coerce(query)
-        if self._cache is None:
+        if key is None:
             result = snapshot.search.search(
                 sequence, epsilon, find_intervals=find_intervals
             )
             outcome = "off"
         else:
             result, outcome = self._search_cached(
-                snapshot, sequence, epsilon, find_intervals
+                snapshot, sequence, key, epsilon, find_intervals
             )
         self._stats.record_cache(outcome)
         self._trace(result, outcome, snapshot.version)
@@ -1037,18 +1105,15 @@ class QueryEngine:
         self,
         snapshot: _Snapshot,
         sequence: MultidimensionalSequence,
+        key: str,
         epsilon: float,
         find_intervals: bool,
     ) -> tuple[SearchResult, str]:
         if self._cache is None:
             raise RuntimeError("_search_cached called with caching disabled")
-        key = query_fingerprint(sequence.points)
         entry = self._cache.lookup(key, epsilon, snapshot.version)
         if entry is not None:
-            exact_epsilon = (
-                abs(entry.epsilon - epsilon) <= _EPSILON_MATCH_TOLERANCE
-            )
-            if exact_epsilon and (entry.find_intervals or not find_intervals):
+            if _answers_exactly(entry, epsilon, find_intervals):
                 result = self._result_from_entry(
                     entry, snapshot, epsilon, find_intervals
                 )

@@ -294,8 +294,88 @@ class TestOnCallerEntry:
             engine.search_detailed(query, 0.5, on_caller=True)
             engine.knn(query, 2, on_caller=True)
             assert seen == [threading.get_ident()] * 2
-            engine.search_detailed(query, 0.5)
+            # A fresh query is a miss: without on_caller it takes the pool.
+            engine.search_detailed(rng.random((9, 2)), 0.5)
             assert seen[-1] != threading.get_ident()  # the pool is untouched
+
+    def test_an_exact_hit_runs_on_the_caller_and_a_refine_on_the_pool(
+        self, rng
+    ):
+        with QueryEngine(
+            build_database(rng, count=4), workers=2, cache_size=8
+        ) as engine:
+            seen = []
+            inner = engine._do_search
+            engine._do_search = lambda *args: (
+                seen.append(threading.get_ident()),
+                inner(*args),
+            )[1]
+            query = rng.random((9, 2))
+            outcomes = [
+                engine.search_detailed(query, epsilon).cache
+                for epsilon in (0.5, 0.5, 0.2)
+            ]
+            assert outcomes == ["miss", "hit", "refine"]
+            caller = threading.get_ident()
+            assert [ident == caller for ident in seen] == [False, True, False]
+            # Only the two pooled runs were queue-wait samples, and the
+            # hits held no admission slot.
+            admission = engine.stats()["admission"]
+            assert admission["queue_wait_ms"]["window"] == 2
+            assert engine.queue_depth == 0
+
+    def test_an_entry_without_intervals_does_not_answer_a_request_for_them(
+        self, rng
+    ):
+        with QueryEngine(
+            build_database(rng, count=4), workers=2, cache_size=8
+        ) as engine:
+            query = rng.random((9, 2))
+            engine.search_detailed(query, 0.5, find_intervals=False)
+            engine.search_detailed(query, 0.5)
+            # The second search recomputed with intervals, on the pool.
+            admission = engine.stats()["admission"]
+            assert admission["queue_wait_ms"]["window"] == 2
+
+    def test_a_cached_query_answers_while_every_worker_is_held(self, rng):
+        with QueryEngine(
+            build_database(rng, count=4), workers=2, queue_cap=0, cache_size=8
+        ) as engine:
+            cached = rng.random((9, 2))
+            expected = engine.search(cached, 0.5)
+            holders = [
+                threading.Thread(
+                    target=engine.search, args=(rng.random((9, 2)), 0.5)
+                )
+                for _ in range(2)
+            ]
+            rule = FaultRule("engine.worker", "sleep", times=2, seconds=1.0)
+            with fault_plan(rule) as plan:
+                for holder in holders:
+                    holder.start()
+                deadline = time.monotonic() + 5
+                while (
+                    plan.fired("engine.worker") < 2
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.005)
+                assert plan.fired("engine.worker") == 2
+                assert engine.queue_depth == 2
+                started = time.monotonic()
+                hit = engine.search_detailed(cached, 0.5, timeout=0.5)
+                assert time.monotonic() - started < 0.5
+                assert hit.cache == "hit"
+                assert hit.result.answers == expected.answers
+                with pytest.raises(Overloaded):
+                    engine.search_detailed(rng.random((9, 2)), 0.5, timeout=0.5)
+                for holder in holders:
+                    holder.join(5)
+            stats = engine.stats()
+        admitted = stats["requests"]["search"]
+        assert admitted == 4
+        assert stats["cache"]["hits"] + stats["cache"]["misses"] == admitted
+        assert stats["cache_lru"]["lookups"] == admitted
+        assert stats["rejected_overload"] == 1
 
     def test_counts_match_the_pooled_path(self, rng):
         database = build_database(rng)
@@ -321,7 +401,10 @@ class TestOnCallerEntry:
                     )
                 stats = engine.stats()
                 assert stats["queue_depth"] == 0
-                assert stats["admission"]["queue_wait_ms"]["window"] == 8
+                # Queue-wait samples are pooled runs only: the misses,
+                # refines, knn and the failure — never an on-caller run.
+                pooled = 0 if on_caller else 6
+                assert stats["admission"]["queue_wait_ms"]["window"] == pooled
                 blocks.append(
                     {key: stats[key] for key in COUNTED}
                     | {"cache": stats["cache"]}
@@ -452,7 +535,8 @@ class TestContractsUnderConcurrency:
     def test_pooled_reads_are_validated_on_the_workers(self, rng, monkeypatch):
         """A ``checking("contracts")`` scope reaches the engine's pool: the
         search validator runs on a ``repro-serve`` worker for a miss and
-        for a cache hit, not only on the thread that opened the scope."""
+        for a cache refine, not only on the thread that opened the scope;
+        an exact hit is validated on the caller, where it runs."""
         validate = SimilaritySearch.search.__contract_validator__
         threads = []
 
@@ -468,11 +552,15 @@ class TestContractsUnderConcurrency:
         query = rng.random((9, 2))
         with QueryEngine(build_database(rng, count=5), workers=2, cache_size=8) as engine:
             with checking("contracts"):
-                for expected in ("miss", "hit"):
+                for epsilon, expected in ((0.5, "miss"), (0.3, "refine")):
                     threads.clear()
-                    assert engine.search_detailed(query, 0.5).cache == expected
+                    response = engine.search_detailed(query, epsilon)
+                    assert response.cache == expected
                     assert threads, expected
                     assert all(name.startswith("repro-serve") for name in threads)
+                threads.clear()
+                assert engine.search_detailed(query, 0.5).cache == "hit"
+                assert threads == [threading.current_thread().name]
 
     def test_concurrent_insert_and_search_with_contracts(self, rng, check_env):
         """Sustained mixed read/write traffic under REPRO_CHECK_CONTRACTS=1

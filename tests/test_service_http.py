@@ -361,13 +361,64 @@ class TestRetryAfterAndDegraded:
             gates[1].set()
             for reader in readers:
                 reader.join(5)
-            # A read that does not wait grows the limit back to its ceiling.
             engine._do_search = inner
-            engine.search(query, 0.5)
+            # An exact cache hit never queues, so it is no wait sample...
+            assert engine.search_detailed(query, 0.5).cache == "hit"
+            assert client.healthz()["status"] == "degraded"
+            # ...while a pooled read that does not wait grows the limit
+            # back to its ceiling.
+            engine.search(rng.random((8, 2)), 0.5)
             assert client.healthz()["status"] == "ok"
         finally:
             for gate in gates:
                 gate.set()
+            server.shutdown()
+            server.server_close()
+            engine.close()
+
+    def test_hits_keep_answering_while_misses_are_shed(self, rng):
+        """The limiter still defends the server: with the single worker
+        held and the limit cut, a miss over the wire is shed with a typed
+        429 while an exact cache hit answers on the handler thread — and
+        the hits do not grow the cut limit back."""
+        from repro.service.faults import FaultRule, fault_plan
+
+        engine = QueryEngine(
+            build_database(rng, count=3), workers=1, queue_cap=1
+        )
+        server, client = start_server(engine)
+        cached = rng.random((8, 2))
+        readers = [
+            threading.Thread(target=engine.search, args=(rng.random((8, 2)), 0.5))
+            for _ in range(2)
+        ]
+        # The first reader holds the worker for 1 s; the second queues
+        # behind it past the 0.1 s target, cuts the limit on dequeue, and
+        # then holds the worker for 1 s itself.
+        hold = FaultRule("engine.worker", "sleep", times=2, seconds=1.0)
+        try:
+            assert client.search(cached, 0.5)["cache"] == "miss"
+            with fault_plan(hold) as plan:
+                for depth, reader in enumerate(readers, start=1):
+                    reader.start()
+                    assert settle(lambda: engine.queue_depth == depth)
+                assert settle(lambda: plan.fired("engine.worker") == 2)
+                assert engine.degraded
+                assert client.healthz()["status"] == "degraded"
+                for _ in range(3):
+                    assert client.search(cached, 0.5)["cache"] == "hit"
+                    with pytest.raises(Overloaded):
+                        client.search(rng.random((8, 2)), 0.5)
+                assert client.healthz()["status"] == "degraded"
+                for reader in readers:
+                    reader.join(5)
+            stats = engine.stats()
+            assert stats["rejected_overload"] == 3
+            assert stats["cache"]["hits"] == 3
+            # The samples: the first miss and the two readers.
+            assert stats["admission"]["queue_wait_ms"]["window"] == 3
+        finally:
+            client.close()
             server.shutdown()
             server.server_close()
             engine.close()
@@ -562,6 +613,50 @@ class TestPooledConnections:
         # threads interleave; never one per request.
         assert 1 <= stats["connections_opened"] <= 8
         assert len(client._pool) == stats["connections_opened"]
+
+    def test_each_request_goes_out_in_one_send(self, rng, served, monkeypatch):
+        """Header block and body share one ``send``; this pins the private
+        ``http.client`` hook the pooled connection overrides."""
+        import http.client
+
+        from repro.service.client import _Connection, _SecureConnection
+
+        _, client = served
+        sends: list[bytes] = []
+        send = _Connection.send
+        monkeypatch.setattr(
+            _Connection,
+            "send",
+            lambda self, data: (sends.append(bytes(data)), send(self, data))[1],
+        )
+        assert client.search(rng.random((10, 2)), 0.5)["cache"] == "miss"
+        assert len(sends) == 1
+        head, _, body = sends[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"POST /search HTTP/1.1\r\n")
+        assert json.loads(body)["epsilon"] == 0.5
+        client.healthz()
+        assert len(sends) == 2
+        assert sends[1].startswith(b"GET /healthz HTTP/1.1\r\n")
+        assert sends[1].endswith(b"\r\n\r\n")
+        assert client.transport_stats()["connections_opened"] == 1
+        # A body that is not bytes takes the stdlib path: headers, then
+        # each chunk.
+        chunk = json.dumps({"points": [[0.5, 0.5]] * 4, "epsilon": 0.5}).encode()
+        connection = raw_connection(client)
+        try:
+            connection.request(
+                "POST",
+                "/search",
+                body=[chunk],
+                headers={"Content-Length": str(len(chunk))},
+            )
+            assert connection.getresponse().status == 200
+        finally:
+            connection.close()
+        assert sends[-1] == chunk and len(sends) == 4
+        # HTTPS connections inherit the same override.
+        assert issubclass(_SecureConnection, http.client.HTTPSConnection)
+        assert _SecureConnection._send_output is _Connection._send_output
 
     def test_close_and_context_manager_close_parked_connections(self, served):
         _, client = served

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.contracts import ContractViolation
+from repro.core.distance import union_spans
 from repro.core.solution_interval import IntervalSet
+from repro.util.checks import checking
 
 
 class TestConstruction:
@@ -41,6 +44,24 @@ class TestConstruction:
         assert IntervalSet.full(0).intervals == []
         with pytest.raises(ValueError):
             IntervalSet.full(-1)
+
+    def test_union_spans_equals_normalising_each_keys_spans(self, rng):
+        keys = rng.integers(0, 6, 300)
+        start = rng.integers(0, 400, 300)
+        stop = start + rng.integers(1, 25, 300)
+        merged = union_spans(keys, start, stop)
+        assert sorted(merged) == sorted(set(keys.tolist()))
+        for key, spans in merged.items():
+            mine = keys == key
+            expected = IntervalSet(zip(start[mine].tolist(), stop[mine].tolist()))
+            assert spans == expected
+
+    def test_canonical_spans_are_checked_under_contracts(self):
+        spans = [(0, 2), (5, 7)]
+        assert IntervalSet._of_canonical(spans).intervals == spans
+        with checking("contracts"):
+            with pytest.raises(ContractViolation, match="touches"):
+                IntervalSet._of_canonical([(0, 3), (3, 5)])
 
 
 class TestQueries:

@@ -3,9 +3,10 @@
 Boots the real CLI (``python -m repro serve``) on a tiny generated corpus
 and a free port, waits for the banner line, hits ``/healthz``, ``/search``
 and ``/stats`` through :class:`repro.service.client.ServiceClient` — every
-call over one kept-alive connection — checks that the adaptive admission
-limit sits at its ceiling with nothing shed and ``degraded`` false, then
-sends SIGINT *with that
+call over one kept-alive connection — checks that the repeated search was
+an exact cache hit that never queued (one queue-wait sample for the pair,
+the miss's), that the adaptive admission limit sits at its ceiling with
+nothing shed and ``degraded`` false, then sends SIGINT *with that
 connection still parked* and requires a clean exit with the shutdown
 banner: the drain must close what it parked.  The whole serve path a user
 would touch, end to end, in a few seconds.
@@ -96,6 +97,7 @@ def main() -> int:
             dimension = int(health["dimension"])
             rng = np.random.default_rng(2000)
             query = rng.random((30, dimension))
+            before = client.stats()
             reply = client.search(query, 0.5, find_intervals=True)
             for field in ("answers", "candidates", "cache", "snapshot_version"):
                 if field not in reply:
@@ -105,8 +107,22 @@ def main() -> int:
                 raise RuntimeError(f"repeat query not served from cache: {again}")
 
             stats = client.stats()
-            if stats["requests_total"] < 2 or stats["cache"]["hits"] < 1:
+            if (
+                stats["requests_total"] < 2
+                or stats["cache"]["hits"] != before["cache"]["hits"] + 1
+            ):
                 raise RuntimeError(f"bad /stats reply: {stats}")
+            # The miss queued for the pool; the exact hit ran on the handler
+            # thread, so only the miss is a queue-wait sample.
+            samples = (
+                stats["admission"]["queue_wait_ms"]["window"]
+                - before["admission"]["queue_wait_ms"]["window"]
+            )
+            if samples != 1:
+                raise RuntimeError(
+                    f"expected one queue-wait sample (the pooled miss), "
+                    f"got {samples}: {stats['admission']}"
+                )
             # Light traffic never queues past the wait target: the adaptive
             # admission limit stays at its ceiling and nothing is shed.
             admission = stats["admission"]
@@ -137,9 +153,9 @@ def main() -> int:
                 server.wait(timeout=10)
 
     print(
-        "serve smoke OK: /healthz, /search (miss then hit), /stats over one "
-        "connection, admission limit at its ceiling, clean SIGINT shutdown "
-        "with it parked"
+        "serve smoke OK: /healthz, /search (pooled miss, then a hit on the "
+        "handler thread), /stats over one connection, admission limit at "
+        "its ceiling, clean SIGINT shutdown with it parked"
     )
     return 0
 
