@@ -209,18 +209,11 @@ class LocalBackend:
             )
         )
 
-    def export_sequences(
-        self,
-        sequence_ids: list[object] | None = None,
-        *,
-        include_points: bool = True,
-    ) -> dict:
+    def export_sequences(self, *, include_points: bool = True) -> dict:
         """Full-corpus export for snapshot resync (transport-shaped)."""
         return dict(
             _round_trip(
-                self.engine.export_sequences(
-                    sequence_ids, include_points=include_points
-                )
+                self.engine.export_sequences(include_points=include_points)
             )
         )
 

@@ -89,7 +89,6 @@ from repro.cluster.repair import (
 from repro.cluster.router import ShardRouter, canonical_id
 from repro.service.client import TRANSPORT_ERRORS
 from repro.service.errors import (
-    CircuitOpen,
     DeadlineExceeded,
     EngineClosed,
     RepairOverflow,
@@ -102,7 +101,6 @@ from repro.service.stats import LatencyWindow
 from repro.service.wal import WalRecord
 from repro.util.budget import Deadline
 from repro.util.faults import FaultInjected
-from repro.util.rng import ensure_rng
 from repro.util.sync import TracedLock
 from repro.util.validation import check_threshold
 from repro.util.version import REPRO_VERSION
@@ -123,12 +121,8 @@ __all__ = [
 _FAILOVER_ERRORS = (*TRANSPORT_ERRORS, ServiceError, FaultInjected)
 
 #: Failures that count against a backend's health.  ``Overloaded`` and
-#: ``DeadlineExceeded`` prove the backend reachable and are excluded;
-#: ``CircuitOpen`` is the opposite — the client fast-failed locally
-#: after repeated transport errors, no bytes hit the wire — so it must
-#: count as a failure or a dead backend behind an open breaker would be
-#: pinned "up" by its own fast-fails.
-_HEALTH_FAILURES = (*TRANSPORT_ERRORS, CircuitOpen, EngineClosed, FaultInjected)
+#: ``DeadlineExceeded`` prove the backend reachable and are excluded.
+_HEALTH_FAILURES = (*TRANSPORT_ERRORS, EngineClosed, FaultInjected)
 
 #: Sort rank for ids the coordinator never saw an insert for.
 _UNKNOWN_ORDER = 1 << 62
@@ -143,19 +137,14 @@ def _listed(points: "npt.ArrayLike") -> list[Any]:
 class HedgePolicy:
     """When to send a backup request for a slow shard.
 
-    The hedge delay is the ``quantile`` of recent backend-call latencies
-    (clamped to ``[min_delay, max_delay]``), plus an optional uniform
-    jitter of up to ``jitter`` of itself — seedable via
-    :func:`repro.util.rng.ensure_rng` so chaos tests never sleep on real
-    randomness.
+    The hedge delay is the ``quantile`` of recent backend-call latencies,
+    clamped to ``[min_delay, max_delay]``.  ``hedge=None`` on the
+    coordinator turns hedging off.
     """
 
-    enabled: bool = True
     quantile: float = 0.95
     min_delay: float = 0.02
     max_delay: float = 1.0
-    jitter: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.quantile <= 1.0:
@@ -167,17 +156,9 @@ class HedgePolicy:
                 "delays must satisfy 0 <= min_delay <= max_delay, got "
                 f"[{self.min_delay}, {self.max_delay}]"
             )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(
-                f"jitter must be a fraction in [0, 1], got {self.jitter}"
-            )
 
     def delay(
-        self,
-        window: LatencyWindow,
-        rng: np.random.Generator,
-        *,
-        remaining: float | None = None,
+        self, window: LatencyWindow, *, remaining: float | None = None
     ) -> float:
         """The seconds to wait before hedging one shard's request.
 
@@ -187,8 +168,6 @@ class HedgePolicy:
         """
         base = window.quantile(self.quantile) if len(window) else 0.0
         base = min(self.max_delay, max(self.min_delay, base))
-        if self.jitter > 0.0:
-            base += float(rng.uniform(0.0, self.jitter * base))
         if remaining is not None:
             base = min(base, max(0.0, remaining))
         return base
@@ -351,9 +330,8 @@ class ClusterCoordinator:
                 f"replication factor), got {write_quorum}"
             )
         self.write_quorum = write_quorum
-        self._hedge_rng = ensure_rng(None if hedge is None else hedge.seed)
         self._latency = LatencyWindow(1024)
-        # Guards the window and the jitter rng drawn beside it.
+        # Guards the latency window only.
         self._latency_lock = TracedLock("coordinator.latency")
         # The one pool: attempts on remote backends and repair drains.
         # In-process attempts never touch it (see ``_dispatch``).
@@ -871,7 +849,7 @@ class ClusterCoordinator:
         deadline = Deadline.after(timeout)
         expiry = math.inf if deadline.expires_at is None else deadline.expires_at
         floor = self.min_subcall_budget
-        hedge = self.hedge if self.hedge and self.hedge.enabled else None
+        hedge = self.hedge
         hedge_delay: float | None = None
         shards = range(self.router.num_shards)
         payloads: dict[int, Any] = {}
@@ -919,9 +897,7 @@ class ClusterCoordinator:
                     ):
                         if hedge_delay is None:  # once per scatter: it sorts
                             with self._latency_lock:
-                                hedge_delay = hedge.delay(
-                                    self._latency, self._hedge_rng
-                                )
+                                hedge_delay = hedge.delay(self._latency)
                         # Clamped: never fires after the budget is spent.
                         read.hedge_due = min(time.monotonic() + hedge_delay, expiry)
                 if stranded or (pending and deadline.expired()):
@@ -1066,9 +1042,6 @@ class ClusterCoordinator:
         except ServiceError:
             # Overloaded / DeadlineExceeded: the backend answered, so it
             # is alive — the request still failed over to a replica.
-            # (CircuitOpen never reaches here: it is a local fast-fail
-            # proving nothing about the backend and is matched by the
-            # _HEALTH_FAILURES clause above.)
             self.health.record_success(backend_index)
             raise
         with self._latency_lock:

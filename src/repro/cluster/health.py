@@ -2,7 +2,8 @@
 
 Every backend call feeds the tracker — successes clear failure streaks,
 transport failures accumulate — and ``/healthz`` probe results enrich it
-with what the backend says about itself (degraded mode, durability lag).
+with what the backend says about itself (its admission limiter's
+``degraded`` signal, durability lag).
 The coordinator consults :meth:`HealthTracker.usable` when ordering a
 shard's replicas for a read and when deciding whether a write replica
 needs the read-repair queue.

@@ -19,11 +19,10 @@ subsystem:
   acknowledge, checkpoint = atomic snapshot save + log reset).
 * :mod:`repro.service.http` / :mod:`repro.service.client` — a stdlib-only
   HTTP JSON endpoint (``python -m repro serve``) with graceful drain on
-  shutdown, and a client with optional :class:`RetryPolicy` (full-jitter
-  backoff honouring ``Retry-After``, idempotent reads only) and
-  :class:`CircuitBreaker`.
+  shutdown, and a client with an optional :class:`RetryPolicy` (full-jitter
+  backoff honouring ``Retry-After``, idempotent reads only).
 * :mod:`repro.service.errors` — typed serving failures (:class:`Overloaded`,
-  :class:`DeadlineExceeded`, :class:`EngineClosed`, :class:`CircuitOpen`).
+  :class:`DeadlineExceeded`, :class:`EngineClosed`).
 * :mod:`repro.service.follower` — WAL log-shipping replication: a
   :class:`WalFollower` tails a leader's ``/wal/tail``, verifies CRCs,
   replays idempotently and persists its applied cursor durably, so a
@@ -48,10 +47,9 @@ Served use::
 """
 
 from repro.service.cache import CacheEntry, EpsilonCache, query_fingerprint
-from repro.service.client import CircuitBreaker, RetryPolicy, ServiceClient
+from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.engine import QueryEngine, ServiceResponse
 from repro.service.errors import (
-    CircuitOpen,
     DeadlineExceeded,
     EngineClosed,
     FollowerReadOnly,
@@ -81,8 +79,6 @@ from repro.service.wal import (
 
 __all__ = [
     "CacheEntry",
-    "CircuitBreaker",
-    "CircuitOpen",
     "DeadlineExceeded",
     "DurabilityConfig",
     "EngineClosed",

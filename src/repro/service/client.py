@@ -22,34 +22,20 @@ header, and retry backoff sleeps spend from the same budget.  A request
 whose budget runs out between attempts raises :class:`DeadlineExceeded`
 locally rather than dispatching work no caller will wait for.
 
-Three optional resilience layers wrap the transport:
+One optional resilience layer wraps the transport, a
+:class:`RetryPolicy`: exponential backoff with *full jitter* (AWS-style:
+each delay is uniform in ``[0, cap]``, decorrelating synchronized
+clients), never shorter than the server's ``Retry-After``.  Only
+*idempotent reads* (``healthz``, ``stats``, ``search``, ``knn``) are
+retried, and only on typed-retryable failures: :class:`Overloaded` (the
+server shed the request before doing work) and transport-level errors
+(connection refused/reset, dropped responses, socket timeouts).  Writes
+are never retried — an ``insert`` whose response was dropped may have
+been applied, and blind replay would turn one mutation into two.
+Whether a peer is *down* is not the client's call: in a cluster that is
+:class:`~repro.cluster.health.HealthTracker`'s.
 
-* a :class:`RetryPolicy` — exponential backoff with *full jitter*
-  (AWS-style: each delay is uniform in ``[0, cap]``, decorrelating
-  synchronized clients), honouring the server's ``Retry-After``.  Only
-  *idempotent reads* (``healthz``, ``stats``, ``search``, ``knn``) are
-  retried, and only on typed-retryable failures: :class:`Overloaded`
-  (the server shed the request before doing work) and transport-level
-  errors (connection refused/reset, dropped responses, socket timeouts).
-  Writes are never retried — an ``insert`` whose response was dropped
-  may have been applied, and blind replay would turn one mutation into
-  two.
-* a :class:`CircuitBreaker` — after ``failure_threshold`` consecutive
-  transport failures the circuit opens and requests fast-fail locally
-  with :class:`CircuitOpen` (no bytes hit the wire) until
-  ``reset_timeout`` elapses; then one half-open probe decides between
-  closing the circuit and re-opening it.  Any HTTP response — even an
-  error status — proves the server reachable and counts as breaker
-  success.
-* a :class:`RetryBudget` — a token bucket capping the retry *rate*
-  across all of a client's requests.  Each request deposits a fraction
-  of a token, each retry spends a whole one, so sustained retrying
-  cannot amplify offered load by more than ``fill_per_request`` (~10%
-  by default) no matter what ``max_attempts`` allows; when the bucket
-  runs dry the client raises the typed
-  :class:`RetryBudgetExhausted` instead of piling on.
-
-All layers surface counters through :meth:`ServiceClient.transport_stats`.
+Counters surface through :meth:`ServiceClient.transport_stats`.
 """
 
 from __future__ import annotations
@@ -67,14 +53,12 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from repro.service.errors import (
-    CircuitOpen,
     DeadlineExceeded,
     EngineClosed,
     FollowerReadOnly,
     Overloaded,
     RepairOverflow,
     ReplicaDiverged,
-    RetryBudgetExhausted,
     ServiceError,
     ShardUnavailable,
     SnapshotRequired,
@@ -97,9 +81,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TRANSPORT_ERRORS",
-    "CircuitBreaker",
     "EngineStatsPayload",
-    "RetryBudget",
     "RetryPolicy",
     "ServiceClient",
 ]
@@ -262,11 +244,6 @@ class RetryPolicy:
         Total tries, the first included; ``1`` disables retrying.
     base_delay / multiplier / max_delay:
         The backoff schedule's cap sequence, in seconds.
-    jitter:
-        Draw uniformly from ``[0, cap]`` (full jitter) instead of
-        sleeping the cap itself.
-    honor_retry_after:
-        Respect the server's ``Retry-After`` as a lower bound.
     seed:
         Seed for the jitter RNG (threaded through
         :func:`repro.util.rng.ensure_rng`) — set it in tests so backoff
@@ -277,8 +254,6 @@ class RetryPolicy:
     base_delay: float = 0.05
     multiplier: float = 2.0
     max_delay: float = 2.0
-    jitter: bool = True
-    honor_retry_after: bool = True
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -304,186 +279,8 @@ class RetryPolicy:
         if retry_index < 0:
             raise ValueError(f"retry_index must be >= 0, got {retry_index}")
         cap = min(self.max_delay, self.base_delay * self.multiplier**retry_index)
-        chosen = float(rng.uniform(0.0, cap)) if self.jitter else cap
-        if self.honor_retry_after and retry_after is not None:
-            chosen = max(chosen, retry_after)
-        return chosen
-
-
-class CircuitBreaker:
-    """A consecutive-failure circuit breaker with a half-open probe.
-
-    Thread-safe.  States: ``closed`` (normal), ``open`` (fast-fail until
-    ``reset_timeout`` since the trip), ``half-open`` (one probe request
-    allowed; its outcome closes or re-opens the circuit).
-
-    Parameters
-    ----------
-    failure_threshold:
-        Consecutive failures that trip the circuit.
-    reset_timeout:
-        Seconds an open circuit waits before allowing the probe.
-    clock:
-        Monotonic time source — injectable for deterministic tests.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 5,
-        reset_timeout: float = 30.0,
-        clock: Any = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_timeout <= 0:
-            raise ValueError(
-                f"reset_timeout must be positive, got {reset_timeout}"
-            )
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self._clock = clock
-        self._lock = TracedLock("client.breaker")
-        self._state = self.CLOSED
-        self._failures = 0
-        self._opened_at = 0.0
-        self._probing = False
-        self._opens = 0
-
-    @property
-    def state(self) -> str:
-        """The current state: ``closed``, ``open`` or ``half-open``."""
-        with self._lock:
-            return self._state
-
-    def before_request(self) -> None:
-        """Gate one request; raises :class:`CircuitOpen` when open."""
-        with self._lock:
-            if self._state == self.OPEN:
-                elapsed = self._clock() - self._opened_at
-                if elapsed < self.reset_timeout:
-                    remaining = self.reset_timeout - elapsed
-                    raise CircuitOpen(
-                        f"circuit open after {self._failures} consecutive "
-                        f"failures; probe allowed in {remaining:.2f}s",
-                        retry_after=remaining,
-                    )
-                self._state = self.HALF_OPEN
-                self._probing = False
-            if self._state == self.HALF_OPEN:
-                if self._probing:
-                    raise CircuitOpen(
-                        "circuit half-open with a probe already in flight",
-                        retry_after=self.reset_timeout,
-                    )
-                self._probing = True
-
-    def record_success(self) -> None:
-        """An attempt reached the server: close the circuit."""
-        with self._lock:
-            self._state = self.CLOSED
-            self._failures = 0
-            self._probing = False
-
-    def record_failure(self) -> None:
-        """A transport failure: trip the circuit at the threshold."""
-        with self._lock:
-            self._failures += 1
-            self._probing = False
-            if (
-                self._state == self.HALF_OPEN
-                or self._failures >= self.failure_threshold
-            ):
-                if self._state != self.OPEN:
-                    self._opens += 1
-                self._state = self.OPEN
-                self._opened_at = self._clock()
-
-    def stats(self) -> dict:
-        """State, consecutive-failure count, and times opened."""
-        with self._lock:
-            return {
-                "state": self._state,
-                "consecutive_failures": self._failures,
-                "opens": self._opens,
-            }
-
-
-class RetryBudget:
-    """A token bucket bounding the retry rate across all requests.
-
-    Thread-safe.  The bucket starts full (short failure bursts may still
-    retry freely); each request deposits ``fill_per_request`` tokens
-    (saturating at ``capacity``) and each retry withdraws one, so under
-    sustained failure the retry rate converges to ``fill_per_request``
-    retries per request — bounded amplification, instead of every client
-    multiplying its traffic by ``max_attempts`` at the worst moment.
-
-    Parameters
-    ----------
-    capacity:
-        Maximum tokens (also the initial fill): the burst of retries the
-        client may issue back-to-back.
-    fill_per_request:
-        Tokens deposited per request — the steady-state retry fraction.
-    """
-
-    def __init__(
-        self, *, capacity: float = 10.0, fill_per_request: float = 0.1
-    ) -> None:
-        if capacity < 1.0:
-            raise ValueError(
-                f"capacity must be >= 1 (one whole retry), got {capacity}"
-            )
-        if fill_per_request < 0:
-            raise ValueError(
-                f"fill_per_request must be >= 0, got {fill_per_request}"
-            )
-        self.capacity = float(capacity)
-        self.fill_per_request = float(fill_per_request)
-        self._lock = TracedLock("client.retry_budget")
-        self._tokens = float(capacity)
-        self._spent = 0
-        self._denied = 0
-
-    @property
-    def tokens(self) -> float:
-        """Tokens currently in the bucket."""
-        with self._lock:
-            return self._tokens
-
-    def deposit(self) -> None:
-        """Credit one request's worth of retry allowance."""
-        with self._lock:
-            self._tokens = min(
-                self.capacity, self._tokens + self.fill_per_request
-            )
-
-    def try_spend(self) -> bool:
-        """Withdraw one retry token; ``False`` when the bucket is dry."""
-        with self._lock:
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                self._spent += 1
-                return True
-            self._denied += 1
-            return False
-
-    def stats(self) -> dict:
-        """Tokens, capacity, and spend/deny counts."""
-        with self._lock:
-            return {
-                "tokens": self._tokens,
-                "capacity": self.capacity,
-                "spent": self._spent,
-                "denied": self._denied,
-            }
+        chosen = float(rng.uniform(0.0, cap))
+        return chosen if retry_after is None else max(chosen, retry_after)
 
 
 class _Connection(http.client.HTTPConnection):
@@ -524,20 +321,8 @@ class ServiceClient:
         the per-request serving deadline, which travels in the body.
     retry:
         Optional :class:`RetryPolicy`; ``None`` (default) fails fast.
-        Only idempotent reads are retried.
-    breaker:
-        Optional :class:`CircuitBreaker` shared by all this client's
-        requests; ``None`` disables circuit breaking.
-    retry_budget:
-        Optional :class:`RetryBudget` token bucket; ``None`` (default)
-        leaves the retry rate bounded only by ``retry.max_attempts``.
-        Share one bucket between clients to bound a whole process's
-        retry amplification.
-    rng:
-        Jitter RNG override — anything :func:`repro.util.rng.ensure_rng`
-        accepts (an int seed, a ``numpy.random.Generator``, ``None``).
-        Defaults to a generator seeded from ``retry.seed``, so a seeded
-        policy alone already makes backoff deterministic.
+        Only idempotent reads are retried; the jitter RNG is seeded from
+        ``retry.seed``, so a seeded policy makes backoff deterministic.
     """
 
     def __init__(
@@ -546,9 +331,6 @@ class ServiceClient:
         *,
         timeout: float = 30.0,
         retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        retry_budget: RetryBudget | None = None,
-        rng: int | np.random.Generator | None = None,
     ) -> None:
         if timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
@@ -566,11 +348,7 @@ class ServiceClient:
         self._pool_lock = TracedLock("client.pool")
         self.timeout = timeout
         self.retry = retry
-        self.breaker = breaker
-        self.retry_budget = retry_budget
-        if rng is None and retry is not None:
-            rng = retry.seed
-        self._rng = ensure_rng(rng)
+        self._rng = ensure_rng(None if retry is None else retry.seed)
         self._sleep = time.sleep  # monkeypatchable seam for tests
         self._counters_lock = TracedLock("client.counters")
         self._counters: dict[str, float] = {
@@ -579,8 +357,6 @@ class ServiceClient:
             "retries": 0,
             "transport_errors": 0,
             "overloaded": 0,
-            "circuit_open_rejections": 0,
-            "retry_budget_exhausted": 0,
             "deadline_exhausted": 0,
             "retry_wait_s": 0.0,
             "connections_opened": 0,
@@ -707,26 +483,16 @@ class ServiceClient:
         reply = self._request("POST", "/wal/tail", body)
         return dict(reply)
 
-    def export_sequences(
-        self,
-        sequence_ids: list[object] | None = None,
-        *,
-        include_points: bool = True,
-    ) -> dict:
+    def export_sequences(self, *, include_points: bool = True) -> dict:
         """The server's full corpus export (``GET /sequences``), for resync.
 
         The HTTP endpoint always ships the complete corpus with points;
-        the ``sequence_ids``/``include_points`` parameters exist to match
-        the :class:`~repro.service.follower.ReplicationLeader` protocol
-        and are applied client-side.
+        ``include_points`` exists to match the
+        :class:`~repro.service.follower.ReplicationLeader` protocol and is
+        applied client-side.
         """
         reply = dict(self._request("GET", "/sequences"))
         sequences = list(reply.get("sequences", []))
-        if sequence_ids is not None:
-            wanted = set(sequence_ids)
-            sequences = [
-                entry for entry in sequences if entry.get("id") in wanted
-            ]
         if not include_points:
             sequences = [
                 {key: value for key, value in entry.items() if key != "points"}
@@ -750,14 +516,9 @@ class ServiceClient:
     # Resilience metrics
     # ------------------------------------------------------------------
     def transport_stats(self) -> dict:
-        """Client-side counters: attempts, retries, waits, circuit state."""
+        """Client-side counters: attempts, retries, waits, connections."""
         with self._counters_lock:
-            block: dict[str, Any] = dict(self._counters)
-        if self.breaker is not None:
-            block["circuit"] = self.breaker.stats()
-        if self.retry_budget is not None:
-            block["retry_budget"] = self.retry_budget.stats()
-        return block
+            return dict(self._counters)
 
     def _count(self, key: str, amount: float = 1) -> None:
         with self._counters_lock:
@@ -778,8 +539,6 @@ class ServiceClient:
         self, method: str, path: str, body: dict | None = None
     ) -> Any:
         self._count("requests")
-        if self.retry_budget is not None:
-            self.retry_budget.deposit()
         budget = None if body is None else body.get("timeout")
         # One deadline for the whole call: every attempt and every
         # backoff sleep debits it, so retries shrink the budget the
@@ -793,19 +552,6 @@ class ServiceClient:
         last_error: Exception | None = None
         for attempt in range(attempts):
             if attempt:
-                if (
-                    self.retry_budget is not None
-                    and not self.retry_budget.try_spend()
-                ):
-                    self._count("retry_budget_exhausted")
-                    budget_stats = self.retry_budget.stats()
-                    raise RetryBudgetExhausted(
-                        f"retry budget exhausted before retry {attempt} of "
-                        f"{method} {path} ({budget_stats['tokens']:.2f} of "
-                        f"{budget_stats['capacity']:.0f} tokens left)",
-                        tokens=budget_stats["tokens"],
-                        capacity=budget_stats["capacity"],
-                    ) from last_error
                 self._count("retries")
                 retry_after = getattr(last_error, "retry_after", None)
                 wait = self.retry.delay(  # type: ignore[union-attr]
@@ -833,8 +579,6 @@ class ServiceClient:
                 last_error = error
                 if attempt == attempts - 1:
                     raise
-            except CircuitOpen:
-                raise
             except TRANSPORT_ERRORS as error:
                 last_error = error
                 if attempt == attempts - 1:
@@ -850,12 +594,6 @@ class ServiceClient:
         body: dict | None,
         deadline: Deadline | None = None,
     ) -> Any:
-        if self.breaker is not None:
-            try:
-                self.breaker.before_request()
-            except CircuitOpen:
-                self._count("circuit_open_rejections")
-                raise
         self._count("attempts")
         headers = {"Content-Type": "application/json"}
         socket_timeout = self.timeout
@@ -876,13 +614,7 @@ class ServiceClient:
             reply, raw = self._exchange(method, path, data, headers, socket_timeout)
         except TRANSPORT_ERRORS:
             self._count("transport_errors")
-            if self.breaker is not None:
-                self.breaker.record_failure()
             raise
-        # Any reply — even an error status — proves the server reachable,
-        # so the breaker treats it as success.
-        if self.breaker is not None:
-            self.breaker.record_success()
         if not 200 <= reply.status < 300:
             cause = None
             try:

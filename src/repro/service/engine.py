@@ -753,12 +753,7 @@ class QueryEngine:
             advance=len(records),
         )
 
-    def export_sequences(
-        self,
-        sequence_ids: list[object] | None = None,
-        *,
-        include_points: bool = True,
-    ) -> dict:
+    def export_sequences(self, *, include_points: bool = True) -> dict:
         """A JSON-ready dump of stored sequences, for snapshot resync.
 
         Reads one snapshot reference, so the export is internally
@@ -772,11 +767,8 @@ class QueryEngine:
         manifest for diffing.  Ids must be JSON-safe (str/int).
         """
         snapshot = self._snapshot
-        wanted = None if sequence_ids is None else set(sequence_ids)
         sequences: list[dict] = []
         for sid in snapshot.database.ids():
-            if wanted is not None and sid not in wanted:
-                continue
             if not isinstance(sid, (str, int)) or isinstance(sid, bool):
                 raise TypeError(
                     "only str/int sequence ids can be exported, got "

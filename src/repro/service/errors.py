@@ -3,13 +3,9 @@
 Admission control and deadlines need errors a caller (or the HTTP layer)
 can dispatch on without string matching: an overloaded engine fast-fails
 with :class:`Overloaded` (HTTP 429, carrying a ``retry_after`` hint), an
-expired request raises :class:`DeadlineExceeded` (HTTP 504), operations
-against a closed engine raise :class:`EngineClosed` (HTTP 503), and a
-client whose circuit breaker is open fast-fails locally with
-:class:`CircuitOpen` — no bytes hit the wire.
-A client whose retry token bucket ran dry raises
-:class:`RetryBudgetExhausted` instead of amplifying load with another
-attempt.  All inherit :class:`ServiceError`, so ``except ServiceError``
+expired request raises :class:`DeadlineExceeded` (HTTP 504), and
+operations against a closed engine raise :class:`EngineClosed` (HTTP
+503).  All inherit :class:`ServiceError`, so ``except ServiceError``
 catches exactly the serving-layer failure modes and nothing from the
 search itself.
 
@@ -27,14 +23,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 __all__ = [
-    "CircuitOpen",
     "DeadlineExceeded",
     "EngineClosed",
     "FollowerReadOnly",
     "Overloaded",
     "RepairOverflow",
     "ReplicaDiverged",
-    "RetryBudgetExhausted",
     "ServiceError",
     "ShardUnavailable",
     "SnapshotRequired",
@@ -212,38 +206,3 @@ class FollowerReadOnly(ServiceError):
         super().__init__(message)
         #: The leader URL this follower tails, when known.
         self.leader = leader
-
-
-class RetryBudgetExhausted(ServiceError):
-    """The client's retry token bucket is empty; the retry was not sent.
-
-    Retries amplify traffic exactly when the server can least afford it —
-    a fleet of clients each multiplying its load by ``max_attempts`` is
-    what turns a brownout into an outage.  The token bucket bounds that
-    amplification; when it runs dry the failed attempt that would have
-    been retried is chained as ``__cause__`` instead of replayed.
-    """
-
-    def __init__(
-        self, message: str, *, tokens: float, capacity: float
-    ) -> None:
-        super().__init__(message)
-        #: Tokens left in the bucket (below 1.0 whenever this is raised).
-        self.tokens = tokens
-        #: The bucket's maximum token count.
-        self.capacity = capacity
-
-
-class CircuitOpen(ServiceError):
-    """The client's circuit breaker is open; the request was not sent.
-
-    Raised locally after repeated transport-level failures; the breaker
-    half-opens after ``retry_after`` seconds and probes the server once.
-    """
-
-    def __init__(
-        self, message: str, *, retry_after: float | None = None
-    ) -> None:
-        super().__init__(message)
-        #: Seconds until the breaker half-opens and allows a probe.
-        self.retry_after = retry_after

@@ -75,12 +75,7 @@ class ReplicationLeader(Protocol):
         limit: int = 512,
     ) -> dict: ...
 
-    def export_sequences(
-        self,
-        sequence_ids: list[object] | None = None,
-        *,
-        include_points: bool = True,
-    ) -> dict: ...
+    def export_sequences(self, *, include_points: bool = True) -> dict: ...
 
 
 class WalFollower:

@@ -184,7 +184,13 @@ class TestHandshakeRejections:
                     replica, leader, cursor_path=tmp_path / "cursor.json"
                 )
                 assert follower.poll()["applied"] == 2
-                leader.restore(leader.export_sequences(["seq-0"])["sequences"])
+                leader.restore(
+                    [
+                        entry
+                        for entry in leader.export_sequences()["sequences"]
+                        if entry["id"] == "seq-0"
+                    ]
+                )
                 assert leader.snapshot_version == leader.wal_last_seq == 3
                 summary = follower.poll()
                 assert summary["resync"] is True

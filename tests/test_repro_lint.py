@@ -1581,6 +1581,21 @@ def test_rep403_taxonomy_private_and_core_exempt(tmp_path):
     assert "REP403" not in codes_in(core)
 
 
+def test_error_taxonomy_is_the_service_errors_module():
+    # REP403's allowed set is spelled out in the linter; it must name
+    # exactly the exceptions ``repro.service.errors`` exports.
+    from repro.service import errors
+    from tools.repro_lint.errorpaths import ERROR_TAXONOMY
+
+    exported = {
+        name
+        for name in errors.__all__
+        if isinstance(getattr(errors, name), type)
+        and issubclass(getattr(errors, name), BaseException)
+    }
+    assert ERROR_TAXONOMY == exported
+
+
 # ----------------------------------------------------------------------
 # REP404 — no retry loops around non-idempotent writes
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Unit tests for the client's retry policy and circuit breaker.
+"""Unit tests for the client's retry policy and pooled transport.
 
 Backoff schedules are asserted with a seeded RNG and a recorded sleep
-seam (no real sleeping); the breaker runs on an injectable fake clock, so
-every state transition is deterministic.  The end-to-end dropped-response
+seam (no real sleeping).  The end-to-end dropped-response
 retry lives in ``test_service_faults.py``.  The pooled transport is driven
 against scripted loopback peers here (a peer that hangs up exactly when
 the test says so) and against the real server in ``test_service_http.py``.
@@ -21,25 +20,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from repro.service import (
-    CircuitBreaker,
-    CircuitOpen,
     Overloaded,
     RetryPolicy,
     ServiceClient,
     ServiceError,
 )
 from repro.service.client import TRANSPORT_ERRORS
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 1000.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 def make_client(**kwargs) -> ServiceClient:
@@ -77,12 +63,17 @@ def plain_http_server(status, payload, headers=()):
         server.server_close()
 
 
+class CapRng:
+    """A jitter RNG stub whose draw is always the top of the range."""
+
+    def uniform(self, low: float, high: float) -> float:
+        return high
+
+
 class TestRetryPolicy:
     def test_deterministic_caps_without_jitter(self):
-        policy = RetryPolicy(
-            base_delay=0.1, multiplier=2.0, max_delay=0.5, jitter=False
-        )
-        rng = random.Random(0)
+        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.5)
+        rng = CapRng()
         delays = [policy.delay(i, rng) for i in range(4)]
         assert delays == [
             pytest.approx(0.1),
@@ -111,13 +102,11 @@ class TestRetryPolicy:
         rng = random.Random(0)
         assert policy.delay(0, rng, retry_after=0.75) >= 0.75
 
-    def test_retry_after_ignored_when_disabled(self):
-        policy = RetryPolicy(
-            base_delay=0.01, max_delay=0.02, jitter=False,
-            honor_retry_after=False,
+    def test_retry_after_below_the_draw_leaves_it(self):
+        policy = RetryPolicy(base_delay=0.01, max_delay=0.02)
+        assert policy.delay(0, CapRng(), retry_after=0.001) == pytest.approx(
+            0.01
         )
-        rng = random.Random(0)
-        assert policy.delay(0, rng, retry_after=9.0) == pytest.approx(0.01)
 
     def test_delay_accepts_a_seeded_numpy_generator(self):
         from repro.util.rng import ensure_rng
@@ -128,23 +117,6 @@ class TestRetryPolicy:
         assert a == b
         for retry_index, delay in enumerate(a):
             assert 0.0 <= delay <= min(1.0, 0.1 * 2.0**retry_index)
-
-    def test_client_rng_seed_makes_jitter_reproducible(self):
-        import numpy as np
-
-        first = make_client(rng=7)
-        second = make_client(rng=7)
-        assert isinstance(first._rng, np.random.Generator)
-        policy = RetryPolicy(base_delay=0.1, max_delay=1.0)
-        assert [policy.delay(i, first._rng) for i in range(5)] == [
-            policy.delay(i, second._rng) for i in range(5)
-        ]
-
-    def test_client_reuses_a_shared_generator(self):
-        import numpy as np
-
-        rng = np.random.default_rng(3)
-        assert make_client(rng=rng)._rng is rng
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
@@ -198,7 +170,7 @@ class TestRetryLoop:
 
     def test_raises_after_exhausting_attempts(self):
         client = make_client(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=False)
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0)
         )
         client._sleep = lambda _: None
         overloaded = Overloaded("busy", queue_depth=1, capacity=1)
@@ -209,7 +181,7 @@ class TestRetryLoop:
 
     def test_retries_transport_errors(self):
         client = make_client(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=False)
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0)
         )
         client._sleep = lambda _: None
         calls = self._stubbed(
@@ -249,118 +221,19 @@ class TestRetryLoop:
             client.healthz()
         assert len(calls) == 1
 
-
-class TestCircuitBreaker:
-    def test_trips_after_threshold_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=3, reset_timeout=10.0, clock=clock
-        )
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        with pytest.raises(CircuitOpen) as caught:
-            breaker.before_request()
-        assert caught.value.retry_after == pytest.approx(10.0)
-
-    def test_success_resets_the_failure_run(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_probe_closes_on_success(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout=5.0, clock=clock
-        )
-        breaker.record_failure()
-        clock.advance(5.0)
-        breaker.before_request()  # the probe is let through
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_allows_exactly_one_probe(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout=5.0, clock=clock
-        )
-        breaker.record_failure()
-        clock.advance(5.0)
-        breaker.before_request()
-        with pytest.raises(CircuitOpen, match="probe already in flight"):
-            breaker.before_request()
-
-    def test_failed_probe_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=5, reset_timeout=5.0, clock=clock
-        )
-        for _ in range(5):
-            breaker.record_failure()
-        clock.advance(5.0)
-        breaker.before_request()
-        breaker.record_failure()  # probe failed: back to open immediately
-        assert breaker.state == CircuitBreaker.OPEN
-        with pytest.raises(CircuitOpen):
-            breaker.before_request()
-        assert breaker.stats()["opens"] == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError, match="reset_timeout"):
-            CircuitBreaker(reset_timeout=0.0)
-
-
-class TestBreakerIntegration:
-    @pytest.fixture
-    def dead_port(self):
-        """A port with no listener (bound then closed, so it refuses)."""
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        return port
-
-    def test_breaker_fast_fails_after_transport_failures(self, dead_port):
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=60.0)
-        client = ServiceClient(
-            f"http://127.0.0.1:{dead_port}", timeout=1.0, breaker=breaker
-        )
-        for _ in range(2):
-            with pytest.raises(Exception):  # noqa: B017 - refused/unreachable
-                client.healthz()
-        stats = client.transport_stats()
-        assert stats["attempts"] == 2
-        assert stats["circuit"]["state"] == CircuitBreaker.OPEN
-        # The circuit now rejects locally: no new attempt hits the wire.
-        with pytest.raises(CircuitOpen):
-            client.healthz()
-        stats = client.transport_stats()
-        assert stats["attempts"] == 2
-        assert stats["circuit_open_rejections"] == 1
-
-    def test_circuit_open_is_not_retried(self, dead_port):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60.0)
-        client = ServiceClient(
-            f"http://127.0.0.1:{dead_port}",
-            timeout=1.0,
-            retry=RetryPolicy(max_attempts=4, base_delay=0.0),
-            breaker=breaker,
-        )
-        client._sleep = lambda _: None
-        with pytest.raises(Exception):  # noqa: B017 - trips the breaker
-            client.healthz()
-        before = client.transport_stats()["attempts"]
-        with pytest.raises(CircuitOpen):
-            client.healthz()
-        # A CircuitOpen rejection never consumed a transport attempt.
-        assert client.transport_stats()["attempts"] == before
+    def test_transport_stats_key_set(self):
+        # Flat counters only: no per-layer blocks ride along.
+        assert set(make_client().transport_stats()) == {
+            "requests",
+            "attempts",
+            "retries",
+            "transport_errors",
+            "overloaded",
+            "deadline_exhausted",
+            "retry_wait_s",
+            "connections_opened",
+            "reconnects",
+        }
 
 
 class TestTypedErrorProvenance:

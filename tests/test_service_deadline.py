@@ -7,8 +7,6 @@ ISSUE 9's acceptance tests for the deadline layer:
   injected network stalls) — never the caller's original budget;
 * the dispatch floor refuses sub-calls whose remaining budget could only
   answer after the caller stopped caring, with a typed error and counter;
-* the client's token-bucket retry budget surfaces
-  :class:`RetryBudgetExhausted` with ``transport_stats`` counters;
 * backoff sleeps debit the budget, so a retry schedule can never outlive
   the request;
 * the 504 mapping round-trips;
@@ -28,17 +26,8 @@ from repro.cluster import ClusterCoordinator, HedgePolicy, LocalBackend
 from repro.core.database import SequenceDatabase
 from repro.core.search import SimilaritySearch
 from repro.service import QueryEngine
-from repro.service.client import (
-    RetryBudget,
-    RetryPolicy,
-    ServiceClient,
-    _raise_typed,
-)
-from repro.service.errors import (
-    DeadlineExceeded,
-    Overloaded,
-    RetryBudgetExhausted,
-)
+from repro.service.client import RetryPolicy, ServiceClient, _raise_typed
+from repro.service.errors import DeadlineExceeded, Overloaded
 from repro.service.faults import FaultRule, fault_plan
 from repro.service.http import error_status, request_budget
 from repro.util.budget import Deadline, OperationCancelled, deadline_scope
@@ -159,56 +148,11 @@ class TestCoordinatorBudgetPropagation:
                 engine.close()
 
 
-class TestClientRetryBudget:
-    def test_bucket_spends_and_refills(self):
-        budget = RetryBudget(capacity=2.0, fill_per_request=1.0)
-        assert budget.try_spend()
-        assert budget.try_spend()
-        assert not budget.try_spend()  # empty: denied
-        budget.deposit()
-        assert budget.try_spend()
-        stats = budget.stats()
-        assert stats["spent"] == 3
-        assert stats["denied"] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryBudget(capacity=0.5)
-        with pytest.raises(ValueError):
-            RetryBudget(fill_per_request=-0.1)
-
-    def test_exhaustion_is_typed_and_counted(self):
-        client = ServiceClient(
-            "http://127.0.0.1:9",  # never dialled: transport is stubbed
-            retry=RetryPolicy(max_attempts=4, base_delay=0.0, jitter=False),
-            retry_budget=RetryBudget(capacity=1.0, fill_per_request=0.0),
-        )
-        calls = []
-
-        def always_reset(method, path, body, deadline=None):
-            calls.append(path)
-            raise ConnectionResetError("peer reset")
-
-        client._request_once = always_reset
-        with pytest.raises(RetryBudgetExhausted) as caught:
-            client.healthz()
-        # One free first attempt plus the single budgeted retry; the
-        # second retry is denied before it touches the wire.
-        assert len(calls) == 2
-        assert isinstance(caught.value.__cause__, ConnectionResetError)
-        assert caught.value.tokens < 1.0
-        assert caught.value.capacity == 1.0
-        stats = client.transport_stats()
-        assert stats["retry_budget_exhausted"] == 1
-        assert stats["retry_budget"]["spent"] == 1
-        assert stats["retry_budget"]["denied"] == 1
-
-
 class TestClientDeadlineDebit:
     def test_backoff_sleep_debits_the_budget(self):
         client = ServiceClient(
             "http://127.0.0.1:9",
-            retry=RetryPolicy(max_attempts=5, base_delay=1.0, jitter=False),
+            retry=RetryPolicy(max_attempts=5, base_delay=1.0),
         )
         calls = []
 

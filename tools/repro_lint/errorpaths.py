@@ -79,14 +79,12 @@ __all__ = [
 #: The serving layer's typed-error taxonomy (``repro.service.errors``).
 ERROR_TAXONOMY: frozenset[str] = frozenset(
     {
-        "CircuitOpen",
         "DeadlineExceeded",
         "EngineClosed",
         "FollowerReadOnly",
         "Overloaded",
         "RepairOverflow",
         "ReplicaDiverged",
-        "RetryBudgetExhausted",
         "ServiceError",
         "ShardUnavailable",
         "SnapshotRequired",
