@@ -27,6 +27,7 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.service.http import (
     DrainingHTTPServer,
     JsonRequestHandler,
+    knn_payload,
     read_points,
     required_field,
 )
@@ -104,10 +105,7 @@ class ClusterHandler(JsonRequestHandler):
             fail_closed=bool(body.get("fail_closed", True)),
         )
         return {
-            "neighbors": [
-                {"distance": distance, "sequence_id": sid}
-                for distance, sid in result.neighbors
-            ],
+            **knn_payload(result.neighbors),
             "complete": result.complete,
             "missing_shards": list(result.missing_shards),
         }

@@ -71,7 +71,6 @@ class CacheEntry:
     answers: set = field(default_factory=set)
     intervals: dict[object, IntervalSet] = field(default_factory=dict)
     version: int = 0
-    dimension: int = 0
 
 
 def _published(entry: CacheEntry, site: str) -> CacheEntry:
@@ -325,7 +324,6 @@ class EpsilonCache:
                         answers=answers,
                         intervals=intervals,
                         version=new_version,
-                        dimension=entry.dimension,
                     ),
                     "EpsilonCache.apply_write",
                 )

@@ -54,15 +54,9 @@ import numpy as np
 
 from repro.service.errors import (
     DeadlineExceeded,
-    EngineClosed,
-    FollowerReadOnly,
     Overloaded,
-    RepairOverflow,
-    ReplicaDiverged,
     ServiceError,
-    ShardUnavailable,
-    SnapshotRequired,
-    WriteQuorumFailed,
+    decode_error,
 )
 from repro.util.budget import Deadline
 from repro.util.errtrace import translated
@@ -146,67 +140,6 @@ def _idempotent(method: str, path: str) -> bool:
     return method == "GET" or path in ("/search", "/knn", "/wal/tail")
 
 
-def _typed_error(status: int, detail: dict) -> Exception:
-    """Rebuild the server-side exception from an error payload."""
-    message = str(detail.get("message", f"HTTP {status}"))
-    if status == 429:
-        retry_after = detail.get("retry_after")
-        return Overloaded(
-            message,
-            queue_depth=int(detail.get("queue_depth", 0)),
-            capacity=int(detail.get("capacity", 0)),
-            retry_after=None if retry_after is None else float(retry_after),
-        )
-    if status == 504:
-        return DeadlineExceeded(message, timeout=float(detail.get("timeout", 0.0)))
-    if status == 503:
-        kind = detail.get("type")
-        if kind == "ShardUnavailable":
-            return ShardUnavailable(
-                message,
-                missing_shards=[
-                    int(shard) for shard in detail.get("missing_shards", ())
-                ],
-            )
-        if kind == "WriteQuorumFailed":
-            return WriteQuorumFailed(
-                message,
-                shard=int(detail.get("shard", -1)),
-                acks=int(detail.get("acks", 0)),
-                required=int(detail.get("required", 0)),
-            )
-        if kind == "RepairOverflow":
-            return RepairOverflow(
-                message,
-                backend=int(detail.get("backend", -1)),
-                pending=int(detail.get("pending", 0)),
-                capacity=int(detail.get("capacity", 0)),
-            )
-        return EngineClosed(message)
-    if status == 410:
-        return SnapshotRequired(
-            message,
-            horizon=int(detail.get("horizon", 0)),
-            after_seq=int(detail.get("after_seq", 0)),
-        )
-    if status == 403:
-        return FollowerReadOnly(message, leader=detail.get("leader"))
-    if status == 400:
-        return ValueError(message)
-    if status in (404, 409):
-        # A 409 is either a duplicate-id insert (KeyError, mirroring the
-        # embedded engine) or a replication handshake mismatch — the
-        # payload type disambiguates.
-        if status == 409 and detail.get("type") == "ReplicaDiverged":
-            return ReplicaDiverged(
-                message,
-                leader_seq=int(detail.get("leader_seq", 0)),
-                follower_seq=int(detail.get("follower_seq", 0)),
-            )
-        return KeyError(message)
-    return ServiceError(f"HTTP {status}: {message}")
-
-
 def _raise_typed(
     status: int, detail: dict, cause: BaseException | None = None
 ) -> None:
@@ -218,13 +151,10 @@ def _raise_typed(
     REP402 invariant, enforced at runtime by
     :func:`repro.util.errtrace.translated`).
     """
-    error = _typed_error(status, detail)
+    error = decode_error(status, detail)
     if cause is not None:
         raise translated(
-            cause,
-            error,
-            role="client.translate",
-            site="ServiceClient._raise_typed",
+            cause, error, role="client.translate", site="client._raise_typed"
         ) from cause
     raise error
 

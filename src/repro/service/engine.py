@@ -1129,7 +1129,6 @@ class QueryEngine:
                 answers=set(result.answers),
                 intervals=dict(result.solution_intervals),
                 version=snapshot.version,
-                dimension=sequence.dimension,
             ),
             self._snapshot.version,
         )

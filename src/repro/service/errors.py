@@ -16,11 +16,18 @@ whose cursor fell behind the leader's WAL horizon gets
 busy), a repair journal at capacity raises :class:`RepairOverflow`
 (HTTP 503) and a follower-mode server rejects direct writes with
 :class:`FollowerReadOnly` (HTTP 403).
+
+**The wire format** lives beside the classes: each declares its
+``http_status`` and ``wire_fields``; :func:`encode_error` (called by the
+HTTP boundary) and :func:`decode_error` (called by the client) are its
+two directions.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
+from typing import Any, ClassVar
 
 __all__ = [
     "DeadlineExceeded",
@@ -33,11 +40,20 @@ __all__ = [
     "ShardUnavailable",
     "SnapshotRequired",
     "WriteQuorumFailed",
+    "decode_error",
+    "encode_error",
 ]
 
 
 class ServiceError(RuntimeError):
     """Base class of all serving-layer failures."""
+
+    #: The HTTP status the error is served with.
+    http_status: ClassVar[int] = 500
+    #: The attributes its error body carries, each mapped to the value a
+    #: body without it decodes to (a present value is cast to that
+    #: default's type; a ``None`` attribute is left out of the body).
+    wire_fields: ClassVar[dict[str, Any]] = {}
 
 
 class Overloaded(ServiceError):
@@ -48,6 +64,9 @@ class Overloaded(ServiceError):
     Also raised for writes and repair traffic shed by the limiter's
     priority headroom before the limit itself is reached.
     """
+
+    http_status = 429
+    wire_fields = {"queue_depth": 0, "capacity": 0, "retry_after": None}
 
     def __init__(
         self,
@@ -63,11 +82,16 @@ class Overloaded(ServiceError):
         #: The admission limit in force (at most workers + queue slots).
         self.capacity = capacity
         #: Server-suggested backoff in seconds (the 429 Retry-After header).
-        self.retry_after = retry_after
+        self.retry_after = None if retry_after is None else float(retry_after)
 
 
 class DeadlineExceeded(ServiceError):
     """The request's deadline expired while queued or executing."""
+
+    # 504 Gateway Timeout: the server spent the request's budget (408
+    # would blame the client for sending slowly).
+    http_status = 504
+    wire_fields = {"timeout": 0.0}
 
     def __init__(self, message: str, *, timeout: float) -> None:
         super().__init__(message)
@@ -78,6 +102,8 @@ class DeadlineExceeded(ServiceError):
 class EngineClosed(ServiceError):
     """The engine has been shut down; no further requests are accepted."""
 
+    http_status = 503
+
 
 class ShardUnavailable(ServiceError):
     """Every replica of at least one shard refused or failed the request.
@@ -87,6 +113,9 @@ class ShardUnavailable(ServiceError):
     missing).  Range ``search`` degrades instead, returning a typed
     partial result with ``complete=False`` and the same shard list.
     """
+
+    http_status = 503
+    wire_fields = {"missing_shards": ()}
 
     def __init__(
         self, message: str, *, missing_shards: Iterable[int]
@@ -104,6 +133,9 @@ class WriteQuorumFailed(ServiceError):
     durable on a majority", not "rolled back" — the caller may retry
     idempotently or wait for repair to converge.
     """
+
+    http_status = 503
+    wire_fields = {"shard": -1, "acks": 0, "required": 0}
 
     def __init__(
         self, message: str, *, shard: int, acks: int, required: int
@@ -129,6 +161,9 @@ class ReplicaDiverged(ServiceError):
     resync.
     """
 
+    http_status = 409
+    wire_fields = {"leader_seq": 0, "follower_seq": 0}
+
     def __init__(
         self,
         message: str,
@@ -153,6 +188,11 @@ class SnapshotRequired(ServiceError):
     leader's reported position.
     """
 
+    # 410 Gone: the tail will never come back — retrying the same cursor
+    # is pointless.
+    http_status = 410
+    wire_fields = {"horizon": 0, "after_seq": 0}
+
     def __init__(
         self,
         message: str,
@@ -175,6 +215,9 @@ class RepairOverflow(ServiceError):
     replica is marked for a full snapshot resync instead — the overflow
     converts "replay every missed write" into "copy the state once".
     """
+
+    http_status = 503
+    wire_fields = {"backend": -1, "pending": 0, "capacity": 0}
 
     def __init__(
         self,
@@ -202,7 +245,90 @@ class FollowerReadOnly(ServiceError):
     to the leader instead.
     """
 
+    http_status = 403
+    wire_fields = {"leader": None}
+
     def __init__(self, message: str, *, leader: str | None = None) -> None:
         super().__init__(message)
         #: The leader URL this follower tails, when known.
         self.leader = leader
+
+
+#: Every error type a body can name, by name.
+_WIRE_TYPES: dict[str, type[ServiceError]] = {
+    cls.__name__: cls for cls in ServiceError.__subclasses__()
+}
+
+#: What a status decodes to when its body names no type declared here
+#: with that status (a proxy's HTML page, say); any other status decodes
+#: to a :class:`ServiceError` whose message names it.
+_BY_STATUS: dict[int, type[Exception]] = {
+    429: Overloaded,
+    504: DeadlineExceeded,
+    503: EngineClosed,
+    410: SnapshotRequired,
+    403: FollowerReadOnly,
+    400: ValueError,
+    404: KeyError,
+    409: KeyError,
+}
+
+
+def encode_error(
+    error: BaseException, op: str
+) -> tuple[int, dict[str, Any], dict[str, str]]:
+    """The HTTP reply to a request ``op`` that raised: status, body, headers.
+
+    A :class:`ServiceError` is served with its declared status and wire
+    fields.  Builtins keep their embedded-engine meaning: ``KeyError`` is
+    409 on ``insert`` (duplicate id) and 404 elsewhere (unknown id),
+    ``TypeError`` / ``ValueError`` are 400 and anything else is 500.
+    """
+    detail: dict[str, Any] = {
+        "type": type(error).__name__,
+        "message": str(error.args[0]) if error.args else str(error),
+    }
+    headers: dict[str, str] = {}
+    if isinstance(error, ServiceError):
+        status = error.http_status
+        for name in error.wire_fields:
+            value = getattr(error, name)
+            if value is not None:
+                detail[name] = value
+        if isinstance(error, Overloaded) and error.retry_after is not None:
+            # RFC 9110 Retry-After is integral delay-seconds; round up so
+            # the header never tells a client to come back sooner.
+            headers["Retry-After"] = str(max(1, math.ceil(error.retry_after)))
+    elif isinstance(error, KeyError):
+        status = 409 if op == "insert" else 404
+    elif isinstance(error, (TypeError, ValueError)):
+        status = 400
+    else:
+        status = 500
+    return status, {"error": detail}, headers
+
+
+def decode_error(status: int, detail: dict[str, Any]) -> Exception:
+    """The exception an error reply's status and ``detail`` body describe.
+
+    The body's ``type`` picks the class when it names one declared here
+    with that status; otherwise the status alone does.
+    """
+    message = str(detail.get("message", f"HTTP {status}"))
+    named = _WIRE_TYPES.get(str(detail.get("type")))
+    cls = (
+        named
+        if named is not None and named.http_status == status
+        else _BY_STATUS.get(status)
+    )
+    if cls is None:
+        return ServiceError(f"HTTP {status}: {message}")
+    if not issubclass(cls, ServiceError):
+        return cls(message)
+    fields: dict[str, Any] = {}
+    for name, default in cls.wire_fields.items():
+        value = detail.get(name)
+        if value is not None and isinstance(default, (int, float)):
+            value = type(default)(value)
+        fields[name] = default if value is None else value
+    return cls(message, **fields)

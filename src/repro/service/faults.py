@@ -16,7 +16,7 @@ site                        where it fires
                             the mid-checkpoint kill-point
 ``database.save.replace``   snapshot temp file written, before the
                             atomic ``os.replace`` into place
-``engine.admission.delay``  in ``_execute``, after the request's
+``engine.admission.delay``  in ``_read``, after the request's
                             deadline is stamped but before admission —
                             a sleep here simulates queue stall and
                             debits the request's budget

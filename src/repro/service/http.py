@@ -30,18 +30,14 @@ route       method  body / response
                     (:meth:`QueryEngine.wal_tail`)
 ==========  ======  ====================================================
 
-Typed serving errors map onto status codes — :class:`Overloaded` → 429
-(with a ``Retry-After`` header derived from queue depth), :class:`
-DeadlineExceeded` → 504 (the *server* ran out of the request's budget —
-Gateway Timeout — not 408, which blames the client for sending slowly),
-:class:`EngineClosed` / :class:`ShardUnavailable`
-/ :class:`WriteQuorumFailed` / :class:`RepairOverflow` → 503,
-:class:`ReplicaDiverged` → 409, :class:`SnapshotRequired` → 410 (the WAL
-tail is *gone*, not merely busy), :class:`FollowerReadOnly` → 403, bad
-input → 400, duplicate insert id → 409, unknown id → 404 — and every
-error body is ``{"error": {"type", "message", ...}}`` so clients can
-rebuild the typed exception (:mod:`repro.service.client` does exactly
-that).
+A failed request is answered by
+:func:`~repro.service.errors.encode_error`: each typed serving error
+declares its status (``Overloaded`` → 429 with a ``Retry-After`` header,
+``DeadlineExceeded`` → 504, ``SnapshotRequired`` → 410, ...; the table is
+in ``docs/errors.md``), bad input is 400, a duplicate insert id 409, an
+unknown id 404 — and every error body is ``{"error": {"type",
+"message", ...}}``, which :func:`~repro.service.errors.decode_error`
+turns back into the typed exception on the client.
 
 A server given a :class:`~repro.service.follower.WalFollower` runs in
 **follower mode**: ``/insert``/``/append``/``/remove`` are rejected with
@@ -89,18 +85,7 @@ from typing import TYPE_CHECKING, Any, cast
 import numpy as np
 
 from repro.service.engine import QueryEngine, ServiceResponse
-from repro.service.errors import (
-    DeadlineExceeded,
-    EngineClosed,
-    FollowerReadOnly,
-    Overloaded,
-    RepairOverflow,
-    ReplicaDiverged,
-    ServiceError,
-    ShardUnavailable,
-    SnapshotRequired,
-    WriteQuorumFailed,
-)
+from repro.service.errors import EngineClosed, FollowerReadOnly, encode_error
 from repro.service.faults import inject
 from repro.util.errtrace import record_propagated
 from repro.util.sync import TracedLock
@@ -114,9 +99,6 @@ __all__ = [
     "JsonRequestHandler",
     "ServiceHandler",
     "ServiceServer",
-    "error_headers",
-    "error_payload",
-    "error_status",
     "healthz_payload",
     "knn_payload",
     "read_points",
@@ -127,80 +109,6 @@ __all__ = [
     "shutdown_gracefully",
     "write_payload",
 ]
-
-
-def error_payload(error: Exception) -> dict:
-    """The JSON body describing a failed request."""
-    detail: dict[str, Any] = {
-        "type": type(error).__name__,
-        "message": str(error.args[0]) if error.args else str(error),
-    }
-    if isinstance(error, Overloaded):
-        detail["queue_depth"] = error.queue_depth
-        detail["capacity"] = error.capacity
-        if error.retry_after is not None:
-            detail["retry_after"] = error.retry_after
-    if isinstance(error, DeadlineExceeded):
-        detail["timeout"] = error.timeout
-    if isinstance(error, ShardUnavailable):
-        detail["missing_shards"] = list(error.missing_shards)
-    if isinstance(error, WriteQuorumFailed):
-        detail["shard"] = error.shard
-        detail["acks"] = error.acks
-        detail["required"] = error.required
-    if isinstance(error, ReplicaDiverged):
-        detail["leader_seq"] = error.leader_seq
-        detail["follower_seq"] = error.follower_seq
-    if isinstance(error, SnapshotRequired):
-        detail["horizon"] = error.horizon
-        detail["after_seq"] = error.after_seq
-    if isinstance(error, RepairOverflow):
-        detail["backend"] = error.backend
-        detail["pending"] = error.pending
-        detail["capacity"] = error.capacity
-    if isinstance(error, FollowerReadOnly) and error.leader is not None:
-        detail["leader"] = error.leader
-    return {"error": detail}
-
-
-def error_headers(error: Exception) -> dict[str, str]:
-    """Extra response headers for a failed request (429 Retry-After)."""
-    if isinstance(error, Overloaded) and error.retry_after is not None:
-        # RFC 9110 Retry-After is integral delay-seconds; round up so the
-        # header never tells a client to come back sooner than the hint.
-        return {"Retry-After": str(max(1, math.ceil(error.retry_after)))}
-    return {}
-
-
-def error_status(error: Exception, op: str) -> int:
-    """Map an exception to its HTTP status code."""
-    if isinstance(error, Overloaded):
-        return 429
-    if isinstance(error, DeadlineExceeded):
-        # 504 Gateway Timeout: the server spent the request's budget.
-        return 504
-    if isinstance(
-        error,
-        (EngineClosed, ShardUnavailable, WriteQuorumFailed, RepairOverflow),
-    ):
-        return 503
-    if isinstance(error, ReplicaDiverged):
-        return 409
-    if isinstance(error, SnapshotRequired):
-        # 410 Gone: the requested WAL tail was checkpointed away and will
-        # never come back — retrying the same cursor is pointless.
-        return 410
-    if isinstance(error, FollowerReadOnly):
-        return 403
-    if isinstance(error, ServiceError):
-        return 500
-    if isinstance(error, KeyError):
-        # add() rejects duplicates with KeyError; lookups raise it for
-        # unknown ids — conflict on insert, not-found everywhere else.
-        return 409 if op == "insert" else 404
-    if isinstance(error, (TypeError, ValueError)):
-        return 400
-    return 500
 
 
 def required_field(body: dict, name: str) -> Any:
@@ -343,8 +251,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     Subclasses declare ``get_routes`` / ``post_routes`` mapping paths to
     handler-method *names*; each handler takes the parsed JSON body and
-    returns the response payload.  Exceptions map to status codes via
-    :func:`error_status` and serialise via :func:`error_payload`.
+    returns the response payload.  Exceptions become replies via
+    :func:`~repro.service.errors.encode_error`.
     """
 
     server_version = "repro-serve/1.0"
@@ -399,8 +307,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 record_propagated(
                     error, role="http.boundary", site=f"http.{op}"
                 )
-                status, payload = error_status(error, op), error_payload(error)
-                headers = error_headers(error)
+                status, payload, headers = encode_error(error, op)
             self._send_json(status, payload, headers)
         finally:
             server.request_finished(self.connection)

@@ -41,13 +41,19 @@ simply ends the batch early.  :func:`encode_frames` /
 for shipped batches, so a follower verifies every shipped record with the
 same checksum that protects it on disk.
 
+**One frame walk.**  Every reader — recovery on open, the tail read, a
+shipped batch and :func:`inspect_wal` — is a loop over one walk that
+yields a :class:`WalEntryInfo` per frame and ends at the first damaged
+one (torn header, overrunning length, CRC mismatch, undecodable payload,
+checkpoint marker with a bad seq), so all four agree on where a log
+stops being valid.  Every writer frames through one function.
+
 **Torn tails.**  A crash mid-append leaves a short or corrupt final
-record.  On open, the log is scanned record by record; the first length
-that overruns the file or CRC that mismatches marks the tear, everything
-before it is recovered, and the file is truncated back to the last valid
-boundary — recovery proceeds instead of refusing to start, and the
-truncation can only discard a record that was never acknowledged (the
-engine acknowledges only after a successful fsync).
+record.  On open, everything before the walk's damaged entry is
+recovered and the file is truncated back to that boundary — recovery
+proceeds instead of refusing to start, and the truncation can only
+discard a record that was never acknowledged (the engine acknowledges
+only after a successful fsync).
 
 **Idempotent replay.**  :func:`replay_into` applies records so that
 replaying the same log twice — or replaying over a snapshot that already
@@ -166,7 +172,11 @@ class WalRecord:
     @classmethod
     def from_payload(cls, payload: bytes) -> "WalRecord":
         """Rebuild a record from its JSON payload."""
-        body = json.loads(payload)
+        return cls.from_body(json.loads(payload))
+
+    @classmethod
+    def from_body(cls, body: Any) -> "WalRecord":
+        """Rebuild a record from its parsed JSON payload."""
         type_name, raw = body["id"]
         sequence_id: object = int(raw) if type_name == "int" else raw
         return cls(
@@ -222,39 +232,136 @@ class DurabilityConfig:
         return Path(self.directory) / "wal.log"
 
 
-def _walk_frames(data: bytes, offset: int) -> Iterator[tuple[int, bytes, int]]:
-    """Yield ``(offset, payload, end)`` per intact frame; stop at a tear.
+@dataclass(frozen=True)
+class WalEntryInfo:
+    """One frame of the log, as the frame walk (and :func:`inspect_wal`) sees it.
 
-    Stops silently at the first frame whose header overruns the data or
-    whose CRC mismatches — the caller decides whether a tear is a
-    recoverable boundary (scan, tail read) or an error (shipped batch).
+    ``record`` is the decoded mutation when the slot is intact; a torn or
+    corrupt slot has ``record=None`` and ``error`` naming what is wrong
+    (torn header, length overrun, CRC mismatch, undecodable payload — a
+    checkpoint marker with a bad seq included).  A checkpoint marker slot
+    has ``record=None`` and ``checkpoint_seq`` set to the seq the marker
+    preserves across the truncation.
     """
-    size = len(data)
-    while offset + _HEADER.size <= size:
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        end = start + length
-        if end > size:
-            return
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            return
-        yield offset, payload, end
-        offset = end
+
+    offset: int
+    length: int
+    crc_ok: bool
+    record: WalRecord | None = None
+    error: str | None = None
+    checkpoint_seq: int | None = None
+
+    @property
+    def seq(self) -> int | None:
+        """The record's seq, or the one the checkpoint marker carries."""
+        return self.checkpoint_seq if self.record is None else self.record.seq
 
 
-def _marker_seq(payload: bytes) -> int | None:
-    """The seq carried by a checkpoint marker payload, else ``None``."""
+@dataclass(frozen=True)
+class WalInspection:
+    """A read-only forensic scan of a WAL file (``repro wal-inspect``).
+
+    Unlike opening a :class:`WriteAheadLog`, inspection never truncates:
+    it reports exactly what is on disk — every valid record, plus the
+    torn or corrupt tail entry if one exists — so an operator can look at
+    a crashed node's log before recovery rewrites it.  ``horizon`` and
+    ``last_seq`` bound the file's shippable seq range: a follower whose
+    cursor is outside ``[horizon, last_seq]`` cannot catch up from this
+    log.
+    """
+
+    path: Path
+    size: int
+    magic_ok: bool
+    valid_bytes: int
+    entries: tuple[WalEntryInfo, ...] = ()
+    horizon: int = 0
+    last_seq: int = 0
+
+    @property
+    def torn(self) -> bool:
+        """Whether trailing bytes fail to parse as a complete record."""
+        return self.valid_bytes < self.size
+
+    @property
+    def records(self) -> tuple[WalRecord, ...]:
+        """The decodable records, in log order."""
+        return tuple(
+            entry.record for entry in self.entries if entry.record is not None
+        )
+
+    @property
+    def clean(self) -> bool:
+        """Whether the whole file parses: good magic and no torn tail."""
+        return self.magic_ok and not self.torn
+
+
+def _frame(payload: bytes) -> bytes:
+    """One frame: ``<u32 length><u32 crc32(payload)><payload>``."""
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _entry(data: bytes, offset: int, last_seq: int | None) -> WalEntryInfo:
+    """The frame at ``offset``: intact, or damaged with ``error`` saying why.
+
+    A record without a stored seq is stamped ``last_seq + 1`` unless
+    ``last_seq`` is ``None``.
+    """
+    if offset + _HEADER.size > len(data):
+        trailing = len(data) - offset
+        error = f"torn header: {trailing} trailing byte(s), header needs {_HEADER.size}"
+        return WalEntryInfo(offset, trailing, False, error=error)
+    length, crc = _HEADER.unpack_from(data, offset)
+    payload = data[offset + _HEADER.size : offset + _HEADER.size + length]
+    if len(payload) < length:
+        error = (
+            f"torn record: framed length {length} overruns end of file by "
+            f"{length - len(payload)} byte(s)"
+        )
+        return WalEntryInfo(offset, length, False, error=error)
+    if zlib.crc32(payload) != crc:
+        error = "CRC mismatch: payload bytes are corrupt"
+        return WalEntryInfo(offset, length, False, error=error)
     try:
         body = json.loads(payload)
-    except ValueError:
-        return None
-    if not isinstance(body, dict) or body.get("op") != _CHECKPOINT_OP:
-        return None
-    seq = body.get("seq")
-    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-        raise ValueError(f"checkpoint marker carries a bad seq: {seq!r}")
-    return seq
+        if isinstance(body, dict) and body.get("op") == _CHECKPOINT_OP:
+            seq = body.get("seq")
+            if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
+                raise ValueError(f"checkpoint marker carries a bad seq: {seq!r}")
+            return WalEntryInfo(offset, length, True, checkpoint_seq=seq)
+        record = WalRecord.from_body(body)
+    except (ValueError, KeyError, TypeError) as error:
+        return WalEntryInfo(offset, length, True, error=f"undecodable payload: {error}")
+    if record.seq is None and last_seq is not None:
+        record = replace(record, seq=last_seq + 1)
+    return WalEntryInfo(offset, length, True, record=record)
+
+
+def _walk(
+    data: bytes, offset: int, *, stamp: bool = True
+) -> Iterator[WalEntryInfo]:
+    """Every frame of ``data`` from ``offset`` on, up to the first damaged one.
+
+    The one frame walk (module docstring).  With ``stamp`` a record
+    without a stored seq (logs written before seqs existed) gets the next
+    positional one.
+    """
+    last_seq = 0
+    while offset < len(data):
+        entry = _entry(data, offset, last_seq if stamp else None)
+        yield entry
+        if entry.error is not None:
+            return
+        last_seq = max(last_seq, entry.seq or 0)
+        offset += _HEADER.size + entry.length
+
+
+def _scan(path: Path) -> WalInspection:
+    """:func:`inspect_wal` of a file that must be a WAL."""
+    scan = inspect_wal(path)
+    if not scan.magic_ok:
+        raise ValueError(f"{path} is not a repro WAL (bad magic header)")
+    return scan
 
 
 class WriteAheadLog:
@@ -271,21 +378,23 @@ class WriteAheadLog:
     def __init__(self, path: str | Path, *, fsync: bool = True) -> None:
         self.path = Path(path)
         self.fsync = fsync
-        scanned = self._scan()
-        self._recovered, valid_end, existing = scanned[:3]
-        self._horizon, self._last_seq = scanned[3:]
+        existing = self.path.exists() and self.path.stat().st_size > 0
+        scan = (
+            _scan(self.path)
+            if existing
+            else WalInspection(self.path, size=0, magic_ok=True, valid_bytes=0)
+        )
+        self._recovered = list(scan.records)
+        self._horizon, self._last_seq = scan.horizon, scan.last_seq
         mode = "r+b" if existing else "w+b"
         self._handle = open(self.path, mode)  # noqa: SIM115 (long-lived)
         if not existing:
             self._handle.write(_MAGIC)
+        elif scan.torn:
+            self._handle.truncate(scan.valid_bytes)
+        if not existing or scan.torn:
             self._handle.flush()
             self._sync()
-        else:
-            end = self._handle.seek(0, os.SEEK_END)
-            if end > valid_end:
-                self._handle.truncate(valid_end)
-                self._handle.flush()
-                self._sync()
         self._handle.seek(0, os.SEEK_END)
         self._records = len(self._recovered)
         self._closed = False
@@ -295,45 +404,6 @@ class WriteAheadLog:
         # who calls.  Holding it across the fsync is deliberate — the
         # durability barrier *is* the critical section.
         self._lock = TracedLock("wal.log")
-
-    # ------------------------------------------------------------------
-    # Recovery scan
-    # ------------------------------------------------------------------
-    def _scan(self) -> tuple[list[WalRecord], int, bool, int, int]:
-        """Read all valid records.
-
-        Returns ``(records, valid_end, existed, horizon, last_seq)``.
-        Checkpoint markers advance ``horizon``/``last_seq`` without
-        producing records; legacy records without a stored seq are
-        assigned positional seqs.
-        """
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            return [], len(_MAGIC), False, 0, 0
-        data = self.path.read_bytes()
-        if data[: len(_MAGIC)] != _MAGIC:
-            raise ValueError(
-                f"{self.path} is not a repro WAL (bad magic header)"
-            )
-        records: list[WalRecord] = []
-        horizon = 0
-        last_seq = 0
-        offset = len(_MAGIC)
-        for _, payload, end in _walk_frames(data, offset):
-            try:
-                marker = _marker_seq(payload)
-                if marker is not None:
-                    horizon = marker
-                    last_seq = max(last_seq, marker)
-                else:
-                    record = WalRecord.from_payload(payload)
-                    if record.seq is None:
-                        record = replace(record, seq=last_seq + 1)
-                    records.append(record)
-                    last_seq = max(last_seq, record.seq or 0)
-            except (ValueError, KeyError, TypeError):
-                break  # undecodable payload that happened to pass CRC
-            offset = end
-        return records, offset, True, horizon, last_seq
 
     # ------------------------------------------------------------------
     # Appending
@@ -356,10 +426,7 @@ class WriteAheadLog:
             start = self._handle.tell()
             try:
                 inject("wal.append")
-                self._handle.write(
-                    _HEADER.pack(len(payload), zlib.crc32(payload))
-                )
-                self._handle.write(payload)
+                self._handle.write(_frame(payload))
                 self._handle.flush()
                 self._sync()
             except Exception:
@@ -402,42 +469,24 @@ class WriteAheadLog:
     ) -> list[WalRecord]:
         """The records with ``seq > after_seq``, in log order.
 
-        Lock-free like :func:`inspect_wal`: the file is re-read in one
-        ``read_bytes`` call and walked frame by frame, so tailing a live
-        log never blocks (or deadlocks with) its writer.  A torn tail —
+        The records :func:`inspect_wal` finds, so lock-free like it: the
+        file is re-read in one ``read_bytes`` call, and tailing a live log
+        never blocks (or deadlocks with) its writer.  A torn tail —
         including the half-written frame of a concurrent append — ends
-        the batch cleanly at the last valid boundary; the missing record
-        is simply picked up by the next call.  Checkpoint markers are
-        skipped.  ``limit`` caps the batch size.
+        the batch at the boundary recovery would truncate to; the missing
+        record is simply picked up by the next call.  Checkpoint markers
+        are skipped.  ``limit`` caps the batch size.
         """
         if after_seq < 0:
             raise ValueError(f"after_seq must be >= 0, got {after_seq}")
         if limit is not None and limit < 1:
             raise ValueError(f"limit must be >= 1 or None, got {limit}")
-        data = self.path.read_bytes()
-        if data[: len(_MAGIC)] != _MAGIC:
-            raise ValueError(
-                f"{self.path} is not a repro WAL (bad magic header)"
-            )
-        batch: list[WalRecord] = []
-        last_seq = 0
-        for _, payload, _ in _walk_frames(data, len(_MAGIC)):
-            try:
-                marker = _marker_seq(payload)
-                if marker is not None:
-                    last_seq = max(last_seq, marker)
-                    continue
-                record = WalRecord.from_payload(payload)
-            except (ValueError, KeyError, TypeError):
-                break
-            if record.seq is None:
-                record = replace(record, seq=last_seq + 1)
-            last_seq = max(last_seq, record.seq or 0)
-            if (record.seq or 0) > after_seq:
-                batch.append(record)
-                if limit is not None and len(batch) >= limit:
-                    break
-        return batch
+        batch = [
+            record
+            for record in _scan(self.path).records
+            if (record.seq or 0) > after_seq
+        ]
+        return batch[:limit]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -477,14 +526,10 @@ class WriteAheadLog:
             self._handle.seek(len(_MAGIC))
             self._handle.truncate(len(_MAGIC))
             if self._last_seq > 0:
-                payload = json.dumps(
-                    {"op": _CHECKPOINT_OP, "seq": self._last_seq},
-                    separators=(",", ":"),
-                ).encode("utf-8")
+                marker = {"op": _CHECKPOINT_OP, "seq": self._last_seq}
                 self._handle.write(
-                    _HEADER.pack(len(payload), zlib.crc32(payload))
+                    _frame(json.dumps(marker, separators=(",", ":")).encode())
                 )
-                self._handle.write(payload)
             self._handle.flush()
             self._sync()
             self._records = 0
@@ -510,128 +555,48 @@ def encode_frames(records: Iterable[WalRecord]) -> bytes:
     leader's log.  Records must carry their seq — a batch without seqs
     cannot advance a follower's cursor.
     """
-    parts: list[bytes] = []
+    frames: list[bytes] = []
     for record in records:
         if record.seq is None:
             raise ValueError(
                 f"cannot ship a record without a seq: {record.op} of "
                 f"{record.sequence_id!r}"
             )
-        payload = record.to_payload()
-        parts.append(_HEADER.pack(len(payload), zlib.crc32(payload)))
-        parts.append(payload)
-    return b"".join(parts)
+        frames.append(_frame(record.to_payload()))
+    return b"".join(frames)
 
 
 def decode_frames(data: bytes) -> list[WalRecord]:
     """Decode a shipped batch, verifying every frame's CRC.
 
     Strict where the recovery scan is lenient: a shipped batch was framed
-    in full by the leader, so *any* tear, CRC mismatch, undecodable
-    payload or missing seq is corruption in transit and raises
-    :class:`ValueError` — the follower drops the batch and re-tails
-    instead of applying a damaged prefix.
+    in full by the leader, so *any* damaged entry of the frame walk (tear,
+    CRC mismatch, undecodable payload), checkpoint marker or missing seq
+    is corruption in transit and raises :class:`ValueError` — the
+    follower drops the batch and re-tails instead of applying a damaged
+    prefix.
     """
     records: list[WalRecord] = []
-    offset = 0
-    size = len(data)
-    while offset < size:
-        if offset + _HEADER.size > size:
-            raise ValueError(
-                f"torn batch: {size - offset} trailing byte(s), frame "
-                f"header needs {_HEADER.size}"
-            )
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        end = start + length
-        if end > size:
-            raise ValueError(
-                f"torn batch: framed length {length} overruns the batch "
-                f"by {end - size} byte(s)"
-            )
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            raise ValueError("corrupt batch: frame CRC mismatch")
-        try:
-            record = WalRecord.from_payload(payload)
-        except (KeyError, TypeError, ValueError) as error:
-            raise ValueError(
-                f"undecodable shipped record: {error}"
-            ) from error
-        if record.seq is None:
+    for entry in _walk(data, 0, stamp=False):
+        if entry.error is not None:
+            raise ValueError(f"damaged shipped batch: {entry.error}")
+        if entry.record is None:
+            raise ValueError("shipped batch carries a checkpoint marker")
+        if entry.record.seq is None:
             raise ValueError("shipped record carries no seq")
-        records.append(record)
-        offset = end
+        records.append(entry.record)
     return records
-
-
-@dataclass(frozen=True)
-class WalEntryInfo:
-    """One record slot found by :func:`inspect_wal`.
-
-    ``record`` is the decoded mutation when the slot is intact; a torn or
-    corrupt slot has ``record=None`` and ``error`` naming what is wrong
-    (length overrun, CRC mismatch, undecodable payload).  A checkpoint
-    marker slot has ``record=None`` and ``checkpoint_seq`` set to the seq
-    the marker preserves across the truncation.
-    """
-
-    offset: int
-    length: int
-    crc_ok: bool
-    record: WalRecord | None = None
-    error: str | None = None
-    checkpoint_seq: int | None = None
-
-
-@dataclass(frozen=True)
-class WalInspection:
-    """A read-only forensic scan of a WAL file (``repro wal-inspect``).
-
-    Unlike opening a :class:`WriteAheadLog`, inspection never truncates:
-    it reports exactly what is on disk — every valid record, plus the
-    torn or corrupt tail entry if one exists — so an operator can look at
-    a crashed node's log before recovery rewrites it.  ``horizon`` and
-    ``last_seq`` bound the file's shippable seq range: a follower whose
-    cursor is outside ``[horizon, last_seq]`` cannot catch up from this
-    log.
-    """
-
-    path: Path
-    size: int
-    magic_ok: bool
-    valid_bytes: int
-    entries: tuple[WalEntryInfo, ...] = ()
-    horizon: int = 0
-    last_seq: int = 0
-
-    @property
-    def torn(self) -> bool:
-        """Whether trailing bytes fail to parse as a complete record."""
-        return self.valid_bytes < self.size
-
-    @property
-    def records(self) -> tuple[WalRecord, ...]:
-        """The decodable records, in log order."""
-        return tuple(
-            entry.record for entry in self.entries if entry.record is not None
-        )
-
-    @property
-    def clean(self) -> bool:
-        """Whether the whole file parses: good magic and no torn tail."""
-        return self.magic_ok and not self.torn
 
 
 def inspect_wal(path: str | Path) -> WalInspection:
     """Scan a WAL file without opening (or repairing) it.
 
-    Walks the record framing byte-for-byte: each entry reports its
-    offset, framed length, CRC verdict and decoded record (seq-stamped,
-    positionally for legacy records); the first invalid entry (overrunning
-    length, CRC mismatch, undecodable JSON) is included with its
-    ``error`` and ends the scan — exactly the boundary
-    :class:`WriteAheadLog` would truncate to on open.  Checkpoint markers
+    The entries are the frame walk's, the one every reader of the log
+    shares: each reports its offset, framed length, CRC verdict and
+    decoded record (seq-stamped, positionally for legacy records); the
+    first damaged entry is included with its ``error`` and ends the scan
+    — exactly the boundary :class:`WriteAheadLog` truncates to on open
+    and :meth:`~WriteAheadLog.read_from` stops at.  Checkpoint markers
     appear as entries with ``checkpoint_seq`` set and feed the reported
     ``[horizon, last_seq]`` seq range.
 
@@ -643,104 +608,21 @@ def inspect_wal(path: str | Path) -> WalInspection:
     """
     wal_path = Path(path)
     data = wal_path.read_bytes()
-    size = len(data)
-    magic_ok = data[: len(_MAGIC)] == _MAGIC
-    if not magic_ok:
+    if not data.startswith(_MAGIC):
         return WalInspection(
-            path=wal_path, size=size, magic_ok=False, valid_bytes=0
+            path=wal_path, size=len(data), magic_ok=False, valid_bytes=0
         )
-    entries: list[WalEntryInfo] = []
-    horizon = 0
-    last_seq = 0
-    offset = len(_MAGIC)
-    valid_end = offset
-    while offset < size:
-        if offset + _HEADER.size > size:
-            entries.append(
-                WalEntryInfo(
-                    offset=offset,
-                    length=size - offset,
-                    crc_ok=False,
-                    error=(
-                        f"torn header: {size - offset} trailing byte(s), "
-                        f"header needs {_HEADER.size}"
-                    ),
-                )
-            )
-            break
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        end = start + length
-        if end > size:
-            entries.append(
-                WalEntryInfo(
-                    offset=offset,
-                    length=length,
-                    crc_ok=False,
-                    error=(
-                        f"torn record: framed length {length} overruns "
-                        f"end of file by {end - size} byte(s)"
-                    ),
-                )
-            )
-            break
-        payload = data[start:end]
-        crc_ok = zlib.crc32(payload) == crc
-        if not crc_ok:
-            entries.append(
-                WalEntryInfo(
-                    offset=offset,
-                    length=length,
-                    crc_ok=False,
-                    error="CRC mismatch: payload bytes are corrupt",
-                )
-            )
-            break
-        try:
-            marker = _marker_seq(payload)
-            record = (
-                None if marker is not None else WalRecord.from_payload(payload)
-            )
-        except (ValueError, KeyError, TypeError) as error:
-            entries.append(
-                WalEntryInfo(
-                    offset=offset,
-                    length=length,
-                    crc_ok=True,
-                    error=f"undecodable payload: {error}",
-                )
-            )
-            break
-        if marker is not None:
-            horizon = marker
-            last_seq = max(last_seq, marker)
-            entries.append(
-                WalEntryInfo(
-                    offset=offset,
-                    length=length,
-                    crc_ok=True,
-                    checkpoint_seq=marker,
-                )
-            )
-        elif record is not None:
-            if record.seq is None:
-                record = replace(record, seq=last_seq + 1)
-            last_seq = max(last_seq, record.seq or 0)
-            entries.append(
-                WalEntryInfo(
-                    offset=offset, length=length, crc_ok=True, record=record
-                )
-            )
-        offset = end
-        valid_end = end
+    entries = tuple(_walk(data, len(_MAGIC)))
+    damaged = bool(entries) and entries[-1].error is not None
+    markers = [e.checkpoint_seq for e in entries if e.checkpoint_seq is not None]
     return WalInspection(
         path=wal_path,
-        size=size,
+        size=len(data),
         magic_ok=True,
-        valid_bytes=valid_end,
-        entries=tuple(entries),
-        horizon=horizon,
-        last_seq=last_seq,
+        valid_bytes=entries[-1].offset if damaged else len(data),
+        entries=entries,
+        horizon=markers[-1] if markers else 0,
+        last_seq=max((entry.seq or 0 for entry in entries), default=0),
     )
 
 

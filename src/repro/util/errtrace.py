@@ -84,7 +84,7 @@ class SwallowedErrorViolation(RuntimeError):
         #: ``bench.worker``, ``follower.tail``, ``http.boundary``).
         self.role = role
         #: The instrumented site (e.g. ``run_closed_loop``,
-        #: ``WalFollower.run``, ``ServiceClient._raise_typed``).
+        #: ``WalFollower.run``, ``client._raise_typed``).
         self.site = site
 
 

@@ -239,7 +239,6 @@ def small_entry(rng, epsilon=0.5, version=0):
         answers={"s1"},
         intervals={},
         version=version,
-        dimension=DIMENSION,
     )
 
 

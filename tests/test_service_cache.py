@@ -34,7 +34,6 @@ def entry_from_search(search, query, epsilon, version=0):
         answers=set(result.answers),
         intervals=dict(result.solution_intervals),
         version=version,
-        dimension=2,
     )
 
 
@@ -267,7 +266,6 @@ class TestBatchedApplyWriteParity:
                 intervals=dict(result.solution_intervals),
                 # Every fifth entry lost a race with an earlier writer.
                 version=3 if ordinal % 5 == 4 else 7,
-                dimension=dimension,
             )
             entries[f"q{ordinal}"] = entry
             assert cache.store(f"q{ordinal}", entry, version=entry.version)

@@ -24,8 +24,10 @@ from repro.service import (
     RetryPolicy,
     ServiceClient,
     ServiceError,
+    errors,
 )
 from repro.service.client import TRANSPORT_ERRORS
+from repro.service.errors import decode_error, encode_error
 
 
 def make_client(**kwargs) -> ServiceClient:
@@ -290,6 +292,67 @@ class TestTypedErrorProvenance:
         with plain_http_server(502, b"<html>bad gateway</html>") as url:
             with pytest.raises(ServiceError, match="HTTP 502.*bad gateway") as info:
                 ServiceClient(url, timeout=2.0).healthz()
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+
+#: One instance of every error class, each wire field off its default.
+ERROR_SAMPLES = [
+    errors.ServiceError("boom"),
+    errors.Overloaded("busy", queue_depth=3, capacity=4, retry_after=1.5),
+    errors.DeadlineExceeded("late", timeout=0.25),
+    errors.EngineClosed("closed"),
+    errors.ShardUnavailable("gone", missing_shards=[2, 0]),
+    errors.WriteQuorumFailed("short", shard=1, acks=1, required=2),
+    errors.ReplicaDiverged("split", leader_seq=5, follower_seq=9),
+    errors.SnapshotRequired("truncated", horizon=12, after_seq=3),
+    errors.RepairOverflow("full", backend=2, pending=7, capacity=6),
+    errors.FollowerReadOnly("read-only", leader="http://leader:1"),
+]
+
+
+class TestErrorWireFormat:
+    """``encode_error`` and ``decode_error`` are inverse over the wire."""
+
+    def test_every_error_class_has_a_sample(self):
+        declared = {
+            name
+            for name in errors.__all__
+            if isinstance(getattr(errors, name), type)
+        }
+        assert {type(error).__name__ for error in ERROR_SAMPLES} == declared
+
+    @pytest.mark.parametrize(
+        "error", ERROR_SAMPLES, ids=lambda error: type(error).__name__
+    )
+    def test_round_trip_keeps_type_and_fields(self, error):
+        status, body, _ = encode_error(error, "search")
+        detail = json.loads(json.dumps(body))["error"]
+        decoded = decode_error(status, detail)
+        assert type(decoded) is type(error)
+        for name in type(error).wire_fields:
+            assert getattr(decoded, name) == getattr(error, name), name
+
+    @pytest.mark.parametrize(
+        "status,expected",
+        [
+            (429, errors.Overloaded),
+            (504, errors.DeadlineExceeded),
+            (503, errors.EngineClosed),
+            (410, errors.SnapshotRequired),
+            (403, errors.FollowerReadOnly),
+            (400, ValueError),
+            (404, KeyError),
+            (409, KeyError),
+            (500, ServiceError),
+            (502, ServiceError),
+        ],
+    )
+    def test_a_non_json_body_falls_back_on_the_status(self, status, expected):
+        with plain_http_server(status, b"<html>proxy page</html>") as url:
+            with pytest.raises(Exception) as info:  # noqa: B017 - varies
+                ServiceClient(url, timeout=2.0).healthz()
+        assert type(info.value) is expected
+        assert "proxy page" in str(info.value)
         assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
 

@@ -27,9 +27,9 @@ from repro.core.database import SequenceDatabase
 from repro.core.search import SimilaritySearch
 from repro.service import QueryEngine
 from repro.service.client import RetryPolicy, ServiceClient, _raise_typed
-from repro.service.errors import DeadlineExceeded, Overloaded
+from repro.service.errors import DeadlineExceeded, Overloaded, encode_error
 from repro.service.faults import FaultRule, fault_plan
-from repro.service.http import error_status, request_budget
+from repro.service.http import request_budget
 from repro.util.budget import Deadline, OperationCancelled, deadline_scope
 from repro.util.checks import checking
 
@@ -243,7 +243,8 @@ class TestStatusMapping:
         assert caught.value.timeout == 0.25
 
     def test_deadline_maps_to_504_on_the_wire(self):
-        assert error_status(DeadlineExceeded("late", timeout=0.1), "search") == 504
+        status, _, _ = encode_error(DeadlineExceeded("late", timeout=0.1), "search")
+        assert status == 504
 
     def test_request_budget_takes_the_tighter_bound(self):
         assert request_budget({}, {}) is None

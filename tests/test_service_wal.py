@@ -23,6 +23,8 @@ from repro.service import (
     QueryEngine,
     WalRecord,
     WriteAheadLog,
+    decode_frames,
+    inspect_wal,
     replay_into,
 )
 from repro.service.faults import FaultInjected, FaultRule, fault_plan
@@ -154,6 +156,74 @@ class TestWriteAheadLog:
             wal.append(WalRecord("remove", "a"))
         with pytest.raises(RuntimeError, match="closed"):
             wal.reset()
+
+
+def frame(payload):
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def flip_crc(payload):
+    data = bytearray(frame(payload))
+    data[4] ^= 0x01  # a CRC byte: the payload is intact, its checksum not
+    return bytes(data)
+
+
+#: One damaged final frame per kind the frame walk reports.
+DAMAGE = {
+    "torn header": b"\x07\x00\x00",
+    "overrun length": _HEADER.pack(999, 0) + b"xy",
+    "flipped CRC byte": flip_crc(WalRecord("remove", "z", seq=9).to_payload()),
+    "CRC-valid undecodable payload": frame(b"not json"),
+    "marker with a bad seq": frame(b'{"op":"checkpoint","seq":-1}'),
+}
+
+
+class TestOneFrameBoundary:
+    """Recovery, the tail read, a shipped batch and inspection agree on
+    where a damaged log stops being valid."""
+
+    @pytest.fixture(params=sorted(DAMAGE))
+    def damaged(self, request, tmp_path):
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path, fsync=False)
+        wal.append(WalRecord("insert", "a", points=[[0.1, 0.2]]))
+        wal.append(WalRecord("append", "a", points=[[0.3, 0.4]], length=2))
+        wal.close()
+        intact = read_raw(path)
+        path.write_bytes(intact + DAMAGE[request.param])
+        return path, intact
+
+    def test_the_damage_is_reported(self, damaged):
+        path, intact = damaged
+        inspection = inspect_wal(path)
+        assert inspection.torn
+        assert inspection.entries[-1].error is not None
+        assert inspection.valid_bytes == len(intact)
+        assert [r.seq for r in inspection.records] == [1, 2]
+
+    def test_opening_truncates_to_the_inspected_boundary(self, damaged):
+        path, _ = damaged
+        inspection = inspect_wal(path)
+        wal = WriteAheadLog(path, fsync=False)
+        wal.close()
+        assert path.stat().st_size == inspection.valid_bytes
+        assert tuple(wal.recovered_records) == inspection.records
+
+    def test_the_tail_read_stops_at_the_inspected_boundary(self, damaged):
+        path, _ = damaged
+        damaged_bytes = read_raw(path)
+        wal = WriteAheadLog(path, fsync=False)
+        try:
+            path.write_bytes(damaged_bytes)  # e.g. a concurrent torn append
+            assert tuple(wal.read_from(0)) == inspect_wal(path).records
+        finally:
+            wal.close()
+
+    def test_a_shipped_batch_rejects_the_damage(self, damaged):
+        path, intact = damaged
+        assert len(decode_frames(intact[len(_MAGIC) :])) == 2
+        with pytest.raises(ValueError):
+            decode_frames(read_raw(path)[len(_MAGIC) :])
 
 
 class TestReplay:

@@ -6,7 +6,10 @@ The full durability loop, through the real CLI and real processes:
    (WAL enabled) on a free port;
 2. insert sequences and remove one through :class:`ServiceClient` — each
    acknowledgement means the record is fsynced in the WAL;
-3. ``SIGKILL`` the server (no drain, no checkpoint, no atexit);
+3. ``SIGKILL`` the server (no drain, no checkpoint, no atexit), then
+   ``python -m repro wal-inspect`` the log it left: exit 0 (no torn
+   tail) and one valid record per acknowledged mutation — the read-only
+   inspection agrees with what recovery is about to replay;
 4. restart from the same data directory **without** ``--corpus`` and with
    ``REPRO_CHECK_CONTRACTS=1``, and require every acknowledged mutation
    to be visible;
@@ -38,6 +41,7 @@ from pathlib import Path
 __all__ = ["main"]
 
 _BANNER = re.compile(r"http://([\d.]+):(\d+)")
+_RECORDS = re.compile(r"(\d+) valid record\(s\)")
 
 
 def _generate_corpus(path: Path) -> None:
@@ -80,6 +84,28 @@ def _boot(arguments: list[str], env: dict[str, str]) -> tuple:
         server.kill()
         raise RuntimeError(f"no address banner in: {banner!r}")
     return server, f"http://{match.group(1)}:{match.group(2)}"
+
+
+def _inspect_wal(wal: Path, acknowledged: int, env: dict[str, str]) -> None:
+    """``repro wal-inspect`` must find a clean log of ``acknowledged`` records."""
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "wal-inspect", str(wal)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    if completed.returncode != 0:
+        raise RuntimeError(
+            f"wal-inspect exited {completed.returncode} on the killed "
+            f"server's log:\n{completed.stdout}{completed.stderr}"
+        )
+    match = _RECORDS.search(completed.stdout)
+    if match is None or int(match.group(1)) != acknowledged:
+        raise RuntimeError(
+            f"wal-inspect found {match and match.group(1)} record(s), "
+            f"{acknowledged} mutations were acknowledged:\n{completed.stdout}"
+        )
 
 
 def _stop(server: subprocess.Popen, signum: int, what: str) -> None:
@@ -196,6 +222,7 @@ def main() -> int:
         )
         rng = np.random.default_rng(2000)
         inserted: dict[str, list] = {}
+        acknowledged = 0
         try:
             client = ServiceClient(base_url, timeout=10.0)
             health = client.healthz()
@@ -207,8 +234,10 @@ def main() -> int:
                 sequence_id = f"crash-{ordinal}"
                 client.insert(points, sequence_id=sequence_id)
                 inserted[sequence_id] = points.tolist()
+                acknowledged += 1
             client.remove("crash-1")
             del inserted["crash-1"]
+            acknowledged += 1
             # Every call above returned 200: all three inserts and the
             # remove are acknowledged, hence fsynced in the WAL.
         finally:
@@ -216,6 +245,7 @@ def main() -> int:
             server.wait(timeout=15)
         if server.poll() == 0:
             raise RuntimeError("server survived SIGKILL?")
+        _inspect_wal(data_dir / "wal.log", acknowledged, env)
 
         # Restart purely from the data directory, contracts armed.
         env_checked = dict(env)
@@ -270,7 +300,8 @@ def main() -> int:
         _old_layout_leg(Path(tmp), corpus, env_checked)
 
     print(
-        "crash smoke OK: kill -9 mid-serve, restart from WAL, all "
+        "crash smoke OK: kill -9 mid-serve, wal-inspect counts every "
+        "acknowledged write, restart from WAL, all "
         "acknowledged writes present, search parity with a never-crashed "
         "engine (contracts on); an old-layout snapshot boots with parity "
         "and is checkpointed in the current layout"
