@@ -5,11 +5,13 @@ The coordinator is transport-agnostic: a *backend* is any object exposing
 / ``remove`` with :class:`~repro.service.client.ServiceClient` semantics
 (same payload shapes, same typed errors).  Over the wire that is a
 ``ServiceClient``; in-process it is :class:`LocalBackend`, which wraps a
-:class:`~repro.service.engine.QueryEngine` directly — no sockets — while
-still pushing every payload through a JSON round trip, so results are
-byte-identical to what the HTTP path produces.  Chaos and property tests
-run hundreds of cluster configurations against ``LocalBackend`` in the
-time one real server would take to boot.
+:class:`~repro.service.engine.QueryEngine` directly — no sockets.  Every
+response it returns still passes through a JSON round trip, so results
+are byte-identical to what the HTTP path produces; the points it is
+given do not — they reach the engine as the caller's float64 array,
+which the point codec would return bit for bit anyway.  Chaos and
+property tests run hundreds of cluster configurations against
+``LocalBackend`` in the time one real server would take to boot.
 """
 
 from __future__ import annotations

@@ -98,7 +98,7 @@ from repro.service.errors import (
 )
 from repro.service.faults import inject
 from repro.service.stats import LatencyWindow
-from repro.service.wal import WalRecord
+from repro.service.wal import WalRecord, decode_points
 from repro.util.budget import Deadline
 from repro.util.faults import FaultInjected
 from repro.util.sync import TracedLock
@@ -126,11 +126,6 @@ _HEALTH_FAILURES = (*TRANSPORT_ERRORS, EngineClosed, FaultInjected)
 
 #: Sort rank for ids the coordinator never saw an insert for.
 _UNKNOWN_ORDER = 1 << 62
-
-
-def _listed(points: "npt.ArrayLike") -> list[Any]:
-    """Points as the JSON-ready nested list a write record carries."""
-    return np.asarray(points, dtype=np.float64).tolist()
 
 
 @dataclass(frozen=True)
@@ -538,14 +533,14 @@ class ClusterCoordinator:
                 sequence_id = f"auto-{self._auto_token}-{self._auto_id}"
                 self._auto_id += 1
         self._replicated_write(
-            WalRecord("insert", sequence_id, points=_listed(points))
+            WalRecord("insert", sequence_id, points=decode_points(points))
         )
         return sequence_id
 
     def append(self, sequence_id: object, points: "npt.ArrayLike") -> object:
         """Extend a stored sequence on every replica of its shard."""
         self._replicated_write(
-            WalRecord("append", sequence_id, points=_listed(points))
+            WalRecord("append", sequence_id, points=decode_points(points))
         )
         return sequence_id
 
@@ -560,7 +555,9 @@ class ClusterCoordinator:
 
         Both the live fan-out and the repair drain go through here, so a
         replica that missed a write is caught up with exactly the call
-        it missed.
+        it missed.  The record holds the caller's rows as a read-only
+        float64 array: a ``LocalBackend`` takes it as is, a
+        ``ServiceClient`` encodes it once per replica.
         """
         if record.op == "insert":
             return backend.insert(record.points, sequence_id=record.sequence_id)

@@ -20,20 +20,14 @@ timeout is clamped to the remaining budget, each (re)send rewrites the
 body ``timeout`` to what is left and mirrors it in an ``X-Repro-Budget``
 header, and retry backoff sleeps spend from the same budget.  A request
 whose budget runs out between attempts raises :class:`DeadlineExceeded`
-locally rather than dispatching work no caller will wait for.
+locally instead of dispatching work nobody waits for.
 
-One optional resilience layer wraps the transport, a
-:class:`RetryPolicy`: exponential backoff with *full jitter* (AWS-style:
-each delay is uniform in ``[0, cap]``, decorrelating synchronized
-clients), never shorter than the server's ``Retry-After``.  Only
-*idempotent reads* (``healthz``, ``stats``, ``search``, ``knn``) are
-retried, and only on typed-retryable failures: :class:`Overloaded` (the
-server shed the request before doing work) and transport-level errors
-(connection refused/reset, dropped responses, socket timeouts).  Writes
-are never retried — an ``insert`` whose response was dropped may have
-been applied, and blind replay would turn one mutation into two.
-Whether a peer is *down* is not the client's call: in a cluster that is
-:class:`~repro.cluster.health.HealthTracker`'s.
+An optional :class:`RetryPolicy` retries *idempotent reads* only
+(``healthz``, ``stats``, ``search``, ``knn``), on :class:`Overloaded` (shed
+before any work) and transport errors, with full-jitter backoff floored at
+the server's ``Retry-After``.  Writes are never retried: an ``insert``
+whose reply was dropped may have been applied.  Whether a peer is *down*
+is :class:`~repro.cluster.health.HealthTracker`'s call, not the client's.
 
 Counters surface through :meth:`ServiceClient.transport_stats`.
 """
@@ -50,14 +44,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, TypedDict, cast
 from urllib.parse import urlsplit
 
-import numpy as np
-
 from repro.service.errors import (
     DeadlineExceeded,
     Overloaded,
     ServiceError,
     decode_error,
 )
+from repro.service.wal import encode_points
 from repro.util.budget import Deadline
 from repro.util.errtrace import translated
 from repro.util.rng import ensure_rng
@@ -65,6 +58,7 @@ from repro.util.sync import TracedLock
 from repro.util.validation import check_threshold
 
 if TYPE_CHECKING:
+    import numpy as np
     import numpy.typing as npt
 
     #: Anything with a ``uniform(low, high) -> float``-like method; in
@@ -311,13 +305,11 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
         """Liveness probe: status, degraded flag, counts, snapshot version."""
-        reply = self._request("GET", "/healthz")
-        return dict(reply)
+        return dict(self._request("GET", "/healthz"))
 
     def stats(self) -> EngineStatsPayload:
         """The engine's full metrics block (see :class:`EngineStatsPayload`)."""
-        reply = self._request("GET", "/stats")
-        return cast(EngineStatsPayload, dict(reply))
+        return cast(EngineStatsPayload, dict(self._request("GET", "/stats")))
 
     def search(
         self,
@@ -331,14 +323,13 @@ class ServiceClient:
         cache outcome, per-id intervals keyed by ``str(sequence_id)``)."""
         epsilon = check_threshold(epsilon)
         body: dict[str, Any] = {
-            "points": self._point_list(points),
+            "points": encode_points(points),
             "epsilon": epsilon,
             "find_intervals": find_intervals,
         }
         if timeout is not None:
             body["timeout"] = timeout
-        reply = self._request("POST", "/search", body)
-        return dict(reply)
+        return dict(self._request("POST", "/search", body))
 
     def knn(
         self,
@@ -348,7 +339,7 @@ class ServiceClient:
         timeout: float | None = None,
     ) -> list[tuple[float, object]]:
         """The ``k`` nearest sequences as ``(distance, sequence_id)``."""
-        body: dict[str, Any] = {"points": self._point_list(points), "k": k}
+        body: dict[str, Any] = {"points": encode_points(points), "k": k}
         if timeout is not None:
             body["timeout"] = timeout
         payload = self._request("POST", "/knn", body)
@@ -366,27 +357,19 @@ class ServiceClient:
         not applied, and replaying it could raise a spurious 409 or —
         with a server-assigned id — store the sequence twice.
         """
-        body: dict[str, Any] = {"points": self._point_list(points)}
+        body: dict[str, Any] = {"points": encode_points(points)}
         if sequence_id is not None:
             body["sequence_id"] = sequence_id
         return self._request("POST", "/insert", body)["sequence_id"]
 
     def append(self, sequence_id: object, points: npt.ArrayLike) -> dict:
         """Extend a stored sequence with new points (never retried)."""
-        reply = self._request(
-            "POST",
-            "/append",
-            {
-                "sequence_id": sequence_id,
-                "points": self._point_list(points),
-            },
-        )
-        return dict(reply)
+        body = {"sequence_id": sequence_id, "points": encode_points(points)}
+        return dict(self._request("POST", "/append", body))
 
     def remove(self, sequence_id: object) -> dict:
         """Remove a sequence from subsequent snapshots (never retried)."""
-        reply = self._request("POST", "/remove", {"sequence_id": sequence_id})
-        return dict(reply)
+        return dict(self._request("POST", "/remove", {"sequence_id": sequence_id}))
 
     # ------------------------------------------------------------------
     # Replication (the follower's view of a leader)
@@ -410,15 +393,13 @@ class ServiceClient:
         body: dict[str, Any] = {"after_seq": after_seq, "limit": limit}
         if snapshot_version is not None:
             body["snapshot_version"] = snapshot_version
-        reply = self._request("POST", "/wal/tail", body)
-        return dict(reply)
+        return dict(self._request("POST", "/wal/tail", body))
 
     def export_sequences(self, *, include_points: bool = True) -> dict:
         """The server's full corpus export (``GET /sequences``), for resync.
 
-        The HTTP endpoint always ships the complete corpus with points;
-        ``include_points`` exists to match the
-        :class:`~repro.service.follower.ReplicationLeader` protocol and is
+        The endpoint always ships points; ``include_points`` (from the
+        :class:`~repro.service.follower.ReplicationLeader` protocol) is
         applied client-side.
         """
         reply = dict(self._request("GET", "/sequences"))
@@ -457,14 +438,6 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    @staticmethod
-    def _point_list(points: npt.ArrayLike) -> list:
-        array = np.asarray(points, dtype=np.float64)
-        listed = array.tolist()
-        if not isinstance(listed, list):
-            raise ValueError("points must be a 1-D or 2-D array")
-        return listed
-
     def _request(
         self, method: str, path: str, body: dict | None = None
     ) -> Any:

@@ -98,7 +98,9 @@ from repro.service.wal import (
     DurabilityConfig,
     WalRecord,
     WriteAheadLog,
+    decode_points,
     encode_frames,
+    encode_points,
     replay_into,
 )
 from repro.util.budget import (
@@ -525,7 +527,7 @@ class QueryEngine:
             "insert",
             lambda db: db.add(points, sequence_id=sequence_id),
             lambda db, sid: [
-                WalRecord("insert", sid, points=db.sequence(sid).points.tolist())
+                WalRecord("insert", sid, points=db.sequence(sid).points)
             ],
         )
 
@@ -537,13 +539,11 @@ class QueryEngine:
             return sequence_id
 
         def log(db: SequenceDatabase, sid: object) -> list[WalRecord]:
-            import numpy as np
-
             return [
                 WalRecord(
                     "append",
                     sid,
-                    points=np.asarray(points, dtype=np.float64).tolist(),
+                    points=decode_points(points),
                     length=len(db.sequence(sid)),
                 )
             ]
@@ -760,7 +760,8 @@ class QueryEngine:
         consistent and never blocks writers.  Returns
         ``{"snapshot_version", "dimension", "sequences": [...]}`` where
         each sequence carries ``id``, ``length`` and (with
-        ``include_points``) its raw point rows.  On a durable leader the
+        ``include_points``) its points, encoded by
+        :func:`~repro.service.wal.encode_points`.  On a durable leader the
         returned ``snapshot_version`` equals the WAL seq covering this
         state, so a follower that restores the export can resume tailing
         from exactly that cursor.  ``include_points=False`` gives a cheap
@@ -780,7 +781,7 @@ class QueryEngine:
                 entry = {
                     "id": sid,
                     "length": len(sequence),
-                    "points": sequence.points.tolist(),
+                    "points": encode_points(sequence.points),
                 }
             else:
                 entry = {"id": sid, "length": len(sequence)}
@@ -798,7 +799,8 @@ class QueryEngine:
         cannot catch up (cursor behind the leader's horizon, or
         divergence).  One replacing :meth:`_commit`: a fresh database is
         built from ``sequences`` (each ``{"id", "points"}`` as produced
-        by :meth:`export_sequences`) and, on a durable engine,
+        by :meth:`export_sequences`; nested-list ``points`` still read)
+        and, on a durable engine,
         checkpointed *before* publication — the old WAL is reset to the
         new version — so a crash right after the resync recovers the
         restored state.  Returns the number of sequences restored.
@@ -813,7 +815,7 @@ class QueryEngine:
                         "carries no points (was it taken with "
                         "include_points=False?)"
                     )
-                db.add(points, sequence_id=entry["id"])
+                db.add(decode_points(points), sequence_id=entry["id"])
             return len(sequences)
 
         return self._commit("restore", mutate, None, repair=True)

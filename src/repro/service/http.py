@@ -3,32 +3,12 @@
 One small :class:`~http.server.ThreadingHTTPServer` exposing the engine's
 operations as JSON endpoints — no web framework, no third-party
 dependency, suitable for experiments and smoke tests rather than the open
-internet:
-
-==========  ======  ====================================================
-route       method  body / response
-==========  ======  ====================================================
-/healthz    GET     liveness: ``{"status": "ok", ...}`` plus durability
-                    lag (``wal_records``, ``last_checkpoint_version``)
-                    and, in follower mode, a ``replication`` block with
-                    the applied cursor and lag
-/stats      GET     the engine's :meth:`QueryEngine.stats` block
-/sequences  GET     full corpus export for snapshot resync
-                    (:meth:`QueryEngine.export_sequences`)
-/search     POST    ``{"points", "epsilon", "find_intervals"?, "timeout"?}``
-/knn        POST    ``{"points", "k", "timeout"?}``
-                    (both honour an ``X-Repro-Budget`` header: the
-                    effective serving deadline is the *smaller* of body
-                    timeout and header budget)
-/insert     POST    ``{"points", "sequence_id"?}``
-/append     POST    ``{"sequence_id", "points"}``
-/remove     POST    ``{"sequence_id"}``
-/restore    POST    ``{"sequences": [export entries]}`` — replace the
-                    corpus with an exported one (cluster resync)
-/wal/tail   POST    ``{"after_seq", "snapshot_version"?, "limit"?}`` —
-                    the log-shipping handshake plus a CRC-framed batch
-                    (:meth:`QueryEngine.wal_tail`)
-==========  ======  ====================================================
+internet.  The routes are :class:`ServiceHandler`'s ``get_routes`` /
+``post_routes``, their bodies tabled in ``docs/service.md``: the reads
+(``/search``, ``/knn``, ``/healthz``, ``/stats``), the writes
+(``/insert``, ``/append``, ``/remove``) and the replication routes
+(``GET /sequences``, ``/restore``, ``/wal/tail``).  Every ``"points"``
+field is read by :func:`~repro.service.wal.decode_points`.
 
 A failed request is answered by
 :func:`~repro.service.errors.encode_error`: each typed serving error
@@ -40,12 +20,10 @@ unknown id 404 — and every error body is ``{"error": {"type",
 turns back into the typed exception on the client.
 
 A server given a :class:`~repro.service.follower.WalFollower` runs in
-**follower mode**: ``/insert``/``/append``/``/remove`` are rejected with
-:class:`FollowerReadOnly` (state advances only through log shipping —
-a direct write would fork the follower's history from its leader's WAL)
-while every read route keeps serving, and ``/healthz`` gains the
-follower's replication status so the cluster layer can route
-bounded-staleness reads by lag.
+**follower mode**: every write route is rejected with
+:class:`FollowerReadOnly` (a direct write would fork its history from the
+leader's WAL), reads keep serving, and ``/healthz`` gains the follower's
+replication status, so the cluster layer can route reads by lag.
 
 The handler/server split is reusable: :class:`JsonRequestHandler` carries
 the JSON plumbing (body parsing, typed error mapping, drain-aware
@@ -59,13 +37,10 @@ reply that leaves it unread — bad ``Content-Length``, the draining 503 —
 says ``Connection: close``); a socket idle, or stalled mid-body
 (``dropped_responses``), for ``JsonRequestHandler.timeout`` s is hung up on.
 
-Shutdown is graceful: :meth:`DrainingHTTPServer.drain` waits for
-in-flight requests to finish (new requests on kept-alive connections are
-answered with a typed 503 once draining starts), so a request racing
-SIGTERM gets a real response — a result or ``EngineClosed`` — never a
-connection reset; it then closes the idle kept-alive connections, so no
-client stays parked on a handler of a closed engine.  ``repro serve
---drain-timeout`` wires this into the CLI via :func:`shutdown_gracefully`.
+Shutdown is graceful (:func:`shutdown_gracefully`, ``repro serve
+--drain-timeout``): a request racing SIGTERM gets a real response — a
+result, a typed 503 or ``EngineClosed`` — never a connection reset, and
+no client stays parked on a handler of a closed engine.
 
 Sequence ids survive the JSON round trip when they are strings, numbers,
 booleans or null; solution-interval maps are keyed by ``str(sequence_id)``
@@ -87,6 +62,7 @@ import numpy as np
 from repro.service.engine import QueryEngine, ServiceResponse
 from repro.service.errors import EngineClosed, FollowerReadOnly, encode_error
 from repro.service.faults import inject
+from repro.service.wal import decode_points
 from repro.util.errtrace import record_propagated
 from repro.util.sync import TracedLock
 from repro.util.validation import check_threshold
@@ -119,8 +95,8 @@ def required_field(body: dict, name: str) -> Any:
 
 
 def read_points(body: dict) -> np.ndarray:
-    """The request's point array as float64."""
-    return np.asarray(required_field(body, "points"), dtype=np.float64)
+    """The request's ``points``, via :func:`decode_points`."""
+    return decode_points(required_field(body, "points"))
 
 
 def request_budget(headers: Any, body: dict | None) -> float | None:
@@ -151,14 +127,6 @@ def request_budget(headers: Any, body: dict | None) -> float | None:
     return min(candidates) if candidates else None
 
 
-def _intervals_payload(result_intervals: dict) -> dict[str, list]:
-    """Solution intervals as a JSON object keyed by ``str(sequence_id)``."""
-    return {
-        str(sid): [[start, stop] for start, stop in interval.intervals]
-        for sid, interval in result_intervals.items()
-    }
-
-
 def healthz_payload(
     engine: QueryEngine, follower: "WalFollower | None" = None
 ) -> dict:
@@ -174,14 +142,8 @@ def healthz_payload(
     the cluster layer can route bounded-staleness reads by ``lag``.
     """
     degraded = engine.degraded
-    if engine.closed:
-        status = "closed"
-    elif degraded:
-        status = "degraded"
-    else:
-        status = "ok"
     payload = {
-        "status": status,
+        "status": "closed" if engine.closed else "degraded" if degraded else "ok",
         "degraded": degraded,
         "sequences": len(engine),
         "dimension": engine.dimension,
@@ -214,7 +176,10 @@ def search_payload(
         },
     }
     if find_intervals:
-        payload["intervals"] = _intervals_payload(result.solution_intervals)
+        payload["intervals"] = {
+            str(sid): [[start, stop] for start, stop in interval.intervals]
+            for sid, interval in result.solution_intervals.items()
+        }
     return payload
 
 

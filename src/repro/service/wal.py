@@ -16,7 +16,15 @@ record is ``<u32 length><u32 crc32(payload)><payload>`` (little-endian),
 the payload being one UTF-8 JSON object::
 
     {"op": "insert"|"append"|"remove", "id": [type, repr],
-     "points": ..., "seq": N}
+     "points": {"shape": [n, d], "f8": "<base64>"}, "seq": N}
+
+**The point codec.**  Every JSON boundary a point array crosses — this
+log, shipped batches, the HTTP routes, the export — carries it as above:
+little-endian float64 bytes, row-major, in base64, beside the shape
+(:func:`encode_points`).  :func:`decode_points` reads that form or the
+nested list older logs and ``curl`` bodies carry (for one release),
+and refuses a shape that is not 1-D or 2-D, a byte count that does not
+match it, bad base64, unknown keys and NaN or ±inf.
 
 **Sequence numbers.**  Every appended record is stamped with a monotonic
 ``seq`` (1-based, per log file).  Seqs survive checkpoint truncation: a
@@ -32,14 +40,10 @@ the horizon can no longer catch up by tailing (it needs a snapshot
 resync).  Logs written before seqs existed load fine: their records are
 assigned positional seqs ``1..n`` with horizon 0.
 
-**Log shipping.**  :meth:`WriteAheadLog.read_from` re-reads the file and
-returns the records after a given seq — lock-free, like
-:func:`inspect_wal`, so a follower tailing a live leader never blocks its
-writer; a half-written concurrent append shows up as a torn tail and
-simply ends the batch early.  :func:`encode_frames` /
-:func:`decode_frames` re-use the on-disk CRC framing as the wire format
-for shipped batches, so a follower verifies every shipped record with the
-same checksum that protects it on disk.
+**Log shipping.**  :meth:`WriteAheadLog.read_from` returns the records
+after a given seq without blocking the writer; :func:`encode_frames` /
+:func:`decode_frames` ship them in the on-disk CRC framing, so a follower
+verifies every record with the checksum that protects it on disk.
 
 **One frame walk.**  Every reader — recovery on open, the tail read, a
 shipped batch and :func:`inspect_wal` — is a loop over one walk that
@@ -66,7 +70,10 @@ extension is recognised and skipped.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 import os
 import struct
 import zlib
@@ -75,10 +82,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.util.faults import inject
 from repro.util.sync import TracedLock
 
 if TYPE_CHECKING:
+    import numpy.typing as npt
+
     from repro.core.database import SequenceDatabase
 
 __all__ = [
@@ -88,7 +99,9 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "decode_frames",
+    "decode_points",
     "encode_frames",
+    "encode_points",
     "inspect_wal",
     "replay_into",
 ]
@@ -103,55 +116,100 @@ _HEADER = struct.Struct("<II")
 _CHECKPOINT_OP = "checkpoint"
 
 
-@dataclass(frozen=True)
+#: The keys of an encoded point array.
+_POINT_KEYS = {"shape", "f8"}
+
+
+def encode_points(points: "npt.ArrayLike") -> dict[str, Any]:
+    """``{"shape": [n, d], "f8": base64 of little-endian float64, row-major}``."""
+    data = np.ascontiguousarray(points, dtype="<f8")
+    return {"shape": list(data.shape), "f8": base64.b64encode(data.tobytes()).decode()}
+
+
+def decode_points(value: Any) -> "npt.NDArray[np.float64]":
+    """A read-only float64 point array from either wire form, or any array.
+
+    Breaking a decode rule (module docstring) is a ``ValueError``.  A
+    read-only float64 array is returned as is; anything else is copied.
+    """
+    if isinstance(value, dict):
+        shape = value.get("shape")
+        if set(value) != _POINT_KEYS or not isinstance(shape, list) or any(
+            type(size) is not int or size < 0 for size in shape
+        ):
+            raise ValueError(f"points need f8 and a shape list only: {value!r:.60}")
+        try:
+            data = base64.b64decode(value["f8"], validate=True)
+        except (binascii.Error, TypeError) as error:
+            raise ValueError(f"encoded points carry no base64: {error}") from error
+        if len(data) != 8 * math.prod(shape):
+            raise ValueError(f"{len(data)} bytes are not float64 points of {shape}")
+        array = np.frombuffer(data, dtype="<f8").reshape(shape)
+    elif (
+        isinstance(value, np.ndarray)
+        and value.dtype == np.float64
+        and not value.flags.writeable
+    ):
+        array = value
+    else:
+        array = np.array(value, dtype=np.float64)
+        array.flags.writeable = False
+    if array.ndim not in (1, 2):
+        raise ValueError(f"points must be a 1-D or 2-D array, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError("points must be finite (no NaN or infinity)")
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class WalRecord:
     """One logged mutation.
 
-    ``points`` is a nested list (JSON-ready) for ``insert``/``append`` and
-    ``None`` for ``remove``; ``length`` is the post-append point count used
-    to make ``append`` replay idempotent.  ``seq`` is the log-assigned
-    monotonic sequence number (``None`` until :meth:`WriteAheadLog.append`
-    stamps it — each log stamps its own seq space, so records shipped from
-    another log are re-stamped locally).  ``replica`` optionally tags the
-    record with a backend index (the cluster repair journal uses it to
-    address one queued op to one replica); :func:`replay_into` ignores it.
+    ``points`` is a read-only float64 array for ``insert``/``append``
+    (:func:`decode_points` normalises what is passed) and ``None`` for
+    ``remove``; records are equal when their fields are and their points
+    bit-identical.  ``length`` is the post-append point count used to
+    make ``append`` replay idempotent.
+    ``seq`` is the log-assigned monotonic sequence number (``None`` until
+    :meth:`WriteAheadLog.append` stamps it — each log stamps its own seq
+    space, so records shipped from another log are re-stamped locally).
+    ``replica`` optionally tags the record with a backend index (the
+    cluster repair journal uses it to address one queued op to one
+    replica); :func:`replay_into` ignores it.
     """
 
     op: str
     sequence_id: object
-    points: list[Any] | None = None
+    points: "npt.NDArray[np.float64] | None" = None
     length: int | None = None
     seq: int | None = None
     replica: int | None = None
 
     def __post_init__(self) -> None:
         if self.op not in ("insert", "append", "remove"):
-            raise ValueError(
-                f"op must be insert/append/remove, got {self.op!r}"
-            )
-        if not isinstance(self.sequence_id, (str, int)) or isinstance(
-            self.sequence_id, bool
-        ):
-            raise TypeError(
-                "only str/int sequence ids can be logged durably, got "
-                f"{type(self.sequence_id).__name__}"
-            )
-        if self.seq is not None and (
-            not isinstance(self.seq, int)
-            or isinstance(self.seq, bool)
-            or self.seq < 1
-        ):
-            raise ValueError(
-                f"seq must be a positive int or None, got {self.seq!r}"
-            )
-        if self.replica is not None and (
-            not isinstance(self.replica, int)
-            or isinstance(self.replica, bool)
-            or self.replica < 0
-        ):
-            raise ValueError(
-                f"replica must be an int >= 0 or None, got {self.replica!r}"
-            )
+            raise ValueError(f"op must be insert/append/remove, got {self.op!r}")
+        kind = type(self.sequence_id)
+        if not issubclass(kind, (str, int)) or kind is bool:
+            raise TypeError(f"logged sequence ids must be str/int: {kind.__name__}")
+        for name, least in (("seq", 1), ("replica", 0)):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < least):
+                raise ValueError(f"{name} must be None or an int >= {least}: {value!r}")
+        if self.points is not None:
+            object.__setattr__(self, "points", decode_points(self.points))
+
+    def _key(self) -> tuple[object, ...]:
+        points = self.points
+        rows = None if points is None else (points.shape, points.tobytes())
+        return (self.op, self.sequence_id, rows, self.length, self.seq, self.replica)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WalRecord):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_payload(self) -> bytes:
         """Serialise to the on-disk JSON payload."""
@@ -160,13 +218,10 @@ class WalRecord:
             "id": [type(self.sequence_id).__name__, str(self.sequence_id)],
         }
         if self.points is not None:
-            body["points"] = self.points
-        if self.length is not None:
-            body["length"] = self.length
-        if self.seq is not None:
-            body["seq"] = self.seq
-        if self.replica is not None:
-            body["replica"] = self.replica
+            body["points"] = encode_points(self.points)
+        for name in ("length", "seq", "replica"):
+            if getattr(self, name) is not None:
+                body[name] = getattr(self, name)
         return json.dumps(body, separators=(",", ":")).encode("utf-8")
 
     @classmethod
@@ -176,7 +231,7 @@ class WalRecord:
 
     @classmethod
     def from_body(cls, body: Any) -> "WalRecord":
-        """Rebuild a record from its parsed JSON payload."""
+        """Rebuild a record from its parsed JSON payload (either point form)."""
         type_name, raw = body["id"]
         sequence_id: object = int(raw) if type_name == "int" else raw
         return cls(

@@ -317,7 +317,8 @@ class TestRepairJournal:
         assert reopened.pending() == {1: 2}
         entry = reopened.peek(1)
         assert (entry.op, entry.sequence_id) == ("insert", "a")
-        assert entry.points == [[0.1, 0.2]]
+        assert entry.points.tobytes() == np.array([[0.1, 0.2]]).tobytes()
+        assert entry.points.shape == (1, 2)
         reopened.ack(1, entry)
         reopened.close()
 

@@ -968,7 +968,7 @@ class TestConnectionLifecycle:
 
     def test_reply_larger_than_the_write_buffer(self, rng):
         """A body past the 8 KiB buffer arrives whole, and promptly."""
-        engine = QueryEngine(build_database(rng, count=40), workers=1)
+        engine = QueryEngine(build_database(rng, count=60), workers=1)
         server, client = start_server(engine)
         try:
             timings = []
@@ -976,7 +976,7 @@ class TestConnectionLifecycle:
                 started = time.perf_counter()
                 export = client.export_sequences()
                 timings.append(time.perf_counter() - started)
-            assert len(export["sequences"]) == 40
+            assert len(export["sequences"]) == 60
             assert len(json.dumps(export)) > 3 * 8192
             assert client.transport_stats()["connections_opened"] == 1
             assert sorted(timings)[len(timings) // 2] < 0.030

@@ -656,6 +656,7 @@ class TestWalFilePermanence:
         os.stat(path)
         recovered = WriteAheadLog(path)
         [record] = recovered.recovered_records
-        assert record.points == points
+        assert record.points.tobytes() == np.array(points).tobytes()
+        assert record.points.shape == (5, 2)
         recovered.close()
         wal.close()

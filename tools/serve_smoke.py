@@ -6,7 +6,9 @@ and ``/stats`` through :class:`repro.service.client.ServiceClient` — every
 call over one kept-alive connection — checks that the repeated search was
 an exact cache hit that never queued (one queue-wait sample for the pair,
 the miss's), that the adaptive admission limit sits at its ceiling with
-nothing shed and ``degraded`` false, then sends SIGINT *with that
+nothing shed and ``degraded`` false, that a query posted as a nested list
+(raw ``http.client``) and again in the point codec's form gets the same
+answers and intervals, then sends SIGINT *with that
 connection still parked* and requires a clean exit with the shutdown
 banner: the drain must close what it parked.  The whole serve path a user
 would touch, end to end, in a few seconds.
@@ -18,6 +20,8 @@ Usage::
 
 from __future__ import annotations
 
+import http.client
+import json
 import re
 import signal
 import subprocess
@@ -25,6 +29,13 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
+    import numpy.typing as npt
+
+    from repro.service.client import ServiceClient
 
 __all__ = ["main"]
 
@@ -51,6 +62,41 @@ def _generate_corpus(path: Path) -> None:
     )
     if completed.returncode != 0:
         raise RuntimeError(f"corpus generation failed:\n{completed.stderr}")
+
+
+def _check_list_form(
+    host: str, port: int, client: ServiceClient, query: npt.NDArray[np.float64]
+) -> None:
+    """A nested-list body (raw ``http.client``) answers like the codec form.
+
+    The list form is read for one release; the codec form ``ServiceClient``
+    sends must decode to the same bits, so the second search is an exact
+    cache hit with the same answers and intervals.
+    """
+    connection = http.client.HTTPConnection(host, port, timeout=10.0)
+    try:
+        body = {"points": query.tolist(), "epsilon": 0.5, "find_intervals": True}
+        connection.request(
+            "POST",
+            "/search",
+            json.dumps(body).encode(),
+            {"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        listed = json.loads(response.read())
+        if response.status != 200:
+            raise RuntimeError(f"list-form /search failed: {listed}")
+    finally:
+        connection.close()
+    encoded = client.search(query, 0.5, find_intervals=True)
+    if (
+        encoded["answers"] != listed["answers"]
+        or encoded["intervals"] != listed["intervals"]
+        or encoded["cache"] != "hit"
+    ):
+        raise RuntimeError(
+            f"list and codec forms disagree: {listed} vs {encoded}"
+        )
 
 
 def main() -> int:
@@ -132,6 +178,7 @@ def main() -> int:
                 or client.healthz()["degraded"] is not False
             ):
                 raise RuntimeError(f"admission cut at smoke load: {admission}")
+            _check_list_form(host, port, client, rng.random((20, dimension)))
             transport = client.transport_stats()
             if transport["connections_opened"] != 1:
                 raise RuntimeError(f"calls did not share a connection: {transport}")
@@ -155,7 +202,8 @@ def main() -> int:
     print(
         "serve smoke OK: /healthz, /search (pooled miss, then a hit on the "
         "handler thread), /stats over one connection, admission limit at "
-        "its ceiling, clean SIGINT shutdown with it parked"
+        "its ceiling, list and codec point forms agree, clean SIGINT "
+        "shutdown with it parked"
     )
     return 0
 
