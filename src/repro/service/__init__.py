@@ -20,7 +20,8 @@ subsystem:
 * :mod:`repro.service.http` / :mod:`repro.service.client` — a stdlib-only
   HTTP JSON endpoint (``python -m repro serve``) with graceful drain on
   shutdown, and a client with an optional :class:`RetryPolicy` (full-jitter
-  backoff honouring ``Retry-After``, idempotent reads only).
+  backoff honouring ``Retry-After``, idempotent reads only); both read
+  header blocks with :mod:`repro.service.headers`.
 * :mod:`repro.service.errors` — typed serving failures (:class:`Overloaded`,
   :class:`DeadlineExceeded`, :class:`EngineClosed`).
 * :mod:`repro.service.follower` — WAL log-shipping replication: a
@@ -53,12 +54,14 @@ from repro.service.errors import (
     DeadlineExceeded,
     EngineClosed,
     FollowerReadOnly,
+    HeadersTooLarge,
     Overloaded,
     RepairOverflow,
     ReplicaDiverged,
     ServiceError,
     ShardUnavailable,
     SnapshotRequired,
+    UnsupportedMethod,
     WriteQuorumFailed,
 )
 from repro.service.faults import FaultRule, fault_plan
@@ -85,6 +88,7 @@ __all__ = [
     "EpsilonCache",
     "FaultRule",
     "FollowerReadOnly",
+    "HeadersTooLarge",
     "LatencyWindow",
     "Overloaded",
     "QueryEngine",
@@ -99,6 +103,7 @@ __all__ = [
     "ServiceStats",
     "ShardUnavailable",
     "SnapshotRequired",
+    "UnsupportedMethod",
     "WalEntryInfo",
     "WalFollower",
     "WalInspection",

@@ -43,7 +43,7 @@ from repro.util.validation import check_threshold
 if TYPE_CHECKING:
     from repro.core.partitioning import PartitionedSequence
 
-__all__ = ["CacheEntry", "EpsilonCache", "query_fingerprint"]
+__all__ = ["CacheEntry", "EpsilonCache", "ReplySlot", "query_fingerprint"]
 
 
 def query_fingerprint(points: np.ndarray) -> str:
@@ -54,6 +54,27 @@ def query_fingerprint(points: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+class ReplySlot:
+    """What an exact hit on one published entry serves, filled on first use.
+
+    The one part of a :class:`CacheEntry` written after publication.
+    Every value is a pure function of the entry and of the snapshot its
+    ``version`` names, so two threads racing to fill a key compute the
+    same value and either write is right.  A write never copies a slot:
+    :meth:`EpsilonCache.apply_write` publishes a new entry with an empty
+    one, so nothing here outlives the result sets it was derived from.
+    """
+
+    __slots__ = ("bodies", "order")
+
+    def __init__(self) -> None:
+        #: ``(candidates, answers)`` in database order.
+        self.order: tuple[tuple[object, ...], tuple[object, ...]] | None = None
+        #: Encoded ``/search`` reply bodies by
+        #: ``(snapshot_version, find_intervals)``.
+        self.bodies: dict[tuple[int, bool], bytes] = {}
+
+
 @dataclass
 class CacheEntry:
     """One cached search: the query's partition plus exact result sets.
@@ -61,7 +82,8 @@ class CacheEntry:
     ``candidates``/``answers``/``intervals`` are exact for the snapshot
     identified by ``version`` at threshold ``epsilon`` — the patching in
     :meth:`EpsilonCache.apply_write` maintains that invariant across
-    snapshot swaps.
+    snapshot swaps.  ``reply`` holds what exact hits derive from them
+    (:class:`ReplySlot`).
     """
 
     query_partition: PartitionedSequence
@@ -71,6 +93,7 @@ class CacheEntry:
     answers: set = field(default_factory=set)
     intervals: dict[object, IntervalSet] = field(default_factory=dict)
     version: int = 0
+    reply: ReplySlot = field(default_factory=ReplySlot, compare=False, repr=False)
 
 
 def _published(entry: CacheEntry, site: str) -> CacheEntry:
@@ -81,8 +104,9 @@ def _published(entry: CacheEntry, site: str) -> CacheEntry:
     publication: any later in-place patching of a shared entry (the bug
     shape :meth:`EpsilonCache.apply_write` exists to avoid) raises
     :class:`~repro.util.freeze.FrozenWriteViolation` instead of silently
-    corrupting readers still holding the entry.  The disabled path
-    returns the entry untouched.
+    corrupting readers still holding the entry.  The ``reply`` slot stays
+    writable: hits fill it after publication.  The disabled path returns
+    the entry untouched.
     """
     if not FREEZE.on:
         return entry

@@ -10,7 +10,9 @@ only once its reply was read in full and did not say ``close``, and a
 parked socket found readable (EOF, stray bytes) is discarded.  A *read*
 that dies on a reused connection before a status line arrives is sent once
 more on a fresh one (``reconnects``); a *write* is never sent twice.
-A request goes out in one send, its header block and body together.
+A request goes out in one send, its header block and body together, and
+a reply's header block is read by
+:func:`~repro.service.headers.read_headers`, not the e-mail parser.
 Thread-safe; :meth:`ServiceClient.close` (or ``with``) closes what is parked.
 
 A ``search``/``knn`` call given a ``timeout`` treats it as an
@@ -50,6 +52,7 @@ from repro.service.errors import (
     ServiceError,
     decode_error,
 )
+from repro.service.headers import read_headers
 from repro.service.wal import encode_points
 from repro.util.budget import Deadline
 from repro.util.errtrace import translated
@@ -207,13 +210,51 @@ class RetryPolicy:
         return chosen if retry_after is None else max(chosen, retry_after)
 
 
+class _Response(http.client.HTTPResponse):
+    """A reply whose header block is read by :func:`read_headers`.
+
+    :meth:`begin` is the stdlib's, except that the headers are not handed
+    to :mod:`email.parser`: the framing rules (``100`` interim replies
+    skipped, ``Content-Length``, chunked bodies, when the connection
+    closes) are the same, and ``getheader`` works as before.
+    """
+
+    def begin(self) -> None:
+        version, status, reason = self._read_status()  # type: ignore[attr-defined]
+        while status == http.client.CONTINUE:
+            read_headers(self.fp)
+            version, status, reason = self._read_status()  # type: ignore[attr-defined]
+        if not version.startswith("HTTP/1."):
+            raise http.client.UnknownProtocol(version)  # error-ok: the stdlib begin's transport error, one of TRANSPORT_ERRORS
+        self.code = self.status = status
+        self.reason = reason.strip()
+        self.version = 10 if version == "HTTP/1.0" else 11
+        self.headers = self.msg = read_headers(self.fp)  # type: ignore[assignment]
+        encoding = self.headers.get("Transfer-Encoding") or ""
+        self.chunked = encoding.lower() == "chunked"
+        self.chunk_left = None
+        self.will_close = self._check_close()  # type: ignore[attr-defined]
+        self.length = None
+        length = self.headers.get("Content-Length")
+        if length and not self.chunked and length.isdecimal():
+            self.length = int(length)
+        head_only = self._method == "HEAD"  # type: ignore[attr-defined]
+        if status in (204, 304) or status < 200 or head_only:
+            self.length = 0
+        if not (self.will_close or self.chunked) and self.length is None:
+            self.will_close = True
+
+
 class _Connection(http.client.HTTPConnection):
     """A pooled connection that puts a request on the wire in one send.
 
     :mod:`http.client` sends the header block, then the body: two
     segments per ``POST``.  Here a ``bytes`` body joins the header
-    buffer first; any other body takes the stdlib path.
+    buffer first; any other body takes the stdlib path.  Replies are
+    read as :class:`_Response`.
     """
+
+    response_class = _Response
 
     def _send_output(
         self, message_body: Any = None, encode_chunked: bool = False

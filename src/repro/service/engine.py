@@ -74,7 +74,7 @@ import json
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
@@ -84,7 +84,12 @@ from repro.core.search import SearchResult, SearchStats, SimilaritySearch
 from repro.core.sequence import MultidimensionalSequence
 from repro.core.solution_interval import IntervalSet
 from repro.service.admission import AdaptiveLimiter
-from repro.service.cache import CacheEntry, EpsilonCache, query_fingerprint
+from repro.service.cache import (
+    CacheEntry,
+    EpsilonCache,
+    ReplySlot,
+    query_fingerprint,
+)
 from repro.service.errors import (
     DeadlineExceeded,
     EngineClosed,
@@ -156,6 +161,9 @@ class ServiceResponse:
     cache: str
     #: The snapshot version the request executed against.
     snapshot_version: int
+    #: On a ``"hit"``, the entry's :class:`~repro.service.cache.ReplySlot`,
+    #: where a transport keeps the reply it encodes for this response.
+    reply: ReplySlot | None = field(default=None, compare=False, repr=False)
 
 
 class QueryEngine:
@@ -1080,19 +1088,23 @@ class QueryEngine:
         epsilon: float,
         find_intervals: bool,
     ) -> ServiceResponse:
+        reply = None
         if key is None:
             result = snapshot.search.search(
                 sequence, epsilon, find_intervals=find_intervals
             )
             outcome = "off"
         else:
-            result, outcome = self._search_cached(
+            result, outcome, reply = self._search_cached(
                 snapshot, sequence, key, epsilon, find_intervals
             )
         self._stats.record_cache(outcome)
         self._trace(result, outcome, snapshot.version)
         return ServiceResponse(
-            result=result, cache=outcome, snapshot_version=snapshot.version
+            result=result,
+            cache=outcome,
+            snapshot_version=snapshot.version,
+            reply=reply,
         )
 
     def _search_cached(
@@ -1102,7 +1114,7 @@ class QueryEngine:
         key: str,
         epsilon: float,
         find_intervals: bool,
-    ) -> tuple[SearchResult, str]:
+    ) -> tuple[SearchResult, str, ReplySlot | None]:
         if self._cache is None:
             raise RuntimeError("_search_cached called with caching disabled")
         entry = self._cache.lookup(key, epsilon, snapshot.version)
@@ -1112,12 +1124,12 @@ class QueryEngine:
                     entry, snapshot, epsilon, find_intervals
                 )
                 self._check_served(snapshot, result, sequence, epsilon)
-                return result, "hit"
+                return result, "hit", entry.reply
             result = self._refine_entry(
                 entry, snapshot, epsilon, find_intervals
             )
             self._check_served(snapshot, result, sequence, epsilon)
-            return result, "refine"
+            return result, "refine", None
         result = snapshot.search.search(
             sequence, epsilon, find_intervals=find_intervals
         )
@@ -1134,7 +1146,7 @@ class QueryEngine:
             ),
             self._snapshot.version,
         )
-        return result, "miss"
+        return result, "miss", None
 
     @staticmethod
     def _result_from_entry(
@@ -1143,19 +1155,30 @@ class QueryEngine:
         epsilon: float,
         find_intervals: bool,
     ) -> SearchResult:
-        """Materialise a cached entry as a fresh, caller-owned result."""
-        candidates = [
-            sid for sid in snapshot.database.ids() if sid in entry.candidates
-        ]
-        answers = [sid for sid in candidates if sid in entry.answers]
+        """Materialise a cached entry as a fresh, caller-owned result.
+
+        The database-order walk over every stored id runs once per entry:
+        its outcome is kept in the entry's reply slot (``snapshot`` is the
+        one ``entry.version`` names, so the order cannot change under it).
+        """
+        slot = entry.reply
+        if slot.order is None:
+            ordered = tuple(
+                sid for sid in snapshot.database.ids() if sid in entry.candidates
+            )
+            slot.order = (
+                ordered,
+                tuple(sid for sid in ordered if sid in entry.answers),
+            )
+        candidates, answers = slot.order
         intervals: dict[object, IntervalSet] = {}
         if find_intervals:
             intervals = {sid: entry.intervals[sid] for sid in answers}
         return SearchResult(
             epsilon=epsilon,
             query_partition=entry.query_partition,
-            candidates=candidates,
-            answers=answers,
+            candidates=list(candidates),
+            answers=list(answers),
             solution_intervals=intervals,
             stats=SearchStats(query_segments=len(entry.query_partition)),
         )

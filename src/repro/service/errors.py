@@ -17,6 +17,11 @@ busy), a repair journal at capacity raises :class:`RepairOverflow`
 (HTTP 503) and a follower-mode server rejects direct writes with
 :class:`FollowerReadOnly` (HTTP 403).
 
+The HTTP transport types its own framing refusals: a header block past
+the limits is :class:`HeadersTooLarge` (HTTP 431), a method with no
+route table :class:`UnsupportedMethod` (HTTP 501); any other malformed
+request head is a ``ValueError`` (HTTP 400).
+
 **The wire format** lives beside the classes: each declares its
 ``http_status`` and ``wire_fields``; :func:`encode_error` (called by the
 HTTP boundary) and :func:`decode_error` (called by the client) are its
@@ -33,12 +38,14 @@ __all__ = [
     "DeadlineExceeded",
     "EngineClosed",
     "FollowerReadOnly",
+    "HeadersTooLarge",
     "Overloaded",
     "RepairOverflow",
     "ReplicaDiverged",
     "ServiceError",
     "ShardUnavailable",
     "SnapshotRequired",
+    "UnsupportedMethod",
     "WriteQuorumFailed",
     "decode_error",
     "encode_error",
@@ -253,6 +260,29 @@ class FollowerReadOnly(ServiceError):
         #: The leader URL this follower tails, when known.
         self.leader = leader
 
+
+
+class HeadersTooLarge(ServiceError):
+    """A header block past the transport's limits.
+
+    A header line over 65 536 bytes, or more than 100 lines
+    (:func:`repro.service.headers.read_headers`).  The server answers it
+    and hangs up; sending the same block again cannot succeed.
+    """
+
+    # 431 Request Header Fields Too Large (RFC 6585 §5).
+    http_status = 431
+
+
+class UnsupportedMethod(ServiceError):
+    """A request method the server has no route table for.
+
+    The endpoints answer ``GET`` and ``POST`` only; anything else is
+    refused before its body is read, so the connection is closed.
+    """
+
+    # 501 Not Implemented: the method, not the resource, is unknown.
+    http_status = 501
 
 #: Every error type a body can name, by name.
 _WIRE_TYPES: dict[str, type[ServiceError]] = {

@@ -33,9 +33,15 @@ same wire protocol from the same base classes.
 
 Connections are persistent (HTTP/1.1), one handler thread each: a reply
 leaves in **one send**; the body is read **before** the reply is chosen (a
-reply that leaves it unread — bad ``Content-Length``, the draining 503 —
-says ``Connection: close``); a socket idle, or stalled mid-body
-(``dropped_responses``), for ``JsonRequestHandler.timeout`` s is hung up on.
+reply that leaves it unread — a bad or doubled ``Content-Length``, the
+draining 503 — says ``Connection: close``); a socket idle, or stalled
+mid-body (``dropped_responses``), for ``JsonRequestHandler.timeout`` s is
+hung up on.  Header blocks are read by
+:func:`~repro.service.headers.read_headers`, not the stdlib's e-mail
+parser, and a request the transport cannot frame (bad request line,
+header limits, unknown method) is refused in the same JSON envelope.  An
+exact cache hit's ``/search`` body is encoded once and then sent as
+stored bytes (:func:`search_reply`).
 
 Shutdown is graceful (:func:`shutdown_gracefully`, ``repro serve
 --drain-timeout``): a request racing SIGTERM gets a real response — a
@@ -52,6 +58,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import re
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -60,8 +67,15 @@ from typing import TYPE_CHECKING, Any, cast
 import numpy as np
 
 from repro.service.engine import QueryEngine, ServiceResponse
-from repro.service.errors import EngineClosed, FollowerReadOnly, encode_error
+from repro.service.errors import (
+    EngineClosed,
+    FollowerReadOnly,
+    HeadersTooLarge,
+    UnsupportedMethod,
+    encode_error,
+)
 from repro.service.faults import inject
+from repro.service.headers import read_headers
 from repro.service.wal import decode_points
 from repro.util.errtrace import record_propagated
 from repro.util.sync import TracedLock
@@ -81,6 +95,7 @@ __all__ = [
     "request_budget",
     "required_field",
     "search_payload",
+    "search_reply",
     "serve",
     "shutdown_gracefully",
     "write_payload",
@@ -183,6 +198,29 @@ def search_payload(
     return payload
 
 
+def _encode_reply(payload: dict) -> bytes:
+    """A reply body's bytes: the one JSON encoding every route uses."""
+    return json.dumps(payload, default=str).encode("utf-8")
+
+
+def search_reply(response: ServiceResponse, *, find_intervals: bool) -> bytes:
+    """The encoded ``/search`` body for one engine response.
+
+    An exact cache hit's body is a pure function of its entry, the
+    snapshot version and ``find_intervals``: it is encoded on the first
+    hit and kept in the entry's reply slot (``response.reply``), which
+    later hits on that entry send as they are.
+    """
+    slot = response.reply
+    key = (response.snapshot_version, find_intervals)
+    body = None if slot is None else slot.bodies.get(key)
+    if body is None:
+        body = _encode_reply(search_payload(response, find_intervals=find_intervals))
+        if slot is not None:
+            body = slot.bodies.setdefault(key, body)
+    return body
+
+
 def write_payload(engine: QueryEngine, **head: Any) -> dict:
     """A write route's body: ``head`` plus the published corpus state.
 
@@ -207,6 +245,10 @@ def knn_payload(neighbors: list[tuple[float, object]]) -> dict:
     }
 
 
+#: The version word of a request line this server frames: HTTP/1.x.
+_VERSION = re.compile(r"HTTP/1\.(\d{1,10})")
+
+
 class _BodyStalled(ConnectionError):
     """A request body that never arrived: hang up, send no reply."""
 
@@ -216,8 +258,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     Subclasses declare ``get_routes`` / ``post_routes`` mapping paths to
     handler-method *names*; each handler takes the parsed JSON body and
-    returns the response payload.  Exceptions become replies via
-    :func:`~repro.service.errors.encode_error`.
+    returns the response payload, or its encoded bytes.  Exceptions become
+    replies via :func:`~repro.service.errors.encode_error`, and so do the
+    transport's own refusals of a request it cannot frame.
     """
 
     server_version = "repro-serve/1.0"
@@ -234,6 +277,78 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     #: path -> bound-method name, filled in by subclasses.
     get_routes: dict[str, str] = {}
     post_routes: dict[str, str] = {}
+
+    # ------------------------------------------------------------------
+    # Request framing
+    # ------------------------------------------------------------------
+    def parse_request(self) -> bool:
+        """Read the request line and its header block (:func:`read_headers`).
+
+        The stdlib's rules, without its e-mail parser: an HTTP/1.1
+        connection stays open unless the request says ``Connection:
+        close``, an HTTP/1.0 one closes unless it says ``keep-alive``, and
+        ``Expect: 100-continue`` on HTTP/1.1 is answered before the body is
+        read.  A request line that is not ``METHOD target HTTP/1.x`` is a
+        400 and a header block past the limits a 431, each refused with
+        the JSON error envelope.
+        """
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        version = _VERSION.fullmatch(words[-1])
+        if len(words) != 3 or version is None:
+            self._refuse(ValueError(f"bad request line {self.requestline!r}"))
+            return False
+        self.command, self.path, self.request_version = words
+        if self.path.startswith("//"):
+            # gh-87389: ``//host/path`` reads as a scheme-relative URL.
+            self.path = "/" + self.path.lstrip("/")
+        try:
+            self.headers = read_headers(self.rfile)  # type: ignore[assignment]
+        except (HeadersTooLarge, ValueError) as error:
+            self._refuse(error)
+            return False
+        http_11 = int(version[1]) >= 1
+        connection = self.headers.get("Connection", "").lower()
+        self.close_connection = connection == "close" or (
+            not http_11 and connection != "keep-alive"
+        )
+        expect = self.headers.get("Expect", "").lower()
+        if expect == "100-continue" and http_11:
+            return self.handle_expect_100()
+        return True
+
+    def handle_expect_100(self) -> bool:
+        """Send the interim ``100 Continue`` at once.
+
+        Left in the write buffer it would leave with the final reply, and
+        a client that waits for it before sending the body (``curl``)
+        would stall.
+        """
+        self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self.wfile.flush()
+        return True
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """The stdlib's own refusals, in the JSON error envelope.
+
+        :meth:`handle_one_request` calls this for a method with no
+        ``do_*`` handler (501) and for a request line over 65 536 bytes,
+        which is a bad request line like any other (400).
+        """
+        text = message or self.responses.get(code, ("",))[0]
+        self._refuse(UnsupportedMethod(text) if code == 501 else ValueError(text))
+
+    def _refuse(self, error: Exception) -> None:
+        """Answer a request the transport cannot frame, then hang up."""
+        self.close_connection = True
+        status, payload, headers = encode_error(error, "http")
+        self._send_json(status, payload, headers)
 
     # ------------------------------------------------------------------
     # HTTP verbs
@@ -281,10 +396,15 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------
     def _read_body(self) -> dict:
-        header = self.headers.get("Content-Length") or "0"
-        if not header.isdecimal():
+        lengths = self.headers.get_all("Content-Length") or ["0"]
+        header = lengths[0]
+        # Two different lengths leave the body's end unknown: reading either
+        # would let the rest be parsed as the next request (RFC 9112 §6.3).
+        if not header.isdecimal() or any(other != header for other in lengths):
             self.close_connection = True  # whatever follows stays unread
-            raise ValueError(f"Content-Length {header!r} is not a byte count")
+            raise ValueError(
+                f"Content-Length {', '.join(lengths)!r} is not one byte count"
+            )
         try:
             body = json.loads(self.rfile.read(int(header)) or b"{}")
         except TimeoutError as error:
@@ -295,20 +415,35 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             raise ValueError("request body must be a JSON object")
         return body
 
-    def _send_json(self, status: int, payload: dict, headers: dict[str, str]) -> None:
+    def _send_json(
+        self, status: int, payload: dict | bytes, headers: dict[str, str]
+    ) -> None:
+        """Write one reply, head and body, in one send.
+
+        ``payload`` is a JSON-ready dict or bytes :func:`_encode_reply`
+        made.  The head always has the same fields in the same order:
+        status line, ``Server``, ``Date``, ``Content-Type``,
+        ``Content-Length``, ``Connection: close`` when closing, then
+        ``headers``.
+        """
         inject("http.response")
-        data = json.dumps(payload, default=str).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else _encode_reply(payload)
         if cast("DrainingHTTPServer", self.server).draining:
             self.close_connection = True  # also covers the unread body of a 503
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.log_request(status)
+        head = (
+            f"{self.protocol_version} {status} "
+            f"{self.responses.get(status, ('',))[0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+        )
         if self.close_connection:
-            self.send_header("Connection", "close")
+            head += "Connection: close\r\n"
         for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+            head += f"{name}: {value}\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + data)
         self.wfile.flush()  # on the wire before the request counts as finished
 
     def log_message(self, format: str, *args: Any) -> None:
@@ -364,7 +499,7 @@ class ServiceHandler(JsonRequestHandler):
     def _stats(self, body: dict) -> dict:
         return self.engine.stats()
 
-    def _search(self, body: dict) -> dict:
+    def _search(self, body: dict) -> bytes:
         epsilon = check_threshold(float(required_field(body, "epsilon")))
         find_intervals = bool(body.get("find_intervals", True))
         response = self.engine.search_detailed(
@@ -373,7 +508,7 @@ class ServiceHandler(JsonRequestHandler):
             find_intervals=find_intervals,
             timeout=request_budget(self.headers, body),
         )
-        return search_payload(response, find_intervals=find_intervals)
+        return search_reply(response, find_intervals=find_intervals)
 
     def _knn(self, body: dict) -> dict:
         neighbors = self.engine.knn(

@@ -307,6 +307,8 @@ ERROR_SAMPLES = [
     errors.SnapshotRequired("truncated", horizon=12, after_seq=3),
     errors.RepairOverflow("full", backend=2, pending=7, capacity=6),
     errors.FollowerReadOnly("read-only", leader="http://leader:1"),
+    errors.HeadersTooLarge("header line longer than 65536 bytes"),
+    errors.UnsupportedMethod("Unsupported method ('PUT')"),
 ]
 
 

@@ -20,14 +20,20 @@ import urllib.request
 import pytest
 
 from repro.core.database import SequenceDatabase
+from repro.core.search import SimilaritySearch
 from repro.service import (
     DeadlineExceeded,
     EngineClosed,
+    FaultRule,
     Overloaded,
     QueryEngine,
     ServiceClient,
+    fault_plan,
+    query_fingerprint,
 )
-from repro.service.http import serve
+from repro.service.http import search_payload, serve
+from repro.service.wal import encode_points
+from repro.util.freeze import FrozenDict
 
 
 def build_database(rng, count=8):
@@ -148,6 +154,174 @@ class TestRoutes:
             "repro_version",
         ):
             assert key in stats
+
+
+def raw_search(connection, query, epsilon, find_intervals=True):
+    """``POST /search`` over a raw connection: the reply body's bytes."""
+    body = {
+        "points": encode_points(query),
+        "epsilon": epsilon,
+        "find_intervals": find_intervals,
+    }
+    connection.request("POST", "/search", body=json.dumps(body).encode())
+    reply = connection.getresponse()
+    assert reply.status == 200
+    return reply.read()
+
+
+class TestStoredReply:
+    """An exact hit's body is encoded once, kept in its cache entry's
+    reply slot, and sent as stored by every later hit on that entry."""
+
+    def test_hit_body_is_the_encoded_payload(self, rng, served):
+        engine, client = served
+        query = rng.random((10, 2))
+        connection = raw_connection(client)
+        try:
+            raw_search(connection, query, 0.5)  # the miss stores the entry
+            # Both spellings hit the same entry; each gets its own body.
+            bodies = {
+                find_intervals: [
+                    raw_search(connection, query, 0.5, find_intervals)
+                    for _ in range(2)
+                ]
+                for find_intervals in (True, False)
+            }
+        finally:
+            connection.close()
+        for find_intervals, (first, stored) in bodies.items():
+            response = engine.search_detailed(
+                query, 0.5, find_intervals=find_intervals
+            )
+            assert response.cache == "hit"
+            expected = json.dumps(
+                search_payload(response, find_intervals=find_intervals)
+            ).encode()
+            assert first == stored == expected
+        assert b'"intervals"' in bodies[True][0]
+        assert b'"intervals"' not in bodies[False][0]
+
+    @pytest.mark.parametrize(
+        "write,touches",
+        [
+            ("insert", True),
+            ("insert", False),
+            ("append", True),
+            ("append", False),
+            ("remove", True),
+            ("remove", False),
+        ],
+    )
+    def test_hit_after_a_write_serves_the_new_snapshot(self, rng, write, touches):
+        # Sequences kept apart, so the query answers some of them only.
+        corpus = [
+            0.4 * rng.random((25, 2)) + 0.6 * (ordinal % 2) for ordinal in range(8)
+        ]
+
+        def database():
+            built = SequenceDatabase(dimension=2)
+            for ordinal, points in enumerate(corpus):
+                built.add(points, sequence_id=f"s{ordinal}")
+            return built
+
+        engine = QueryEngine(database(), workers=2, cache_size=8)
+        uncached = QueryEngine(database(), workers=2, cache_size=0)
+        server, client = start_server(engine)
+        query, epsilon = corpus[0][5:15], 0.1
+        try:
+            before = client.search(query, epsilon)
+            assert client.search(query, epsilon)["cache"] == "hit"  # slot filled
+            answers = before["answers"]
+            others = [f"s{i}" for i in range(8) if f"s{i}" not in answers]
+            assert answers and others
+            points = query if touches else query + 0.6
+            for target in (client, uncached):
+                if write == "insert":
+                    target.insert(points, sequence_id="written")
+                elif write == "append":
+                    target.append(others[0] if touches else answers[0], points)
+                else:
+                    target.remove(answers[0] if touches else others[0])
+            expected = uncached.search_detailed(query, epsilon)
+            for _ in range(2):  # the slot's first fill, then its stored bytes
+                reply = client.search(query, epsilon)
+                assert reply["cache"] == "hit"
+                assert reply["snapshot_version"] == expected.snapshot_version == 1
+                assert reply["answers"] == expected.result.answers
+                assert reply["candidates"] == expected.result.candidates
+                assert reply["intervals"] == {
+                    str(sid): [list(pair) for pair in interval.intervals]
+                    for sid, interval in expected.result.solution_intervals.items()
+                }
+            assert (reply["answers"] != answers) is touches
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            engine.close()
+            uncached.close()
+
+    def test_contract_validator_runs_on_a_stored_hit(
+        self, rng, served, check_env, monkeypatch
+    ):
+        check_env(contracts="1")
+        engine, client = served
+        validate = SimilaritySearch.search.__contract_validator__
+        served_answers = []
+
+        def spy(result, *args, **kwargs):
+            served_answers.append(list(result.answers))
+            validate(result, *args, **kwargs)
+
+        monkeypatch.setattr(SimilaritySearch.search, "__contract_validator__", spy)
+        query = rng.random((10, 2))
+        client.search(query, 0.5)
+        for _ in range(2):  # the slot's first fill, then its stored bytes
+            served_answers.clear()
+            reply = client.search(query, 0.5)
+            assert reply["cache"] == "hit"
+            assert served_answers == [reply["answers"]]
+
+    def test_response_fault_fires_on_a_stored_reply(self, rng, served):
+        engine, client = served
+        query = rng.random((10, 2))
+        connection = raw_connection(client)
+        try:
+            raw_search(connection, query, 0.5)
+            stored = raw_search(connection, query, 0.5)
+            with fault_plan(FaultRule("http.response", "raise")) as plan:
+                with pytest.raises(ConnectionError):
+                    raw_search(connection, query, 0.5)
+            assert plan.fired("http.response") == 1
+        finally:
+            connection.close()
+        connection = raw_connection(client)
+        try:
+            assert raw_search(connection, query, 0.5) == stored
+        finally:
+            connection.close()
+
+    def test_filling_the_slot_under_freeze_checks(self, rng, check_env):
+        check_env(freeze="1")
+        engine = QueryEngine(build_database(rng), workers=2, cache_size=8)
+        server, client = start_server(engine)
+        query = rng.random((10, 2))
+        try:
+            first = client.search(query, 0.5)
+            for _ in range(2):
+                reply = client.search(query, 0.5)
+                assert reply["cache"] == "hit"
+                assert reply["answers"] == first["answers"]
+                assert reply["intervals"] == first["intervals"]
+            entry = engine._cache.peek(query_fingerprint(query), 0.5, 0)
+            assert isinstance(entry.intervals, FrozenDict)  # published frozen
+            assert entry.reply.order is not None
+            assert list(entry.reply.bodies) == [(0, True)]
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            engine.close()
 
 
 class TestErrorMapping:

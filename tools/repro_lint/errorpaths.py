@@ -82,12 +82,14 @@ ERROR_TAXONOMY: frozenset[str] = frozenset(
         "DeadlineExceeded",
         "EngineClosed",
         "FollowerReadOnly",
+        "HeadersTooLarge",
         "Overloaded",
         "RepairOverflow",
         "ReplicaDiverged",
         "ServiceError",
         "ShardUnavailable",
         "SnapshotRequired",
+        "UnsupportedMethod",
         "WriteQuorumFailed",
     }
 )

@@ -8,7 +8,11 @@ an exact cache hit that never queued (one queue-wait sample for the pair,
 the miss's), that the adaptive admission limit sits at its ceiling with
 nothing shed and ``degraded`` false, that a query posted as a nested list
 (raw ``http.client``) and again in the point codec's form gets the same
-answers and intervals, then sends SIGINT *with that
+answers and intervals, that a ``curl``-shaped request (raw socket,
+lower-case header names, ``Expect: 100-continue`` before a codec body
+over 1 KiB) gets its ``100 Continue`` and that its repeat is a hit whose
+body bytes equal those of a third identical request, then sends SIGINT
+*with that
 connection still parked* and requires a clean exit with the shutdown
 banner: the drain must close what it parked.  The whole serve path a user
 would touch, end to end, in a few seconds.
@@ -24,6 +28,7 @@ import http.client
 import json
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -97,6 +102,58 @@ def _check_list_form(
         raise RuntimeError(
             f"list and codec forms disagree: {listed} vs {encoded}"
         )
+
+
+def _curl_search(host: str, port: int, body: bytes) -> tuple[int, bytes]:
+    """``POST /search`` shaped as ``curl -d @query.json`` sends it.
+
+    Lower-case header names, and the body held back until the server's
+    ``100 Continue`` arrives (``curl`` asks for one past 1 KiB).  Returns
+    the final reply's status and its body bytes.
+    """
+    head = (
+        f"POST /search HTTP/1.1\r\nhost: {host}:{port}\r\n"
+        "user-agent: curl/8.5.0\r\naccept: */*\r\n"
+        "content-type: application/json\r\n"
+        f"content-length: {len(body)}\r\nexpect: 100-continue\r\n\r\n"
+    )
+    with socket.create_connection((host, port), timeout=10.0) as peer:
+        stream = peer.makefile("rb")
+        peer.sendall(head.encode("ascii"))
+        interim = stream.readline()
+        if not interim.startswith(b"HTTP/1.1 100 ") or stream.readline() != b"\r\n":
+            raise RuntimeError(f"no 100 Continue before the body: {interim!r}")
+        peer.sendall(body)
+        status = int(stream.readline().split()[1])
+        length = 0
+        while (line := stream.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        return status, stream.read(length)
+
+
+def _check_curl_shaped(
+    host: str, port: int, query: npt.NDArray[np.float64]
+) -> None:
+    """Three identical ``curl``-shaped searches: a miss, then two hits
+    whose body bytes are the same stored reply."""
+    from repro.service.wal import encode_points
+
+    body = json.dumps(
+        {"points": encode_points(query), "epsilon": 0.5, "find_intervals": True}
+    ).encode()
+    if len(body) <= 1024:
+        raise RuntimeError(f"curl-shaped body is only {len(body)} bytes")
+    replies = [_curl_search(host, port, body) for _ in range(3)]
+    for status, reply in replies:
+        if status != 200:
+            raise RuntimeError(f"curl-shaped /search answered {status}: {reply!r}")
+    (_, first), (_, second), (_, third) = replies
+    if json.loads(first)["cache"] != "miss" or json.loads(second)["cache"] != "hit":
+        raise RuntimeError(f"curl-shaped repeat was not a hit: {second!r}")
+    if second != third:
+        raise RuntimeError(f"two hits sent different bytes: {second!r} vs {third!r}")
 
 
 def main() -> int:
@@ -179,6 +236,7 @@ def main() -> int:
             ):
                 raise RuntimeError(f"admission cut at smoke load: {admission}")
             _check_list_form(host, port, client, rng.random((20, dimension)))
+            _check_curl_shaped(host, port, rng.random((60, dimension)))
             transport = client.transport_stats()
             if transport["connections_opened"] != 1:
                 raise RuntimeError(f"calls did not share a connection: {transport}")
@@ -202,8 +260,9 @@ def main() -> int:
     print(
         "serve smoke OK: /healthz, /search (pooled miss, then a hit on the "
         "handler thread), /stats over one connection, admission limit at "
-        "its ceiling, list and codec point forms agree, clean SIGINT "
-        "shutdown with it parked"
+        "its ceiling, list and codec point forms agree, a curl-shaped "
+        "repeat is a hit with stored bytes, clean SIGINT shutdown with "
+        "it parked"
     )
     return 0
 
