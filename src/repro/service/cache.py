@@ -13,26 +13,29 @@ threshold ε' therefore bounds every request at ε <= ε' from above:
   candidate set only — Phases 1 and 2, the index-bound part of the search,
   are skipped entirely.
 
-Entries are keyed by a fingerprint of the query points and pinned to the
-engine's snapshot version: a write publishes a new snapshot and, for the
-affected sequence id only, publishes a *patched copy* of each entry
-(remove the id, then re-examine it against the entry's stored query
-partition at the entry's ε') stamped with the new version — so a lookup
-matches only entries coherent with the snapshot the request runs on,
-readers still holding the pre-write entry keep a state exact for their
-snapshot, and no write ever flushes the whole cache.
+Entries are keyed by a fingerprint of the query points.  The cache as a
+whole is pinned to one snapshot version — every entry is exact for it,
+and a lookup matches only at it.  A write moves the cache to the new
+version: for the written sequence id only, each entry whose result sets
+change is replaced by a *patched copy* (remove the id, then re-examine it
+against the entry's stored query partition at the entry's ε'), and every
+other entry stays as it is, reply slot and all.  The patch is computed
+outside the cache lock, so readers keep hitting at the old version while
+it runs; no write ever flushes the whole cache.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.contracts import ContractViolation, lower_bounds
+from repro.core.mbr import dmbr_columns
 from repro.core.search import SimilaritySearch
 from repro.core.solution_interval import IntervalSet
 from repro.util.checks import FREEZE
@@ -58,11 +61,13 @@ class ReplySlot:
     """What an exact hit on one published entry serves, filled on first use.
 
     The one part of a :class:`CacheEntry` written after publication.
-    Every value is a pure function of the entry and of the snapshot its
-    ``version`` names, so two threads racing to fill a key compute the
-    same value and either write is right.  A write never copies a slot:
-    :meth:`EpsilonCache.apply_write` publishes a new entry with an empty
-    one, so nothing here outlives the result sets it was derived from.
+    ``order`` is a pure function of the entry's sets and of the database
+    order of their ids, which no write that leaves the entry in place can
+    change; each body is a pure function of the entry and the snapshot
+    version in its key.  So two threads racing to fill a key compute the
+    same value and either write is right.  A write that changes an
+    entry's sets replaces the entry, and the replacement starts with an
+    empty slot.
     """
 
     __slots__ = ("bodies", "order")
@@ -71,19 +76,39 @@ class ReplySlot:
         #: ``(candidates, answers)`` in database order.
         self.order: tuple[tuple[object, ...], tuple[object, ...]] | None = None
         #: Encoded ``/search`` reply bodies by
-        #: ``(snapshot_version, find_intervals)``.
+        #: ``(snapshot_version, find_intervals)``, newest version only.
         self.bodies: dict[tuple[int, bool], bytes] = {}
+
+    def keep(self, version: int, find_intervals: bool, body: bytes) -> bytes:
+        """Keep ``body`` as the reply at ``version``; returns the kept bytes.
+
+        Only the newest version's bodies stay — at most two, one per
+        ``find_intervals`` — so a body older than the ones held is not
+        kept, and a newer one replaces the dict (readers still holding the
+        old dict keep reading it).
+        """
+        bodies = self.bodies
+        newest = max((held for held, _ in bodies), default=version)
+        if version < newest:
+            return body
+        if version > newest:
+            bodies = self.bodies = {}
+        return bodies.setdefault((version, find_intervals), body)
 
 
 @dataclass
 class CacheEntry:
     """One cached search: the query's partition plus exact result sets.
 
-    ``candidates``/``answers``/``intervals`` are exact for the snapshot
-    identified by ``version`` at threshold ``epsilon`` — the patching in
-    :meth:`EpsilonCache.apply_write` maintains that invariant across
-    snapshot swaps.  ``reply`` holds what exact hits derive from them
-    (:class:`ReplySlot`).
+    ``candidates``/``answers``/``intervals`` are exact at threshold
+    ``epsilon`` for the snapshot version of the cache that holds the
+    entry — :meth:`EpsilonCache.apply_write` maintains that invariant
+    across snapshot swaps.  ``box`` is the query's bounding box for the
+    write patch's filter: the float64 bytes of the least low corner,
+    then of the greatest high corner (bytes, so that a write joins every
+    entry's box into one array in a single copy).  It is derived from
+    ``query_partition`` at construction unless given.  ``reply`` holds
+    what exact hits derive from the sets (:class:`ReplySlot`).
     """
 
     query_partition: PartitionedSequence
@@ -92,8 +117,25 @@ class CacheEntry:
     candidates: set = field(default_factory=set)
     answers: set = field(default_factory=set)
     intervals: dict[object, IntervalSet] = field(default_factory=dict)
-    version: int = 0
+    box: bytes = field(default=b"", compare=False, repr=False)
     reply: ReplySlot = field(default_factory=ReplySlot, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.box:
+            self.box = np.concatenate(
+                (
+                    self.query_partition.low_matrix.min(axis=0),
+                    self.query_partition.high_matrix.max(axis=0),
+                )
+            ).tobytes()
+
+    def holds(self, sequence_id: object) -> bool:
+        """Whether ``sequence_id`` is in any of the entry's result sets."""
+        return (
+            sequence_id in self.candidates
+            or sequence_id in self.answers
+            or sequence_id in self.intervals
+        )
 
 
 def _published(entry: CacheEntry, site: str) -> CacheEntry:
@@ -118,20 +160,74 @@ def _published(entry: CacheEntry, site: str) -> CacheEntry:
     return entry
 
 
+def _validate_near(
+    near: list[bool],
+    entries: Sequence[CacheEntry],
+    search: SimilaritySearch,
+    sequence_id: object,
+) -> None:
+    skipped = [entry for entry, kept in zip(entries, near) if not kept]
+    admitted = search.queries_within(
+        [(entry.query_partition, entry.epsilon) for entry in skipped], sequence_id
+    )
+    if any(admitted):
+        raise ContractViolation(
+            f"the cache patch's box filter skipped {sum(admitted)} entries "
+            f"whose Phase 2 admits {sequence_id!r}"
+        )
+
+
+@lower_bounds(_validate_near, label="box distance <= min Dmbr")
+def _near(
+    entries: Sequence[CacheEntry], search: SimilaritySearch, sequence_id: object
+) -> list[bool]:
+    """Per entry: is the written sequence's box within the entry's ε'
+    of the entry's query box?
+
+    A no means Phase 2 cannot admit the sequence.  Every corner of a box
+    is a copy of a corner of a rectangle inside it, so each per-dimension
+    gap between the boxes is at most that between any two of their
+    rectangles, also after rounding (a float difference is monotone in
+    its operands); ``dmbr_columns`` adds the squares in the order of
+    Phase 2's own ``Dmbr``, so the box distance never exceeds the least
+    ``Dmbr`` and the filter never drops an entry Phase 2 would admit.
+    """
+    partition = search.database.partition(sequence_id)
+    boxes = np.frombuffer(b"".join([entry.box for entry in entries])).reshape(
+        len(entries), 2, -1
+    )
+    distances = dmbr_columns(
+        boxes[:, 0],
+        boxes[:, 1],
+        partition.low_matrix.min(axis=0)[:, None],
+        partition.high_matrix.max(axis=0)[:, None],
+    )[:, 0]
+    near: list[bool] = (
+        distances <= np.array([entry.epsilon for entry in entries])
+    ).tolist()
+    return near
+
+
 class EpsilonCache:
     """A bounded LRU of :class:`CacheEntry` keyed by query fingerprint.
 
-    Thread-safety: every public method takes the internal lock; the engine
-    additionally serialises :meth:`apply_write` behind its writer lock so
-    patching and version bumps are atomic with the snapshot swap.
+    Every entry is exact for the one snapshot ``version`` the cache is
+    at.  Thread-safety: every public method takes the internal lock;
+    :meth:`apply_write` holds it only to take the entry list and to
+    install its result, and the engine serialises it behind its writer
+    lock, before the snapshot it patches for is published.
     """
 
-    def __init__(self, capacity: int = 128) -> None:
+    def __init__(self, capacity: int = 128, version: int = 0) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lock = TracedLock("cache.entries")
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        self._version = version
+        # Set while a write's patch is computed off the lock: stores wait
+        # for the install (they are refused, so no entry misses the patch).
+        self._patching = False
         # Traffic counters, mutated only under self._lock; a "refine" is
         # an ε-monotonic hit (entry computed at a wider threshold, so the
         # engine re-runs Phase 3 over the cached candidate set).
@@ -143,10 +239,17 @@ class EpsilonCache:
         self._store_races = 0
         self._evictions = 0
         self._patches = 0
+        self._replaced = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    @property
+    def version(self) -> int:
+        """The snapshot version every entry is exact for."""
+        with self._lock:
+            return self._version
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -157,8 +260,8 @@ class EpsilonCache:
         """The entry usable for ``(key, epsilon)`` on snapshot ``version``.
 
         Usable means: same query fingerprint, computed at a threshold
-        ``epsilon' >= epsilon`` (ε-monotonic reuse), and coherent with the
-        requested snapshot version.  A usable entry is promoted to
+        ``epsilon' >= epsilon`` (ε-monotonic reuse), and the cache is at
+        the requested snapshot version.  A usable entry is promoted to
         most-recently-used.
         """
         epsilon = check_threshold(epsilon)
@@ -190,31 +293,29 @@ class EpsilonCache:
     def _usable(
         self, key: str, epsilon: float, version: int
     ) -> CacheEntry | None:
+        if version != self._version:
+            return None
         entry = self._entries.get(key)
-        if entry is None or entry.version != version or entry.epsilon < epsilon:
+        if entry is None or entry.epsilon < epsilon:
             return None
         return entry
 
     def store(self, key: str, entry: CacheEntry, version: int) -> bool:
-        """Insert ``entry`` unless it is already stale.
+        """Insert ``entry``, computed on snapshot ``version``, unless stale.
 
-        Returns whether the entry was stored; an entry computed against an
-        older snapshot than ``version`` (a writer won the race while the
-        search ran) is dropped rather than poisoning the cache.  An
-        existing entry for the same query is replaced only by a same-or-
-        wider threshold, so a tight search never evicts the wide result
-        that can serve it.
+        Returns whether the entry was stored.  It is refused — counted in
+        ``store_races`` — when the cache is not at ``version`` (a writer
+        won the race while the search ran) or a write's patch is in
+        progress (the entry would miss it).  An existing entry for the
+        same query is replaced only by a same-or-wider threshold, so a
+        tight search never evicts the wide result that can serve it.
         """
         with self._lock:
-            if entry.version != version:
+            if self._patching or version != self._version:
                 self._store_races += 1
                 return False
             current = self._entries.get(key)
-            if (
-                current is not None
-                and current.version == version
-                and current.epsilon > entry.epsilon
-            ):
+            if current is not None and current.epsilon > entry.epsilon:
                 self._entries.move_to_end(key)
                 self._store_races += 1
                 return False
@@ -226,18 +327,22 @@ class EpsilonCache:
                 self._evictions += 1
             return True
 
-    def clear(self) -> None:
-        """Drop every entry."""
+    def clear(self, version: int | None = None) -> None:
+        """Drop every entry; the empty cache moves to ``version`` if given."""
         with self._lock:
             self._entries.clear()
+            if version is not None:
+                self._version = version
 
     def stats(self) -> dict[str, int]:
         """Traffic counters, read atomically under the cache lock.
 
         ``hits`` includes ``refines`` (a refine *is* an ε-monotonic hit
         that skipped Phases 1–2); ``store_races`` counts stores dropped
-        because a concurrent writer made the result stale or a wider
-        entry already covered it.
+        because a concurrent writer made the result stale, a write's
+        patch was in progress or a wider entry already covered it;
+        ``patches`` counts entries a write examined and ``replaced``
+        those it gave new result sets.
         """
         with self._lock:
             return {
@@ -249,6 +354,7 @@ class EpsilonCache:
                 "store_races": self._store_races,
                 "evictions": self._evictions,
                 "patches": self._patches,
+                "replaced": self._replaced,
             }
 
     # ------------------------------------------------------------------
@@ -260,97 +366,115 @@ class EpsilonCache:
         search: SimilaritySearch,
         new_version: int,
     ) -> int:
-        """Re-reconcile every entry with a written sequence id.
+        """Move the cache to ``new_version``, one written id later.
 
         Called by the engine (under its writer lock) after building the
-        new snapshot but before publishing it.  For each entry: drop the
-        id from all result sets, then — if the id still exists in the new
-        snapshot — re-run the two pruning levels for that single sequence
-        at the entry's threshold and re-admit it where it qualifies, and
-        publish the patch as a *new* :class:`CacheEntry` stamped with
-        ``new_version``.
+        new snapshot but before publishing it.  A single-id patch is
+        exact only on top of an exact base, so a cache not at
+        ``new_version - 1`` is cleared instead.  Otherwise, for each
+        entry: if the id still exists in the new snapshot, re-run the two
+        pruning levels for that single sequence at the entry's threshold
+        — a bounding-box check first, then Phase 2 and Phase 3 for the
+        entries it lets through — and, where the id was in the entry's
+        sets or is re-admitted, publish a *new* :class:`CacheEntry`
+        without it and with the new verdict.  Every other entry stays the
+        same object, reply slot included.
 
-        Only entries coherent with the pre-write snapshot
-        (``version == new_version - 1``) are patched: a single-id patch
-        is exact only on top of an exact base.  Any other entry is
-        evicted — it lost a race with this writer (a search that ran on
-        an older snapshot stored its result between this writer's cache
-        patch and its snapshot publish) and silently stamping it would
-        hide every write it never saw.
-
-        The old entry object is never mutated: a reader that looked it up
-        against the previous snapshot may still be materialising a result
-        from its sets, and that result must stay exact for *that*
-        snapshot.  Entry replacement mirrors the engine's own
-        copy-on-write snapshot swap (and keeps each key's LRU position).
-        Returns the number of entries re-examined.
+        The lock is held only to take the entry list and to install the
+        replacements with the new version.  In between, lookups at the
+        old version keep hitting — exact, since the new snapshot is not
+        published yet — and stores are refused.  The old entry object is
+        never mutated: a reader that looked it up may still be
+        materialising a result from its sets.  If the patch raises, the
+        cache is left empty at the old version.  Returns the number of
+        entries examined.
         """
         with self._lock:
-            coherent: list[tuple[str, CacheEntry]] = []
-            for key, entry in list(self._entries.items()):
-                if entry.version == new_version - 1:
-                    coherent.append((key, entry))
-                else:
-                    del self._entries[key]
-                    self._evictions += 1
-            present = sequence_id in search.database
-            verdicts = [False] * len(coherent)
-            matches: Iterator[IntervalSet | None] = iter(())
-            if present:
-                # Phase 2 for every entry in one broadcast Dmbr, then Phase 3
-                # in one pass for the entries where it said yes.
-                verdicts = search.queries_within(
-                    [(e.query_partition, e.epsilon) for _, e in coherent],
-                    sequence_id,
-                )
-                matches = iter(
+            if self._version != new_version - 1:
+                self._evictions += len(self._entries)
+                self._entries.clear()
+                self._version = new_version
+                return 0
+            entries = list(self._entries.items())
+            self._patching = True
+        try:
+            replacements = self._patched(entries, sequence_id, search)
+        except BaseException:
+            with self._lock:
+                self._entries.clear()
+                self._patching = False
+            raise
+        examined = len(entries) if sequence_id in search.database else 0
+        with self._lock:
+            for key, entry in replacements:
+                self._entries[key] = entry
+            self._version = new_version
+            self._patching = False
+            self._patches += examined
+            self._replaced += len(replacements)
+        return examined
+
+    @staticmethod
+    def _patched(
+        entries: list[tuple[str, CacheEntry]],
+        sequence_id: object,
+        search: SimilaritySearch,
+    ) -> list[tuple[str, CacheEntry]]:
+        """The new entries a write of ``sequence_id`` gives, by key."""
+        matches: dict[str, IntervalSet | None] = {}
+        if entries and sequence_id in search.database:
+            near = _near([entry for _, entry in entries], search, sequence_id)
+            nearby = [pair for pair, kept in zip(entries, near) if kept]
+            # Phase 2 for the nearby entries in one broadcast Dmbr, then
+            # Phase 3 in one pass for the entries where it said yes.
+            verdicts = search.queries_within(
+                [(e.query_partition, e.epsilon) for _, e in nearby], sequence_id
+            )
+            admitted = [pair for pair, yes in zip(nearby, verdicts) if yes]
+            matches = dict(
+                zip(
+                    [key for key, _ in admitted],
                     search.match_queries(
                         [
                             (e.query_partition, e.epsilon, e.find_intervals)
-                            for (_, e), admitted in zip(coherent, verdicts)
-                            if admitted
+                            for _, e in admitted
                         ],
                         sequence_id,
-                    )
-                )
-            for (key, entry), is_candidate in zip(coherent, verdicts):
-                candidates = entry.candidates
-                answers = entry.answers
-                intervals = entry.intervals
-                if (
-                    is_candidate
-                    or sequence_id in candidates
-                    or sequence_id in answers
-                    or sequence_id in intervals
-                ):
-                    # Only an entry whose result sets change gets new ones;
-                    # the rest share theirs with the entry they replace
-                    # (nothing mutates a stored entry's sets in place).
-                    candidates = set(candidates)
-                    answers = set(answers)
-                    intervals = dict(intervals)
-                    candidates.discard(sequence_id)
-                    answers.discard(sequence_id)
-                    intervals.pop(sequence_id, None)
-                if is_candidate:
-                    candidates.add(sequence_id)
-                    interval = next(matches)
-                    if interval is not None:
-                        answers.add(sequence_id)
-                        if entry.find_intervals:
-                            intervals[sequence_id] = interval
-                self._entries[key] = _published(
-                    CacheEntry(
-                        query_partition=entry.query_partition,
-                        epsilon=entry.epsilon,
-                        find_intervals=entry.find_intervals,
-                        candidates=candidates,
-                        answers=answers,
-                        intervals=intervals,
-                        version=new_version,
                     ),
-                    "EpsilonCache.apply_write",
                 )
-            patched = len(coherent) if present else 0
-            self._patches += patched
-        return patched
+            )
+        replacements = []
+        for key, entry in entries:
+            if key not in matches and not entry.holds(sequence_id):
+                continue
+            candidates = set(entry.candidates)
+            answers = set(entry.answers)
+            intervals = dict(entry.intervals)
+            candidates.discard(sequence_id)
+            answers.discard(sequence_id)
+            intervals.pop(sequence_id, None)
+            if key in matches:
+                candidates.add(sequence_id)
+                interval = matches[key]
+                if interval is not None:
+                    answers.add(sequence_id)
+                    if entry.find_intervals:
+                        intervals[sequence_id] = interval
+            replacements.append(
+                (
+                    key,
+                    _published(
+                        CacheEntry(
+                            query_partition=entry.query_partition,
+                            epsilon=entry.epsilon,
+                            find_intervals=entry.find_intervals,
+                            candidates=candidates,
+                            answers=answers,
+                            intervals=intervals,
+                            box=entry.box,
+                        ),
+                        "EpsilonCache.apply_write",
+                    ),
+                )
+            )
+        return replacements

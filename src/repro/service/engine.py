@@ -42,8 +42,9 @@ DeadlineExceeded` to the caller.
 query fingerprint (:mod:`repro.service.cache`).  A request at threshold ε
 served by an entry computed at ε' >= ε skips Phases 1-2 entirely and
 re-runs only Phase 3 over the cached candidate set — exact by the
-lower-bound monotonicity of Lemmas 1-3.  Writes patch affected sequence
-ids in place rather than flushing the cache.
+lower-bound monotonicity of Lemmas 1-3.  A write replaces only the
+entries whose result sets the written id changes rather than flushing
+the cache.
 
 **Durability (optional).**  With a :class:`~repro.service.wal.
 DurabilityConfig`, the commit's durability barrier runs *before* the
@@ -130,15 +131,17 @@ __all__ = ["QueryEngine", "ServiceResponse"]
 
 _T = TypeVar("_T")
 
-#: Two thresholds closer than this are served as an exact cache hit.
-_EPSILON_MATCH_TOLERANCE = 1e-12
-
 
 def _answers_exactly(
     entry: CacheEntry, epsilon: float, find_intervals: bool
 ) -> bool:
-    """Whether a usable entry is the answer itself (a hit, not a refine)."""
-    return abs(entry.epsilon - epsilon) <= _EPSILON_MATCH_TOLERANCE and (
+    """Whether a usable entry is the answer itself (a hit, not a refine).
+
+    A usable entry was stored at ε' >= ε; it is the answer only at its
+    own threshold.  Any ε < ε', however close, is a refine (as the cache
+    counts it), which is exact.
+    """
+    return entry.epsilon <= epsilon and (
         entry.find_intervals or not find_intervals
     )
 
@@ -270,7 +273,11 @@ class QueryEngine:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
-        self._cache = EpsilonCache(cache_size) if cache_size else None
+        self._cache = (
+            EpsilonCache(cache_size, version=recovered_version)
+            if cache_size
+            else None
+        )
         self._stats = ServiceStats()
         self._trace_path = None if trace_path is None else Path(trace_path)
         self._trace_lock = TracedLock("engine.trace")
@@ -636,9 +643,8 @@ class QueryEngine:
                 self._stats.record_failure(op)
                 raise
             if self._cache is not None and repair:
-                # A batch may touch many ids, and version-pinned lookups
-                # make stale entries unreachable anyway.
-                self._cache.clear()
+                # A batch may touch many ids: start over at its version.
+                self._cache.clear(published.version)
             elif self._cache is not None:
                 self._stats.record_cache_patches(
                     self._cache.apply_write(
@@ -1142,9 +1148,8 @@ class QueryEngine:
                 candidates=set(result.candidates),
                 answers=set(result.answers),
                 intervals=dict(result.solution_intervals),
-                version=snapshot.version,
             ),
-            self._snapshot.version,
+            snapshot.version,
         )
         return result, "miss", None
 
@@ -1158,8 +1163,10 @@ class QueryEngine:
         """Materialise a cached entry as a fresh, caller-owned result.
 
         The database-order walk over every stored id runs once per entry:
-        its outcome is kept in the entry's reply slot (``snapshot`` is the
-        one ``entry.version`` names, so the order cannot change under it).
+        its outcome is kept in the entry's reply slot.  It stays right for
+        as long as the entry is in the cache: a write that leaves the
+        entry in place touched no id in its sets, so their database order
+        did not change.
         """
         slot = entry.reply
         if slot.order is None:

@@ -208,16 +208,17 @@ def search_reply(response: ServiceResponse, *, find_intervals: bool) -> bytes:
 
     An exact cache hit's body is a pure function of its entry, the
     snapshot version and ``find_intervals``: it is encoded on the first
-    hit and kept in the entry's reply slot (``response.reply``), which
-    later hits on that entry send as they are.
+    hit at a version and kept in the entry's reply slot
+    (``response.reply``), which later hits on that entry at that version
+    send as they are.
     """
     slot = response.reply
-    key = (response.snapshot_version, find_intervals)
-    body = None if slot is None else slot.bodies.get(key)
+    version = response.snapshot_version
+    body = None if slot is None else slot.bodies.get((version, find_intervals))
     if body is None:
         body = _encode_reply(search_payload(response, find_intervals=find_intervals))
         if slot is not None:
-            body = slot.bodies.setdefault(key, body)
+            body = slot.keep(version, find_intervals, body)
     return body
 
 

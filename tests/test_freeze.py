@@ -229,7 +229,7 @@ class TestPartitionImmutability:
 # ----------------------------------------------------------------------
 # Cache entries are frozen at publication under checks
 # ----------------------------------------------------------------------
-def small_entry(rng, epsilon=0.5, version=0):
+def small_entry(rng, epsilon=0.5):
     query = MultidimensionalSequence(rng.random((10, DIMENSION)))
     return CacheEntry(
         query_partition=partition_sequence(query),
@@ -238,7 +238,6 @@ def small_entry(rng, epsilon=0.5, version=0):
         candidates={"s1", "s2"},
         answers={"s1"},
         intervals={},
-        version=version,
     )
 
 
@@ -268,11 +267,11 @@ class TestCachePublication:
         search = SimilaritySearch(database)
         cache = EpsilonCache(capacity=4)
         with checking("freeze"):
-            cache.store("q", small_entry(rng, version=0), version=0)
+            stored = small_entry(rng)
+            cache.store("q", stored, version=0)
             cache.apply_write("s1", search, new_version=1)
             patched = cache.lookup("q", 0.5, version=1)
-            assert patched is not None
-            assert patched.version == 1
+            assert patched is not None and patched is not stored
             assert isinstance(patched.intervals, FrozenDict)
             with pytest.raises(AttributeError):
                 patched.answers.discard("s1")

@@ -261,6 +261,42 @@ class TestStoredReply:
             engine.close()
             uncached.close()
 
+    def test_an_unchanged_entry_keeps_its_slot_across_writes(self, rng, served):
+        """A write that leaves an entry's sets alone leaves the entry in
+        place: later hits reuse its database order, encode a body at the
+        new version and drop the older version's bodies."""
+        engine, client = served
+        query, epsilon = 0.1 * rng.random((10, 2)), 0.2
+        key = query_fingerprint(query)
+        connection = raw_connection(client)
+        try:
+            raw_search(connection, query, epsilon)  # the miss stores the entry
+            raw_search(connection, query, epsilon)  # the first hit fills the slot
+            entry = engine._cache.peek(key, epsilon, engine.snapshot_version)
+            order = entry.reply.order
+            assert order is not None
+            for ordinal in range(10):
+                far = 0.9 + 0.1 * rng.random((8, 2))
+                client.insert(far, sequence_id=f"far{ordinal}")
+                version = engine.snapshot_version
+                for find_intervals in (True, False):
+                    body = raw_search(connection, query, epsilon, find_intervals)
+                    response = engine.search_detailed(
+                        query, epsilon, find_intervals=find_intervals
+                    )
+                    assert response.cache == "hit"
+                    assert response.snapshot_version == version
+                    assert body == json.dumps(
+                        search_payload(response, find_intervals=find_intervals)
+                    ).encode()
+                    assert json.loads(body)["snapshot_version"] == version
+                assert engine._cache.peek(key, epsilon, version) is entry
+                assert entry.reply.order is order
+                assert len(entry.reply.bodies) <= 2
+        finally:
+            connection.close()
+        assert set(entry.reply.bodies) == {(version, True), (version, False)}
+
     def test_contract_validator_runs_on_a_stored_hit(
         self, rng, served, check_env, monkeypatch
     ):

@@ -11,10 +11,11 @@ nothing shed and ``degraded`` false, that a query posted as a nested list
 answers and intervals, that a ``curl``-shaped request (raw socket,
 lower-case header names, ``Expect: 100-continue`` before a codec body
 over 1 KiB) gets its ``100 Continue`` and that its repeat is a hit whose
-body bytes equal those of a third identical request, then sends SIGINT
-*with that
-connection still parked* and requires a clean exit with the shutdown
-banner: the drain must close what it parked.  The whole serve path a user
+body bytes equal those of a third identical request, that a cached query
+stays a hit with the same answers after an insert far from it and finds
+an insert of its own points, then sends SIGINT *with that connection
+still parked* and requires a clean exit with the shutdown banner: the
+drain must close what it parked.  The whole serve path a user
 would touch, end to end, in a few seconds.
 
 Usage::
@@ -156,6 +157,65 @@ def _check_curl_shaped(
         raise RuntimeError(f"two hits sent different bytes: {second!r} vs {third!r}")
 
 
+def _post(host: str, port: int, path: str, body: dict) -> dict:
+    """One raw ``POST`` on its own connection: the decoded reply."""
+    connection = http.client.HTTPConnection(host, port, timeout=10.0)
+    try:
+        connection.request(
+            "POST", path, json.dumps(body).encode(), {"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        reply: dict = json.loads(response.read())
+    finally:
+        connection.close()
+    if response.status != 200:
+        raise RuntimeError(f"{path} answered {response.status}: {reply}")
+    return reply
+
+
+def _check_write_through(
+    host: str, port: int, client: ServiceClient, dimension: int
+) -> None:
+    """Writes patch the cached query instead of flushing it.
+
+    The query sits in the low corner of the unit cube.  An insert in the
+    high corner cannot change its answers: the next search is still a
+    hit, at the insert's snapshot version, with the same answers.  An
+    insert of the query's own points is an answer the next search finds.
+    """
+    import numpy as np
+
+    from repro.service.wal import encode_points
+
+    rng = np.random.default_rng(2001)
+    query = 0.1 * rng.random((20, dimension))
+    first = client.search(query, 0.3)
+    if client.search(query, 0.3)["cache"] != "hit":
+        raise RuntimeError("write-through leg: the repeat was not a hit")
+    far = _post(
+        host,
+        port,
+        "/insert",
+        {"points": encode_points(0.9 + 0.1 * rng.random((10, dimension)))},
+    )
+    after = client.search(query, 0.3)
+    if (
+        after["cache"] != "hit"
+        or after["snapshot_version"] != far["snapshot_version"]
+        or after["answers"] != first["answers"]
+    ):
+        raise RuntimeError(
+            f"a far insert changed the cached query: {first} then {after}"
+        )
+    near = _post(host, port, "/insert", {"points": encode_points(query)})
+    found = client.search(query, 0.3)
+    if (
+        found["snapshot_version"] != near["snapshot_version"]
+        or near["sequence_id"] not in found["answers"]
+    ):
+        raise RuntimeError(f"the query's own points are no answer: {near} {found}")
+
+
 def main() -> int:
     """Run the smoke sequence; returns a process exit code."""
     import numpy as np
@@ -237,6 +297,7 @@ def main() -> int:
                 raise RuntimeError(f"admission cut at smoke load: {admission}")
             _check_list_form(host, port, client, rng.random((20, dimension)))
             _check_curl_shaped(host, port, rng.random((60, dimension)))
+            _check_write_through(host, port, client, dimension)
             transport = client.transport_stats()
             if transport["connections_opened"] != 1:
                 raise RuntimeError(f"calls did not share a connection: {transport}")
@@ -261,8 +322,8 @@ def main() -> int:
         "serve smoke OK: /healthz, /search (pooled miss, then a hit on the "
         "handler thread), /stats over one connection, admission limit at "
         "its ceiling, list and codec point forms agree, a curl-shaped "
-        "repeat is a hit with stored bytes, clean SIGINT shutdown with "
-        "it parked"
+        "repeat is a hit with stored bytes, writes patch a cached query, "
+        "clean SIGINT shutdown with it parked"
     )
     return 0
 
