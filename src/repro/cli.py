@@ -843,9 +843,10 @@ def _command_wal_inspect(args: argparse.Namespace) -> int:
                 "" if record.points is None else f" points={len(record.points)}"
             )
             length = "" if record.length is None else f" length={record.length}"
+            replica = "" if record.replica is None else f" replica={record.replica}"
             print(
                 f"  @{entry.offset:<8} crc=ok {record.op:<6} "
-                f"seq={record.seq} id={record.sequence_id!r}{extent}{length}"
+                f"seq={record.seq} id={record.sequence_id!r}{extent}{length}{replica}"
             )
     if inspection.torn:
         tail = inspection.entries[-1] if inspection.entries else None

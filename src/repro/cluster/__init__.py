@@ -25,9 +25,10 @@ union corpus:
   log-shipping followers can be registered for bounded-staleness reads
   (``max_lag_records``).
 * :mod:`repro.cluster.repair` — the bounded, optionally crash-durable
-  read-repair journal: missed writes are journaled per backend and
-  replayed on recovery; queue overflow forces a full snapshot resync
-  from a healthy peer instead of an unbounded replay.
+  repair journal: missed writes are journaled per backend, and a
+  recovered backend tails its view by sequence, as a WAL follower does;
+  backlog overflow forces a full snapshot resync from a caught-up peer
+  instead of an unbounded replay.
 * :mod:`repro.cluster.backends` — the transport-agnostic backend surface:
   :class:`~repro.service.client.ServiceClient` for real clusters,
   :class:`LocalBackend` (JSON-round-tripped in-process engines) for

@@ -2,7 +2,8 @@
 
 The coordinator is transport-agnostic: a *backend* is any object exposing
 ``healthz`` / ``stats`` / ``search`` / ``knn`` / ``insert`` / ``append``
-/ ``remove`` with :class:`~repro.service.client.ServiceClient` semantics
+/ ``remove`` and, to catch up, ``apply_records`` / ``restore`` /
+``export_sequences``, with :class:`~repro.service.client.ServiceClient` semantics
 (same payload shapes, same typed errors).  Over the wire that is a
 ``ServiceClient``; in-process it is :class:`LocalBackend`, which wraps a
 :class:`~repro.service.engine.QueryEngine` directly — no sockets.  Every
@@ -34,6 +35,7 @@ if TYPE_CHECKING:
     import numpy.typing as npt
 
     from repro.service.follower import WalFollower
+    from repro.service.wal import WalRecord
 
 __all__ = ["Backend", "LocalBackend"]
 
@@ -83,11 +85,23 @@ class Backend(Protocol):
         ...
 
     def append(self, sequence_id: object, points: "npt.ArrayLike") -> dict:
-        """Extend a stored sequence."""
+        """Extend a stored sequence; the reply carries its new ``length``."""
         ...
 
     def remove(self, sequence_id: object) -> dict:
         """Remove a sequence."""
+        ...
+
+    def apply_records(self, records: "list[WalRecord]") -> int:
+        """Replay a batch of logged writes idempotently; the count applied."""
+        ...
+
+    def restore(self, sequences: list[dict]) -> dict:
+        """Replace the corpus with an exported one (snapshot resync)."""
+        ...
+
+    def export_sequences(self, *, include_points: bool = True) -> dict:
+        """The full corpus, as a snapshot resync donor."""
         ...
 
 
@@ -181,11 +195,10 @@ class LocalBackend:
         return _round_trip({"sequence_id": written})["sequence_id"]
 
     def append(self, sequence_id: object, points: "npt.ArrayLike") -> dict:
-        """Extend a stored sequence."""
-        self.engine.append(sequence_id, np.asarray(points, dtype=np.float64))
-        return dict(
-            _round_trip(write_payload(self.engine, sequence_id=sequence_id))
-        )
+        """Extend a stored sequence; the reply carries its new ``length``."""
+        length = self.engine.append(sequence_id, np.asarray(points, dtype=np.float64))
+        payload = write_payload(self.engine, sequence_id=sequence_id, length=length)
+        return dict(_round_trip(payload))
 
     def remove(self, sequence_id: object) -> dict:
         """Remove a sequence."""
@@ -195,6 +208,10 @@ class LocalBackend:
         )
 
     # -- replication surface (mirrors ServiceClient's) -----------------
+    def apply_records(self, records: "list[WalRecord]") -> int:
+        """Replay a shipped batch through the engine (``/wal/apply``)."""
+        return self.engine.apply_records(records)
+
     def wal_tail(
         self,
         after_seq: int,

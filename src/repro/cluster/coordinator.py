@@ -45,14 +45,14 @@ the paper's operations cluster-wide:
   a shard missing; pass ``fail_closed=False`` to take the typed partial
   result instead.
 * **Writes** (``insert`` / ``append`` / ``remove``) go to all replicas of
-  the owning shard with best-effort quorum (majority acks); replicas that
-  miss a write are queued in the **repair journal**
-  (:mod:`repro.cluster.repair`) and caught up as soon as a probe or a
-  successful request sees them healthy again.  With ``journal_dir`` set
-  the journal is crash-durable: queued repair state survives a
-  coordinator kill -9.  Queues are bounded (``max_repair_ops``); at
-  overflow the backend is flagged for a full **snapshot resync** from a
-  healthy peer replica instead of replaying an unbounded tail.
+  the owning shard with best-effort quorum (majority acks).  A replica
+  that misses one, or lags and cannot catch up first, gets it in the
+  **repair journal** (:mod:`repro.cluster.repair`), an append stamped
+  with an acking replica's ``length``; its
+  :class:`~repro.service.follower.WalFollower` replays the journal by
+  sequence through its ``apply_records``, never re-sending a call.
+  Overflow (``max_repair_ops``) and divergence end in a **snapshot
+  resync** from caught-up peers; ``journal_dir`` makes it crash-durable.
 * **Bounded-staleness reads**: WAL-shipping followers
   (:class:`~repro.service.follower.WalFollower` replicas registered via
   ``followers=[(backend, leader_index), ...]``) serve as extra read
@@ -82,10 +82,7 @@ import numpy as np
 from repro.cluster.backends import Backend
 from repro.cluster.health import HealthTracker
 from repro.cluster.merge import MergedSearch, merge_knn, merge_search_payloads
-from repro.cluster.repair import (
-    DEFAULT_MAX_REPAIR_OPS,
-    RepairJournal,
-)
+from repro.cluster.repair import DEFAULT_MAX_REPAIR_OPS, JournalView, RepairJournal
 from repro.cluster.router import ShardRouter, canonical_id
 from repro.service.client import TRANSPORT_ERRORS
 from repro.service.errors import (
@@ -97,6 +94,7 @@ from repro.service.errors import (
     WriteQuorumFailed,
 )
 from repro.service.faults import inject
+from repro.service.follower import WalFollower
 from repro.service.stats import LatencyWindow
 from repro.service.wal import WalRecord, decode_points
 from repro.util.budget import Deadline
@@ -239,11 +237,11 @@ class ClusterCoordinator:
         Seconds between automatic recovery probes of a down backend
         (also the default for an injected ``health`` tracker).
     journal_dir:
-        Directory for the durable repair journal; ``None`` (the default)
-        keeps repair queues in memory, as before.
+        Directory for the durable repair journal and the catch-up
+        cursors; ``None`` (the default) keeps both in memory.
     max_repair_ops:
-        Per-backend repair queue bound; overflow drops the queue and
-        flags the backend for a full snapshot resync.
+        Per-backend repair backlog bound; overflow drops the backlog and
+        moves the backend to a snapshot resync.
     followers:
         ``(backend, leader_index)`` pairs: WAL-shipping follower replicas
         of ``backends[leader_index]``.  Followers take no writes and own
@@ -344,6 +342,15 @@ class ClusterCoordinator:
         self.journal = RepairJournal(
             len(self.backends), directory=journal_dir, max_ops=max_repair_ops
         )
+        # One follower per backend: the only way a backend catches up.
+        self._followers = [
+            WalFollower(
+                backend,
+                JournalView(self.journal, i, lambda i=i: self._peer_export(i)),
+                cursor_path=self.journal.cursor_path(i),
+            )
+            for i, backend in enumerate(self.backends)
+        ]
         #: Last probed replication lag per follower *node* index; a
         #: follower missing here has never probed healthy and is
         #: read-ineligible regardless of ``max_lag_records``.
@@ -351,8 +358,8 @@ class ClusterCoordinator:
         self._lag_lock = TracedLock("coordinator.lag")
         # One drain may run per backend at a time: probe() drains
         # synchronously while _call_backend submits drains to the pool
-        # on down -> up transitions, and a concurrent double-replay
-        # would apply the same op twice.
+        # on down -> up transitions, and two polls of one follower would
+        # race on its cursor.
         self._drain_locks = [
             TracedLock(f"coordinator.drain.{index}")
             for index in range(len(self.backends))
@@ -369,7 +376,6 @@ class ClusterCoordinator:
             "partial_results": 0,
             "repairs_queued": 0,
             "repairs_replayed": 0,
-            "repairs_dropped": 0,
             "repairs_overflowed": 0,
             "resyncs": 0,
             "follower_reads": 0,
@@ -551,12 +557,9 @@ class ClusterCoordinator:
 
     @staticmethod
     def _send_write(backend: Backend, record: WalRecord) -> Any:
-        """The one place a write record becomes a backend call.
-
-        Both the live fan-out and the repair drain go through here, so a
-        replica that missed a write is caught up with exactly the call
-        it missed.  The record holds the caller's rows as a read-only
-        float64 array: a ``LocalBackend`` takes it as is, a
+        """The live fan-out's one record -> backend call (catch-up replays
+        by sequence instead).  The record holds the caller's rows as a
+        read-only float64 array: a ``LocalBackend`` takes it as is, a
         ``ServiceClient`` encodes it once per replica.
         """
         if record.op == "insert":
@@ -572,21 +575,26 @@ class ClusterCoordinator:
         self._note_order(sequence_id)
         futures: dict[Future, int] = {}
         skipped: list[int] = []
+        usable, lagging = self.health.usable, self.journal.lagging
         for backend_index in sorted(placement.replicas, key=self._in_process):
-            if self.health.usable(backend_index):
+            # Sent live ahead of a backlog, the write could land before an
+            # earlier one: catch the replica up first, or queue it behind.
+            if usable(backend_index) and lagging(backend_index):
+                self._drain_repairs(backend_index)
+            if usable(backend_index) and not lagging(backend_index):
                 future = self._dispatch(
                     backend_index, lambda b, _budget: self._send_write(b, record)
                 )
                 futures[future] = backend_index
             else:
                 skipped.append(backend_index)
-        acks = 0
+        replies: dict[int, Any] = {}
         caller_error: Exception | None = None
         missed: list[int] = []
         rejected: list[int] = []
         for future, backend_index in futures.items():
             try:
-                future.result()
+                replies[backend_index] = future.result()
             except _FAILOVER_ERRORS:
                 missed.append(backend_index)
             except (KeyError, TypeError, ValueError) as error:
@@ -596,177 +604,142 @@ class ClusterCoordinator:
                 rejected.append(backend_index)
                 if caller_error is None:
                     caller_error = error
-            else:
-                acks += 1
-        if acks == 0 and caller_error is not None:
-            # No replica accepted and at least one rejected
-            # deterministically: the replicas agree the request itself
-            # is bad (duplicate id, unknown id, ...).  Surface it — but
-            # first queue repairs for replicas that were skipped or
-            # transport-failed, whose state is unknown (replay is
-            # idempotent, so a repair that turns out unnecessary is
-            # absorbed).
-            for backend_index in (*skipped, *missed):
-                self._queue_repair(backend_index, record)
-            raise caller_error
-        if rejected:
-            # At least one replica acked, so the request was
-            # well-formed — a rejecting replica has silently diverged
-            # (e.g. it missed an insert while merely "suspect" and now
-            # rejects the append).  That is replica damage, not a caller
-            # error: queue it for repair instead of failing a write the
-            # quorum already applied.
-            self._count("divergent_writes", len(rejected))
-        for backend_index in (*skipped, *missed, *rejected):
+        # At least one replica applied the write, so one that rejected
+        # it — or reports another length — has diverged: replica damage,
+        # not a caller error.  It resyncs.
+        diverged = list(rejected) if replies else []
+        if op == "append" and replies:
+            lengths = {i: int(reply["length"]) for i, reply in replies.items()}
+            record = replace(record, length=next(iter(lengths.values())))
+            diverged += [i for i, n in lengths.items() if n != record.length]
+        if diverged:
+            self._count("divergent_writes", len(diverged))
+        if op == "append" and not replies:
+            # No acked length, so no idempotent replay: a replica the
+            # append may have reached resyncs, one never sent it needs
+            # nothing.  (Inserts and removes replay idempotently by id.)
+            queued, resync = [], missed
+        else:
+            queued, resync = [*skipped, *missed], diverged
+        for backend_index in queued:
             self._queue_repair(backend_index, record)
-        if acks < self.write_quorum:
+        for backend_index in resync:
+            self._queue_repair(backend_index, record, resync=True)
+        if not replies and caller_error is not None:
+            # The replicas that answered agree the request is bad.
+            raise caller_error
+        if len(replies) < self.write_quorum:
             self._count("quorum_failures")
             raise WriteQuorumFailed(
-                f"{op} of {sequence_id!r} reached {acks} of "
+                f"{op} of {sequence_id!r} reached {len(replies)} of "
                 f"{len(placement.replicas)} replicas "
                 f"(quorum {self.write_quorum}); missed replicas queued "
                 "for read-repair",
                 shard=placement.shard,
-                acks=acks,
+                acks=len(replies),
                 required=self.write_quorum,
             )
 
     # ------------------------------------------------------------------
     # Read-repair
     # ------------------------------------------------------------------
-    def _queue_repair(self, backend_index: int, record: WalRecord) -> None:
+    def _queue_repair(
+        self, index: int, record: WalRecord, *, resync: bool = False
+    ) -> None:
         try:
-            queued = self.journal.queue(replace(record, replica=backend_index))
+            self.journal.queue(replace(record, replica=index), resync=resync)
         except RepairOverflow:
-            # The journal dropped the queue and flagged the backend for a
-            # snapshot resync; the write itself already reached its
-            # quorum, so overflow is counted, not raised to the caller.
+            # The journal dropped the backlog and moved the horizon: the
+            # backend resyncs.  The write already reached its quorum, so
+            # overflow is counted, not raised to the caller.
             self._count("repairs_overflowed")
             return
-        if queued:
-            self._count("repairs_queued")
+        self._count("repairs_queued")
 
     def repair_pending(self) -> dict[int, int]:
-        """Queued repair ops per backend (non-empty queues only)."""
+        """Backlogged repair records per backend (non-empty only)."""
         return self.journal.pending()
 
     def _drain_repairs(self, backend_index: int) -> int:
-        """Replay a recovered backend's missed writes, in order.
+        """Poll a backend's follower until a batch comes back empty.
 
-        At most one drain runs per backend at a time: a concurrent
-        drain (probe sweep racing a down -> up transition seen by a
-        regular request) returns immediately — the active drain owns
-        the queue, and replaying the same op from two threads would
-        apply it twice.
+        Returns the records replayed.  At most one drain runs per backend
+        at a time: a concurrent one (a probe sweep racing a down -> up
+        transition seen by a regular request) returns 0 at once.
         """
         lock = self._drain_locks[backend_index]
         if not lock.acquire(blocking=False):
             return 0
+        follower = self._followers[backend_index]
+        replayed = 0
         try:
-            return self._drain_repairs_locked(backend_index)
+            while True:
+                try:
+                    inject("cluster.read-repair")
+                    try:
+                        summary = follower.poll()
+                    except (KeyError, TypeError, ValueError):
+                        # The backend refused a replay (an append whose
+                        # target it lacks): it diverged, so only a
+                        # snapshot converges it.
+                        summary = follower.resync()
+                except ShardUnavailable:
+                    return replayed  # no caught-up donor yet; retried next probe
+                except _FAILOVER_ERRORS:
+                    self.health.record_failure(backend_index)
+                    return replayed
+                if summary["resync"]:
+                    self._count("resyncs")
+                elif summary["count"] == 0:
+                    return replayed
+                else:
+                    replayed += summary["count"]
+                    self._count("repairs_replayed", summary["count"])
         finally:
             lock.release()
 
-    def _drain_repairs_locked(self, backend_index: int) -> int:
-        backend = self.backends[backend_index]
-        replayed = 0
-        if self.journal.needs_resync(backend_index):
-            # Tail-repair overflowed: only a full snapshot copy from a
-            # healthy peer can converge this backend.  Until one
-            # succeeds the flag stays set and the next probe retries.
-            if not self._resync_backend(backend_index):
-                return replayed
-        while True:
-            record = self.journal.peek(backend_index)
-            if record is None:
-                return replayed
-            dropped = False
-            try:
-                inject("cluster.read-repair")
-                try:
-                    self._send_write(backend, record)  # error-ok: insert/remove replay is idempotent (the KeyError below proves the write landed); append is at-least-once by design — a torn append trips needs_resync and a full snapshot copy
-                except KeyError:
-                    if record.op == "append":
-                        raise  # target id never landed here: dead-letter
-                    # insert of a present id / remove of an absent one:
-                    # the write did land
-            except _FAILOVER_ERRORS:
-                # Still unhealthy: keep the queue, try again next probe.
-                self.health.record_failure(backend_index)
-                return replayed
-            except (KeyError, TypeError, ValueError):
-                # Deterministic rejection on replay (e.g. an append
-                # whose target id never landed on this replica): no
-                # retry can fix it, so dead-letter the op rather than
-                # wedging the queue — and the probe thread — forever.
-                dropped = True
-            self.journal.ack(backend_index, record)
-            if dropped:
-                self._count("repairs_dropped")
-            else:
-                replayed += 1
-                self._count("repairs_replayed")
+    def _peer_export(self, backend_index: int) -> list[dict]:
+        """The sequences a resyncing backend should hold, from its peers.
 
-    def _resync_backend(self, backend_index: int) -> bool:
-        """Rebuild an overflowed backend from healthy peer exports.
-
-        Every shard the backend hosts needs one healthy peer replica
-        exposing ``export_sequences``; the target must expose
-        ``restore``.  The donated exports are filtered to the sequences
-        this backend should hold (placement is a pure function of the
-        id) and restored in one shot.  Returns ``False`` — leaving the
-        resync flag set for the next probe — when any donor or the
-        restore is unavailable; with ``replication=1`` a shard has no
-        peer and the flag can only clear once an operator reloads the
-        corpus.
+        Each shard it hosts comes from a usable peer with nothing to
+        catch up on, or — when every peer awaits a snapshot too, as with
+        ``replication=1`` — from the backend itself.  Raises
+        :class:`ShardUnavailable` while no such peer is reachable.
         """
-        target = self.backends[backend_index]
-        restore = getattr(target, "restore", None)
-        if restore is None:
-            return False
         donors: dict[int, int] = {}
+        resync = self.journal.resync_pending()
         for shard in range(self.router.num_shards):
             replicas = self.router.replicas_of(shard)
             if backend_index not in replicas:
                 continue
-            donor = next(
-                (
-                    index
-                    for index in replicas
-                    if index != backend_index
-                    and self.health.usable(index)
-                    and getattr(
-                        self.backends[index], "export_sequences", None
-                    )
-                    is not None
-                ),
-                None,
+            peers = [i for i in replicas if i != backend_index and i not in resync]
+            ready = (
+                i
+                for i in peers
+                if self.health.usable(i) and not self.journal.lagging(i)
             )
+            donor = next(ready, None if peers else backend_index)
             if donor is None:
-                return False
+                raise ShardUnavailable(
+                    f"no caught-up replica of shard {shard} can donate a "
+                    f"snapshot to backend {backend_index}",
+                    missing_shards=[shard],
+                )
             donors[shard] = donor
         sequences: dict[str, dict] = {}
         for donor in sorted(set(donors.values())):
-            exporter = getattr(self.backends[donor], "export_sequences", None)
-            if exporter is None:
-                return False
             try:
-                export = exporter()
-            except _FAILOVER_ERRORS:
+                export = self.backends[donor].export_sequences()
+            except _FAILOVER_ERRORS as error:
                 self.health.record_failure(donor)
-                return False
+                raise ShardUnavailable(
+                    f"snapshot donor {donor} failed: {error}",
+                    missing_shards=[s for s, d in donors.items() if d == donor],
+                ) from error
             for entry in export["sequences"]:
-                placement = self.router.placement(entry["id"])
-                if donors.get(placement.shard) == donor:
+                if donors.get(self.router.placement(entry["id"]).shard) == donor:
                     sequences[canonical_id(entry["id"])] = entry
-        try:
-            restore(list(sequences.values()))
-        except _FAILOVER_ERRORS:
-            self.health.record_failure(backend_index)
-            return False
-        self.journal.mark_resynced(backend_index)
-        self._count("resyncs")
-        return True
+        return list(sequences.values())
 
     def probe(self) -> dict[int, bool]:
         """Probe every node's ``/healthz``; drain repairs on recovery.
@@ -796,14 +769,18 @@ class ClusterCoordinator:
                 if index >= len(self.backends):
                     self._note_follower_lag(index, info)
         # Catch up every reachable backend with missed writes — covering
-        # fresh down -> up recoveries, queues left behind by an earlier
-        # replay that failed halfway, and pending snapshot resyncs.
+        # fresh down -> up recoveries, backlogs left behind by an earlier
+        # drain that failed halfway, and pending snapshot resyncs (last,
+        # so the backlogs their donors replay come first).
         self.health.take_recovered()
-        pending = self.repair_pending()
-        resync = set(self.journal.resync_pending())
-        for index in range(len(self.backends)):
-            if outcomes.get(index) and (pending.get(index) or index in resync):
-                self._drain_repairs(index)
+        resync = self.journal.resync_pending()
+        lagging = [
+            index
+            for index in range(len(self.backends))
+            if outcomes.get(index) and self.journal.lagging(index)
+        ]
+        for index in sorted(lagging, key=resync.__contains__):
+            self._drain_repairs(index)
         return outcomes
 
     def _note_follower_lag(self, node_index: int, info: dict) -> None:

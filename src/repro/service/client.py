@@ -36,6 +36,7 @@ Counters surface through :meth:`ServiceClient.transport_stats`.
 
 from __future__ import annotations
 
+import base64
 import functools
 import http.client
 import json
@@ -53,7 +54,7 @@ from repro.service.errors import (
     decode_error,
 )
 from repro.service.headers import read_headers
-from repro.service.wal import encode_points
+from repro.service.wal import WalRecord, encode_frames, encode_points
 from repro.util.budget import Deadline
 from repro.util.errtrace import translated
 from repro.util.rng import ensure_rng
@@ -404,7 +405,7 @@ class ServiceClient:
         return self._request("POST", "/insert", body)["sequence_id"]
 
     def append(self, sequence_id: object, points: npt.ArrayLike) -> dict:
-        """Extend a stored sequence with new points (never retried)."""
+        """Extend a stored sequence (never retried); the reply has its ``length``."""
         body = {"sequence_id": sequence_id, "points": encode_points(points)}
         return dict(self._request("POST", "/append", body))
 
@@ -435,6 +436,12 @@ class ServiceClient:
         if snapshot_version is not None:
             body["snapshot_version"] = snapshot_version
         return dict(self._request("POST", "/wal/tail", body))
+
+    def apply_records(self, records: list[WalRecord]) -> int:
+        """Replay seq-stamped records (``POST /wal/apply``, the ``/wal/tail``
+        batch encoding); the count applied.  Never retried."""
+        frames = base64.b64encode(encode_frames(records)).decode("ascii")
+        return int(self._request("POST", "/wal/apply", {"frames": frames})["applied"])
 
     def export_sequences(self, *, include_points: bool = True) -> dict:
         """The server's full corpus export (``GET /sequences``), for resync.

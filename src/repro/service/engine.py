@@ -546,24 +546,26 @@ class QueryEngine:
             ],
         )
 
-    def append(self, sequence_id: object, points: npt.ArrayLike) -> object:
-        """Extend a stored sequence with new points (streaming ingestion)."""
+    def append(self, sequence_id: object, points: npt.ArrayLike) -> int:
+        """Extend a stored sequence (streaming ingestion); returns the
+        length this commit logs, which makes replaying the append idempotent."""
+        length = 0
 
         def mutate(db: SequenceDatabase) -> object:
+            nonlocal length
             db.append_points(sequence_id, points)
+            length = len(db.sequence(sequence_id))
             return sequence_id
 
         def log(db: SequenceDatabase, sid: object) -> list[WalRecord]:
             return [
                 WalRecord(
-                    "append",
-                    sid,
-                    points=decode_points(points),
-                    length=len(db.sequence(sid)),
+                    "append", sid, points=decode_points(points), length=length
                 )
             ]
 
-        return self._commit("append", mutate, log)
+        self._commit("append", mutate, log)
+        return length
 
     def remove(self, sequence_id: object) -> object:
         """Remove a sequence from subsequent snapshots."""

@@ -33,8 +33,9 @@ site                        where it fires
                             coordinator's remaining deadline
 ``cluster.health.probe``    before the coordinator probes a backend's
                             ``/healthz``
-``cluster.read-repair``     before each queued write is replayed onto a
-                            recovered replica
+``cluster.read-repair``     before each catch-up poll of a lagging
+                            backend (one batch of its journaled writes,
+                            or a snapshot resync)
 ``wal.ship.handshake``      on the leader, before a ``/wal/tail``
                             handshake is validated (divergence /
                             horizon checks)
@@ -43,6 +44,9 @@ site                        where it fires
                             mid-replication kill-point
 ``follower.apply``          on the follower, batch decoded and CRC-
                             verified, before it is applied locally
+``follower.persist``        batch applied to the target, before the
+                            follower's cursor is written — the
+                            mid-drain kill-point
 ==========================  ============================================
 
 The coordinator additionally fires *per-backend* dynamic sites —
@@ -98,4 +102,5 @@ FAULT_SITES: tuple[str, ...] = (
     "wal.ship.handshake",
     "wal.ship.batch",
     "follower.apply",
+    "follower.persist",
 )

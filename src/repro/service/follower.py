@@ -1,10 +1,10 @@
 """The replica side of WAL log-shipping: tail, verify, apply, persist.
 
-A follower is a :class:`~repro.service.engine.QueryEngine` that never
-takes direct writes; its state advances only by tailing a leader's WAL
-through the ``/wal/tail`` contract (:meth:`QueryEngine.wal_tail` — the
-leader may equally be an in-process engine or a
-:class:`~repro.service.client.ServiceClient` pointed at a remote one).
+A follower drives a :class:`ReplicationTarget` (an engine, or a cluster
+backend) that never takes direct writes; its state advances only by
+tailing a leader's WAL through the ``/wal/tail`` contract — an engine, a
+:class:`~repro.service.client.ServiceClient`, or one backend's view of
+the cluster's repair journal (:class:`~repro.cluster.repair.JournalView`).
 Each poll:
 
 1. presents the follower's **cursor** — ``(applied_seq,
@@ -12,15 +12,15 @@ Each poll:
 2. decodes the shipped batch with
    :func:`~repro.service.wal.decode_frames`, which re-verifies every
    record's CRC, so a batch damaged in transit is dropped whole;
-3. replays it through :meth:`QueryEngine.apply_records` (the same
+3. replays it through the target's ``apply_records`` (the same
    idempotent replay as crash recovery — duplicate delivery converges);
-4. advances the cursor and persists it **after** the apply.
+4. advances the cursor and, if it moved, persists it **after** the apply.
 
 Apply-then-persist is the crash-safety choice: a kill -9 between the two
 leaves the cursor *behind* the applied state, never ahead, so the worst
 restart outcome is re-fetching records whose replay is a no-op.  The
 cursor file is one JSON object written atomically (temp file + fsync +
-``os.replace``) next to the follower's data::
+``os.replace``) next to the follower's data (``cursor_path=None``: none)::
 
     {"applied_seq": 1482, "leader_snapshot_version": 1482,
      "leader": "http://leader:8080"}
@@ -44,18 +44,41 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 from repro.service.errors import ReplicaDiverged, SnapshotRequired
-from repro.service.wal import decode_frames
+from repro.service.wal import WalRecord, decode_frames
 from repro.util.errtrace import record_swallowed
 from repro.util.faults import inject
 from repro.util.sync import TracedLock
 
-if TYPE_CHECKING:
-    from repro.service.engine import QueryEngine
+__all__ = ["ReplicationLeader", "ReplicationTarget", "WalFollower"]
 
-__all__ = ["ReplicationLeader", "WalFollower"]
+
+def load_cursor(path: Path | None) -> tuple[int, int]:
+    """``(applied_seq, leader_snapshot_version)``; ``(0, 0)`` when absent."""
+    if path is None or not path.exists():
+        return 0, 0
+    body = json.loads(path.read_text(encoding="utf-8"))
+    applied = int(body.get("applied_seq", 0))
+    version = int(body.get("leader_snapshot_version", 0))
+    if applied < 0 or version < 0:
+        raise ValueError(
+            f"{path} carries a negative cursor — refusing to tail from a "
+            "corrupt position"
+        )
+    return applied, version
+
+
+def save_json(path: Path, body: dict) -> None:
+    """Atomically replace ``path`` with ``body`` (temp + fsync + replace)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(body, separators=(",", ":")))
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
 
 
 @runtime_checkable
@@ -78,22 +101,31 @@ class ReplicationLeader(Protocol):
     def export_sequences(self, *, include_points: bool = True) -> dict: ...
 
 
+@runtime_checkable
+class ReplicationTarget(Protocol):
+    """What a follower applies to: a ``QueryEngine``, or a cluster backend."""
+
+    def apply_records(self, records: list[WalRecord]) -> int: ...
+
+    def restore(self, sequences: list[dict]) -> Any: ...
+
+
 class WalFollower:
-    """Tails a leader's WAL into a local engine, durably tracking its cursor.
+    """Tails a leader's WAL into a target, durably tracking its cursor.
 
     Parameters
     ----------
     engine:
-        The local engine to apply shipped records to.  Make it durable
-        (same ``DurabilityConfig`` machinery as a leader) if the follower
-        itself must survive kill -9: applied records land in the
-        follower's own WAL before the cursor advances.
+        The :class:`ReplicationTarget` to apply shipped records to.  Make
+        it durable (same ``DurabilityConfig`` machinery as a leader) if
+        the follower itself must survive kill -9: applied records land in
+        the follower's own WAL before the cursor advances.
     leader:
         Anything satisfying :class:`ReplicationLeader`.
     cursor_path:
         Where the applied cursor persists.  A missing file means a fresh
         follower (cursor 0 — tail from the beginning, or resync if the
-        leader's horizon has moved).
+        leader's horizon has moved); ``None`` keeps the cursor in memory.
     batch_limit:
         Max records requested per poll.
     leader_url:
@@ -103,10 +135,10 @@ class WalFollower:
 
     def __init__(
         self,
-        engine: "QueryEngine",
+        engine: ReplicationTarget,
         leader: ReplicationLeader,
         *,
-        cursor_path: str | Path,
+        cursor_path: str | Path | None,
         batch_limit: int = 512,
         leader_url: str | None = None,
     ) -> None:
@@ -116,8 +148,8 @@ class WalFollower:
         self._leader = leader
         self._batch_limit = batch_limit
         self._leader_url = leader_url
-        self.cursor_path = Path(cursor_path)
-        applied_seq, leader_version = self._load_cursor()
+        self.cursor_path = None if cursor_path is None else Path(cursor_path)
+        applied_seq, leader_version = load_cursor(self.cursor_path)
         self._lock = TracedLock("follower.state")
         self._applied_seq = applied_seq
         self._leader_version = leader_version
@@ -133,19 +165,6 @@ class WalFollower:
     # ------------------------------------------------------------------
     # Cursor persistence
     # ------------------------------------------------------------------
-    def _load_cursor(self) -> tuple[int, int]:
-        if not self.cursor_path.exists():
-            return 0, 0
-        body = json.loads(self.cursor_path.read_text(encoding="utf-8"))
-        applied = int(body.get("applied_seq", 0))
-        version = int(body.get("leader_snapshot_version", 0))
-        if applied < 0 or version < 0:
-            raise ValueError(
-                f"{self.cursor_path} carries a negative cursor — refusing "
-                "to tail from a corrupt position"
-            )
-        return applied, version
-
     def _persist_cursor(self, applied_seq: int, leader_version: int) -> None:
         """Atomically rewrite the cursor file (temp + fsync + replace).
 
@@ -154,21 +173,15 @@ class WalFollower:
         leaves a cursor at or behind the applied state — re-fetching is
         idempotent, skipping ahead is impossible.
         """
-        self.cursor_path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {
-                "applied_seq": applied_seq,
-                "leader_snapshot_version": leader_version,
-                "leader": self._leader_url,
-            },
-            separators=(",", ":"),
-        )
-        tmp = self.cursor_path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.cursor_path)
+        if self.cursor_path is not None:
+            save_json(
+                self.cursor_path,
+                {
+                    "applied_seq": applied_seq,
+                    "leader_snapshot_version": leader_version,
+                    "leader": self._leader_url,
+                },
+            )
 
     # ------------------------------------------------------------------
     # Polling
@@ -204,11 +217,13 @@ class WalFollower:
         frames = base64.b64decode(reply["frames"])
         records = decode_frames(frames)  # verifies every frame's CRC
         inject("follower.apply")
-        applied = self._engine.apply_records(records)
+        applied = self._engine.apply_records(records) if records else 0
+        inject("follower.persist")
         batch_last_seq = int(reply["batch_last_seq"])
         leader_seq = int(reply["last_seq"])
         leader_version = int(reply["snapshot_version"])
         with self._lock:
+            before = (self._applied_seq, self._leader_version)
             self._applied_seq = max(self._applied_seq, batch_last_seq)
             self._leader_version = leader_version
             self._leader_seq = leader_seq
@@ -218,7 +233,8 @@ class WalFollower:
             self._last_poll_at = time.time()
             applied_seq = self._applied_seq
             lag = max(0, leader_seq - applied_seq)
-        self._persist_cursor(applied_seq, leader_version)
+        if (applied_seq, leader_version) != before:
+            self._persist_cursor(applied_seq, leader_version)
         return {
             "applied": applied,
             "count": len(records),
@@ -238,7 +254,8 @@ class WalFollower:
         export did not contain.
         """
         export = self._leader.export_sequences()
-        restored = self._engine.restore(export["sequences"])
+        self._engine.restore(export["sequences"])
+        restored = len(export["sequences"])
         cursor = int(export["snapshot_version"])
         with self._lock:
             self._applied_seq = cursor
@@ -276,33 +293,22 @@ class WalFollower:
             raise ValueError(f"interval must be positive, got {interval}")
         while not stop.is_set():
             try:
-                summary = self.poll()
-            except ReplicaDiverged:
                 try:
+                    count = self.poll()["count"]
+                except ReplicaDiverged:
                     self.resync()
-                except Exception as error:  # error-ok: tail loop outlives leader restarts; recorded in status()
-                    record_swallowed(
-                        error,
-                        role="follower.tail",
-                        site="WalFollower.run.resync",
-                        cancellation_ok=True,
-                    )
-                    with self._lock:
-                        self._last_error = str(error)
-                stop.wait(interval)
-                continue
+                    count = 0  # a resync waits a round like a short batch
             except Exception as error:  # error-ok: tail loop outlives leader restarts; recorded in status()
                 record_swallowed(
                     error,
                     role="follower.tail",
-                    site="WalFollower.run.poll",
+                    site="WalFollower.run",
                     cancellation_ok=True,
                 )
                 with self._lock:
                     self._last_error = str(error)
-                stop.wait(interval)
-                continue
-            if summary["count"] < self._batch_limit:
+                count = 0
+            if count < self._batch_limit:
                 stop.wait(interval)
 
     # ------------------------------------------------------------------

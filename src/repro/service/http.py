@@ -7,8 +7,8 @@ internet.  The routes are :class:`ServiceHandler`'s ``get_routes`` /
 ``post_routes``, their bodies tabled in ``docs/service.md``: the reads
 (``/search``, ``/knn``, ``/healthz``, ``/stats``), the writes
 (``/insert``, ``/append``, ``/remove``) and the replication routes
-(``GET /sequences``, ``/restore``, ``/wal/tail``).  Every ``"points"``
-field is read by :func:`~repro.service.wal.decode_points`.
+(``GET /sequences``, ``/restore``, ``/wal/tail``, ``/wal/apply``).  Every
+``"points"`` field is read by :func:`~repro.service.wal.decode_points`.
 
 A failed request is answered by
 :func:`~repro.service.errors.encode_error`: each typed serving error
@@ -55,6 +55,7 @@ because JSON object keys must be strings.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
@@ -76,7 +77,7 @@ from repro.service.errors import (
 )
 from repro.service.faults import inject
 from repro.service.headers import read_headers
-from repro.service.wal import decode_points
+from repro.service.wal import decode_frames, decode_points
 from repro.util.errtrace import record_propagated
 from repro.util.sync import TracedLock
 from repro.util.validation import check_threshold
@@ -469,6 +470,7 @@ class ServiceHandler(JsonRequestHandler):
         "/remove": "_remove",
         "/restore": "_restore",
         "/wal/tail": "_wal_tail",
+        "/wal/apply": "_wal_apply",
     }
 
     @property
@@ -532,6 +534,12 @@ class ServiceHandler(JsonRequestHandler):
             limit=limit,
         )
 
+    def _wal_apply(self, body: dict) -> dict:
+        self._check_writable("wal/apply")
+        # Every CRC is re-checked: a damaged batch is a 400, none of it applied.
+        records = decode_frames(base64.b64decode(required_field(body, "frames")))
+        return write_payload(self.engine, applied=self.engine.apply_records(records))
+
     def _insert(self, body: dict) -> dict:
         self._check_writable("insert")
         sequence_id = self.engine.insert(
@@ -542,8 +550,8 @@ class ServiceHandler(JsonRequestHandler):
     def _append(self, body: dict) -> dict:
         self._check_writable("append")
         sequence_id = required_field(body, "sequence_id")
-        self.engine.append(sequence_id, read_points(body))
-        return write_payload(self.engine, sequence_id=sequence_id)
+        length = self.engine.append(sequence_id, read_points(body))
+        return write_payload(self.engine, sequence_id=sequence_id, length=length)
 
     def _remove(self, body: dict) -> dict:
         self._check_writable("remove")

@@ -83,6 +83,18 @@ class KillableBackend:
         self._guard()
         return self.inner.remove(sequence_id)
 
+    def apply_records(self, records):
+        self._guard()
+        return self.inner.apply_records(records)
+
+    def restore(self, sequences):
+        self._guard()
+        return self.inner.restore(sequences)
+
+    def export_sequences(self, *, include_points=True):
+        self._guard()
+        return self.inner.export_sequences(include_points=include_points)
+
 
 def make_corpus(count=24, seed=11):
     rng = np.random.default_rng(seed)
@@ -155,6 +167,14 @@ def close_all(engines, coordinator, single=None):
         engine.close()
     if single is not None:
         single.close()
+
+
+def stored(engine):
+    """Every stored sequence's points, by id (order-free)."""
+    database = engine._snapshot.database
+    return {
+        sid: database.sequence(sid).points.tobytes() for sid in database.ids()
+    }
 
 
 def single_node_search(single, query, epsilon, *, find_intervals=True):
@@ -478,21 +498,21 @@ class TestWrites:
         try:
             coordinator.insert(rng.random((10, DIMENSION)), sequence_id="div")
             # Replica 1 silently loses the sequence — the state a replica
-            # is in after missing a write while merely "suspect" (still
-            # routable, so the miss was never queued for repair).
+            # is in after some damage no journal saw.
             engines[1].remove("div")
             coordinator.append("div", rng.random((4, DIMENSION)))
             # The quorum applied the append: the caller sees success and
-            # the diverged replica is queued for repair, not raised.
+            # the diverged replica is moved to a snapshot resync, not
+            # raised (an append it lacks the target of cannot replay).
             assert len(engines[0]._snapshot.database.sequence("div")) == 14
-            assert coordinator.repair_pending() == {1: 1}
-            assert coordinator.stats()["divergent_writes"] == 1
-            # The replay rejects deterministically too (the target id is
-            # missing): the op is dead-lettered so the queue — and the
-            # probe sweep driving it — keeps draining.
-            coordinator.probe()
             assert coordinator.repair_pending() == {}
-            assert coordinator.stats()["repairs_dropped"] == 1
+            assert coordinator.journal.resync_pending() == [1]
+            assert coordinator.stats()["divergent_writes"] == 1
+            coordinator.probe()
+            assert coordinator.journal.resync_pending() == []
+            assert coordinator.stats()["resyncs"] == 1
+            assert len(engines[1]._snapshot.database.sequence("div")) == 14
+            assert stored(engines[1]) == stored(engines[0])
         finally:
             close_all(engines, coordinator)
 
@@ -507,10 +527,33 @@ class TestWrites:
             with pytest.raises(KeyError):
                 coordinator.append("no-such-id", rng.random((3, DIMENSION)))
             # The live replicas agreed the request is bad, but the dead
-            # replica's state is unknown — the op must still be queued
-            # (replay is idempotent or dead-lettered), not dropped by
-            # the raise.
-            assert coordinator.repair_pending() == {0: 1}
+            # replica's state is unknown and an append with no acked
+            # length cannot replay: the repair queued for it is a
+            # snapshot resync from its peers, not a backlog entry.
+            assert coordinator.stats()["repairs_queued"] == 1
+            assert coordinator.repair_pending() == {}
+            assert coordinator.journal.resync_pending() == [0]
+            backends[0].dead = False
+            coordinator.probe()
+            assert coordinator.journal.resync_pending() == []
+            assert stored(engines[0]) == stored(engines[1])
+        finally:
+            close_all(engines, coordinator)
+
+    def test_rejected_append_needs_nothing_for_a_skipped_replica(self):
+        corpus = make_corpus(6)
+        engines, _, coordinator = make_cluster(
+            corpus, num_backends=3, replication=3, write_quorum=1
+        )
+        rng = np.random.default_rng(5)
+        try:
+            for _ in range(3):
+                coordinator.health.record_failure(0)
+            with pytest.raises(KeyError):
+                coordinator.append("no-such-id", rng.random((3, DIMENSION)))
+            # Backend 0 was never sent the call: it needs nothing.
+            assert coordinator.repair_pending() == {}
+            assert coordinator.journal.resync_pending() == []
         finally:
             close_all(engines, coordinator)
 
@@ -624,6 +667,161 @@ class TestReadRepair:
             assert coordinator.repair_pending() == {0: 1}
             coordinator.probe()
             assert coordinator.repair_pending() == {}
+        finally:
+            close_all(engines, coordinator)
+
+
+class LostReplyBackend(LocalBackend):
+    """Applies the next ``lose`` write, then loses the reply to it."""
+
+    lose = None
+
+    def _maybe_lose(self, op, reply):
+        if self.lose == op:
+            self.lose = None
+            raise ConnectionError(f"reply to {op} lost")
+        return reply
+
+    def insert(self, points, sequence_id=None):
+        return self._maybe_lose("insert", super().insert(points, sequence_id))
+
+    def append(self, sequence_id, points):
+        return self._maybe_lose("append", super().append(sequence_id, points))
+
+    def remove(self, sequence_id):
+        return self._maybe_lose("remove", super().remove(sequence_id))
+
+
+def nearest(engine, query):
+    return engine.knn(query, 1)[0]
+
+
+class TestOneCatchUpProtocol:
+    """A replica that missed a write replays it by sequence, idempotently.
+
+    Two replicas, quorum 1; backend 1 applies a write and then its reply
+    is lost, so the coordinator journals the write for it.  After the
+    probe's drain both replicas hold the same corpus and give the same
+    1-NN answer (the sequential scan's), never the write twice.
+    """
+
+    def _cluster(self, *, wrap=None):
+        base = np.random.default_rng(40).random((20, DIMENSION))
+        engines, backends, coordinator = make_cluster(
+            [("s", base)],
+            num_backends=2,
+            replication=2,
+            write_quorum=1,
+            wrap=wrap,
+            backend_class=LostReplyBackend,
+        )
+        return engines, backends, coordinator
+
+    def test_a_lost_append_reply_is_not_applied_twice(self):
+        engines, backends, coordinator = self._cluster()
+        extra = np.random.default_rng(41).random((5, DIMENSION))
+        try:
+            backends[1].lose = "append"
+            coordinator.append("s", extra)
+            assert coordinator.repair_pending() == {1: 1}
+            coordinator.probe()
+            assert coordinator.repair_pending() == {}
+            # Replayed by sequence (a no-op: the length says it landed),
+            # not papered over by a snapshot.
+            stats = coordinator.stats()
+            assert (stats["repairs_replayed"], stats["resyncs"]) == (1, 0)
+            for engine in engines:
+                assert len(engine._snapshot.database.sequence("s")) == 25
+            query = np.vstack([extra, extra])
+            assert nearest(engines[0], query) == nearest(engines[1], query)
+            assert stored(engines[0]) == stored(engines[1])
+        finally:
+            close_all(engines, coordinator)
+
+    def test_a_lost_insert_reply_converges(self):
+        engines, backends, coordinator = self._cluster()
+        fresh = np.random.default_rng(42).random((12, DIMENSION))
+        try:
+            backends[1].lose = "insert"
+            coordinator.insert(fresh, sequence_id="fresh")
+            coordinator.probe()
+            assert coordinator.repair_pending() == {}
+            assert stored(engines[0]) == stored(engines[1])
+            assert nearest(engines[0], fresh) == nearest(engines[1], fresh)
+        finally:
+            close_all(engines, coordinator)
+
+    def test_a_lost_remove_reply_then_a_reinsert_converges(self):
+        engines, backends, coordinator = self._cluster()
+        again = np.random.default_rng(43).random((9, DIMENSION))
+        try:
+            backends[1].lose = "remove"
+            coordinator.remove("s")
+            # Backend 1 lags, so the re-insert first drains its backlog,
+            # then reaches it live: behind the remove, never before it.
+            coordinator.insert(again, sequence_id="s")
+            assert coordinator.repair_pending() == {}
+            for engine in engines:
+                assert len(engine._snapshot.database.sequence("s")) == 9
+            assert stored(engines[0]) == stored(engines[1])
+            assert nearest(engines[0], again) == nearest(engines[1], again)
+        finally:
+            close_all(engines, coordinator)
+
+    def test_a_write_queues_behind_a_backlog_it_cannot_drain(self):
+        engines, backends, coordinator = self._cluster()
+        again = np.random.default_rng(43).random((9, DIMENSION))
+        try:
+            backends[1].lose = "remove"
+            coordinator.remove("s")
+            # Another drain owns backend 1: the re-insert must not
+            # overtake the remove still in its backlog.
+            with coordinator._drain_locks[1]:
+                coordinator.insert(again, sequence_id="s")
+            assert coordinator.repair_pending() == {1: 2}
+            coordinator.probe()
+            assert coordinator.repair_pending() == {}
+            assert stored(engines[0]) == stored(engines[1])
+            assert nearest(engines[0], again) == nearest(engines[1], again)
+        finally:
+            close_all(engines, coordinator)
+
+    def test_an_append_no_replica_acked_resyncs_the_reached_replicas(self):
+        engines, backends, coordinator = self._cluster(wrap=KillableBackend)
+        extra = np.random.default_rng(44).random((5, DIMENSION))
+        try:
+            # Backend 0 is unreachable, backend 1 applies and loses the
+            # reply: no length is known, so nothing can replay.
+            backends[0].dead = True
+            backends[1].inner.lose = "append"
+            with pytest.raises(WriteQuorumFailed):
+                coordinator.append("s", extra)
+            assert coordinator.repair_pending() == {}
+            assert coordinator.journal.resync_pending() == [0, 1]
+            backends[0].dead = False
+            coordinator.probe()
+            assert coordinator.journal.resync_pending() == []
+            # Neither copy is better: one keeps its own, the other takes it.
+            assert stored(engines[0]) == stored(engines[1])
+            query = np.vstack([extra, extra])
+            assert nearest(engines[0], query) == nearest(engines[1], query)
+            coordinator.append("s", extra)  # the shard takes writes again
+            assert stored(engines[0]) == stored(engines[1])
+        finally:
+            close_all(engines, coordinator)
+
+    def test_an_acking_replica_with_another_length_resyncs(self):
+        engines, _, coordinator = self._cluster()
+        rng = np.random.default_rng(45)
+        try:
+            engines[1].append("s", rng.random((2, DIMENSION)))  # unseen damage
+            coordinator.append("s", rng.random((5, DIMENSION)))
+            assert coordinator.stats()["divergent_writes"] == 1
+            assert coordinator.journal.resync_pending() == [1]
+            coordinator.probe()
+            assert coordinator.journal.resync_pending() == []
+            assert len(engines[1]._snapshot.database.sequence("s")) == 25
+            assert stored(engines[0]) == stored(engines[1])
         finally:
             close_all(engines, coordinator)
 

@@ -7,8 +7,10 @@ typed-exception round trip for the new failure classes
 (:class:`ShardUnavailable` over a dead shard).
 """
 
+import base64
 import json
 import threading
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -16,8 +18,10 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, LocalBackend, serve_cluster
 from repro.core.database import SequenceDatabase
-from repro.service import QueryEngine, ServiceClient
-from repro.service.errors import ShardUnavailable
+from repro.service import QueryEngine, ServiceClient, WalFollower
+from repro.service.errors import FollowerReadOnly, ShardUnavailable
+from repro.service.http import serve, shutdown_gracefully
+from repro.service.wal import WalRecord, encode_frames
 from tests.test_cluster_coordinator import (
     DIMENSION,
     KillableBackend,
@@ -154,3 +158,97 @@ class TestClusterOverHttp:
         assert body["probed"] == 3
         assert body["unreachable"] == [1]
         assert sorted(body["reachable"] + body["unreachable"]) == [0, 1, 2]
+
+
+class LostAppendReplyClient(ServiceClient):
+    """A client whose next append reaches the server and loses the reply."""
+
+    lose = False
+
+    def append(self, sequence_id, points):
+        reply = super().append(sequence_id, points)
+        if self.lose:
+            self.lose = False
+            raise ConnectionError("reply to append lost")
+        return reply
+
+
+@pytest.fixture
+def served_pair():
+    """Two ``repro serve`` engines holding one 20-point sequence."""
+    base = np.random.default_rng(40).random((20, DIMENSION))
+    engines, servers = [], []
+    for _ in range(2):
+        database = SequenceDatabase(DIMENSION)
+        database.add(base, sequence_id="s")
+        engine = QueryEngine(database, workers=1, cache_size=0)
+        server = serve(engine, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        engines.append(engine)
+        servers.append(server)
+    urls = [f"http://127.0.0.1:{s.server_address[1]}" for s in servers]
+    yield engines, urls
+    for server, engine in zip(servers, engines):
+        shutdown_gracefully(server, engine, drain_timeout=1.0)
+
+
+class TestCatchUpOverHttp:
+    def test_a_lost_append_reply_replays_once_through_wal_apply(
+        self, served_pair
+    ):
+        engines, urls = served_pair
+        clients = [LostAppendReplyClient(url, timeout=10.0) for url in urls]
+        coordinator = ClusterCoordinator(
+            clients, replication=2, write_quorum=1, hedge=None
+        )
+        extra = np.random.default_rng(41).random((5, DIMENSION))
+        try:
+            clients[1].lose = True
+            coordinator.append("s", extra)
+            assert coordinator.repair_pending() == {1: 1}
+            coordinator.probe()
+            assert coordinator.repair_pending() == {}
+            stats = coordinator.stats()
+            assert (stats["repairs_replayed"], stats["resyncs"]) == (1, 0)
+            for engine in engines:
+                assert len(engine._snapshot.database.sequence("s")) == 25
+            query = np.vstack([extra, extra])
+            assert engines[0].knn(query, 1) == engines[1].knn(query, 1)
+        finally:
+            coordinator.close()
+
+    def test_a_damaged_batch_is_a_400_and_applies_nothing(self, served_pair):
+        engines, urls = served_pair
+        record = WalRecord(
+            "insert", "new", points=np.ones((4, DIMENSION)), seq=1
+        )
+        frames = bytearray(encode_frames([record]))
+        frames[-3] ^= 0x01  # one flipped byte inside the payload
+        body = json.dumps(
+            {"frames": base64.b64encode(bytes(frames)).decode("ascii")}
+        ).encode()
+        request = urllib.request.Request(
+            urls[0] + "/wal/apply", data=body, method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10.0)
+        assert excinfo.value.code == 400
+        assert engines[0].sequence_ids() == ["s"]
+        # The intact batch applies.
+        assert ServiceClient(urls[0]).apply_records([record]) == 1
+        assert engines[0].sequence_ids() == ["s", "new"]
+
+    def test_a_follower_server_refuses_wal_apply(self, served_pair):
+        engines, _ = served_pair
+        with QueryEngine(SequenceDatabase(DIMENSION), workers=1) as replica:
+            follower = WalFollower(replica, engines[0], cursor_path=None)
+            server = serve(replica, port=0, follower=follower)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+            record = WalRecord("remove", "s", seq=1)
+            try:
+                with pytest.raises(FollowerReadOnly):
+                    client.apply_records([record])
+            finally:
+                server.shutdown()
+                server.server_close()

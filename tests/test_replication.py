@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, LocalBackend, RepairJournal
+from repro.cluster.repair import JournalView
 from repro.core.database import SequenceDatabase
 from repro.service import (
     DurabilityConfig,
@@ -301,58 +302,127 @@ class TestCursorResume:
                 )
 
 
+    def test_an_idle_poll_writes_no_cursor(self, tmp_path, rng, monkeypatch):
+        with durable_engine(tmp_path / "leader") as leader:
+            fill(leader, rng, 2)
+            with empty_engine() as replica:
+                follower = WalFollower(
+                    replica, leader, cursor_path=tmp_path / "cursor.json"
+                )
+                assert follower.poll()["applied"] == 2
+                writes = []
+                persist = follower._persist_cursor
+                monkeypatch.setattr(
+                    follower,
+                    "_persist_cursor",
+                    lambda *cursor: (writes.append(cursor), persist(*cursor)),
+                )
+                for _ in range(2):
+                    assert follower.poll()["count"] == 0
+                assert writes == []
+                fill(leader, rng, 1, prefix="late")
+                assert follower.poll()["applied"] == 1
+                assert writes == [(3, 3)]
+
+
 def missed(backend, op, sequence_id, points=None):
     """The record the coordinator queues when ``backend`` misses a write."""
     return WalRecord(op, sequence_id, points=points, replica=backend)
 
 
+def empty_engine():
+    return QueryEngine(SequenceDatabase(dimension=DIMENSION), workers=1)
+
+
+def catch_up(journal, backend, target, *, export=list, batch_limit=512):
+    """The follower a coordinator drains ``backend`` with."""
+    return WalFollower(
+        target,
+        JournalView(journal, backend, export),
+        cursor_path=journal.cursor_path(backend),
+        batch_limit=batch_limit,
+    )
+
+
 class TestRepairJournal:
     def test_pending_entries_survive_reopen(self, tmp_path):
         journal = RepairJournal(3, directory=tmp_path)
-        assert journal.queue(missed(1, "insert", "a", [[0.1, 0.2]]))
-        assert journal.queue(missed(1, "remove", "b"))
+        journal.queue(missed(1, "insert", "a", [[0.1, 0.2]]))
+        journal.queue(missed(1, "remove", "b"))
         journal.close()
 
         reopened = RepairJournal(3, directory=tmp_path)
         assert reopened.pending() == {1: 2}
-        entry = reopened.peek(1)
-        assert (entry.op, entry.sequence_id) == ("insert", "a")
-        assert entry.points.tobytes() == np.array([[0.1, 0.2]]).tobytes()
-        assert entry.points.shape == (1, 2)
-        reopened.ack(1, entry)
+        with empty_engine() as target:
+            follower = catch_up(reopened, 1, target, batch_limit=1)
+            assert follower.poll()["count"] == 1
+            assert target.sequence_ids() == ["a"]
+            entry = target._snapshot.database.sequence("a")
+            assert entry.points.tobytes() == np.array([[0.1, 0.2]]).tobytes()
         reopened.close()
 
+        # The follower's fsynced cursor is the backend's acked position.
         third = RepairJournal(3, directory=tmp_path)
         assert third.pending() == {1: 1}
-        assert third.peek(1).op == "remove"
+        with empty_engine() as target:
+            follower = catch_up(third, 1, target)
+            assert follower.poll()["count"] == 1  # the remove
+            assert follower.poll()["count"] == 0
+        assert third.pending() == {}
         third.close()
 
     def test_overflow_flags_resync_and_survives_restart(self, tmp_path):
         journal = RepairJournal(2, directory=tmp_path, max_ops=2)
-        assert journal.queue(missed(0, "insert", "a", [[0.1, 0.2]]))
-        assert journal.queue(missed(0, "insert", "b", [[0.3, 0.4]]))
+        journal.queue(missed(0, "insert", "a", [[0.1, 0.2]]))
+        journal.queue(missed(0, "insert", "b", [[0.3, 0.4]]))
         with pytest.raises(RepairOverflow):
             journal.queue(missed(0, "insert", "c", [[0.5, 0.6]]))
-        assert journal.needs_resync(0)
+        assert journal.resync_pending() == [0]
         assert journal.pending() == {}
-        # Further writes are absorbed: the resync copies the final state.
-        assert journal.queue(missed(0, "insert", "d", [[0.7, 0.8]])) is False
+        # Later writes queue past the horizon; the resync covers them.
+        journal.queue(missed(0, "insert", "d", [[0.7, 0.8]]))
         journal.close()
 
         reopened = RepairJournal(2, directory=tmp_path, max_ops=2)
         assert reopened.resync_pending() == [0]
+        assert reopened.pending() == {0: 1}
+        # The peers' copy holds every write up to the journal's last seq.
+        peers = [
+            {"id": sid, "points": [[0.1, 0.2]]} for sid in ("a", "b", "c", "d")
+        ]
+        with empty_engine() as target:
+            follower = catch_up(reopened, 0, target, export=lambda: peers)
+            with pytest.raises(SnapshotRequired):
+                JournalView(reopened, 0, list).wal_tail(follower.applied_seq)
+            assert follower.poll()["resync"] is True
+            assert follower.poll()["count"] == 0
+            reopened.queue(missed(0, "remove", "a"))
+            assert follower.poll()["count"] == 1  # replayed after the export
+            assert sorted(target.sequence_ids()) == ["b", "c", "d"]
+            follower.poll()
+        assert reopened.resync_pending() == []
         assert reopened.pending() == {}
-        reopened.mark_resynced(0)
-        assert not reopened.needs_resync(0)
-        assert reopened.queue(missed(0, "remove", "e"))
         reopened.close()
 
     def test_in_memory_mode_queues_and_acks(self):
         journal = RepairJournal(2)
-        assert journal.queue(missed(1, "insert", "x", [[0.1, 0.2]]))
+        assert journal.cursor_path(1) is None
+        journal.queue(missed(1, "insert", "x", [[0.1, 0.2]]))
         assert journal.pending() == {1: 1}
-        journal.ack(1, journal.peek(1))
+        with empty_engine() as target:
+            follower = catch_up(journal, 1, target)
+            assert follower.poll()["applied"] == 1
+            assert follower.poll()["count"] == 0
+            assert target.sequence_ids() == ["x"]
         assert journal.pending() == {}
+        journal.close()
+
+    def test_shipped_records_carry_no_replica(self):
+        journal = RepairJournal(2)
+        journal.queue(missed(1, "insert", "x", [[0.1, 0.2]]))
+        reply = JournalView(journal, 1, list).wal_tail(0)
+        (record,) = decode_frames(base64.b64decode(reply["frames"]))
+        assert (record.replica, record.seq) == (None, 1)
         journal.close()
 
 
@@ -400,6 +470,72 @@ class TestCoordinatorReplication:
                 assert "x" in engines[1].sequence_ids()
             finally:
                 second.close()
+        finally:
+            for engine in engines:
+                engine.close()
+
+    def test_kill_between_apply_and_cursor_replays_once(self, tmp_path):
+        """A coordinator killed at ``follower.persist`` — the backend has
+        applied the missed append, its cursor is not yet written — is
+        restarted over the same journal: the append replays as a no-op
+        (its ``length``), so backend 1 holds base + appended points."""
+        script = f"""
+import numpy as np
+from repro.cluster import ClusterCoordinator, LocalBackend
+from repro.core.database import SequenceDatabase
+from repro.service import DurabilityConfig, QueryEngine
+from repro.service.faults import FaultRule, fault_plan
+
+rng = np.random.default_rng(12)
+base, extra = rng.random((20, 2)), rng.random((5, 2))
+engines = []
+for index in range(2):
+    database = SequenceDatabase(dimension=2)
+    database.add(base, sequence_id="s")
+    engines.append(QueryEngine(database, workers=1, durability=DurabilityConfig(
+        {str(tmp_path)!r} + f"/b{{index}}", fsync=False)))
+coordinator = ClusterCoordinator(
+    [LocalBackend(engine) for engine in engines], replication=2,
+    write_quorum=1, journal_dir={str(tmp_path / "journal")!r}, hedge=None)
+with fault_plan(FaultRule("cluster.backend.1.request", "raise", times=None)):
+    coordinator.append("s", extra)
+print("QUEUED", coordinator.repair_pending(), flush=True)
+with fault_plan(FaultRule("follower.persist", "kill")):
+    coordinator.probe()
+print("UNREACHABLE", flush=True)
+"""
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert completed.returncode == 137, completed.stderr
+        assert "QUEUED {1: 1}" in completed.stdout
+        assert "UNREACHABLE" not in completed.stdout
+        engines = [
+            durable_engine(tmp_path / f"b{index}", database=None)
+            for index in range(2)
+        ]
+        try:
+            # The apply landed before the kill; the cursor did not.
+            assert len(engines[1]._snapshot.database.sequence("s")) == 25
+            coordinator = ClusterCoordinator(
+                [LocalBackend(engine) for engine in engines],
+                replication=2,
+                write_quorum=1,
+                journal_dir=tmp_path / "journal",
+                hedge=None,
+            )
+            try:
+                assert coordinator.repair_pending() == {1: 1}
+                coordinator.probe()
+                assert coordinator.repair_pending() == {}
+                for engine in engines:
+                    assert len(engine._snapshot.database.sequence("s")) == 25
+            finally:
+                coordinator.close()
         finally:
             for engine in engines:
                 engine.close()

@@ -136,6 +136,28 @@ class TestWalInspectCli:
         assert "insert" in out and "append" in out and "remove" in out
         assert "id='a'" in out
 
+    def test_records_flag_names_a_repair_records_replica(
+        self, tmp_path, capsys
+    ):
+        # The coordinator's repairs.log addresses each record to a backend.
+        path = tmp_path / "repairs.log"
+        write_wal(
+            path,
+            [
+                WalRecord("remove", "a", replica=2),
+                WalRecord("append", "b", points=[[0.3, 0.4]], length=5),
+            ],
+        )
+        assert main(["wal-inspect", str(path), "--records"]) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines() if "crc=ok" in line
+        ]
+        (removed,) = [line for line in lines if " remove " in line]
+        (appended,) = [line for line in lines if " append " in line]
+        assert removed.endswith("id='a' replica=2")
+        assert appended.endswith("length=5")
+        assert "replica=" not in appended
+
     def test_corrupt_tail_exits_nonzero_and_says_corrupt(
         self, wal_path, capsys
     ):

@@ -14,11 +14,15 @@ rejecting direct writes (``FollowerReadOnly``).
 **Phase 2 — repair journal survives a coordinator restart.**  Boot three
 durable backends and a ``repro cluster-serve`` coordinator with
 ``--journal-dir``.  Kill a backend, write through the coordinator
-(quorum 1) so a repair is journaled, then ``SIGKILL`` the coordinator
-itself.  Restart the backend and a *new* coordinator over the same
-journal directory: the queued repair must be visible before any probe
-(recovered from disk, not memory) and must drain onto the restarted
-backend.
+(quorum 1) — an insert and an append — so both are journaled, then
+``SIGKILL`` the coordinator itself.  Restart the backend and a *new*
+coordinator over the same journal directory, armed with
+``REPRO_FAULTS="follower.persist=kill"``: the queued repairs must be
+visible before any probe (recovered from disk, not memory), and the
+first drain dies after the backend applied the batch but before its
+cursor was written.  A third coordinator over the same journal drains
+again: the replay is idempotent, so the restarted backend holds the
+insert and exactly the base plus appended points.
 
 Usage::
 
@@ -280,6 +284,13 @@ def _phase_two(tmp: Path) -> None:
         if 1 in router.placement(f"repair-{n}").replicas
     )
     repair_points = rng.random((12, DIMENSION))
+    # A corpus sequence on backend 1 that it misses an append to.
+    append_id = next(
+        sequence_id
+        for sequence_id in corpus
+        if 1 in router.placement(sequence_id).replicas
+    )
+    append_points = rng.random((7, DIMENSION))
 
     def start_backend(data_dir: Path, port: int) -> tuple:
         process = _popen(
@@ -342,7 +353,7 @@ def _phase_two(tmp: Path) -> None:
         for sequence_id, points in corpus.items():
             client.insert(points, sequence_id=sequence_id)
 
-        # Backend 1 dies; the quorum-1 write queues a journaled repair.
+        # Backend 1 dies; the quorum-1 writes queue journaled repairs.
         _kill_hard(backends[1], "backend 1")
         client.insert(repair_points, sequence_id=repair_id)
         stats = client.stats()
@@ -350,17 +361,22 @@ def _phase_two(tmp: Path) -> None:
             raise RuntimeError(f"no repair queued: {stats}")
         if sum(stats["repair_pending"].values()) < 1:
             raise RuntimeError(f"no repair pending: {stats}")
+        client.append(append_id, append_points)
+        if client.stats()["repair_pending"].get("1") != 2:
+            raise RuntimeError(f"append not journaled: {client.stats()}")
 
         # The coordinator itself dies with the repair still queued.
         _kill_hard(coordinator, "coordinator")
         coordinator = None
 
         # Restart the backend (WAL recovery on its old port), then a NEW
-        # coordinator over the same journal directory.
+        # coordinator over the same journal directory, set to die in the
+        # middle of its first drain.
         process, _ = start_backend(data_dirs[1], ports[1])
         backends[1] = process
         coordinator, base_url = start_coordinator(
-            ports, _env(REPRO_CHECK_CONTRACTS="1")
+            ports,
+            _env(REPRO_CHECK_CONTRACTS="1", REPRO_FAULTS="follower.persist=kill"),
         )
         client = ServiceClient(base_url, timeout=10.0)
 
@@ -369,6 +385,23 @@ def _phase_two(tmp: Path) -> None:
         if sum(stats["repair_pending"].values()) < 1:
             raise RuntimeError(
                 f"journaled repair lost across coordinator restart: {stats}"
+            )
+
+        try:
+            _post(base_url, "/probe", {})
+        except OSError:
+            pass  # the coordinator died mid-drain, as armed
+        if coordinator.wait(timeout=15) != 137:
+            raise RuntimeError(
+                f"coordinator survived its mid-drain kill ({coordinator.poll()})"
+            )
+        coordinator, base_url = start_coordinator(
+            ports, _env(REPRO_CHECK_CONTRACTS="1")
+        )
+        client = ServiceClient(base_url, timeout=10.0)
+        if client.stats()["repair_pending"].get("1") != 2:
+            raise RuntimeError(
+                f"mid-drain kill lost the cursor's position: {client.stats()}"
             )
 
         _post(base_url, "/probe", {})
@@ -388,6 +421,16 @@ def _phase_two(tmp: Path) -> None:
         if repair_id not in repaired["answers"]:
             raise RuntimeError(
                 f"repaired write missing on restarted backend: {repaired}"
+            )
+        lengths = {
+            entry["id"]: entry["length"]
+            for entry in restarted.export_sequences()["sequences"]
+        }
+        if lengths[append_id] != 12 + len(append_points):
+            raise RuntimeError(
+                f"replayed append is not idempotent: {append_id} holds "
+                f"{lengths[append_id]} points, expected "
+                f"{12 + len(append_points)}"
             )
 
         _stop_cleanly(coordinator, "coordinator (restarted)")
@@ -417,8 +460,9 @@ def main() -> int:
         )
         _phase_two(phase_two)
         print(
-            "phase 2 OK: journaled repair survived a coordinator SIGKILL "
-            "and drained onto the restarted backend"
+            "phase 2 OK: journaled repairs survived a coordinator SIGKILL "
+            "and a kill mid-drain, and replayed once onto the restarted "
+            "backend"
         )
     print(
         "replication smoke OK: follower catch-up past kill -9, durable "
