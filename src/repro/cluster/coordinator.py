@@ -772,7 +772,6 @@ class ClusterCoordinator:
         # fresh down -> up recoveries, backlogs left behind by an earlier
         # drain that failed halfway, and pending snapshot resyncs (last,
         # so the backlogs their donors replay come first).
-        self.health.take_recovered()
         resync = self.journal.resync_pending()
         lagging = [
             index
@@ -1027,7 +1026,6 @@ class ClusterCoordinator:
             # A regular request just proved a down backend recovered:
             # catch its replicas up without blocking this request.
             # (Followers take no writes, so they have nothing to drain.)
-            self.health.take_recovered()
             self._pool.submit(self._drain_repairs, backend_index)
         return payload
 

@@ -110,9 +110,6 @@ class HealthTracker:
         self._clock = clock
         self._lock = TracedLock("health.tracker")
         self._backends = [BackendHealth() for _ in range(num_backends)]
-        #: Backends whose down -> up transition has not been consumed yet
-        #: (drives the coordinator's read-repair replay).
-        self._recovered: set[int] = set()
 
     def _check_index(self, backend: int) -> BackendHealth:
         if not 0 <= backend < self.num_backends:
@@ -134,8 +131,6 @@ class HealthTracker:
             if record.state != "up":
                 record.state = "up"
                 record.transitions += 1
-            if was_down:
-                self._recovered.add(backend)
             return was_down
 
     def record_failure(self, backend: int) -> bool:
@@ -218,13 +213,6 @@ class HealthTracker:
                 for index, record in enumerate(self._backends)
                 if record.state == "down"
             ]
-
-    def take_recovered(self) -> list[int]:
-        """Backends that came back up since the last call (consumes them)."""
-        with self._lock:
-            recovered = sorted(self._recovered)
-            self._recovered.clear()
-            return recovered
 
     def snapshot(self) -> list[dict]:
         """Per-backend health blocks for stats endpoints."""

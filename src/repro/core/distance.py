@@ -74,6 +74,7 @@ __all__ = [
     "normalized_distance",
     "point_distance",
     "run_entries",
+    "segment_mean_bounds",
     "sequence_distance",
     "sliding_mean_distances",
     "union_spans",
@@ -186,6 +187,88 @@ def sequence_distance(s1: SequenceLike, s2: SequenceLike) -> float:
     if a.shape[0] > b.shape[0]:
         a, b = b, a
     return float(np.min(sliding_mean_distances(a, b)))
+
+
+def _validate_segment_mean_bounds(
+    result: np.ndarray,
+    short: np.ndarray,
+    counts: np.ndarray,
+    longs: Sequence[np.ndarray],
+) -> None:
+    """Every alignment's bound is within ``Dmean`` of that alignment."""
+    for index, long in enumerate(longs):
+        exact = sliding_mean_distances(short, long)
+        bounds = result[index, : len(exact)]
+        over = np.flatnonzero(bounds > exact + BOUND_TOLERANCE)
+        if len(over):
+            raise ContractViolation(
+                f"segment-mean bound {float(bounds[over[0]])!r} exceeds Dmean "
+                f"{float(exact[over[0]])!r} at alignment {int(over[0])} of "
+                f"sequence {index} of the batch: a neighbour may go unrefined"
+            )
+
+
+@lower_bounds(_validate_segment_mean_bounds, label="segment mean <= Dmean")
+def segment_mean_bounds(
+    short: np.ndarray, counts: np.ndarray, longs: Sequence[np.ndarray]
+) -> np.ndarray:
+    """A lower bound of ``Dmean`` at every alignment of ``short`` inside
+    each of ``longs`` (none shorter than it).
+
+    ``counts`` cuts ``short`` into consecutive blocks ``B_b`` (its MCOST
+    segments, in practice).  By the triangle inequality per block, the
+    bound at alignment ``o`` of a long sequence ``S`` is
+
+        (1 / |short|) · Σ_b ‖Σ_{i ∈ B_b} (short_i − S_{o+i})‖ ≤ Dmean(o)
+
+    and each block sum of ``S`` is a difference of its running sums, so an
+    alignment costs one term per block, whatever the blocks' lengths.  The
+    running sums are one ``cumsum`` over a zero-padded block holding every
+    long sequence, each in its own row, so that round-off grows with the
+    length of one sequence only.  That round-off is still absolute, and
+    grows with the coordinates' size: each row's bound is lowered by a
+    worst-case allowance for it (about 1e-10 in the unit cube), so that it
+    holds at any scale.  Row ``r`` of the result bounds
+    ``sliding_mean_distances(short, longs[r])`` entry by entry, and is
+    padded with ``inf``.
+    """
+    if not longs:
+        return np.full((0, 1), np.inf)
+    lengths = np.array([len(points) for points in longs])
+    width = lengths.max() + 1
+    sums = np.zeros((short.shape[1], len(longs), width))
+    for row, points in enumerate(longs):
+        sums[:, row, 1 : len(points) + 1] = points.T
+    # A running sum of n terms is off by at most n·eps·Σ|terms|, a block sum
+    # by twice that; the steps after it add relative errors of a few eps.
+    magnitudes = np.abs(sums).sum(axis=(0, 2)) + np.abs(short).sum()
+    slack = magnitudes * (lengths + short.shape[0] + short.shape[1])
+    slack *= 3 * len(counts) * np.finfo(np.float64).eps
+    np.cumsum(sums, axis=2, out=sums)
+    sums = sums.reshape(short.shape[1], -1)
+    # The flat column of sums at which each alignment of each row starts.
+    sizes = lengths - len(short) + 1
+    heads = np.cumsum(sizes) - sizes
+    starts = np.arange(sizes.sum()) + np.repeat(
+        np.arange(len(longs)) * width - heads, sizes
+    )
+    edges = np.cumsum(np.r_[0, counts])
+    totals = np.add.reduceat(short, edges[:-1], axis=0).T
+    bounds = np.zeros(len(starts))
+    step = max(1, BROADCAST_CELLS // (len(sums) * len(starts)))  # blocks a pass
+    for first in range(0, len(counts), step):
+        checkpoint("distance.segment_mean")
+        # gaps[c, b, a]: block b's sum of long minus short, alignment a.
+        cut = edges[first : first + step + 1]
+        gaps = np.diff(sums.take(cut[:, None] + starts, axis=1), axis=1)
+        gaps -= totals[:, first : first + step, None]
+        gaps *= gaps
+        bounds += np.sqrt(gaps.sum(axis=0)).sum(axis=0)
+    bounds -= np.repeat(slack, sizes)
+    bounds /= len(short)
+    padded = np.full((len(longs), sizes.max()), np.inf)
+    padded[np.arange(sizes.max()) < sizes[:, None]] = bounds
+    return padded
 
 
 def mbr_min_distance(a: MBR, b: MBR) -> float:

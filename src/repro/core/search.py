@@ -36,17 +36,18 @@ the index descends with.
 A k-nearest-sequences extension (:meth:`SimilaritySearch.knn`) implements
 the optimal multi-step algorithm of Seidl & Kriegel over a mean of the same
 ``Dmbr`` values — not part of the paper, but the natural follow-up query its
-metrics enable.
+metrics enable.  It shares one best-first driver with the top-k alignments
+of :meth:`~SimilaritySearch.knn_subsequences`, with a second, tighter bound
+before the exact ``D``: :func:`repro.core.distance.segment_mean_bounds`.
 """
 
 from __future__ import annotations
 
-import bisect
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from repro.core.distance import (
     dnorm_instances,
     min_dmbr_runs,
     run_entries,
+    segment_mean_bounds,
     sequence_distance,
     sliding_mean_distances,
     union_spans,
@@ -82,6 +84,13 @@ __all__ = [
     "SubsequenceHit",
     "phase3_kernel",
 ]
+
+#: Rows whose segment-mean bound the k-NN driver takes in one pass: a call
+#: costs about as much as one exact ``D``, whatever the rows' lengths.
+_KNN_BATCH_ROWS = 16
+#: A ranked k-NN entry: (distance, table row), or (distance, row, offset).
+_Entry = TypeVar("_Entry", tuple[float, int], tuple[float, int, int])
+
 
 @dataclass(frozen=True)
 class SubsequenceHit:
@@ -654,11 +663,12 @@ class SimilaritySearch:
     def knn(self, query: SequenceLike, k: int) -> list[tuple[float, object]]:
         """The ``k`` database sequences nearest to ``query`` under ``D``.
 
-        Optimal multi-step k-NN (Seidl & Kriegel '98): sequences are
-        refined with the exact sliding distance in ascending order of
-        their lower bound (:meth:`_lower_bounds`) until the next bound is
-        past the current k-th exact distance — exactly those whose bound
-        is within the final k-th distance, the fewest this bound allows.
+        Optimal multi-step k-NN (Seidl & Kriegel '98) with two bounds:
+        sequences are visited in ascending order of the mean-``Dmbr`` bound
+        (:meth:`_lower_bounds`) until the next one is past the current k-th
+        exact distance, and one at least as long as the query is refined
+        with the exact sliding distance only if its segment-mean bound is
+        within that distance too.
 
         Returns
         -------
@@ -669,19 +679,70 @@ class SimilaritySearch:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         query, query_partition = self._prepare(query)
+        nearest = self._best_first(
+            query_partition,
+            k,
+            lambda row, sequence: [(sequence_distance(query, sequence), row)],
+        )
         ids = self.database.segment_table.ids
-        bounds = self._lower_bounds(query_partition)
-        nearest: list[tuple[float, int]] = []  # (distance, table row), <= k
-        for row in np.argsort(bounds, kind="stable").tolist():
-            checkpoint("knn.refine")
-            # The bound's weighted sums round differently from D's pairwise
-            # mean and may exceed it by a few ulps: hence the tolerance.
-            if len(nearest) == k and bounds[row] - BOUND_TOLERANCE > nearest[-1][0]:
-                break
-            distance = sequence_distance(query, self.database.sequence(ids[row]))
-            bisect.insort(nearest, (distance, row))
-            del nearest[k:]
         return [(distance, ids[row]) for distance, row in nearest]
+
+    def _best_first(
+        self,
+        query_partition: PartitionedSequence,
+        k: int,
+        refine: Callable[[int, MultidimensionalSequence], Iterable[_Entry]],
+        covering: bool = False,
+    ) -> list[_Entry]:
+        """The ``k`` least ``(distance, row, ...)`` entries ``refine(row,
+        sequence)`` yields over the table (rows no shorter than the query
+        if ``covering``), best first: rows in ascending mean-``Dmbr`` bound
+        until one is past the current k-th distance; once there are k
+        entries, each batch of rows gets the segment-mean bound as well,
+        and a row it puts past the k-th distance is skipped."""
+        table = self.database.segment_table
+        bounds = self._lower_bounds(query_partition)
+        order = np.argsort(bounds, kind="stable")
+        if covering:
+            order = order[table.lengths[order] >= len(query_partition.sequence)]
+        best: list[_Entry] = []
+        while len(order):
+            if len(best) < k:  # no k-th distance to compare a bound with yet
+                batch, tighter = order[:1].tolist(), [-np.inf]
+            else:
+                # The bounds' sums round differently from D's pairwise mean
+                # and may exceed it by a few ulps: hence the tolerance.
+                batch = order[:_KNN_BATCH_ROWS]
+                batch = batch[bounds[batch] - BOUND_TOLERANCE <= best[-1][0]].tolist()
+                if not batch:
+                    break
+                tighter = self._segment_mean_bounds(query_partition, batch)
+            order = order[len(batch) :]
+            for row, lower in zip(batch, tighter):
+                checkpoint("knn.refine")
+                kth = best[-1][0] if len(best) == k else np.inf
+                if max(bounds[row], lower) - BOUND_TOLERANCE <= kth:
+                    sequence = self.database.sequence(table.ids[row])
+                    best = sorted([*best, *refine(row, sequence)])[:k]
+        return best
+
+    def _segment_mean_bounds(
+        self, query_partition: PartitionedSequence, rows: list[int]
+    ) -> list[float]:
+        """The segment-mean bound of ``D`` per given table row, over the
+        query's MCOST segments; ``-inf`` for a row shorter than the query,
+        which the mean-``Dmbr`` bound alone filters (a bound per such row
+        would cost about as much as its exact ``D``)."""
+        table = self.database.segment_table
+        query = query_partition.sequence.points
+        stored = [self.database.sequence(table.ids[row]).points for row in rows]
+        covering = [points for points in stored if len(points) >= len(query)]
+        blocks = query_partition.counts
+        bounds = iter(segment_mean_bounds(query, blocks, covering).min(axis=1).tolist())
+        return [
+            next(bounds) if len(points) >= len(query) else -np.inf
+            for points in stored
+        ]
 
     def _lower_bounds(self, query_partition: PartitionedSequence) -> np.ndarray:
         """A lower bound of ``D(Q, S)`` per stored sequence, by table row.
@@ -727,10 +788,9 @@ class SimilaritySearch:
 
         Where :meth:`knn` ranks whole sequences by ``D(Q, S)``, this ranks
         individual alignments — "the five best scenes anywhere in the
-        archive".  Sequences are refined in ascending order of the same
-        lower bound, evaluating the exact sliding ``Dmean`` at every
-        alignment; refinement stops when the next sequence's bound
-        exceeds the current k-th best alignment.
+        archive".  Sequences are visited as in :meth:`knn`, with the same
+        two bounds, and a refined one has the exact sliding ``Dmean``
+        evaluated at every alignment.
 
         Parameters
         ----------
@@ -754,19 +814,15 @@ class SimilaritySearch:
             raise ValueError(f"k must be >= 1, got {k}")
         query, query_partition = self._prepare(query)
         table = self.database.segment_table
-        bounds = self._lower_bounds(query_partition)
-        best: list[tuple[float, int, int]] = []  # (distance, row, offset), <= k
-        for row in np.argsort(bounds, kind="stable").tolist():
-            checkpoint("knn.refine")
-            if table.lengths[row] < len(query):
-                continue  # no alignment of the full query exists
-            if len(best) == k and bounds[row] - BOUND_TOLERANCE > best[-1][0]:
-                break  # the tolerance: as in knn
-            sequence = self.database.sequence(table.ids[row])
+
+        def refine(
+            row: int, sequence: MultidimensionalSequence
+        ) -> Iterable[tuple[float, int, int]]:
             distances = sliding_mean_distances(query, sequence)
             offsets = self._candidate_offsets(distances, exclude_overlapping)
-            found = zip(distances[offsets].tolist(), repeat(row), offsets.tolist())
-            best = sorted([*best, *found])[:k]
+            return zip(distances[offsets].tolist(), repeat(row), offsets.tolist())
+
+        best = self._best_first(query_partition, k, refine, covering=True)
         return [
             SubsequenceHit(distance, table.ids[row], offset, len(query))
             for distance, row, offset in best

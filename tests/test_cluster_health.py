@@ -113,20 +113,14 @@ class TestProbing:
 
 
 class TestRecoveryFeed:
-    def test_take_recovered_consumes_down_to_up_transitions(self):
-        tracker, _ = make_tracker(threshold=1)
-        tracker.record_failure(0)
-        tracker.record_failure(2)
-        tracker.record_success(0)
-        tracker.record_success(2)
-        assert tracker.take_recovered() == [0, 2]
-        assert tracker.take_recovered() == []
-
     def test_suspect_to_up_is_not_a_recovery(self):
         tracker, _ = make_tracker(threshold=3)
         tracker.record_failure(0)
-        tracker.record_success(0)
-        assert tracker.take_recovered() == []
+        assert not tracker.record_success(0)
+        tracker.record_failure(0)
+        tracker.record_failure(0)
+        tracker.record_failure(0)
+        assert tracker.record_success(0)
 
 
 class TestValidation:

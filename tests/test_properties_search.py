@@ -12,10 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.baselines.sequential import exact_range_search, exact_solution_interval
+from repro.baselines.sequential import (
+    SequentialScan,
+    exact_range_search,
+    exact_solution_interval,
+)
 from repro.core.contracts import BOUND_TOLERANCE
 from repro.core.database import SequenceDatabase
-from repro.core.distance import sequence_distance, sliding_mean_distances
+from repro.core.distance import (
+    segment_mean_bounds,
+    sequence_distance,
+    sliding_mean_distances,
+)
+from repro.core.partitioning import partition_sequence
 from repro.core.search import SimilaritySearch
 from repro.core.sequence import MultidimensionalSequence
 from tests.test_knn_subsequences import brute_force_best_local_minima
@@ -258,3 +267,118 @@ class TestKnnIsExact:
             expected
         )
         assert all(hit.length == len(query) for hit in hits)
+
+
+# ----------------------------------------------------------------------
+# The segment-mean bound: below Dmean at every alignment, in both roles
+# ----------------------------------------------------------------------
+def bound_cases():
+    """Strategy: a query and a stored sequence — either one the shorter,
+    or both as long — each varied or constant, and ``max_points``."""
+
+    def build(dimension):
+        grid = st.integers(0, 8).map(lambda step: step / 8)
+
+        def points(length):
+            varied = arrays(
+                np.float64,
+                (length, dimension),
+                elements=grid | st.floats(0.0, 1.0, allow_nan=False),
+            )
+            constant = arrays(np.float64, (dimension,), elements=grid).map(
+                lambda point: np.tile(point, (length, 1))
+            )
+            return varied | constant
+
+        lengths = st.integers(1, 30).flatmap(
+            lambda first: st.tuples(st.just(first), st.just(first) | st.integers(1, 30))
+        )
+        return st.tuples(
+            lengths.flatmap(lambda pair: st.tuples(*map(points, pair))),
+            st.sampled_from([1, 2, 4, 16, 64]),
+        )
+
+    return st.integers(1, 3).flatmap(build)
+
+
+def scan_knn(scan, query, k):
+    """``knn`` over the sequential baseline's corpus: every sequence's
+    ``D``, by (distance, insertion order)."""
+    found = [(sequence_distance(query, s), sid) for sid, s in scan.sequences.items()]
+    return sorted(found, key=lambda pair: pair[0])[:k]
+
+
+def scan_alignments(scan, query, k):
+    """``knn_subsequences(exclude_overlapping=False)`` over the same corpus."""
+    return sorted(
+        (distance, sid, offset)
+        for sid, sequence in scan.sequences.items()
+        if len(sequence) >= len(query)
+        for offset, distance in enumerate(
+            sliding_mean_distances(query, sequence).tolist()
+        )
+    )[:k]
+
+
+class TestSegmentMeanBound:
+    @given(bound_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_below_dmean_at_every_alignment(self, case):
+        """Blocks on the shorter side — its MCOST segments, as ``knn``
+        puts them on the query, or a single block, the loosest partition —
+        whichever side that is."""
+        (query, stored), max_points = case
+        short, long = sorted((query, stored), key=len)  # equal: the query
+        for counts in (
+            partition_sequence(short, max_points=max_points).counts,
+            np.array([len(short)]),
+        ):
+            longs = [long, short, long[::-1]]
+            bounds = segment_mean_bounds(short, counts, longs)
+            for row, other in enumerate(longs):
+                exact = sliding_mean_distances(short, other)
+                assert np.all(bounds[row, : len(exact)] <= exact + BOUND_TOLERANCE)
+                assert np.all(np.isinf(bounds[row, len(exact) :]))
+
+    @given(bound_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_the_row_bound_is_below_d(self, case):
+        (query, stored), max_points = case
+        engine = knn_engine([stored, query[::-1]], max_points)
+        _, query_partition = engine._prepare(query)
+        bounds = engine._segment_mean_bounds(query_partition, [0, 1])
+        assert bounds[0] <= sequence_distance(query, stored) + BOUND_TOLERANCE
+        assert bounds[1] <= sequence_distance(query, query[::-1]) + BOUND_TOLERANCE
+        if len(stored) < len(query):  # only the mean-Dmbr bound filters it
+            assert bounds[0] == -np.inf
+
+    def test_round_off_off_the_unit_cube(self):
+        """Coordinates near 1e6 and a few hundred points: the running sums
+        cancel to errors far above ``BOUND_TOLERANCE``, and the bound must
+        allow for them.  A near-copy ties the exact copy on the mean-``Dmbr``
+        bound and comes first in insertion order, so it is refined first;
+        the exact copy after it must still be found."""
+        walk = np.random.default_rng(7).normal(0.0, 1e-2, (400, 3)).cumsum(axis=0)
+        points = 1e6 + walk
+        near = points.copy()  # a few ulps off, inside its segment's MBR
+        near[70] += 1e-7 * ((points[69] + points[71]) / 2 - points[70])
+        database = SequenceDatabase(dimension=3, max_points=16)
+        for ordinal, sequence in enumerate([near, points, points[::-1]]):
+            database.add(
+                MultidimensionalSequence(sequence, validate_unit_cube=False),
+                sequence_id=ordinal,
+            )
+        engine = SimilaritySearch(database)
+        for short in (points, points[50:90]):
+            off_cube = MultidimensionalSequence(short, validate_unit_cube=False)
+            counts = partition_sequence(off_cube, max_points=16).counts
+            exact = sliding_mean_distances(short, points)
+            bounds = segment_mean_bounds(short, counts, [points])[0]
+            assert np.all(bounds <= exact + BOUND_TOLERANCE)
+            if len(short) == len(points):
+                assert engine.knn(off_cube, 1) == [(0.0, 1)]
+            else:
+                hits = engine.knn_subsequences(off_cube, 1)
+                assert [(h.distance, h.sequence_id, h.offset) for h in hits] == [
+                    (0.0, 1, 50)
+                ]

@@ -308,8 +308,9 @@ class TestKnnTieOrder:
 
 
 class TestKnnRefinements:
-    """``knn`` refines exactly the rows whose bound is within the final
-    k-th distance — and fewer of them than under Lemma 1's bound."""
+    """``knn`` refines only rows that both bounds leave within the k-th
+    distance current at the time — and fewer of them than under the mean
+    bound alone, or under Lemma 1's bound."""
 
     @pytest.fixture(scope="class")
     def video(self):
@@ -327,22 +328,59 @@ class TestKnnRefinements:
         calls = []
 
         def counting(query, sequence):
-            calls.append(1)
-            return sequence_distance(query, sequence)
+            calls.append((sequence, sequence_distance(query, sequence)))
+            return calls[-1][1]
 
         monkeypatch.setattr(search_module, "sequence_distance", counting)
         return calls
 
-    def test_one_refinement_per_row_within_the_final_radius(
+    def test_every_refined_row_was_within_both_bounds_when_refined(
+        self, video, monkeypatch
+    ):
+        engine, queries = video
+        ids = engine.database.segment_table.ids
+        row_of = {id(engine.database.sequence(sid)): row for row, sid in enumerate(ids)}
+        calls = self.counted(monkeypatch)
+        for query in queries:
+            del calls[:]
+            engine.knn(query, 5)
+            _, partition = engine._prepare(query)
+            bounds = engine._lower_bounds(partition)
+            first = np.argsort(bounds, kind="stable")[:5].tolist()
+            refined: list[float] = []
+            for sequence, distance in calls:
+                row = row_of[id(sequence)]
+                if len(refined) < 5:
+                    assert row in first
+                else:
+                    kth = refined[4]
+                    tight = engine._segment_mean_bounds(partition, [row])
+                    assert bounds[row] - BOUND_TOLERANCE <= kth
+                    assert tight[0] - BOUND_TOLERANCE <= kth
+                refined = sorted([*refined, distance])
+
+    def test_fewer_refinements_than_under_the_mean_bound_alone(
         self, video, monkeypatch
     ):
         engine, queries = video
         calls = self.counted(monkeypatch)
-        for query in queries:
+        answers = [engine.knn(query, 5) for query in queries]
+        cascade_calls = len(calls)
+        monkeypatch.setattr(
+            SimilaritySearch,
+            "_segment_mean_bounds",
+            lambda self, partition, rows: [-np.inf] * len(rows),
+        )
+        del calls[:]
+        assert [engine.knn(query, 5) for query in queries] == answers
+        assert cascade_calls < len(calls)
+        # Under the mean bound alone: exactly the rows whose bound is
+        # within the final k-th distance.
+        for query, answer in zip(queries, answers):
             del calls[:]
-            kth = engine.knn(query, 5)[-1][0]
+            engine.knn(query, 5)
             bounds = engine._lower_bounds(engine._prepare(query)[1])
-            assert len(calls) == int((bounds - BOUND_TOLERANCE <= kth).sum())
+            assert len(calls) == int((bounds - BOUND_TOLERANCE <= answer[-1][0]).sum())
 
     def test_fewer_refinements_than_under_lemma_1(self, video, monkeypatch):
         engine, queries = video
