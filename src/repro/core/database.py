@@ -87,11 +87,11 @@ class SegmentTable:
         Sequence id per row, and the inverse mapping.
     lows, highs:
         ``(S, n)`` low / high corners of the segment MBRs, a segment per
-        row: what Phase 3 gathers runs of.
+        row: what the contract validators read rectangles from.
     low_columns, high_columns:
         The same corners as ``(n, S)``, a contiguous column per dimension:
-        what Phase 2, the k-NN bounds and the index scan
-        (:func:`repro.core.mbr.dmbr_columns`).
+        what Phase 2, Phase 3's ``Dmbr`` block, the k-NN bounds and the
+        index scan (:func:`repro.core.mbr.dmbr_columns`).
     counts:
         ``(S,)`` points per segment.
     point_offsets:

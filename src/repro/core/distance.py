@@ -30,6 +30,7 @@ Four levels of distance are defined over the normalised space ``[0,1]^n``:
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -41,7 +42,7 @@ from repro.core.mbr import (
     BROADCAST_CELLS,
     MBR,
     _numpy_order_sum,
-    dmbr_rows,
+    dmbr_columns,
     min_dmbr_columns,
 )
 from repro.core.sequence import MultidimensionalSequence
@@ -63,10 +64,12 @@ INFINITY = float("inf")
 __all__ = [
     "INFINITY",
     "NormalizedDistance",
+    "Phase3Grid",
     "Phase3Windows",
     "SegmentRuns",
     "dnorm_between",
     "dnorm_instances",
+    "dnorm_pairs",
     "mbr_min_distance",
     "mean_distance",
     "min_dmbr_runs",
@@ -586,12 +589,6 @@ def normalized_distance(
 # ----------------------------------------------------------------------
 # Dnorm for many (target run, probe) instances at once — Phase 3's body
 # ----------------------------------------------------------------------
-#: :func:`dnorm_instances` takes its instances in chunks of about this many
-#: target segments: one cancellation checkpoint per chunk (well under a
-#: millisecond apart), and temporaries that stay cache-sized.
-_PHASE3_CHUNK_SEGMENTS = 2048
-
-
 def run_entries(
     offsets: np.ndarray, runs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -636,43 +633,34 @@ class SegmentRuns(NamedTuple):
 
     Run ``t`` — one partitioned sequence — owns the entries
     ``offsets[t]:offsets[t + 1]`` of the ``(S, n)`` corner matrices ``lows``
-    / ``highs`` and of ``counts`` (points per segment), ``lengths[t]``
+    / ``highs``, of their ``(n, S)`` column-major forms ``low_columns`` /
+    ``high_columns`` and of ``counts`` (points per segment), ``lengths[t]``
     points in all.  A database's segment table has this shape, and so do
     stacked partitions (:meth:`of`).
     """
 
     lows: np.ndarray
     highs: np.ndarray
+    low_columns: np.ndarray
+    high_columns: np.ndarray
     counts: np.ndarray
     offsets: np.ndarray
     lengths: np.ndarray
 
     @classmethod
     def of(cls, partitions: Sequence[PartitionedSequence]) -> "SegmentRuns":
-        """The given partitions, one run each, in order."""
+        """The given partitions, one run each, in order (the columns are
+        views of the stacked corners)."""
+        lows = np.concatenate([p.low_matrix for p in partitions])
+        highs = np.concatenate([p.high_matrix for p in partitions])
         return cls(
-            np.concatenate([p.low_matrix for p in partitions]),
-            np.concatenate([p.high_matrix for p in partitions]),
+            lows,
+            highs,
+            lows.T,
+            highs.T,
             np.concatenate([p.counts for p in partitions]),
             np.cumsum([0, *(len(p) for p in partitions)]),
             np.array([len(p.sequence) for p in partitions], dtype=np.int64),
-        )
-
-    def gather(
-        self, runs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The segments of ``runs`` (any order, repeats allowed), contiguous.
-
-        Returns ``(lows, highs, counts, offsets)``: entry ``i`` of ``runs``
-        owns the gathered entries ``offsets[i]:offsets[i + 1]``.
-        """
-        take, offsets = run_entries(self.offsets, runs)
-        # ndarray.take gathers rows several times faster than lows[take].
-        return (
-            self.lows.take(take, axis=0),
-            self.highs.take(take, axis=0),
-            self.counts[take],
-            offsets,
         )
 
 
@@ -682,23 +670,29 @@ def union_spans(
     """Union the half-open spans ``start:stop`` of each key (§3.3).
 
     One sort by (key, start) and a running maximum of the stops merge
-    every key's overlapping or touching spans at once.
+    every key's overlapping or touching spans at once: a span starts a
+    new run where it begins past every stop before it.
     """
     if len(keys) == 0:
         return {}
     stride = int(stop.max()) + 1  # keeps the keys apart on one axis
     low = keys * stride + start
-    order = np.argsort(low)
+    # Spans come mostly in runs of ascending keys, which a merge sort
+    # takes whole; how equal lows are ordered does not change the union.
+    order = np.argsort(low, kind="stable")
     low = low[order]
-    reach = np.maximum.accumulate((keys * stride + stop)[order])
-    heads = np.flatnonzero(np.append(True, low[1:] > reach[:-1]))
-    tails = np.append(heads[1:], len(low)) - 1
-    owners = low[heads] // stride
+    high = (keys * stride + stop)[order]
+    heads = np.ones(len(low), dtype=bool)
+    np.greater(low[1:], np.maximum.accumulate(high)[:-1], out=heads[1:])
+    heads = np.flatnonzero(heads)
+    lows = low[heads]
+    owners = lows // stride
+    base = owners * stride
     spans: dict[int, list[tuple[int, int]]] = {}
     for key, first, last in zip(
         owners.tolist(),
-        (low[heads] - owners * stride).tolist(),
-        (reach[tails] - owners * stride).tolist(),
+        (lows - base).tolist(),
+        (np.maximum.reduceat(high, heads) - base).tolist(),
     ):
         spans.setdefault(key, []).append((first, last))
     return {key: IntervalSet._of_canonical(merged) for key, merged in spans.items()}
@@ -728,10 +722,6 @@ class Phase3Windows:
     start: np.ndarray
     stop: np.ndarray
 
-    def solution_intervals(self, keys: np.ndarray) -> dict[int, IntervalSet]:
-        """The windows' point ranges, unioned per ``keys[instance]``."""
-        return union_spans(keys[self.instance], self.start, self.stop)
-
 
 #: Field by field, what :class:`Phase3Windows` holds when nothing matched.
 _NO_WINDOWS: tuple[np.ndarray, ...] = (
@@ -741,13 +731,35 @@ _NO_WINDOWS: tuple[np.ndarray, ...] = (
 )
 
 
+class Phase3Grid(NamedTuple):
+    """One reading of a :func:`dnorm_pairs` block: instance ``(p, g)`` is
+    probe ``p`` against target run ``g``, where the run ``p`` belongs to
+    and run ``g`` are a pair this reading takes.
+
+    ``probe_runs`` cuts the probe axis into those runs (a query's MBRs, or
+    a stored sequence's segments), and ``pairs[r, g]`` says whether probe
+    run ``r`` and target run ``g`` are such a pair.
+    """
+
+    #: Per cell: the least ``Dmbr`` between probe and run; whether the
+    #: instance was built (a pair's cell within its threshold); and
+    #: whether some anchor has ``Dnorm <= eps``.
+    nearest: np.ndarray
+    built: np.ndarray
+    found: np.ndarray
+    #: The windows behind those anchors, instance ``p * runs + g``.
+    windows: Phase3Windows
+    probe_runs: np.ndarray
+    pairs: np.ndarray
+    #: ``Dnorm`` rows evaluated: the built instances' target segments.
+    evaluated: int
+
+
 def _validate_phase3_windows(
-    result: tuple[np.ndarray, np.ndarray, Phase3Windows],
-    targets: SegmentRuns,
-    target: np.ndarray,
-    probe_lows: np.ndarray,
-    probe_highs: np.ndarray,
-    probe_counts: np.ndarray,
+    result: tuple[Phase3Grid | None, Phase3Grid | None],
+    queries: SegmentRuns,
+    stored: SegmentRuns,
+    rows: np.ndarray,
     epsilons: np.ndarray,
     *,
     windows: bool = True,
@@ -755,70 +767,199 @@ def _validate_phase3_windows(
     """Lemma 2 for every window emitted: ``Dnorm`` is a convex combination
     of the window's ``Dmbr`` values, so it cannot fall below their minimum
     — recomputed here between MBR objects, one pair at a time, not from the
-    rows the body computed."""
-    emitted = result[2]
-    for instance, first, last, value in zip(
-        emitted.instance.tolist(),
-        emitted.first.tolist(),
-        emitted.last.tolist(),
-        emitted.value.tolist(),
-    ):
-        probe = MBR(probe_lows[instance], probe_highs[instance])
-        base = int(targets.offsets[target[instance]])
-        bound = min(
-            probe.min_distance(MBR(targets.lows[t], targets.highs[t]))
-            for t in range(base + first, base + last + 1)
-        )
-        if value < bound - BOUND_TOLERANCE:
-            raise ContractViolation(
-                f"Dnorm contract violated in Phase 3: value {value!r} falls "
-                f"below the window's minimum Dmbr {bound!r} (instance "
-                f"{instance}, target run {int(target[instance])}, window "
-                f"({first}, {last})) — Lemma 2 no longer holds"
+    ``Dmbr`` block the pass read."""
+    take, _ = run_entries(stored.offsets, rows)
+    straight, swapped = result
+    for grid, flipped in ((straight, False), (swapped, True)):
+        if grid is None:
+            continue
+        emitted = grid.windows
+        for instance, first, last, value in zip(
+            emitted.instance.tolist(),
+            emitted.first.tolist(),
+            emitted.last.tolist(),
+            emitted.value.tolist(),
+        ):
+            probe, run = divmod(instance, grid.nearest.shape[1])
+            if flipped:
+                probe, targets, target_run = int(take[probe]), queries, run
+                probe_mbr = MBR(stored.lows[probe], stored.highs[probe])
+            else:
+                probe_mbr = MBR(queries.lows[probe], queries.highs[probe])
+                targets, target_run = stored, int(rows[run])
+            base = int(targets.offsets[target_run])
+            bound = min(
+                probe_mbr.min_distance(MBR(targets.lows[t], targets.highs[t]))
+                for t in range(base + first, base + last + 1)
             )
+            if value < bound - BOUND_TOLERANCE:
+                raise ContractViolation(
+                    f"Dnorm contract violated in Phase 3: value {value!r} falls "
+                    f"below the window's minimum Dmbr {bound!r} (instance "
+                    f"{instance}, target run {target_run}, window "
+                    f"({first}, {last})) — Lemma 2 no longer holds"
+                )
 
 
 @lower_bounds(
     _validate_phase3_windows, label="Phase-3 windows >= window min Dmbr"
 )
+def dnorm_pairs(
+    queries: SegmentRuns,
+    stored: SegmentRuns,
+    rows: np.ndarray,
+    epsilons: np.ndarray,
+    *,
+    windows: bool = True,
+) -> tuple[Phase3Grid | None, Phase3Grid | None]:
+    """``Dnorm`` for every pair of a query run and a stored run: all the
+    Phase-3 instances they hold.
+
+    Query run ``a`` is measured at threshold ``epsilons[a]`` against each
+    stored run ``rows[c]`` (distinct).  A pair's instances are the query's
+    segments probing the stored run — or, where the query holds more
+    points (the long-query case, see :func:`min_normalized_distance`), the
+    stored segments probing the query's run.
+
+    One :func:`~repro.core.mbr.dmbr_columns` block holds ``Dmbr`` between
+    every query segment (a row) and every segment of the stored runs (a
+    column, run after run).  Read as it is, it is the *straight* grid of
+    (query segment, stored run) instances; read transposed — ``Dmbr`` is
+    symmetric — the *swapped* grid of (stored segment, query run) ones.
+    One ``np.minimum.reduceat`` per reading gives every instance's least
+    ``Dmbr``.  ``Dnorm``, a weighted mean of ``Dmbr`` values, cannot fall
+    below it (Lemma 2), so only the instances whose least ``Dmbr`` is
+    within their threshold are built: each gets its row of the block and
+    its target run's counts, and :func:`dnorm_instances` evaluates them.
+    Returns the two grids, ``None`` for a reading no pair takes.
+
+    The block, and what the body builds from it, grow with the query
+    segments times the stored segments of ``rows``: a caller bounds them
+    by the pairs it passes (``phase3_kernel`` passes tiles).  One
+    cancellation checkpoint (``search.phase3``) precedes the block.
+
+    ``windows`` is as for :func:`dnorm_instances` (while contracts are
+    checked the windows are reported anyway, so that the validator sees
+    what every verdict rests on).
+    """
+    windows = windows or CONTRACTS.on
+    take, cuts = run_entries(stored.offsets, rows)
+    checkpoint("search.phase3")
+    block = dmbr_columns(
+        queries.lows,
+        queries.highs,
+        stored.low_columns.take(take, axis=1),
+        stored.high_columns.take(take, axis=1),
+    )
+    flipped = queries.lengths[:, None] > stored.lengths[rows]
+    target_counts = stored.counts.take(take)
+    straight = swapped = None
+    if not flipped.all():
+        straight = _dnorm_grid(
+            block,
+            cuts,
+            queries.counts,
+            target_counts,
+            queries.offsets,
+            ~flipped,
+            np.where(flipped, -np.inf, epsilons[:, None]),
+            windows,
+        )
+    if flipped.any():
+        swapped = _dnorm_grid(
+            block.T,
+            queries.offsets,
+            target_counts,
+            queries.counts,
+            cuts,
+            flipped.T,
+            np.where(flipped, epsilons[:, None], -np.inf).T,
+            windows,
+        )
+    return straight, swapped
+
+
+def _dnorm_grid(
+    view: np.ndarray,
+    runs: np.ndarray,
+    probe_counts: np.ndarray,
+    target_counts: np.ndarray,
+    probe_runs: np.ndarray,
+    pairs: np.ndarray,
+    thresholds: np.ndarray,
+    windows: bool,
+) -> Phase3Grid:
+    """One reading of the block: ``view[p, t]`` is ``Dmbr`` between probe
+    ``p`` and target segment ``t``; ``probe_runs`` and ``runs`` cut the
+    two axes into runs, and ``thresholds`` holds each pair of runs' ε,
+    ``-inf`` where they are no pair."""
+    nearest = np.minimum.reduceat(view, runs[:-1], axis=1)
+    thresholds = np.repeat(thresholds, probe_runs[1:] - probe_runs[:-1], axis=0)
+    built = nearest <= thresholds
+    cells = np.flatnonzero(built)
+    sizes = runs[1:] - runs[:-1]
+    # A built instance's row of the view, and its run's counts, in order.
+    taken = np.repeat(built, sizes, axis=1)
+    offsets = np.zeros(len(cells) + 1, dtype=np.int64)
+    np.cumsum(sizes[cells % len(sizes)], out=offsets[1:])
+    found = np.zeros(built.shape, dtype=bool)
+    hit, emitted = dnorm_instances(
+        view[taken],
+        np.broadcast_to(target_counts, view.shape)[taken],
+        offsets,
+        probe_counts[cells // len(sizes)],
+        thresholds.reshape(-1)[cells],
+        windows=windows,
+    )
+    found.reshape(-1)[cells] = hit
+    return Phase3Grid(
+        nearest,
+        built,
+        found,
+        dataclasses.replace(emitted, instance=cells[emitted.instance]),
+        probe_runs,
+        pairs,
+        int(offsets[-1]),
+    )
+
+
 def dnorm_instances(
-    targets: SegmentRuns,
-    target: np.ndarray,
-    probe_lows: np.ndarray,
-    probe_highs: np.ndarray,
+    dmbr: np.ndarray,
+    counts: np.ndarray,
+    offsets: np.ndarray,
     probe_counts: np.ndarray,
     epsilons: np.ndarray,
     *,
     windows: bool = True,
-) -> tuple[np.ndarray, np.ndarray, Phase3Windows]:
+) -> tuple[np.ndarray, Phase3Windows]:
     """``Dnorm`` of many *instances* at once: the one body of Phase 3.
 
     An instance is a probe rectangle holding ``|q_i|`` points, the run of
-    target segments it is measured against, and a threshold.  A range
-    search asks for (query MBR, stored sequence) instances; a long query
-    swaps the roles — each data segment probes the query's partition; the
-    ε-cache asks for one stored sequence under the query MBRs of many
-    cached queries, each at its own threshold; ``explain`` and
-    :func:`min_normalized_distance` ask at ``eps = inf``.
+    target segments it is measured against, and a threshold; the body sees
+    it as the ``Dmbr`` row between the two.  A range search asks for
+    (query MBR, stored sequence) instances; a long query swaps the roles —
+    each data segment probes the query's partition; the ε-cache asks for
+    one stored sequence under the query MBRs of many cached queries, each
+    at its own threshold; ``explain`` and :func:`min_normalized_distance`
+    ask at ``eps = inf``.  :func:`dnorm_pairs` builds them all.
 
     Parameters
     ----------
-    targets, target:
-        The target runs, and the run of each instance.
-    probe_lows, probe_highs, probe_counts, epsilons:
-        Per instance: the probe's corners, its point count ``|q_i|`` and
-        the threshold.
+    dmbr, counts, offsets:
+        Instance ``i`` owns the entries ``offsets[i]:offsets[i + 1]``: per
+        segment of its target run, in order, the ``Dmbr`` from its probe
+        and the segment's point count.
+    probe_counts, epsilons:
+        Per instance: the probe's point count ``|q_i|`` and the threshold.
     windows:
         When false only the verdicts are wanted and no windows are
-        reported (while contracts are checked they are reported anyway,
-        so that the validator sees what every verdict rests on).
+        reported.
 
     Returns
     -------
-    (nearest, found, windows)
-        Per instance the least ``Dmbr`` between its probe and its run,
-        and whether some anchor has ``Dnorm <= eps``; and the windows
-        behind those anchors.
+    (found, windows)
+        Per instance whether some anchor has ``Dnorm <= eps``, and the
+        windows behind those anchors.
 
     Notes
     -----
@@ -829,154 +970,114 @@ def dnorm_instances(
     at segment ``e`` covers ``[P[e + 1] - |q_i|, P[e + 1])``.  A binary
     search on ``P`` finds the marginal segment, prefix sums of
     ``Dmbr * count`` give the value, and a window exists only if it stays
-    inside its own run.  Every instance gets its own copy of its run's
-    segments and its own prefix sums (one padded matrix row each), so a
-    value is the floating-point number a running sum over that one run
-    produces, whatever else shares the pass.
+    inside its own run.  Every instance has its own row of values and its
+    own prefix sums (one padded matrix row each), so a value is the
+    floating-point number a running sum over that one run produces,
+    whatever else shares the pass.  The caller builds only instances whose
+    least ``Dmbr`` is within their threshold; any other has no window
+    within it either, since every value is floored there.
     """
-    windows = windows or CONTRACTS.on
-    nearest = np.empty(len(target))
-    found = np.zeros(len(target), dtype=bool)
-    emitted = [_NO_WINDOWS]
-    sizes = targets.offsets[target + 1] - targets.offsets[target]
-    chunk_of = (np.cumsum(sizes) - 1) // _PHASE3_CHUNK_SEGMENTS
-    cuts = [0, *(np.flatnonzero(np.diff(chunk_of)) + 1).tolist(), len(target)]
-    for start, stop in zip(cuts, cuts[1:]):
-        checkpoint("search.phase3")
-        part = slice(start, stop)
-        nearest[part], found[part], fields = _dnorm_chunk(
-            targets,
-            target[part],
-            probe_lows[part],
-            probe_highs[part],
-            probe_counts[part],
-            epsilons[part],
-            windows,
-        )
-        if fields:
-            emitted.append((fields[0] + start, *fields[1:]))
-    return nearest, found, Phase3Windows(
-        *(np.concatenate(parts) for parts in zip(*emitted))
-    )
-
-
-def _dnorm_chunk(
-    targets: SegmentRuns,
-    target: np.ndarray,
-    probe_lows: np.ndarray,
-    probe_highs: np.ndarray,
-    probe_counts: np.ndarray,
-    epsilons: np.ndarray,
-    windows: bool,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """One chunk of :func:`dnorm_instances`: ``(nearest, found)`` of its
-    instances and, if wanted, their windows (the fields of
-    :class:`Phase3Windows`, instances numbered within the chunk)."""
-    lows, highs, counts, offsets = targets.gather(target)
-    sizes = np.diff(offsets)
-    owner = np.repeat(np.arange(len(target)), sizes)  # instance of each segment
+    sizes = offsets[1:] - offsets[:-1]
+    owner = np.repeat(np.arange(len(sizes)), sizes)  # instance of each segment
     local = np.arange(len(counts)) - offsets[:-1][owner]  # its index in the run
-    row = dmbr_rows(
-        probe_lows.take(owner, axis=0), probe_highs.take(owner, axis=0), lows, highs
-    )
-    nearest = np.minimum.reduceat(row, offsets[:-1])
-    # Dnorm is a weighted mean of row values, so it cannot fall below the
-    # row minimum: only an instance whose minimum is within its threshold
-    # can have a matching anchor.
-    active = nearest <= epsilons
-    found = np.zeros(len(target), dtype=bool)
-    if not active.any():
-        return nearest, found, ()
+    nearest = np.minimum.reduceat(dmbr, offsets[:-1])
+    found = np.zeros(len(sizes), dtype=bool)
     points = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=points[1:])
     origin = points[offsets[:-1]]  # first point of each instance's run
-    lengths = targets.lengths[target]
+    ends = points[offsets[1:]]
+    lengths = ends - origin
     begin = origin[owner]
-    end = begin + lengths[owner]
+    end = ends[owner]
     size = probe_counts[owner]
     epsilon = epsilons[owner]
     # Per-instance running sums of Dmbr * count live in one padded matrix,
-    # a row per instance: slot[s] holds the sum *before* segment s and
+    # a dmbr per instance: slot[s] holds the sum *before* segment s and
     # slot[s] + 1 the sum including it; column 0 stays 0.
-    width = int(sizes.max()) + 1
-    weighted = np.zeros((len(target), width))
+    width = int(sizes.max(initial=0)) + 1
+    weighted = np.zeros((len(sizes), width))
     prefix = weighted.reshape(-1)
     slot = owner * width + local
-    prefix[slot + 1] = row * counts
+    prefix[slot + 1] = dmbr * counts
     np.cumsum(weighted, axis=1, out=weighted)
 
-    live = active[owner]
-    small = live & (counts < size)
+    small = counts < size
     # Anchors holding >= |q_i| points: Dnorm is their own Dmbr.
-    solo = np.flatnonzero(live & ~small & (row <= epsilon))
+    solo = np.flatnonzero(~small & (dmbr <= epsilon))
     # LD windows, one per first segment: the |q_i| points from its first
-    # point on; the marginal segment holds the last of them.
+    # point on; the marginal segment holds the last of them.  RD windows,
+    # one per last segment: the |q_i| points up to its last point; the
+    # marginal segment holds the first of them.  The points are integers,
+    # so "right of x" is "left of x + 1": one binary search finds both.
     reach = points[:-1] + size
-    ld_first = np.flatnonzero(small & (reach <= end))
-    ld_last = np.searchsorted(points, reach[ld_first], side="left") - 1
-    ld = (
-        prefix[slot[ld_last]]
-        - prefix[slot[ld_first]]
-        + row[ld_last] * (reach[ld_first] - points[ld_last])
-    ) / size[ld_first]
-    # RD windows, one per last segment: the |q_i| points up to its last
-    # point; the marginal segment holds the first of them.
     floor = points[1:] - size
-    rd_last = np.flatnonzero(small & (floor >= begin))
-    rd_first = np.searchsorted(points, floor[rd_last], side="right") - 1
-    rd = (
-        prefix[slot[rd_last] + 1]
-        - prefix[slot[rd_first] + 1]
-        + row[rd_first] * (points[rd_first + 1] - floor[rd_last])
-    ) / size[rd_last]
-    # A run shorter than |q_i| has no window: every MBR counts in full,
-    # normalised by the run's length (Definition 5's fallback).
-    short = np.flatnonzero(active & (lengths < probe_counts))
-    whole = prefix[short * width + sizes[short]] / lengths[short]
+    ld = np.flatnonzero(small & (reach <= end))
+    rd = np.flatnonzero(small & (floor >= begin))
+    marginal = np.searchsorted(points, np.concatenate([reach[ld], floor[rd] + 1])) - 1
+    first = np.concatenate([ld, marginal[len(ld) :]])
+    last = np.concatenate([marginal[: len(ld)], rd])
+    # The fully weighted segments of an LD window are first..last-1, of an
+    # RD window first+1..last: their sum is a difference of running sums.
+    shift = np.arange(len(first)) >= len(ld)
+    weight = np.concatenate(
+        [
+            reach[ld] - points[marginal[: len(ld)]],
+            points[marginal[len(ld) :] + 1] - floor[rd],
+        ]
+    )
+    value = (
+        prefix[slot[last] + shift]
+        - prefix[slot[first] + shift]
+        + dmbr[marginal] * weight
+    ) / size[first]
     # A difference of running sums can round below the run's least Dmbr,
     # which Dnorm, a weighted mean of Dmbr values, never is (Lemma 2): the
-    # floor keeps each value where the "nearest <= eps" cut above assumes.
-    ld = np.maximum(ld, nearest[owner[ld_first]])
-    rd = np.maximum(rd, nearest[owner[rd_last]])
+    # floor keeps each value where the caller's "nearest <= eps" cut assumes.
+    value = np.maximum(value, nearest[owner[first]])
+    keep = value <= epsilon[first]
+    first, last, value, shift = first[keep], last[keep], value[keep], shift[keep]
+    found[owner[np.concatenate([solo, first])]] = True
+    # A run shorter than |q_i| has no window: every MBR counts in full,
+    # normalised by the run's length (Definition 5's fallback).  No search
+    # asks for it: the probing side is never the longer sequence.
+    short = np.flatnonzero(lengths < probe_counts)
+    whole = prefix[short * width + sizes[short]] / lengths[short]
     whole = np.maximum(whole, nearest[short])
-
-    keep = ld <= epsilon[ld_first]
-    ld_first, ld_last, ld = ld_first[keep], ld_last[keep], ld[keep]
-    keep = rd <= epsilon[rd_last]
-    rd_first, rd_last, rd = rd_first[keep], rd_last[keep], rd[keep]
     keep = whole <= epsilons[short]
     short, whole = short[keep], whole[keep]
-    found[owner[solo]] = True
-    found[owner[ld_first]] = True
-    found[owner[rd_last]] = True
     found[short] = True
     if not windows:
-        return nearest, found, ()
+        return found, Phase3Windows(*_NO_WINDOWS)
 
     # The windows in the reference's order: LD by first segment, then RD by
     # last.  An LD window serves every segment but its last as anchor, an
     # RD window every segment but its first.
-    first = np.concatenate([ld_first, rd_first])
-    last = np.concatenate([ld_last, rd_last])
-    value = np.concatenate([ld, rd])
-    start = np.concatenate([points[ld_first], floor[rd_last]])
-    won, anchor = _winning_windows(
-        np.concatenate([ld_first, rd_first + 1]), last - first, value
-    )
+    won, anchor = _winning_windows(first + shift, last - first, value)
+    first, last, shift = first[won], last[won], shift[won]
+    # Per window: first and last segment, first anchor, Dnorm, first point
+    # and points covered — solo anchors, then LD / RD, then fallbacks.
     head = offsets[:-1][short]
-    span = np.concatenate([counts[solo], size[first[won]], lengths[short]])
-    first = np.concatenate([solo, first[won], head])
-    last = np.concatenate([solo, last[won], offsets[1:][short] - 1])
-    anchor = np.concatenate([solo, anchor, head])
-    start = np.concatenate([points[solo], start[won], origin[short]])
+    sources = [
+        (solo, solo, solo, dmbr[solo], points[solo], counts[solo]),
+        (
+            first,
+            last,
+            anchor,
+            value[won],
+            np.where(shift, floor[last], points[first]),
+            size[first],
+        ),
+        (head, offsets[1:][short] - 1, head, whole, origin[short], lengths[short]),
+    ]
+    first, last, anchor, value, start, span = map(np.concatenate, zip(*sources))
     instance = owner[first]
     start -= origin[instance]
-    return nearest, found, (
+    return found, Phase3Windows(
         instance,
         local[anchor],
         local[first],
         local[last],
-        np.concatenate([row[solo], value[won], whole]),
+        value,
         start,
         start + span,
     )
@@ -999,43 +1100,41 @@ def _winning_windows(
     if len(value) == 0:
         return first_anchor, first_anchor
     window = np.repeat(np.arange(len(anchors)), anchors)
-    anchor = (
-        np.arange(len(window))
-        - np.repeat(np.cumsum(anchors) - anchors, anchors)
-        + first_anchor[window]
+    anchor = np.arange(len(window)) + np.repeat(
+        first_anchor - np.cumsum(anchors) + anchors, anchors
     )
     # lexsort is stable, so equal (anchor, value) pairs keep window order.
     order = np.lexsort((value[window], anchor))
     ranked = anchor[order]
+    heads = np.ones(len(window), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=heads[1:])
     wins = np.zeros(len(window), dtype=bool)
-    wins[order[np.append(True, ranked[1:] != ranked[:-1])]] = True
+    wins[order[heads]] = True
     # (window, anchor) pairs are listed by window, anchors ascending: a
     # window's first winning pair is where the window changes.
     pairs = np.flatnonzero(wins)
-    heads = pairs[np.append(True, window[pairs][1:] != window[pairs][:-1])]
-    return window[heads], anchor[heads]
+    won = window[pairs]
+    heads = np.ones(len(pairs), dtype=bool)
+    np.not_equal(won[1:], won[:-1], out=heads[1:])
+    return won[heads], anchor[pairs[heads]]
 
 
 def dnorm_between(
     query_partition: PartitionedSequence, data_partition: PartitionedSequence
 ) -> tuple[np.ndarray, Phase3Windows]:
     """Every anchor's ``Dnorm``, no threshold, between two partitions:
-    ``(nearest, windows)`` of :func:`dnorm_instances` with one instance per
-    MBR of the partition holding fewer points, in order, measured against
-    the other's segments (so the query probes unless it is the longer of
-    the two — see :func:`min_normalized_distance`)."""
-    probes, targets = query_partition, data_partition
-    if len(probes.sequence) > len(targets.sequence):
-        probes, targets = targets, probes
-    nearest, _, windows = dnorm_instances(
-        SegmentRuns.of([targets]),
-        np.zeros(len(probes), dtype=np.int64),
-        probes.low_matrix,
-        probes.high_matrix,
-        probes.counts,
-        np.full(len(probes), np.inf),
+    ``(nearest, windows)`` of :func:`dnorm_pairs` for the one pair, one
+    instance per MBR of the partition holding fewer points, in order,
+    measured against the other's segments (so the query probes unless it
+    is the longer of the two — see :func:`min_normalized_distance`)."""
+    straight, swapped = dnorm_pairs(
+        SegmentRuns.of([query_partition]),
+        SegmentRuns.of([data_partition]),
+        np.zeros(1, dtype=np.int64),
+        np.full(1, np.inf),
     )
-    return nearest, windows
+    grid = swapped if straight is None else straight
+    return grid.nearest.reshape(-1), grid.windows
 
 
 @lower_bounds(

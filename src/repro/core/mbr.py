@@ -26,11 +26,12 @@ computed them.  The ``low`` / ``high`` ndarrays exist for the vectorised
 row kernels and are built on first access only.
 
 ``Dmbr`` has three bodies — the scalar :meth:`MBR.min_distance`, the
-row-major :func:`dmbr_rows` (one rectangle per matrix row, Phase 3) and the
-column-major :func:`dmbr_columns` (one contiguous array per dimension,
-Phase 2 and the k-NN bounds) — and all three add the squared gaps in that
-same ``np.sum`` order, so a threshold test gives one verdict whichever of
-them evaluates it, in every dimension.
+row-major :func:`dmbr_rows` (one rectangle against the rows of a matrix:
+:meth:`~repro.core.partitioning.PartitionedSequence.mbr_distance_row`) and
+the column-major :func:`dmbr_columns` (one contiguous array per dimension:
+Phase 2, Phase 3's block and the k-NN bounds) — and all three add the
+squared gaps in that same ``np.sum`` order, so a threshold test gives one
+verdict whichever of them evaluates it, in every dimension.
 """
 
 from __future__ import annotations
@@ -515,9 +516,9 @@ def dmbr_rows(
 
     ``lows`` / ``highs`` are ``(r, n)`` corner matrices (one partition's,
     rows of a database's segment table); ``(low, high)`` is one rectangle
-    (``(n,)`` corners) or one per row (``(r, n)``).  Entry ``t`` of the
-    result is the :meth:`MBR.min_distance` of pair ``t``, all in one pass,
-    to the bit: ``np.sum`` along a row is the order the scalar method and
+    (``(n,)`` corners).  Entry ``t`` of the result is the
+    :meth:`MBR.min_distance` of row ``t``, all in one pass, to the bit:
+    ``np.sum`` along a row is the order the scalar method and
     :func:`dmbr_columns` reproduce.
     """
     # Same arithmetic as max(0, max(l - h_q, l_q - h))**2 summed per row,

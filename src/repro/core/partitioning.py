@@ -338,8 +338,8 @@ class PartitionedSequence:
         """``Dmbr(query_mbr, segment t)`` for every segment, vectorised.
 
         One row per (query MBR, sequence) pair, reused across all ``Dnorm``
-        anchors — the single-sequence form of the rows Phase 3 computes
-        over the database's segment table.
+        anchors — the single-sequence form of the rows Phase 3 reads off
+        its ``Dmbr`` block.
         """
         return query_mbr.min_distance_rows(self._low_matrix, self._high_matrix)
 

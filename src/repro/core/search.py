@@ -19,19 +19,24 @@ Algorithm SIMILARITY_SEARCH:
   points participating in each sub-threshold ``Dnorm`` computation are
   accumulated into the sequence's approximate solution interval (§3.3).
 
-Phase 3 is one pass of :func:`repro.core.distance.dnorm_instances` over
-*instances* — a probe rectangle, the run of target segments it is measured
-against, a threshold — and every caller here only builds instances:
-:meth:`SimilaritySearch.search` and :meth:`~SimilaritySearch.match_candidates`
-pair one query with many rows of the database's
-:class:`~repro.core.database.SegmentTable`,
-:meth:`~SimilaritySearch.match_queries` pairs many queries with one row, and
-a pair whose query holds more points than the stored sequence (the paper's
-long-query case) swaps roles: each data segment probes the query's
-partition.  ``explain`` reads the same body at ``eps = inf``.  The k-NN
-bounds and the ε-cache's Phase-2 shortcuts (``candidates_within``,
-``queries_within``) scan the same table's corner columns with the kernel
-the index descends with.
+Phase 3 is one pass of :func:`repro.core.distance.dnorm_pairs` over
+(query, stored sequence) pairs, and every caller here only names its
+pairs: :meth:`SimilaritySearch.search` and
+:meth:`~SimilaritySearch.match_candidates` pair one query with many rows of
+the database's :class:`~repro.core.database.SegmentTable`,
+:meth:`~SimilaritySearch.match_queries` pairs many queries with one row,
+and ``explain`` reads the same pass at ``eps = inf``.  The pass computes
+one ``Dmbr`` block between the queries' MBRs and the rows' segments with
+the kernel the index descends with, reads each *instance*'s least ``Dmbr``
+off it — a probe rectangle against the run of target segments it is
+measured against, at a threshold — and hands only the instances within
+their threshold, as rows of the block, to the one body
+:func:`repro.core.distance.dnorm_instances`.  A pair whose query holds more
+points than the stored sequence (the paper's long-query case) swaps roles
+— each data segment probes the query's partition — and reads the block
+transposed.  The k-NN bounds and the ε-cache's Phase-2 shortcuts
+(``candidates_within``, ``queries_within``) scan the same table's corner
+columns with the same kernel.
 
 A k-nearest-sequences extension (:meth:`SimilaritySearch.knn`) implements
 the optimal multi-step algorithm of Seidl & Kriegel over a mean of the same
@@ -56,7 +61,7 @@ from repro.core.database import SegmentTable, SequenceDatabase
 from repro.core.distance import (
     SegmentRuns,
     dnorm_between,
-    dnorm_instances,
+    dnorm_pairs,
     min_dmbr_runs,
     run_entries,
     segment_mean_bounds,
@@ -162,9 +167,13 @@ class SearchStats:
     #: Sequences surviving Phase 2 / Phase 3.
     candidates_after_dmbr: int = 0
     answers_after_dnorm: int = 0
-    #: ``Dnorm`` evaluations actually performed (after fast-path skips).
+    #: ``Dnorm`` evaluations: one per target segment of each instance whose
+    #: least ``Dmbr`` is within the threshold.
     dnorm_evaluations: int = 0
-    #: ``Dmbr`` rows computed (one per surviving query-MBR x sequence pair).
+    #: ``Dmbr`` rows: one per (probe, candidate) instance — each query MBR
+    #: against each candidate, or each data segment against a longer query
+    #: — as if every instance were examined; without solution intervals a
+    #: candidate's count stops at its first matching probe.
     dmbr_rows: int = 0
 
     @property
@@ -327,29 +336,86 @@ def _validate_knn_subsequences(
 
 
 def _stored_runs(table: SegmentTable) -> SegmentRuns:
-    """The table's sequences as the runs :func:`dnorm_instances` reads."""
+    """The table's sequences as the runs :func:`dnorm_pairs` reads."""
     return SegmentRuns(
-        table.lows, table.highs, table.counts, table.sequence_offsets, table.lengths
+        table.lows,
+        table.highs,
+        table.low_columns,
+        table.high_columns,
+        table.counts,
+        table.sequence_offsets,
+        table.lengths,
     )
+
+
+#: Phase 3 takes the (query, row) pairs in tiles whose ``Dmbr`` block holds
+#: at most this many cells beside one query's or one row's own (half a
+#: megabyte): one block, one body pass and one cancellation checkpoint
+#: each, and temporaries that stay bounded however wide ε is.  A range
+#: search on the benchmark's N = 500 corpus is one tile.
+_PHASE3_TILE_CELLS = 1 << 16
+
+
+def _tile_cuts(sizes: np.ndarray, budget: int) -> list[int]:
+    """Cut consecutive runs of ``sizes`` entries into tiles: tile ``k``
+    takes the runs ``cuts[k]:cuts[k + 1]``, whose runs after the first
+    hold at most ``budget`` entries.  No runs make no tile."""
+    budget = max(1, budget)
+    last = np.cumsum(sizes) - 1  # each run's last entry
+    # A run starts a tile where its last entry and the run before's fall
+    # in different ones (the first run's "run before" ends at -1).
+    starts = np.flatnonzero(last // budget != (last - sizes) // budget)
+    return [*starts.tolist(), len(sizes)]
+
+
+def _tiles(
+    probes: list[int], sizes: np.ndarray
+) -> list[tuple[int, int, list[int]]]:
+    """The (query, row) pairs of :func:`phase3_kernel` in tiles.
+
+    ``probes`` and ``sizes`` are the MBRs of each query and the segments
+    of each row.  Returns, per run ``a:b`` of queries, the cuts of the
+    rows into runs whose ``Dmbr`` block against those queries holds at
+    most :data:`_PHASE3_TILE_CELLS` cells beside one query's or one row's
+    own.  A block within the budget is one tile, cut no further.
+    """
+    segments = int(sizes.sum())
+    if sum(probes) * segments <= _PHASE3_TILE_CELLS:
+        return [(0, len(probes), [0, len(sizes)])]
+    tiles = _tile_cuts(np.array(probes), _PHASE3_TILE_CELLS // max(1, segments))
+    return [
+        (a, b, _tile_cuts(sizes, _PHASE3_TILE_CELLS // sum(probes[a:b])))
+        for a, b in zip(tiles, tiles[1:])
+    ]
 
 
 def phase3_kernel(
     table: SegmentTable,
     queries: Sequence[tuple[PartitionedSequence, float]],
-    pair_query: np.ndarray,
-    pair_row: np.ndarray,
+    rows: np.ndarray,
     *,
     find_intervals: bool,
     stats: SearchStats,
-) -> dict[int, IntervalSet]:
-    """Phase 3 for many (query, stored sequence) pairs at once.
+) -> dict[int, IntervalSet | None]:
+    """Phase 3 for every (query, stored sequence) pair at once.
 
-    Pair ``p`` is ``queries[pair_query[p]]`` — a partition and its
-    threshold — against table row ``pair_row[p]``.  Returns ``p -> solution
-    interval`` for the pairs with some ``Dnorm <= eps``, ascending (the
-    intervals are empty unless ``find_intervals``; without them a pair also
-    stops being examined — and counted in ``stats`` — at its first probe
-    that matches).
+    Pair ``p = a * len(rows) + c`` is ``queries[a]`` — a partition and its
+    threshold — against table row ``rows[c]`` (the rows are distinct).
+    Returns, ascending, ``p -> solution interval`` for the pairs with some
+    ``Dnorm <= eps`` and ``p -> None`` for the other pairs Phase 2 admits
+    (some ``Dmbr <= eps``); a pair it does not admit is absent.  The
+    intervals are empty unless ``find_intervals``; without them a pair
+    also stops being examined — and counted in ``stats`` — at its first
+    probe that matches.
+
+    The pairs go through :func:`repro.core.distance.dnorm_pairs` in tiles
+    (runs of queries by runs of rows, :func:`_tiles`), one call each — a
+    range search is usually one tile: one ``Dmbr`` block
+    between the tile's query MBRs and its rows' segments, every (probe,
+    pair) instance's least ``Dmbr`` read off it, and ``Dnorm`` only for
+    the instances where that is within the threshold.
+    ``stats`` counts ``Dmbr`` rows and ``Dnorm`` evaluations as if every
+    instance were examined, as the per-sequence search did.
 
     Usually the query's MBRs probe the stored sequence's segments, and the
     sub-threshold windows make the interval.  Where the query holds more
@@ -361,49 +427,86 @@ def phase3_kernel(
     segment's whole span, since all of it aligns inside the query.
     """
     stored = _stored_runs(table)
-    asked = SegmentRuns.of([partition for partition, _ in queries])
-    epsilons = np.array([epsilon for _, epsilon in queries])[pair_query]
-    swapped = asked.lengths[pair_query] > stored.lengths[pair_row]
-    found: dict[int, IntervalSet] = {}
-    for swap, probes, probe_run, targets, target_run in (
-        (False, asked, pair_query, stored, pair_row),
-        (True, stored, pair_row, asked, pair_query),
-    ):
-        pairs = np.flatnonzero(swapped == swap)
-        if len(pairs) == 0:
-            continue
-        # One instance per segment of the probing run of each pair.
-        lows, highs, counts, offsets = probes.gather(probe_run[pairs])
-        sizes = np.diff(offsets)
-        pair = np.repeat(pairs, sizes)
-        run = target_run[pair]
-        epsilon = epsilons[pair]
-        nearest, hit, windows = dnorm_instances(
-            targets, run, lows, highs, counts, epsilon,
-            windows=find_intervals and not swap,
-        )  # fmt: skip
-        # One Dmbr row per examined instance; Dnorm over the target's
-        # segments where the row minimum is within the threshold.
-        examined = np.ones(len(pair), dtype=bool)
-        if not find_intervals:
-            # A pair is settled by its first matching probe.
-            earlier = np.cumsum(hit) - hit
-            examined = earlier == np.repeat(earlier[offsets[:-1]], sizes)
-        stats.dmbr_rows += int(examined.sum())
-        within = examined & (nearest <= epsilon)
-        stats.dnorm_evaluations += int(
-            (targets.offsets[run + 1] - targets.offsets[run])[within].sum()
-        )
-        if not find_intervals:
-            found.update(dict.fromkeys(pair[hit].tolist(), IntervalSet()))
-        elif not swap:
-            # Every matched pair has at least one window.
-            found.update(windows.solution_intervals(pair))
-        else:
-            stop = np.cumsum(counts)
-            stop -= np.repeat((stop - counts)[offsets[:-1]], sizes)
-            found.update(union_spans(pair[hit], (stop - counts)[hit], stop[hit]))
-    return {p: found[p] for p in sorted(found)}
+    epsilons = np.array([epsilon for _, epsilon in queries])
+    # Which (query, row) pairs Phase 2 admits and Phase 3 matches.
+    near = np.zeros((len(queries), len(rows)), dtype=bool)
+    matched = np.zeros_like(near)
+    spans = [(np.zeros(0, dtype=np.int64),) * 3]
+    sizes = stored.offsets[rows + 1] - stored.offsets[rows]
+    probes = [len(partition) for partition, _ in queries]
+    for a, b, cuts in _tiles(probes, sizes):
+        asked = SegmentRuns.of([partition for partition, _ in queries[a:b]])
+        for first, stop in zip(cuts, cuts[1:]):
+            group = rows[first:stop]
+            grids = dnorm_pairs(
+                asked, stored, group, epsilons[a:b], windows=find_intervals
+            )
+            for grid, swap in zip(grids, (False, True)):
+                if grid is None:
+                    continue
+                # The grid's probes come in runs (a query's MBRs, or a
+                # row's segments); summed over them, a cell is one (probe
+                # run, target run) pair: a (query, row) pair of the tile.
+                heads = grid.probe_runs[:-1]
+                runs = grid.probe_runs[1:] - heads
+                # One Dmbr row per examined instance; Dnorm over the
+                # target's segments where its least Dmbr is within the
+                # threshold (built).
+                if find_intervals:
+                    stats.dmbr_rows += int(runs @ grid.pairs.sum(axis=1))
+                    stats.dnorm_evaluations += grid.evaluated
+                else:
+                    # A pair is settled by its first matching probe.
+                    earlier = np.cumsum(grid.found, axis=0) - grid.found
+                    examined = earlier == np.repeat(earlier[heads], runs, axis=0)
+                    count = np.add.reduceat(examined, heads, axis=0, dtype=np.int64)
+                    stats.dmbr_rows += int(count[grid.pairs].sum())
+                    count = np.add.reduceat(
+                        examined & grid.built, heads, axis=0, dtype=np.int64
+                    )
+                    targets = (
+                        asked.offsets[1:] - asked.offsets[:-1]
+                        if swap
+                        else sizes[first:stop]
+                    )
+                    stats.dnorm_evaluations += int((count * targets).sum())
+                admitted = np.logical_or.reduceat(grid.built, heads, axis=0)
+                near[a:b, first:stop] |= admitted.T if swap else admitted
+                if not find_intervals:
+                    hit = np.logical_or.reduceat(grid.found, heads, axis=0)
+                    matched[a:b, first:stop] |= hit.T if swap else hit
+                elif not swap:
+                    # Every matched pair has a window: its points.
+                    probe, row = np.divmod(grid.windows.instance, len(group))
+                    query = a + np.searchsorted(heads, probe, side="right") - 1
+                    spans.append(
+                        (
+                            query * len(rows) + first + row,
+                            grid.windows.start,
+                            grid.windows.stop,
+                        )
+                    )
+                else:
+                    # A matching data segment's whole span aligns inside
+                    # the query.
+                    segment, query = np.divmod(np.flatnonzero(grid.found), b - a)
+                    row = np.searchsorted(heads, segment, side="right") - 1
+                    segment += stored.offsets[group[row]] - heads[row]
+                    base = table.point_offsets[stored.offsets[group[row]]]
+                    spans.append(
+                        (
+                            (a + query) * len(rows) + first + row,
+                            table.point_offsets[segment] - base,
+                            table.point_offsets[segment + 1] - base,
+                        )
+                    )
+    # Ascending, as flatnonzero lists them; every matched pair is admitted.
+    found: dict[int, IntervalSet | None] = dict.fromkeys(np.flatnonzero(near).tolist())
+    if find_intervals:
+        found.update(union_spans(*map(np.concatenate, zip(*spans))))
+    else:
+        found.update(dict.fromkeys(np.flatnonzero(matched).tolist(), IntervalSet()))
+    return found
 
 
 class SimilaritySearch:
@@ -524,12 +627,15 @@ class SimilaritySearch:
         found = phase3_kernel(
             table,
             [(query_partition, epsilon)],
-            np.zeros(len(rows), dtype=np.int64),
             rows,
             find_intervals=find_intervals,
             stats=stats,
         )
-        return {table.ids[rows[p]]: interval for p, interval in found.items()}
+        return {
+            table.ids[rows[p]]: interval
+            for p, interval in found.items()
+            if interval is not None
+        }
 
     # ------------------------------------------------------------------
     # Building blocks reused by the serving cache
@@ -570,30 +676,30 @@ class SimilaritySearch:
         self,
         queries: Sequence[tuple[PartitionedSequence, float, bool]],
         sequence_id: object,
-    ) -> list[IntervalSet | None]:
-        """Run Phase 3 for many queries against one stored sequence.
+    ) -> tuple[list[bool], list[IntervalSet | None]]:
+        """Run Phases 2 and 3 for many queries against one stored sequence.
 
-        The Phase-3 dual of :meth:`queries_within`: per ``(query partition,
-        epsilon, find_intervals)`` the sequence's approximate solution
-        interval if it matches that query at that threshold (empty unless
-        asked for), else ``None`` — all in one pass.  The ε-aware result
-        cache uses it to re-examine the one sequence a write touched
-        under every cached query that admits it.
+        Per ``(query partition, epsilon, find_intervals)``: whether Phase 2
+        admits the sequence at that threshold — the verdict of
+        :meth:`queries_within`, from the same ``Dmbr`` values — and the
+        sequence's approximate solution interval if it matches (empty
+        unless asked for), else ``None``; all in one pass.  The ε-aware
+        result cache uses it to re-examine the one sequence a write
+        touched under every cached query its box filter lets through.
         """
         table = self.database.segment_table
         row = table.rows[sequence_id]
         if not queries:
-            return []
+            return [], []
         found = phase3_kernel(
             table,
             [(partition, check_threshold(eps)) for partition, eps, _ in queries],
-            np.arange(len(queries)),
-            np.full(len(queries), row),
+            np.array([row]),
             find_intervals=any(wanted for _, _, wanted in queries),
             stats=SearchStats(),
         )
-        return [
-            (found[p] if wanted else IntervalSet()) if p in found else None
+        return [p in found for p in range(len(queries))], [
+            None if found.get(p) is None else found[p] if wanted else IntervalSet()
             for p, (_, _, wanted) in enumerate(queries)
         ]
 

@@ -425,24 +425,16 @@ class EpsilonCache:
         if entries and sequence_id in search.database:
             near = _near([entry for _, entry in entries], search, sequence_id)
             nearby = [pair for pair, kept in zip(entries, near) if kept]
-            # Phase 2 for the nearby entries in one broadcast Dmbr, then
-            # Phase 3 in one pass for the entries where it said yes.
-            verdicts = search.queries_within(
-                [(e.query_partition, e.epsilon) for _, e in nearby], sequence_id
+            # Phases 2 and 3 for the nearby entries in one pass.
+            admitted, found = search.match_queries(
+                [(e.query_partition, e.epsilon, e.find_intervals) for _, e in nearby],
+                sequence_id,
             )
-            admitted = [pair for pair, yes in zip(nearby, verdicts) if yes]
-            matches = dict(
-                zip(
-                    [key for key, _ in admitted],
-                    search.match_queries(
-                        [
-                            (e.query_partition, e.epsilon, e.find_intervals)
-                            for _, e in admitted
-                        ],
-                        sequence_id,
-                    ),
-                )
-            )
+            matches = {
+                key: interval
+                for (key, _), yes, interval in zip(nearby, admitted, found)
+                if yes
+            }
         replacements = []
         for key, entry in entries:
             if key not in matches and not entry.holds(sequence_id):

@@ -195,8 +195,8 @@ def _break_phase3(monkeypatch):
     """Make the Phase-3 kernel dismiss every pair it is handed."""
     kernel = search_module.phase3_kernel
 
-    def dismissing(table, queries, pair_query, pair_row, **kwargs):
-        return kernel(table, queries, pair_query[:0], pair_row[:0], **kwargs)
+    def dismissing(table, queries, rows, **kwargs):
+        return kernel(table, queries, rows[:0], **kwargs)
 
     monkeypatch.setattr(search_module, "phase3_kernel", dismissing)
 
@@ -214,17 +214,17 @@ def test_false_dismissal_is_caught(monkeypatch, checks_off):
 
 
 def test_undershooting_phase3_kernel_is_caught(monkeypatch, checks_off):
-    """Lemma 2 on the Phase-3 body's own windows: its validator recomputes
-    each window's minimum Dmbr between MBR objects, so rows that undershoot
-    (here: every Dmbr halved) cannot pass while checking is on."""
+    """Lemma 2 on Phase 3's own windows: its validator recomputes each
+    window's minimum Dmbr between MBR objects, so a Dmbr block that
+    undershoots (here: every Dmbr halved) cannot pass while checking is on."""
     engine, _ = _search_fixture()
     query = MultidimensionalSequence(_loop_corpus()[10:40] + 0.03)
-    rows = distance_module.dmbr_rows
+    block = distance_module.dmbr_columns
 
-    def halved(low, high, lows, highs):
-        return rows(low, high, lows, highs) * 0.5
+    def halved(lows, highs, low_columns, high_columns):
+        return block(lows, highs, low_columns, high_columns) * 0.5
 
-    monkeypatch.setattr(distance_module, "dmbr_rows", halved)
+    monkeypatch.setattr(distance_module, "dmbr_columns", halved)
     assert engine.search(query, 0.05).solution_intervals  # silently generous
     with checking("contracts"):
         with pytest.raises(

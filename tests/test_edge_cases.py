@@ -11,7 +11,6 @@ import pytest
 from repro.baselines.sequential import SequentialScan, exact_solution_interval
 from repro.core.database import SequenceDatabase
 from repro.core.distance import (
-    SegmentRuns,
     dnorm_instances,
     normalized_distance,
     sequence_distance,
@@ -135,18 +134,10 @@ class TestQueryShapes:
 
 def batched_dnorm(query, query_count, mbrs, counts, epsilon=np.inf):
     """One instance of the batched body: ``(found, windows)``."""
-    run = SegmentRuns(
-        np.array([mbr.low for mbr in mbrs]),
-        np.array([mbr.high for mbr in mbrs]),
+    found, windows = dnorm_instances(
+        np.array([query.min_distance(mbr) for mbr in mbrs]),
         np.array(counts),
         np.array([0, len(mbrs)]),
-        np.array([sum(counts)]),
-    )
-    _, found, windows = dnorm_instances(
-        run,
-        np.zeros(1, dtype=np.int64),
-        query.low[None, :],
-        query.high[None, :],
         np.array([query_count]),
         np.array([epsilon]),
     )

@@ -1,15 +1,17 @@
 """The one Phase-3 body against the per-sequence row reference.
 
-``repro.core.distance.dnorm_instances`` — through every caller that builds
-instances for it: ``phase3_kernel`` / ``match_candidates`` (one query, many
-sequences), ``match_queries`` (many queries, one sequence), the swapped
-instances of the long-query case, ``explain`` and
-``min_normalized_distance`` — must return *the same* verdicts, solution
-intervals, work counters and values as running ``normalized_distance_row``
-sequence by sequence, including its tie-break between equal ``Dnorm``
-windows, not merely sound ones.  ``normalized_distance_row`` is the O(r)
-per-sequence implementation that used to live in ``repro.core.distance``;
-it is kept here, unchanged, as the reference.  The corpora are built to
+``repro.core.distance.dnorm_instances`` — alone, and through
+``dnorm_pairs``, which reads every instance off one ``Dmbr`` block and
+builds only those within reach, for every caller: ``phase3_kernel`` /
+``match_candidates`` (one query, many sequences), ``match_queries`` (many
+queries, one sequence), the swapped instances of the long-query case,
+``explain`` and ``min_normalized_distance`` — must return *the same*
+verdicts, solution intervals, work counters and values as running
+``normalized_distance_row`` sequence by sequence, including its tie-break
+between equal ``Dnorm`` windows, not merely sound ones.
+``normalized_distance_row`` is the O(r) per-sequence implementation that
+used to live in ``repro.core.distance``; it is kept here, unchanged, as the
+reference.  The corpora are built to
 make ties and edge windows common: random walks whose steps are often
 exactly zero (duplicated points, all-zero ``Dmbr`` rows), one-point
 segments (``max_points`` 1), sequences shorter than a query MBR (the
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro.core.distance as distance_module
+import repro.core.search as search_module
 from repro.core.contracts import lower_bounds
 from repro.core.database import SequenceDatabase
 from repro.core.distance import (
@@ -37,12 +40,18 @@ from repro.core.distance import (
     SegmentRuns,
     _validate_normalized_distance,
     dnorm_instances,
+    dnorm_pairs,
     min_normalized_distance,
 )
+from repro.core.mbr import MBR
 from repro.core.partitioning import partition_sequence
-from repro.core.search import SearchStats, SimilaritySearch, phase3_kernel
+from repro.core.search import (
+    SearchStats,
+    SimilaritySearch,
+    _stored_runs,
+    phase3_kernel,
+)
 from repro.core.solution_interval import IntervalSet
-from repro.util.checks import enabled
 
 _STEPS = [0.0, 0.0, 0.0, 0.01, -0.01, 0.05, -0.05, 0.4, -0.4]
 _EPSILONS = [0.0, 0.02, 0.1, 0.3, 1.0]
@@ -382,16 +391,20 @@ def reference_phase3(query_partition, partition, epsilon, find_intervals):
 
 
 def kernel_rows(database, rows, query_partition, epsilon, find_intervals, stats):
-    """``phase3_kernel`` for one query against table rows: ``row -> interval``."""
+    """``phase3_kernel`` for one query against table rows: ``row -> interval``
+    of the rows that match."""
     found = phase3_kernel(
         database.segment_table,
         [(query_partition, epsilon)],
-        np.zeros(len(rows), dtype=np.int64),
         rows,
         find_intervals=find_intervals,
         stats=stats,
     )
-    return {int(rows[pair]): interval for pair, interval in found.items()}
+    return {
+        int(rows[pair]): interval
+        for pair, interval in found.items()
+        if interval is not None
+    }
 
 
 def reference_best(query_partition, partition):
@@ -447,7 +460,7 @@ def instance_sets(draw):
 
 
 class TestBodyEqualsRowReference:
-    @given(instance_sets(), st.booleans())
+    @given(instance_sets())
     # Eight one-point segments whose last three lie 0.9 - 0.6 from the
     # probe (0.30000000000000004 in floating point), |q_i| = 2: the running
     # sums put window (6, 7) at 0.29999999999999993, below every Dmbr of
@@ -464,34 +477,32 @@ class TestBodyEqualsRowReference:
             ],
             [(0, 1, 0, 2, 0.3), (0, 1, 0, 2, INFINITY)],
         ),
-        False,
     )
     @settings(max_examples=300, deadline=None)
-    def test_every_instance(self, drawn, chunked):
+    def test_every_instance(self, drawn):
         partitions, instances = drawn
-        runs = SegmentRuns.of(partitions)
         probes = [
             partitions[p].segments[s % len(partitions[p])].mbr
             for _, p, s, _, _ in instances
         ]
+        rows = [
+            partitions[target].mbr_distance_row(probe)
+            for (target, *_), probe in zip(instances, probes)
+        ]
         arguments = (
-            runs,
-            np.array([t for t, *_ in instances], dtype=np.int64),
-            np.array([mbr.low for mbr in probes]).reshape(-1, runs.lows.shape[1]),
-            np.array([mbr.high for mbr in probes]).reshape(-1, runs.lows.shape[1]),
+            np.concatenate([np.zeros(0), *rows]),
+            np.concatenate(
+                [np.zeros(0, dtype=np.int64)]
+                + [partitions[t].counts for t, *_ in instances]
+            ),
+            np.cumsum([0, *(len(row) for row in rows)]),
             np.array([count for *_, count, _ in instances], dtype=np.int64),
             np.array([epsilon for *_, epsilon in instances], dtype=np.float64),
         )
-        original = distance_module._PHASE3_CHUNK_SEGMENTS
-        distance_module._PHASE3_CHUNK_SEGMENTS = 1 if chunked else original
-        try:
-            nearest, found, windows = dnorm_instances(*arguments)
-            _, found_only, none = dnorm_instances(*arguments, windows=False)
-        finally:
-            distance_module._PHASE3_CHUNK_SEGMENTS = original
+        found, windows = dnorm_instances(*arguments)
+        found_only, none = dnorm_instances(*arguments, windows=False)
         assert found_only.tolist() == found.tolist()
-        if not enabled("contracts"):
-            assert len(none.instance) == 0
+        assert len(none.instance) == 0
 
         emitted = {}
         for fields in zip(
@@ -503,16 +514,14 @@ class TestBodyEqualsRowReference:
             )
         ):
             emitted.setdefault(fields[0], set()).add(fields[1:])
-        for index, ((target, _, _, count, epsilon), probe) in enumerate(
-            zip(instances, probes)
+        for index, ((target, _, _, count, epsilon), probe, row) in enumerate(
+            zip(instances, probes, rows)
         ):
             partition = partitions[target]
             counts = partition.counts
-            row = partition.mbr_distance_row(probe)
             results = normalized_distance_row(
                 probe, count, partition.mbrs, counts, dmbr_row=row, only_below=epsilon
             )
-            assert nearest[index] == row.min()
             assert found[index] == bool(results)
             expected = {}
             for result in results:  # anchors ascend: the first one is kept
@@ -529,6 +538,158 @@ class TestBodyEqualsRowReference:
                 (anchor, first, last, value, start, stop)
                 for (first, last, value, _), (anchor, start, stop) in expected.items()
             }
+
+
+# ----------------------------------------------------------------------
+# The Dmbr block: which instances are built, and what they are handed
+# ----------------------------------------------------------------------
+def probing(query_partition, partition):
+    """``(probes, targets)`` of one pair: the query probes unless it holds
+    more points than the stored sequence."""
+    if len(query_partition.sequence) > len(partition.sequence):
+        return partition, query_partition
+    return query_partition, partition
+
+
+@st.composite
+def tight_cases(draw):
+    """A database, a query of many one- or two-point MBRs and a threshold
+    at which most (probe, sequence) instances are out of reach: zero, a
+    small one, or exactly some instance's least Dmbr."""
+    database, corpus = draw(corpora(min_sequences=1))
+    query = partition_sequence(
+        draw(queries_for(corpus, database.dimension)),
+        max_points=draw(st.integers(1, 2)),
+    )
+    minima = sorted(
+        float(targets.mbr_distance_row(probe.mbr).min())
+        for _, partition in database.partitions()
+        for probes, targets in [probing(query, partition)]
+        for probe in probes
+    )
+    lowest = minima[: len(minima) // 3 + 1]
+    epsilon = draw(st.sampled_from([0.0, 0.01, 0.02, *lowest]))
+    return database, query, epsilon
+
+
+class TestDmbrBlock:
+    @given(corpora(min_sequences=1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_instance_minima_are_the_row_minima(self, drawn, data):
+        """Straight and swapped pairs of several queries and rows in one
+        block: every instance's least Dmbr is its row's, bit for bit."""
+        database, corpus = drawn
+        table = database.segment_table
+        partitions = [
+            partition_sequence(
+                data.draw(queries_for(corpus, database.dimension, max_length=60)),
+                max_points=database.max_points,
+            )
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        rows = np.array(
+            data.draw(
+                st.lists(st.integers(0, len(corpus) - 1), min_size=1, unique=True)
+            ),
+            dtype=np.int64,
+        )
+        grids = dnorm_pairs(
+            SegmentRuns.of(partitions),
+            _stored_runs(table),
+            rows,
+            np.full(len(partitions), INFINITY),
+        )
+        for query, column in np.ndindex(len(partitions), len(rows)):
+            stored = database.partition(table.ids[rows[column]])
+            probes, targets = probing(partitions[query], stored)
+            swapped = probes is stored
+            grid = grids[swapped]
+            # Probes lie on the grid's first axis, in runs; targets on its second.
+            run, target = (column, query) if swapped else (query, column)
+            first = grid.probe_runs[run]
+            assert grid.probe_runs[run + 1] - first == len(probes)
+            least = grid.nearest[first : first + len(probes), target]
+            assert [value.hex() for value in least.tolist()] == [
+                float(targets.mbr_distance_row(probe.mbr).min()).hex()
+                for probe in probes
+            ]
+            assert grid.built[first : first + len(probes), target].all()
+
+    @pytest.mark.parametrize("query", [[[0.8]], [[0.8], [0.8], [0.8]]])
+    def test_an_instance_exactly_at_its_threshold_is_built_and_matches(self, query):
+        """The one instance's least Dmbr is the threshold itself — straight
+        (a one-point query against a two-point sequence) and swapped (a
+        three-point query against it)."""
+        database = SequenceDatabase(1, max_points=1)
+        database.add([[0.5], [0.5]], sequence_id="only")
+        epsilon = MBR([0.8], [0.8]).min_distance(MBR([0.5], [0.5]))
+        assert epsilon > 0.3  # 0.30000000000000004: not a round number
+        search = SimilaritySearch(database)
+        partition = partition_sequence(np.array(query), max_points=1)
+        expected = IntervalSet([(0, 2)])
+        assert search.match_candidates(partition, ["only"], epsilon) == {
+            "only": expected
+        }
+        assert search.match_queries([(partition, epsilon, True)], "only") == (
+            [True],
+            [expected],
+        )
+        assert search.search(query, epsilon).answers == ["only"]
+
+    @given(tight_cases(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_counters_count_every_instance(self, case, find_intervals):
+        """Most instances are never built, yet both counters are the
+        reference's, which examines them all."""
+        database, query, epsilon = case
+        table = database.segment_table
+        rows = np.arange(len(table.ids), dtype=np.int64)
+        stats = SearchStats()
+        found = kernel_rows(database, rows, query, epsilon, find_intervals, stats)
+        expected = {}
+        expected_rows = expected_evaluations = 0
+        for row in rows.tolist():
+            hit, interval, dmbr_rows, dnorm_evaluations = reference_phase3(
+                query, database.partition(table.ids[row]), epsilon, find_intervals
+            )
+            expected_rows += dmbr_rows
+            expected_evaluations += dnorm_evaluations
+            if hit:
+                expected[row] = interval
+        assert found == expected
+        assert stats.dmbr_rows == expected_rows
+        assert stats.dnorm_evaluations == expected_evaluations
+
+    @given(tight_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_the_body_gets_only_instances_within_reach(self, case):
+        database, query, epsilon = case
+        table = database.segment_table
+        received = []
+        body = distance_module.dnorm_instances
+
+        def spy(dmbr, counts, offsets, probe_counts, epsilons, **kwargs):
+            received.append(len(probe_counts))
+            return body(dmbr, counts, offsets, probe_counts, epsilons, **kwargs)
+
+        distance_module.dnorm_instances = spy
+        try:
+            kernel_rows(
+                database,
+                np.arange(len(table.ids), dtype=np.int64),
+                query,
+                epsilon,
+                True,
+                SearchStats(),
+            )
+        finally:
+            distance_module.dnorm_instances = body
+        assert sum(received) == sum(
+            float(targets.mbr_distance_row(probe.mbr).min()) <= epsilon
+            for _, partition in database.partitions()
+            for probes, targets in [probing(query, partition)]
+            for probe in probes
+        )
 
 
 # ----------------------------------------------------------------------
@@ -606,6 +767,60 @@ class TestKernelEqualsReference:
         assert got == expected
         assert list(got) == list(expected)  # database insertion order
 
+    @given(corpora(min_sequences=1), st.data(), st.booleans(), st.integers(1, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_tiles_change_nothing(self, drawn, data, find_intervals, cells):
+        """Phase 3 takes the (query, row) pairs in tiles whose ``Dmbr``
+        block holds at most ``_PHASE3_TILE_CELLS`` cells beside one query's
+        or one row's own; with tiny tiles (one pair a tile at 1 cell) the
+        verdicts, intervals, their order and both counters are those of
+        the one tile."""
+        database, corpus = drawn
+        queries = [
+            (
+                partition_sequence(
+                    data.draw(queries_for(corpus, database.dimension)),
+                    max_points=database.max_points,
+                ),
+                data.draw(st.sampled_from(_EPSILONS)),
+            )
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        table = database.segment_table
+        rows = np.arange(len(table.ids), dtype=np.int64)
+        whole = SearchStats()
+        expected = phase3_kernel(
+            table, queries, rows, find_intervals=find_intervals, stats=whole
+        )
+
+        tiles = []
+
+        def recording(asked, stored, group, *args, **kwargs):
+            tiles.append((np.diff(asked.offsets), np.diff(stored.offsets)[group]))
+            return dnorm_pairs(asked, stored, group, *args, **kwargs)
+
+        original = search_module._PHASE3_TILE_CELLS
+        search_module._PHASE3_TILE_CELLS = cells
+        search_module.dnorm_pairs = recording
+        try:
+            tiled = SearchStats()
+            found = phase3_kernel(
+                table, queries, rows, find_intervals=find_intervals, stats=tiled
+            )
+        finally:
+            search_module._PHASE3_TILE_CELLS = original
+            search_module.dnorm_pairs = dnorm_pairs
+        assert found == expected
+        assert list(found) == list(expected)
+        assert tiled.dmbr_rows == whole.dmbr_rows
+        assert tiled.dnorm_evaluations == whole.dnorm_evaluations
+        # Every pair in one tile; past its first query and first row, a
+        # tile's runs hold at most the budget.
+        assert sum(len(q) * len(r) for q, r in tiles) == len(queries) * len(rows)
+        segments = len(table.counts)
+        assert all(q[1:].sum() <= max(1, cells // segments) for q, _ in tiles)
+        assert all(r[1:].sum() <= max(1, cells // q.sum()) for q, r in tiles)
+
     def test_empty_database_and_empty_survivor_list(self):
         database = SequenceDatabase(2)
         search = SimilaritySearch(database)
@@ -617,7 +832,7 @@ class TestKernelEqualsReference:
         partition = partition_sequence(query)
         assert search.match_candidates(partition, [], 0.3) == {}
         assert search.candidates_within(partition, [], 0.3) == []
-        assert search.match_queries([], "only") == []
+        assert search.match_queries([], "only") == ([], [])
 
     def test_a_window_never_reaches_into_the_next_sequence(self):
         """Two-point sequences of one-point segments side by side in the
@@ -705,7 +920,8 @@ class TestMatchQueries:
                 query_partition, database.partition(sid), epsilon, find_intervals
             )
             expected.append(interval if hit else None)
-        assert search.match_queries(queries, sid) == expected
+        admitted = search.queries_within([(q, eps) for q, eps, _ in queries], sid)
+        assert search.match_queries(queries, sid) == (admitted, expected)
 
     def test_validation(self):
         database = SequenceDatabase(1)
@@ -715,7 +931,7 @@ class TestMatchQueries:
         assert search.match_queries(
             [(partition, 0.0, True), (partition, 0.5, True), (partition, 0.5, False)],
             "only",
-        ) == [None, IntervalSet([(0, 12)]), IntervalSet()]
+        ) == ([False, True, True], [None, IntervalSet([(0, 12)]), IntervalSet()])
         with pytest.raises(KeyError):
             search.match_queries([(partition, 0.1, True)], "missing")
         with pytest.raises(ValueError):

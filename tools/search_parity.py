@@ -50,14 +50,18 @@ Usage::
     python tools/search_parity.py --against ../parent --queries 60   # quicker
 
 Each side runs in its own interpreter with only its own ``src/`` on the
-import path; ``--dump FILE`` is that child mode (``--cross-kind`` adds the
-last section's after-writes half, which only this checkout is asked for).
+import path and the four runtime-check switches of
+:mod:`repro.util.checks` from the caller's environment
+(``REPRO_CHECK_CONTRACTS=1`` validates both sides' searches as they run);
+``--dump FILE`` is that child mode (``--cross-kind`` adds the last
+section's after-writes half, which only this checkout is asked for).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -65,6 +69,14 @@ from pathlib import Path
 from typing import Any
 
 __all__ = ["main"]
+
+#: The switches of repro.util.checks, passed on to both sides.
+_CHECK_SWITCHES = (
+    "REPRO_CHECK_CONTRACTS",
+    "REPRO_SYNC_CHECKS",
+    "REPRO_FREEZE_CHECKS",
+    "REPRO_ERROR_CHECKS",
+)
 
 _CORPUS_SIZE = 500
 _QUERY_POOL = 600
@@ -407,7 +419,13 @@ def _run_side(
             *(["--cross-kind"] if cross_kind else []),
         ],
         check=True,
-        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+        # Only that side's src/ on the path; the runtime-check switches
+        # reach both sides, and no other REPRO_* setting does.
+        env={
+            **{k: os.environ[k] for k in _CHECK_SWITCHES if k in os.environ},
+            "PYTHONPATH": str(root / "src"),
+            "PATH": "/usr/bin:/bin",
+        },
         timeout=1800,
     )
 
